@@ -14,12 +14,11 @@ use crate::campaign::config::RunConfig;
 use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
-use crate::injector::arm_faults;
+use crate::injector::FaultPlan;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::monitor::{attach_monitor, NanInfMonitor};
 use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
 use alfi_datasets::loader::ClassificationLoader;
-use alfi_nn::Network;
+use alfi_nn::{Network, NodeId, NodeMap, Pass};
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario};
 use alfi_store::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, Value};
 use alfi_tensor::Tensor;
@@ -28,7 +27,6 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Top-K classes with probabilities for one model output.
 pub type TopK = Vec<(usize, f32)>;
@@ -212,13 +210,28 @@ pub struct ClassificationScope {
 }
 
 /// The high-level classification campaign runner.
+///
+/// Each fault scope runs one golden forward of the model, with the
+/// model's registered hooks. The faulty and hardened forwards resume
+/// from the golden activations at their earliest faulted node (see
+/// [`FaultPlan`] and [`NodeMap`]), never clone a model and skip
+/// registered hooks, as forwards of hook-free clones would. A model
+/// that carries hooks therefore makes both of them start at node 0.
 #[derive(Debug)]
 pub struct ImgClassCampaign {
     model: Network,
-    resil_model: Option<Network>,
+    resil_model: Option<Hardened>,
     scenario: Scenario,
     loader: ClassificationLoader,
     fault_matrix: Option<FaultMatrix>,
+}
+
+/// The hardened model and its node map onto the campaign's model,
+/// computed once per campaign.
+#[derive(Debug)]
+struct Hardened {
+    net: Network,
+    map: NodeMap,
 }
 
 impl ImgClassCampaign {
@@ -238,8 +251,19 @@ impl ImgClassCampaign {
     /// Adds a hardened model to run in lock-step under the *same* faults
     /// — the paper's "tight integration of fault-free, faulty, and
     /// enhanced models". It must expose the same injectable-layer list.
+    ///
+    /// Its hooks never run: the hardened forward skips registered hooks
+    /// (hooks on the campaign's models run in the golden pass only). It
+    /// shares the golden prefix of the campaign's model up to the
+    /// earliest of its first faulted node, the first node that differs
+    /// from the model (name, layer bits, fused ops or inputs, see
+    /// [`NodeMap`]) and the first Ranger/Clipper guard the scope's
+    /// golden activations trip. A `harden` / `harden_fused` copy thus
+    /// shares everything up to its faults on most inputs; a
+    /// magnitude-pruned copy shares nothing and runs in full.
     pub fn with_resil_model(mut self, resil: Network) -> Self {
-        self.resil_model = Some(resil);
+        let map = NodeMap::new(&resil, &self.model);
+        self.resil_model = Some(Hardened { net: resil, map });
         self
     }
 
@@ -297,9 +321,11 @@ impl CampaignTask for ImgClassCampaign {
         let targets =
             crate::matrix::resolve_targets(&[&self.model], &self.scenario, &[Some(input_dims.clone())])?;
         let resil_targets = match &self.resil_model {
-            Some(r) => {
-                Some(crate::matrix::resolve_targets(&[r], &self.scenario, &[Some(input_dims)])?)
-            }
+            Some(r) => Some(crate::matrix::resolve_targets(
+                &[&r.net],
+                &self.scenario,
+                &[Some(input_dims)],
+            )?),
             None => None,
         };
         Ok((targets, resil_targets))
@@ -349,6 +375,12 @@ impl CampaignTask for ImgClassCampaign {
     /// contained image. Trace entries attribute each applied fault to
     /// the image its batch coordinate addressed (weight faults and
     /// out-of-range coordinates attribute to the scope's first image).
+    ///
+    /// One golden forward per scope; the faulty and hardened forwards
+    /// resume from its activations (see [`ImgClassCampaign`]). The
+    /// faulty pass's NaN/Inf counts cover every node up to the output:
+    /// the golden activations before its start node, then each
+    /// evaluated node after its layer and before its neuron faults.
     fn process_scope(
         &self,
         ctx: &ScopeCtx<'_>,
@@ -360,53 +392,73 @@ impl CampaignTask for ImgClassCampaign {
         let worker = alfi_pool::worker_index();
         let images = &scope.images;
         let n = scope.records.len();
-        let orig_logits = {
+        let kind = self.scenario.injection_target;
+        let golden = {
             let _span = rec.span_on(Phase::Forward, worker);
-            self.model.forward_traced(images, rec)?
+            self.model.evaluate(images, Pass::new().traced(rec))?
         };
+        // Hooks run in the golden pass only, so hooked golden
+        // activations are not the ones the hook-free passes compute.
+        let reuse = self.model.num_hooks() == 0;
 
-        let mut corrupted = self.model.clone();
-        let monitor = Arc::new(NanInfMonitor::new());
-        attach_monitor(&mut corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
-        let armed = {
+        let plan = {
             let _span = rec.span_on(Phase::Inject, worker);
-            let mut nets = [&mut corrupted];
-            arm_faults(&mut nets, ctx.targets, ctx.faults, self.scenario.injection_target)?
+            FaultPlan::new(&self.model, ctx.targets, ctx.faults, kind)?
         };
-        let corr_logits = {
+        let start = if reuse { plan.first_node().unwrap_or(self.model.num_nodes()) } else { 0 };
+        let (mut nan, mut inf) = (0usize, 0usize);
+        let mut observe = |_: NodeId, t: &Tensor| {
+            if t.has_non_finite() {
+                nan += t.count_nan();
+                inf += t.count_inf();
+            }
+        };
+        // Nodes before `start` are the golden ones: count them as the
+        // faulty pass would have seen them, up to its output node.
+        let evaluated = self.model.output_node().map_or(0, |out| out + 1);
+        for id in 0..start.min(evaluated) {
+            if let Some(t) = golden.get(id) {
+                observe(id, t);
+            }
+        }
+        let (corr_logits, applied) = {
             let _span = rec.span_on(Phase::Forward, worker);
-            corrupted.forward_traced(images, rec)?
+            plan.forward(&self.model, images, (start, &golden), rec, &mut observe)?
         };
-        let applied = armed.collect_applied();
         rec.record_applied(applied.len() as u64);
-        let totals = monitor.totals();
-        monitor.report_to(rec);
+        if rec.is_enabled() {
+            rec.record_nonfinite(nan as u64, inf as u64);
+        }
 
         let resil_logits = match (&self.resil_model, ctx.resil_targets) {
             (Some(resil), Some(rt)) => {
-                let mut hardened = resil.clone();
-                let _armed_r = {
+                let plan = {
                     let _span = rec.span_on(Phase::Inject, worker);
-                    let mut nets = [&mut hardened];
-                    arm_faults(&mut nets, rt, ctx.faults, self.scenario.injection_target)?
+                    FaultPlan::new(&resil.net, rt, ctx.faults, kind)?
                 };
+                let limit = plan.first_node().unwrap_or(resil.net.num_nodes());
+                let start = if reuse { resil.map.resume_point(limit, &golden) } else { 0 };
                 let _span = rec.span_on(Phase::Forward, worker);
-                Some(hardened.forward_traced(images, rec)?)
+                let prefix = resil.map.view(&golden);
+                Some(plan.forward(&resil.net, images, (start, &prefix), rec, &mut |_, _| {})?.0)
             }
             _ => None,
         };
 
         let _eval = rec.span_on(Phase::Eval, worker);
+        let orig_probs = softmax(golden.output()?)?;
+        let corr_probs = softmax(&corr_logits)?;
+        let resil_probs = resil_logits.as_ref().map(softmax).transpose()?;
         for a in &applied {
-            let img_idx = match self.scenario.injection_target {
+            let img_idx = match kind {
                 alfi_scenario::InjectionTarget::Neurons => a.record.batch.min(n - 1),
                 _ => 0,
             };
             trace.entries.push(TraceEntry {
                 image_id: scope.records[img_idx].image_id,
                 applied: *a,
-                output_nan_count: totals.nan as u32,
-                output_inf_count: totals.inf as u32,
+                output_nan_count: nan as u32,
+                output_inf_count: inf as u32,
             });
         }
         for i in 0..n {
@@ -416,15 +468,12 @@ impl CampaignTask for ImgClassCampaign {
                 image_id: scope.records[i].image_id,
                 file_name: scope.records[i].file_name.clone(),
                 label: scope.labels[i],
-                orig_top5: softmax_topk_row(&orig_logits, i, 5)?,
-                corr_top5: softmax_topk_row(&corr_logits, i, 5)?,
-                resil_top5: resil_logits
-                    .as_ref()
-                    .map(|l| softmax_topk_row(l, i, 5))
-                    .transpose()?,
+                orig_top5: topk_row(&orig_probs, i, 5)?,
+                corr_top5: topk_row(&corr_probs, i, 5)?,
+                resil_top5: resil_probs.as_ref().map(|p| topk_row(p, i, 5)).transpose()?,
                 faults: applied.clone(),
-                corr_nan: totals.nan,
-                corr_inf: totals.inf,
+                corr_nan: nan,
+                corr_inf: inf,
             });
             rec.item_finished();
         }
@@ -726,9 +775,13 @@ pub(crate) fn classify_row(row: &ClassificationRow) -> EffectClass {
     }
 }
 
-/// Softmax over batch logits `[n, classes]` and top-k extraction of row `i`.
-fn softmax_topk_row(logits: &Tensor, i: usize, k: usize) -> Result<TopK, CoreError> {
-    let probs = logits.softmax_lastdim().map_err(alfi_nn::NnError::from)?;
+/// Softmax over batch logits `[n, classes]`, once per logits tensor.
+fn softmax(logits: &Tensor) -> Result<Tensor, CoreError> {
+    Ok(logits.softmax_lastdim().map_err(alfi_nn::NnError::from)?)
+}
+
+/// Top-k extraction of row `i` of batch probabilities `[n, classes]`.
+fn topk_row(probs: &Tensor, i: usize, k: usize) -> Result<TopK, CoreError> {
     let row = probs.batch_item(i).map_err(alfi_nn::NnError::from)?;
     Ok(row.topk(k))
 }
@@ -736,6 +789,7 @@ fn softmax_topk_row(logits: &Tensor, i: usize, k: usize) -> Result<TopK, CoreErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::attach_monitor;
     use alfi_datasets::classification::ClassificationDataset;
     use alfi_nn::models::{alexnet, ModelConfig};
     use alfi_scenario::{FaultCount, FaultMode, InjectionTarget};

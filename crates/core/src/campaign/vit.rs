@@ -79,7 +79,9 @@ impl VitCampaign {
 
     /// Adds a hardened model to run in lock-step under the same faults.
     /// It must expose the same injectable-layer list as the primary
-    /// transformer.
+    /// transformer. Its hooks never run, and its forward shares the
+    /// golden prefix as [`ImgClassCampaign::with_resil_model`]
+    /// describes.
     pub fn with_resil_model(mut self, resil: Network) -> Self {
         self.inner = self.inner.with_resil_model(resil);
         self

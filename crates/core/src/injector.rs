@@ -5,12 +5,14 @@
 //! layer's output tensor in place at inference time (mirroring
 //! PyTorchFI's hook mechanism, §II); weight faults mutate layer
 //! parameters directly and are reverted bit-exactly when disarmed
-//! (transient) or left sticky (permanent).
+//! (transient) or left sticky (permanent). [`FaultPlan`] is the
+//! per-call form of the same rules: it leaves the network untouched and
+//! corrupts one forward pass only.
 
 use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
 use crate::matrix::{resolve_targets, FaultMatrix, LayerTarget};
-use alfi_nn::{ForwardHook, HookHandle, LayerCtx, Network, NodeId};
+use alfi_nn::{ForwardHook, HookHandle, Layer, LayerCtx, Network, NodeId, Pass, Prefix};
 use alfi_scenario::{FaultDuration, InjectionTarget, Scenario};
 use alfi_tensor::bits::{flip_bit_traced, set_bit, FlipDirection};
 use alfi_tensor::Tensor;
@@ -131,25 +133,34 @@ impl NeuronFaultHook {
 
 impl ForwardHook for NeuronFaultHook {
     fn on_output(&self, _ctx: &LayerCtx, output: &mut Tensor) {
-        let dims = output.dims().to_vec();
-        for record in &self.faults {
-            match neuron_flat_index(record, &dims) {
-                Some(flat) => {
-                    let data = output.data_mut();
-                    let original = data[flat];
-                    let (corrupted, direction) = corrupt_value(original, record.value);
-                    data[flat] = corrupted;
-                    self.log.lock().unwrap().push(AppliedFault {
-                        record: *record,
-                        original,
-                        corrupted,
-                        direction,
-                    });
-                }
-                None => *self.skipped.lock().unwrap() += 1,
+        let skipped = corrupt_neurons(&self.faults, output, &mut self.log.lock().unwrap());
+        *self.skipped.lock().unwrap() += skipped;
+    }
+}
+
+/// Applies neuron faults to one node's output in record order, logging
+/// every application; returns how many were skipped because their
+/// coordinates fall outside the output's shape.
+fn corrupt_neurons(
+    records: &[FaultRecord],
+    output: &mut Tensor,
+    log: &mut Vec<AppliedFault>,
+) -> usize {
+    let dims = output.dims().to_vec();
+    let mut skipped = 0;
+    for record in records {
+        match neuron_flat_index(record, &dims) {
+            Some(flat) => {
+                let data = output.data_mut();
+                let original = data[flat];
+                let (corrupted, direction) = corrupt_value(original, record.value);
+                data[flat] = corrupted;
+                log.push(AppliedFault { record: *record, original, corrupted, direction });
             }
+            None => skipped += 1,
         }
     }
+    skipped
 }
 
 /// Computes the index of a weight fault within a weight tensor.
@@ -246,35 +257,16 @@ pub fn arm_faults(
     match target_kind {
         InjectionTarget::Weights => {
             for record in faults {
-                let t = targets.get(record.layer).ok_or_else(|| CoreError::FaultOutOfBounds {
-                    detail: format!("layer index {} out of range", record.layer),
-                })?;
+                let t = target_of(targets, record)?;
                 let coords = weight_index(record, &t.weight_dims)?;
                 let layer = networks[t.net_idx].layer_mut(t.node_id)?;
-                let w = layer.weight_mut().ok_or_else(|| CoreError::FaultOutOfBounds {
-                    detail: format!("node {} has no weights", t.node_id),
-                })?;
-                let original = w.get(&coords);
-                let (corrupted, direction) = corrupt_value(original, record.value);
-                w.set(&coords, corrupted);
-                armed.weight_undo.push((t.net_idx, t.node_id, coords, original));
-                armed.weight_log.push(AppliedFault { record: *record, original, corrupted, direction });
+                let applied = corrupt_weight(layer, t.node_id, &coords, record)?;
+                armed.weight_undo.push((t.net_idx, t.node_id, coords, applied.original));
+                armed.weight_log.push(applied);
             }
         }
         InjectionTarget::Neurons => {
-            // Group faults by (net, node) so each node gets one hook.
-            let mut by_node: Vec<((usize, NodeId), Vec<FaultRecord>)> = Vec::new();
-            for record in faults {
-                let t = targets.get(record.layer).ok_or_else(|| CoreError::FaultOutOfBounds {
-                    detail: format!("layer index {} out of range", record.layer),
-                })?;
-                let key = (t.net_idx, t.node_id);
-                match by_node.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, v)) => v.push(*record),
-                    None => by_node.push((key, vec![*record])),
-                }
-            }
-            for ((net_idx, node_id), records) in by_node {
+            for ((net_idx, node_id), records) in neurons_by_node(targets, faults)? {
                 let hook = Arc::new(NeuronFaultHook::new(records));
                 let handle = networks[net_idx]
                     .register_hook(node_id, Arc::<NeuronFaultHook>::clone(&hook))?;
@@ -283,6 +275,166 @@ pub fn arm_faults(
         }
     }
     Ok(armed)
+}
+
+/// The resolved target a record's layer index refers to.
+fn target_of<'t>(
+    targets: &'t [LayerTarget],
+    record: &FaultRecord,
+) -> Result<&'t LayerTarget, CoreError> {
+    targets.get(record.layer).ok_or_else(|| CoreError::FaultOutOfBounds {
+        detail: format!("layer index {} out of range", record.layer),
+    })
+}
+
+/// Corrupts the weight at `coords` of `layer` (node `node_id`) with the
+/// record's fault value and returns the log entry.
+fn corrupt_weight(
+    layer: &mut Layer,
+    node_id: NodeId,
+    coords: &[usize],
+    record: &FaultRecord,
+) -> Result<AppliedFault, CoreError> {
+    let w = layer.weight_mut().ok_or_else(|| CoreError::FaultOutOfBounds {
+        detail: format!("node {node_id} has no weights"),
+    })?;
+    let original = w.get(coords);
+    let (corrupted, direction) = corrupt_value(original, record.value);
+    w.set(coords, corrupted);
+    Ok(AppliedFault { record: *record, original, corrupted, direction })
+}
+
+/// Neuron faults of one `(net, node)`, in record order.
+type NodeFaults = ((usize, NodeId), Vec<FaultRecord>);
+
+/// Groups neuron faults by `(net, node)` in first-appearance order, each
+/// group in record order — one hook (or one plan entry) per node.
+fn neurons_by_node(
+    targets: &[LayerTarget],
+    faults: &[FaultRecord],
+) -> Result<Vec<NodeFaults>, CoreError> {
+    let mut by_node: Vec<NodeFaults> = Vec::new();
+    for record in faults {
+        let t = target_of(targets, record)?;
+        let key = (t.net_idx, t.node_id);
+        match by_node.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => v.push(*record),
+            None => by_node.push((key, vec![*record])),
+        }
+    }
+    Ok(by_node)
+}
+
+/// The per-call form of [`arm_faults`] on one network: the same records
+/// resolved by the same rules, without touching the network.
+///
+/// Weight faults become patched copies of only the faulted layers;
+/// neuron faults stay per-node record groups that
+/// [`FaultPlan::forward`] applies after each node's observer. The
+/// applied-fault log comes out in [`arm_faults`] order: weight faults in
+/// record order, neuron faults grouped by node in first-appearance
+/// order, each group in record order.
+#[derive(Debug, Clone)]
+pub struct FaultPlan {
+    patched: Vec<(NodeId, Layer)>,
+    weight_log: Vec<AppliedFault>,
+    neurons: Vec<(NodeId, Vec<FaultRecord>)>,
+}
+
+impl FaultPlan {
+    /// Resolves `faults` against `net`, whose injectable layers
+    /// `targets` lists.
+    ///
+    /// # Errors
+    ///
+    /// The [`arm_faults`] errors, plus [`CoreError::FaultOutOfBounds`]
+    /// for a target on another network.
+    pub fn new(
+        net: &Network,
+        targets: &[LayerTarget],
+        faults: &[FaultRecord],
+        target_kind: InjectionTarget,
+    ) -> Result<Self, CoreError> {
+        let mut plan =
+            FaultPlan { patched: Vec::new(), weight_log: Vec::new(), neurons: Vec::new() };
+        let own = |net_idx: usize| match net_idx {
+            0 => Ok(()),
+            n => Err(CoreError::FaultOutOfBounds {
+                detail: format!("target network {n} is not planned"),
+            }),
+        };
+        match target_kind {
+            InjectionTarget::Weights => {
+                for record in faults {
+                    let t = target_of(targets, record)?;
+                    own(t.net_idx)?;
+                    let coords = weight_index(record, &t.weight_dims)?;
+                    let slot = match plan.patched.iter().position(|(id, _)| *id == t.node_id) {
+                        Some(slot) => slot,
+                        None => {
+                            plan.patched.push((t.node_id, net.layer(t.node_id)?.clone()));
+                            plan.patched.len() - 1
+                        }
+                    };
+                    let layer = &mut plan.patched[slot].1;
+                    plan.weight_log.push(corrupt_weight(layer, t.node_id, &coords, record)?);
+                }
+            }
+            InjectionTarget::Neurons => {
+                for ((net_idx, node_id), records) in neurons_by_node(targets, faults)? {
+                    own(net_idx)?;
+                    plan.neurons.push((node_id, records));
+                }
+            }
+        }
+        Ok(plan)
+    }
+
+    /// The earliest node the plan corrupts: every node before it
+    /// computes the fault-free activation.
+    pub fn first_node(&self) -> Option<NodeId> {
+        let weights = self.patched.iter().map(|(id, _)| *id);
+        weights.chain(self.neurons.iter().map(|(id, _)| *id)).min()
+    }
+
+    /// Runs the faulty forward of `net` from node `start`, borrowing the
+    /// activations before it from `prefix` (with `start` 0 nothing is
+    /// borrowed). Per node: the layer (or its patched copy) with fused
+    /// ops, then `observe`, then the node's neuron faults. Registered
+    /// hooks do not run, as on an armed [`Network::clone`]. Returns the
+    /// output and the applied-fault log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network evaluation errors.
+    pub fn forward(
+        &self,
+        net: &Network,
+        input: &Tensor,
+        (start, prefix): (NodeId, &dyn Prefix),
+        recorder: &alfi_trace::Recorder,
+        observe: &mut dyn FnMut(NodeId, &Tensor),
+    ) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
+        let mut logs: Vec<Vec<AppliedFault>> = vec![Vec::new(); self.neurons.len()];
+        let mut after = |id: NodeId, out: &mut Tensor| {
+            observe(id, out);
+            for ((node, records), log) in self.neurons.iter().zip(logs.iter_mut()) {
+                if *node == id {
+                    corrupt_neurons(records, out, log);
+                }
+            }
+        };
+        let pass = Pass::new()
+            .resume(start, prefix)
+            .patched(&self.patched)
+            .without_hooks()
+            .after_node(&mut after)
+            .traced(recorder);
+        let output = net.evaluate(input, pass)?.into_output()?;
+        let mut applied = self.weight_log.clone();
+        applied.extend(logs.into_iter().flatten());
+        Ok((output, applied))
+    }
 }
 
 /// A faulty model instance produced by the iterator: a clone of the
@@ -772,6 +924,57 @@ mod tests {
             let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
             let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
             assert_eq!(ab, bb);
+        }
+    }
+
+    #[test]
+    fn fault_plan_matches_an_armed_clone_without_touching_the_model() {
+        let model = alexnet(&model_cfg());
+        let weights = |net: &Network| {
+            let w: Vec<_> = net.nodes().iter().map(|n| n.layer.weight().cloned()).collect();
+            format!("{w:?}")
+        };
+        let before = weights(&model);
+        let x = Tensor::ones(&model_cfg().input_dims(2));
+        let golden = model.evaluate(&x, Pass::new()).unwrap();
+        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+            let mut s = scenario();
+            s.injection_target = target;
+            s.batch_size = 4; // some neuron coordinates miss the batch of 2
+            s.faults_per_image = FaultCount::Fixed(6);
+            let dims = [Some(model_cfg().input_dims(4))];
+            let targets = resolve_targets(&[&model], &s, &dims).unwrap();
+            let matrix = FaultMatrix::generate(&s, &targets).unwrap();
+            let mut faults = matrix.faults_for_slot(0).to_vec();
+            faults.push(faults[0]); // the same element twice
+            let mut armed_net = model.clone();
+            let armed = arm_faults(&mut [&mut armed_net], &targets, &faults, target).unwrap();
+            let expect = armed_net.forward(&x).unwrap();
+            let expect_applied = format!("{:?}", armed.collect_applied());
+            let plan = FaultPlan::new(&model, &targets, &faults, target).unwrap();
+            let start = plan.first_node().unwrap();
+            let off = alfi_trace::Recorder::disabled();
+            for from in [0, start] {
+                let (got, applied) =
+                    plan.forward(&model, &x, (from, &golden), &off, &mut |_, _| {}).unwrap();
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{target:?} from node {from}");
+                assert_eq!(format!("{applied:?}"), expect_applied);
+            }
+        }
+        assert!(before == weights(&model), "a fault plan changed the model");
+    }
+
+    #[test]
+    fn fault_plan_rejects_what_arm_faults_rejects() {
+        let model = alexnet(&model_cfg());
+        let dims = [Some(model_cfg().input_dims(1))];
+        let targets = resolve_targets(&[&model], &scenario(), &dims).unwrap();
+        let mut record = FaultMatrix::generate(&scenario(), &targets).unwrap().records[0];
+        record.layer = targets.len();
+        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+            let err = FaultPlan::new(&model, &targets, &[record], target).unwrap_err();
+            assert!(matches!(err, CoreError::FaultOutOfBounds { .. }));
         }
     }
 

@@ -75,7 +75,8 @@ pub use fault::{AppliedFault, FaultRecord, FaultValue};
 pub use fault_model::{pattern_matches, FaultModel, LayerPlan};
 pub use campaign::RunConfig;
 pub use injector::{
-    arm_faults, corrupt_value, injection_event, ArmedFaults, FaultyModel, FimodelIter, Ptfiwrap,
+    arm_faults, corrupt_value, injection_event, ArmedFaults, FaultPlan, FaultyModel, FimodelIter,
+    Ptfiwrap,
 };
 pub use matrix::{layer_weights, resolve_targets, FaultMatrix, LayerTarget};
 pub use monitor::{attach_monitor, NanInfCounts, NanInfMonitor, RangeMonitor};

@@ -6,6 +6,13 @@
 //! PyTorchFI uses for neuron fault injection ("the output values are
 //! modified in place", §II). Weight faults bypass hooks and mutate layer
 //! parameters directly via [`Network::layer_mut`].
+//!
+//! Every forward entry point is one [`Pass`] of [`Network::evaluate`],
+//! the single node-evaluation loop. A pass can also resume at a later
+//! node from an earlier pass's [`Activations`], evaluate per-call
+//! patched layers and run a callback after each node — the primitives
+//! fault campaigns use to skip the fault-free prefix of a faulty
+//! forward without cloning the model.
 
 use crate::error::NnError;
 use crate::layer::{Layer, LayerKind};
@@ -107,6 +114,149 @@ pub struct InjectableLayer {
     /// Shape of the layer output for the reference input shape, if shape
     /// inference has been run (batch dimension included).
     pub output_shape: Option<Shape>,
+}
+
+/// Activations a [`Pass`] borrows for the nodes before its start node.
+pub trait Prefix {
+    /// The activation of node `id`, if this prefix holds it.
+    fn activation(&self, id: NodeId) -> Option<&Tensor>;
+}
+
+/// Per-call node callback of a [`Pass`], run after a node's hooks.
+pub type AfterNode<'a> = &'a mut dyn FnMut(NodeId, &mut Tensor);
+
+/// How one call of [`Network::evaluate`] runs: where it starts, what it
+/// borrows, which layers it patches and what it runs after each node.
+///
+/// [`Pass::new`] is the plain forward: every node from node 0 with the
+/// registered hooks, stopping at the output node. None of the options
+/// changes the network itself.
+pub struct Pass<'a> {
+    start: NodeId,
+    prefix: Option<&'a dyn Prefix>,
+    patched: &'a [(NodeId, Layer)],
+    hooks: bool,
+    after: Option<AfterNode<'a>>,
+    recorder: Option<&'a alfi_trace::Recorder>,
+    all_nodes: bool,
+}
+
+impl Default for Pass<'_> {
+    fn default() -> Self {
+        Pass {
+            start: 0,
+            prefix: None,
+            patched: &[],
+            hooks: true,
+            after: None,
+            recorder: None,
+            all_nodes: false,
+        }
+    }
+}
+
+impl<'a> Pass<'a> {
+    /// The plain forward pass.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts at node `start` instead of node 0. Every activation a
+    /// node at or after `start` consumes from a node before it comes
+    /// from `prefix` — e.g. the [`Activations`] of an earlier pass over
+    /// the same input, whose nodes before `start` must be bit-identical
+    /// to what this pass would compute.
+    pub fn resume(mut self, start: NodeId, prefix: &'a dyn Prefix) -> Self {
+        self.start = start;
+        self.prefix = Some(prefix);
+        self
+    }
+
+    /// Evaluates the given nodes with per-call layer copies instead of
+    /// their own layers (the node's fused ops still apply).
+    pub fn patched(mut self, layers: &'a [(NodeId, Layer)]) -> Self {
+        self.patched = layers;
+        self
+    }
+
+    /// Skips the registered hooks, as a forward of a [`Network::clone`]
+    /// would.
+    pub fn without_hooks(mut self) -> Self {
+        self.hooks = false;
+        self
+    }
+
+    /// Runs `f` on every evaluated node's output after its hooks.
+    pub fn after_node(mut self, f: AfterNode<'a>) -> Self {
+        self.after = Some(f);
+        self
+    }
+
+    /// Attributes each evaluated node's time to its layer name on
+    /// `recorder`. A disabled recorder reads no clocks.
+    pub fn traced(mut self, recorder: &'a alfi_trace::Recorder) -> Self {
+        self.recorder = recorder.is_enabled().then_some(recorder);
+        self
+    }
+
+    /// Evaluates every node instead of stopping at the output node.
+    pub fn all_nodes(mut self) -> Self {
+        self.all_nodes = true;
+        self
+    }
+}
+
+/// The node activations one [`Network::evaluate`] call produced, plus
+/// the borrowed prefix it started from.
+pub struct Activations<'a> {
+    start: NodeId,
+    prefix: Option<&'a dyn Prefix>,
+    acts: Vec<Option<Tensor>>,
+    output: Option<NodeId>,
+}
+
+impl Activations<'_> {
+    /// The activation of node `id`: borrowed from the prefix before the
+    /// start node, computed from it on. `None` for a node the pass did
+    /// not reach.
+    pub fn get(&self, id: NodeId) -> Option<&Tensor> {
+        if id < self.start {
+            self.prefix.and_then(|p| p.activation(id))
+        } else {
+            self.acts.get(id).and_then(Option::as_ref)
+        }
+    }
+
+    /// The output node's activation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidGraph`] if the network has no output
+    /// node or the pass did not reach it.
+    pub fn output(&self) -> Result<&Tensor, NnError> {
+        self.output
+            .and_then(|o| self.get(o))
+            .ok_or_else(|| NnError::InvalidGraph("output node was not evaluated".into()))
+    }
+
+    /// The output node's activation, owned: moved out when this pass
+    /// computed it, copied when the prefix lent it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Activations::output`].
+    pub fn into_output(mut self) -> Result<Tensor, NnError> {
+        match self.output.and_then(|o| self.acts.get_mut(o)).and_then(Option::take) {
+            Some(t) => Ok(t),
+            None => self.output().cloned(),
+        }
+    }
+}
+
+impl Prefix for Activations<'_> {
+    fn activation(&self, id: NodeId) -> Option<&Tensor> {
+        self.get(id)
+    }
 }
 
 /// A feed-forward network: a topologically ordered DAG of layers with a
@@ -402,18 +552,18 @@ impl Network {
         self.fused.iter().filter(|f| f.is_some()).count()
     }
 
-    /// Evaluates one node, routing through the fused conv/linear kernel
-    /// when the node carries [`FusedOps`]; other layer kinds fall back
-    /// to forward + equivalent separate passes (same per-element order,
+    /// Evaluates node `id` with `layer` (its own or a per-call patched
+    /// copy), routing through the fused conv/linear kernel when the
+    /// node carries [`FusedOps`]; other layer kinds fall back to
+    /// forward + equivalent separate passes (same per-element order,
     /// bit-identical result).
-    fn eval_node(&self, id: NodeId, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let node = &self.nodes[id];
+    fn eval_node(&self, id: NodeId, layer: &Layer, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
         let Some(f) = self.fused.get(id).and_then(Option::as_ref).filter(|f| !f.is_identity())
         else {
-            return node.layer.forward(inputs);
+            return layer.forward(inputs);
         };
         let inject = f.inject.as_deref();
-        match &node.layer {
+        match layer {
             Layer::Conv2d(c) => Ok(alfi_tensor::conv::conv2d_fused(
                 inputs[0],
                 &c.weight,
@@ -439,7 +589,7 @@ impl Network {
     /// Returns [`NnError::InvalidGraph`] if no output node is set, or any
     /// layer error encountered during evaluation.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_inner(input, None)
+        self.evaluate(input, Pass::new())?.into_output()
     }
 
     /// Runs a forward pass like [`Network::forward`] while attributing
@@ -455,53 +605,7 @@ impl Network {
         input: &Tensor,
         recorder: &alfi_trace::Recorder,
     ) -> Result<Tensor, NnError> {
-        self.forward_inner(input, recorder.is_enabled().then_some(recorder))
-    }
-
-    fn forward_inner(
-        &self,
-        input: &Tensor,
-        recorder: Option<&alfi_trace::Recorder>,
-    ) -> Result<Tensor, NnError> {
-        let out = self.output.ok_or_else(|| {
-            NnError::InvalidGraph(format!("network `{}` has no output node", self.name))
-        })?;
-        let mut acts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
-                vec![input]
-            } else {
-                node.inputs
-                    .iter()
-                    .map(|&i| {
-                        acts[i].as_ref().ok_or_else(|| {
-                            NnError::InvalidGraph(format!("node {i} evaluated out of order"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            let started = recorder.map(|_| std::time::Instant::now());
-            let mut out_t = self.eval_node(id, &inputs)?;
-            if let (Some(rec), Some(t0)) = (recorder, started) {
-                rec.record_layer_ns(&node.name, t0.elapsed().as_nanos() as u64);
-            }
-            if !self.hooks[id].is_empty() {
-                let ctx =
-                    LayerCtx { node_id: id, name: node.name.clone(), kind: node.layer.kind() };
-                for (_, hook) in &self.hooks[id] {
-                    hook.on_output(&ctx, &mut out_t);
-                }
-            }
-            acts[id] = Some(out_t);
-            // Early exit once the output node is computed and nothing
-            // after it is needed (nodes are topologically ordered).
-            if id == out {
-                break;
-            }
-        }
-        acts[out]
-            .take()
-            .ok_or_else(|| NnError::InvalidGraph("output node was not evaluated".into()))
+        self.evaluate(input, Pass::new().traced(recorder))?.into_output()
     }
 
     /// Runs a forward pass and returns the activations of **all** nodes.
@@ -511,31 +615,76 @@ impl Network {
     ///
     /// Same conditions as [`Network::forward`].
     pub fn forward_all(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        let mut acts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
+        let acts = self.evaluate(input, Pass::new().all_nodes())?.acts;
+        Ok(acts.into_iter().map(|t| t.expect("all nodes evaluated")).collect())
+    }
+
+    /// The node-evaluation loop behind every forward entry point.
+    ///
+    /// Per node, in topological order from the pass's start node: the
+    /// layer (or its per-call patched copy) evaluates with the node's
+    /// fused ops, then the registered hooks run (unless the pass skips
+    /// them), then the pass's after-node callback. The loop stops at the
+    /// output node unless the pass asks for every node. Nodes before the
+    /// start node are not evaluated: their activations come from the
+    /// pass's prefix, which must hold every one a later node consumes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidGraph`] if no output node is set or a
+    /// consumed activation is missing, or any layer error encountered
+    /// during evaluation.
+    pub fn evaluate<'a>(&self, input: &Tensor, pass: Pass<'a>) -> Result<Activations<'a>, NnError> {
+        let Pass { start, prefix, patched, hooks, mut after, recorder, all_nodes } = pass;
+        let end = match (all_nodes, self.output) {
+            (true, _) => self.nodes.len(),
+            (false, Some(out)) => out + 1,
+            (false, None) => {
+                return Err(NnError::InvalidGraph(format!(
+                    "network `{}` has no output node",
+                    self.name
+                )))
+            }
+        };
+        let mut acts: Vec<Option<Tensor>> = vec![None; end];
+        for id in start..end {
+            let node = &self.nodes[id];
             let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
                 vec![input]
             } else {
                 node.inputs
                     .iter()
                     .map(|&i| {
-                        acts[i].as_ref().ok_or_else(|| {
+                        let act = if i < start {
+                            prefix.and_then(|p| p.activation(i))
+                        } else {
+                            acts[i].as_ref()
+                        };
+                        act.ok_or_else(|| {
                             NnError::InvalidGraph(format!("node {i} evaluated out of order"))
                         })
                     })
                     .collect::<Result<_, _>>()?
             };
-            let mut out_t = self.eval_node(id, &inputs)?;
-            if !self.hooks[id].is_empty() {
+            let layer = patched.iter().find(|(p, _)| *p == id).map_or(&node.layer, |(_, l)| l);
+            let started = recorder.map(|_| std::time::Instant::now());
+            let mut out_t = self.eval_node(id, layer, &inputs)?;
+            if let (Some(rec), Some(t0)) = (recorder, started) {
+                rec.record_layer_ns(&node.name, t0.elapsed().as_nanos() as u64);
+            }
+            if hooks && !self.hooks[id].is_empty() {
                 let ctx =
                     LayerCtx { node_id: id, name: node.name.clone(), kind: node.layer.kind() };
                 for (_, hook) in &self.hooks[id] {
                     hook.on_output(&ctx, &mut out_t);
                 }
             }
+            if let Some(f) = after.as_mut() {
+                f(id, &mut out_t);
+            }
             acts[id] = Some(out_t);
         }
-        Ok(acts.into_iter().map(|t| t.expect("all nodes evaluated")).collect())
+        Ok(Activations { start, prefix, acts, output: self.output })
     }
 
     /// Infers the output shape of every node for the given input shape by
@@ -724,6 +873,98 @@ mod tests {
         let off = alfi_trace::Recorder::disabled();
         net.forward_traced(&x, &off).unwrap();
         assert!(off.summary().layer_forward.is_empty());
+    }
+
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (t.dims().to_vec(), t.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Resuming at every node from a golden pass's activations equals
+    /// the plain forward bit for bit — including past the output node,
+    /// where the output itself is lent by the prefix.
+    fn assert_resume_matches_forward(net: &Network, x: &Tensor) {
+        let expect = bits(&net.forward(x).unwrap());
+        let golden = net.evaluate(x, Pass::new()).unwrap();
+        assert_eq!(bits(golden.output().unwrap()), expect, "{}: golden pass", net.name());
+        for start in 0..=net.num_nodes() + 1 {
+            let y = net.evaluate(x, Pass::new().resume(start, &golden)).unwrap().into_output();
+            assert_eq!(bits(&y.unwrap()), expect, "{}: resumed at node {start}", net.name());
+        }
+    }
+
+    #[test]
+    fn resume_at_every_node_matches_forward_on_the_model_zoo() {
+        use crate::models::{resnet50, vgg16, vit_tiny, ModelConfig};
+        let cfg =
+            ModelConfig { input_hw: 32, width_mult: 0.0625, seed: 5, ..ModelConfig::default() };
+        let mut rng = alfi_rng::Rng::from_seed(9);
+        let x = Tensor::rand_uniform(&mut rng, &cfg.input_dims(2), -1.0, 1.0);
+        let resnet = resnet50(&cfg);
+        // The residual `Add` nodes consume two producers, so a resumed
+        // pass must borrow two live activations at once.
+        assert!(resnet.nodes().iter().any(|n| n.inputs.len() == 2));
+        for net in [vgg16(&cfg), resnet, vit_tiny(&cfg)] {
+            assert_resume_matches_forward(&net, &x);
+        }
+    }
+
+    #[test]
+    fn resume_without_the_needed_prefix_errors() {
+        let net = toy_net();
+        let x = Tensor::ones(&[1, 1, 2, 2]);
+        // Node 2 consumes node 1, which the prefix does not hold.
+        assert!(net.evaluate(&x, Pass::new().resume(2, &NoPrefix)).is_err());
+        // Past the output nothing is evaluated, and nothing lends it.
+        let acts = net.evaluate(&x, Pass::new().resume(9, &NoPrefix)).unwrap();
+        assert!(acts.output().is_err());
+    }
+
+    struct NoPrefix;
+    impl Prefix for NoPrefix {
+        fn activation(&self, _: NodeId) -> Option<&Tensor> {
+            None
+        }
+    }
+
+    #[test]
+    fn patched_layers_hooks_and_after_node_run_in_order() {
+        let mut net = toy_net();
+        let conv = net.node_by_name("conv").unwrap();
+        let x = Tensor::ones(&[1, 1, 2, 2]);
+        // Hook doubles the conv output; the after-node callback sees the
+        // hooked value and then adds one.
+        net.register_hook(conv, Arc::new(|_: &LayerCtx, t: &mut Tensor| t.map_inplace(|v| v * 2.0)))
+            .unwrap();
+        let mut seen = Vec::new();
+        let mut after = |id: NodeId, t: &mut Tensor| {
+            seen.push((id, t.data()[0]));
+            if id == 0 {
+                t.map_inplace(|v| v + 1.0);
+            }
+        };
+        let y = net.evaluate(&x, Pass::new().after_node(&mut after)).unwrap();
+        let y = y.into_output().unwrap();
+        assert_eq!(y.data(), &[12.0, 12.0]); // (1·2 + 1) summed over 4 inputs
+        assert_eq!(seen, vec![(0, 2.0), (1, 3.0), (2, 3.0), (3, 12.0)]);
+        // A patched conv weight of 3 changes only this call; skipping
+        // hooks drops the doubling.
+        let mut patched = net.layer(conv).unwrap().clone();
+        patched.weight_mut().unwrap().set(&[0, 0, 0, 0], 3.0);
+        let patched = [(conv, patched)];
+        let pass = Pass::new().patched(&patched).without_hooks();
+        let y = net.evaluate(&x, pass).unwrap().into_output().unwrap();
+        assert_eq!(y.data(), &[12.0, 12.0]);
+        assert_eq!(net.forward(&x).unwrap().data(), &[8.0, 8.0]);
+    }
+
+    #[test]
+    fn all_nodes_pass_runs_past_the_output() {
+        let mut net = toy_net();
+        net.set_output(0).unwrap();
+        let x = Tensor::ones(&[1, 1, 2, 2]);
+        let acts = net.evaluate(&x, Pass::new()).unwrap();
+        assert!(acts.get(1).is_none(), "a forward stops at the output node");
+        assert_eq!(net.forward_all(&x).unwrap().len(), 4);
     }
 
     #[test]

@@ -388,6 +388,68 @@ impl Layer {
             }
         }
     }
+
+    /// Whether `other` computes the same function bit for bit: the same
+    /// kind, the same configuration and bitwise-equal parameters.
+    /// Custom layers are opaque, so they never compare equal.
+    pub fn bitwise_eq(&self, other: &Layer) -> bool {
+        fn t(a: &Tensor, b: &Tensor) -> bool {
+            a.dims() == b.dims()
+                && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        fn opt(a: &Option<Tensor>, b: &Option<Tensor>) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => t(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        let f = |a: f32, b: f32| a.to_bits() == b.to_bits();
+        match (self, other) {
+            (Layer::Conv2d(a), Layer::Conv2d(b)) => {
+                a.cfg == b.cfg && t(&a.weight, &b.weight) && opt(&a.bias, &b.bias)
+            }
+            (Layer::Conv3d(a), Layer::Conv3d(b)) => {
+                a.cfg == b.cfg && t(&a.weight, &b.weight) && opt(&a.bias, &b.bias)
+            }
+            (Layer::Linear(a), Layer::Linear(b)) => {
+                t(&a.weight, &b.weight) && opt(&a.bias, &b.bias)
+            }
+            (Layer::LeakyRelu(a), Layer::LeakyRelu(b)) => f(*a, *b),
+            (Layer::BatchNorm2d(a), Layer::BatchNorm2d(b)) => {
+                t(&a.gamma, &b.gamma)
+                    && t(&a.beta, &b.beta)
+                    && t(&a.running_mean, &b.running_mean)
+                    && t(&a.running_var, &b.running_var)
+                    && f(a.eps, b.eps)
+            }
+            (Layer::MaxPool2d { k: ka, cfg: ca }, Layer::MaxPool2d { k: kb, cfg: cb })
+            | (Layer::AvgPool2d { k: ka, cfg: ca }, Layer::AvgPool2d { k: kb, cfg: cb }) => {
+                ka == kb && ca == cb
+            }
+            (Layer::AdaptiveAvgPool2d(a), Layer::AdaptiveAvgPool2d(b)) => a == b,
+            (Layer::LayerNorm(a), Layer::LayerNorm(b)) => {
+                t(&a.gamma, &b.gamma) && t(&a.beta, &b.beta) && f(a.eps, b.eps)
+            }
+            (Layer::PosEmbed(a), Layer::PosEmbed(b)) => t(a, b),
+            (Layer::Attention { heads: a }, Layer::Attention { heads: b }) => a == b,
+            (
+                Layer::RangeRestrict { lo: la, hi: ha, mode: ma },
+                Layer::RangeRestrict { lo: lb, hi: hb, mode: mb },
+            ) => f(*la, *lb) && f(*ha, *hb) && ma == mb,
+            (Layer::Relu, Layer::Relu)
+            | (Layer::Sigmoid, Layer::Sigmoid)
+            | (Layer::Flatten, Layer::Flatten)
+            | (Layer::Add, Layer::Add)
+            | (Layer::ConcatChannels, Layer::ConcatChannels)
+            | (Layer::Upsample2x, Layer::Upsample2x)
+            | (Layer::Identity, Layer::Identity)
+            | (Layer::Gelu, Layer::Gelu)
+            | (Layer::ImageToTokens, Layer::ImageToTokens)
+            | (Layer::MeanTokens, Layer::MeanTokens) => true,
+            _ => false,
+        }
+    }
 }
 
 fn linear_forward(x: &Tensor, l: &Linear) -> Result<Tensor, NnError> {

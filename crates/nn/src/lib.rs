@@ -9,7 +9,11 @@
 //!
 //! * [`Network`] — a topologically-ordered DAG of [`Layer`]s with
 //!   **forward hooks** that can mutate layer outputs in place, the exact
-//!   interception mechanism PyTorchFI uses for neuron fault injection;
+//!   interception mechanism PyTorchFI uses for neuron fault injection,
+//!   evaluated by one loop ([`Network::evaluate`]) that can also resume
+//!   from an earlier pass's activations;
+//! * [`NodeMap`] — which nodes of a hardened copy reuse the plain
+//!   model's activations, so its forward can resume from them too;
 //! * [`models`] — width-scalable reproductions of AlexNet, VGG-16 and
 //!   ResNet-50 (the classifiers of the paper's Fig. 2a), built with
 //!   deterministic seeded weights;
@@ -38,11 +42,14 @@ pub mod init;
 pub mod layer;
 pub mod models;
 pub mod prune;
+pub mod resume;
 pub mod train;
 pub mod weights;
 
 pub use error::NnError;
 pub use graph::{
-    ForwardHook, FusedOps, HookHandle, InjectableLayer, LayerCtx, Network, Node, NodeId,
+    Activations, ForwardHook, FusedOps, HookHandle, InjectableLayer, LayerCtx, Network, Node,
+    NodeId, Pass, Prefix,
 };
 pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear, RestrictMode};
+pub use resume::NodeMap;
