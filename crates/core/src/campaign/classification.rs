@@ -480,7 +480,7 @@ impl CampaignTask for ImgClassCampaign {
         Ok(())
     }
 
-    fn prepare_parallel<'s>(&'s self, _items: usize) -> Result<Self::ParCtx<'s>, CoreError> {
+    fn prepare_parallel<'s>(&'s self, _workers: usize) -> Result<Self::ParCtx<'s>, CoreError> {
         Ok(self)
     }
 

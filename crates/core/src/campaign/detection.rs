@@ -182,12 +182,18 @@ struct DetTask<'t, D: Detector + ?Sized> {
     replay: Option<&'t FaultMatrix>,
 }
 
-/// Parallel worker context: a private detector clone per work item.
-/// Each task locks only its own clone — the mutex is uncontended and
-/// exists purely to hand `&mut` access through the shared closure.
+/// A private detector clone and, when the campaign is hardened, its
+/// hardened twin.
+type ClonePair = (Box<dyn Detector>, Option<Box<dyn Detector>>);
+
+/// Parallel worker context: one pristine [`ClonePair`] per worker, lent
+/// to one work item at a time. The pool never runs more work items at
+/// once than it has workers, so an idle pair is always there to take;
+/// every scope disarms its detectors before the pair goes back, so the
+/// pair a work item gets behaves exactly like a fresh clone. Memory
+/// therefore scales with the worker count, not the campaign length.
 struct DetParCtx {
-    clones: Vec<Mutex<Box<dyn Detector>>>,
-    resil_clones: Vec<Mutex<Box<dyn Detector>>>,
+    idle: Mutex<Vec<ClonePair>>,
 }
 
 impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
@@ -286,7 +292,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         process_one(&mut **det, resil, ctx, scope, rec, rows, trace)
     }
 
-    fn prepare_parallel(&self, items: usize) -> Result<DetParCtx, CoreError> {
+    fn prepare_parallel(&self, workers: usize) -> Result<DetParCtx, CoreError> {
         let clone_of = |d: &D, role: &str| {
             d.clone_boxed().ok_or_else(|| CoreError::Unsupported {
                 reason: format!(
@@ -296,34 +302,35 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
             })
         };
         let det = self.detector.borrow();
-        let mut clones: Vec<Mutex<Box<dyn Detector>>> = Vec::with_capacity(items);
-        let mut resil_clones: Vec<Mutex<Box<dyn Detector>>> = Vec::new();
-        for _ in 0..items {
-            clones.push(Mutex::new(clone_of(&det, "primary")?));
-            if let Some(r) = &self.resil_detector {
-                resil_clones.push(Mutex::new(clone_of(&r.borrow(), "hardened")?));
-            }
+        let mut idle: Vec<ClonePair> = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let resil = match &self.resil_detector {
+                Some(r) => Some(clone_of(&r.borrow(), "hardened")?),
+                None => None,
+            };
+            idle.push((clone_of(&det, "primary")?, resil));
         }
-        Ok(DetParCtx { clones, resil_clones })
+        Ok(DetParCtx { idle: Mutex::new(idle) })
     }
 
     fn process_parallel(
         ctx: &DetParCtx,
         scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
+        _idx: usize,
         scope: &DetectionScope,
         rec: &Recorder,
     ) -> Result<(Vec<DetectionRow>, Vec<TraceEntry>), CoreError> {
-        let mut det = ctx.clones[idx].lock().expect("detector clone lock");
-        let mut resil_guard = ctx
-            .resil_clones
-            .get(idx)
-            .map(|m| m.lock().expect("hardened detector clone lock"));
-        let resil: Option<&mut dyn Detector> = resil_guard.as_mut().map(|g| &mut ***g);
+        let lock = || ctx.idle.lock().expect("idle detector clone list poisoned");
+        let (mut det, mut resil) =
+            lock().pop().expect("the pool runs at most one work item per worker clone");
         let mut rows = Vec::with_capacity(1);
         let mut trace = RunTrace::default();
-        process_one(&mut **det, resil, scope_ctx, scope, rec, &mut rows, &mut trace)?;
-        Ok((rows, trace.entries))
+        let out =
+            process_one(&mut *det, resil.as_deref_mut(), scope_ctx, scope, rec, &mut rows, &mut trace);
+        // Returned even on error: a failed scope fails the whole run, so
+        // a pair it left armed is never used for a row that is kept.
+        lock().push((det, resil));
+        out.map(|()| (rows, trace.entries))
     }
 
     fn classify(row: &DetectionRow) -> EffectClass {

@@ -144,9 +144,11 @@ pub trait CampaignTask {
         trace: &mut RunTrace,
     ) -> Result<(), CoreError>;
 
-    /// Builds the shared worker context for a parallel run over
-    /// `items` scopes (e.g. one detector clone per item).
-    fn prepare_parallel<'s>(&'s self, items: usize) -> Result<Self::ParCtx<'s>, CoreError>;
+    /// Builds the shared worker context for a parallel run on
+    /// `workers` threads — `min(threads, items)`, the most work items
+    /// the pool runs at once (e.g. one detector clone per worker, lent
+    /// to one item at a time).
+    fn prepare_parallel<'s>(&'s self, workers: usize) -> Result<Self::ParCtx<'s>, CoreError>;
 
     /// Parallel counterpart of [`process_scope`](Self::process_scope):
     /// processes work item `idx` using only the [`Sync`] context (the
@@ -777,7 +779,7 @@ fn parallel_parts<T: CampaignTask>(
         }
     }
 
-    let ctx = task.prepare_parallel(work.len())?;
+    let ctx = task.prepare_parallel(threads.min(work.len()))?;
     let scenario = task.scenario();
     let targets_ref: &[LayerTarget] = &targets;
     let resil_ref = resil_targets.as_deref();

@@ -158,8 +158,8 @@ impl CampaignTask for VitCampaign {
         self.inner.process_scope(ctx, scope, rec, rows, trace)
     }
 
-    fn prepare_parallel<'s>(&'s self, items: usize) -> Result<Self::ParCtx<'s>, CoreError> {
-        self.inner.prepare_parallel(items)
+    fn prepare_parallel<'s>(&'s self, workers: usize) -> Result<Self::ParCtx<'s>, CoreError> {
+        self.inner.prepare_parallel(workers)
     }
 
     fn process_parallel(

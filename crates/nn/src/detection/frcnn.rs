@@ -1,7 +1,7 @@
 //! Two-stage region-proposal detector in the Faster-RCNN style.
 
 use super::geometry::{nms, BBox, Detection};
-use super::{cap_detections, decode_deltas, sigmoid, Detector, DetectorConfig};
+use super::{cap_detections, decode_deltas, plane, sigmoid, Detector, DetectorConfig};
 use crate::error::NnError;
 use crate::graph::{Network, NodeId};
 use crate::models::NetBuilder;
@@ -94,18 +94,29 @@ impl FrcnnTwoStage {
     fn proposals(&self, acts: &[Tensor], b: usize) -> Vec<(BBox, f32)> {
         let obj = &acts[self.obj_node];
         let deltas = &acts[self.delta_node];
-        let s = obj.dims()[2];
+        let (h, w) = (obj.dims()[2], obj.dims()[3]);
         let img = self.cfg.input_hw as f32;
         let mut cands: Vec<(BBox, f32)> = Vec::new();
         for (ai, &side) in RPN_ANCHORS.iter().enumerate() {
-            for gy in 0..s {
-                for gx in 0..s {
-                    let score = sigmoid(obj.get(&[b, ai, gy, gx]));
+            let scores = plane(obj, b, ai);
+            let d: [&[f32]; 4] = std::array::from_fn(|k| plane(deltas, b, ai * 4 + k));
+            for gy in 0..h {
+                for gx in 0..w {
+                    let cell = gy * w + gx;
+                    let score = sigmoid(scores[cell]);
                     let acx = (gx as f32 + 0.5) * self.stride as f32;
                     let acy = (gy as f32 + 0.5) * self.stride as f32;
-                    let d = |k: usize| deltas.get(&[b, ai * 4 + k, gy, gx]);
-                    let bbox = decode_deltas(acx, acy, side, side, d(0), d(1), d(2), d(3))
-                        .clamp_to(img, img);
+                    let bbox = decode_deltas(
+                        acx,
+                        acy,
+                        side,
+                        side,
+                        d[0][cell],
+                        d[1][cell],
+                        d[2][cell],
+                        d[3][cell],
+                    )
+                    .clamp_to(img, img);
                     if bbox.area() > 1.0 {
                         cands.push((bbox, score));
                     }
@@ -128,9 +139,10 @@ impl FrcnnTwoStage {
         kept.into_iter().take(POST_NMS_TOP_N).map(|d| (d.bbox, d.score)).collect()
     }
 
-    /// RoI-pools the backbone feature map over a proposal box into a
-    /// flat `feat_ch * ROI_POOL^2` vector (mean pooling per sub-cell).
-    fn roi_pool(&self, feat: &Tensor, b: usize, bbox: &BBox) -> Vec<f32> {
+    /// RoI-pools the backbone feature map over a proposal box, appending
+    /// a flat `feat_ch * ROI_POOL^2` vector to `out` (mean pooling per
+    /// sub-cell, summed row by row in row-major order).
+    fn roi_pool(&self, feat: &Tensor, b: usize, bbox: &BBox, out: &mut Vec<f32>) {
         let (c, fh, fw) = (feat.dims()[1], feat.dims()[2], feat.dims()[3]);
         let sx = self.stride as f32;
         // proposal in feature coordinates, clamped
@@ -140,27 +152,29 @@ impl FrcnnTwoStage {
         let fy2 = ((bbox.y2 / sx).ceil().clamp(1.0, fh as f32) as usize).max(fy1 + 1);
         let rw = fx2 - fx1;
         let rh = fy2 - fy1;
-        let mut out = Vec::with_capacity(c * ROI_POOL * ROI_POOL);
+        // fx1 < fx2 <= fw and fy1 < fy2 <= fh for any box (NaN included),
+        // so every sub-cell range below is non-empty and in bounds.
         for ch in 0..c {
+            let fmap = plane(feat, b, ch);
             for py in 0..ROI_POOL {
                 let y0 = fy1 + py * rh / ROI_POOL;
                 let y1 = (fy1 + ((py + 1) * rh).div_ceil(ROI_POOL)).min(fy2);
+                let ys = y0..y1.max(y0 + 1).min(fh);
                 for px in 0..ROI_POOL {
                     let x0 = fx1 + px * rw / ROI_POOL;
                     let x1 = (fx1 + ((px + 1) * rw).div_ceil(ROI_POOL)).min(fx2);
+                    let xs = x0..x1.max(x0 + 1).min(fw);
                     let mut acc = 0.0f32;
-                    let mut cnt = 0usize;
-                    for y in y0..y1.max(y0 + 1).min(fh) {
-                        for x in x0..x1.max(x0 + 1).min(fw) {
-                            acc += feat.get(&[b, ch, y, x]);
-                            cnt += 1;
+                    for y in ys.clone() {
+                        for &v in &fmap[y * fw + xs.start..y * fw + xs.end] {
+                            acc += v;
                         }
                     }
+                    let cnt = ys.len() * xs.len();
                     out.push(if cnt > 0 { acc / cnt as f32 } else { 0.0 });
                 }
             }
         }
-        out
     }
 }
 
@@ -196,24 +210,24 @@ impl Detector for FrcnnTwoStage {
             let props = self.proposals(&acts, b);
             let mut dets = Vec::new();
             if !props.is_empty() {
-                let pooled: Vec<f32> = props
-                    .iter()
-                    .flat_map(|(bbox, _)| self.roi_pool(feat, b, bbox))
-                    .collect();
                 let roi_feat = self.feat_ch * ROI_POOL * ROI_POOL;
+                let mut pooled = Vec::with_capacity(props.len() * roi_feat);
+                for (bbox, _) in &props {
+                    self.roi_pool(feat, b, bbox, &mut pooled);
+                }
                 let input = Tensor::from_vec(pooled, &[props.len(), roi_feat])
                     .map_err(NnError::from)?;
                 let head_out = self.head.forward(&input)?;
-                for (pi, (pbox, _pscore)) in props.iter().enumerate() {
+                // One row per proposal: C+1 class logits, then 4 box deltas.
+                let rows = head_out.data().chunks_exact(head_out.dims()[1]);
+                for ((pbox, _pscore), row) in props.iter().zip(rows) {
                     // softmax over the (C+1) class logits
+                    let logits = &row[..=c];
                     let mut best_cls = 0usize;
                     let mut best_logit = f32::NEG_INFINITY;
                     let mut denom = 0.0f32;
-                    let max_logit = (0..=c)
-                        .map(|ci| head_out.get(&[pi, ci]))
-                        .fold(f32::NEG_INFINITY, f32::max);
-                    for ci in 0..=c {
-                        let l = head_out.get(&[pi, ci]);
+                    let max_logit = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    for (ci, &l) in logits.iter().enumerate() {
                         denom += (l - max_logit).exp();
                         if ci < c && l > best_logit {
                             best_logit = l;
@@ -226,7 +240,7 @@ impl Detector for FrcnnTwoStage {
                     if score < self.cfg.score_thresh {
                         continue;
                     }
-                    let d = |k: usize| head_out.get(&[pi, c + 1 + k]);
+                    let d = &row[c + 1..c + 5];
                     let cx = (pbox.x1 + pbox.x2) / 2.0;
                     let cy = (pbox.y1 + pbox.y2) / 2.0;
                     let bbox = decode_deltas(
@@ -234,10 +248,10 @@ impl Detector for FrcnnTwoStage {
                         cy,
                         pbox.width().max(1.0),
                         pbox.height().max(1.0),
-                        d(0),
-                        d(1),
-                        d(2),
-                        d(3),
+                        d[0],
+                        d[1],
+                        d[2],
+                        d[3],
                     )
                     .clamp_to(img, img);
                     dets.push(Detection { bbox, score, class_id: best_cls });
@@ -318,11 +332,22 @@ mod tests {
         let imgs = Tensor::ones(&[1, 3, 32, 32]);
         let acts = det.backbone.forward_all(&imgs).unwrap();
         let feat = &acts[det.feat_node];
-        let v = det.roi_pool(feat, 0, &BBox::new(4.0, 4.0, 20.0, 28.0));
+        let pool = |bbox: BBox| {
+            let mut v = Vec::new();
+            det.roi_pool(feat, 0, &bbox, &mut v);
+            v
+        };
+        let v = pool(BBox::new(4.0, 4.0, 20.0, 28.0));
         assert_eq!(v.len(), det.feat_ch * ROI_POOL * ROI_POOL);
         assert!(v.iter().all(|x| x.is_finite()));
-        // degenerate box still pools
-        let v2 = det.roi_pool(feat, 0, &BBox::new(0.0, 0.0, 0.5, 0.5));
-        assert_eq!(v2.len(), v.len());
+        // degenerate, inverted, out-of-frame and NaN boxes still pool
+        for bbox in [
+            BBox::new(0.0, 0.0, 0.5, 0.5),
+            BBox::new(20.0, 20.0, 4.0, 4.0),
+            BBox::new(-50.0, 40.0, -10.0, 90.0),
+            BBox::new(f32::NAN, f32::NAN, f32::NAN, f32::NAN),
+        ] {
+            assert_eq!(pool(bbox).len(), v.len());
+        }
     }
 }

@@ -105,6 +105,24 @@ pub trait Detector: Send {
     }
 }
 
+/// The contiguous `h * w` plane of channel `ch` in batch item `b` of an
+/// NCHW tensor. The decoders read head outputs through these slices
+/// rather than one [`Tensor::get`] per element, visiting cells in the
+/// same row-major order, so every value and every f32 reduction over
+/// them is unchanged.
+///
+/// # Panics
+///
+/// Panics if the tensor is not rank 4 or `(b, ch)` is out of range.
+pub(crate) fn plane(t: &Tensor, b: usize, ch: usize) -> &[f32] {
+    let &[n, c, h, w] = t.dims() else {
+        panic!("decoder input must be NCHW, got {:?}", t.dims());
+    };
+    assert!(b < n && ch < c, "plane ({b}, {ch}) outside {:?}", t.dims());
+    let start = (b * c + ch) * h * w;
+    &t.data()[start..start + h * w]
+}
+
 /// Numerically-stable logistic sigmoid used by all decoders.
 pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -203,6 +221,42 @@ mod tests {
         assert_eq!(capped.len(), 2);
         assert_eq!(capped[0].score, 0.9);
         assert_eq!(capped[1].score, 0.5);
+    }
+
+    /// Batch item `b` decodes from its own planes: detecting a batch
+    /// gives each image exactly the detections it gets alone.
+    #[test]
+    fn batched_detect_matches_per_image_detect() {
+        let cfg = DetectorConfig {
+            input_hw: 32,
+            width_mult: 0.125,
+            score_thresh: 0.1,
+            ..DetectorConfig::default()
+        };
+        let mut rng = alfi_rng::Rng::from_seed(11);
+        let images = Tensor::rand_uniform(&mut rng, &[3, 3, 32, 32], 0.0, 1.0);
+        let dets: [Box<dyn Detector>; 3] = [
+            Box::new(YoloGrid::new(&cfg)),
+            Box::new(RetinaAnchor::new(&cfg)),
+            Box::new(FrcnnTwoStage::new(&cfg)),
+        ];
+        for det in &dets {
+            let batched = det.detect(&images).unwrap();
+            assert_eq!(batched.len(), 3);
+            for (i, got) in batched.iter().enumerate() {
+                assert!(!got.is_empty(), "{} found nothing in image {i}", det.name());
+                let alone = Tensor::stack(&[images.batch_item(i).unwrap()]).unwrap();
+                assert_eq!(got, &det.detect(&alone).unwrap()[0], "{} image {i}", det.name());
+            }
+        }
+    }
+
+    #[test]
+    fn plane_is_the_channel_slice() {
+        let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
+        assert_eq!(plane(&t, 0, 0), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(plane(&t, 1, 2), &[20.0, 21.0, 22.0, 23.0]);
+        assert_eq!(plane(&t, 1, 0), &[t.get(&[1, 0, 0, 0]), 13.0, 14.0, t.get(&[1, 0, 1, 1])]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! One-stage anchor detector with an FPN, in the RetinaNet style.
 
 use super::geometry::{nms, Detection};
-use super::{anchor_sizes, cap_detections, decode_deltas, sigmoid, Detector, DetectorConfig};
+use super::{
+    anchor_sizes, cap_detections, decode_deltas, plane, sigmoid, Detector, DetectorConfig,
+};
 use crate::error::NnError;
 use crate::graph::{Network, NodeId};
 use crate::layer::Layer;
@@ -126,18 +128,21 @@ impl Detector for RetinaAnchor {
         for &(cls_id, box_id, stride) in &self.levels {
             let cls = &acts[cls_id];
             let boxes = &acts[box_id];
-            let s = cls.dims()[2];
+            let (h, w) = (cls.dims()[2], cls.dims()[3]);
             let anchors = anchor_sizes(stride as f32 * 4.0, &SCALES, &RATIOS);
             for (b, dets) in out.iter_mut().enumerate().take(n) {
                 for (ai, &(aw, ah)) in anchors.iter().enumerate().take(a) {
-                    for gy in 0..s {
-                        for gx in 0..s {
+                    let scores: Vec<&[f32]> = (0..c).map(|ci| plane(cls, b, ai * c + ci)).collect();
+                    let d: [&[f32]; 4] = std::array::from_fn(|k| plane(boxes, b, ai * 4 + k));
+                    for gy in 0..h {
+                        for gx in 0..w {
+                            let cell = gy * w + gx;
                             let acx = (gx as f32 + 0.5) * stride as f32;
                             let acy = (gy as f32 + 0.5) * stride as f32;
                             let mut best_cls = 0usize;
                             let mut best_p = f32::NEG_INFINITY;
-                            for ci in 0..c {
-                                let p = cls.get(&[b, ai * c + ci, gy, gx]);
+                            for (ci, class_plane) in scores.iter().enumerate() {
+                                let p = class_plane[cell];
                                 if p > best_p {
                                     best_p = p;
                                     best_cls = ci;
@@ -148,8 +153,8 @@ impl Detector for RetinaAnchor {
                             if score < self.cfg.score_thresh {
                                 continue;
                             }
-                            let d = |k: usize| boxes.get(&[b, ai * 4 + k, gy, gx]);
-                            let bbox = decode_deltas(acx, acy, aw, ah, d(0), d(1), d(2), d(3))
+                            let (dx, dy, dw, dh) = (d[0][cell], d[1][cell], d[2][cell], d[3][cell]);
+                            let bbox = decode_deltas(acx, acy, aw, ah, dx, dy, dw, dh)
                                 .clamp_to(img, img);
                             dets.push(Detection { bbox, score, class_id: best_cls });
                         }

@@ -1,7 +1,7 @@
 //! One-stage grid detector in the YOLOv3 style.
 
 use super::geometry::{nms, BBox, Detection};
-use super::{cap_detections, sigmoid, Detector, DetectorConfig};
+use super::{cap_detections, plane, sigmoid, Detector, DetectorConfig};
 use crate::error::NnError;
 use crate::graph::Network;
 use crate::models::NetBuilder;
@@ -85,7 +85,7 @@ impl YoloGrid {
 
     /// Decodes the raw head tensor `[n, A*(5+C), S, S]` into detections.
     fn decode(&self, raw: &Tensor) -> Vec<Vec<Detection>> {
-        let (n, s) = (raw.dims()[0], self.grid);
+        let (n, s, w) = (raw.dims()[0], self.grid, raw.dims()[3]);
         let c = self.cfg.num_classes;
         let a = YOLO_ANCHORS.len();
         let stride = self.cfg.input_hw as f32 / s as f32;
@@ -94,9 +94,12 @@ impl YoloGrid {
         for b in 0..n {
             let mut dets = Vec::new();
             for (ai, &(aw, ah)) in YOLO_ANCHORS.iter().enumerate().take(a) {
+                let chans: Vec<&[f32]> =
+                    (0..per_anchor).map(|k| plane(raw, b, ai * per_anchor + k)).collect();
                 for gy in 0..s {
                     for gx in 0..s {
-                        let chan = |k: usize| raw.get(&[b, ai * per_anchor + k, gy, gx]);
+                        let cell = gy * w + gx;
+                        let chan = |k: usize| chans[k][cell];
                         let obj = sigmoid(chan(4));
                         // class scores
                         let mut best_cls = 0usize;

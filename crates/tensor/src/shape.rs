@@ -69,6 +69,11 @@ impl Shape {
 
     /// Converts a multi-dimensional index into a flat offset.
     ///
+    /// The offset is accumulated from the dims by Horner's rule
+    /// (`flat = flat * d + i`), which equals `Σ index[i] * strides()[i]`
+    /// without materializing the strides: element reads and writes
+    /// through [`Tensor::get`](crate::Tensor::get) allocate nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] if `index.len() != rank()` and
@@ -82,20 +87,20 @@ impl Shape {
             });
         }
         let mut flat = 0usize;
-        let strides = self.strides();
-        for (axis, (&i, &d)) in index.iter().zip(self.dims.iter()).enumerate() {
+        for (&i, &d) in index.iter().zip(&self.dims) {
             if i >= d {
                 return Err(TensorError::IndexOutOfBounds {
                     index: index.to_vec(),
                     shape: self.dims.clone(),
                 });
             }
-            flat += i * strides[axis];
+            flat = flat * d + i;
         }
         Ok(flat)
     }
 
-    /// Converts a flat offset back into a multi-dimensional index.
+    /// Converts a flat offset back into a multi-dimensional index,
+    /// peeling coordinates off the dims from the last axis inwards.
     ///
     /// # Errors
     ///
@@ -107,11 +112,12 @@ impl Shape {
                 shape: self.dims.clone(),
             });
         }
+        // Every dim is non-zero here: an empty shape has no valid offset.
         let mut rem = flat;
         let mut idx = vec![0usize; self.dims.len()];
-        for (axis, stride) in self.strides().iter().enumerate() {
-            idx[axis] = rem / stride;
-            rem %= stride;
+        for (slot, &d) in idx.iter_mut().zip(&self.dims).rev() {
+            *slot = rem % d;
+            rem /= d;
         }
         Ok(idx)
     }

@@ -10,7 +10,7 @@ use alfi_tensor::gemm::{
     KernelPath, NoEpilogue,
 };
 use alfi_tensor::quant::{flip_bit_i8, QuantParams};
-use alfi_tensor::{bits, Shape, Tensor};
+use alfi_tensor::{bits, Shape, Tensor, TensorError};
 
 /// Flipping any bit twice restores the exact bit pattern — the
 /// transient-fault restore guarantee rests on this.
@@ -60,17 +60,55 @@ fn stuck_at_is_idempotent() {
     });
 }
 
-/// Shape flat/multi index round trip for arbitrary small shapes.
+/// Shape flat/multi index round trip for arbitrary small shapes of
+/// rank 0–5: every in-bounds index maps to `Σ index[i] * strides[i]`
+/// and back.
 #[test]
 fn shape_index_round_trip() {
     check("shape_index_round_trip", |rng| {
-        let dims = gen::vec_of(rng, 1..5, |r| r.gen_range(1usize..6));
+        let dims = gen::vec_of(rng, 0..6, |r| r.gen_range(1usize..6));
         let s = Shape::new(&dims);
+        let strides = s.strides();
         let n = s.num_elements();
+        let index: Vec<usize> = dims.iter().map(|&d| rng.gen_range(0..d)).collect();
+        let expected: usize = index.iter().zip(&strides).map(|(i, st)| i * st).sum();
+        assert_eq!(s.flat_index(&index).unwrap(), expected);
+        assert_eq!(s.multi_index(expected).unwrap(), index);
         for flat in [0, n / 2, n - 1] {
             let idx = s.multi_index(flat).unwrap();
             assert_eq!(s.flat_index(&idx).unwrap(), flat);
         }
+    });
+}
+
+/// Rank mismatches and an out-of-range coordinate on any axis (dims of
+/// size zero included) are reported as typed errors carrying the
+/// offending index and the shape.
+#[test]
+fn shape_index_errors_are_typed() {
+    check("shape_index_errors_are_typed", |rng| {
+        let dims = gen::vec_of(rng, 0..6, |r| r.gen_range(0usize..6));
+        let s = Shape::new(&dims);
+        let rank = dims.len();
+
+        let wrong_rank = (rank + rng.gen_range(1usize..3)) % 7;
+        assert_eq!(
+            s.flat_index(&vec![0; wrong_rank]),
+            Err(TensorError::RankMismatch { expected: rank, actual: wrong_rank })
+        );
+        for axis in 0..rank {
+            let mut index: Vec<usize> = dims.iter().map(|&d| d.saturating_sub(1)).collect();
+            index[axis] = dims[axis] + rng.gen_range(0usize..3);
+            assert_eq!(
+                s.flat_index(&index),
+                Err(TensorError::IndexOutOfBounds { index: index.clone(), shape: dims.clone() })
+            );
+        }
+        let past_end = s.num_elements() + rng.gen_range(0usize..3);
+        assert_eq!(
+            s.multi_index(past_end),
+            Err(TensorError::IndexOutOfBounds { index: vec![past_end], shape: dims.clone() })
+        );
     });
 }
 
