@@ -89,8 +89,8 @@ pub trait CampaignTask {
     type Row: Send;
     /// Finalized campaign output.
     type Result;
-    /// Shared read-only state for parallel workers (model references,
-    /// per-item detector clones); built once per parallel run.
+    /// Shared state for parallel workers (model references, per-worker
+    /// detector clones); built once per parallel run.
     type ParCtx<'s>: Sync
     where
         Self: 's;

@@ -106,17 +106,9 @@ impl FrcnnTwoStage {
                     let score = sigmoid(scores[cell]);
                     let acx = (gx as f32 + 0.5) * self.stride as f32;
                     let acy = (gy as f32 + 0.5) * self.stride as f32;
-                    let bbox = decode_deltas(
-                        acx,
-                        acy,
-                        side,
-                        side,
-                        d[0][cell],
-                        d[1][cell],
-                        d[2][cell],
-                        d[3][cell],
-                    )
-                    .clamp_to(img, img);
+                    let (dx, dy, dw, dh) = (d[0][cell], d[1][cell], d[2][cell], d[3][cell]);
+                    let bbox =
+                        decode_deltas(acx, acy, side, side, dx, dy, dw, dh).clamp_to(img, img);
                     if bbox.area() > 1.0 {
                         cands.push((bbox, score));
                     }

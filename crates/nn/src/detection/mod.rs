@@ -252,11 +252,19 @@ mod tests {
     }
 
     #[test]
-    fn plane_is_the_channel_slice() {
-        let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
-        assert_eq!(plane(&t, 0, 0), &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(plane(&t, 1, 2), &[20.0, 21.0, 22.0, 23.0]);
-        assert_eq!(plane(&t, 1, 0), &[t.get(&[1, 0, 0, 0]), 13.0, 14.0, t.get(&[1, 0, 1, 1])]);
+    fn plane_cells_are_the_indexed_elements() {
+        let t = Tensor::from_vec((0..60).map(|v| v as f32).collect(), &[2, 3, 2, 5]).unwrap();
+        for b in 0..2 {
+            for ch in 0..3 {
+                let p = plane(&t, b, ch);
+                assert_eq!(p.len(), 10);
+                for y in 0..2 {
+                    for x in 0..5 {
+                        assert_eq!(p[y * 5 + x], t.get(&[b, ch, y, x]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
