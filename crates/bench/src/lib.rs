@@ -201,7 +201,7 @@ pub fn run_fig2b_point(
     scale: ExperimentScale,
     seed: u64,
 ) -> Fig2bPoint {
-    let mut detector = build_detector(detector_name, scale, seed);
+    let detector = build_detector(detector_name, scale, seed);
     // The two synthetic datasets differ in class count and scene
     // statistics, standing in for CoCo (many small objects) vs Kitti
     // (fewer, larger objects).
@@ -221,7 +221,7 @@ pub fn run_fig2b_point(
     scenario.seed = seed.wrapping_add(7);
 
     let loader = DetectionLoader::new(ds, 1);
-    let result = ObjDetCampaign::new(detector.as_mut(), scenario, loader)
+    let result = ObjDetCampaign::new(detector.as_ref(), scenario, loader)
         .run_with(&RunConfig::default())
         .expect("campaign succeeds");
     Fig2bPoint {

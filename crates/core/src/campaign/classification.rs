@@ -294,8 +294,6 @@ impl CampaignTask for ImgClassCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    /// Models are [`Sync`], so workers share the campaign itself.
-    type ParCtx<'s> = &'s ImgClassCampaign;
 
     fn kind(&self) -> &'static str {
         "classification"
@@ -403,7 +401,7 @@ impl CampaignTask for ImgClassCampaign {
 
         let plan = {
             let _span = rec.span_on(Phase::Inject, worker);
-            FaultPlan::new(&self.model, ctx.targets, ctx.faults, kind)?
+            FaultPlan::new(&[&self.model], ctx.targets, ctx.faults, kind)?
         };
         let start = if reuse { plan.first_node().unwrap_or(self.model.num_nodes()) } else { 0 };
         let (mut nan, mut inf) = (0usize, 0usize);
@@ -434,7 +432,7 @@ impl CampaignTask for ImgClassCampaign {
             (Some(resil), Some(rt)) => {
                 let plan = {
                     let _span = rec.span_on(Phase::Inject, worker);
-                    FaultPlan::new(&resil.net, rt, ctx.faults, kind)?
+                    FaultPlan::new(&[&resil.net], rt, ctx.faults, kind)?
                 };
                 let limit = plan.first_node().unwrap_or(resil.net.num_nodes());
                 let start = if reuse { resil.map.resume_point(limit, &golden) } else { 0 };
@@ -478,23 +476,6 @@ impl CampaignTask for ImgClassCampaign {
             rec.item_finished();
         }
         Ok(())
-    }
-
-    fn prepare_parallel<'s>(&'s self, _workers: usize) -> Result<Self::ParCtx<'s>, CoreError> {
-        Ok(self)
-    }
-
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        _idx: usize,
-        scope: &ClassificationScope,
-        rec: &Recorder,
-    ) -> Result<(Vec<ClassificationRow>, Vec<TraceEntry>), CoreError> {
-        let mut rows = Vec::with_capacity(1);
-        let mut trace = RunTrace::default();
-        ctx.process_scope(scope_ctx, scope, rec, &mut rows, &mut trace)?;
-        Ok((rows, trace.entries))
     }
 
     fn classify(row: &ClassificationRow) -> EffectClass {

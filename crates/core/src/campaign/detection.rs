@@ -18,22 +18,20 @@ use crate::campaign::config::RunConfig;
 use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
-use crate::injector::arm_faults;
+use crate::injector::FaultPlan;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::monitor::{attach_monitor, NanInfMonitor};
 use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
 use alfi_datasets::loader::DetectionLoader;
 use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{Detection, Detector};
+use alfi_nn::NodeId;
 use alfi_scenario::{ArtifactFormat, Scenario};
 use alfi_serde::ToJson;
 use alfi_store::{ColumnSpec, ColumnType, Encoding, Schema, Value};
 use alfi_tensor::Tensor;
 use alfi_trace::{EffectClass, Phase, Recorder};
-use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Per-image detection campaign row.
 #[derive(Debug, Clone)]
@@ -105,14 +103,18 @@ pub struct DetectionScope {
 
 /// The high-level object-detection campaign runner.
 ///
-/// Unlike [`ImgClassCampaign`](crate::campaign::ImgClassCampaign),
-/// which owns its models, the campaign *borrows* its detector(s)
-/// mutably, arms faults in place and disarms them after each scope,
-/// returning every detector pristine (see DESIGN.md).
+/// Like [`ImgClassCampaign`](crate::campaign::ImgClassCampaign), the
+/// campaign never changes its models: it *borrows* its detector(s) and
+/// runs every fault through a per-call [`FaultPlan`], so one shared
+/// detector serves the golden, faulty and hardened passes of every
+/// worker. Each scope runs one golden `detect`, with the detector's
+/// registered hooks; the faulty and hardened passes run
+/// [`FaultPlan::detect`], which skips registered hooks and starts every
+/// network at node 0.
 #[derive(Debug)]
 pub struct ObjDetCampaign<'a, D: Detector + ?Sized> {
-    detector: &'a mut D,
-    resil_detector: Option<&'a mut D>,
+    detector: &'a D,
+    resil_detector: Option<&'a D>,
     scenario: Scenario,
     loader: DetectionLoader,
     fault_matrix: Option<FaultMatrix>,
@@ -121,7 +123,7 @@ pub struct ObjDetCampaign<'a, D: Detector + ?Sized> {
 impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
     /// Creates a campaign over `detector` with the given scenario and
     /// data.
-    pub fn new(detector: &'a mut D, scenario: Scenario, loader: DetectionLoader) -> Self {
+    pub fn new(detector: &'a D, scenario: Scenario, loader: DetectionLoader) -> Self {
         ObjDetCampaign { detector, resil_detector: None, scenario, loader, fault_matrix: None }
     }
 
@@ -135,9 +137,9 @@ impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
 
     /// Adds a hardened detector to run in lock-step under the *same*
     /// faults. It must expose the same injectable-layer list as the
-    /// primary one; like the primary it is borrowed, armed in place
-    /// and returned pristine.
-    pub fn with_resil_detector(mut self, resil: &'a mut D) -> Self {
+    /// primary one. Like the primary it is only borrowed, and its hooks
+    /// never run.
+    pub fn with_resil_detector(mut self, resil: &'a D) -> Self {
         self.resil_detector = Some(resil);
         self
     }
@@ -150,71 +152,28 @@ impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
     /// # Errors
     ///
     /// Resolution/injection errors, rejection of non-`per_image`
-    /// policies when parallel, [`CoreError::Unsupported`] for
-    /// uncloneable detectors when parallel, [`CoreError::WorkerPanic`]
-    /// for panicking workers.
+    /// policies when parallel, [`CoreError::WorkerPanic`] for panicking
+    /// workers.
     pub fn run_with(&mut self, cfg: &RunConfig) -> Result<DetectionCampaignResult, CoreError> {
-        Engine::new(cfg).run(&self.as_task())
-    }
-
-    /// Borrows the campaign's fields into the engine-facing task
-    /// adapter. The detectors go behind [`RefCell`]s so the task can
-    /// stream scopes and arm faults from `&self` — the sequential
-    /// driver is single-threaded, so the borrows never conflict.
-    fn as_task(&mut self) -> DetTask<'_, D> {
-        let ObjDetCampaign { detector, resil_detector, scenario, loader, fault_matrix } = self;
-        DetTask {
-            detector: RefCell::new(&mut **detector),
-            resil_detector: resil_detector.as_mut().map(|r| RefCell::new(&mut **r)),
-            scenario,
-            loader,
-            replay: fault_matrix.as_ref(),
-        }
+        Engine::new(cfg).run(&*self)
     }
 }
 
-/// Engine-facing adapter over a borrowed [`ObjDetCampaign`].
-struct DetTask<'t, D: Detector + ?Sized> {
-    detector: RefCell<&'t mut D>,
-    resil_detector: Option<RefCell<&'t mut D>>,
-    scenario: &'t Scenario,
-    loader: &'t DetectionLoader,
-    replay: Option<&'t FaultMatrix>,
-}
-
-/// A private detector clone and, when the campaign is hardened, its
-/// hardened twin.
-type ClonePair = (Box<dyn Detector>, Option<Box<dyn Detector>>);
-
-/// Parallel worker context: one pristine [`ClonePair`] per worker, lent
-/// to one work item at a time. The pool never runs more work items at
-/// once than it has workers, so an idle pair is always there to take;
-/// every scope disarms its detectors before the pair goes back, so the
-/// pair a work item gets behaves exactly like a fresh clone. Memory
-/// therefore scales with the worker count, not the campaign length.
-struct DetParCtx {
-    idle: Mutex<Vec<ClonePair>>,
-}
-
-impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
+impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
     type Scope = DetectionScope;
     type Row = DetectionRow;
     type Result = DetectionCampaignResult;
-    type ParCtx<'s>
-        = DetParCtx
-    where
-        Self: 's;
 
     fn kind(&self) -> &'static str {
         "detection"
     }
 
     fn model_name(&self) -> String {
-        self.detector.borrow().name().to_string()
+        self.detector.name().to_string()
     }
 
     fn scenario(&self) -> &Scenario {
-        self.scenario
+        &self.scenario
     }
 
     fn hardened_noun(&self) -> &'static str {
@@ -222,7 +181,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
     }
 
     fn replay_matrix(&self) -> Option<&FaultMatrix> {
-        self.replay
+        self.fault_matrix.as_ref()
     }
 
     fn resolve_targets(&self) -> Result<(Vec<LayerTarget>, Option<Vec<LayerTarget>>), CoreError> {
@@ -234,25 +193,16 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
             let ds = self.loader.dataset();
             vec![1usize, 3, ds.image_hw(), ds.image_hw()]
         };
-        let targets = {
-            let det = self.detector.borrow();
+        let resolve = |det: &D| {
             let nets = det.networks();
             let mut dims: Vec<Option<Vec<usize>>> = vec![None; nets.len()];
-            dims[0] = Some(input_dims.clone());
-            crate::matrix::resolve_targets(&nets, self.scenario, &dims)?
-        };
-        let resil_targets = match &self.resil_detector {
-            Some(r) => {
-                let rdet = r.borrow();
-                let rnets = rdet.networks();
-                let mut rdims: Vec<Option<Vec<usize>>> = vec![None; rnets.len()];
-                if !rdims.is_empty() {
-                    rdims[0] = Some(input_dims);
-                }
-                Some(crate::matrix::resolve_targets(&rnets, self.scenario, &rdims)?)
+            if let Some(first) = dims.first_mut() {
+                *first = Some(input_dims.clone());
             }
-            None => None,
+            crate::matrix::resolve_targets(&nets, &self.scenario, &dims)
         };
+        let targets = resolve(self.detector)?;
+        let resil_targets = self.resil_detector.map(resolve).transpose()?;
         Ok((targets, resil_targets))
     }
 
@@ -278,6 +228,10 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         Ok(ControlFlow::Continue(()))
     }
 
+    /// Runs the fault-free / faulty (/ hardened) detection passes for
+    /// one image. The faulty pass's NaN/Inf counts cover every node of
+    /// every network it evaluates, each after its layer and before its
+    /// neuron faults.
     fn process_scope(
         &self,
         ctx: &ScopeCtx<'_>,
@@ -286,51 +240,67 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         rows: &mut Vec<DetectionRow>,
         trace: &mut RunTrace,
     ) -> Result<(), CoreError> {
-        let mut det = self.detector.borrow_mut();
-        let mut resil_guard = self.resil_detector.as_ref().map(|r| r.borrow_mut());
-        let resil: Option<&mut D> = resil_guard.as_mut().map(|g| &mut ***g);
-        process_one(&mut **det, resil, ctx, scope, rec, rows, trace)
-    }
-
-    fn prepare_parallel(&self, workers: usize) -> Result<DetParCtx, CoreError> {
-        let clone_of = |d: &D, role: &str| {
-            d.clone_boxed().ok_or_else(|| CoreError::Unsupported {
-                reason: format!(
-                    "{role} detector `{}` does not implement clone_boxed, required by parallel runs",
-                    d.name()
-                ),
-            })
+        let worker = alfi_pool::worker_index();
+        let image = &scope.image;
+        let kind = ctx.scenario.injection_target;
+        let orig = {
+            let _span = rec.span_on(Phase::Forward, worker);
+            self.detector.detect(image)?.remove(0)
         };
-        let det = self.detector.borrow();
-        let mut idle: Vec<ClonePair> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let resil = match &self.resil_detector {
-                Some(r) => Some(clone_of(&r.borrow(), "hardened")?),
-                None => None,
-            };
-            idle.push((clone_of(&det, "primary")?, resil));
-        }
-        Ok(DetParCtx { idle: Mutex::new(idle) })
-    }
 
-    fn process_parallel(
-        ctx: &DetParCtx,
-        scope_ctx: &ScopeCtx<'_>,
-        _idx: usize,
-        scope: &DetectionScope,
-        rec: &Recorder,
-    ) -> Result<(Vec<DetectionRow>, Vec<TraceEntry>), CoreError> {
-        let lock = || ctx.idle.lock().expect("idle detector clone list poisoned");
-        let (mut det, mut resil) =
-            lock().pop().expect("the pool runs at most one work item per worker clone");
-        let mut rows = Vec::with_capacity(1);
-        let mut trace = RunTrace::default();
-        let out =
-            process_one(&mut *det, resil.as_deref_mut(), scope_ctx, scope, rec, &mut rows, &mut trace);
-        // Returned even on error: a failed scope fails the whole run, so
-        // a pair it left armed is never used for a row that is kept.
-        lock().push((det, resil));
-        out.map(|()| (rows, trace.entries))
+        let plan = {
+            let _span = rec.span_on(Phase::Inject, worker);
+            FaultPlan::new(&self.detector.networks(), ctx.targets, ctx.faults, kind)?
+        };
+        let (mut nan, mut inf) = (0usize, 0usize);
+        let mut observe = |_: NodeId, t: &Tensor| {
+            if t.has_non_finite() {
+                nan += t.count_nan();
+                inf += t.count_inf();
+            }
+        };
+        let (mut corr, applied) = {
+            let _span = rec.span_on(Phase::Forward, worker);
+            plan.detect(self.detector, image, &mut observe)?
+        };
+        rec.record_applied(applied.len() as u64);
+        if rec.is_enabled() {
+            rec.record_nonfinite(nan as u64, inf as u64);
+        }
+
+        let resil = match (self.resil_detector, ctx.resil_targets) {
+            (Some(rdet), Some(rt)) => {
+                let plan = {
+                    let _span = rec.span_on(Phase::Inject, worker);
+                    FaultPlan::new(&rdet.networks(), rt, ctx.faults, kind)?
+                };
+                let _span = rec.span_on(Phase::Forward, worker);
+                Some(plan.detect(rdet, image, &mut |_, _| {})?.0.remove(0))
+            }
+            _ => None,
+        };
+
+        let _eval = rec.span_on(Phase::Eval, worker);
+        for a in &applied {
+            trace.entries.push(TraceEntry {
+                image_id: scope.record.image_id,
+                applied: *a,
+                output_nan_count: nan as u32,
+                output_inf_count: inf as u32,
+            });
+        }
+        rows.push(DetectionRow {
+            image_id: scope.record.image_id,
+            ground_truth: scope.ground_truth.clone(),
+            orig,
+            corr: corr.remove(0),
+            resil,
+            faults: applied,
+            corr_nan: nan,
+            corr_inf: inf,
+        });
+        rec.item_finished();
+        Ok(())
     }
 
     fn classify(row: &DetectionRow) -> EffectClass {
@@ -352,7 +322,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
             scenario: self.scenario.clone(),
             fault_matrix: matrix,
             trace,
-            model_name: self.detector.borrow().name().to_string(),
+            model_name: self.detector.name().to_string(),
         }
     }
 
@@ -453,105 +423,6 @@ pub(crate) fn store_row_to_json_line(values: &[Value], resil: bool) -> Result<St
     Ok(line)
 }
 
-/// Runs the fault-free / faulty (/ hardened) detection passes for one
-/// image — the one scope body shared by the sequential driver (on the
-/// campaign's borrowed detectors) and the parallel driver (on private
-/// clones). Every detector comes back pristine.
-fn process_one<D: Detector + ?Sized>(
-    det: &mut D,
-    resil: Option<&mut D>,
-    ctx: &ScopeCtx<'_>,
-    scope: &DetectionScope,
-    rec: &Recorder,
-    rows: &mut Vec<DetectionRow>,
-    trace: &mut RunTrace,
-) -> Result<(), CoreError> {
-    let worker = alfi_pool::worker_index();
-    let image = &scope.image;
-
-    // Fault-free pass.
-    let orig = {
-        let _span = rec.span_on(Phase::Forward, worker);
-        det.detect(image)?.remove(0)
-    };
-
-    // Arm faults + monitors in place, detect, disarm.
-    let monitor = Arc::new(NanInfMonitor::new());
-    let (applied, totals, corr) = {
-        let mut nets = det.networks_mut();
-        let mut monitor_handles = Vec::new();
-        for net in nets.iter_mut() {
-            monitor_handles.push(attach_monitor(
-                net,
-                Arc::<NanInfMonitor>::clone(&monitor) as _,
-            )?);
-        }
-        let armed = {
-            let _span = rec.span_on(Phase::Inject, worker);
-            arm_faults(&mut nets, ctx.targets, ctx.faults, ctx.scenario.injection_target)?
-        };
-        drop(nets);
-        let corr = {
-            let _span = rec.span_on(Phase::Forward, worker);
-            det.detect(image)?.remove(0)
-        };
-        let applied = armed.collect_applied();
-        rec.record_applied(applied.len() as u64);
-        let totals = monitor.totals();
-        let mut nets = det.networks_mut();
-        armed.disarm(&mut nets);
-        for (net, handles) in nets.iter_mut().zip(monitor_handles) {
-            for h in handles {
-                net.remove_hook(h);
-            }
-        }
-        (applied, totals, corr)
-    };
-    monitor.report_to(rec);
-
-    // Hardened pass under identical faults, detector returned pristine
-    // like the primary one.
-    let resil_out = match (resil, ctx.resil_targets) {
-        (Some(rdet), Some(rt)) => {
-            let armed_r = {
-                let _span = rec.span_on(Phase::Inject, worker);
-                let mut nets = rdet.networks_mut();
-                arm_faults(&mut nets, rt, ctx.faults, ctx.scenario.injection_target)?
-            };
-            let out = {
-                let _span = rec.span_on(Phase::Forward, worker);
-                rdet.detect(image)?.remove(0)
-            };
-            let mut nets = rdet.networks_mut();
-            armed_r.disarm(&mut nets);
-            Some(out)
-        }
-        _ => None,
-    };
-
-    let _eval = rec.span_on(Phase::Eval, worker);
-    for a in &applied {
-        trace.entries.push(TraceEntry {
-            image_id: scope.record.image_id,
-            applied: *a,
-            output_nan_count: totals.nan as u32,
-            output_inf_count: totals.inf as u32,
-        });
-    }
-    rows.push(DetectionRow {
-        image_id: scope.record.image_id,
-        ground_truth: scope.ground_truth.clone(),
-        orig,
-        corr,
-        resil: resil_out,
-        faults: applied,
-        corr_nan: totals.nan,
-        corr_inf: totals.inf,
-    });
-    rec.item_finished();
-    Ok(())
-}
-
 /// Trace-level fault-effect classification of one detection row: DUE
 /// when non-finite values surfaced in the corrupted networks, SDC when
 /// the detection set silently changed, masked otherwise.
@@ -569,16 +440,17 @@ fn classify_detection_row(row: &DetectionRow) -> EffectClass {
 mod tests {
     use super::*;
     use alfi_datasets::detection::DetectionDataset;
-    use alfi_nn::detection::{DetectorConfig, YoloGrid};
+    use alfi_nn::detection::{DetectorConfig, RunNetwork, YoloGrid};
+    use alfi_nn::graph::Network;
     use alfi_scenario::{FaultMode, InjectionPolicy, InjectionTarget};
     use alfi_tensor::Tensor;
 
     fn run_campaign(scenario: Scenario) -> DetectionCampaignResult {
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(scenario.dataset_size, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, scenario.batch_size);
-        ObjDetCampaign::new(&mut det, scenario, loader)
+        ObjDetCampaign::new(&det, scenario, loader)
             .run_with(&RunConfig::default())
             .unwrap()
     }
@@ -603,7 +475,7 @@ mod tests {
     #[test]
     fn detector_is_pristine_after_campaign() {
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let reference = YoloGrid::new(&dcfg);
         let probe = Tensor::ones(&[1, 3, 32, 32]);
         let before = reference.detect(&probe).unwrap();
@@ -613,7 +485,7 @@ mod tests {
         s.injection_target = InjectionTarget::Weights;
         let ds = DetectionDataset::new(3, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, 1);
-        ObjDetCampaign::new(&mut det, s, loader).run_with(&RunConfig::default()).unwrap();
+        ObjDetCampaign::new(&det, s, loader).run_with(&RunConfig::default()).unwrap();
 
         let after = det.detect(&probe).unwrap();
         assert_eq!(before, after, "weights must be reverted and hooks removed");
@@ -623,8 +495,8 @@ mod tests {
     #[test]
     fn resil_detector_runs_in_lockstep_and_stays_pristine() {
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
-        let mut resil = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
+        let resil = YoloGrid::new(&dcfg);
         let reference = YoloGrid::new(&dcfg);
         let probe = Tensor::ones(&[1, 3, 32, 32]);
         let before = reference.detect(&probe).unwrap();
@@ -635,8 +507,8 @@ mod tests {
         s.fault_mode = FaultMode::exponent_bit_flip();
         let ds = DetectionDataset::new(3, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, 1);
-        let result = ObjDetCampaign::new(&mut det, s, loader)
-            .with_resil_detector(&mut resil)
+        let result = ObjDetCampaign::new(&det, s, loader)
+            .with_resil_detector(&resil)
             .run_with(&RunConfig::default())
             .unwrap();
         for row in &result.rows {
@@ -654,12 +526,12 @@ mod tests {
         s.injection_target = InjectionTarget::Weights;
         s.fault_mode = FaultMode::exponent_bit_flip();
         let run = |threads: usize| {
-            let mut det = YoloGrid::new(&dcfg);
-            let mut resil = YoloGrid::new(&dcfg);
+            let det = YoloGrid::new(&dcfg);
+            let resil = YoloGrid::new(&dcfg);
             let ds = DetectionDataset::new(4, dcfg.num_classes, 3, 32, 3);
             let loader = DetectionLoader::new(ds, 1);
-            ObjDetCampaign::new(&mut det, s.clone(), loader)
-                .with_resil_detector(&mut resil)
+            ObjDetCampaign::new(&det, s.clone(), loader)
+                .with_resil_detector(&resil)
                 .run_with(&RunConfig::new().threads(threads))
                 .unwrap()
         };
@@ -697,10 +569,10 @@ mod tests {
 
     fn run_campaign_parallel(scenario: Scenario, threads: usize) -> DetectionCampaignResult {
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(scenario.dataset_size, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, scenario.batch_size);
-        ObjDetCampaign::new(&mut det, scenario, loader)
+        ObjDetCampaign::new(&det, scenario, loader)
             .run_with(&RunConfig::new().threads(threads))
             .unwrap()
     }
@@ -743,20 +615,22 @@ mod tests {
     #[test]
     fn parallel_detection_rejects_non_per_image_policy() {
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let mut s = Scenario::default();
         s.dataset_size = 3;
         s.injection_policy = InjectionPolicy::PerEpoch;
         s.injection_target = InjectionTarget::Weights;
         let ds = DetectionDataset::new(3, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, 1);
-        assert!(ObjDetCampaign::new(&mut det, s, loader)
+        assert!(ObjDetCampaign::new(&det, s, loader)
             .run_with(&RunConfig::new().threads(2))
             .is_err());
     }
 
+    /// The parallel driver shares the one borrowed detector across its
+    /// workers, so a detector without `clone_boxed` runs there too.
     #[test]
-    fn parallel_detection_requires_cloneable_detector() {
+    fn parallel_detection_needs_no_clone_boxed() {
         struct NoClone(YoloGrid);
         impl Detector for NoClone {
             fn name(&self) -> &str {
@@ -765,30 +639,76 @@ mod tests {
             fn num_classes(&self) -> usize {
                 self.0.num_classes()
             }
-            fn networks(&self) -> Vec<&alfi_nn::graph::Network> {
+            fn networks(&self) -> Vec<&Network> {
                 self.0.networks()
             }
-            fn networks_mut(&mut self) -> Vec<&mut alfi_nn::graph::Network> {
+            fn networks_mut(&mut self) -> Vec<&mut Network> {
                 self.0.networks_mut()
             }
-            fn detect(
+            fn detect_with(
                 &self,
                 images: &Tensor,
+                run: &mut RunNetwork<'_>,
             ) -> Result<Vec<Vec<Detection>>, alfi_nn::NnError> {
-                self.0.detect(images)
+                self.0.detect_with(images, run)
             }
         }
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = NoClone(YoloGrid::new(&dcfg));
+        let det = NoClone(YoloGrid::new(&dcfg));
+        let mut s = Scenario::default();
+        s.dataset_size = 4;
+        s.injection_target = InjectionTarget::Weights;
+        s.fault_mode = FaultMode::exponent_bit_flip();
+        let run = |threads: usize| {
+            let ds = DetectionDataset::new(4, dcfg.num_classes, 3, 32, 3);
+            let loader = DetectionLoader::new(ds, 1);
+            ObjDetCampaign::new(&det, s.clone(), loader)
+                .run_with(&RunConfig::new().threads(threads))
+                .unwrap()
+        };
+        let (seq, par) = (run(1), run(2));
+        assert_eq!(par.rows.len(), 4);
+        for (a, b) in seq.rows.iter().zip(&par.rows) {
+            assert_eq!(a.image_id, b.image_id);
+            assert_eq!((&a.orig, &a.corr, &a.faults), (&b.orig, &b.corr, &b.faults));
+            assert_eq!((a.corr_nan, a.corr_inf), (b.corr_nan, b.corr_inf));
+        }
+        assert_eq!(seq.trace.entries, par.trace.entries);
+    }
+
+    #[test]
+    fn a_detector_without_networks_is_an_error_not_a_panic() {
+        struct Empty;
+        impl Detector for Empty {
+            fn name(&self) -> &str {
+                "empty"
+            }
+            fn num_classes(&self) -> usize {
+                1
+            }
+            fn networks(&self) -> Vec<&Network> {
+                Vec::new()
+            }
+            fn networks_mut(&mut self) -> Vec<&mut Network> {
+                Vec::new()
+            }
+            fn detect_with(
+                &self,
+                images: &Tensor,
+                _: &mut RunNetwork<'_>,
+            ) -> Result<Vec<Vec<Detection>>, alfi_nn::NnError> {
+                Ok(vec![Vec::new(); images.dims()[0]])
+            }
+        }
         let mut s = Scenario::default();
         s.dataset_size = 2;
-        s.injection_target = InjectionTarget::Weights;
-        let ds = DetectionDataset::new(2, dcfg.num_classes, 3, 32, 3);
-        let loader = DetectionLoader::new(ds, 1);
-        let err = ObjDetCampaign::new(&mut det, s, loader)
-            .run_with(&RunConfig::new().threads(2))
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Unsupported { .. }), "got {err:?}");
+        let loader = DetectionLoader::new(DetectionDataset::new(2, 1, 3, 32, 3), 1);
+        for threads in [1, 2] {
+            let err = ObjDetCampaign::new(&Empty, s.clone(), loader.clone())
+                .run_with(&RunConfig::new().threads(threads))
+                .unwrap_err();
+            assert!(matches!(err, CoreError::NoInjectableLayers), "got {err:?}");
+        }
     }
 
     #[test]
@@ -799,10 +719,10 @@ mod tests {
         let dir = std::env::temp_dir().join("alfi_det_replay_set");
         let _ = std::fs::remove_dir_all(&dir);
         let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(2, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, 1);
-        let result = ObjDetCampaign::new(&mut det, s, loader)
+        let result = ObjDetCampaign::new(&det, s, loader)
             .run_with(
                 &RunConfig::new()
                     .recorder(alfi_trace::Recorder::new())

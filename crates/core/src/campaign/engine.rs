@@ -75,13 +75,17 @@ pub type ScopeSink<'a, S> = dyn FnMut(bool, S) -> Result<ControlFlow<()>, CoreEr
 
 /// A campaign workload the [`Engine`] can drive.
 ///
-/// Implementations own the *what* (model forwards, fault arming, row
-/// shapes); the engine owns the *how* (policy iteration, slot
-/// assignment, replay validation, tracing, pooling, persistence).
-/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign) and
-/// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the two
-/// in-tree implementations.
-pub trait CampaignTask {
+/// Implementations own the *what* (model forwards, per-call fault
+/// plans, row shapes); the engine owns the *how* (policy iteration,
+/// slot assignment, replay validation, tracing, pooling, persistence).
+/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign),
+/// [`VitCampaign`](crate::campaign::VitCampaign) and
+/// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the in-tree
+/// implementations. A task is [`Sync`]: the parallel driver shares it
+/// across pool workers, which call
+/// [`process_scope`](Self::process_scope) concurrently, so scope
+/// processing must not mutate the task's models.
+pub trait CampaignTask: Sync {
     /// Unit of work armed with one fault set — a single image or a
     /// whole batch, at the task's discretion.
     type Scope: Send + Sync;
@@ -89,11 +93,6 @@ pub trait CampaignTask {
     type Row: Send;
     /// Finalized campaign output.
     type Result;
-    /// Shared state for parallel workers (model references, per-worker
-    /// detector clones); built once per parallel run.
-    type ParCtx<'s>: Sync
-    where
-        Self: 's;
 
     /// Campaign kind recorded in the trace header (`"classification"`,
     /// `"detection"`).
@@ -134,7 +133,9 @@ pub trait CampaignTask {
 
     /// Runs the fault-free / faulty (/ hardened) passes for one scope,
     /// appending one row per contained image and the applied-fault
-    /// trace entries. Used by the sequential driver.
+    /// trace entries. Both drivers call it: the sequential driver in
+    /// place, the parallel driver from pool workers into per-item
+    /// vectors that it merges in work order.
     fn process_scope(
         &self,
         ctx: &ScopeCtx<'_>,
@@ -144,29 +145,10 @@ pub trait CampaignTask {
         trace: &mut RunTrace,
     ) -> Result<(), CoreError>;
 
-    /// Builds the shared worker context for a parallel run on
-    /// `workers` threads — `min(threads, items)`, the most work items
-    /// the pool runs at once (e.g. one detector clone per worker, lent
-    /// to one item at a time).
-    fn prepare_parallel<'s>(&'s self, workers: usize) -> Result<Self::ParCtx<'s>, CoreError>;
-
-    /// Parallel counterpart of [`process_scope`](Self::process_scope):
-    /// processes work item `idx` using only the [`Sync`] context (the
-    /// task itself is not shared with workers). Results are merged by
-    /// the engine in work order.
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
-        scope: &Self::Scope,
-        rec: &Recorder,
-    ) -> Result<(Vec<Self::Row>, Vec<TraceEntry>), CoreError>;
-
     /// Trace-level fault-effect classification of one row
-    /// (masked / SDC / DUE), recorded as an outcome tally. An
-    /// associated function (no `&self`) so both drivers can classify
-    /// rows as they are produced — the parallel workers never see the
-    /// task itself.
+    /// (masked / SDC / DUE), recorded as an outcome tally. A pure
+    /// function of the row, so both drivers can classify rows as they
+    /// are produced.
     fn classify(row: &Self::Row) -> EffectClass;
 
     /// NaN / Inf element counts observed in a row's corrupted output,
@@ -731,7 +713,7 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
 
 /// Parallel driver (`per_image` only — the other policies couple
 /// scopes through shared slots): materializes the scope list (slot ==
-/// work index), builds the task's worker context and fans out on the
+/// work index) and fans [`CampaignTask::process_scope`] out on the
 /// shared pool. `try_run_indexed` merges results in work order, so
 /// row order, fault assignment and all outputs are bit-identical to
 /// the sequential driver for any thread count (clamped by
@@ -748,7 +730,7 @@ fn parallel_parts<T: CampaignTask>(
     if task.scenario().injection_policy != InjectionPolicy::PerImage {
         return Err(CoreError::Scenario(alfi_scenario::ScenarioError::InvalidField {
             field: "injection_policy",
-            reason: "run_parallel requires per_image".into(),
+            reason: "parallel runs require per_image".into(),
         }));
     }
     let threads = threads.max(1);
@@ -779,13 +761,11 @@ fn parallel_parts<T: CampaignTask>(
         }
     }
 
-    let ctx = task.prepare_parallel(threads.min(work.len()))?;
     let scenario = task.scenario();
     let targets_ref: &[LayerTarget] = &targets;
     let resil_ref = resil_targets.as_deref();
     let matrix_ref = &matrix;
     let work_ref = &work;
-    let ctx_ref = &ctx;
     let process = |idx: usize| {
         let scope_ctx = ScopeCtx {
             scenario,
@@ -794,7 +774,10 @@ fn parallel_parts<T: CampaignTask>(
             faults: matrix_ref.faults_for_slot(idx),
         };
         let started = Instant::now();
-        let out = T::process_parallel(ctx_ref, &scope_ctx, idx, &work_ref[idx], rec);
+        let (mut rows, mut trace) = (Vec::with_capacity(1), RunTrace::default());
+        let out = task
+            .process_scope(&scope_ctx, &work_ref[idx], rec, &mut rows, &mut trace)
+            .map(|()| (rows, trace.entries));
         if let (Some(m), Ok((rows, entries))) = (metrics, &out) {
             // Counter bumps commute, so live publication from
             // workers in completion order still snapshots to the

@@ -23,7 +23,7 @@ use crate::campaign::config::RunConfig;
 use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::persist::{RunTrace, TraceEntry};
+use crate::persist::RunTrace;
 use alfi_datasets::loader::ClassificationLoader;
 use alfi_nn::models::{vit, ModelConfig, VIT_TINY_DEPTH, VIT_TINY_HEADS};
 use alfi_nn::Network;
@@ -116,8 +116,6 @@ impl CampaignTask for VitCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    /// Workers only need the wrapped classification pipeline.
-    type ParCtx<'s> = &'s ImgClassCampaign;
 
     fn kind(&self) -> &'static str {
         "vit"
@@ -156,20 +154,6 @@ impl CampaignTask for VitCampaign {
         trace: &mut RunTrace,
     ) -> Result<(), CoreError> {
         self.inner.process_scope(ctx, scope, rec, rows, trace)
-    }
-
-    fn prepare_parallel<'s>(&'s self, workers: usize) -> Result<Self::ParCtx<'s>, CoreError> {
-        self.inner.prepare_parallel(workers)
-    }
-
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
-        scope: &ClassificationScope,
-        rec: &Recorder,
-    ) -> Result<(Vec<ClassificationRow>, Vec<TraceEntry>), CoreError> {
-        ImgClassCampaign::process_parallel(ctx, scope_ctx, idx, scope, rec)
     }
 
     fn classify(row: &ClassificationRow) -> EffectClass {

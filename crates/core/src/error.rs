@@ -42,13 +42,6 @@ pub enum CoreError {
         /// The captured panic message.
         message: String,
     },
-    /// The requested operation is not supported by this configuration
-    /// (e.g. a parallel campaign over a detector that cannot be
-    /// cloned).
-    Unsupported {
-        /// Why the operation is unavailable.
-        reason: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -73,7 +66,6 @@ impl fmt::Display for CoreError {
             CoreError::WorkerPanic { message } => {
                 write!(f, "campaign worker panicked: {message}")
             }
-            CoreError::Unsupported { reason } => write!(f, "unsupported operation: {reason}"),
         }
     }
 }

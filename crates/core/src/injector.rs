@@ -6,12 +6,13 @@
 //! PyTorchFI's hook mechanism, §II); weight faults mutate layer
 //! parameters directly and are reverted bit-exactly when disarmed
 //! (transient) or left sticky (permanent). [`FaultPlan`] is the
-//! per-call form of the same rules: it leaves the network untouched and
-//! corrupts one forward pass only.
+//! per-call form of the same rules: it leaves the networks untouched and
+//! corrupts one forward pass or one detection only.
 
 use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
 use crate::matrix::{resolve_targets, FaultMatrix, LayerTarget};
+use alfi_nn::detection::{Detection, Detector};
 use alfi_nn::{ForwardHook, HookHandle, Layer, LayerCtx, Network, NodeId, Pass, Prefix};
 use alfi_scenario::{FaultDuration, InjectionTarget, Scenario};
 use alfi_tensor::bits::{flip_bit_traced, set_bit, FlipDirection};
@@ -245,8 +246,9 @@ impl ArmedFaults {
 /// # Errors
 ///
 /// Returns [`CoreError::FaultOutOfBounds`] if a weight fault addresses
-/// coordinates outside its layer's weight tensor, or if a record's layer
-/// index is out of range for `targets`.
+/// coordinates outside its layer's weight tensor, if a record's layer
+/// index is out of range for `targets`, or if its target names a
+/// network `networks` does not have.
 pub fn arm_faults(
     networks: &mut [&mut Network],
     targets: &[LayerTarget],
@@ -257,7 +259,7 @@ pub fn arm_faults(
     match target_kind {
         InjectionTarget::Weights => {
             for record in faults {
-                let t = target_of(targets, record)?;
+                let t = target_of(targets, record, networks.len())?;
                 let coords = weight_index(record, &t.weight_dims)?;
                 let layer = networks[t.net_idx].layer_mut(t.node_id)?;
                 let applied = corrupt_weight(layer, t.node_id, &coords, record)?;
@@ -266,7 +268,7 @@ pub fn arm_faults(
             }
         }
         InjectionTarget::Neurons => {
-            for ((net_idx, node_id), records) in neurons_by_node(targets, faults)? {
+            for ((net_idx, node_id), records) in neurons_by_node(targets, faults, networks.len())? {
                 let hook = Arc::new(NeuronFaultHook::new(records));
                 let handle = networks[net_idx]
                     .register_hook(node_id, Arc::<NeuronFaultHook>::clone(&hook))?;
@@ -277,14 +279,22 @@ pub fn arm_faults(
     Ok(armed)
 }
 
-/// The resolved target a record's layer index refers to.
+/// The resolved target a record's layer index refers to, checked to
+/// lie on one of the `networks` networks being injected.
 fn target_of<'t>(
     targets: &'t [LayerTarget],
     record: &FaultRecord,
+    networks: usize,
 ) -> Result<&'t LayerTarget, CoreError> {
-    targets.get(record.layer).ok_or_else(|| CoreError::FaultOutOfBounds {
+    let t = targets.get(record.layer).ok_or_else(|| CoreError::FaultOutOfBounds {
         detail: format!("layer index {} out of range", record.layer),
-    })
+    })?;
+    if t.net_idx >= networks {
+        return Err(CoreError::FaultOutOfBounds {
+            detail: format!("layer {} is on network {} of {networks}", record.layer, t.net_idx),
+        });
+    }
+    Ok(t)
 }
 
 /// Corrupts the weight at `coords` of `layer` (node `node_id`) with the
@@ -312,10 +322,11 @@ type NodeFaults = ((usize, NodeId), Vec<FaultRecord>);
 fn neurons_by_node(
     targets: &[LayerTarget],
     faults: &[FaultRecord],
+    networks: usize,
 ) -> Result<Vec<NodeFaults>, CoreError> {
     let mut by_node: Vec<NodeFaults> = Vec::new();
     for record in faults {
-        let t = target_of(targets, record)?;
+        let t = target_of(targets, record, networks)?;
         let key = (t.net_idx, t.node_id);
         match by_node.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => v.push(*record),
@@ -325,84 +336,80 @@ fn neurons_by_node(
     Ok(by_node)
 }
 
-/// The per-call form of [`arm_faults`] on one network: the same records
-/// resolved by the same rules, without touching the network.
+/// The per-call form of [`arm_faults`]: the same records resolved by
+/// the same rules across the same network slice, without touching the
+/// networks.
 ///
 /// Weight faults become patched copies of only the faulted layers;
-/// neuron faults stay per-node record groups that
-/// [`FaultPlan::forward`] applies after each node's observer. The
-/// applied-fault log comes out in [`arm_faults`] order: weight faults in
-/// record order, neuron faults grouped by node in first-appearance
-/// order, each group in record order.
+/// neuron faults stay per-`(net, node)` record groups that each pass
+/// applies after the node's observer. The applied-fault log comes out
+/// in [`arm_faults`] order: weight faults in record order across
+/// networks, then neuron faults grouped by `(net, node)` in
+/// first-appearance order, each group in record order.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    patched: Vec<(NodeId, Layer)>,
+    /// Patched layer copies, per network.
+    patched: Vec<Vec<(NodeId, Layer)>>,
     weight_log: Vec<AppliedFault>,
-    neurons: Vec<(NodeId, Vec<FaultRecord>)>,
+    neurons: Vec<NodeFaults>,
 }
 
 impl FaultPlan {
-    /// Resolves `faults` against `net`, whose injectable layers
-    /// `targets` lists.
+    /// Resolves `faults` against `networks`, whose injectable layers
+    /// `targets` lists (as [`resolve_targets`] numbers them).
     ///
     /// # Errors
     ///
-    /// The [`arm_faults`] errors, plus [`CoreError::FaultOutOfBounds`]
-    /// for a target on another network.
+    /// The [`arm_faults`] errors.
     pub fn new(
-        net: &Network,
+        networks: &[&Network],
         targets: &[LayerTarget],
         faults: &[FaultRecord],
         target_kind: InjectionTarget,
     ) -> Result<Self, CoreError> {
-        let mut plan =
-            FaultPlan { patched: Vec::new(), weight_log: Vec::new(), neurons: Vec::new() };
-        let own = |net_idx: usize| match net_idx {
-            0 => Ok(()),
-            n => Err(CoreError::FaultOutOfBounds {
-                detail: format!("target network {n} is not planned"),
-            }),
+        let mut plan = FaultPlan {
+            patched: vec![Vec::new(); networks.len()],
+            weight_log: Vec::new(),
+            neurons: Vec::new(),
         };
         match target_kind {
             InjectionTarget::Weights => {
                 for record in faults {
-                    let t = target_of(targets, record)?;
-                    own(t.net_idx)?;
+                    let t = target_of(targets, record, networks.len())?;
                     let coords = weight_index(record, &t.weight_dims)?;
-                    let slot = match plan.patched.iter().position(|(id, _)| *id == t.node_id) {
+                    let patched = &mut plan.patched[t.net_idx];
+                    let slot = match patched.iter().position(|(id, _)| *id == t.node_id) {
                         Some(slot) => slot,
                         None => {
-                            plan.patched.push((t.node_id, net.layer(t.node_id)?.clone()));
-                            plan.patched.len() - 1
+                            let layer = networks[t.net_idx].layer(t.node_id)?.clone();
+                            patched.push((t.node_id, layer));
+                            patched.len() - 1
                         }
                     };
-                    let layer = &mut plan.patched[slot].1;
+                    let layer = &mut patched[slot].1;
                     plan.weight_log.push(corrupt_weight(layer, t.node_id, &coords, record)?);
                 }
             }
             InjectionTarget::Neurons => {
-                for ((net_idx, node_id), records) in neurons_by_node(targets, faults)? {
-                    own(net_idx)?;
-                    plan.neurons.push((node_id, records));
-                }
+                plan.neurons = neurons_by_node(targets, faults, networks.len())?;
             }
         }
         Ok(plan)
     }
 
-    /// The earliest node the plan corrupts: every node before it
-    /// computes the fault-free activation.
+    /// The earliest node the plan corrupts in network 0, the one
+    /// [`FaultPlan::forward`] runs: every node before it computes the
+    /// fault-free activation.
     pub fn first_node(&self) -> Option<NodeId> {
-        let weights = self.patched.iter().map(|(id, _)| *id);
-        weights.chain(self.neurons.iter().map(|(id, _)| *id)).min()
+        let weights = self.patched_on(0).iter().map(|(id, _)| *id);
+        let neurons = self.neurons.iter().filter(|((net, _), _)| *net == 0);
+        weights.chain(neurons.map(|((_, id), _)| *id)).min()
     }
 
-    /// Runs the faulty forward of `net` from node `start`, borrowing the
-    /// activations before it from `prefix` (with `start` 0 nothing is
-    /// borrowed). Per node: the layer (or its patched copy) with fused
-    /// ops, then `observe`, then the node's neuron faults. Registered
-    /// hooks do not run, as on an armed [`Network::clone`]. Returns the
-    /// output and the applied-fault log.
+    /// Runs the faulty forward of network 0 (`net`) from node `start`,
+    /// borrowing the activations before it from `prefix` (with `start`
+    /// 0 nothing is borrowed), and returns the output and the
+    /// applied-fault log. Nodes evaluate as in [`FaultPlan::detect`].
     ///
     /// # Errors
     ///
@@ -415,25 +422,79 @@ impl FaultPlan {
         recorder: &alfi_trace::Recorder,
         observe: &mut dyn FnMut(NodeId, &Tensor),
     ) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
-        let mut logs: Vec<Vec<AppliedFault>> = vec![Vec::new(); self.neurons.len()];
-        let mut after = |id: NodeId, out: &mut Tensor| {
+        let mut logs = self.empty_logs();
+        let output = {
+            let mut after = self.after_node(0, &mut logs, observe);
+            let pass = Pass::new()
+                .resume(start, prefix)
+                .patched(self.patched_on(0))
+                .without_hooks()
+                .after_node(&mut after)
+                .traced(recorder);
+            net.evaluate(input, pass)?.into_output()?
+        };
+        Ok((output, self.applied(logs)))
+    }
+
+    /// Runs `det`'s faulty detection: every network it evaluates runs
+    /// from node 0 to its last node under the plan. Per node: the layer
+    /// (or its patched copy) with fused ops, then `observe`, then the
+    /// node's neuron faults. Registered hooks do not run, as on an armed
+    /// clone. `det` must expose the networks the plan was made for.
+    /// Returns the detections and the applied-fault log of all passes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network evaluation and decoding errors.
+    pub fn detect<D: Detector + ?Sized>(
+        &self,
+        det: &D,
+        images: &Tensor,
+        observe: &mut dyn FnMut(NodeId, &Tensor),
+    ) -> Result<(Vec<Vec<Detection>>, Vec<AppliedFault>), CoreError> {
+        let mut logs = self.empty_logs();
+        let dets = det.detect_with(images, &mut |i, net, x| {
+            let mut after = self.after_node(i, &mut logs, observe);
+            let pass =
+                Pass::new().patched(self.patched_on(i)).without_hooks().after_node(&mut after);
+            net.evaluate(x, pass.all_nodes())?.into_nodes()
+        })?;
+        Ok((dets, self.applied(logs)))
+    }
+
+    /// The patched layers of network `net`.
+    fn patched_on(&self, net: usize) -> &[(NodeId, Layer)] {
+        self.patched.get(net).map_or(&[], Vec::as_slice)
+    }
+
+    /// One empty application log per neuron group.
+    fn empty_logs(&self) -> Vec<Vec<AppliedFault>> {
+        vec![Vec::new(); self.neurons.len()]
+    }
+
+    /// The after-node step of a pass over network `net`: `observe`,
+    /// then the node's neuron faults, logged per group into `logs`.
+    fn after_node<'s>(
+        &'s self,
+        net: usize,
+        logs: &'s mut [Vec<AppliedFault>],
+        observe: &'s mut dyn FnMut(NodeId, &Tensor),
+    ) -> impl FnMut(NodeId, &mut Tensor) + 's {
+        move |id, out| {
             observe(id, out);
-            for ((node, records), log) in self.neurons.iter().zip(logs.iter_mut()) {
-                if *node == id {
+            for (((n, node), records), log) in self.neurons.iter().zip(logs.iter_mut()) {
+                if (*n, *node) == (net, id) {
                     corrupt_neurons(records, out, log);
                 }
             }
-        };
-        let pass = Pass::new()
-            .resume(start, prefix)
-            .patched(&self.patched)
-            .without_hooks()
-            .after_node(&mut after)
-            .traced(recorder);
-        let output = net.evaluate(input, pass)?.into_output()?;
+        }
+    }
+
+    /// The applied-fault log in [`arm_faults`] order.
+    fn applied(&self, logs: Vec<Vec<AppliedFault>>) -> Vec<AppliedFault> {
         let mut applied = self.weight_log.clone();
         applied.extend(logs.into_iter().flatten());
-        Ok((output, applied))
+        applied
     }
 }
 
@@ -951,7 +1012,7 @@ mod tests {
             let armed = arm_faults(&mut [&mut armed_net], &targets, &faults, target).unwrap();
             let expect = armed_net.forward(&x).unwrap();
             let expect_applied = format!("{:?}", armed.collect_applied());
-            let plan = FaultPlan::new(&model, &targets, &faults, target).unwrap();
+            let plan = FaultPlan::new(&[&model], &targets, &faults, target).unwrap();
             let start = plan.first_node().unwrap();
             let off = alfi_trace::Recorder::disabled();
             for from in [0, start] {
@@ -970,11 +1031,22 @@ mod tests {
         let model = alexnet(&model_cfg());
         let dims = [Some(model_cfg().input_dims(1))];
         let targets = resolve_targets(&[&model], &scenario(), &dims).unwrap();
-        let mut record = FaultMatrix::generate(&scenario(), &targets).unwrap().records[0];
-        record.layer = targets.len();
-        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
-            let err = FaultPlan::new(&model, &targets, &[record], target).unwrap_err();
-            assert!(matches!(err, CoreError::FaultOutOfBounds { .. }));
+        let record = FaultMatrix::generate(&scenario(), &targets).unwrap().records[0];
+        // A layer index past the target list, and a target on a second
+        // network the one-network slice does not have.
+        let mut past_the_end = record;
+        past_the_end.layer = targets.len();
+        let mut elsewhere = targets.clone();
+        elsewhere[record.layer].net_idx = 1;
+        for (targets, record) in [(&targets, past_the_end), (&elsewhere, record)] {
+            for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+                let plan = FaultPlan::new(&[&model], targets, &[record], target).unwrap_err();
+                let mut copy = model.clone();
+                let armed = arm_faults(&mut [&mut copy], targets, &[record], target).unwrap_err();
+                for err in [plan, armed] {
+                    assert!(matches!(err, CoreError::FaultOutOfBounds { .. }), "{err:?}");
+                }
+            }
         }
     }
 

@@ -1,7 +1,9 @@
 //! Two-stage region-proposal detector in the Faster-RCNN style.
 
 use super::geometry::{nms, BBox, Detection};
-use super::{cap_detections, decode_deltas, plane, sigmoid, Detector, DetectorConfig};
+use super::{
+    cap_detections, decode_deltas, output_of, plane, sigmoid, Detector, DetectorConfig, RunNetwork,
+};
 use crate::error::NnError;
 use crate::graph::{Network, NodeId};
 use crate::models::NetBuilder;
@@ -191,8 +193,12 @@ impl Detector for FrcnnTwoStage {
         vec![&mut self.backbone, &mut self.head]
     }
 
-    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError> {
-        let acts = self.backbone.forward_all(images)?;
+    fn detect_with(
+        &self,
+        images: &Tensor,
+        run: &mut RunNetwork<'_>,
+    ) -> Result<Vec<Vec<Detection>>, NnError> {
+        let acts = run(0, &self.backbone, images)?;
         let feat = &acts[self.feat_node];
         let n = images.dims()[0];
         let c = self.cfg.num_classes;
@@ -209,7 +215,8 @@ impl Detector for FrcnnTwoStage {
                 }
                 let input = Tensor::from_vec(pooled, &[props.len(), roi_feat])
                     .map_err(NnError::from)?;
-                let head_out = self.head.forward(&input)?;
+                let head_acts = run(1, &self.head, &input)?;
+                let head_out = output_of(&self.head, &head_acts)?;
                 // One row per proposal: C+1 class logits, then 4 box deltas.
                 let rows = head_out.data().chunks_exact(head_out.dims()[1]);
                 for ((pbox, _pscore), row) in props.iter().zip(rows) {

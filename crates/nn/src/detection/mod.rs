@@ -72,13 +72,21 @@ impl DetectorConfig {
     }
 }
 
+/// Evaluates one of a detector's networks for [`Detector::detect_with`]:
+/// `run(i, net, x)` runs `net`, which is `networks()[i]`, on `x` and
+/// returns the activations of all its nodes, in node order.
+pub type RunNetwork<'a> = dyn FnMut(usize, &Network, &Tensor) -> Result<Vec<Tensor>, NnError> + 'a;
+
 /// A full object-detection model: one or more [`Network`]s plus decode
 /// logic.
 ///
 /// The `networks`/`networks_mut` accessors expose every NN component for
-/// fault injection; `detect` runs inference plus decoding and returns
-/// per-image detection lists.
-pub trait Detector: Send {
+/// fault injection. `detect_with` runs inference plus decoding and
+/// returns per-image detection lists, with every network evaluation
+/// going through the caller's runner, so a fault campaign can corrupt
+/// one call without touching the shared detector. `detect` is the plain
+/// fault-free form.
+pub trait Detector: Send + Sync {
     /// Model name (e.g. `yolo_grid`).
     fn name(&self) -> &str;
     /// Number of object classes.
@@ -89,20 +97,50 @@ pub trait Detector: Send {
     /// faults and hook registration.
     fn networks_mut(&mut self) -> Vec<&mut Network>;
     /// Runs detection on a batch `[n, c, h, w]`, returning one detection
-    /// list per image.
+    /// list per image. Every network is evaluated through `run` (see
+    /// [`RunNetwork`]); everything else is the detector's own decoding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError`] if the input shape is incompatible, and
+    /// propagates `run`'s errors.
+    fn detect_with(
+        &self,
+        images: &Tensor,
+        run: &mut RunNetwork<'_>,
+    ) -> Result<Vec<Vec<Detection>>, NnError>;
+
+    /// [`detect_with`](Self::detect_with) over plain forward passes of
+    /// every node, registered hooks included.
     ///
     /// # Errors
     ///
     /// Returns [`NnError`] if the input shape is incompatible.
-    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError>;
+    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError> {
+        self.detect_with(images, &mut |_, net, x| net.forward_all(x))
+    }
 
-    /// Deep-copies the detector (weights and all) for parallel
-    /// campaigns, where every worker arms faults on its own private
-    /// clone. Returns `None` when the detector cannot be cloned; the
-    /// in-tree detectors all support it.
+    /// Deep-copies the detector (weights and all), for callers that arm
+    /// faults in place on a private copy, such as a fault-iterator
+    /// style replay. Campaigns never need it: they share one detector
+    /// across workers. Returns `None` when the detector cannot be
+    /// cloned; the in-tree detectors all support it.
     fn clone_boxed(&self) -> Option<Box<dyn Detector>> {
         None
     }
+}
+
+/// The output node's activation among the node activations a
+/// [`RunNetwork`] returned for `net`.
+///
+/// # Errors
+///
+/// Returns [`NnError::InvalidGraph`] if `net` has no output node or
+/// `acts` does not reach it.
+pub(crate) fn output_of<'t>(net: &Network, acts: &'t [Tensor]) -> Result<&'t Tensor, NnError> {
+    net.output_node()
+        .and_then(|o| acts.get(o))
+        .ok_or_else(|| NnError::InvalidGraph(format!("no output from `{}`", net.name())))
 }
 
 /// The contiguous `h * w` plane of channel `ch` in batch item `b` of an
@@ -247,6 +285,36 @@ mod tests {
                 assert!(!got.is_empty(), "{} found nothing in image {i}", det.name());
                 let alone = Tensor::stack(&[images.batch_item(i).unwrap()]).unwrap();
                 assert_eq!(got, &det.detect(&alone).unwrap()[0], "{} image {i}", det.name());
+            }
+        }
+    }
+
+    /// Every network evaluation goes through the runner, with the index
+    /// `networks()` gives that network, and a runner doing plain
+    /// forwards reproduces `detect`.
+    #[test]
+    fn detect_with_runs_each_network_under_its_index() {
+        let cfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
+        let images = Tensor::ones(&[2, 3, 32, 32]);
+        let dets: [Box<dyn Detector>; 3] = [
+            Box::new(YoloGrid::new(&cfg)),
+            Box::new(RetinaAnchor::new(&cfg)),
+            Box::new(FrcnnTwoStage::new(&cfg)),
+        ];
+        for det in &dets {
+            let names: Vec<&str> = det.networks().iter().map(|n| n.name()).collect();
+            let mut calls = Vec::new();
+            let got = det
+                .detect_with(&images, &mut |i, net, x| {
+                    assert_eq!(net.name(), names[i], "{}: network {i}", det.name());
+                    calls.push(i);
+                    net.forward_all(x)
+                })
+                .unwrap();
+            assert_eq!(got, det.detect(&images).unwrap(), "{}", det.name());
+            assert_eq!(calls[0], 0);
+            for i in 0..names.len() {
+                assert!(calls.contains(&i), "{}: network {i} never ran", det.name());
             }
         }
     }

@@ -3,6 +3,7 @@
 use super::geometry::{nms, Detection};
 use super::{
     anchor_sizes, cap_detections, decode_deltas, plane, sigmoid, Detector, DetectorConfig,
+    RunNetwork,
 };
 use crate::error::NnError;
 use crate::graph::{Network, NodeId};
@@ -118,8 +119,12 @@ impl Detector for RetinaAnchor {
         vec![&mut self.net]
     }
 
-    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError> {
-        let acts = self.net.forward_all(images)?;
+    fn detect_with(
+        &self,
+        images: &Tensor,
+        run: &mut RunNetwork<'_>,
+    ) -> Result<Vec<Vec<Detection>>, NnError> {
+        let acts = run(0, &self.net, images)?;
         let n = images.dims()[0];
         let c = self.cfg.num_classes;
         let a = SCALES.len() * RATIOS.len();

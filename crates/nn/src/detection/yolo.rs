@@ -1,7 +1,7 @@
 //! One-stage grid detector in the YOLOv3 style.
 
 use super::geometry::{nms, BBox, Detection};
-use super::{cap_detections, plane, sigmoid, Detector, DetectorConfig};
+use super::{cap_detections, output_of, plane, sigmoid, Detector, DetectorConfig, RunNetwork};
 use crate::error::NnError;
 use crate::graph::Network;
 use crate::models::NetBuilder;
@@ -154,9 +154,13 @@ impl Detector for YoloGrid {
         vec![&mut self.net]
     }
 
-    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError> {
-        let raw = self.net.forward(images)?;
-        Ok(self.decode(&raw))
+    fn detect_with(
+        &self,
+        images: &Tensor,
+        run: &mut RunNetwork<'_>,
+    ) -> Result<Vec<Vec<Detection>>, NnError> {
+        let acts = run(0, &self.net, images)?;
+        Ok(self.decode(output_of(&self.net, &acts)?))
     }
 }
 

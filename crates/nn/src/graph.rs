@@ -251,6 +251,26 @@ impl Activations<'_> {
             None => self.output().cloned(),
         }
     }
+
+    /// The activation of every node up to the last one the pass
+    /// evaluated, owned and in node order: moved where this pass
+    /// computed it, copied where the prefix lent it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidGraph`] if the prefix lacks a node
+    /// before the start node.
+    pub fn into_nodes(self) -> Result<Vec<Tensor>, NnError> {
+        let Activations { start, prefix, acts, .. } = self;
+        let lent = |id: NodeId| prefix.and_then(|p| p.activation(id)).cloned();
+        acts.into_iter()
+            .enumerate()
+            .map(|(id, t)| {
+                if id < start { lent(id) } else { t }
+                    .ok_or_else(|| NnError::InvalidGraph(format!("node {id} was not evaluated")))
+            })
+            .collect()
+    }
 }
 
 impl Prefix for Activations<'_> {
@@ -615,8 +635,7 @@ impl Network {
     ///
     /// Same conditions as [`Network::forward`].
     pub fn forward_all(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        let acts = self.evaluate(input, Pass::new().all_nodes())?.acts;
-        Ok(acts.into_iter().map(|t| t.expect("all nodes evaluated")).collect())
+        self.evaluate(input, Pass::new().all_nodes())?.into_nodes()
     }
 
     /// The node-evaluation loop behind every forward entry point.
@@ -917,6 +936,21 @@ mod tests {
         // Past the output nothing is evaluated, and nothing lends it.
         let acts = net.evaluate(&x, Pass::new().resume(9, &NoPrefix)).unwrap();
         assert!(acts.output().is_err());
+        let acts = net.evaluate(&x, Pass::new().resume(4, &NoPrefix).all_nodes()).unwrap();
+        assert!(acts.into_nodes().is_err());
+    }
+
+    #[test]
+    fn into_nodes_of_a_resumed_pass_matches_forward_all() {
+        let net = toy_net();
+        let x = Tensor::ones(&[1, 1, 2, 2]);
+        let expect: Vec<_> = net.forward_all(&x).unwrap().iter().map(bits).collect();
+        let golden = net.evaluate(&x, Pass::new()).unwrap();
+        for start in 0..=net.num_nodes() {
+            let pass = Pass::new().resume(start, &golden).all_nodes();
+            let nodes = net.evaluate(&x, pass).unwrap().into_nodes().unwrap();
+            assert_eq!(nodes.iter().map(bits).collect::<Vec<_>>(), expect, "resumed at {start}");
+        }
     }
 
     struct NoPrefix;

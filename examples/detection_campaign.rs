@@ -20,7 +20,7 @@ use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.25, seed: 2, ..DetectorConfig::default() };
-    let mut detector = YoloGrid::new(&dcfg);
+    let detector = YoloGrid::new(&dcfg);
 
     let mut scenario = Scenario::default();
     scenario.dataset_size = 16;
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ground_truth = dataset.coco_ground_truth();
     let loader = DetectionLoader::new(dataset, scenario.batch_size);
 
-    let result = ObjDetCampaign::new(&mut detector, scenario, loader).run_with(&RunConfig::default())?;
+    let result = ObjDetCampaign::new(&detector, scenario, loader).run_with(&RunConfig::default())?;
     println!("campaign over {} images complete", result.rows.len());
 
     let out = std::path::Path::new("target/alfi_runs/detection");

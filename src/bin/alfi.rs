@@ -508,7 +508,7 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
         seed: args.get_or("seed", "0").parse().map_err(|_| "bad --seed".to_string())?,
         ..DetectorConfig::default()
     };
-    let mut detector: Box<dyn Detector> = match args.required("model")? {
+    let detector: Box<dyn Detector> = match args.required("model")? {
         "yolo" => Box::new(YoloGrid::new(&dcfg)),
         "retina" => Box::new(RetinaAnchor::new(&dcfg)),
         "frcnn" => Box::new(FrcnnTwoStage::new(&dcfg)),
@@ -530,7 +530,7 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
     let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
     let cfg = report_config(cfg, &args)?;
-    let result = ObjDetCampaign::new(detector.as_mut(), scenario, loader)
+    let result = ObjDetCampaign::new(detector.as_ref(), scenario, loader)
         .run_with(&cfg)
         .map_err(|e| e.to_string())?;
     print_trace_summary(&recorder);

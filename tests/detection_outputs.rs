@@ -23,11 +23,11 @@ fn scenario(n: usize) -> Scenario {
 #[test]
 fn fig3_three_output_sets_are_complete_and_consistent() {
     let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-    let mut det = YoloGrid::new(&dcfg);
+    let det = YoloGrid::new(&dcfg);
     let ds = DetectionDataset::new(6, dcfg.num_classes, 3, 32, 1);
     let gt = ds.coco_ground_truth();
     let loader = DetectionLoader::new(ds, 1);
-    let result = ObjDetCampaign::new(&mut det, scenario(6), loader).run_with(&RunConfig::default()).unwrap();
+    let result = ObjDetCampaign::new(&det, scenario(6), loader).run_with(&RunConfig::default()).unwrap();
 
     let dir = std::env::temp_dir().join("alfi_it_fig3");
     let _ = std::fs::remove_dir_all(&dir);
@@ -69,16 +69,16 @@ fn all_three_detector_families_run_campaigns() {
         let s = scenario(3);
         let rows = match which {
             "yolo" => {
-                let mut d = YoloGrid::new(&dcfg);
-                ObjDetCampaign::new(&mut d, s, loader).run_with(&RunConfig::default()).unwrap().rows
+                let d = YoloGrid::new(&dcfg);
+                ObjDetCampaign::new(&d, s, loader).run_with(&RunConfig::default()).unwrap().rows
             }
             "retina" => {
-                let mut d = RetinaAnchor::new(&dcfg);
-                ObjDetCampaign::new(&mut d, s, loader).run_with(&RunConfig::default()).unwrap().rows
+                let d = RetinaAnchor::new(&dcfg);
+                ObjDetCampaign::new(&d, s, loader).run_with(&RunConfig::default()).unwrap().rows
             }
             _ => {
-                let mut d = FrcnnTwoStage::new(&dcfg);
-                ObjDetCampaign::new(&mut d, s, loader).run_with(&RunConfig::default()).unwrap().rows
+                let d = FrcnnTwoStage::new(&dcfg);
+                ObjDetCampaign::new(&d, s, loader).run_with(&RunConfig::default()).unwrap().rows
             }
         };
         assert_eq!(rows.len(), 3, "{which}");
@@ -98,7 +98,7 @@ fn frcnn_faults_span_both_networks() {
         score_thresh: 0.2,
         ..DetectorConfig::default()
     };
-    let mut det = FrcnnTwoStage::new(&dcfg);
+    let det = FrcnnTwoStage::new(&dcfg);
     let backbone_layers = det.networks()[0].injectable_layers(None, None).unwrap().len();
     let total_layers: usize =
         det.networks().iter().map(|n| n.injectable_layers(None, None).unwrap().len()).sum();
@@ -108,7 +108,7 @@ fn frcnn_faults_span_both_networks() {
     let loader = DetectionLoader::new(ds, 1);
     let mut s = scenario(40);
     s.weighted_layer_selection = false;
-    let result = ObjDetCampaign::new(&mut det, s, loader).run_with(&RunConfig::default()).unwrap();
+    let result = ObjDetCampaign::new(&det, s, loader).run_with(&RunConfig::default()).unwrap();
     let mut hit_backbone = false;
     let mut hit_head = false;
     for row in &result.rows {
@@ -128,10 +128,10 @@ fn exponent_faults_cause_some_detection_sdes() {
     // Shape check for Fig. 2b: a reasonable fraction of single
     // exponent-bit weight faults visibly changes the detection set.
     let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.25, ..DetectorConfig::default() };
-    let mut det = YoloGrid::new(&dcfg);
+    let det = YoloGrid::new(&dcfg);
     let ds = DetectionDataset::new(30, dcfg.num_classes, 3, 32, 4);
     let loader = DetectionLoader::new(ds, 1);
-    let result = ObjDetCampaign::new(&mut det, scenario(30), loader).run_with(&RunConfig::default()).unwrap();
+    let result = ObjDetCampaign::new(&det, scenario(30), loader).run_with(&RunConfig::default()).unwrap();
     let k = ivmod_kpis(&result.rows, 0.5);
     let corrupted = k.ivmod_sde.value + k.ivmod_due.value;
     assert!(corrupted > 0.0, "30 exponent faults should corrupt at least one image");

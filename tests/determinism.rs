@@ -174,11 +174,11 @@ fn parallel_detection_artifacts_match_sequential_bytes() {
     s.dataset_size = 5;
 
     let write = |threads: Option<usize>, tag: &str| {
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(5, dcfg.num_classes, 3, 32, 9);
         let gt = ds.coco_ground_truth();
         let loader = DetectionLoader::new(ds, 1);
-        let mut campaign = ObjDetCampaign::new(&mut det, s.clone(), loader);
+        let mut campaign = ObjDetCampaign::new(&det, s.clone(), loader);
         let result = match threads {
             None => campaign.run_with(&RunConfig::default()).unwrap(),
             Some(t) => campaign.run_with(&RunConfig::new().threads(t)).unwrap(),

@@ -155,10 +155,10 @@ fn truncated_replay_matrix_ends_detection_run_early() {
     let mut s = scenario(InjectionPolicy::PerImage, 4, 1);
     s.fault_mode = FaultMode::exponent_bit_flip();
     let run = |s: Scenario, matrix: Option<alfi::core::FaultMatrix>| {
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(4, dcfg.num_classes, 3, 32, 3);
         let loader = DetectionLoader::new(ds, 1);
-        let mut campaign = ObjDetCampaign::new(&mut det, s, loader);
+        let mut campaign = ObjDetCampaign::new(&det, s, loader);
         if let Some(m) = matrix {
             campaign = campaign.with_fault_matrix(m);
         }

@@ -102,7 +102,7 @@ fn scenario(target: InjectionTarget, seed: u64) -> Scenario {
 /// Runs one campaign with `threads` driver threads, persisting the
 /// binary store and the detection JSON set into a fresh temp dir.
 fn run<D: Detector>(
-    mut det: D,
+    det: D,
     s: Scenario,
     threads: usize,
     tag: &str,
@@ -114,7 +114,7 @@ fn run<D: Detector>(
     let dir = std::env::temp_dir().join(format!("alfi_it_golden_det_{tag}_{threads}"));
     let _ = std::fs::remove_dir_all(&dir);
     let rc = RunConfig::new().threads(threads).save_dir(&dir).format(ArtifactFormat::Binary);
-    let result = ObjDetCampaign::new(&mut det, s, loader).run_with(&rc).unwrap();
+    let result = ObjDetCampaign::new(&det, s, loader).run_with(&rc).unwrap();
     write_detection_outputs(&result, &gt, cfg.num_classes, 0.5, &dir).unwrap();
     (result, dir)
 }

@@ -126,11 +126,11 @@ fn detection_artifacts_match_goldens() {
     };
 
     let write = |threads: Option<usize>, tag: &str| {
-        let mut det = YoloGrid::new(&dcfg);
+        let det = YoloGrid::new(&dcfg);
         let ds = DetectionDataset::new(3, dcfg.num_classes, 3, 32, 17);
         let gt = ds.coco_ground_truth();
         let loader = DetectionLoader::new(ds, 1);
-        let mut campaign = ObjDetCampaign::new(&mut det, detection_scenario(), loader);
+        let mut campaign = ObjDetCampaign::new(&det, detection_scenario(), loader);
         let result = match threads {
             None => campaign.run_with(&RunConfig::default()).unwrap(),
             Some(t) => campaign.run_with(&RunConfig::new().threads(t)).unwrap(),

@@ -1,14 +1,14 @@
-//! The parallel detection driver clones each detector once per worker.
+//! Detection campaigns never clone their detectors.
 //!
 //! A detector wrapper counts its `clone_boxed` calls. A 64-image
 //! campaign with a hardened twin, at 1, 2 and 4 driver threads, must
-//! clone each detector at most `threads` times — so memory follows the
-//! worker count, not the campaign length — and its rows, `rows.alfic`
+//! clone neither detector — every worker shares the borrowed ones and
+//! injects through per-call fault plans — and its rows, `rows.alfic`
 //! and `trace.bin` must equal the sequential run's.
 
 use alfi::core::campaign::{DetectionCampaignResult, ObjDetCampaign, RunConfig};
 use alfi::datasets::{DetectionDataset, DetectionLoader};
-use alfi::nn::detection::{Detection, Detector, DetectorConfig, FrcnnTwoStage};
+use alfi::nn::detection::{Detection, Detector, DetectorConfig, FrcnnTwoStage, RunNetwork};
 use alfi::nn::graph::Network;
 use alfi::nn::NnError;
 use alfi::scenario::{ArtifactFormat, FaultMode, InjectionTarget, Scenario};
@@ -42,8 +42,12 @@ impl Detector for Counted {
         self.inner.networks_mut()
     }
 
-    fn detect(&self, images: &Tensor) -> Result<Vec<Vec<Detection>>, NnError> {
-        self.inner.detect(images)
+    fn detect_with(
+        &self,
+        images: &Tensor,
+        run: &mut RunNetwork<'_>,
+    ) -> Result<Vec<Vec<Detection>>, NnError> {
+        self.inner.detect_with(images, run)
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn Detector>> {
@@ -61,8 +65,8 @@ fn counted() -> (Counted, Arc<AtomicUsize>) {
 /// Runs the campaign at `threads` and returns the result, the run
 /// directory and the primary / hardened clone counts.
 fn run(threads: usize) -> (DetectionCampaignResult, PathBuf, usize, usize) {
-    let (mut det, det_clones) = counted();
-    let (mut resil, resil_clones) = counted();
+    let (det, det_clones) = counted();
+    let (resil, resil_clones) = counted();
     let mut s = Scenario::default();
     s.dataset_size = IMAGES;
     s.injection_target = InjectionTarget::Weights;
@@ -73,8 +77,8 @@ fn run(threads: usize) -> (DetectionCampaignResult, PathBuf, usize, usize) {
     let dir = std::env::temp_dir().join(format!("alfi_it_det_clones_{threads}"));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = RunConfig::new().threads(threads).save_dir(&dir).format(ArtifactFormat::Binary);
-    let result = ObjDetCampaign::new(&mut det, s, loader)
-        .with_resil_detector(&mut resil)
+    let result = ObjDetCampaign::new(&det, s, loader)
+        .with_resil_detector(&resil)
         .run_with(&cfg)
         .unwrap();
     let counts = (det_clones.load(Ordering::Relaxed), resil_clones.load(Ordering::Relaxed));
@@ -82,20 +86,13 @@ fn run(threads: usize) -> (DetectionCampaignResult, PathBuf, usize, usize) {
 }
 
 #[test]
-fn parallel_detection_clones_once_per_worker() {
-    let (seq, seq_dir, seq_clones, _) = run(1);
+fn parallel_detection_never_clones() {
+    let (seq, seq_dir, seq_clones, seq_resil_clones) = run(1);
     assert_eq!(seq.rows.len(), IMAGES);
-    assert_eq!(seq_clones, 0, "the sequential driver works on the borrowed detector");
+    assert_eq!((seq_clones, seq_resil_clones), (0, 0), "clones at 1 thread");
     for threads in [2usize, 4] {
         let (par, dir, det_clones, resil_clones) = run(threads);
-        assert!(
-            (1..=threads).contains(&det_clones),
-            "{det_clones} primary clones at {threads} threads"
-        );
-        assert!(
-            (1..=threads).contains(&resil_clones),
-            "{resil_clones} hardened clones at {threads} threads"
-        );
+        assert_eq!((det_clones, resil_clones), (0, 0), "clones at {threads} threads");
         assert_eq!(par.rows.len(), seq.rows.len());
         for (a, b) in seq.rows.iter().zip(&par.rows) {
             assert_eq!(a.image_id, b.image_id);
