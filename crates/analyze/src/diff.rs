@@ -35,10 +35,10 @@ impl DeltaRow {
         DeltaRow {
             a,
             b,
-            sdc_delta: b.sdc_ci.rate - a.sdc_ci.rate,
-            sdc_significant: a.sdc_ci.separated_from(&b.sdc_ci),
-            due_delta: b.due_ci.rate - a.due_ci.rate,
-            due_significant: a.due_ci.separated_from(&b.due_ci),
+            sdc_delta: b.sdc_rate.value - a.sdc_rate.value,
+            sdc_significant: a.sdc_rate.significantly_differs_from(&b.sdc_rate),
+            due_delta: b.due_rate.value - a.due_rate.value,
+            due_significant: a.due_rate.significantly_differs_from(&b.due_rate),
         }
     }
 
@@ -151,12 +151,12 @@ impl ReportDiff {
         let fmt = |label: &str, d: &DeltaRow| {
             format!(
                 "| {label} | {:.4} | {:.4} | {} | {} | {:.4} | {:.4} | {} | {} |\n",
-                d.a.sdc_ci.rate,
-                d.b.sdc_ci.rate,
+                d.a.sdc_rate.value,
+                d.b.sdc_rate.value,
                 pct(d.sdc_delta),
                 if d.sdc_significant { "**yes**" } else { "no" },
-                d.a.due_ci.rate,
-                d.b.due_ci.rate,
+                d.a.due_rate.value,
+                d.b.due_rate.value,
                 pct(d.due_delta),
                 if d.due_significant { "**yes**" } else { "no" },
             )
@@ -175,28 +175,12 @@ impl ReportDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{analyze_dir, RateCi};
+    use crate::report::analyze_dir;
+    use alfi_trace::OutcomeTallies;
 
     fn block(masked: u64, sdc: u64, due: u64) -> RateBlock {
-        let samples = masked + sdc + due;
         let z = alfi_core::stats::z_for_confidence(0.95);
-        let ci = |hits: u64| {
-            let w = alfi_core::stats::wilson_interval(hits as usize, samples as usize, z);
-            RateCi {
-                rate: if samples == 0 { 0.0 } else { hits as f64 / samples as f64 },
-                low: w.low,
-                high: w.high,
-            }
-        };
-        RateBlock {
-            samples,
-            masked,
-            sdc,
-            due,
-            masked_rate: if samples == 0 { 0.0 } else { masked as f64 / samples as f64 },
-            sdc_ci: ci(sdc),
-            due_ci: ci(due),
-        }
+        RateBlock::of(&OutcomeTallies { masked, sdc, due }, z)
     }
 
     fn report_with_layers(layers: Vec<(usize, RateBlock)>, overall: RateBlock) -> CampaignReport {

@@ -11,8 +11,9 @@
 //!
 //! * [`report::analyze_dir`] — a per-layer × per-bit-position ×
 //!   per-fault-mode vulnerability report (SDC/DUE/masked rates with
-//!   Wilson confidence intervals from [`alfi_core::stats`]), rendered
-//!   as `report.json` and `report.md`;
+//!   Wilson confidence intervals), rendered as `report.json` and
+//!   `report.md`; [`report::analyze_result`] builds it from an
+//!   in-memory result, and [`kpi`] adds the row KPIs it lacks;
 //! * [`diff::diff_reports`] — a CI-aware comparison of two runs whose
 //!   per-layer rate deltas are flagged significant only when the
 //!   intervals separate;
@@ -48,11 +49,12 @@
 //! ```
 
 pub mod diff;
+pub mod kpi;
 pub mod report;
 mod rows;
 pub mod trace_export;
 
-pub use report::{CampaignReport, RateBlock, RateCi, StopReport, REPORT_JSON, REPORT_MD};
+pub use report::{CampaignReport, RateBlock, StopReport, REPORT_JSON, REPORT_MD};
 pub use rows::FaultKey;
 
 use std::fmt;

@@ -16,15 +16,13 @@
 //! layer × bit × mode cell table by that composite key. The ordering
 //! audit test in this module locks the contract.
 
-use crate::rows::{
-    csv_is_classification, store_is_classification, stream_csv_rows, stream_store_rows, FaultKey,
-    RowFacts,
-};
+use crate::rows::{stream_csv_rows, stream_store_rows, FaultKey, RowFacts};
 use crate::AnalyzeError;
-use alfi_core::stats::{clopper_pearson_interval, wilson_interval, z_for_confidence, BinomialCi};
-use alfi_scenario::{CiMethod, Scenario};
+use alfi_core::campaign::{classify_row, ClassificationCampaignResult};
+use alfi_core::stats::{interval, z_for_confidence, Rate};
+use alfi_scenario::Scenario;
 use alfi_serde::Json;
-use alfi_trace::{EffectClass, EventLog, StopVerdict};
+use alfi_trace::{EventLog, OutcomeTallies, StopVerdict};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -40,36 +38,6 @@ pub const REPORT_FORMAT_VERSION: u32 = 1;
 /// Confidence level used when the run has no stop policy to inherit
 /// one from.
 pub const DEFAULT_CONFIDENCE: f64 = 0.95;
-
-/// A rate with its confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateCi {
-    /// Point estimate `hits / samples` (`0` when there are no samples).
-    pub rate: f64,
-    /// Interval lower bound.
-    pub low: f64,
-    /// Interval upper bound.
-    pub high: f64,
-}
-
-impl RateCi {
-    fn new(hits: u64, total: u64, z: f64) -> RateCi {
-        let ci = wilson_interval(hits as usize, total as usize, z);
-        let rate = if total == 0 { 0.0 } else { hits as f64 / total as f64 };
-        RateCi { rate, low: ci.low, high: ci.high }
-    }
-
-    /// Half the interval width.
-    pub fn half_width(&self) -> f64 {
-        (self.high - self.low) / 2.0
-    }
-
-    /// Whether this interval and `other` are disjoint — the
-    /// significance test run diffing uses.
-    pub fn separated_from(&self, other: &RateCi) -> bool {
-        self.high < other.low || other.high < self.low
-    }
-}
 
 /// Outcome tallies and rates of one sample population (the whole
 /// campaign, one layer, one bit position, one fault mode, or one
@@ -87,22 +55,25 @@ pub struct RateBlock {
     /// Masked fraction (no interval; it is `1 - sdc - due`).
     pub masked_rate: f64,
     /// SDC rate with its Wilson interval.
-    pub sdc_ci: RateCi,
+    pub sdc_rate: Rate,
     /// DUE rate with its Wilson interval.
-    pub due_ci: RateCi,
+    pub due_rate: Rate,
 }
 
 impl RateBlock {
-    fn from_tally(t: &Tally, z: f64) -> RateBlock {
-        let samples = t.masked + t.sdc + t.due;
+    /// A population's rates from its outcome tallies, with Wilson
+    /// intervals at z-score `z`.
+    pub(crate) fn of(t: &OutcomeTallies, z: f64) -> RateBlock {
+        let samples = t.total();
+        let rate = |hits: u64| Rate::with_confidence(hits as usize, samples as usize, z);
         RateBlock {
             samples,
             masked: t.masked,
             sdc: t.sdc,
             due: t.due,
             masked_rate: if samples == 0 { 0.0 } else { t.masked as f64 / samples as f64 },
-            sdc_ci: RateCi::new(t.sdc, samples, z),
-            due_ci: RateCi::new(t.due, samples, z),
+            sdc_rate: rate(t.sdc),
+            due_rate: rate(t.due),
         }
     }
 
@@ -110,39 +81,22 @@ impl RateBlock {
     /// side never injected). Its intervals are the vacuous `[0, 1]`,
     /// so it can never be part of a significant delta.
     pub fn empty() -> RateBlock {
-        RateBlock::from_tally(&Tally::default(), z_for_confidence(DEFAULT_CONFIDENCE))
+        RateBlock::of(&OutcomeTallies::default(), z_for_confidence(DEFAULT_CONFIDENCE))
     }
 
     pub(crate) fn to_json_fields(self) -> Vec<(String, Json)> {
+        let ci = |r: Rate| Json::Arr(vec![Json::Float(r.ci_low), Json::Float(r.ci_high)]);
         vec![
             ("samples".into(), Json::Int(self.samples as i128)),
             ("masked".into(), Json::Int(self.masked as i128)),
             ("sdc".into(), Json::Int(self.sdc as i128)),
             ("due".into(), Json::Int(self.due as i128)),
             ("masked_rate".into(), Json::Float(self.masked_rate)),
-            ("sdc_rate".into(), Json::Float(self.sdc_ci.rate)),
-            ("sdc_ci".into(), Json::Arr(vec![Json::Float(self.sdc_ci.low), Json::Float(self.sdc_ci.high)])),
-            ("due_rate".into(), Json::Float(self.due_ci.rate)),
-            ("due_ci".into(), Json::Arr(vec![Json::Float(self.due_ci.low), Json::Float(self.due_ci.high)])),
+            ("sdc_rate".into(), Json::Float(self.sdc_rate.value)),
+            ("sdc_ci".into(), ci(self.sdc_rate)),
+            ("due_rate".into(), Json::Float(self.due_rate.value)),
+            ("due_ci".into(), ci(self.due_rate)),
         ]
-    }
-}
-
-/// Raw outcome tallies of one population.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Tally {
-    pub masked: u64,
-    pub sdc: u64,
-    pub due: u64,
-}
-
-impl Tally {
-    fn add(&mut self, outcome: EffectClass) {
-        match outcome {
-            EffectClass::Masked => self.masked += 1,
-            EffectClass::Sdc => self.sdc += 1,
-            EffectClass::Due => self.due += 1,
-        }
     }
 }
 
@@ -210,11 +164,11 @@ pub struct CampaignReport {
 #[derive(Default)]
 struct Acc {
     rows: u64,
-    overall: Tally,
-    layers: BTreeMap<usize, Tally>,
-    bits: BTreeMap<i64, Tally>,
-    modes: BTreeMap<&'static str, Tally>,
-    cells: BTreeMap<FaultKey, Tally>,
+    overall: OutcomeTallies,
+    layers: BTreeMap<usize, OutcomeTallies>,
+    bits: BTreeMap<i64, OutcomeTallies>,
+    modes: BTreeMap<&'static str, OutcomeTallies>,
+    cells: BTreeMap<FaultKey, OutcomeTallies>,
 }
 
 impl Acc {
@@ -228,31 +182,55 @@ impl Acc {
             self.cells.entry(key).or_default().add(facts.outcome);
         }
     }
+
+    /// The row and rate sections at `confidence`; the run, scenario,
+    /// event and stop sections are left empty for the caller.
+    fn into_report(self, confidence: f64) -> CampaignReport {
+        let z = z_for_confidence(confidence);
+        CampaignReport {
+            confidence,
+            run: Vec::new(),
+            scenario: None,
+            rows: self.rows,
+            overall: RateBlock::of(&self.overall, z),
+            layers: self.layers.iter().map(|(k, t)| (*k, RateBlock::of(t, z))).collect(),
+            bits: self.bits.iter().map(|(k, t)| (*k, RateBlock::of(t, z))).collect(),
+            modes: self.modes.iter().map(|(k, t)| (k.to_string(), RateBlock::of(t, z))).collect(),
+            cells: self.cells.into_iter().map(|(k, t)| (k, RateBlock::of(&t, z))).collect(),
+            events: None,
+            stop: None,
+        }
+    }
 }
 
-fn interval_for(method: CiMethod, hits: u64, total: u64, confidence: f64) -> BinomialCi {
-    match method {
-        CiMethod::Wilson => wilson_interval(hits as usize, total as usize, z_for_confidence(confidence)),
-        CiMethod::ClopperPearson => clopper_pearson_interval(hits as usize, total as usize, confidence),
-    }
+/// The report confidence: the scenario's stop-policy level, else
+/// [`DEFAULT_CONFIDENCE`].
+fn confidence_of(scenario: Option<&Scenario>) -> f64 {
+    scenario.and_then(|s| s.stop_policy.as_ref()).map_or(DEFAULT_CONFIDENCE, |p| p.confidence)
+}
+
+/// The report's scenario section: the FNV-1a hash of the scenario's
+/// YAML, its seed and its dataset size.
+fn scenario_section(scenario: &Scenario, yaml: &str) -> (String, u64, u64) {
+    (alfi_trace::hash_hex(yaml.as_bytes()), scenario.seed, scenario.dataset_size as u64)
 }
 
 fn stop_report(
     scenario: Option<&Scenario>,
     log: Option<&EventLog>,
-    overall: &Tally,
+    overall: &OutcomeTallies,
 ) -> Option<StopReport> {
     let policy = scenario.and_then(|s| s.stop_policy.as_ref())?;
-    let samples = overall.masked + overall.sdc + overall.due;
-    let sdc = interval_for(policy.method, overall.sdc, samples, policy.confidence);
-    let due = interval_for(policy.method, overall.due, samples, policy.confidence);
+    let samples = overall.total();
+    let ci = |hits: u64| interval(policy.method, hits as usize, samples as usize, policy.confidence);
+    let (sdc, due) = (ci(overall.sdc), ci(overall.due));
     let stops = log.map(|l| l.stops.as_slice()).unwrap_or(&[]);
     Some(StopReport {
         requested_half_width: policy.half_width,
         confidence: policy.confidence,
         method: policy.method.to_string(),
-        achieved_sdc_half_width: (sdc.high - sdc.low) / 2.0,
-        achieved_due_half_width: (due.high - due.low) / 2.0,
+        achieved_sdc_half_width: sdc.half_width(),
+        achieved_due_half_width: due.half_width(),
         decisions: stops.len() as u64,
         retired_strata: stops
             .iter()
@@ -288,11 +266,10 @@ pub fn analyze_dir(dir: impl AsRef<Path>) -> Result<CampaignReport, AnalyzeError
     let scenario_path = dir.join("scenario.yml");
 
     let mut acc = Acc::default();
-    if store.is_file() && store_is_classification(&store)? {
-        stream_store_rows(&store, |facts| acc.add(facts))?;
-    } else if orig.is_file() && corr.is_file() && csv_is_classification(&orig)? {
-        stream_csv_rows(&orig, &corr, |facts| acc.add(facts))?;
-    } else if !events_path.is_file() {
+    let mut add = |facts| acc.add(facts);
+    let has_rows = (store.is_file() && stream_store_rows(&store, &mut add)?)
+        || (orig.is_file() && corr.is_file() && stream_csv_rows(&orig, &corr, &mut add)?);
+    if !has_rows && !events_path.is_file() {
         return Err(AnalyzeError::Missing(format!(
             "{}: no classification row artifacts or events.jsonl",
             dir.display()
@@ -304,16 +281,10 @@ pub fn analyze_dir(dir: impl AsRef<Path>) -> Result<CampaignReport, AnalyzeError
         let yaml = std::fs::read_to_string(&scenario_path)?;
         let parsed = Scenario::from_yaml_str(&yaml)
             .map_err(|e| AnalyzeError::Parse(format!("scenario.yml: {e}")))?;
-        Some((parsed, alfi_trace::hash_hex(yaml.as_bytes())))
+        Some((parsed, yaml))
     } else {
         None
     };
-
-    let confidence = scenario
-        .as_ref()
-        .and_then(|(s, _)| s.stop_policy.as_ref())
-        .map_or(DEFAULT_CONFIDENCE, |p| p.confidence);
-    let z = z_for_confidence(confidence);
 
     let mut run = Vec::new();
     if let Some(meta) = log.as_ref().and_then(|l| l.header.meta.as_ref()) {
@@ -323,29 +294,37 @@ pub fn analyze_dir(dir: impl AsRef<Path>) -> Result<CampaignReport, AnalyzeError
         run.push(("seed".to_string(), meta.seed.to_string()));
     }
 
-    let stop = stop_report(scenario.as_ref().map(|(s, _)| s), log.as_ref(), &acc.overall);
+    let parsed = scenario.as_ref().map(|(s, _)| s);
+    let stop = stop_report(parsed, log.as_ref(), &acc.overall);
     let events = log.as_ref().and_then(|l| l.summary.as_ref()).map(|s| {
         (s.items, s.injections, s.nan, s.inf)
     });
 
     Ok(CampaignReport {
-        confidence,
         run,
-        scenario: scenario
-            .map(|(s, hash)| (hash, s.seed, s.dataset_size as u64)),
-        rows: acc.rows,
-        overall: RateBlock::from_tally(&acc.overall, z),
-        layers: acc.layers.iter().map(|(k, t)| (*k, RateBlock::from_tally(t, z))).collect(),
-        bits: acc.bits.iter().map(|(k, t)| (*k, RateBlock::from_tally(t, z))).collect(),
-        modes: acc
-            .modes
-            .iter()
-            .map(|(k, t)| (k.to_string(), RateBlock::from_tally(t, z)))
-            .collect(),
-        cells: acc.cells.iter().map(|(k, t)| (k.clone(), RateBlock::from_tally(t, z))).collect(),
+        scenario: scenario.as_ref().map(|(s, yaml)| scenario_section(s, yaml)),
         events,
         stop,
+        ..acc.into_report(confidence_of(parsed))
     })
+}
+
+/// Analyzes an in-memory campaign result into the report
+/// [`analyze_dir`] builds from the run's saved directory: the same
+/// row, rate, breakdown and scenario sections, at the confidence of the
+/// scenario's stop policy. A result carries no event log, so the `run`,
+/// `events` and `stop` sections stay empty.
+pub fn analyze_result(result: &ClassificationCampaignResult) -> CampaignReport {
+    let mut acc = Acc::default();
+    for row in &result.rows {
+        let faults = row.faults.iter().map(|f| FaultKey::of(f.record.layer, f.record.value));
+        acc.add(RowFacts { outcome: classify_row(row), faults: faults.collect() });
+    }
+    let yaml = result.scenario.to_yaml_string();
+    CampaignReport {
+        scenario: Some(scenario_section(&result.scenario, &yaml)),
+        ..acc.into_report(confidence_of(Some(&result.scenario)))
+    }
 }
 
 fn bit_label(bit: i64) -> String {
@@ -493,7 +472,7 @@ impl CampaignReport {
     /// the same deterministic section ordering as the JSON view.
     pub fn to_markdown(&self) -> String {
         let pct = |r: f64| format!("{:.2}%", r * 100.0);
-        let ci = |c: &RateCi| format!("{} [{}, {}]", pct(c.rate), pct(c.low), pct(c.high));
+        let ci = |r: &Rate| format!("{} [{}, {}]", pct(r.value), pct(r.ci_low), pct(r.ci_high));
         let mut out = String::from("# ALFI campaign report\n\n");
         for (k, v) in &self.run {
             out.push_str(&format!("- {k}: `{v}`\n"));
@@ -514,8 +493,8 @@ impl CampaignReport {
                 "| {label} | {} | {} | {} | {} |\n",
                 b.samples,
                 pct(b.masked_rate),
-                ci(&b.sdc_ci),
-                ci(&b.due_ci)
+                ci(&b.sdc_rate),
+                ci(&b.due_rate)
             )
         };
         let table_header = "| | samples | masked | sdc [ci] | due [ci] |\n|---|---|---|---|---|\n";
@@ -592,9 +571,128 @@ pub fn write_report_files(report: &CampaignReport, dir: impl AsRef<Path>) -> Res
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rows::RowFacts;
+    use alfi_core::campaign::ClassificationRow;
+    use alfi_core::{AppliedFault, FaultMatrix, FaultRecord, FaultValue, RunTrace};
+    use alfi_scenario::InjectionTarget;
+    use alfi_tensor::bits::FlipDirection;
+    use alfi_trace::EffectClass;
+
+    /// An applied fault at `layer`; bit flips carry `dir`.
+    pub(crate) fn fault(layer: usize, value: FaultValue, dir: FlipDirection) -> AppliedFault {
+        AppliedFault {
+            record: FaultRecord {
+                batch: 0,
+                layer,
+                channel: 0,
+                channel_in: 0,
+                depth: None,
+                height: 0,
+                width: 0,
+                value,
+            },
+            original: 1.0,
+            corrupted: 2.0,
+            direction: matches!(value, FaultValue::BitFlip(_)).then_some(dir),
+        }
+    }
+
+    /// A row whose fault-free top-1 is `orig` (also its label) and whose
+    /// corrupted top-1 is `corr`, with `nan` NaN elements.
+    pub(crate) fn row(orig: usize, corr: usize, nan: usize, faults: Vec<AppliedFault>) -> ClassificationRow {
+        ClassificationRow {
+            image_id: 0,
+            file_name: "x".into(),
+            label: orig,
+            orig_top5: vec![(orig, 0.9)],
+            corr_top5: vec![(corr, 0.9)],
+            resil_top5: None,
+            faults,
+            corr_nan: nan,
+            corr_inf: 0,
+        }
+    }
+
+    fn result(rows: Vec<ClassificationRow>) -> ClassificationCampaignResult {
+        ClassificationCampaignResult {
+            rows,
+            scenario: Scenario::default(),
+            fault_matrix: FaultMatrix {
+                records: Vec::new(),
+                target: InjectionTarget::Weights,
+                faults_per_image: 1,
+            },
+            trace: RunTrace::default(),
+        }
+    }
+
+    fn flip(layer: usize, bit: u8) -> AppliedFault {
+        fault(layer, FaultValue::BitFlip(bit), FlipDirection::ZeroToOne)
+    }
+
+    fn samples<K: PartialEq>(section: &[(K, RateBlock)], key: K) -> (u64, u64, u64) {
+        let b = section.iter().find(|(k, _)| *k == key).map(|(_, b)| *b).unwrap();
+        (b.masked, b.sdc, b.due)
+    }
+
+    #[test]
+    fn analyze_result_attributes_outcomes_to_fault_layers() {
+        let r = analyze_result(&result(vec![
+            row(1, 1, 0, vec![flip(0, 30)]), // masked @ layer 0
+            row(1, 2, 0, vec![flip(0, 30)]), // sdc @ layer 0
+            row(1, 1, 1, vec![flip(3, 23)]), // due @ layer 3
+        ]));
+        assert_eq!(samples(&r.layers, 0), (1, 1, 0));
+        assert_eq!(samples(&r.layers, 3), (0, 0, 1));
+        assert!((r.layers[0].1.sdc_rate.value - 0.5).abs() < 1e-9);
+        assert_eq!(r.confidence, DEFAULT_CONFIDENCE);
+    }
+
+    #[test]
+    fn analyze_result_counts_multi_fault_rows_once_per_fault() {
+        let r = analyze_result(&result(vec![row(1, 2, 0, vec![flip(0, 30), flip(5, 24)])]));
+        assert_eq!(r.rows, 1);
+        assert_eq!(r.overall.samples, 1);
+        assert_eq!(samples(&r.layers, 0), (0, 1, 0));
+        assert_eq!(samples(&r.layers, 5), (0, 1, 0));
+    }
+
+    #[test]
+    fn analyze_result_groups_bit_positions_and_modes() {
+        let dir = FlipDirection::OneToZero;
+        let r = analyze_result(&result(vec![
+            row(1, 2, 0, vec![flip(0, 30)]), // exponent sdc
+            row(1, 1, 0, vec![flip(0, 2)]),  // mantissa masked
+            row(1, 2, 0, vec![flip(0, 31)]), // sign sdc
+            row(1, 1, 0, vec![fault(0, FaultValue::StuckAt { pos: 2, high: true }, dir)]),
+            row(1, 1, 0, vec![fault(0, FaultValue::Replace(9.0), dir)]),
+        ]));
+        assert_eq!(samples(&r.bits, 30), (0, 1, 0));
+        assert_eq!(samples(&r.bits, 2), (2, 0, 0), "bit flip and stuck-at share bit 2");
+        assert_eq!(samples(&r.bits, -1), (1, 0, 0), "replacement is not bit-addressed");
+        let modes: Vec<&str> = r.modes.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(modes, vec!["bitflip", "replace", "stuck_at"]);
+        assert_eq!(samples(&r.modes, "bitflip".to_string()), (1, 2, 0));
+    }
+
+    #[test]
+    fn analyze_result_partitions_rows() {
+        let r = analyze_result(&result(vec![
+            row(1, 1, 0, vec![]), // masked
+            row(1, 2, 0, vec![]), // sdc
+            row(1, 1, 1, vec![]), // due
+            row(2, 2, 0, vec![]), // masked
+        ]));
+        let o = r.overall;
+        assert_eq!((o.masked, o.sdc, o.due, o.samples), (2, 1, 1, 4));
+        assert_eq!((o.sdc_rate.hits, o.sdc_rate.total), (1, 4));
+        assert!(r.layers.is_empty() && r.cells.is_empty());
+        let yaml = Scenario::default().to_yaml_string();
+        assert_eq!(r.scenario, Some((alfi_trace::hash_hex(yaml.as_bytes()), 0, 100)));
+        assert!(r.run.is_empty() && r.events.is_none() && r.stop.is_none());
+    }
 
     fn facts(outcome: EffectClass, layer: usize, bit: i64, mode: &'static str) -> RowFacts {
         RowFacts { outcome, faults: vec![FaultKey { layer, bit, mode }] }
@@ -608,28 +706,7 @@ mod tests {
         acc.add(facts(EffectClass::Due, 6, 2, "stuck_at"));
         acc.add(facts(EffectClass::Masked, 3, 30, "bitflip"));
         acc.add(facts(EffectClass::Masked, 0, 5, "quant"));
-        let z = z_for_confidence(DEFAULT_CONFIDENCE);
-        CampaignReport {
-            confidence: DEFAULT_CONFIDENCE,
-            run: Vec::new(),
-            scenario: None,
-            rows: acc.rows,
-            overall: RateBlock::from_tally(&acc.overall, z),
-            layers: acc.layers.iter().map(|(k, t)| (*k, RateBlock::from_tally(t, z))).collect(),
-            bits: acc.bits.iter().map(|(k, t)| (*k, RateBlock::from_tally(t, z))).collect(),
-            modes: acc
-                .modes
-                .iter()
-                .map(|(k, t)| (k.to_string(), RateBlock::from_tally(t, z)))
-                .collect(),
-            cells: acc
-                .cells
-                .iter()
-                .map(|(k, t)| (k.clone(), RateBlock::from_tally(t, z)))
-                .collect(),
-            events: None,
-            stop: None,
-        }
+        acc.into_report(DEFAULT_CONFIDENCE)
     }
 
     /// Ordering audit: layers ascending by resolved target index, bit
@@ -671,23 +748,14 @@ mod tests {
 
     #[test]
     fn rate_blocks_use_wilson_bounds() {
-        let b = RateBlock::from_tally(&Tally { masked: 90, sdc: 10, due: 0 }, z_for_confidence(0.95));
+        let b = RateBlock::of(&OutcomeTallies { masked: 90, sdc: 10, due: 0 }, z_for_confidence(0.95));
         assert_eq!(b.samples, 100);
-        assert!((b.sdc_ci.rate - 0.10).abs() < 1e-12);
-        assert!((b.sdc_ci.low - 0.0552).abs() < 0.002);
-        assert!((b.sdc_ci.high - 0.1744).abs() < 0.002);
-        assert_eq!(b.due_ci.low, 0.0);
+        assert!((b.sdc_rate.value - 0.10).abs() < 1e-12);
+        assert!((b.sdc_rate.ci_low - 0.0552).abs() < 0.002);
+        assert!((b.sdc_rate.ci_high - 0.1744).abs() < 0.002);
+        assert_eq!(b.due_rate.ci_low, 0.0);
         let empty = RateBlock::empty();
         assert_eq!(empty.samples, 0);
-        assert_eq!((empty.sdc_ci.low, empty.sdc_ci.high), (0.0, 1.0));
-    }
-
-    #[test]
-    fn interval_separation_is_the_significance_test() {
-        let a = RateCi { rate: 0.1, low: 0.05, high: 0.15 };
-        let b = RateCi { rate: 0.4, low: 0.3, high: 0.5 };
-        let c = RateCi { rate: 0.12, low: 0.08, high: 0.2 };
-        assert!(a.separated_from(&b) && b.separated_from(&a));
-        assert!(!a.separated_from(&c) && !c.separated_from(&a));
+        assert_eq!((empty.sdc_rate.ci_low, empty.sdc_rate.ci_high), (0.0, 1.0));
     }
 }

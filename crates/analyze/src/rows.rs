@@ -1,15 +1,18 @@
 //! Streaming row sources: normalize the two row-artifact formats (the
 //! `results_*.csv` pair and the columnar `rows.alfic` store) into one
 //! per-row fact record, so every downstream aggregate is identical
-//! whichever format the campaign wrote.
+//! whichever format the campaign wrote, and equal to the in-memory
+//! rows' facts.
 //!
-//! Classification mirrors the engine's own row classifier: a row is
-//! DUE when the corrupted inference surfaced NaN/Inf elements or a
-//! non-finite top-1 probability, SDC when the top-1 class silently
-//! changed against the fault-free run, and masked otherwise.
+//! Both sources classify through `alfi-core`'s [`classify_top1`], the
+//! rule the engine tallies outcomes with. A malformed cell is an
+//! [`AnalyzeError::Parse`] naming the file and the line (or store row),
+//! never a default.
 
 use crate::AnalyzeError;
-use alfi_store::{StoreReader, Value};
+use alfi_core::campaign::{classify_top1, TOPK_PAD_CLASS};
+use alfi_core::FaultValue;
+use alfi_store::{StoreError, StoreReader, Value};
 use alfi_trace::EffectClass;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -27,6 +30,20 @@ pub struct FaultKey {
     pub mode: &'static str,
 }
 
+impl FaultKey {
+    /// The key of one fault: the layer, bit and mode its
+    /// `fault_layers` / `fault_bits` cells parse back to.
+    pub(crate) fn of(layer: usize, value: FaultValue) -> FaultKey {
+        let (bit, mode) = match value {
+            FaultValue::BitFlip(bit) => (i64::from(bit), "bitflip"),
+            FaultValue::StuckAt { pos, .. } => (i64::from(pos), "stuck_at"),
+            FaultValue::Replace(_) => (-1, "replace"),
+            FaultValue::QuantStep { bit, .. } => (i64::from(bit), "quant"),
+        };
+        FaultKey { layer, bit, mode }
+    }
+}
+
 /// The per-row facts every aggregate is built from.
 #[derive(Debug, Clone)]
 pub(crate) struct RowFacts {
@@ -36,58 +53,48 @@ pub(crate) struct RowFacts {
 
 /// Parses one `fault_bits` cell (`30`, `s31`, `v`, `q5`) into its bit
 /// position and mode name.
-pub(crate) fn parse_bit_cell(cell: &str) -> (i64, &'static str) {
-    if cell == "v" {
-        (-1, "replace")
+fn parse_bit_cell(cell: &str) -> Result<(i64, &'static str), String> {
+    let (digits, mode) = if cell == "v" {
+        return Ok((-1, "replace"));
     } else if let Some(pos) = cell.strip_prefix('s') {
-        (pos.parse().unwrap_or(-1), "stuck_at")
+        (pos, "stuck_at")
     } else if let Some(bit) = cell.strip_prefix('q') {
-        (bit.parse().unwrap_or(-1), "quant")
-    } else if let Ok(bit) = cell.parse::<i64>() {
-        (bit, "bitflip")
+        (bit, "quant")
     } else {
-        (-1, "unknown")
-    }
+        (cell, "bitflip")
+    };
+    digits
+        .parse::<u8>()
+        .map(|b| (i64::from(b), mode))
+        .map_err(|_| format!("bad fault bit `{cell}`"))
 }
 
-fn fault_keys(layers_cell: &str, bits_cell: &str) -> Vec<FaultKey> {
-    if layers_cell.is_empty() {
-        return Vec::new();
+/// Zips a row's `;`-joined `fault_layers` and `fault_bits` cells into
+/// fault keys; the two lists must have the same length.
+fn fault_keys(layers_cell: &str, bits_cell: &str) -> Result<Vec<FaultKey>, String> {
+    if layers_cell.is_empty() && bits_cell.is_empty() {
+        return Ok(Vec::new());
     }
-    let layers = layers_cell.split(';');
     let mut bits = bits_cell.split(';');
-    layers
+    let keys = layers_cell
+        .split(';')
         .map(|l| {
-            let (bit, mode) = parse_bit_cell(bits.next().unwrap_or(""));
-            FaultKey { layer: l.parse().unwrap_or(usize::MAX), bit, mode }
+            let layer = l.parse().map_err(|_| format!("bad fault layer `{l}`"))?;
+            let (bit, mode) = parse_bit_cell(bits.next().ok_or("fewer fault bits than layers")?)?;
+            Ok(FaultKey { layer, bit, mode })
         })
-        .collect()
-}
-
-/// The campaign-level row classification, shared verbatim between the
-/// two sources: `corr_top1`/`orig_top1` are the top-1 class ids (`None`
-/// when the top-k list was empty), `corr_p1` the corrupted top-1
-/// probability, `nonfinite` the corrupted inference's NaN+Inf element
-/// count.
-fn classify(
-    orig_top1: Option<u64>,
-    corr_top1: Option<u64>,
-    corr_p1: Option<f32>,
-    nonfinite: u64,
-) -> EffectClass {
-    if nonfinite > 0 || corr_p1.is_some_and(|p| !p.is_finite()) {
-        EffectClass::Due
-    } else if orig_top1 != corr_top1 {
-        EffectClass::Sdc
-    } else {
-        EffectClass::Masked
+        .collect::<Result<Vec<_>, String>>()?;
+    match bits.next() {
+        Some(_) => Err("more fault bits than layers".into()),
+        None => Ok(keys),
     }
 }
 
 /// Column positions resolved from a CSV header line.
 struct CsvCols {
-    top1: usize,
-    top1_p: usize,
+    width: usize,
+    image_id: usize,
+    topk: [(usize, usize); 5],
     fault_layers: usize,
     fault_bits: usize,
     nan: usize,
@@ -97,13 +104,19 @@ struct CsvCols {
 fn csv_cols(header: &str, file: &str) -> Result<CsvCols, AnalyzeError> {
     let names: Vec<&str> = header.trim_end().split(',').collect();
     let find = |name: &str| {
-        names.iter().position(|n| *n == name).ok_or_else(|| {
-            AnalyzeError::Parse(format!("{file}: header lacks a `{name}` column"))
-        })
+        names
+            .iter()
+            .position(|n| *n == name)
+            .ok_or_else(|| AnalyzeError::Parse(format!("{file}: header lacks a `{name}` column")))
     };
+    let mut topk = [(0, 0); 5];
+    for (k, pair) in topk.iter_mut().enumerate() {
+        *pair = (find(&format!("top{}", k + 1))?, find(&format!("top{}_p", k + 1))?);
+    }
     Ok(CsvCols {
-        top1: find("top1")?,
-        top1_p: find("top1_p")?,
+        width: names.len(),
+        image_id: find("image_id")?,
+        topk,
         fault_layers: find("fault_layers")?,
         fault_bits: find("fault_bits")?,
         nan: find("nan_count")?,
@@ -111,79 +124,103 @@ fn csv_cols(header: &str, file: &str) -> Result<CsvCols, AnalyzeError> {
     })
 }
 
-fn cell<'l>(cells: &[&'l str], idx: usize) -> &'l str {
-    cells.get(idx).copied().unwrap_or("")
+/// One CSV data line split into cells, with its `image_id` and top-1
+/// parsed.
+struct CsvLine<'l> {
+    cells: Vec<&'l str>,
+    image_id: u64,
+    top1: Option<(u64, f32)>,
 }
 
-fn opt_u64(s: &str) -> Option<u64> {
-    if s.is_empty() {
-        None
-    } else {
-        s.parse().ok()
+/// Parses a count cell (`image_id`, `nan_count`, `inf_count`).
+fn count(cell: &str) -> Result<u64, String> {
+    cell.parse().map_err(|_| format!("bad count `{cell}`"))
+}
+
+/// Splits one CSV data line, checking its column count, its `image_id`
+/// and every top-k class and probability cell.
+fn parse_csv_line<'l>(line: &'l str, cols: &CsvCols) -> Result<CsvLine<'l>, String> {
+    let cells: Vec<&str> = line.trim_end().split(',').collect();
+    if cells.len() != cols.width {
+        return Err(format!("expected {} columns, got {}", cols.width, cells.len()));
     }
+    let mut top1 = None;
+    for (k, &(class, p)) in cols.topk.iter().enumerate() {
+        let entry = match (cells[class], cells[p]) {
+            ("", "") => None,
+            (class, p) => Some((
+                class.parse::<u64>().map_err(|_| format!("bad top-k class `{class}`"))?,
+                p.parse::<f32>().map_err(|_| format!("bad top-k probability `{p}`"))?,
+            )),
+        };
+        if k == 0 {
+            top1 = entry;
+        }
+    }
+    Ok(CsvLine { image_id: count(cells[cols.image_id])?, top1, cells })
 }
 
-/// Whether a CSV row artifact carries the classification header the
-/// analyzer understands (detection rows have a different shape and
-/// contribute only their event log to a report).
-pub(crate) fn csv_is_classification(path: &Path) -> Result<bool, AnalyzeError> {
-    use std::io::Read;
-    let mut head = String::new();
-    std::fs::File::open(path)?.take(4096).read_to_string(&mut head)?;
-    let header = head.lines().next().unwrap_or("");
-    Ok(csv_cols(header, "results_orig.csv").is_ok())
+/// The facts of a corrupted-output line, classified against the
+/// fault-free top-1 class: its NaN/Inf counts and fault cells are the
+/// ones the analyzer reads.
+fn corr_facts(corr: &CsvLine, cols: &CsvCols, orig_top1: Option<u64>) -> Result<RowFacts, String> {
+    let nonfinite = count(corr.cells[cols.nan])?.saturating_add(count(corr.cells[cols.inf])?);
+    Ok(RowFacts {
+        outcome: classify_top1(orig_top1, corr.top1, nonfinite),
+        faults: fault_keys(corr.cells[cols.fault_layers], corr.cells[cols.fault_bits])?,
+    })
 }
 
 /// Streams the CSV artifact pair line-by-line (never materialized),
-/// feeding one [`RowFacts`] per aligned row pair into `f`.
+/// feeding one [`RowFacts`] per aligned row pair into `f`. Returns
+/// `false`, reading no rows, when `results_orig.csv` lacks the
+/// classification header (detection rows have a different shape and
+/// contribute only their event log to a report).
 pub(crate) fn stream_csv_rows(
     orig_path: &Path,
     corr_path: &Path,
     mut f: impl FnMut(RowFacts),
-) -> Result<u64, AnalyzeError> {
-    let orig = BufReader::new(std::fs::File::open(orig_path)?);
-    let corr = BufReader::new(std::fs::File::open(corr_path)?);
-    let mut orig_lines = orig.lines();
-    let mut corr_lines = corr.lines();
-    let orig_header = orig_lines.next().transpose()?.unwrap_or_default();
-    let corr_header = corr_lines.next().transpose()?.unwrap_or_default();
-    let ocols = csv_cols(&orig_header, "results_orig.csv")?;
-    let ccols = csv_cols(&corr_header, "results_corr.csv")?;
-    let mut rows = 0u64;
-    loop {
-        let (o, c) = match (orig_lines.next().transpose()?, corr_lines.next().transpose()?) {
-            (Some(o), Some(c)) => (o, c),
-            (None, None) => break,
-            _ => {
-                return Err(AnalyzeError::Parse(
+) -> Result<bool, AnalyzeError> {
+    let mut orig = BufReader::new(std::fs::File::open(orig_path)?);
+    let mut corr = BufReader::new(std::fs::File::open(corr_path)?);
+    let (mut o, mut c) = (String::new(), String::new());
+    orig.read_line(&mut o)?;
+    let Ok(ocols) = csv_cols(&o, "results_orig.csv") else { return Ok(false) };
+    corr.read_line(&mut c)?;
+    let ccols = csv_cols(&c, "results_corr.csv")?;
+    for line in 2u64.. {
+        let at =
+            |path: &Path, e: String| AnalyzeError::Parse(format!("{}:{line}: {e}", path.display()));
+        o.clear();
+        c.clear();
+        match (orig.read_line(&mut o)?, corr.read_line(&mut c)?) {
+            (0, 0) => break,
+            (0, _) | (_, 0) => {
+                return Err(at(
+                    corr_path,
                     "results_orig.csv / results_corr.csv row counts differ".into(),
                 ))
             }
-        };
+            _ => {}
+        }
         if o.trim().is_empty() && c.trim().is_empty() {
             continue;
         }
-        let oc: Vec<&str> = o.trim_end().split(',').collect();
-        let cc: Vec<&str> = c.trim_end().split(',').collect();
-        let nonfinite = cell(&cc, ccols.nan).parse::<u64>().unwrap_or(0)
-            + cell(&cc, ccols.inf).parse::<u64>().unwrap_or(0);
-        let corr_p1 = match cell(&cc, ccols.top1_p) {
-            "" => None,
-            p => p.parse::<f32>().ok(),
-        };
-        let outcome = classify(
-            opt_u64(cell(&oc, ocols.top1)),
-            opt_u64(cell(&cc, ccols.top1)),
-            corr_p1,
-            nonfinite,
-        );
-        f(RowFacts {
-            outcome,
-            faults: fault_keys(cell(&cc, ccols.fault_layers), cell(&cc, ccols.fault_bits)),
-        });
-        rows += 1;
+        let ol = parse_csv_line(&o, &ocols).map_err(|e| at(orig_path, e))?;
+        let cl = parse_csv_line(&c, &ccols).map_err(|e| at(corr_path, e))?;
+        if ol.image_id != cl.image_id {
+            return Err(at(
+                corr_path,
+                format!(
+                    "image_id {} does not match results_orig.csv image_id {}",
+                    cl.image_id, ol.image_id
+                ),
+            ));
+        }
+        let orig_top1 = ol.top1.map(|(class, _)| class);
+        f(corr_facts(&cl, &ccols, orig_top1).map_err(|e| at(corr_path, e))?);
     }
-    Ok(rows)
+    Ok(true)
 }
 
 /// Column positions resolved from a store schema.
@@ -196,10 +233,6 @@ struct StoreCols {
     nan: usize,
     inf: usize,
 }
-
-/// The sentinel class the classification schema pads absent top-k
-/// entries with (mirrors `alfi-core`'s `TOPK_PAD_CLASS`).
-const PAD_CLASS: u64 = u32::MAX as u64;
 
 fn store_cols(reader: &StoreReader) -> Result<StoreCols, AnalyzeError> {
     let find = |name: &str| {
@@ -218,60 +251,62 @@ fn store_cols(reader: &StoreReader) -> Result<StoreCols, AnalyzeError> {
     })
 }
 
-fn value_u64(values: &[Value], idx: usize) -> u64 {
-    match values.get(idx) {
-        Some(Value::U8(v)) => u64::from(*v),
-        Some(Value::U32(v)) => u64::from(*v),
-        Some(Value::U64(v)) => *v,
-        _ => 0,
-    }
-}
-
-fn value_str(values: &[Value], idx: usize) -> &str {
-    match values.get(idx) {
-        Some(Value::Str(s)) => s.as_str(),
-        _ => "",
-    }
-}
-
-/// Whether a columnar store carries the classification schema the
-/// analyzer understands (cheap: opening a store reads only its header,
-/// directory and index).
-pub(crate) fn store_is_classification(path: &Path) -> Result<bool, AnalyzeError> {
-    let reader = StoreReader::open(path)?;
-    Ok(store_cols(&reader).is_ok())
+/// Builds one store row's facts; top-k classes equal to
+/// [`TOPK_PAD_CLASS`] are absent entries.
+fn store_facts(values: &[Value], cols: &StoreCols) -> Result<RowFacts, String> {
+    let cell = |idx: usize| values.get(idx).ok_or_else(|| format!("row lacks column {idx}"));
+    let int =
+        |idx: usize| cell(idx)?.as_u64().ok_or_else(|| format!("column {idx} is not an integer"));
+    let text =
+        |idx: usize| cell(idx)?.as_str().ok_or_else(|| format!("column {idx} is not a string"));
+    let class = |idx: usize| int(idx).map(|c| Some(c).filter(|&c| c != u64::from(TOPK_PAD_CLASS)));
+    let corr = match class(cols.corr_class1)? {
+        Some(c) => {
+            let p = cell(cols.corr_p1)?.as_f32();
+            Some((c, p.ok_or_else(|| format!("column {} is not an f32", cols.corr_p1))?))
+        }
+        None => None,
+    };
+    Ok(RowFacts {
+        outcome: classify_top1(
+            class(cols.orig_class1)?,
+            corr,
+            int(cols.nan)?.saturating_add(int(cols.inf)?),
+        ),
+        faults: fault_keys(text(cols.fault_layers)?, text(cols.fault_bits)?)?,
+    })
 }
 
 /// Streams the columnar store block-by-block through
 /// [`StoreReader::for_each_row`] (never fully materialized), feeding
-/// one [`RowFacts`] per row into `f`.
+/// one [`RowFacts`] per row into `f`. Returns `false`, reading no rows,
+/// when the store lacks the classification schema.
 pub(crate) fn stream_store_rows(
     store_path: &Path,
     mut f: impl FnMut(RowFacts),
-) -> Result<u64, AnalyzeError> {
+) -> Result<bool, AnalyzeError> {
     let mut reader = StoreReader::open(store_path)?;
-    let cols = store_cols(&reader)?;
+    let Ok(cols) = store_cols(&reader) else { return Ok(false) };
     let mut rows = 0u64;
-    reader.for_each_row(|_key, values| {
-        let class = |idx: usize| Some(value_u64(values, idx)).filter(|&c| c != PAD_CLASS);
-        let corr_top1 = class(cols.corr_class1);
-        let corr_p1 = match values.get(cols.corr_p1) {
-            Some(Value::F32(p)) if corr_top1.is_some() => Some(*p),
-            _ => None,
-        };
-        let nonfinite = value_u64(values, cols.nan) + value_u64(values, cols.inf);
-        let outcome = classify(class(cols.orig_class1), corr_top1, corr_p1, nonfinite);
-        f(RowFacts {
-            outcome,
-            faults: fault_keys(
-                value_str(values, cols.fault_layers),
-                value_str(values, cols.fault_bits),
-            ),
-        });
+    let mut bad = None;
+    let scan = reader.for_each_row(|_key, values| {
         rows += 1;
-        Ok(())
-    })?;
-    Ok(rows)
+        match store_facts(values, &cols) {
+            Ok(facts) => {
+                f(facts);
+                Ok(())
+            }
+            Err(e) => {
+                bad = Some(format!("{}: row {rows}: {e}", store_path.display()));
+                Err(StoreError::Corrupt { reason: e })
+            }
+        }
+    });
+    if let Some(e) = bad {
+        return Err(AnalyzeError::Parse(e));
+    }
+    scan?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -280,28 +315,18 @@ mod tests {
 
     #[test]
     fn bit_cells_cover_every_fault_value_syntax() {
-        assert_eq!(parse_bit_cell("30"), (30, "bitflip"));
-        assert_eq!(parse_bit_cell("s31"), (31, "stuck_at"));
-        assert_eq!(parse_bit_cell("v"), (-1, "replace"));
-        assert_eq!(parse_bit_cell("q5"), (5, "quant"));
-        assert_eq!(parse_bit_cell("junk"), (-1, "unknown"));
-    }
-
-    #[test]
-    fn classification_mirrors_the_engine() {
-        use EffectClass::*;
-        assert_eq!(classify(Some(3), Some(3), Some(0.9), 0), Masked);
-        assert_eq!(classify(Some(3), Some(5), Some(0.9), 0), Sdc);
-        assert_eq!(classify(Some(3), Some(3), Some(0.9), 2), Due);
-        assert_eq!(classify(Some(3), Some(3), Some(f32::NAN), 0), Due);
-        // Padded top-k on one side is a silent prediction change.
-        assert_eq!(classify(Some(3), None, None, 0), Sdc);
-        assert_eq!(classify(None, None, None, 0), Masked);
+        assert_eq!(parse_bit_cell("30"), Ok((30, "bitflip")));
+        assert_eq!(parse_bit_cell("s31"), Ok((31, "stuck_at")));
+        assert_eq!(parse_bit_cell("v"), Ok((-1, "replace")));
+        assert_eq!(parse_bit_cell("q5"), Ok((5, "quant")));
+        for junk in ["junk", "", "3x", "s", "q-1", "-1", "300"] {
+            assert!(parse_bit_cell(junk).is_err(), "`{junk}` must not parse");
+        }
     }
 
     #[test]
     fn fault_keys_zip_layers_with_bit_cells() {
-        let keys = fault_keys("3;6", "30;s2");
+        let keys = fault_keys("3;6", "30;s2").unwrap();
         assert_eq!(
             keys,
             vec![
@@ -309,6 +334,25 @@ mod tests {
                 FaultKey { layer: 6, bit: 2, mode: "stuck_at" },
             ]
         );
-        assert!(fault_keys("", "").is_empty());
+        assert!(fault_keys("", "").unwrap().is_empty());
+        assert!(fault_keys("six", "3").is_err());
+        assert!(fault_keys("3;6", "30").is_err());
+        assert!(fault_keys("3", "30;2").is_err());
+        assert!(fault_keys("", "30").is_err());
+    }
+
+    #[test]
+    fn fault_keys_of_values_match_their_csv_cells() {
+        let values = [
+            FaultValue::BitFlip(30),
+            FaultValue::StuckAt { pos: 2, high: true },
+            FaultValue::Replace(7.5),
+            FaultValue::QuantStep { bit: 5, bits: 8, amax: 1.0 },
+        ];
+        let cells = ["30", "s2", "v", "q5"];
+        for (value, cell) in values.into_iter().zip(cells) {
+            let (bit, mode) = parse_bit_cell(cell).unwrap();
+            assert_eq!(FaultKey::of(4, value), FaultKey { layer: 4, bit, mode }, "{cell}");
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! Run with: `cargo run --release -p alfi-bench --bin repro_sweeps`
 
 use alfi_bench::{build_classifier, ExperimentScale};
+use alfi_core::stats::Rate;
 use alfi_core::Ptfiwrap;
 use alfi_datasets::ClassificationDataset;
-use alfi_eval::Rate;
 use alfi_nn::Network;
 use alfi_scenario::{FaultCount, FaultMode, InjectionTarget, Scenario};
 use alfi_tensor::Tensor;

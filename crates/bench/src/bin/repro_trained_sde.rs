@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release -p alfi-bench --bin repro_trained_sde`
 
-use alfi_core::campaign::{ImgClassCampaign, RunConfig};
+use alfi_analyze::kpi::{hardened_corruption_rate, top1_accuracy};
+use alfi_analyze::report::analyze_result;
+use alfi_core::campaign::{CsvVariant, ImgClassCampaign, RunConfig};
 use alfi_datasets::{ClassificationDataset, ClassificationLoader};
-use alfi_eval::{classification_kpis, resil_sde_rate, SdeCriterion};
 use alfi_mitigation::{harden, profile_bounds, Protection};
 use alfi_nn::train::{accuracy, train_step, SgdTrainer};
 use alfi_nn::{Conv2d, Layer, Linear, Network};
@@ -117,15 +118,15 @@ fn main() {
             .with_resil_model(hardened.clone())
             .run_with(&RunConfig::default())
             .expect("campaign");
-        let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
-        let ranger = resil_sde_rate(&result.rows, SdeCriterion::Top1Mismatch);
+        let overall = analyze_result(&result).overall;
+        let ranger = hardened_corruption_rate(&result.rows);
         println!(
             "{:<8} {:>9.1}% {:>9.1}% {:>8.1}% {:>8.1}% | {:>11.1}%",
             k,
-            kpis.orig_top1_accuracy.percent(),
-            kpis.corr_top1_accuracy.percent(),
-            kpis.sde.percent(),
-            kpis.due.percent(),
+            top1_accuracy(&result.rows, CsvVariant::Original).percent(),
+            top1_accuracy(&result.rows, CsvVariant::Corrupted).percent(),
+            overall.sdc_rate.percent(),
+            overall.due_rate.percent(),
             ranger.percent(),
         );
     }

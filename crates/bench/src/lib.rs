@@ -14,9 +14,12 @@
 
 pub mod timing;
 
+use alfi_analyze::kpi::hardened_corruption_rate;
+use alfi_analyze::report::analyze_result;
 use alfi_core::campaign::{ImgClassCampaign, ObjDetCampaign, RunConfig};
+use alfi_core::stats::Rate;
 use alfi_datasets::{ClassificationDataset, ClassificationLoader, DetectionDataset, DetectionLoader};
-use alfi_eval::{classification_kpis, ivmod_kpis, resil_sde_rate, IvmodKpis, Rate, SdeCriterion};
+use alfi_eval::{ivmod_kpis, IvmodKpis};
 use alfi_mitigation::{harden, profile_bounds, Protection};
 use alfi_nn::detection::{Detector, DetectorConfig, FrcnnTwoStage, RetinaAnchor, YoloGrid};
 use alfi_nn::models::{alexnet, resnet50, vgg16, ModelConfig};
@@ -154,14 +157,12 @@ pub fn run_fig2a_point(
         campaign = campaign.with_resil_model(hardened);
     }
     let result = campaign.run_with(&RunConfig::default()).expect("campaign succeeds");
-    let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
+    let overall = analyze_result(&result).overall;
+    let rate = |hits: u64| Rate::from_counts(hits as usize, overall.samples as usize);
     let (sde, corrupted) = match protection {
-        None => (
-            kpis.sde,
-            Rate::from_counts(kpis.sde.hits + kpis.due.hits, kpis.sde.total),
-        ),
+        None => (rate(overall.sdc), rate(overall.sdc + overall.due)),
         Some(_) => {
-            let r = resil_sde_rate(&result.rows, SdeCriterion::Top1Mismatch);
+            let r = hardened_corruption_rate(&result.rows);
             (r, r)
         }
     };
@@ -170,7 +171,7 @@ pub fn run_fig2a_point(
         protection,
         faults_per_image,
         sde,
-        due: kpis.due,
+        due: rate(overall.due),
         corrupted,
     }
 }

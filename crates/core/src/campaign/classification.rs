@@ -16,7 +16,7 @@ use crate::error::CoreError;
 use crate::fault::AppliedFault;
 use crate::injector::FaultPlan;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
+use crate::persist::{RunTrace, TraceEntry};
 use alfi_datasets::loader::ClassificationLoader;
 use alfi_nn::{Network, NodeId, NodeMap, Pass};
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario};
@@ -26,7 +26,7 @@ use alfi_trace::{EffectClass, Phase, Recorder};
 use std::fs::File;
 use std::io::{self, Write};
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Top-K classes with probabilities for one model output.
 pub type TopK = Vec<(usize, f32)>;
@@ -54,6 +54,18 @@ pub struct ClassificationRow {
     pub corr_inf: usize,
 }
 
+impl ClassificationRow {
+    /// The top-5 that one of the three model instances produced; `None` for
+    /// [`CsvVariant::Resilient`] in a campaign without a hardened model.
+    pub fn topk(&self, variant: CsvVariant) -> Option<&TopK> {
+        match variant {
+            CsvVariant::Original => Some(&self.orig_top5),
+            CsvVariant::Corrupted => Some(&self.corr_top5),
+            CsvVariant::Resilient => self.resil_top5.as_ref(),
+        }
+    }
+}
+
 /// Full campaign output: rows plus everything needed for exact replay.
 #[derive(Debug, Clone)]
 pub struct ClassificationCampaignResult {
@@ -68,42 +80,15 @@ pub struct ClassificationCampaignResult {
 }
 
 impl ClassificationCampaignResult {
-    /// Writes the paper's three output sets into `dir`:
-    /// `scenario.yml` (meta), `faults.bin` + `trace.bin` (binary fault
-    /// files), `results_orig.csv` / `results_corr.csv`
-    /// (/`results_resil.csv`) (model outputs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Io`] on filesystem failures.
-    pub fn save_outputs(&self, dir: impl AsRef<Path>) -> Result<(), CoreError> {
-        let a = Artifacts::new(dir);
-        std::fs::create_dir_all(a.dir())?;
-        self.scenario.save(a.scenario()).map_err(|e| CoreError::Io(e.to_string()))?;
-        save_fault_matrix(&self.fault_matrix, a.faults())?;
-        self.trace.save(a.trace())?;
-        std::fs::write(a.rows_orig(), self.to_csv(CsvVariant::Original))?;
-        std::fs::write(a.rows_corr(), self.to_csv(CsvVariant::Corrupted))?;
-        if self.rows.iter().any(|r| r.resil_top5.is_some()) {
-            std::fs::write(a.rows_resil(), self.to_csv(CsvVariant::Resilient))?;
-        }
-        Ok(())
-    }
-
     /// Renders one of the CSV result files. Columns: image identity,
     /// label, top-5 classes and probabilities, fault positions (layer,
-    /// channel, depth, height, width, bit) and NaN/Inf counts.
+    /// channel, depth, height, width, bit) and NaN/Inf counts. The
+    /// bytes equal the file a CSV-format [`RunConfig::save_dir`] run
+    /// writes: both render through one line formatter.
     pub fn to_csv(&self, variant: CsvVariant) -> String {
         let mut out = String::from(CSV_HEADER);
         for row in &self.rows {
-            let topk: &TopK = match variant {
-                CsvVariant::Original => &row.orig_top5,
-                CsvVariant::Corrupted => &row.corr_top5,
-                CsvVariant::Resilient => match &row.resil_top5 {
-                    Some(t) => t,
-                    None => continue,
-                },
-            };
+            let Some(topk) = row.topk(variant) else { continue };
             out.push_str(&csv_line(
                 row.image_id,
                 &row.file_name,
@@ -126,8 +111,9 @@ pub(crate) const CSV_HEADER: &str = "image_id,file_name,label,\
      nan_count,inf_count\n";
 
 /// Sentinel class marking an absent top-k entry in the fixed-width
-/// representation; renders as the empty CSV cells.
-pub(crate) const TOPK_PAD_CLASS: u32 = u32::MAX;
+/// representation; renders as the empty CSV cells and pads the
+/// columnar store's class columns.
+pub const TOPK_PAD_CLASS: u32 = u32::MAX;
 
 /// Pads a top-k list to exactly five `(class, probability)` pairs.
 pub(crate) fn padded_topk(topk: &TopK) -> [(u32, f32); 5] {
@@ -742,14 +728,29 @@ pub(crate) fn store_rows_to_csvs(
     Ok(out)
 }
 
-/// Trace-level fault-effect classification of one row, mirroring the
-/// KPI rules in `alfi-eval`: DUE when non-finite values surfaced, SDC
-/// when the top-1 prediction silently changed, masked otherwise.
-pub(crate) fn classify_row(row: &ClassificationRow) -> EffectClass {
-    let corr_top1 = row.corr_top5.first();
-    if row.corr_nan + row.corr_inf > 0 || corr_top1.is_some_and(|&(_, p)| !p.is_finite()) {
+/// The classification SDC/DUE/masked rule, applied to one row: the
+/// engine's outcome tallies, the event log and every `alfi-analyze`
+/// aggregate classify through it (see [`classify_top1`]).
+pub fn classify_row(row: &ClassificationRow) -> EffectClass {
+    classify_top1(
+        row.orig_top5.first().map(|&(c, _)| c as u64),
+        row.corr_top5.first().map(|&(c, p)| (c as u64, p)),
+        (row.corr_nan + row.corr_inf) as u64,
+    )
+}
+
+/// The SDC/DUE/masked rule on the cells it reads: the fault-free top-1
+/// class, the corrupted top-1 `(class, probability)` (`None` for an
+/// empty top-k) and the corrupted inference's NaN+Inf element count.
+///
+/// DUE when non-finite values surfaced or the corrupted top-1
+/// probability is non-finite, SDC when the top-1 class silently
+/// changed, masked otherwise. Softmax rows are all finite or all NaN,
+/// so checking top-1 alone catches every non-finite top-k.
+pub fn classify_top1(orig: Option<u64>, corr: Option<(u64, f32)>, nonfinite: u64) -> EffectClass {
+    if nonfinite > 0 || corr.is_some_and(|(_, p)| !p.is_finite()) {
         EffectClass::Due
-    } else if row.orig_top5.first().map(|t| t.0) != corr_top1.map(|t| t.0) {
+    } else if orig != corr.map(|(c, _)| c) {
         EffectClass::Sdc
     } else {
         EffectClass::Masked
@@ -781,6 +782,59 @@ mod tests {
         let ds = ClassificationDataset::new(scenario.dataset_size, mcfg.num_classes, 3, 16, 5);
         let loader = ClassificationLoader::new(ds, scenario.batch_size);
         ImgClassCampaign::new(model, scenario, loader)
+    }
+
+    fn scored(classes: &[usize]) -> TopK {
+        classes.iter().enumerate().map(|(i, &c)| (c, 1.0 - i as f32 * 0.1)).collect()
+    }
+
+    fn row(orig: &[usize], corr: &[usize], nan: usize) -> ClassificationRow {
+        ClassificationRow {
+            image_id: 0,
+            file_name: "x".into(),
+            label: orig.first().copied().unwrap_or(0),
+            orig_top5: scored(orig),
+            corr_top5: scored(corr),
+            resil_top5: None,
+            faults: vec![],
+            corr_nan: nan,
+            corr_inf: 0,
+        }
+    }
+
+    #[test]
+    fn unchanged_prediction_is_masked() {
+        assert_eq!(classify_row(&row(&[3, 1, 2], &[3, 2, 1], 0)), EffectClass::Masked);
+    }
+
+    #[test]
+    fn changed_top1_is_sde() {
+        assert_eq!(classify_row(&row(&[3, 1, 2], &[1, 3, 2], 0)), EffectClass::Sdc);
+    }
+
+    #[test]
+    fn nan_detection_is_due_even_if_prediction_matches() {
+        assert_eq!(classify_row(&row(&[3, 1], &[3, 1], 2)), EffectClass::Due);
+        let mut inf = row(&[3, 1], &[3, 1], 0);
+        inf.corr_inf = 1;
+        assert_eq!(classify_row(&inf), EffectClass::Due);
+    }
+
+    #[test]
+    fn non_finite_probability_is_due() {
+        let mut r = row(&[3, 1], &[3, 1], 0);
+        r.corr_top5[0].1 = f32::NAN;
+        assert_eq!(classify_row(&r), EffectClass::Due);
+        r.corr_top5[0].1 = f32::NEG_INFINITY;
+        assert_eq!(classify_row(&r), EffectClass::Due);
+    }
+
+    #[test]
+    fn empty_topk_on_both_sides_is_masked() {
+        assert_eq!(classify_row(&row(&[], &[], 0)), EffectClass::Masked);
+        // An empty top-k on one side only is a silent prediction change.
+        assert_eq!(classify_row(&row(&[3], &[], 0)), EffectClass::Sdc);
+        assert_eq!(classify_top1(None, Some((3, 0.9)), 0), EffectClass::Sdc);
     }
 
     #[test]
@@ -859,10 +913,9 @@ mod tests {
         let mut s = Scenario::default();
         s.dataset_size = 2;
         s.injection_target = InjectionTarget::Weights;
-        let result = campaign(s).run_with(&RunConfig::default()).unwrap();
         let dir = std::env::temp_dir().join("alfi_campaign_out");
         let _ = std::fs::remove_dir_all(&dir);
-        result.save_outputs(&dir).unwrap();
+        let result = campaign(s).run_with(&RunConfig::new().save_dir(&dir)).unwrap();
         for f in ["scenario.yml", "faults.bin", "trace.bin", "results_orig.csv", "results_corr.csv"] {
             assert!(dir.join(f).exists(), "{f} missing");
         }

@@ -1,10 +1,11 @@
 //! Unified campaign run configuration.
 //!
-//! [`RunConfig`] is the single entry point for everything that used to
-//! be spread across `run()` / `run_parallel(threads)` call sites plus
-//! ad-hoc `save_outputs` calls: threading, observability and
-//! persistence are configured in one builder-style value and handed to
+//! [`RunConfig`] is the single entry point for how a campaign runs:
+//! threading, observability and persistence are configured in one
+//! builder-style value and handed to
 //! [`run_with`](crate::campaign::ImgClassCampaign::run_with).
+//! [`save_dir`](RunConfig::save_dir) is the only way a campaign writes
+//! its artifacts.
 //! `RunConfig::default()` reproduces the historical `run()` behaviour
 //! byte-for-byte: sequential, untraced, nothing written to disk.
 

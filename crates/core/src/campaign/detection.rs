@@ -20,7 +20,7 @@ use crate::error::CoreError;
 use crate::fault::AppliedFault;
 use crate::injector::FaultPlan;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
+use crate::persist::{RunTrace, TraceEntry};
 use alfi_datasets::loader::DetectionLoader;
 use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{Detection, Detector};
@@ -31,7 +31,6 @@ use alfi_store::{ColumnSpec, ColumnType, Encoding, Schema, Value};
 use alfi_tensor::Tensor;
 use alfi_trace::{EffectClass, Phase, Recorder};
 use std::ops::ControlFlow;
-use std::path::Path;
 
 /// Per-image detection campaign row.
 #[derive(Debug, Clone)]
@@ -68,26 +67,6 @@ pub struct DetectionCampaignResult {
     pub trace: RunTrace,
     /// Detector model name.
     pub model_name: String,
-}
-
-impl DetectionCampaignResult {
-    /// Writes the replay set into `dir`: `scenario.yml`, `faults.bin`
-    /// and `trace.bin`. The detection-specific result files (COCO
-    /// ground truth, intermediate detections, mAP/IVMOD metrics) are
-    /// written by `alfi-eval`'s `write_detection_outputs`, which sits
-    /// above this crate in the dependency graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Io`] on filesystem failures.
-    pub fn save_outputs(&self, dir: impl AsRef<Path>) -> Result<(), CoreError> {
-        let a = Artifacts::new(dir);
-        std::fs::create_dir_all(a.dir())?;
-        self.scenario.save(a.scenario()).map_err(|e| CoreError::Io(e.to_string()))?;
-        save_fault_matrix(&self.fault_matrix, a.faults())?;
-        self.trace.save(a.trace())?;
-        Ok(())
-    }
 }
 
 /// One detection fault scope: a single `[1, c, h, w]` image with its
@@ -712,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn save_outputs_writes_the_replay_set() {
+    fn save_dir_writes_the_replay_set_and_event_log() {
         let mut s = Scenario::default();
         s.dataset_size = 2;
         s.injection_target = InjectionTarget::Weights;

@@ -47,7 +47,7 @@ use alfi_metrics::{names, Class, Counter, HealthSink, Histogram, Registry, Watch
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario, StopPolicy};
 use alfi_store::RowKey;
 use alfi_tensor::gemm::{self, KernelPath};
-use alfi_trace::{EffectClass, Phase, Recorder, RunMeta};
+use alfi_trace::{EffectClass, OutcomeTallies, Phase, Recorder, RunMeta};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
@@ -619,19 +619,15 @@ fn take_or_generate<T: CampaignTask + ?Sized>(
     }
 }
 
-/// SDC/DUE counts among freshly produced rows, for stop-policy
+/// Outcome tallies of freshly produced rows, for stop-policy
 /// observation. Classification is pure, so recounting here costs one
 /// extra pass over the scope's rows and nothing else.
-fn classify_delta<T: CampaignTask + ?Sized>(rows: &[T::Row]) -> (u64, u64) {
-    let (mut sdc, mut due) = (0u64, 0u64);
+fn classify_delta<T: CampaignTask + ?Sized>(rows: &[T::Row]) -> OutcomeTallies {
+    let mut tallies = OutcomeTallies::default();
     for row in rows {
-        match T::classify(row) {
-            EffectClass::Sdc => sdc += 1,
-            EffectClass::Due => due += 1,
-            EffectClass::Masked => {}
-        }
+        tallies.add(T::classify(row));
     }
-    (sdc, due)
+    tallies
 }
 
 /// Sequential driver: streams scopes epoch by epoch, arming fault
@@ -697,9 +693,7 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
                 }
             }
             if let Some(state) = stop.as_mut() {
-                let fresh = &rows[row_mark..];
-                let (sdc, due) = classify_delta::<T>(fresh);
-                state.observe(faults, fresh.len() as u64, sdc, due);
+                state.observe(faults, classify_delta::<T>(&rows[row_mark..]));
                 state.boundary_check();
             }
             Ok(ControlFlow::Continue(()))
@@ -833,8 +827,7 @@ fn parallel_parts<T: CampaignTask>(
             .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let (r, entries) = outcome?;
-            let (sdc, due) = classify_delta::<T>(&r);
-            state.observe(matrix.faults_for_slot(round[i]), r.len() as u64, sdc, due);
+            state.observe(matrix.faults_for_slot(round[i]), classify_delta::<T>(&r));
             if let Some(s) = sink.as_mut() {
                 for row in &r {
                     s.append(keys[round[i]], row)?;

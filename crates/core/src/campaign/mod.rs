@@ -17,7 +17,8 @@ pub mod vit;
 
 pub use alfi_scenario::{ArtifactFormat, CiMethod, StopPolicy, StopScope};
 pub use classification::{
-    ClassificationCampaignResult, ClassificationRow, CsvVariant, ImgClassCampaign, TopK,
+    classify_row, classify_top1, ClassificationCampaignResult, ClassificationRow, CsvVariant,
+    ImgClassCampaign, TopK, TOPK_PAD_CLASS,
 };
 pub use config::RunConfig;
 pub use detection::{DetectionCampaignResult, DetectionRow, ObjDetCampaign};

@@ -23,9 +23,9 @@
 
 use crate::fault::FaultRecord;
 use crate::matrix::FaultMatrix;
-use crate::stats::{clopper_pearson_interval, wilson_interval, z_for_confidence, BinomialCi};
-use alfi_scenario::{CiMethod, StopPolicy, StopScope};
-use alfi_trace::{StopEvent, StopOutcome, StopVerdict};
+use crate::stats::{interval, BinomialCi};
+use alfi_scenario::{StopPolicy, StopScope};
+use alfi_trace::{OutcomeTallies, StopEvent, StopOutcome, StopVerdict};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What [`StopState::begin_scope`] decided for one armed scope.
@@ -36,14 +36,6 @@ pub(crate) enum ScopeDecision {
     /// The scope's stratum is retired: record nothing, advance the
     /// boundary clock and move on.
     Skip,
-}
-
-/// Classified-outcome tally for one stratum (or the whole campaign).
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    samples: u64,
-    sdc: u64,
-    due: u64,
 }
 
 /// Everything a driver hands back about early stopping: the decision
@@ -65,12 +57,11 @@ pub(crate) struct StopReport {
 #[derive(Debug)]
 pub(crate) struct StopState {
     policy: StopPolicy,
-    z: f64,
     /// Strata that exist in the matrix (first-fault layer per slot) —
     /// the set a per-layer run must fully retire to stop.
     universe: BTreeSet<usize>,
-    strata: BTreeMap<usize, Tally>,
-    total: Tally,
+    strata: BTreeMap<usize, OutcomeTallies>,
+    total: OutcomeTallies,
     retired: BTreeSet<usize>,
     stopped: bool,
     armed: u64,
@@ -90,11 +81,10 @@ impl StopState {
             .filter_map(|slot| stratum_of(matrix.faults_for_slot(slot)))
             .collect();
         StopState {
-            z: z_for_confidence(policy.confidence),
             policy,
             universe,
             strata: BTreeMap::new(),
-            total: Tally::default(),
+            total: OutcomeTallies::default(),
             retired: BTreeSet::new(),
             stopped: false,
             armed: 0,
@@ -130,16 +120,11 @@ impl StopState {
 
     /// Folds one executed scope's classified rows into its stratum and
     /// the campaign totals.
-    pub(crate) fn observe(&mut self, faults: &[FaultRecord], samples: u64, sdc: u64, due: u64) {
+    pub(crate) fn observe(&mut self, faults: &[FaultRecord], scope: OutcomeTallies) {
         if let Some(s) = stratum_of(faults) {
-            let t = self.strata.entry(s).or_default();
-            t.samples += samples;
-            t.sdc += sdc;
-            t.due += due;
+            *self.strata.entry(s).or_default() += scope;
         }
-        self.total.samples += samples;
-        self.total.sdc += sdc;
-        self.total.due += due;
+        self.total += scope;
     }
 
     /// Runs the decision procedure if the boundary clock sits exactly
@@ -209,33 +194,27 @@ impl StopState {
 
     /// Whether a tally meets the floor and both rate intervals are
     /// within the target half-width.
-    fn precise_enough(&self, tally: &Tally) -> bool {
-        if tally.samples < self.policy.min_samples as u64 {
+    fn precise_enough(&self, tally: &OutcomeTallies) -> bool {
+        if tally.total() < self.policy.min_samples as u64 {
             return false;
         }
         let (sdc_ci, due_ci) = self.intervals(tally);
         sdc_ci.half_width().max(due_ci.half_width()) <= self.policy.half_width
     }
 
-    fn intervals(&self, tally: &Tally) -> (BinomialCi, BinomialCi) {
-        let ci = |hits: u64| match self.policy.method {
-            CiMethod::Wilson => wilson_interval(hits as usize, tally.samples as usize, self.z),
-            CiMethod::ClopperPearson => clopper_pearson_interval(
-                hits as usize,
-                tally.samples as usize,
-                self.policy.confidence,
-            ),
-        };
+    fn intervals(&self, tally: &OutcomeTallies) -> (BinomialCi, BinomialCi) {
+        let (method, confidence) = (self.policy.method, self.policy.confidence);
+        let ci = |hits: u64| interval(method, hits as usize, tally.total() as usize, confidence);
         (ci(tally.sdc), ci(tally.due))
     }
 
-    fn push_event(&mut self, verdict: StopVerdict, stratum: Option<usize>, tally: Tally) {
+    fn push_event(&mut self, verdict: StopVerdict, stratum: Option<usize>, tally: OutcomeTallies) {
         let (sdc_ci, due_ci) = self.intervals(&tally);
         self.events.push(StopEvent {
             verdict,
             stratum,
             scope_index: self.armed,
-            samples: tally.samples,
+            samples: tally.total(),
             sdc: tally.sdc,
             due: tally.due,
             sdc_ci: (sdc_ci.low, sdc_ci.high),
@@ -256,7 +235,15 @@ fn stratum_of(faults: &[FaultRecord]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::fault::FaultValue;
-    use alfi_scenario::InjectionTarget;
+    use alfi_scenario::{CiMethod, InjectionTarget};
+    use alfi_trace::EffectClass;
+
+    /// The tallies of one scope with a single row of `outcome`.
+    fn one(outcome: EffectClass) -> OutcomeTallies {
+        let mut t = OutcomeTallies::default();
+        t.add(outcome);
+        t
+    }
 
     fn record(layer: usize) -> FaultRecord {
         FaultRecord {
@@ -298,7 +285,7 @@ mod tests {
         let faults = [record(0)];
         for _ in 0..n {
             assert_eq!(state.begin_scope(&faults), ScopeDecision::Execute);
-            state.observe(&faults, 1, 0, 0);
+            state.observe(&faults, one(EffectClass::Masked));
             state.boundary_check();
         }
     }
@@ -347,7 +334,7 @@ mod tests {
         for &layer in layers.iter().take(8) {
             let faults = [record(layer)];
             assert_eq!(state.begin_scope(&faults), ScopeDecision::Execute);
-            state.observe(&faults, 1, 0, 0);
+            state.observe(&faults, one(EffectClass::Masked));
             state.boundary_check();
         }
         assert!(state.stopped());
@@ -381,7 +368,7 @@ mod tests {
             let faults = [record(l)];
             let d = state.begin_scope(&faults);
             if d == ScopeDecision::Execute {
-                state.observe(&faults, 1, 0, 0);
+                state.observe(&faults, one(EffectClass::Masked));
             }
             decisions.push(d);
             state.boundary_check();
@@ -405,7 +392,7 @@ mod tests {
             let faults = [record(0)];
             state.begin_scope(&faults);
             // Alternate SDC outcomes: p ~ 0.5, tiny n -> wide interval.
-            state.observe(&faults, 1, 1, 0);
+            state.observe(&faults, one(EffectClass::Sdc));
             state.boundary_check();
         }
         assert!(!state.stopped());
@@ -424,7 +411,7 @@ mod tests {
         assert!(!state.boundary_check(), "off-boundary index never evaluates");
         let faults = [record(0)];
         state.begin_scope(&faults);
-        state.observe(&faults, 1, 0, 1);
+        state.observe(&faults, one(EffectClass::Due));
         assert!(state.boundary_check(), "index 4 is a boundary");
         assert!(!state.boundary_check(), "same index does not re-evaluate");
     }

@@ -1,16 +1,17 @@
-//! Deterministic binomial confidence-interval math for early stopping.
+//! Deterministic binomial confidence-interval math and the [`Rate`]
+//! every KPI is reported as.
 //!
-//! The engine's [`StopPolicy`](alfi_scenario::StopPolicy) evaluation and
-//! `alfi-eval`'s [`Rate`](../../alfi_eval/stats/struct.Rate.html) both
-//! need binomial interval estimates. The math lives here (rather than in
-//! `alfi-eval`, which depends on this crate) so the engine can consume
-//! it without a dependency cycle; `alfi-eval::stats` re-exports it.
+//! The engine's [`StopPolicy`](alfi_scenario::StopPolicy) evaluation,
+//! `alfi-analyze`'s reports and `alfi-eval`'s IVMOD rates all need
+//! binomial interval estimates. The math lives here, in the crate they
+//! all depend on, so every consumer uses the same bit-deterministic
+//! implementation.
 //!
 //! Two interval families are provided:
 //!
 //! * [`wilson_interval`] — the Wilson score interval. Cheap, good
-//!   coverage for mid-range rates, and the historical default behind
-//!   `Rate::with_confidence`.
+//!   coverage for mid-range rates, and the default behind
+//!   [`Rate::from_counts`].
 //! * [`clopper_pearson_interval`] — the exact (conservative) interval
 //!   built from the inverse regularized incomplete beta function. Never
 //!   undercovers, which matters for the near-0/near-1 SDC/DUE rates FI
@@ -19,6 +20,21 @@
 //! Everything here is pure `f64` arithmetic over `std` — no tables, no
 //! platform intrinsics — so results are bit-identical across runs and
 //! thread counts, a prerequisite for golden-pinned stop decisions.
+//!
+//! # Example
+//!
+//! ```
+//! use alfi_core::stats::Rate;
+//!
+//! // 118 corrupted outputs in 1000 injections — the paper's VGG-16
+//! // headline figure is 11.8 %.
+//! let sde = Rate::from_counts(118, 1000);
+//! assert!((sde.percent() - 11.8).abs() < 1e-9);
+//! assert!(sde.ci_low > 0.09 && sde.ci_high < 0.14);
+//! ```
+
+use alfi_scenario::CiMethod;
+use alfi_serde::json_struct;
 
 /// A closed confidence interval on a binomial proportion, clamped to
 /// `[0, 1]`.
@@ -89,6 +105,16 @@ pub fn clopper_pearson_interval(hits: usize, total: usize, confidence: f64) -> B
     BinomialCi { low: low.min(high), high: high.max(low) }
 }
 
+/// The interval `method` builds for `hits` in `total` at a two-sided
+/// `confidence` — the one dispatch the engine's stop decisions and the
+/// reports' achieved precision share.
+pub fn interval(method: CiMethod, hits: usize, total: usize, confidence: f64) -> BinomialCi {
+    match method {
+        CiMethod::Wilson => wilson_interval(hits, total, z_for_confidence(confidence)),
+        CiMethod::ClopperPearson => clopper_pearson_interval(hits, total, confidence),
+    }
+}
+
 /// Two-sided z-score for a confidence level, e.g. `0.95 → 1.95996…`.
 ///
 /// `z = Φ⁻¹((1 + confidence) / 2)` via Acklam's rational approximation
@@ -96,6 +122,98 @@ pub fn clopper_pearson_interval(hits: usize, total: usize, confidence: f64) -> B
 /// interval widths it feeds). Inputs are clamped to `(0, 1)`.
 pub fn z_for_confidence(confidence: f64) -> f64 {
     inv_norm_cdf((1.0 + confidence.clamp(1e-12, 1.0 - 1e-12)) / 2.0)
+}
+
+/// A binomial rate estimate with a confidence interval (Wilson score by
+/// default, Clopper-Pearson on request).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rate {
+    /// Number of positive outcomes (clamped to `total`).
+    pub hits: usize,
+    /// Number of trials.
+    pub total: usize,
+    /// Point estimate `hits / total` (0 for zero trials).
+    pub value: f64,
+    /// Lower bound of the interval (exactly 0 when `hits == 0`).
+    pub ci_low: f64,
+    /// Upper bound of the interval (exactly 1 when `hits == total`).
+    pub ci_high: f64,
+}
+
+json_struct!(Rate { hits, total, value, ci_low, ci_high });
+
+impl Rate {
+    /// Estimates a rate with a 95 % Wilson score interval.
+    ///
+    /// The z-score is the literal `1.959964`, not
+    /// `z_for_confidence(0.95)` (`1.959963986120195`), which reports use
+    /// for their stop-policy confidence. The two differ in the ninth
+    /// digit, and golden files pin each: the detection `metrics.json`
+    /// this one, `report.json` the other.
+    pub fn from_counts(hits: usize, total: usize) -> Rate {
+        Rate::with_confidence(hits, total, 1.959964)
+    }
+
+    /// Estimates a rate with a Wilson interval at the given z-score.
+    ///
+    /// Edge cases are exact: `total == 0` yields the vacuous `[0, 1]`,
+    /// `hits == 0` pins the lower bound to `0.0`, `hits >= total` pins
+    /// the upper bound to `1.0` (and clamps `hits`). Bounds always lie
+    /// ordered inside `[0, 1]`.
+    pub fn with_confidence(hits: usize, total: usize, z: f64) -> Rate {
+        Rate::from_interval(hits, total, wilson_interval(hits, total, z))
+    }
+
+    /// Estimates a rate with a Wilson interval at a two-sided
+    /// confidence level (e.g. `0.95`).
+    pub fn wilson(hits: usize, total: usize, confidence: f64) -> Rate {
+        Rate::with_confidence(hits, total, z_for_confidence(confidence))
+    }
+
+    /// Estimates a rate with an exact (conservative) Clopper-Pearson
+    /// interval at a two-sided confidence level. Preferred for the
+    /// near-0 SDC/DUE rates hardened models exhibit, where the normal
+    /// approximation undercovers.
+    pub fn clopper_pearson(hits: usize, total: usize, confidence: f64) -> Rate {
+        Rate::from_interval(hits, total, clopper_pearson_interval(hits, total, confidence))
+    }
+
+    fn from_interval(hits: usize, total: usize, ci: BinomialCi) -> Rate {
+        let hits = hits.min(total);
+        let value = if total == 0 { 0.0 } else { hits as f64 / total as f64 };
+        Rate { hits, total, value, ci_low: ci.low, ci_high: ci.high }
+    }
+
+    /// The rate as a percentage.
+    pub fn percent(&self) -> f64 {
+        self.value * 100.0
+    }
+
+    /// Half the interval width — the "±" precision of the estimate.
+    pub fn half_width(&self) -> f64 {
+        (self.ci_high - self.ci_low) / 2.0
+    }
+
+    /// Whether two rates' confidence intervals are disjoint — the
+    /// conservative significance test run diffing and model ranking
+    /// use.
+    pub fn significantly_differs_from(&self, other: &Rate) -> bool {
+        self.ci_high < other.ci_low || other.ci_high < self.ci_low
+    }
+}
+
+impl std::fmt::Display for Rate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.2}% [{:.2}, {:.2}] ({}/{})",
+            self.percent(),
+            self.ci_low * 100.0,
+            self.ci_high * 100.0,
+            self.hits,
+            self.total
+        )
+    }
 }
 
 /// Acklam's inverse normal CDF approximation.
@@ -369,5 +487,105 @@ mod tests {
         let b = clopper_pearson_interval(37, 211, 0.97);
         assert_eq!(a.low.to_bits(), b.low.to_bits());
         assert_eq!(a.high.to_bits(), b.high.to_bits());
+    }
+    #[test]
+    fn point_estimate_is_ratio() {
+        let r = Rate::from_counts(25, 100);
+        assert!((r.value - 0.25).abs() < 1e-12);
+        assert!((r.percent() - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn wilson_interval_known_value() {
+        // 10/100 at 95%: Wilson interval approx [0.0552, 0.1744]
+        let r = Rate::from_counts(10, 100);
+        assert!((r.ci_low - 0.0552).abs() < 0.002, "low {}", r.ci_low);
+        assert!((r.ci_high - 0.1744).abs() < 0.002, "high {}", r.ci_high);
+        assert!((r.half_width() - (r.ci_high - r.ci_low) / 2.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn zero_hits_lower_bound_is_exactly_zero() {
+        // The old normal approximation left ~5.6e-17 of floating-point
+        // dirt here; the boundary must be exact.
+        let r = Rate::from_counts(0, 50);
+        assert_eq!(r.value, 0.0);
+        assert_eq!(r.ci_low, 0.0, "hits == 0 pins the lower bound");
+        assert!(r.ci_high > 0.0 && r.ci_high < 0.15);
+    }
+
+    #[test]
+    fn full_hits_upper_bound_is_exactly_one() {
+        let r = Rate::from_counts(50, 50);
+        assert_eq!(r.value, 1.0);
+        assert!(r.ci_low > 0.85);
+        assert_eq!(r.ci_high, 1.0, "hits == total pins the upper bound");
+    }
+
+    #[test]
+    fn zero_trials_is_vacuous() {
+        let r = Rate::from_counts(0, 0);
+        assert_eq!(r.value, 0.0);
+        assert_eq!((r.ci_low, r.ci_high), (0.0, 1.0));
+        assert_eq!(r.half_width(), 0.5);
+    }
+
+    #[test]
+    fn excess_hits_clamp_to_total() {
+        // Corrupt inputs (hits > total) clamp instead of yielding a
+        // rate above 1 or a NaN interval.
+        let r = Rate::from_counts(7, 5);
+        assert_eq!((r.hits, r.total), (5, 5));
+        assert_eq!(r.value, 1.0);
+        assert!(r.ci_low >= 0.0 && r.ci_low <= 1.0);
+        assert_eq!(r.ci_high, 1.0);
+    }
+
+    #[test]
+    fn wilson_by_confidence_matches_z_form() {
+        let by_conf = Rate::wilson(10, 100, 0.95);
+        let by_z = Rate::with_confidence(10, 100, z_for_confidence(0.95));
+        assert_eq!(by_conf, by_z);
+    }
+
+    #[test]
+    fn clopper_pearson_known_value_and_boundaries() {
+        // 10/100 at 95%: CP interval approx [0.0490, 0.1762].
+        let r = Rate::clopper_pearson(10, 100, 0.95);
+        assert!((r.ci_low - 0.0490).abs() < 0.002, "low {}", r.ci_low);
+        assert!((r.ci_high - 0.1762).abs() < 0.002, "high {}", r.ci_high);
+
+        let zero = Rate::clopper_pearson(0, 50, 0.95);
+        assert_eq!(zero.ci_low, 0.0);
+        // Rule of three: upper ~ 1 - (alpha/2)^(1/n) ~ 0.0711.
+        assert!((zero.ci_high - 0.0711).abs() < 0.002, "high {}", zero.ci_high);
+
+        let full = Rate::clopper_pearson(50, 50, 0.95);
+        assert_eq!(full.ci_high, 1.0);
+        let vacuous = Rate::clopper_pearson(0, 0, 0.95);
+        assert_eq!((vacuous.ci_low, vacuous.ci_high), (0.0, 1.0));
+    }
+
+    #[test]
+    fn interval_shrinks_with_samples() {
+        let small = Rate::from_counts(10, 100);
+        let large = Rate::from_counts(100, 1000);
+        assert!(large.half_width() < small.half_width());
+    }
+
+    #[test]
+    fn significance_check_requires_disjoint_intervals() {
+        let a = Rate::from_counts(10, 1000);
+        let b = Rate::from_counts(300, 1000);
+        assert!(a.significantly_differs_from(&b));
+        let c = Rate::from_counts(11, 1000);
+        assert!(!a.significantly_differs_from(&c));
+    }
+
+    #[test]
+    fn display_is_readable() {
+        let s = Rate::from_counts(118, 1000).to_string();
+        assert!(s.contains("11.80%"));
+        assert!(s.contains("118/1000"));
     }
 }

@@ -7,8 +7,8 @@
 //! negatives (IoU-matched, class-aware), and as DUE if NaN/Inf surfaced
 //! during inference.
 
-use crate::stats::Rate;
 use alfi_core::campaign::DetectionRow;
+use alfi_core::stats::Rate;
 use alfi_nn::detection::{match_detections, Detection};
 use alfi_serde::json_struct;
 

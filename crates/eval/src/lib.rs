@@ -1,52 +1,25 @@
 #![warn(missing_docs)]
 //! # alfi-eval
 //!
-//! KPI generation for ALFI fault-injection campaigns — the paper's
-//! "commonly used and new KPIs are automatically calculated at the end
-//! of test runs" (§I).
+//! Object-detection KPIs for ALFI fault-injection campaigns — the
+//! paper's "commonly used and new KPIs are automatically calculated at
+//! the end of test runs" (§I) for detectors. Classification outcomes,
+//! rates and breakdowns live in `alfi-core` (the SDC/DUE/masked rule
+//! and [`Rate`](alfi_core::stats::Rate)) and `alfi-analyze` (reports
+//! and row KPIs).
 //!
-//! * [`stats`] — rates with Wilson confidence intervals;
-//! * [`classification`] — SDE / DUE / masked outcome classification and
-//!   campaign rates (Fig. 2a);
-//! * [`detection`] — the IVMOD image-wise vulnerability metric for
-//!   object detection (Fig. 2b);
+//! * [`detection`] — the IVMOD image-wise vulnerability metric (Fig. 2b);
 //! * [`coco_map`] — COCO-style AP / mAP / AR (§V-E);
 //! * [`writers`] — the Fig. 3 three-output-set JSON pipeline.
-//!
-//! # Example
-//!
-//! ```
-//! use alfi_eval::stats::Rate;
-//!
-//! // 118 corrupted outputs in 1000 injections — the paper's VGG-16
-//! // headline figure is 11.8 %.
-//! let sde = Rate::from_counts(118, 1000);
-//! assert!((sde.percent() - 11.8).abs() < 1e-9);
-//! assert!(sde.ci_low > 0.09 && sde.ci_high < 0.14);
-//! ```
 
-pub mod analysis;
-pub mod classification;
 pub mod coco_map;
-pub mod csv;
 pub mod detection;
-pub mod stats;
 pub mod writers;
 
-pub use analysis::{
-    flip_direction_stats, layer_table, outcomes_by_bit_field, outcomes_by_bit_position,
-    outcomes_by_layer, DirectionStats, OutcomeCounts,
-};
-pub use csv::{parse_classification_csv, read_classification_csv, CsvRow, ParseCsvError};
-pub use classification::{
-    classification_kpis, classify, classify_row, resil_sde_rate, ClassificationKpis, Outcome,
-    SdeCriterion,
-};
 pub use coco_map::{
     average_precision, coco_iou_grid, coco_metrics, precision_recall_curve, recall, CocoMetrics,
 };
 pub use detection::{image_delta, ivmod_kpis, ImageDelta, IvmodKpis};
-pub use stats::Rate;
 pub use writers::{
     detection_summary, read_predictions, write_detection_outputs, DetectionSummary,
     ImagePredictions,

@@ -281,9 +281,26 @@ pub struct OutcomeTallies {
 }
 
 impl OutcomeTallies {
+    /// Counts one classified inference.
+    pub fn add(&mut self, outcome: EffectClass) {
+        match outcome {
+            EffectClass::Masked => self.masked += 1,
+            EffectClass::Sdc => self.sdc += 1,
+            EffectClass::Due => self.due += 1,
+        }
+    }
+
     /// Total classified inferences.
     pub fn total(&self) -> u64 {
         self.masked + self.sdc + self.due
+    }
+}
+
+impl std::ops::AddAssign for OutcomeTallies {
+    fn add_assign(&mut self, other: OutcomeTallies) {
+        self.masked += other.masked;
+        self.sdc += other.sdc;
+        self.due += other.due;
     }
 }
 

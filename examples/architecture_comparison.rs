@@ -6,10 +6,11 @@
 //!
 //! Run with: `cargo run --release --example architecture_comparison`
 
+use alfi::analyze::report::analyze_result;
 use alfi::core::campaign::{ImgClassCampaign, RunConfig};
+use alfi::core::stats::Rate;
 use alfi::core::ScenarioSweep;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, SdeCriterion};
 use alfi::nn::models::{alexnet, densenet_tiny, resnet50, vgg16, ModelConfig};
 use alfi::nn::Network;
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
@@ -48,13 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let ds = ClassificationDataset::new(n_images, mcfg.num_classes, 3, 32, 5);
             let loader = ClassificationLoader::new(ds, 1);
             let result = ImgClassCampaign::new(model.clone(), scenario, loader).run_with(&RunConfig::default())?;
-            let k = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
-            sde += k.sde.hits;
-            due += k.due.hits;
-            total += k.sde.total;
+            let overall = analyze_result(&result).overall;
+            sde += overall.sdc as usize;
+            due += overall.due as usize;
+            total += overall.samples as usize;
         }
-        let rate = alfi::eval::Rate::from_counts(sde, total);
-        let due_rate = alfi::eval::Rate::from_counts(due, total);
+        let rate = Rate::from_counts(sde, total);
+        let due_rate = Rate::from_counts(due, total);
         println!(
             "{:<10} {:>8} {:>9.1}% {:>9.1}% {:>15.1}% - {:.1}%",
             name,

@@ -13,9 +13,11 @@
 //! engine as the detection one (`detection_campaign` example) — only
 //! the per-scope model passes differ.
 
+use alfi::analyze::kpi::hardened_corruption_rate;
+use alfi::analyze::report::analyze_result;
 use alfi::core::campaign::{ImgClassCampaign, RunConfig};
+use alfi::core::stats::Rate;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, resil_sde_rate, SdeCriterion};
 use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{vgg16, ModelConfig};
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
@@ -46,20 +48,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hardened = harden(&model, &bounds, Protection::Ranger, 0.1)?;
     println!("hardened model: {} nodes (original {})", hardened.num_nodes(), model.num_nodes());
 
+    let out = std::path::Path::new("target/alfi_runs/classification");
     let mut campaign =
         ImgClassCampaign::new(model, scenario, loader).with_resil_model(hardened);
-    let result = campaign.run_with(&RunConfig::default())?;
+    let result = campaign.run_with(&RunConfig::new().save_dir(out))?;
 
-    let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
-    let resil = resil_sde_rate(&result.rows, SdeCriterion::Top1Mismatch);
+    let overall = analyze_result(&result).overall;
+    let rate = |hits: u64| Rate::from_counts(hits as usize, overall.samples as usize);
+    let resil = hardened_corruption_rate(&result.rows);
     println!("\n=== campaign KPIs (top-1 criterion) ===");
-    println!("SDE (no protection):  {}", kpis.sde);
-    println!("DUE (NaN/Inf):        {}", kpis.due);
-    println!("masked:               {}", kpis.masked);
+    println!("SDE (no protection):  {}", rate(overall.sdc));
+    println!("DUE (NaN/Inf):        {}", rate(overall.due));
+    println!("masked:               {}", rate(overall.masked));
     println!("SDE (Ranger):         {resil}");
-
-    let out = std::path::Path::new("target/alfi_runs/classification");
-    result.save_outputs(out)?;
     println!("\noutputs written to {}", out.display());
     for entry in std::fs::read_dir(out)? {
         println!("  {}", entry?.file_name().to_string_lossy());

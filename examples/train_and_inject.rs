@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --release --example train_and_inject`
 
-use alfi::core::campaign::{ImgClassCampaign, RunConfig};
+use alfi::analyze::kpi::top1_accuracy;
+use alfi::analyze::report::analyze_result;
+use alfi::core::campaign::{CsvVariant, ImgClassCampaign, RunConfig};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, SdeCriterion};
 use alfi::nn::train::{accuracy, train_step, SgdTrainer};
 use alfi::nn::{Conv2d, Layer, Linear, Network};
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
@@ -127,15 +128,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.seed = 99;
         let loader = ClassificationLoader::new(test_ds.clone(), 1);
         let result = ImgClassCampaign::new(net.clone(), scenario, loader).run_with(&RunConfig::default())?;
-        let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
+        let overall = analyze_result(&result).overall;
         println!(
             "{:<8} {:>11.1}% {:>11.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
             k,
-            kpis.orig_top1_accuracy.percent(),
-            kpis.corr_top1_accuracy.percent(),
-            kpis.sde.percent(),
-            kpis.due.percent(),
-            kpis.masked.percent(),
+            top1_accuracy(&result.rows, CsvVariant::Original).percent(),
+            top1_accuracy(&result.rows, CsvVariant::Corrupted).percent(),
+            overall.sdc_rate.percent(),
+            overall.due_rate.percent(),
+            overall.masked_rate * 100.0,
         );
     }
     println!("\n(on a trained model the fault-free run is genuinely correct, so an SDE is");

@@ -19,14 +19,15 @@
 //! alfi analyze export-trace runs/c1
 //! ```
 
+use alfi::analyze::kpi::hardened_corruption_rate;
+use alfi::analyze::report::analyze_result;
+use alfi::analyze::RateBlock;
 use alfi::core::campaign::{ImgClassCampaign, ObjDetCampaign, RunConfig, VitCampaign};
+use alfi::core::stats::Rate;
 use alfi::core::{load_fault_matrix, store_to_files, text_to_store, FaultValue, ReplayReader};
 use alfi::trace::Recorder;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader, DetectionDataset, DetectionLoader};
-use alfi::eval::{
-    classification_kpis, layer_table, outcomes_by_layer, resil_sde_rate, write_detection_outputs,
-    SdeCriterion,
-};
+use alfi::eval::write_detection_outputs;
 use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::detection::{Detector, DetectorConfig, FrcnnTwoStage, RetinaAnchor, YoloGrid};
 use alfi::nn::models::{
@@ -482,20 +483,39 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     print_trace_summary(&recorder);
 
-    let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
+    let report = analyze_result(&result);
+    let o = report.overall;
     println!("images: {}", result.rows.len());
-    println!("SDE:    {}", kpis.sde);
-    println!("DUE:    {}", kpis.due);
-    println!("masked: {}", kpis.masked);
-    let resil = resil_sde_rate(&result.rows, SdeCriterion::Top1Mismatch);
+    for (label, hits) in [("SDE:   ", o.sdc), ("DUE:   ", o.due), ("masked:", o.masked)] {
+        println!("{label} {}", Rate::from_counts(hits as usize, o.samples as usize));
+    }
+    let resil = hardened_corruption_rate(&result.rows);
     if resil.total > 0 {
         println!("SDE (protected): {resil}");
     }
     println!("\nlayer-wise breakdown:");
-    print!("{}", layer_table(&outcomes_by_layer(&result.rows, SdeCriterion::Top1Mismatch)));
+    print!("{}", layer_table(&report.layers));
     println!("\noutputs written to {out_dir}");
     linger_for_scrape(&args);
     check_strict_health(&args)
+}
+
+/// Renders a report's per-layer rows as the aligned text table
+/// `classify` prints. A row counts once per fault it carries.
+fn layer_table(layers: &[(usize, RateBlock)]) -> String {
+    let mut out = String::from("layer     n     sde     due  masked  sde_rate\n");
+    for (layer, b) in layers {
+        out.push_str(&format!(
+            "{:<7} {:>4} {:>7} {:>7} {:>7}  {:>7.2}%\n",
+            layer,
+            b.samples,
+            b.sdc,
+            b.due,
+            b.masked,
+            b.sdc_rate.percent()
+        ));
+    }
+    out
 }
 
 fn cmd_detect(argv: &[String]) -> Result<(), String> {
@@ -827,4 +847,27 @@ fn analyze_export_trace(args: &Args) -> Result<(), String> {
         path.display()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn layer_table_renders_rows() {
+        let block = RateBlock {
+            samples: 4,
+            masked: 1,
+            sdc: 2,
+            due: 1,
+            masked_rate: 0.25,
+            sdc_rate: Rate::from_counts(2, 4),
+            due_rate: Rate::from_counts(1, 4),
+        };
+        let table = layer_table(&[(4, block)]);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines[0], "layer     n     sde     due  masked  sde_rate");
+        assert_eq!(lines[1], "4          4       2       1       1    50.00%");
+        assert_eq!(lines.len(), 2);
+    }
 }

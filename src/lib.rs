@@ -13,13 +13,13 @@
 //! | [`tensor`] | `alfi-tensor` | dense tensors + bit-level fault primitives |
 //! | [`nn`] | `alfi-nn` | layers, hooked network graphs, model zoo, detectors |
 //! | [`scenario`] | `alfi-scenario` | `default.yml`-style campaign configuration |
-//! | [`core`] | `alfi-core` | fault matrices, injection engine, persistence, campaigns |
+//! | [`core`] | `alfi-core` | fault matrices, injection engine, persistence, campaigns, the SDC/DUE/masked rule and [`core::stats::Rate`] |
 //! | [`core::monitor`] | `alfi-core` | NaN/Inf + activation-range monitors ([`core::attach_monitor`]) |
 //! | [`trace`] | `alfi-trace` | campaign observability: [`trace::Recorder`], JSONL event log, [`trace::TraceSummary`] |
 //! | [`datasets`] | `alfi-datasets` | synthetic datasets + COCO-style wrappers |
 //! | [`mitigation`] | `alfi-mitigation` | Ranger/Clipper activation-range hardening |
-//! | [`eval`] | `alfi-eval` | SDE/DUE, IVMOD, COCO AP, result writers |
-//! | [`analyze`] | `alfi-analyze` | post-run vulnerability reports, run diffing, trace export |
+//! | [`eval`] | `alfi-eval` | detection KPIs: IVMOD, COCO AP, detection result writers |
+//! | [`analyze`] | `alfi-analyze` | classification reports (from a run directory or an in-memory result), row KPIs, run diffing, trace export |
 //!
 //! # Quickstart (paper Listing 1)
 //!

@@ -19,7 +19,7 @@
 use alfi::analyze::diff::diff_reports;
 use alfi::analyze::report::{analyze_dir, write_report_files};
 use alfi::analyze::trace_export;
-use alfi::analyze::{REPORT_JSON, REPORT_MD};
+use alfi::analyze::{AnalyzeError, REPORT_JSON, REPORT_MD};
 use alfi::core::campaign::{ImgClassCampaign, RunConfig, VitCampaign};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
 use alfi::nn::models::{alexnet, ModelConfig};
@@ -252,5 +252,96 @@ fn report_opt_out_overrides_the_scenario() {
         .run_with(&cfg)
         .unwrap();
     assert!(!dir.join(REPORT_JSON).exists(), "explicit report(false) must win");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the lines of one CSV file.
+type Edit = fn(&mut Vec<String>);
+
+/// Copies the pinned classification run's CSV pair into a fresh
+/// directory, rewriting the lines of `file` with `edit`.
+fn golden_copy(tag: &str, file: &str, edit: Edit) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("alfi_it_analyze_malformed_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["results_orig.csv", "results_corr.csv"] {
+        std::fs::copy(golden_dir().join("classification").join(name), dir.join(name)).unwrap();
+    }
+    let path = dir.join(file);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    edit(&mut lines);
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    dir
+}
+
+/// Replaces cell `col` of 1-based file line `line`.
+fn set_cell(lines: &mut [String], line: usize, col: usize, value: &str) {
+    let mut cells: Vec<&str> = lines[line - 1].split(',').collect();
+    cells[col] = value;
+    lines[line - 1] = cells.join(",");
+}
+
+/// A malformed cell, a short row or a misaligned orig/corr pair is a
+/// parse error naming the file and its line, never a defaulted value.
+/// Columns: 0 image_id, 3/4 top1/top1_p, 5 top2, 12 top5_p,
+/// 13 fault_layers, 18 fault_bits, 19/20 nan/inf counts.
+#[test]
+fn malformed_csv_rows_are_parse_errors_naming_file_and_line() {
+    let cases: [(&str, &str, usize, Edit, &str); 9] = [
+        ("layer", "results_corr.csv", 2, |l| set_cell(l, 2, 13, "six"), "bad fault layer `six`"),
+        ("bit", "results_corr.csv", 3, |l| set_cell(l, 3, 18, "3x"), "bad fault bit `3x`"),
+        ("nan", "results_corr.csv", 4, |l| set_cell(l, 4, 19, "7e"), "bad count `7e`"),
+        ("inf", "results_corr.csv", 5, |l| set_cell(l, 5, 20, ""), "bad count ``"),
+        (
+            "short",
+            "results_corr.csv",
+            5,
+            |l| l[4] = l[4].split(',').take(15).collect::<Vec<_>>().join(","),
+            "expected 21 columns, got 15",
+        ),
+        ("class", "results_orig.csv", 2, |l| set_cell(l, 2, 5, "x"), "bad top-k class `x`"),
+        ("prob", "results_corr.csv", 3, |l| set_cell(l, 3, 12, "0.5.1"), "probability `0.5.1`"),
+        ("top1", "results_corr.csv", 4, |l| set_cell(l, 4, 4, ""), "bad top-k probability ``"),
+        ("id", "results_corr.csv", 3, |l| set_cell(l, 3, 0, "9"), "image_id 9 does not match"),
+    ];
+    for (tag, file, line, edit, expected) in cases {
+        let dir = golden_copy(tag, file, edit);
+        match analyze_dir(&dir) {
+            Err(AnalyzeError::Parse(msg)) => {
+                assert!(msg.contains(&format!("{file}:{line}: ")), "{tag}: {msg}");
+                assert!(msg.contains(expected), "{tag}: {msg}");
+            }
+            other => panic!("{tag}: expected a parse error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Truncating either CSV of the pinned run at any byte, or flipping any
+/// bit of it, makes `analyze_dir` return `Ok` or `Err`, never panic.
+#[test]
+fn damaged_golden_csv_pair_never_panics() {
+    let golden = golden_dir().join("classification");
+    let pair = [
+        std::fs::read(golden.join("results_orig.csv")).unwrap(),
+        std::fs::read(golden.join("results_corr.csv")).unwrap(),
+    ];
+    let dir = std::env::temp_dir().join("alfi_it_analyze_damaged");
+    alfi_check::check_with(64, "damaged_golden_csv_pair_never_panics", |rng| {
+        let mut files = pair.clone();
+        let victim = &mut files[rng.gen_range(0usize..2)];
+        let at = rng.gen_range(0..victim.len());
+        if alfi_check::gen::any_bool(rng) {
+            victim.truncate(at);
+        } else {
+            victim[at] ^= 1 << rng.gen_range(0u8..8);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("results_orig.csv"), &files[0]).unwrap();
+        std::fs::write(dir.join("results_corr.csv"), &files[1]).unwrap();
+        let _ = analyze_dir(&dir);
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -210,13 +210,11 @@ fn written_artifacts_are_byte_identical_across_runs() {
         let mcfg = model_cfg();
         let ds = ClassificationDataset::new(6, mcfg.num_classes, 3, 16, 11);
         let loader = ClassificationLoader::new(ds, 2);
-        let result =
-            ImgClassCampaign::new(alexnet(&mcfg), scenario(InjectionTarget::Weights), loader)
-                .run_with(&RunConfig::default())
-                .unwrap();
         let dir = std::env::temp_dir().join(format!("alfi_it_determinism_{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
-        result.save_outputs(&dir).unwrap();
+        ImgClassCampaign::new(alexnet(&mcfg), scenario(InjectionTarget::Weights), loader)
+            .run_with(&RunConfig::new().save_dir(&dir))
+            .unwrap();
         dir
     };
     let a = run("a");

@@ -1,17 +1,16 @@
 //! Integration test: the offline post-processing loop — persist a
-//! campaign's outputs, reload them from disk (CSV + binary trace), and
-//! recompute the paper's layer-wise / bit-wise breakdowns from the
-//! reloaded artifacts alone.
+//! campaign's outputs, then recompute the paper's layer-wise / bit-wise
+//! breakdowns from the saved directory alone (CSV + binary trace).
 
+use alfi::analyze::kpi::flip_directions;
+use alfi::analyze::report::analyze_dir;
 use alfi::core::campaign::{CsvVariant, ImgClassCampaign, RunConfig};
 use alfi::core::RunTrace;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{
-    flip_direction_stats, outcomes_by_bit_field, outcomes_by_layer, read_classification_csv,
-    SdeCriterion,
-};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{FaultCount, FaultMode, InjectionTarget, Scenario};
+use alfi::tensor::bits::BitField;
+use std::collections::BTreeMap;
 
 #[test]
 fn persisted_outputs_support_full_offline_analysis() {
@@ -24,19 +23,20 @@ fn persisted_outputs_support_full_offline_analysis() {
     s.seed = 77;
     let ds = ClassificationDataset::new(20, mcfg.num_classes, 3, 16, 4);
     let loader = ClassificationLoader::new(ds, 1);
-    let result = ImgClassCampaign::new(alexnet(&mcfg), s, loader).run_with(&RunConfig::default()).unwrap();
-
     let dir = std::env::temp_dir().join("alfi_it_offline");
     let _ = std::fs::remove_dir_all(&dir);
-    result.save_outputs(&dir).unwrap();
+    let result = ImgClassCampaign::new(alexnet(&mcfg), s, loader)
+        .run_with(&RunConfig::new().save_dir(&dir))
+        .unwrap();
 
-    // (1) CSV reload: row identities and fault counts survive.
-    let rows = read_classification_csv(dir.join("results_corr.csv")).unwrap();
-    assert_eq!(rows.len(), 20);
-    for (csv_row, mem_row) in rows.iter().zip(result.rows.iter()) {
-        assert_eq!(csv_row.image_id, mem_row.image_id);
-        assert_eq!(csv_row.fault_layers.len(), 2);
-        assert_eq!(csv_row.top5[0].0, mem_row.corr_top5[0].0);
+    // (1) The saved CSVs are exactly the in-memory rows rendered: the
+    // fault-free file and the corrupted one each carry their own top-5
+    // and the faults of the corrupted pass.
+    for (file, variant) in
+        [("results_orig.csv", CsvVariant::Original), ("results_corr.csv", CsvVariant::Corrupted)]
+    {
+        let saved = std::fs::read_to_string(dir.join(file)).unwrap();
+        assert_eq!(saved, result.to_csv(variant), "{file}");
     }
 
     // (2) Trace reload: every applied fault is recoverable bit-exactly.
@@ -48,36 +48,31 @@ fn persisted_outputs_support_full_offline_analysis() {
         assert_eq!(t.applied.corrupted.to_bits(), m.corrupted.to_bits());
     }
 
-    // (3) Breakdowns computed from the in-memory rows agree with the
-    // totals recoverable from the CSV (same fault layer multiset).
-    let by_layer = outcomes_by_layer(&result.rows, SdeCriterion::Top1Mismatch);
-    let total_from_breakdown: usize = by_layer.values().map(|c| c.total()).sum();
-    assert_eq!(total_from_breakdown, 40);
-    let mut csv_layer_counts = std::collections::BTreeMap::new();
-    for row in &rows {
-        for &l in &row.fault_layers {
-            *csv_layer_counts.entry(l).or_insert(0usize) += 1;
-        }
+    // (3) The per-layer breakdown, read from the directory alone,
+    // attributes every fault to its layer: a row counts once per fault.
+    let report = analyze_dir(&dir).unwrap();
+    assert_eq!(report.rows, 20);
+    let by_layer: BTreeMap<usize, u64> =
+        report.layers.iter().map(|(l, b)| (*l, b.samples)).collect();
+    assert_eq!(by_layer.values().sum::<u64>(), 40);
+    let mut fault_layers = BTreeMap::new();
+    for fault in result.rows.iter().flat_map(|r| &r.faults) {
+        *fault_layers.entry(fault.record.layer).or_insert(0u64) += 1;
     }
-    for (layer, counts) in &by_layer {
-        assert_eq!(csv_layer_counts.get(layer), Some(&counts.total()), "layer {layer}");
-    }
+    assert_eq!(by_layer, fault_layers);
 
-    // (4) Bit-field and direction breakdowns cover every bit-flip fault.
-    let by_field = outcomes_by_bit_field(&result.rows, SdeCriterion::Top1Mismatch);
-    let field_total: usize = by_field.values().map(|c| c.total()).sum();
-    assert_eq!(field_total, 40, "all faults were bit flips");
-    let dirs = flip_direction_stats(&result.rows, SdeCriterion::Top1Mismatch);
-    assert_eq!(dirs.zero_to_one.total() + dirs.one_to_zero.total(), 40);
-
-    // (5) The original (fault-free) CSV reports no faults at all — the
-    // separate-file contract for fault-free outputs.
-    let orig_csv = result.to_csv(CsvVariant::Original);
-    let orig_rows =
-        alfi::eval::parse_classification_csv(&orig_csv).unwrap();
-    // the original run shares rows with faults listed (locations apply to
-    // the corrupted pass) but its top-5 must equal the in-memory orig.
-    for (csv_row, mem_row) in orig_rows.iter().zip(result.rows.iter()) {
-        assert_eq!(csv_row.top5[0].0, mem_row.orig_top5[0].0);
+    // (4) Bit-position and bit-field breakdowns cover every bit-flip
+    // fault; the field split derives from the per-bit section.
+    assert_eq!(report.bits.iter().map(|(_, b)| b.samples).sum::<u64>(), 40);
+    let mut by_field: BTreeMap<String, u64> = BTreeMap::new();
+    for (bit, b) in &report.bits {
+        *by_field.entry(BitField::of(*bit as u8).to_string()).or_default() += b.samples;
     }
+    assert_eq!(by_field.values().sum::<u64>(), 40, "all faults were bit flips");
+    assert!(by_field.keys().all(|f| ["exponent", "mantissa", "sign"].contains(&f.as_str())));
+
+    // (5) The flip-direction split (recorded in the trace, not the CSV)
+    // covers the same 40 bit flips.
+    let dirs = flip_directions(&result.rows);
+    assert_eq!(dirs.zero_to_one.samples + dirs.one_to_zero.samples, 40);
 }

@@ -1,10 +1,10 @@
 //! Integration test: the "original vs pruned model robustness" use case
 //! (§V) — identical fault files applied to both variants.
 
+use alfi::analyze::report::analyze_result;
 use alfi::core::campaign::{ImgClassCampaign, RunConfig};
 use alfi::core::Ptfiwrap;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, SdeCriterion};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::nn::prune::{magnitude_prune, sparsity};
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
@@ -56,17 +56,17 @@ fn pruned_campaign_runs_and_reports_kpis() {
         let ds = ClassificationDataset::new(20, mcfg().num_classes, 3, 16, 2);
         let loader = ClassificationLoader::new(ds, 1);
         let result = ImgClassCampaign::new(net, scenario(), loader).run_with(&RunConfig::default()).unwrap();
-        classification_kpis(&result.rows, SdeCriterion::Top1Mismatch)
+        analyze_result(&result).overall
     };
     let model = alexnet(&mcfg());
     let pruned = magnitude_prune(&model, 0.7).unwrap();
     let k_orig = run(model);
     let k_pruned = run(pruned);
-    assert_eq!(k_orig.sde.total, 20);
-    assert_eq!(k_pruned.sde.total, 20);
+    assert_eq!(k_orig.sdc_rate.total, 20);
+    assert_eq!(k_pruned.sdc_rate.total, 20);
     // sanity: rates are valid probabilities with CIs
     for k in [&k_orig, &k_pruned] {
-        assert!(k.sde.value <= 1.0 && k.sde.ci_low <= k.sde.ci_high);
+        assert!(k.sdc_rate.value <= 1.0 && k.sdc_rate.ci_low <= k.sdc_rate.ci_high);
     }
 }
 

@@ -36,8 +36,9 @@ fn campaign_replayed_from_files_is_bit_identical() {
     let mcfg = model_cfg();
     let ds = ClassificationDataset::new(5, mcfg.num_classes, 3, 16, 3);
     let loader = ClassificationLoader::new(ds.clone(), 1);
-    let result1 = ImgClassCampaign::new(alexnet(&mcfg), scenario(), loader).run_with(&RunConfig::default()).unwrap();
-    result1.save_outputs(&dir).unwrap();
+    let result1 = ImgClassCampaign::new(alexnet(&mcfg), scenario(), loader)
+        .run_with(&RunConfig::new().save_dir(&dir))
+        .unwrap();
 
     // Second run: reconstruct scenario + fault matrix purely from disk.
     let s2 = Scenario::load(dir.join("scenario.yml")).unwrap();

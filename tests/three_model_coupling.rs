@@ -7,9 +7,10 @@
 //! markedly lower SDE rate than the unprotected one (the Fig. 2a
 //! relationship).
 
+use alfi::analyze::kpi::hardened_corruption_rate;
+use alfi::analyze::report::analyze_result;
 use alfi::core::campaign::{ImgClassCampaign, RunConfig};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, resil_sde_rate, SdeCriterion};
 use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{FaultCount, FaultMode, InjectionTarget, Scenario};
@@ -40,10 +41,10 @@ fn run_protected_campaign(protection: Protection, faults_per_image: usize) -> (f
         .run_with(&RunConfig::default())
         .unwrap();
 
-    let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
-    let resil = resil_sde_rate(&result.rows, SdeCriterion::Top1Mismatch);
-    // corrupted-outcome count (SDE + DUE) for the unprotected model
-    let unprotected = kpis.sde.value + kpis.due.value;
+    let overall = analyze_result(&result).overall;
+    let resil = hardened_corruption_rate(&result.rows);
+    // corrupted-outcome share (SDE + DUE) for the unprotected model
+    let unprotected = overall.sdc_rate.value + overall.due_rate.value;
     (unprotected, resil.value, result.rows.len())
 }
 
@@ -86,8 +87,13 @@ fn all_three_outputs_are_logged_per_image() {
     s.dataset_size = 4;
     s.injection_target = InjectionTarget::Weights;
     let loader = ClassificationLoader::new(ds, 1);
-    let result =
-        ImgClassCampaign::new(model, s, loader).with_resil_model(hardened).run_with(&RunConfig::default()).unwrap();
+    // the resil CSV exists only because resil outputs exist
+    let dir = std::env::temp_dir().join("alfi_it_threemodel");
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = ImgClassCampaign::new(model, s, loader)
+        .with_resil_model(hardened)
+        .run_with(&RunConfig::new().save_dir(&dir))
+        .unwrap();
 
     for row in &result.rows {
         assert_eq!(row.orig_top5.len(), 5);
@@ -95,10 +101,6 @@ fn all_three_outputs_are_logged_per_image() {
         assert_eq!(row.resil_top5.as_ref().map(Vec::len), Some(5));
         assert_eq!(row.faults.len(), 1);
     }
-    // the resil CSV exists only because resil outputs exist
-    let dir = std::env::temp_dir().join("alfi_it_threemodel");
-    let _ = std::fs::remove_dir_all(&dir);
-    result.save_outputs(&dir).unwrap();
     assert!(dir.join("results_resil.csv").exists());
 }
 

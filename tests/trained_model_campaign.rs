@@ -3,9 +3,10 @@
 //! model, asserting both that training genuinely works and that fault
 //! masking behaves as expected on an accurate model.
 
-use alfi::core::campaign::{ImgClassCampaign, RunConfig};
+use alfi::analyze::kpi::top1_accuracy;
+use alfi::analyze::report::analyze_result;
+use alfi::core::campaign::{CsvVariant, ImgClassCampaign, RunConfig};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::eval::{classification_kpis, SdeCriterion};
 use alfi::nn::train::{accuracy, train_step, SgdTrainer};
 use alfi::nn::{Conv2d, Layer, Linear, Network};
 use alfi::scenario::{FaultCount, FaultMode, InjectionTarget, Scenario};
@@ -88,8 +89,8 @@ fn training_reaches_high_accuracy_and_masks_single_faults() {
         s.seed = 99;
         let loader = ClassificationLoader::new(test_ds.clone(), 1);
         let result = ImgClassCampaign::new(net.clone(), s, loader).run_with(&RunConfig::default()).unwrap();
-        let kpis = classification_kpis(&result.rows, SdeCriterion::Top1Mismatch);
-        (kpis.sde.hits + kpis.due.hits, kpis.orig_top1_accuracy.value)
+        let overall = analyze_result(&result).overall;
+        (overall.sdc + overall.due, top1_accuracy(&result.rows, CsvVariant::Original).value)
     };
     let (corrupt_1, orig_acc) = run(1);
     let (corrupt_50, _) = run(50);
