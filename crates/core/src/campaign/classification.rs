@@ -262,14 +262,13 @@ impl ImgClassCampaign {
     /// Runs the campaign with the given [`RunConfig`] — the single
     /// entry point for every driver and thread count, delegating to the
     /// shared campaign [`Engine`] (see its docs for dispatch, tracing
-    /// and persistence semantics). `RunConfig::default()` reproduces
-    /// the sequential driver byte-for-byte.
+    /// and persistence semantics). Every thread count produces the same
+    /// bytes.
     ///
     /// # Errors
     ///
     /// Returns resolution/injection errors; an exhausted fault matrix
-    /// ends the run gracefully instead. With `threads > 1` a
-    /// non-`per_image` policy is rejected and a panicking worker
+    /// ends the run gracefully instead. A panicking pool worker
     /// surfaces as [`CoreError::WorkerPanic`].
     pub fn run_with(&mut self, cfg: &RunConfig) -> Result<ClassificationCampaignResult, CoreError> {
         Engine::new(cfg).run(&*self)
@@ -409,10 +408,6 @@ impl CampaignTask for ImgClassCampaign {
             let _span = rec.span_on(Phase::Forward, worker);
             plan.forward(&self.model, images, (start, &golden), rec, &mut observe)?
         };
-        rec.record_applied(applied.len() as u64);
-        if rec.is_enabled() {
-            rec.record_nonfinite(nan as u64, inf as u64);
-        }
 
         let resil_logits = match (&self.resil_model, ctx.resil_targets) {
             (Some(resil), Some(rt)) => {
@@ -459,7 +454,6 @@ impl CampaignTask for ImgClassCampaign {
                 corr_nan: nan,
                 corr_inf: inf,
             });
-            rec.item_finished();
         }
         Ok(())
     }
@@ -1008,14 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_rejects_non_per_image_policy() {
-        let mut s = Scenario::default();
-        s.dataset_size = 4;
-        s.injection_policy = InjectionPolicy::PerEpoch;
-        assert!(campaign(s).run_with(&RunConfig::new().threads(2)).is_err());
-    }
-
-    #[test]
     fn parallel_run_surfaces_worker_panic_as_error() {
         let mut s = Scenario::default();
         s.dataset_size = 4;
@@ -1033,11 +1019,8 @@ mod tests {
                 }
             });
         attach_monitor(&mut c.model, bomb).unwrap();
-        for threads in [1, 3] {
-            // `forced_parallel(1)` keeps the parallel driver (unlike
-            // `run_with` with `threads: 1`, which is sequential), so the
-            // pool guard still fires — exercised here on purpose.
-            let err = crate::campaign::Engine::forced_parallel(&c, threads).unwrap_err();
+        for threads in [2, 3] {
+            let err = c.run_with(&RunConfig::new().threads(threads)).unwrap_err();
             match err {
                 CoreError::WorkerPanic { message } => {
                     assert!(message.contains("monitor exploded"), "message: {message}")

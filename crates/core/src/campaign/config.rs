@@ -29,12 +29,13 @@ use std::path::{Path, PathBuf};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Parallelism of the campaign driver. `1` (the default) runs the
-    /// sequential driver, which supports every injection policy. Values
-    /// above `1` fan independent per-image work out on the shared
-    /// [`alfi_pool`] pool (requires the `per_image` policy; clamped by
-    /// `ALFI_POOL_THREADS`). `0` means "auto": the pool's default
-    /// parallelism for `per_image` scenarios, sequential otherwise.
+    /// Parallelism of the campaign driver, for every injection policy.
+    /// `1` (the default) processes one scope at a time on the calling
+    /// thread, whose tensor kernels may still use the shared
+    /// [`alfi_pool`] pool. Values above `1` run rounds of scopes as pool
+    /// tasks (clamped by `ALFI_POOL_THREADS`) and merge them in work
+    /// order, so outputs are identical to `1`. `0` means "auto": the
+    /// pool's default parallelism.
     pub threads: usize,
     /// Observability sink. The default [`Recorder::disabled`] collects
     /// nothing and costs nothing; pass [`Recorder::new`] to get span
@@ -217,13 +218,11 @@ impl RunConfig {
         })
     }
 
-    /// The driver parallelism to use for a scenario, resolving the `0`
-    /// = "auto" sentinel: per-image scenarios get the global pool's
-    /// default, everything else falls back to the sequential driver.
-    pub(crate) fn resolve_threads(&self, per_image: bool) -> usize {
+    /// The driver parallelism, resolving the `0` = "auto" sentinel to
+    /// the global pool's default.
+    pub(crate) fn resolve_threads(&self) -> usize {
         match self.threads {
-            0 if per_image => alfi_pool::global().threads(),
-            0 => 1,
+            0 => alfi_pool::global().threads(),
             n => n,
         }
     }
@@ -307,10 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_resolve_by_policy() {
-        let cfg = RunConfig::new().threads(0);
-        assert_eq!(cfg.resolve_threads(false), 1, "non-per-image stays sequential");
-        assert!(cfg.resolve_threads(true) >= 1, "per-image uses the pool default");
-        assert_eq!(RunConfig::new().threads(3).resolve_threads(false), 3);
+    fn auto_threads_resolve_to_the_pool_default() {
+        let pool = alfi_pool::global().threads();
+        assert_eq!(RunConfig::new().threads(0).resolve_threads(), pool, "auto is the pool default");
+        assert_eq!(RunConfig::new().threads(1).resolve_threads(), 1);
+        assert_eq!(RunConfig::new().threads(3).resolve_threads(), 3, "explicit widths pass through");
     }
 }

@@ -130,9 +130,8 @@ impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
     ///
     /// # Errors
     ///
-    /// Resolution/injection errors, rejection of non-`per_image`
-    /// policies when parallel, [`CoreError::WorkerPanic`] for panicking
-    /// workers.
+    /// Resolution/injection errors, [`CoreError::WorkerPanic`] for
+    /// panicking pool workers.
     pub fn run_with(&mut self, cfg: &RunConfig) -> Result<DetectionCampaignResult, CoreError> {
         Engine::new(cfg).run(&*self)
     }
@@ -242,10 +241,6 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
             let _span = rec.span_on(Phase::Forward, worker);
             plan.detect(self.detector, image, &mut observe)?
         };
-        rec.record_applied(applied.len() as u64);
-        if rec.is_enabled() {
-            rec.record_nonfinite(nan as u64, inf as u64);
-        }
 
         let resil = match (self.resil_detector, ctx.resil_targets) {
             (Some(rdet), Some(rt)) => {
@@ -278,7 +273,6 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
             corr_nan: nan,
             corr_inf: inf,
         });
-        rec.item_finished();
         Ok(())
     }
 
@@ -421,7 +415,7 @@ mod tests {
     use alfi_datasets::detection::DetectionDataset;
     use alfi_nn::detection::{DetectorConfig, RunNetwork, YoloGrid};
     use alfi_nn::graph::Network;
-    use alfi_scenario::{FaultMode, InjectionPolicy, InjectionTarget};
+    use alfi_scenario::{FaultMode, InjectionTarget};
     use alfi_tensor::Tensor;
 
     fn run_campaign(scenario: Scenario) -> DetectionCampaignResult {
@@ -591,22 +585,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_detection_rejects_non_per_image_policy() {
-        let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
-        let det = YoloGrid::new(&dcfg);
-        let mut s = Scenario::default();
-        s.dataset_size = 3;
-        s.injection_policy = InjectionPolicy::PerEpoch;
-        s.injection_target = InjectionTarget::Weights;
-        let ds = DetectionDataset::new(3, dcfg.num_classes, 3, 32, 3);
-        let loader = DetectionLoader::new(ds, 1);
-        assert!(ObjDetCampaign::new(&det, s, loader)
-            .run_with(&RunConfig::new().threads(2))
-            .is_err());
-    }
-
-    /// The parallel driver shares the one borrowed detector across its
+    /// Pooled rounds share the one borrowed detector across their
     /// workers, so a detector without `clone_boxed` runs there too.
     #[test]
     fn parallel_detection_needs_no_clone_boxed() {

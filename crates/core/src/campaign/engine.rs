@@ -23,35 +23,42 @@
 //! Every persisted row carries a deterministic
 //! [`RowKey`] `(epoch, batch, fault_id)`: `fault_id` is the fault
 //! matrix slot that was armed while the row's scope ran, `batch` the
-//! ordinal of its loader batch within the epoch. Both drivers assign
-//! keys identically, so row artifacts are byte-identical at every
-//! thread count — and the columnar store's fault-id index answers
-//! "what did fault *n* do?" without a full scan.
+//! ordinal of its loader batch within the epoch. The columnar store's
+//! fault-id index answers "what did fault *n* do?" without a full scan.
 //!
 //! Scopes are *streamed* from the task (one batch materialized at a
-//! time), so memory stays bounded on large scenarios. The engine is
-//! deterministic by construction: the sequential and parallel drivers
-//! assign fault slots in the same order, and the pool merges worker
-//! results in work order, so outputs are bit-identical for any thread
-//! count.
+//! time) and processed in ordered rounds: one scope in place with one
+//! thread, up to 64 scopes per thread on the pool otherwise, so the
+//! scopes held in memory are bounded by the round, not the campaign
+//! length. Each round is merged in work order, and the merge is the one
+//! place a row's telemetry is counted (outcomes, injections, NaN/Inf,
+//! progress, stop tallies, sink rows), so every output is bit-identical
+//! for any thread count.
 
 use crate::artifact::{ArtifactSink, Artifacts};
 use crate::campaign::config::RunConfig;
-use crate::campaign::stop::{ScopeDecision, StopReport, StopState};
+use crate::campaign::stop::{ScopeDecision, StopState};
 use crate::error::CoreError;
 use crate::fault::FaultRecord;
 use crate::injector::injection_event;
 use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::persist::{save_events, save_fault_matrix, save_metrics, RunTrace, TraceEntry};
+use crate::persist::{save_events, save_fault_matrix, save_metrics, RunTrace};
 use alfi_metrics::{names, Class, Counter, HealthSink, Histogram, Registry, Watchdog};
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario, StopPolicy};
 use alfi_store::RowKey;
 use alfi_tensor::gemm::{self, KernelPath};
-use alfi_trace::{EffectClass, OutcomeTallies, Phase, Recorder, RunMeta};
+use alfi_trace::{EffectClass, OutcomeTallies, Phase, Recorder, RunMeta, StopOutcome, StopVerdict};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Scopes per pool thread in one round. A round's scopes stay resident
+/// until its ordered merge, so this bounds a pooled run's memory. Each
+/// round ends at a barrier where finished workers wait for the slowest
+/// scope; 64 scopes per worker amortize that wait, where 16 cost a
+/// two-stage detection campaign a few percent of its throughput.
+const ROUND_SCOPES_PER_THREAD: usize = 64;
 
 /// Read-only context handed to scope processing: the scenario, the
 /// resolved injectable-layer targets (primary and hardened) and the
@@ -81,10 +88,9 @@ pub type ScopeSink<'a, S> = dyn FnMut(bool, S) -> Result<ControlFlow<()>, CoreEr
 /// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign),
 /// [`VitCampaign`](crate::campaign::VitCampaign) and
 /// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the in-tree
-/// implementations. A task is [`Sync`]: the parallel driver shares it
-/// across pool workers, which call
-/// [`process_scope`](Self::process_scope) concurrently, so scope
-/// processing must not mutate the task's models.
+/// implementations. A task is [`Sync`]: the engine shares it across
+/// pool workers, which call [`process_scope`](Self::process_scope)
+/// concurrently, so scope processing must not mutate the task's models.
 pub trait CampaignTask: Sync {
     /// Unit of work armed with one fault set — a single image or a
     /// whole batch, at the task's discretion.
@@ -133,9 +139,10 @@ pub trait CampaignTask: Sync {
 
     /// Runs the fault-free / faulty (/ hardened) passes for one scope,
     /// appending one row per contained image and the applied-fault
-    /// trace entries. Both drivers call it: the sequential driver in
-    /// place, the parallel driver from pool workers into per-item
-    /// vectors that it merges in work order.
+    /// trace entries. The engine calls it in place with one thread and
+    /// from pool workers otherwise, and counts the produced rows'
+    /// telemetry itself when it merges them, so an implementation
+    /// records only its span timings on `rec`.
     fn process_scope(
         &self,
         ctx: &ScopeCtx<'_>,
@@ -146,14 +153,16 @@ pub trait CampaignTask: Sync {
     ) -> Result<(), CoreError>;
 
     /// Trace-level fault-effect classification of one row
-    /// (masked / SDC / DUE), recorded as an outcome tally. A pure
-    /// function of the row, so both drivers can classify rows as they
-    /// are produced.
+    /// (masked / SDC / DUE). A pure function of the row; the engine
+    /// calls it at most once per row, when it merges the row and a
+    /// recorder, a metrics registry or a stop policy reads the outcome.
     fn classify(row: &Self::Row) -> EffectClass;
 
     /// NaN / Inf element counts observed in a row's corrupted output,
     /// feeding the live `alfi_campaign_nonfinite_total` counters (the
-    /// watchdog's NaN-storm signal). The default reports none.
+    /// watchdog's NaN-storm signal) and the recorder's tallies. Every
+    /// row of a scope carries the scope's counts, so the engine reads
+    /// them from the scope's first row only. The default reports none.
     fn row_nonfinite(_row: &Self::Row) -> (u64, u64) {
         (0, 0)
     }
@@ -177,9 +186,9 @@ pub trait CampaignTask: Sync {
     ) -> Result<Option<Box<dyn ArtifactSink<Self::Row>>>, CoreError>;
 }
 
-/// Fault-slot bookkeeping for the sequential driver: decides, per
-/// scope, whether to advance to a fresh matrix slot or reuse the last
-/// armed one, for all three [`InjectionPolicy`] variants.
+/// Fault-slot bookkeeping for the engine: decides, per scope, whether
+/// to advance to a fresh matrix slot or reuse the last armed one, for
+/// all three [`InjectionPolicy`] variants.
 ///
 /// The run stops (`arm` returns `None`) as soon as the matrix has no
 /// slot left to hand out — checked before *every* scope, so even a
@@ -236,26 +245,26 @@ impl<'m> SlotCursor<'m> {
     }
 }
 
-/// Collected raw output of a driver, before task finalization.
-struct Parts<T: CampaignTask + ?Sized> {
+/// Collected raw output of the driver, before task finalization.
+struct Parts<T: CampaignTask> {
     rows: Vec<T::Row>,
     matrix: FaultMatrix,
     trace: RunTrace,
-    /// Early-stop decisions and achieved precision, when a
-    /// [`StopPolicy`] governed the run.
-    stop: Option<StopReport>,
+    /// Achieved precision, when a [`StopPolicy`] governed the run.
+    stop: Option<StopOutcome>,
 }
 
 /// Pre-resolved counter handles for the engine's live instrumentation.
 ///
-/// Registered once per run; both drivers bump these as scopes finish,
-/// so a metrics endpoint or health watchdog sees throughput, injection
-/// and outcome data *while* the campaign runs instead of after it. All
-/// counters are [`Class::Deterministic`] — their final values depend
-/// only on the scenario, never on thread count or timing — except the
-/// scope-latency histogram, which is wall-clock and stays out of
-/// deterministic renders by construction (histograms are always
-/// runtime-class).
+/// Registered once per run. Scope throughput and latency are bumped
+/// where a scope finishes (the watchdog's stall signal); everything
+/// else is bumped at the ordered merge, so a metrics endpoint or health
+/// watchdog sees injection and outcome data *while* the campaign runs
+/// instead of after it. All counters are [`Class::Deterministic`] —
+/// their final values depend only on the scenario, never on thread
+/// count or timing — except the scope-latency histogram, which is
+/// wall-clock and stays out of deterministic renders by construction
+/// (histograms are always runtime-class).
 pub(crate) struct EngineMetrics {
     registry: Registry,
     scopes: Counter,
@@ -320,61 +329,45 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one finished scope: its rows (classified live) and the
-    /// applied-fault trace entries it produced.
-    fn scope_done<T: CampaignTask + ?Sized>(
-        &self,
-        rows: &[T::Row],
-        entries: &[TraceEntry],
-        started: Instant,
-    ) {
+    /// Records that one scope finished processing (liveness only).
+    fn scope_finished(&self, started: Instant) {
         self.scopes.inc();
-        self.items.add(rows.len() as u64);
         self.scope_seconds.observe(started.elapsed().as_secs_f64());
-        for row in rows {
-            match T::classify(row) {
-                EffectClass::Masked => self.masked.inc(),
-                EffectClass::Sdc => self.sdc.inc(),
-                EffectClass::Due => self.due.inc(),
-            }
-            let (nan, inf) = T::row_nonfinite(row);
-            if nan > 0 {
-                self.nan.add(nan);
-            }
-            if inf > 0 {
-                self.inf.add(inf);
-            }
-        }
-        for entry in entries {
-            self.injections.inc();
-            self.layer_counter(entry.applied.record.layer).inc();
+    }
+
+    fn outcome(&self, outcome: EffectClass) {
+        match outcome {
+            EffectClass::Masked => self.masked.inc(),
+            EffectClass::Sdc => self.sdc.inc(),
+            EffectClass::Due => self.due.inc(),
         }
     }
 
-    /// Publishes a run's stop decisions into the registry. Registered
-    /// lazily — runs without a stop policy (or with one that never
-    /// fired) leave no zero-valued series behind, so deterministic
-    /// renders of policy-free runs are unchanged.
-    fn stop_report(&self, report: &StopReport) {
-        for event in &report.events {
-            self.registry
-                .counter_with(
-                    names::CAMPAIGN_STOP_DECISIONS,
-                    "Statistical stop decisions by verdict",
-                    Class::Deterministic,
-                    "verdict",
-                    event.verdict.name(),
-                )
-                .inc();
-        }
-        if report.outcome.skipped_scopes > 0 {
+    /// Registered lazily, like the per-layer counters: runs without a
+    /// stop policy (or with one that never fired) leave no zero-valued
+    /// series behind, so deterministic renders of policy-free runs are
+    /// unchanged.
+    fn stop_decision(&self, verdict: StopVerdict) {
+        self.registry
+            .counter_with(
+                names::CAMPAIGN_STOP_DECISIONS,
+                "Statistical stop decisions by verdict",
+                Class::Deterministic,
+                "verdict",
+                verdict.name(),
+            )
+            .inc();
+    }
+
+    fn skipped_scopes(&self, skipped: u64) {
+        if skipped > 0 {
             self.registry
                 .counter(
                     names::ENGINE_SCOPES_SKIPPED,
                     "Fault scopes skipped after stratum retirement",
                     Class::Deterministic,
                 )
-                .add(report.outcome.skipped_scopes);
+                .add(skipped);
         }
     }
 
@@ -420,8 +413,8 @@ impl Drop for KernelGuard {
 }
 
 /// The one campaign driver: runs any [`CampaignTask`] under a
-/// [`RunConfig`], sequentially or fanned out on the shared
-/// [`alfi_pool`] pool, with identical outputs either way.
+/// [`RunConfig`], in place or fanned out on the shared [`alfi_pool`]
+/// pool, with identical outputs either way.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'c> {
     cfg: &'c RunConfig,
@@ -433,18 +426,17 @@ impl<'c> Engine<'c> {
         Engine { cfg }
     }
 
-    /// Runs the task end to end: trace header + item count, driver
-    /// dispatch (`threads` ≤ 1 sequential, otherwise pooled),
-    /// outcome/injection event recording in deterministic row order,
-    /// task finalization and optional `save_dir` persistence.
+    /// Runs the task end to end: trace header + item count, the
+    /// streamed rounds (one scope in place with `threads` ≤ 1, pooled
+    /// rounds otherwise, for every injection policy) with their
+    /// telemetry counted at the ordered merge, task finalization and
+    /// optional `save_dir` persistence.
     ///
     /// # Errors
     ///
     /// Returns resolution/injection errors; an exhausted fault matrix
-    /// ends the run gracefully instead. With `threads > 1` a
-    /// non-`per_image` policy is rejected (those fault scopes are
-    /// inherently sequential) and a panicking worker surfaces as
-    /// [`CoreError::WorkerPanic`].
+    /// ends the run gracefully instead. A panicking pool worker
+    /// surfaces as [`CoreError::WorkerPanic`].
     pub fn run<T: CampaignTask>(&self, task: &T) -> Result<T::Result, CoreError> {
         let cfg = self.cfg;
         let _kernel = cfg.kernel.map(KernelGuard::install);
@@ -482,8 +474,6 @@ impl<'c> Engine<'c> {
             }
             _ => None,
         };
-        let per_image = scenario.injection_policy == InjectionPolicy::PerImage;
-        let stop_policy = cfg.resolve_stop(scenario);
         let artifacts = cfg.save_dir.as_ref().map(Artifacts::new);
         let mut sink = match &artifacts {
             Some(a) => {
@@ -492,12 +482,9 @@ impl<'c> Engine<'c> {
             }
             None => None,
         };
-        let parts = match cfg.resolve_threads(per_image) {
-            0 | 1 => sequential_parts(task, &rec, metrics.as_ref(), stop_policy, &mut sink),
-            threads => {
-                parallel_parts(task, threads, &rec, metrics.as_ref(), stop_policy, &mut sink)
-            }
-        };
+        let stop_policy = cfg.resolve_stop(scenario);
+        let threads = cfg.resolve_threads();
+        let parts = drive(task, threads, &rec, metrics.as_ref(), stop_policy, &mut sink);
         if let Some(watchdog) = watchdog {
             // Final registry sample happens inside stop(), so an
             // end-of-run threshold breach is still raised (and already
@@ -505,29 +492,10 @@ impl<'c> Engine<'c> {
             watchdog.stop();
         }
         let parts = parts?;
-        if rec.is_enabled() {
-            // Outcome tallies and structured injection events in
-            // deterministic row/trace order — the same order for any
-            // thread count, which keeps the event log byte-reproducible.
-            for row in &parts.rows {
-                rec.record_outcome(T::classify(row));
-            }
-            for entry in &parts.trace.entries {
-                rec.record_injection(injection_event(entry.image_id, &entry.applied));
-            }
-        }
-        if let Some(report) = &parts.stop {
-            if rec.is_enabled() {
-                // Decisions in decision order — deterministic, so the
-                // event log stays byte-reproducible across thread
-                // counts even for stopped runs.
-                for event in &report.events {
-                    rec.record_stop(*event);
-                }
-                rec.set_stop_outcome(report.outcome);
-            }
+        if let Some(outcome) = parts.stop {
+            rec.set_stop_outcome(outcome);
             if let Some(m) = metrics.as_ref() {
-                m.stop_report(report);
+                m.skipped_scopes(outcome.skipped_scopes);
             }
         }
         if let Some(a) = &artifacts {
@@ -562,30 +530,13 @@ impl<'c> Engine<'c> {
         }
         Ok(task.finalize(parts.rows, parts.matrix, parts.trace))
     }
-
-    /// Bare pooled run with tracing and persistence disabled. Unlike
-    /// [`run`](Self::run) with `threads: 1`, `threads == 1` here still
-    /// uses the parallel driver (pool task guards stay active), which
-    /// makes it the hook for tests that must exercise pooled fan-out
-    /// regardless of configuration.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run); non-`per_image` policies are rejected.
-    pub fn forced_parallel<T: CampaignTask>(
-        task: &T,
-        threads: usize,
-    ) -> Result<T::Result, CoreError> {
-        let parts = parallel_parts(task, threads, &Recorder::disabled(), None, None, &mut None)?;
-        Ok(task.finalize(parts.rows, parts.matrix, parts.trace))
-    }
 }
 
 /// Resolves targets and cross-checks the hardened model's list: a
 /// mitigation wrapper must expose the same injectable layers as the
 /// model it hardens, or slot-aligned fault replay would be meaningless.
 #[allow(clippy::type_complexity)]
-fn resolve_checked<T: CampaignTask + ?Sized>(
+fn resolve_checked<T: CampaignTask>(
     task: &T,
 ) -> Result<(Vec<LayerTarget>, Option<Vec<LayerTarget>>), CoreError> {
     let (targets, resil_targets) = task.resolve_targets()?;
@@ -606,7 +557,7 @@ fn resolve_checked<T: CampaignTask + ?Sized>(
 
 /// Resolves the fault matrix: a replayed one (validated against the
 /// scenario) or a freshly generated one.
-fn take_or_generate<T: CampaignTask + ?Sized>(
+fn take_or_generate<T: CampaignTask>(
     task: &T,
     targets: &[LayerTarget],
 ) -> Result<FaultMatrix, CoreError> {
@@ -619,26 +570,21 @@ fn take_or_generate<T: CampaignTask + ?Sized>(
     }
 }
 
-/// Outcome tallies of freshly produced rows, for stop-policy
-/// observation. Classification is pure, so recounting here costs one
-/// extra pass over the scope's rows and nothing else.
-fn classify_delta<T: CampaignTask + ?Sized>(rows: &[T::Row]) -> OutcomeTallies {
-    let mut tallies = OutcomeTallies::default();
-    for row in rows {
-        tallies.add(T::classify(row));
-    }
-    tallies
-}
+/// An executed scope waiting in the current round: the scope, the
+/// fault set it was armed with and the key its rows persist under.
+type Pending<'m, S> = (S, &'m [FaultRecord], RowKey);
 
-/// Sequential driver: streams scopes epoch by epoch, arming fault
-/// slots through a [`SlotCursor`] (all three policies) and processing
-/// each scope in place. With a [`StopPolicy`], every scope advances the
-/// stop state's boundary clock and the stream breaks as soon as a
-/// campaign-stop decision fires. Rows stream into `sink` (when
-/// persistence is on) as each scope completes, keyed by
-/// `(epoch, batch, armed slot)`.
-fn sequential_parts<T: CampaignTask + ?Sized>(
+/// The driver: streams scopes epoch by epoch, arms each one's fault
+/// slot through a [`SlotCursor`] and its row key, asks the stop policy
+/// (if any) whether to execute it, and queues executed scopes on the
+/// current round. A round ends when it is full (one scope with one
+/// thread, [`ROUND_SCOPES_PER_THREAD`] per thread otherwise), when the
+/// stop clock sits on a `check_every` boundary, or when the stream
+/// ends; it is then processed and merged in work order. An exhausted
+/// matrix or a campaign-stop decision ends the stream.
+fn drive<T: CampaignTask>(
     task: &T,
+    threads: usize,
     rec: &Recorder,
     metrics: Option<&EngineMetrics>,
     policy: Option<StopPolicy>,
@@ -647,9 +593,25 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
     let (targets, resil_targets) = resolve_checked(task)?;
     let matrix = take_or_generate(task, &targets)?;
     let scenario = task.scenario();
-    let mut rows = Vec::new();
-    let mut trace = RunTrace::default();
-    let mut stop = policy.map(|p| StopState::new(p, &matrix));
+    let work = Rounds {
+        task,
+        threads,
+        rec,
+        metrics,
+        scenario,
+        targets: &targets,
+        resil_targets: resil_targets.as_deref(),
+    };
+    let mut merge = Merge {
+        rec,
+        metrics,
+        stop: policy.map(|p| StopState::new(p, &matrix)),
+        sink,
+        rows: Vec::new(),
+        trace: RunTrace::default(),
+    };
+    let capacity = if threads <= 1 { 1 } else { ROUND_SCOPES_PER_THREAD * threads };
+    let mut round: Vec<Pending<'_, T::Scope>> = Vec::new();
     let mut cursor = SlotCursor::new(&matrix, scenario.injection_policy);
     for epoch in 0..scenario.num_runs as u64 {
         cursor.begin_epoch();
@@ -658,7 +620,7 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
         // lands in batch 0.
         let mut batch_no: i64 = -1;
         let flow = task.stream_scopes(epoch, &mut |first_in_batch, scope| {
-            if stop.as_ref().is_some_and(StopState::stopped) {
+            if merge.stop.as_ref().is_some_and(StopState::stopped) {
                 return Ok(ControlFlow::Break(()));
             }
             if first_in_batch || batch_no < 0 {
@@ -667,34 +629,12 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
             let Some(faults) = cursor.arm(first_in_batch) else {
                 return Ok(ControlFlow::Break(()));
             };
-            if let Some(state) = stop.as_mut() {
-                if state.begin_scope(faults) == ScopeDecision::Skip {
-                    state.boundary_check();
-                    return Ok(ControlFlow::Continue(()));
-                }
+            if merge.stop.as_mut().is_none_or(|s| s.begin_scope(faults) == ScopeDecision::Execute) {
+                let slot = (cursor.position() - 1) as u64;
+                round.push((scope, faults, RowKey::new(epoch as u32, batch_no as u32, slot)));
             }
-            let ctx = ScopeCtx {
-                scenario,
-                targets: &targets,
-                resil_targets: resil_targets.as_deref(),
-                faults,
-            };
-            let started = Instant::now();
-            let (row_mark, entry_mark) = (rows.len(), trace.entries.len());
-            task.process_scope(&ctx, &scope, rec, &mut rows, &mut trace)?;
-            if let Some(m) = metrics {
-                m.scope_done::<T>(&rows[row_mark..], &trace.entries[entry_mark..], started);
-            }
-            if let Some(s) = sink.as_mut() {
-                let key =
-                    RowKey::new(epoch as u32, batch_no as u32, (cursor.position() - 1) as u64);
-                for row in &rows[row_mark..] {
-                    s.append(key, row)?;
-                }
-            }
-            if let Some(state) = stop.as_mut() {
-                state.observe(faults, classify_delta::<T>(&rows[row_mark..]));
-                state.boundary_check();
+            if round.len() == capacity || merge.stop.as_ref().is_some_and(StopState::at_boundary) {
+                work.run(&mut round, &mut merge)?;
             }
             Ok(ControlFlow::Continue(()))
         })?;
@@ -702,143 +642,163 @@ fn sequential_parts<T: CampaignTask + ?Sized>(
             break;
         }
     }
+    work.run(&mut round, &mut merge)?;
+    let Merge { rows, trace, stop, .. } = merge;
     Ok(Parts { rows, matrix, trace, stop: stop.map(StopState::finish) })
 }
 
-/// Parallel driver (`per_image` only — the other policies couple
-/// scopes through shared slots): materializes the scope list (slot ==
-/// work index) and fans [`CampaignTask::process_scope`] out on the
-/// shared pool. `try_run_indexed` merges results in work order, so
-/// row order, fault assignment and all outputs are bit-identical to
-/// the sequential driver for any thread count (clamped by
-/// `ALFI_POOL_THREADS`), and a worker panic is converted into an
-/// error instead of unwinding through campaign state.
-fn parallel_parts<T: CampaignTask>(
-    task: &T,
+/// What processing a round needs: the task, its resolved targets and
+/// the run's parallelism and liveness instrumentation.
+struct Rounds<'a, T: CampaignTask> {
+    task: &'a T,
     threads: usize,
-    rec: &Recorder,
-    metrics: Option<&EngineMetrics>,
-    policy: Option<StopPolicy>,
-    sink: &mut Option<Box<dyn ArtifactSink<T::Row>>>,
-) -> Result<Parts<T>, CoreError> {
-    if task.scenario().injection_policy != InjectionPolicy::PerImage {
-        return Err(CoreError::Scenario(alfi_scenario::ScenarioError::InvalidField {
-            field: "injection_policy",
-            reason: "parallel runs require per_image".into(),
-        }));
-    }
-    let threads = threads.max(1);
-    let (targets, resil_targets) = resolve_checked(task)?;
-    let matrix = take_or_generate(task, &targets)?;
+    rec: &'a Recorder,
+    metrics: Option<&'a EngineMetrics>,
+    scenario: &'a Scenario,
+    targets: &'a [LayerTarget],
+    resil_targets: Option<&'a [LayerTarget]>,
+}
 
-    // Materialize scopes with their row keys: slot == work index under
-    // `per_image`, and the batch ordinal is counted exactly as the
-    // sequential driver counts it, so both drivers key rows
-    // identically.
-    let mut work: Vec<T::Scope> = Vec::new();
-    let mut keys: Vec<RowKey> = Vec::new();
-    for epoch in 0..task.scenario().num_runs as u64 {
-        let mut batch_no: i64 = -1;
-        let flow = task.stream_scopes(epoch, &mut |first_in_batch, scope| {
-            if work.len() >= matrix.num_slots() {
-                return Ok(ControlFlow::Break(()));
+impl<T: CampaignTask> Rounds<'_, T> {
+    /// Processes and merges one round, emptying it, then runs the stop
+    /// policy's boundary check. With one thread the round's one scope
+    /// runs in place on the calling thread, whose kernels may still fan
+    /// out on the pool; otherwise the scopes run as pool tasks and
+    /// `try_run_indexed` returns their outputs in work order.
+    fn run(
+        &self,
+        round: &mut Vec<Pending<'_, T::Scope>>,
+        merge: &mut Merge<'_, T>,
+    ) -> Result<(), CoreError> {
+        if self.threads <= 1 {
+            for (scope, faults, key) in round.drain(..) {
+                let marks = (merge.rows.len(), merge.trace.entries.len());
+                self.process(&scope, faults, &mut merge.rows, &mut merge.trace)?;
+                merge.scope(faults, key, marks)?;
             }
-            if first_in_batch || batch_no < 0 {
-                batch_no += 1;
+        } else {
+            let outputs = alfi_pool::global()
+                .try_run_indexed(self.threads, round.len(), |i| {
+                    let (scope, faults, _) = &round[i];
+                    let (mut rows, mut trace) = (Vec::new(), RunTrace::default());
+                    self.process(scope, faults, &mut rows, &mut trace).map(|()| (rows, trace))
+                })
+                .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
+            for ((_, faults, key), output) in round.drain(..).zip(outputs) {
+                let (rows, trace) = output?;
+                let marks = (merge.rows.len(), merge.trace.entries.len());
+                merge.rows.extend(rows);
+                merge.trace.entries.extend(trace.entries);
+                merge.scope(faults, key, marks)?;
             }
-            keys.push(RowKey::new(epoch as u32, batch_no as u32, work.len() as u64));
-            work.push(scope);
-            Ok(ControlFlow::Continue(()))
-        })?;
-        if flow.is_break() {
-            break;
         }
+        merge.boundary();
+        Ok(())
     }
 
-    let scenario = task.scenario();
-    let targets_ref: &[LayerTarget] = &targets;
-    let resil_ref = resil_targets.as_deref();
-    let matrix_ref = &matrix;
-    let work_ref = &work;
-    let process = |idx: usize| {
-        let scope_ctx = ScopeCtx {
-            scenario,
-            targets: targets_ref,
-            resil_targets: resil_ref,
-            faults: matrix_ref.faults_for_slot(idx),
+    fn process(
+        &self,
+        scope: &T::Scope,
+        faults: &[FaultRecord],
+        rows: &mut Vec<T::Row>,
+        trace: &mut RunTrace,
+    ) -> Result<(), CoreError> {
+        let ctx = ScopeCtx {
+            scenario: self.scenario,
+            targets: self.targets,
+            resil_targets: self.resil_targets,
+            faults,
         };
         let started = Instant::now();
-        let (mut rows, mut trace) = (Vec::with_capacity(1), RunTrace::default());
-        let out = task
-            .process_scope(&scope_ctx, &work_ref[idx], rec, &mut rows, &mut trace)
-            .map(|()| (rows, trace.entries));
-        if let (Some(m), Ok((rows, entries))) = (metrics, &out) {
-            // Counter bumps commute, so live publication from
-            // workers in completion order still snapshots to the
-            // same final values as the sequential driver.
-            m.scope_done::<T>(rows, entries, started);
+        self.task.process_scope(&ctx, scope, self.rec, rows, trace)?;
+        if let Some(m) = self.metrics {
+            m.scope_finished(started);
         }
-        out
-    };
-
-    let Some(stop_policy) = policy else {
-        // No stop policy: one fan-out over the whole work list.
-        let outcomes = alfi_pool::global()
-            .try_run_indexed(threads, work.len(), process)
-            .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
-        let mut rows = Vec::with_capacity(work.len());
-        let mut trace = RunTrace::default();
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let (r, entries) = outcome?;
-            if let Some(s) = sink.as_mut() {
-                for row in &r {
-                    s.append(keys[idx], row)?;
-                }
-            }
-            rows.extend(r);
-            trace.entries.extend(entries);
-        }
-        return Ok(Parts { rows, matrix, trace, stop: None });
-    };
-
-    // Stop-policy runs fan out in rounds of `check_every` scopes with
-    // an ordered merge: all of a round's scopes are armed (or skipped)
-    // before any work is dispatched, and the boundary is evaluated only
-    // after the whole round has been merged — exactly the state the
-    // sequential driver sees at the same boundary, so decisions,
-    // executed scope sets and row order are bit-identical for any
-    // thread count.
-    let mut state = StopState::new(stop_policy, &matrix);
-    let mut rows = Vec::new();
-    let mut trace = RunTrace::default();
-    let mut next = 0usize;
-    while next < work.len() && !state.stopped() {
-        let round_end = (next + stop_policy.check_every).min(work.len());
-        let mut round: Vec<usize> = Vec::with_capacity(round_end - next);
-        for idx in next..round_end {
-            if state.begin_scope(matrix.faults_for_slot(idx)) == ScopeDecision::Execute {
-                round.push(idx);
-            }
-        }
-        next = round_end;
-        let round_ref = &round;
-        let outcomes = alfi_pool::global()
-            .try_run_indexed(threads, round.len(), |i| process(round_ref[i]))
-            .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (r, entries) = outcome?;
-            state.observe(matrix.faults_for_slot(round[i]), classify_delta::<T>(&r));
-            if let Some(s) = sink.as_mut() {
-                for row in &r {
-                    s.append(keys[round[i]], row)?;
-                }
-            }
-            rows.extend(r);
-            trace.entries.extend(entries);
-        }
-        state.boundary_check();
+        Ok(())
     }
-    Ok(Parts { rows, matrix, trace, stop: Some(state.finish()) })
+}
+
+/// The ordered merge: the run's rows and trace, and every consumer of
+/// per-row telemetry, fed once per scope in work order.
+struct Merge<'a, T: CampaignTask> {
+    rec: &'a Recorder,
+    metrics: Option<&'a EngineMetrics>,
+    stop: Option<StopState>,
+    sink: &'a mut Option<Box<dyn ArtifactSink<T::Row>>>,
+    rows: Vec<T::Row>,
+    trace: RunTrace,
+}
+
+impl<T: CampaignTask> Merge<'_, T> {
+    /// Counts the merged scope whose rows and trace entries start at
+    /// `marks`: injections, its NaN/Inf once, each row's outcome
+    /// (classified at most once, and only when something reads it) and
+    /// progress, the stop tallies, and the sink rows.
+    fn scope(
+        &mut self,
+        faults: &[FaultRecord],
+        key: RowKey,
+        (row_mark, entry_mark): (usize, usize),
+    ) -> Result<(), CoreError> {
+        let (rec, metrics) = (self.rec, self.metrics);
+        for entry in &self.trace.entries[entry_mark..] {
+            if let Some(m) = metrics {
+                m.injections.inc();
+                m.layer_counter(entry.applied.record.layer).inc();
+            }
+            if rec.is_enabled() {
+                rec.record_injection(injection_event(entry.image_id, &entry.applied));
+            }
+        }
+        let rows = &self.rows[row_mark..];
+        if let Some(first) = rows.first() {
+            let (nan, inf) = T::row_nonfinite(first);
+            rec.record_nonfinite(nan, inf);
+            if let Some(m) = metrics {
+                m.nan.add(nan);
+                m.inf.add(inf);
+            }
+        }
+        if let Some(m) = metrics {
+            m.items.add(rows.len() as u64);
+        }
+        let classify = rec.is_enabled() || metrics.is_some() || self.stop.is_some();
+        let mut tallies = OutcomeTallies::default();
+        for row in rows {
+            if classify {
+                let outcome = T::classify(row);
+                tallies.add(outcome);
+                rec.record_outcome(outcome);
+                if let Some(m) = metrics {
+                    m.outcome(outcome);
+                }
+            }
+            rec.item_finished();
+        }
+        if let Some(state) = self.stop.as_mut() {
+            state.observe(faults, tallies);
+        }
+        if let Some(s) = self.sink.as_mut() {
+            for row in rows {
+                s.append(key, row)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the stop policy's decision procedure if the clock sits on
+    /// an unevaluated boundary, and records the decisions it takes.
+    fn boundary(&mut self) {
+        let Some(state) = self.stop.as_mut() else { return };
+        let seen = state.events().len();
+        state.boundary_check();
+        for event in &state.events()[seen..] {
+            self.rec.record_stop(*event);
+            if let Some(m) = self.metrics {
+                m.stop_decision(event.verdict);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

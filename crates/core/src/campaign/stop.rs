@@ -16,10 +16,10 @@
 //! wall clock, thread count or pool schedule, so a stopped run produces
 //! byte-identical artifacts for any `ALFI_POOL_THREADS`, and the
 //! executed scope set of a truncated campaign-scope run is a strict
-//! prefix of the equivalent unbounded run. The parallel driver
-//! preserves the contract by fanning out in rounds of `check_every`
-//! scopes with an ordered merge, so it observes exactly the state the
-//! sequential driver would at each boundary.
+//! prefix of the equivalent unbounded run. The engine preserves the
+//! contract by ending its current round of scopes whenever the clock
+//! sits on a boundary: the round is merged in work order before the
+//! check runs, so every thread count observes the same state there.
 
 use crate::fault::FaultRecord;
 use crate::matrix::FaultMatrix;
@@ -38,22 +38,15 @@ pub(crate) enum ScopeDecision {
     Skip,
 }
 
-/// Everything a driver hands back about early stopping: the decision
-/// events (in decision order) and the end-of-run precision outcome.
-#[derive(Debug, Clone)]
-pub(crate) struct StopReport {
-    /// Stop decisions in the order they fired.
-    pub events: Vec<StopEvent>,
-    /// Achieved-vs-requested precision summary.
-    pub outcome: StopOutcome,
-}
-
-/// Incremental stop-policy evaluator shared by both drivers.
+/// Incremental stop-policy evaluator of the engine.
 ///
 /// Call order per scope: [`begin_scope`](Self::begin_scope) (arms the
 /// boundary clock, decides execute/skip), [`observe`](Self::observe)
-/// for executed scopes, then [`boundary_check`](Self::boundary_check);
-/// consult [`stopped`](Self::stopped) before arming the next scope.
+/// for executed scopes, then [`boundary_check`](Self::boundary_check)
+/// once every armed scope is observed — the engine may arm several
+/// scopes before observing them, but ends its round at
+/// [`at_boundary`](Self::at_boundary); consult
+/// [`stopped`](Self::stopped) before arming the next scope.
 #[derive(Debug)]
 pub(crate) struct StopState {
     policy: StopPolicy,
@@ -102,6 +95,17 @@ impl StopState {
         self.stopped
     }
 
+    /// Whether the clock sits on a `check_every` boundary, i.e. the
+    /// next [`boundary_check`](Self::boundary_check) may decide.
+    pub(crate) fn at_boundary(&self) -> bool {
+        self.armed > 0 && self.armed.is_multiple_of(self.policy.check_every as u64)
+    }
+
+    /// Stop decisions taken so far, in the order they fired.
+    pub(crate) fn events(&self) -> &[StopEvent] {
+        &self.events
+    }
+
     /// Arms one scope on the boundary clock and decides whether to
     /// execute it. Skipped scopes (retired stratum) still count toward
     /// boundary indices, so decision points stay fixed relative to the
@@ -144,9 +148,9 @@ impl StopState {
     }
 
     /// Finishes the run and summarizes achieved-vs-requested precision.
-    pub(crate) fn finish(self) -> StopReport {
+    pub(crate) fn finish(self) -> StopOutcome {
         let (sdc_ci, due_ci) = self.intervals(&self.total);
-        let outcome = StopOutcome {
+        StopOutcome {
             requested_half_width: self.policy.half_width,
             confidence: self.policy.confidence,
             achieved_sdc_half_width: sdc_ci.half_width(),
@@ -156,8 +160,7 @@ impl StopState {
             planned_scopes: self.planned,
             decisions: self.events.len() as u64,
             stopped_early: self.stopped,
-        };
-        StopReport { events: self.events, outcome }
+        }
     }
 
     fn evaluate(&mut self) {
@@ -280,6 +283,16 @@ mod tests {
         }
     }
 
+    /// The decisions and the outcome of a finished run.
+    struct Report {
+        events: Vec<StopEvent>,
+        outcome: StopOutcome,
+    }
+
+    fn finish(state: StopState) -> Report {
+        Report { events: state.events().to_vec(), outcome: state.finish() }
+    }
+
     /// Arms and observes `n` all-masked scopes on layer 0.
     fn feed_masked(state: &mut StopState, n: usize) {
         let faults = [record(0)];
@@ -301,7 +314,7 @@ mod tests {
         // all-masked interval -> stop.
         feed_masked(&mut state, 1);
         assert!(state.stopped());
-        let report = state.finish();
+        let report = finish(state);
         assert_eq!(report.events.len(), 1);
         let ev = &report.events[0];
         assert_eq!(ev.verdict, StopVerdict::StopCampaign);
@@ -338,7 +351,7 @@ mod tests {
             state.boundary_check();
         }
         assert!(state.stopped());
-        let report = state.finish();
+        let report = finish(state);
         let verdicts: Vec<_> = report.events.iter().map(|e| (e.verdict, e.stratum)).collect();
         assert_eq!(
             verdicts,
@@ -375,7 +388,7 @@ mod tests {
         }
         use ScopeDecision::{Execute as E, Skip as S};
         assert_eq!(decisions, vec![E, E, E, E, S, S, E, E]);
-        let report = state.finish();
+        let report = finish(state);
         assert_eq!(report.outcome.skipped_scopes, 2);
         // Layer 1 has only 2 samples at the final boundary (scope 8):
         // retired layer 0 only, campaign still open.
@@ -396,7 +409,7 @@ mod tests {
             state.boundary_check();
         }
         assert!(!state.stopped());
-        let report = state.finish();
+        let report = finish(state);
         assert!(report.events.is_empty());
         assert!(!report.outcome.stopped_early);
         assert_eq!(report.outcome.executed_scopes, 8);

@@ -104,8 +104,7 @@ impl VitCampaign {
     /// # Errors
     ///
     /// Returns resolution/injection errors; an exhausted fault matrix
-    /// ends the run gracefully instead. With `threads > 1` a
-    /// non-`per_image` policy is rejected and a panicking worker
+    /// ends the run gracefully instead. A panicking pool worker
     /// surfaces as [`CoreError::WorkerPanic`].
     pub fn run_with(&mut self, cfg: &RunConfig) -> Result<ClassificationCampaignResult, CoreError> {
         Engine::new(cfg).run(&*self)

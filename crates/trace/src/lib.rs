@@ -439,7 +439,6 @@ struct Inner {
     stops: Mutex<Vec<StopEvent>>,
     stop_outcome: Mutex<Option<StopOutcome>>,
     health: Mutex<Vec<String>>,
-    applied_live: AtomicU64,
     items_done: AtomicU64,
     items_total: AtomicU64,
     last_progress_ms: AtomicU64,
@@ -465,7 +464,6 @@ impl Inner {
             stops: Mutex::new(Vec::new()),
             stop_outcome: Mutex::new(None),
             health: Mutex::new(Vec::new()),
-            applied_live: AtomicU64::new(0),
             items_done: AtomicU64::new(0),
             items_total: AtomicU64::new(0),
             last_progress_ms: AtomicU64::new(0),
@@ -566,21 +564,12 @@ impl Recorder {
         }
     }
 
-    /// Bumps the live applied-fault counter feeding the progress line.
-    /// Call during processing; the structured [`InjectionEvent`]s are
-    /// recorded separately (post-run, in deterministic row order) via
-    /// [`Recorder::record_injection`] and are what the event log and
-    /// summary count.
-    pub fn record_applied(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.applied_live.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Records one applied fault: bumps the per-layer / per-bit
-    /// counters and appends the structured event. Campaign drivers call
-    /// this in deterministic row order so the event log is reproducible
-    /// across thread counts.
+    /// counters and appends the structured event. The campaign engine
+    /// calls this while the run goes, as it merges each scope in
+    /// deterministic work order, so the event log is reproducible
+    /// across thread counts and the progress line counts injections
+    /// live.
     pub fn record_injection(&self, ev: InjectionEvent) {
         if let Some(inner) = &self.inner {
             *lock(&inner.layer_inj).entry(ev.layer).or_insert(0) += 1;
@@ -603,9 +592,10 @@ impl Recorder {
         }
     }
 
-    /// Records one statistical stop decision. Campaign drivers call
-    /// this post-run in deterministic boundary order, so the event log
-    /// stays byte-identical across thread counts.
+    /// Records one statistical stop decision. The campaign engine calls
+    /// this at the boundary where the decision fires, in deterministic
+    /// boundary order, so the event log stays byte-identical across
+    /// thread counts.
     pub fn record_stop(&self, ev: StopEvent) {
         if let Some(inner) = &self.inner {
             lock(&inner.stops).push(ev);
@@ -682,10 +672,7 @@ impl Recorder {
             return; // another thread just printed
         }
         let rate = if elapsed_ms > 0 { done as f64 * 1000.0 / elapsed_ms as f64 } else { 0.0 };
-        // Campaigns report applied faults live via `record_applied`
-        // (structured `InjectionEvent`s land post-run, in row order).
-        let injections =
-            inner.applied_live.load(Ordering::Relaxed).max(lock(&inner.events).len() as u64);
+        let injections = lock(&inner.events).len();
         eprintln!(
             "[alfi] {done}/{total} items | inj {injections} | masked {} sdc {} due {} | {rate:.1} items/s",
             inner.masked.load(Ordering::Relaxed),

@@ -192,12 +192,18 @@ fn parse_injection(obj: &Json, line: usize) -> Result<InjectionEvent, EventLogEr
             EventLogError::Record { line, detail: "field `bit` is not a bit position".into() }
         })?),
     };
+    // The writer renders a non-finite value as `null`; read it back as
+    // NaN, alfi-serde's convention for `f64`.
+    let value = |key| match field(obj, key, line)? {
+        Json::Null => Ok(f32::NAN),
+        _ => float(obj, key, line).map(|v| v as f32),
+    };
     Ok(InjectionEvent {
         image_id: uint(obj, "image_id", line)?,
         layer: uint(obj, "layer", line)? as usize,
         bit,
-        original: float(obj, "original", line)? as f32,
-        corrupted: float(obj, "corrupted", line)? as f32,
+        original: value("original")?,
+        corrupted: value("corrupted")?,
     })
 }
 
@@ -417,6 +423,44 @@ mod tests {
         assert_eq!(summary.per_bit, BTreeMap::from([(7, 1), (30, 1)]));
         assert_eq!(summary.outcomes, OutcomeTallies { masked: 1, sdc: 0, due: 1 });
         assert_eq!((summary.nan, summary.inf), (4, 1));
+    }
+
+    #[test]
+    fn non_finite_injected_values_read_back_as_nan() {
+        let rec = Recorder::new();
+        rec.set_meta(meta());
+        let values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for (i, &v) in values.iter().enumerate() {
+            rec.record_injection(InjectionEvent {
+                image_id: i as u64,
+                layer: 1,
+                bit: Some(30),
+                original: 1.5,
+                corrupted: v,
+            });
+        }
+        rec.record_injection(InjectionEvent {
+            image_id: 3,
+            layer: 2,
+            bit: None,
+            original: f32::INFINITY,
+            corrupted: -2.0,
+        });
+        let text = rec.events_jsonl();
+        let nulls = |key: &str| text.matches(&format!("\"{key}\":null")).count();
+        assert_eq!((nulls("original"), nulls("corrupted")), (1, 3), "{text}");
+        let log = EventLog::parse(&text).unwrap();
+        assert_eq!(log.injections.len(), 4);
+        for ev in &log.injections[..3] {
+            assert_eq!((ev.layer, ev.bit, ev.original), (1, Some(30), 1.5));
+            assert!(ev.corrupted.is_nan(), "{ev:?}");
+        }
+        let last = log.injections[3];
+        assert!(last.original.is_nan(), "{last:?}");
+        assert_eq!((last.image_id, last.bit, last.corrupted), (3, None, -2.0));
+        let err = EventLog::parse(&text.replacen("\"corrupted\":null", "\"corrupted\":\"inf\"", 1))
+            .unwrap_err();
+        assert!(err.to_string().contains("not a number"), "{err}");
     }
 
     #[test]

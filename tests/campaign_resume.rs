@@ -8,8 +8,9 @@
 //! and requires the rows (all three CSV variants) and the encoded
 //! `trace.bin` to match byte for byte.
 //!
-//! Each case runs on both kernel paths, and `per_image` cases also on
-//! the parallel driver at 2, 4 and 7 threads. The cases cover weight and
+//! Each case runs on both kernel paths, in place at one thread and in
+//! pooled rounds at 2, 4 and 7 threads, whatever its injection policy.
+//! The cases cover weight and
 //! neuron faults; `per_image`, `per_batch` and `per_epoch`; one and
 //! three faults per scope, several on one node, and neuron batch
 //! coordinates outside the scope; Ranger and Clipper in both hardened
@@ -246,10 +247,7 @@ fn check(case: &Case) -> ClassificationCampaignResult {
     let mut runs = vec![(1, KernelPath::Blocked, run(1, KernelPath::Blocked))];
     let expect = reference(case, &runs[0].2.fault_matrix);
     assert!(!expect.rows.is_empty(), "{}: no rows", case.name);
-    // Only `per_image` scopes run on the parallel driver.
-    let per_image = case.scenario.injection_policy == InjectionPolicy::PerImage;
-    let widths: &[usize] = if per_image { &[1, 2, 4, 7] } else { &[1] };
-    for &threads in widths {
+    for threads in [1, 2, 4, 7] {
         for path in [KernelPath::Blocked, KernelPath::Reference] {
             if (threads, path) != (1, KernelPath::Blocked) {
                 runs.push((threads, path, run(threads, path)));

@@ -14,10 +14,9 @@
 //! and neuron faults flipping exponent bit 30, two per image,
 //! so NaN and Inf run through decode; neuron faults in the two-stage
 //! RoI head; `per_image` and `per_batch` slots; and runs with and
-//! without a Ranger-hardened twin — each at 1, 2, 4 and 7 driver threads
-//! (`per_batch` on the sequential driver only). A last test pins that a
-//! hook on a detector network runs in the golden pass only, on both
-//! drivers.
+//! without a Ranger-hardened twin — each at 1, 2, 4 and 7 driver
+//! threads. A last test pins that a hook on a detector network runs in
+//! the golden pass only, in place and in pooled rounds.
 
 use alfi::core::campaign::{
     DetectionCampaignResult, DetectionRow, ObjDetCampaign, RunConfig, SlotCursor,
@@ -258,9 +257,7 @@ fn check(case: &Case) -> DetectionCampaignResult {
     let first = case.run(1);
     let expect = reference(case, &first.fault_matrix);
     assert_eq!(expect.rows.len(), IMAGES, "{}: rows", case.name);
-    let per_image = case.scenario.injection_policy == InjectionPolicy::PerImage;
-    let widths: &[usize] = if per_image { &[2, 4, 7] } else { &[] };
-    let runs = std::iter::once((1, first)).chain(widths.iter().map(|&t| (t, case.run(t))));
+    let runs = std::iter::once((1, first)).chain([2, 4, 7].map(|t| (t, case.run(t))));
     for (threads, got) in runs {
         let context = format!("{} at {threads} threads", case.name);
         assert_eq!(got.fault_matrix, expect.fault_matrix, "{context}: fault matrix");
