@@ -242,7 +242,7 @@ impl ImgClassCampaign {
     /// (hooks on the campaign's models run in the golden pass only). It
     /// shares the golden prefix of the campaign's model up to the
     /// earliest of its first faulted node, the first node that differs
-    /// from the model (name, layer bits, fused ops or inputs, see
+    /// from the model (name, layer bits, fused clamp or inputs, see
     /// [`NodeMap`]) and the first Ranger/Clipper guard the scope's
     /// golden activations trip. A `harden` / `harden_fused` copy thus
     /// shares everything up to its faults on most inputs; a

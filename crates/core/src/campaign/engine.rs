@@ -44,7 +44,9 @@ use crate::injector::injection_event;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::persist::{save_events, save_fault_matrix, save_metrics, RunTrace};
 use alfi_metrics::{names, Class, Counter, HealthSink, Histogram, Registry, Watchdog};
-use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario, StopPolicy};
+use alfi_scenario::{
+    ArtifactFormat, FaultDuration, InjectionPolicy, Scenario, ScenarioError, StopPolicy,
+};
 use alfi_store::RowKey;
 use alfi_tensor::gemm::{self, KernelPath};
 use alfi_trace::{EffectClass, OutcomeTallies, Phase, Recorder, RunMeta, StopOutcome, StopVerdict};
@@ -434,14 +436,24 @@ impl<'c> Engine<'c> {
     ///
     /// # Errors
     ///
-    /// Returns resolution/injection errors; an exhausted fault matrix
-    /// ends the run gracefully instead. A panicking pool worker
-    /// surfaces as [`CoreError::WorkerPanic`].
+    /// Returns [`CoreError::Scenario`] for `fault_duration: permanent`
+    /// before anything runs or is written: every scope arms its own
+    /// fault slot, so campaigns run transient faults only. Returns
+    /// resolution/injection errors; an exhausted fault matrix ends the
+    /// run gracefully instead. A panicking pool worker surfaces as
+    /// [`CoreError::WorkerPanic`].
     pub fn run<T: CampaignTask>(&self, task: &T) -> Result<T::Result, CoreError> {
         let cfg = self.cfg;
+        let scenario = task.scenario();
+        if scenario.fault_duration == FaultDuration::Permanent {
+            return Err(CoreError::Scenario(ScenarioError::InvalidField {
+                field: "fault_duration",
+                reason: "campaigns arm each scope's own fault slot, so only `transient` runs"
+                    .into(),
+            }));
+        }
         let _kernel = cfg.kernel.map(KernelGuard::install);
         let rec = cfg.recorder.clone();
-        let scenario = task.scenario();
         if rec.is_enabled() {
             rec.set_meta(RunMeta {
                 campaign: task.kind().into(),

@@ -438,7 +438,7 @@ impl FaultPlan {
 
     /// Runs `det`'s faulty detection: every network it evaluates runs
     /// from node 0 to its last node under the plan. Per node: the layer
-    /// (or its patched copy) with fused ops, then `observe`, then the
+    /// (or its patched copy) with its fused clamp, then `observe`, then the
     /// node's neuron faults. Registered hooks do not run, as on an armed
     /// clone. `det` must expose the networks the plan was made for.
     /// Returns the detections and the applied-fault log of all passes.

@@ -16,8 +16,7 @@
 //!    weight faults via direct parameter mutation with bit-exact revert.
 //!    [`Ptfiwrap`] is the paper's Listing-1 wrapper with
 //!    `fimodel_iter()`.
-//! 4. [`monitor`] observes NaN/Inf occurrences (DUE) and activation
-//!    ranges (mitigation profiling).
+//! 4. [`monitor`] observes NaN/Inf occurrences (DUE).
 //! 5. [`persist`] stores the fault matrix and the applied-fault trace as
 //!    versioned, checksummed binary files for exact replay.
 //! 6. [`campaign`] runs the high-level `TestErrorModels_*` flows over
@@ -79,7 +78,7 @@ pub use injector::{
     Ptfiwrap,
 };
 pub use matrix::{layer_weights, resolve_targets, FaultMatrix, LayerTarget};
-pub use monitor::{attach_monitor, NanInfCounts, NanInfMonitor, RangeMonitor};
+pub use monitor::{attach_monitor, NanInfCounts, NanInfMonitor};
 pub use sweep::ScenarioSweep;
 pub use persist::{
     crc32, decode_fault_matrix, encode_fault_matrix, load_fault_matrix, save_events,

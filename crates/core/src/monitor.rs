@@ -1,4 +1,4 @@
-//! Run-time monitors: NaN/Inf detection and activation-range recording.
+//! Run-time monitors: NaN/Inf detection.
 //!
 //! PyTorchALFI's alficore offers "monitoring capabilities (enabling the
 //! detection of NaN or Inf values and facilitating the integration of
@@ -60,15 +60,6 @@ impl NanInfMonitor {
     pub fn reset(&self) {
         self.counts.lock().unwrap().clear();
     }
-
-    /// Rolls the current totals up into a trace recorder's NaN/Inf
-    /// tallies. No-op for a disabled recorder.
-    pub fn report_to(&self, recorder: &alfi_trace::Recorder) {
-        if recorder.is_enabled() {
-            let t = self.totals();
-            recorder.record_nonfinite(t.nan as u64, t.inf as u64);
-        }
-    }
 }
 
 impl ForwardHook for NanInfMonitor {
@@ -77,53 +68,6 @@ impl ForwardHook for NanInfMonitor {
         let inf = output.count_inf();
         if nan > 0 || inf > 0 {
             self.counts.lock().unwrap().push((ctx.name.clone(), NanInfCounts { nan, inf }));
-        }
-    }
-}
-
-/// Monitor recording the min/max activation per node — the profiling pass
-/// that derives Ranger/Clipper protection bounds.
-#[derive(Debug, Default)]
-pub struct RangeMonitor {
-    ranges: Mutex<std::collections::BTreeMap<usize, (f32, f32)>>,
-}
-
-impl RangeMonitor {
-    /// Creates an idle monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The observed `(min, max)` per node id.
-    pub fn ranges(&self) -> std::collections::BTreeMap<usize, (f32, f32)> {
-        self.ranges.lock().unwrap().clone()
-    }
-
-    /// The observed range for one node.
-    pub fn range_of(&self, node_id: usize) -> Option<(f32, f32)> {
-        self.ranges.lock().unwrap().get(&node_id).copied()
-    }
-
-    /// Clears all recorded ranges.
-    pub fn reset(&self) {
-        self.ranges.lock().unwrap().clear();
-    }
-}
-
-impl ForwardHook for RangeMonitor {
-    fn on_output(&self, ctx: &LayerCtx, output: &mut Tensor) {
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &v in output.data() {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        if lo <= hi {
-            let mut guard = self.ranges.lock().unwrap();
-            let e = guard.entry(ctx.node_id).or_insert((lo, hi));
-            e.0 = e.0.min(lo);
-            e.1 = e.1.max(hi);
         }
     }
 }
@@ -192,29 +136,5 @@ mod tests {
         net.forward(&Tensor::ones(&[1, 3])).unwrap();
         assert!(!monitor.any_detected());
         assert!(monitor.per_layer().is_empty());
-    }
-
-    #[test]
-    fn range_monitor_records_min_max_across_passes() {
-        let mut net = Network::new("range");
-        let a = net.push("id", Layer::Identity, &[]).unwrap();
-        net.set_output(a).unwrap();
-        let monitor = Arc::new(RangeMonitor::new());
-        attach_monitor(&mut net, Arc::<RangeMonitor>::clone(&monitor) as _).unwrap();
-        net.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]).unwrap()).unwrap();
-        net.forward(&Tensor::from_vec(vec![-5.0, 0.5], &[1, 2]).unwrap()).unwrap();
-        assert_eq!(monitor.range_of(a), Some((-5.0, 2.0)));
-    }
-
-    #[test]
-    fn range_monitor_ignores_non_finite_values() {
-        let mut net = Network::new("range");
-        let a = net.push("id", Layer::Identity, &[]).unwrap();
-        net.set_output(a).unwrap();
-        let monitor = Arc::new(RangeMonitor::new());
-        attach_monitor(&mut net, Arc::<RangeMonitor>::clone(&monitor) as _).unwrap();
-        net.forward(&Tensor::from_vec(vec![f32::INFINITY, 1.0, f32::NAN], &[1, 3]).unwrap())
-            .unwrap();
-        assert_eq!(monitor.range_of(a), Some((1.0, 1.0)));
     }
 }

@@ -229,6 +229,28 @@ mod tests {
     }
 
     #[test]
+    fn profile_bounds_take_min_max_across_inputs() {
+        let mut net = Network::new("range");
+        let a = net.push("id", Layer::Identity, &[]).unwrap();
+        net.set_output(a).unwrap();
+        let inputs =
+            [vec![-1.0, 2.0], vec![-5.0, 0.5]].map(|v| Tensor::from_vec(v, &[1, 2]).unwrap());
+        assert_eq!(profile_bounds(&net, inputs.iter()).unwrap()[&a], (-5.0, 2.0));
+    }
+
+    #[test]
+    fn profile_bounds_ignore_non_finite_values() {
+        let mut net = Network::new("range");
+        let a = net.push("id", Layer::Identity, &[]).unwrap();
+        net.set_output(a).unwrap();
+        let x = Tensor::from_vec(vec![f32::INFINITY, 1.0, f32::NAN], &[1, 3]).unwrap();
+        assert_eq!(profile_bounds(&net, std::iter::once(&x)).unwrap()[&a], (1.0, 1.0));
+        // A node that never shows a finite value gets no bound at all.
+        let x = Tensor::from_vec(vec![f32::NEG_INFINITY, f32::NAN], &[1, 2]).unwrap();
+        assert!(profile_bounds(&net, std::iter::once(&x)).unwrap().is_empty());
+    }
+
+    #[test]
     fn hardened_model_is_transparent_on_healthy_inputs() {
         let cfg = tiny_cfg();
         let model = alexnet(&cfg);

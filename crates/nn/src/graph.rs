@@ -48,7 +48,7 @@ pub struct LayerCtx {
 /// A callback invoked after a node's forward computation.
 ///
 /// Hooks may mutate the output in place (fault injection) or merely
-/// observe it (NaN/Inf monitoring, activation-range profiling). Hooks
+/// observe it (NaN/Inf monitoring, custom alarms). Hooks
 /// needing to accumulate state use interior mutability.
 pub trait ForwardHook: Send + Sync {
     /// Called with the node context and its freshly computed output.
@@ -69,35 +69,6 @@ where
 pub struct HookHandle {
     node: NodeId,
     slot: u64,
-}
-
-/// Per-node operations fused into the layer's compute kernel epilogue
-/// instead of running as separate passes over the output tensor.
-///
-/// For `Conv2d` and `Linear` nodes these execute inside the GEMM
-/// epilogue ([`alfi_tensor::gemm::FusedEpilogue`]) while the output
-/// tile is still cache-hot; for every other layer kind they apply as
-/// equivalent separate passes right after the forward computation.
-/// Either way the per-element operation order is **inject → clamp**,
-/// and fused execution is bit-identical to the separate-pass sequence.
-///
-/// Fused ops run *before* any registered [`ForwardHook`]s (a spliced
-/// `RangeRestrict` node would instead run after the producing node's
-/// hooks), and unlike hooks they survive [`Network::clone`] — they are
-/// part of the model, like spliced protection layers.
-#[derive(Debug, Clone, Default)]
-pub struct FusedOps {
-    /// Per-element fault injections keyed by flat output index.
-    pub inject: Option<Arc<gemm::InjectMap>>,
-    /// Range-supervision clamp (Ranger/Clipper as an epilogue op).
-    pub clamp: Option<gemm::Clamp>,
-}
-
-impl FusedOps {
-    /// Whether these ops are a guaranteed no-op.
-    pub fn is_identity(&self) -> bool {
-        self.inject.as_deref().is_none_or(gemm::InjectMap::is_empty) && self.clamp.is_none()
-    }
 }
 
 /// Description of a layer eligible for fault injection.
@@ -173,7 +144,7 @@ impl<'a> Pass<'a> {
     }
 
     /// Evaluates the given nodes with per-call layer copies instead of
-    /// their own layers (the node's fused ops still apply).
+    /// their own layers (the node's fused clamp still applies).
     pub fn patched(mut self, layers: &'a [(NodeId, Layer)]) -> Self {
         self.patched = layers;
         self
@@ -300,7 +271,7 @@ pub struct Network {
     output: Option<NodeId>,
     hooks: Vec<Vec<(u64, Arc<dyn ForwardHook>)>>,
     next_hook_slot: u64,
-    fused: Vec<Option<FusedOps>>,
+    fused: Vec<Option<gemm::Clamp>>,
 }
 
 impl std::fmt::Debug for Network {
@@ -497,9 +468,17 @@ impl Network {
         self.hooks.iter().map(Vec::len).sum()
     }
 
-    /// Sets (or replaces) the fused range-supervision clamp on node
-    /// `id`. See [`FusedOps`] for the execution contract — fused ops
-    /// run before the node's hooks and survive cloning.
+    /// Sets (or replaces) the fused range-supervision clamp
+    /// (Ranger/Clipper) on node `id`.
+    ///
+    /// On `Conv2d` and `Linear` nodes the clamp runs inside the GEMM
+    /// epilogue while the output tile is still cache-hot; on every
+    /// other layer kind it runs as a separate pass right after the
+    /// forward computation. Either way the result is bit-identical to a
+    /// spliced `RangeRestrict` node. The clamp runs *before* the node's
+    /// hooks (a spliced node would run after them), and unlike hooks it
+    /// survives [`Network::clone`]: it is part of the model, like
+    /// spliced protection layers.
     ///
     /// # Errors
     ///
@@ -508,94 +487,38 @@ impl Network {
         if id >= self.nodes.len() {
             return Err(NnError::NoSuchNode(id));
         }
-        self.fused[id].get_or_insert_with(FusedOps::default).clamp = Some(clamp);
+        self.fused[id] = Some(clamp);
         Ok(())
     }
 
-    /// Sets (or replaces) the fused per-element injection map on node
-    /// `id` — the epilogue-fused equivalent of a mutating forward hook.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchNode`] for an unknown id.
-    pub fn set_fused_inject(
-        &mut self,
-        id: NodeId,
-        inject: Arc<gemm::InjectMap>,
-    ) -> Result<(), NnError> {
-        if id >= self.nodes.len() {
-            return Err(NnError::NoSuchNode(id));
-        }
-        self.fused[id].get_or_insert_with(FusedOps::default).inject = Some(inject);
-        Ok(())
+    /// The fused clamp on node `id`, if any.
+    pub fn fused_clamp(&self, id: NodeId) -> Option<gemm::Clamp> {
+        self.fused.get(id).copied().flatten()
     }
 
-    /// Removes the fused injection map from node `id` (disarming a
-    /// fault), keeping any fused clamp in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchNode`] for an unknown id.
-    pub fn clear_fused_inject(&mut self, id: NodeId) -> Result<(), NnError> {
-        if id >= self.nodes.len() {
-            return Err(NnError::NoSuchNode(id));
-        }
-        if let Some(f) = &mut self.fused[id] {
-            f.inject = None;
-            if f.is_identity() {
-                self.fused[id] = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes all fused ops from node `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchNode`] for an unknown id.
-    pub fn clear_fused(&mut self, id: NodeId) -> Result<(), NnError> {
-        if id >= self.nodes.len() {
-            return Err(NnError::NoSuchNode(id));
-        }
-        self.fused[id] = None;
-        Ok(())
-    }
-
-    /// The fused ops registered on node `id`, if any.
-    pub fn fused_ops(&self, id: NodeId) -> Option<&FusedOps> {
-        self.fused.get(id).and_then(Option::as_ref)
-    }
-
-    /// Total number of nodes carrying fused ops.
+    /// Total number of nodes carrying a fused clamp.
     pub fn num_fused(&self) -> usize {
         self.fused.iter().filter(|f| f.is_some()).count()
     }
 
     /// Evaluates node `id` with `layer` (its own or a per-call patched
-    /// copy), routing through the fused conv/linear kernel when the
-    /// node carries [`FusedOps`]; other layer kinds fall back to
-    /// forward + equivalent separate passes (same per-element order,
-    /// bit-identical result).
+    /// copy), applying the node's fused clamp if it has one.
     fn eval_node(&self, id: NodeId, layer: &Layer, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let Some(f) = self.fused.get(id).and_then(Option::as_ref).filter(|f| !f.is_identity())
-        else {
+        let Some(clamp) = self.fused_clamp(id) else {
             return layer.forward(inputs);
         };
-        let inject = f.inject.as_deref();
         match layer {
             Layer::Conv2d(c) => Ok(alfi_tensor::conv::conv2d_fused(
                 inputs[0],
                 &c.weight,
                 c.bias.as_ref(),
                 c.cfg,
-                inject,
-                f.clamp,
+                Some(clamp),
             )?),
-            Layer::Linear(l) => crate::layer::linear_fused(inputs[0], l, inject, f.clamp),
+            Layer::Linear(l) => crate::layer::linear_fused(inputs[0], l, Some(clamp)),
             other => {
                 let mut t = other.forward(inputs)?;
-                apply_fused_passes(&mut t, f);
+                t.map_inplace(|v| clamp.apply(v));
                 Ok(t)
             }
         }
@@ -642,7 +565,7 @@ impl Network {
     ///
     /// Per node, in topological order from the pass's start node: the
     /// layer (or its per-call patched copy) evaluates with the node's
-    /// fused ops, then the registered hooks run (unless the pass skips
+    /// fused clamp, then the registered hooks run (unless the pass skips
     /// them), then the pass's after-node callback. The loop stops at the
     /// output node unless the pass asks for every node. Nodes before the
     /// start node are not evaluated: their activations come from the
@@ -820,27 +743,6 @@ impl Network {
             .filter_map(|n| n.layer.weight())
             .map(|w| w.num_elements())
             .sum()
-    }
-}
-
-/// Separate-pass application of [`FusedOps`] for layer kinds without a
-/// fused kernel: injection entries first (in sorted order, so repeated
-/// indices apply in insertion order), then the clamp over every
-/// element — the identical per-element sequence the GEMM epilogue
-/// performs.
-fn apply_fused_passes(t: &mut Tensor, f: &FusedOps) {
-    let data = t.data_mut();
-    if let Some(map) = f.inject.as_deref() {
-        for &(flat, op) in map.entries() {
-            if let Some(v) = data.get_mut(flat) {
-                *v = op.apply(*v);
-            }
-        }
-    }
-    if let Some(clamp) = f.clamp {
-        for v in data.iter_mut() {
-            *v = clamp.apply(*v);
-        }
     }
 }
 

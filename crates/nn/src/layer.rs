@@ -453,32 +453,29 @@ impl Layer {
 }
 
 fn linear_forward(x: &Tensor, l: &Linear) -> Result<Tensor, NnError> {
-    linear_fused(x, l, None, None)
+    linear_fused(x, l, None)
 }
 
-/// Linear layer forward with per-element fault injection and a
-/// range-supervision clamp fused into the GEMM epilogue.
+/// Linear layer forward with a range-supervision clamp fused into the
+/// GEMM epilogue.
 ///
 /// The historical per-element operation order is preserved on both
 /// kernel paths: the accumulator starts at the output's bias value,
 /// products accumulate in ascending input-feature order (no zero-skip
-/// — the linear kernel never had one), then injection (by flat index
-/// into the `[n, out_features]` output) and clamp apply in that order.
-/// With `inject = None` and `clamp = None` this is the plain forward.
+/// — the linear kernel never had one), then the clamp applies. With
+/// `clamp = None` this is the plain forward.
 pub(crate) fn linear_fused(
     x: &Tensor,
     l: &Linear,
-    inject: Option<&gemm::InjectMap>,
     clamp: Option<gemm::Clamp>,
 ) -> Result<Tensor, NnError> {
     // Rank-3 token tensors [n, t, d] apply the linear per token: fold
     // the token axis into the row dimension, run the identical rank-2
-    // GEMM, and unfold. Flat output indices are unchanged by the fold,
-    // so injection maps address [n, t, out] directly.
+    // GEMM, and unfold.
     if x.rank() == 3 {
         let (n, t) = (x.dims()[0], x.dims()[1]);
         let folded = x.reshape(&[n * t, x.dims()[2]])?;
-        let y = linear_fused(&folded, l, inject, clamp)?;
+        let y = linear_fused(&folded, l, clamp)?;
         let out_f = y.dims()[1];
         return Ok(y.reshape(&[n, t, out_f])?);
     }
@@ -509,8 +506,7 @@ pub(crate) fn linear_fused(
             None => gemm::Bias::None,
         },
     };
-    let epi = gemm::FusedEpilogue { base: 0, inject, clamp };
-    gemm::gemm_with(x.data(), l.weight.data(), &mut out, &spec, &epi, gemm::kernel_path());
+    gemm::gemm_with(x.data(), l.weight.data(), &mut out, &spec, &clamp, gemm::kernel_path());
     Ok(Tensor::from_vec(out, &[n, out_f])?)
 }
 
@@ -601,7 +597,6 @@ fn attention_forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result
     let scale = 1.0 / (hd as f32).sqrt();
     let mut out = vec![0.0f32; n * t * d];
     let path = gemm::kernel_path();
-    let epi = gemm::FusedEpilogue { base: 0, inject: None, clamp: None };
     // Per-(batch, head) contiguous [t, hd] operand buffers; both GEMMs
     // run through the shared kernel path so attention inherits the
     // blocked/reference conformance story.
@@ -628,7 +623,7 @@ fn attention_forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result
                 skip_zero_a: false,
                 bias: gemm::Bias::None,
             };
-            gemm::gemm_with(&qh, &kh, &mut scores, &spec, &epi, path);
+            gemm::gemm(&qh, &kh, &mut scores, &spec, path);
             for row in scores.chunks_mut(t) {
                 softmax_row(row, scale);
             }
@@ -648,7 +643,7 @@ fn attention_forward(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result
                 skip_zero_a: false,
                 bias: gemm::Bias::None,
             };
-            gemm::gemm_with(&scores, &vh, &mut ctx, &spec, &epi, path);
+            gemm::gemm(&scores, &vh, &mut ctx, &spec, path);
             for p in 0..t {
                 let row = (b * t + p) * d + off;
                 out[row..row + hd].copy_from_slice(&ctx[p * hd..(p + 1) * hd]);

@@ -48,8 +48,8 @@ pub mod weights;
 
 pub use error::NnError;
 pub use graph::{
-    Activations, ForwardHook, FusedOps, HookHandle, InjectableLayer, LayerCtx, Network, Node,
-    NodeId, Pass, Prefix,
+    Activations, ForwardHook, HookHandle, InjectableLayer, LayerCtx, Network, Node, NodeId, Pass,
+    Prefix,
 };
 pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear, RestrictMode};
 pub use resume::NodeMap;

@@ -10,11 +10,11 @@
 //!
 //! [`Pass::resume`]: crate::graph::Pass::resume
 
-use crate::graph::{Activations, FusedOps, Network, NodeId, Prefix};
+use crate::graph::{Activations, Network, NodeId, Prefix};
 use crate::layer::Layer;
+use alfi_tensor::gemm::Clamp;
 use alfi_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How one derived node reuses a plain activation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,10 +40,10 @@ impl Link {
 ///
 /// Derived node `j` maps to plain node `k` when the two share the name,
 /// the layer (kind, configuration and parameters bitwise, see
-/// [`Layer::bitwise_eq`]) and the fused ops, and `j`'s inputs map to
-/// `k`'s inputs. Range guards are the exception, mapped conditionally:
-/// a spliced [`Layer::RangeRestrict`] node maps to its input's plain
-/// node, and a node whose only extra fused op is a clamp maps to its
+/// [`Layer::bitwise_eq`]) and the fused clamp (bitwise), and `j`'s
+/// inputs map to `k`'s inputs. Range guards are the exception, mapped
+/// conditionally: a spliced [`Layer::RangeRestrict`] node maps to its
+/// input's plain node, and a node that gains a fused clamp maps to its
 /// plain twin; either is the identity only while the plain activation
 /// lies inside the guard's bounds, which [`NodeMap::resume_point`]
 /// checks per input. The map ends at the first derived node that does
@@ -68,11 +68,11 @@ impl NodeMap {
                 if p.inputs != inputs || !p.layer.bitwise_eq(&node.layer) {
                     return None;
                 }
-                fused_link(k, plain.fused_ops(k), derived.fused_ops(id))
+                fused_link(k, plain.fused_clamp(k), derived.fused_clamp(id))
             });
             let link = twin.or_else(|| match (&node.layer, inputs.as_slice()) {
                 (&Layer::RangeRestrict { lo, hi, .. }, &[src])
-                    if active(derived.fused_ops(id)).is_none() =>
+                    if derived.fused_clamp(id).is_none() =>
                 {
                     Some(Link::Guard { plain: src, lo, hi })
                 }
@@ -140,41 +140,19 @@ impl Prefix for Mapped<'_> {
     }
 }
 
-/// The fused ops that can change a node's output, if any.
-fn active(f: Option<&FusedOps>) -> Option<&FusedOps> {
-    f.filter(|f| !f.is_identity())
-}
-
-/// How a derived node with fused ops `d` relates to plain node `k` with
-/// fused ops `p`, the layers and inputs already matching: the same ops
-/// (bitwise) keep the activation, a lone extra clamp is a guard.
-fn fused_link(k: NodeId, p: Option<&FusedOps>, d: Option<&FusedOps>) -> Option<Link> {
-    match (active(p), active(d)) {
+/// How a derived node with fused clamp `d` relates to plain node `k`
+/// with fused clamp `p`, the layers and inputs already matching: the
+/// same clamp (bitwise) keeps the activation, a lone extra clamp is a
+/// guard.
+fn fused_link(k: NodeId, p: Option<Clamp>, d: Option<Clamp>) -> Option<Link> {
+    match (p, d) {
         (None, None) => Some(Link::Same(k)),
-        (None, Some(FusedOps { inject, clamp: Some(c) }))
-            if inject.as_deref().is_none_or(|m| m.is_empty()) =>
-        {
-            Some(Link::Guard { plain: k, lo: c.lo, hi: c.hi })
-        }
-        (Some(p), Some(d)) => {
-            let inject = match (&p.inject, &d.inject) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
-                (a, b) => {
-                    a.as_deref().is_none_or(|m| m.is_empty())
-                        && b.as_deref().is_none_or(|m| m.is_empty())
-                }
-            };
-            let clamp = match (p.clamp, d.clamp) {
-                (Some(a), Some(b)) => {
-                    a.mode == b.mode
-                        && a.lo.to_bits() == b.lo.to_bits()
-                        && a.hi.to_bits() == b.hi.to_bits()
-                }
-                (a, b) => a.is_none() && b.is_none(),
-            };
-            (inject && clamp).then_some(Link::Same(k))
-        }
-        _ => None,
+        (None, Some(c)) => Some(Link::Guard { plain: k, lo: c.lo, hi: c.hi }),
+        (Some(a), Some(b)) => (a.mode == b.mode
+            && a.lo.to_bits() == b.lo.to_bits()
+            && a.hi.to_bits() == b.hi.to_bits())
+        .then_some(Link::Same(k)),
+        (Some(_), None) => None,
     }
 }
 
@@ -249,6 +227,31 @@ mod tests {
         assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 3);
         let x = Tensor::from_vec(vec![2.0, 2.0], &[1, 2]).unwrap();
         assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 0);
+    }
+
+    #[test]
+    fn equal_fused_clamps_map_as_the_same_node_and_any_difference_ends_the_map() {
+        // Zero mode with 0 outside [lo, hi]: fc1([2, 2]) = [0, 5] clamps
+        // to [0, 0], which would trip a guard over the same bounds.
+        let clamp = gemm::Clamp { lo: 0.5, hi: 4.0, mode: gemm::ClampMode::Zero };
+        let mut net = plain();
+        net.set_fused_clamp(0, clamp).unwrap();
+        let map = NodeMap::new(&net.clone(), &net);
+        assert_eq!(map.len(), 3);
+        let x = Tensor::from_vec(vec![2.0, 2.0], &[1, 2]).unwrap();
+        assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 3);
+        for (p, d) in [
+            (clamp, gemm::Clamp { lo: 0.25, ..clamp }),
+            (clamp, gemm::Clamp { hi: 4.5, ..clamp }),
+            (clamp, gemm::Clamp { mode: gemm::ClampMode::Clip, ..clamp }),
+            // Equal as numbers, not bitwise.
+            (gemm::Clamp { lo: 0.0, ..clamp }, gemm::Clamp { lo: -0.0, ..clamp }),
+        ] {
+            let (mut plain_net, mut derived) = (plain(), plain());
+            plain_net.set_fused_clamp(0, p).unwrap();
+            derived.set_fused_clamp(0, d).unwrap();
+            assert!(NodeMap::new(&derived, &plain_net).is_empty(), "{p:?} vs {d:?}");
+        }
     }
 
     #[test]

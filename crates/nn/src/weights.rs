@@ -14,23 +14,12 @@
 use crate::error::NnError;
 use crate::graph::Network;
 use crate::layer::Layer;
+use alfi_store::crc32;
 use alfi_tensor::Tensor;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ALFIWGT1";
 const VERSION: u32 = 1;
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     out.extend_from_slice(&(t.rank() as u32).to_le_bytes());
@@ -381,7 +370,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         let mut target = alexnet(&cfg(1));
-        assert!(decode_weights_into(&mut target, &bytes).is_err());
+        let err = decode_weights_into(&mut target, &bytes).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
         // truncation
         let bytes = encode_weights(&source);
         assert!(decode_weights_into(&mut target, &bytes[..bytes.len() / 2]).is_err());

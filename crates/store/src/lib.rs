@@ -73,9 +73,9 @@ pub use writer::{StoreStats, StoreWriter, DEFAULT_BLOCK_ROWS};
 /// slice.
 ///
 /// Implemented locally — no checksum crate ships with the offline
-/// toolchain. This is the workspace's single CRC implementation;
+/// toolchain. This is the workspace's single CRC implementation:
 /// `alfi-core::persist` re-exports it for the fault-matrix and trace
-/// file formats.
+/// file formats, and `alfi-nn` checksums weight checkpoints with it.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {

@@ -11,11 +11,11 @@
 //! (`conv2d_im2col`, the fast path, driven by the [`crate::gemm`]
 //! blocked/reference kernels). Tests assert they agree bit-for-bit
 //! modulo floating-point associativity. [`conv2d_fused`] additionally
-//! fuses per-element fault injection and a range-supervision clamp
-//! into the GEMM epilogue so hardened runs avoid a second pass over
-//! the activations.
+//! fuses a range-supervision clamp into the GEMM epilogue, so a model
+//! hardened with fused clamps avoids a second pass over the
+//! activations.
 
-use crate::gemm::{self, Clamp, InjectMap};
+use crate::gemm::{self, Clamp};
 use crate::{Tensor, TensorError};
 
 /// Stride/padding/dilation configuration shared by convolution and
@@ -257,19 +257,16 @@ pub fn conv2d_im2col(
     bias: Option<&Tensor>,
     cfg: ConvConfig,
 ) -> Result<Tensor, TensorError> {
-    conv2d_fused(input, weight, bias, cfg, None, None)
+    conv2d_fused(input, weight, bias, cfg, None)
 }
 
-/// [`conv2d_im2col`] with per-element fault injection and a
-/// range-supervision clamp fused into the GEMM epilogue.
+/// [`conv2d_im2col`] with a range-supervision clamp fused into the GEMM
+/// epilogue.
 ///
 /// Per output element the operation order is fixed — GEMM sum, bias,
-/// injection (looked up by the element's flat index in the full
-/// `[n, c_out, h_out, w_out]` output), clamp — which is exactly the
-/// separate-pass sequence (forward, then hook mutation, then a spliced
-/// `RangeRestrict` layer), so fused and separate-pass results are
-/// bit-identical. With `inject = None` and `clamp = None` this *is*
-/// `conv2d_im2col`.
+/// clamp — which is exactly the separate-pass sequence (forward, then a
+/// spliced `RangeRestrict` layer), so fused and separate-pass results
+/// are bit-identical. With `clamp = None` this *is* `conv2d_im2col`.
 ///
 /// # Errors
 ///
@@ -279,7 +276,6 @@ pub fn conv2d_fused(
     weight: &Tensor,
     bias: Option<&Tensor>,
     cfg: ConvConfig,
-    inject: Option<&InjectMap>,
     clamp: Option<Clamp>,
 ) -> Result<Tensor, TensorError> {
     check_rank(input, 4)?;
@@ -341,8 +337,7 @@ pub fn conv2d_fused(
             skip_zero_a: true,
             bias: gemm::Bias::PostPerRow(bias_row),
         };
-        let epi = gemm::FusedEpilogue { base: b * per_item, inject, clamp };
-        gemm::gemm_with(w_data, cols.data(), dst_item, &spec, &epi, path);
+        gemm::gemm_with(w_data, cols.data(), dst_item, &spec, &clamp, path);
     };
 
     let threads = alfi_pool::current_parallelism();

@@ -27,8 +27,9 @@
 //!    identically on both paths — skipping is *not* a no-op in IEEE
 //!    arithmetic (`0.0 × ∞ = NaN`, `-0.0 + 0.0 = 0.0`), so it is part
 //!    of the kernel contract, not an optimization detail;
-//! 4. the epilogue (bias, injection, clamp) applies the same per-element
-//!    operation sequence in the same order on both paths.
+//! 4. the epilogue (bias, then the optional range clamp) applies the
+//!    same per-element operation sequence in the same order on both
+//!    paths.
 //!
 //! The active path is selected by the `ALFI_KERNEL` environment
 //! variable (`reference` | `blocked`, default `blocked`), overridable
@@ -223,80 +224,6 @@ impl Epilogue for NoEpilogue {
     }
 }
 
-/// One fault operation applied to a single output element — the fused
-/// mirror of the hook-based neuron corruption in `alfi-core`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InjectOp {
-    /// Flip one bit of the IEEE-754 representation.
-    BitFlip(u8),
-    /// Force one bit to a fixed value.
-    StuckAt {
-        /// Bit position (0 = LSB of the mantissa, 31 = sign).
-        pos: u8,
-        /// Forced bit value.
-        high: bool,
-    },
-    /// Replace the value outright.
-    Set(f32),
-}
-
-impl InjectOp {
-    /// Applies the corruption to `v`.
-    #[inline]
-    pub fn apply(self, v: f32) -> f32 {
-        match self {
-            InjectOp::BitFlip(pos) => crate::bits::flip_bit(v, pos),
-            InjectOp::StuckAt { pos, high } => crate::bits::set_bit(v, pos, high),
-            InjectOp::Set(x) => x,
-        }
-    }
-}
-
-/// A sparse set of per-element corruptions keyed by flat output index.
-/// Multiple entries on the same index apply in insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct InjectMap {
-    entries: Vec<(usize, InjectOp)>,
-}
-
-impl InjectMap {
-    /// Builds a map from `(flat_index, op)` pairs; entries are sorted by
-    /// index (stable, so same-index ops keep their given order).
-    pub fn new(mut entries: Vec<(usize, InjectOp)>) -> Self {
-        entries.sort_by_key(|e| e.0);
-        InjectMap { entries }
-    }
-
-    /// Number of corruption entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the map contains no corruptions.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The sorted `(flat_index, op)` entries.
-    pub fn entries(&self) -> &[(usize, InjectOp)] {
-        &self.entries
-    }
-
-    /// Applies every op registered for `flat` to `v`, in order.
-    #[inline]
-    pub fn apply(&self, flat: usize, v: f32) -> f32 {
-        let start = self.entries.partition_point(|e| e.0 < flat);
-        let mut v = v;
-        for (idx, op) in &self.entries[start..] {
-            if *idx != flat {
-                break;
-            }
-            v = op.apply(v);
-        }
-        v
-    }
-}
-
 /// Out-of-range handling for [`Clamp`] — mirrors `alfi-nn`'s
 /// `RestrictMode` semantics exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,36 +269,20 @@ impl Clamp {
     }
 }
 
-/// The standard fused epilogue: optional injection followed by an
-/// optional range clamp. Per element the order is fixed —
-/// **bias → inject → clamp** — matching a hook that mutates the layer
-/// output followed by a spliced `RangeRestrict` node.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedEpilogue<'a> {
-    /// Offset added to the kernel-local flat index before looking up
-    /// injections (e.g. `batch_item * per_item_elements` for conv).
-    pub base: usize,
-    /// Sparse per-element corruption map, if any.
-    pub inject: Option<&'a InjectMap>,
-    /// Range-supervision clamp, if any.
-    pub clamp: Option<Clamp>,
-}
-
-impl Epilogue for FusedEpilogue<'_> {
+/// The fused epilogue of a conv/linear node: its optional range clamp.
+/// Per element the order is **bias → clamp**, matching a spliced
+/// `RangeRestrict` node after the layer.
+impl Epilogue for Option<Clamp> {
     #[inline]
-    fn apply(&self, flat: usize, v: f32) -> f32 {
-        let mut v = v;
-        if let Some(map) = self.inject {
-            v = map.apply(self.base + flat, v);
+    fn apply(&self, _flat: usize, v: f32) -> f32 {
+        match self {
+            Some(clamp) => clamp.apply(v),
+            None => v,
         }
-        if let Some(clamp) = self.clamp {
-            v = clamp.apply(v);
-        }
-        v
     }
 
     fn is_identity(&self) -> bool {
-        self.inject.is_none_or(InjectMap::is_empty) && self.clamp.is_none()
+        self.is_none()
     }
 }
 
@@ -845,20 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn inject_map_applies_ops_in_order() {
-        let map = InjectMap::new(vec![
-            (3, InjectOp::Set(1.0)),
-            (3, InjectOp::BitFlip(31)),
-            (1, InjectOp::StuckAt { pos: 31, high: true }),
-        ]);
-        assert_eq!(map.len(), 3);
-        assert_eq!(map.apply(0, 5.0), 5.0);
-        assert_eq!(map.apply(1, 5.0), -5.0);
-        // Set(1.0) then sign flip -> -1.0
-        assert_eq!(map.apply(3, 42.0), -1.0);
-    }
-
-    #[test]
     fn clamp_matches_range_restrict_semantics() {
         let clip = Clamp { lo: -1.0, hi: 2.0, mode: ClampMode::Clip };
         assert_eq!(clip.apply(-5.0), -1.0);
@@ -912,14 +809,8 @@ mod tests {
 
     #[test]
     fn fused_epilogue_identity_detection() {
-        let empty = InjectMap::default();
-        let epi = FusedEpilogue { base: 0, inject: Some(&empty), clamp: None };
-        assert!(epi.is_identity());
-        let epi = FusedEpilogue {
-            base: 0,
-            inject: None,
-            clamp: Some(Clamp { lo: 0.0, hi: 1.0, mode: ClampMode::Clip }),
-        };
+        assert!(None::<Clamp>.is_identity());
+        let epi = Some(Clamp { lo: 0.0, hi: 1.0, mode: ClampMode::Clip });
         assert!(!epi.is_identity());
     }
 }

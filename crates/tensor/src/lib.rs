@@ -18,7 +18,7 @@
 //! * [`conv`] — convolution and pooling compute kernels used by
 //!   `alfi-nn` layers;
 //! * [`gemm`] — cache-blocked, panel-packed GEMM microkernels with a
-//!   fused per-element epilogue (fault injection + range clamp), plus
+//!   fused per-element epilogue (the Ranger/Clipper range clamp), plus
 //!   the `ALFI_KERNEL` reference/blocked path switch. Both paths are
 //!   bit-identical by contract.
 //!

@@ -288,7 +288,7 @@ fn conv_paths_are_bit_identical_at_every_pool_cap() {
 
 /// The fused epilogue hook fires exactly once per element with the
 /// element's global flat index, on both paths, sequential and
-/// parallel — the invariant injection correctness rests on.
+/// parallel.
 #[test]
 fn epilogue_fires_once_per_element_with_global_indices() {
     use std::sync::atomic::{AtomicU32, Ordering};

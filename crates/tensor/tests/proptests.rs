@@ -5,10 +5,7 @@ use alfi_check::{assume, check, check_with, gen};
 use alfi_rng::Rng;
 use alfi_tensor::conv::{avg_pool2d, conv2d_direct, conv2d_im2col, max_pool2d, ConvConfig};
 use alfi_tensor::f16::{Bf16, F16};
-use alfi_tensor::gemm::{
-    self, BLayout, Bias, Clamp, ClampMode, FusedEpilogue, GemmSpec, InjectMap, InjectOp,
-    KernelPath, NoEpilogue,
-};
+use alfi_tensor::gemm::{self, BLayout, Bias, Clamp, ClampMode, GemmSpec, KernelPath, NoEpilogue};
 use alfi_tensor::quant::{flip_bit_i8, QuantParams};
 use alfi_tensor::{bits, Shape, Tensor, TensorError};
 
@@ -303,53 +300,24 @@ fn parallel_conv_is_bit_identical_and_matches_direct() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-epilogue differential properties: the in-kernel epilogue
-// (injection mask + range clamp) must be bit-for-bit identical to the
-// historical two-pass form (plain GEMM, then a separate full pass over
-// the output), on both kernel paths — including NaN/Inf operands and
-// clamp bounds that land exactly on output values.
+// Fused-epilogue differential properties: the in-kernel range clamp
+// must be bit-for-bit identical to the historical two-pass form (plain
+// GEMM, then a separate full pass over the output), on both kernel
+// paths — including NaN/Inf operands and clamp bounds that land exactly
+// on output values.
 // ---------------------------------------------------------------------------
 
-/// Generates a random injection map over a `len`-element output:
-/// bit-flips, stuck-at bits and direct value writes at random flat
-/// indices (duplicates allowed — same-index ops compose in insertion
-/// order).
-fn random_inject_map(rng: &mut Rng, len: usize) -> InjectMap {
-    let count = rng.gen_range(0usize..6);
-    let entries: Vec<(usize, InjectOp)> = (0..count)
-        .map(|_| {
-            let flat = rng.gen_range(0usize..len);
-            let op = match rng.gen_range(0u32..3) {
-                0 => InjectOp::BitFlip(rng.gen_range(0u8..32)),
-                1 => InjectOp::StuckAt {
-                    pos: rng.gen_range(0u8..32),
-                    high: rng.gen_range(0u32..2) == 1,
-                },
-                _ => InjectOp::Set(rng.gen_range(-100.0f32..100.0)),
-            };
-            (flat, op)
-        })
-        .collect();
-    InjectMap::new(entries)
-}
-
 /// The two-pass reference the fused epilogue must reproduce: plain
-/// GEMM result, then injections in map order, then a full clamp pass.
+/// GEMM result, then a full clamp pass.
 fn separate_passes(
     a: &[f32],
     b: &[f32],
     spec: &GemmSpec<'_>,
-    inject: Option<&InjectMap>,
     clamp: Option<Clamp>,
     path: KernelPath,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; spec.m * spec.n];
     gemm::gemm_with(a, b, &mut out, spec, &NoEpilogue, path);
-    if let Some(map) = inject {
-        for &(flat, op) in map.entries() {
-            out[flat] = op.apply(out[flat]);
-        }
-    }
     if let Some(c) = clamp {
         for v in &mut out {
             *v = c.apply(*v);
@@ -368,8 +336,8 @@ fn assert_bits_eq(reference: &[f32], fused: &[f32], what: &str) {
     }
 }
 
-/// Fused inject+clamp == separate passes, bit-for-bit, on both kernel
-/// paths, for random shapes, maps and clamp windows.
+/// Fused clamp == separate passes, bit-for-bit, on both kernel paths,
+/// for random shapes and clamp windows.
 #[test]
 fn fused_epilogue_matches_separate_passes() {
     check_with(64, "fused_epilogue_matches_separate_passes", |rng| {
@@ -380,11 +348,10 @@ fn fused_epilogue_matches_separate_passes() {
         let mut data_rng = Rng::from_seed(seed);
         let a: Vec<f32> = (0..m * k).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
-        let inject = random_inject_map(&mut data_rng, m * n);
         let lo = data_rng.gen_range(-3.0f32..0.0);
         let hi = data_rng.gen_range(0.0f32..3.0);
         let mode = if data_rng.gen_range(0u32..2) == 0 { ClampMode::Clip } else { ClampMode::Zero };
-        let clamp = Clamp { lo, hi, mode };
+        let clamp = Some(Clamp { lo, hi, mode });
         let spec = GemmSpec {
             m,
             k,
@@ -394,10 +361,9 @@ fn fused_epilogue_matches_separate_passes() {
             bias: Bias::None,
         };
         for path in [KernelPath::Reference, KernelPath::Blocked] {
-            let reference = separate_passes(&a, &b, &spec, Some(&inject), Some(clamp), path);
+            let reference = separate_passes(&a, &b, &spec, clamp, path);
             let mut fused = vec![0.0f32; m * n];
-            let epi = FusedEpilogue { base: 0, inject: Some(&inject), clamp: Some(clamp) };
-            gemm::gemm_with(&a, &b, &mut fused, &spec, &epi, path);
+            gemm::gemm_with(&a, &b, &mut fused, &spec, &clamp, path);
             assert_bits_eq(&reference, &fused, &format!("{path} m={m} k={k} n={n}"));
         }
     });
@@ -428,8 +394,7 @@ fn fused_epilogue_is_bitwise_stable_under_nonfinite_operands() {
         };
         let a: Vec<f32> = (0..m * k).map(|_| special(&mut data_rng)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| special(&mut data_rng)).collect();
-        let inject = random_inject_map(&mut data_rng, m * n);
-        let clamp = Clamp { lo: -1.0, hi: 1.0, mode: ClampMode::Clip };
+        let clamp = Some(Clamp { lo: -1.0, hi: 1.0, mode: ClampMode::Clip });
         for skip in [false, true] {
             let spec = GemmSpec {
                 m,
@@ -439,12 +404,10 @@ fn fused_epilogue_is_bitwise_stable_under_nonfinite_operands() {
                 skip_zero_a: skip,
                 bias: Bias::None,
             };
-            let epi = FusedEpilogue { base: 0, inject: Some(&inject), clamp: Some(clamp) };
-            let reference =
-                separate_passes(&a, &b, &spec, Some(&inject), Some(clamp), KernelPath::Reference);
+            let reference = separate_passes(&a, &b, &spec, clamp, KernelPath::Reference);
             for path in [KernelPath::Reference, KernelPath::Blocked] {
                 let mut fused = vec![0.0f32; m * n];
-                gemm::gemm_with(&a, &b, &mut fused, &spec, &epi, path);
+                gemm::gemm_with(&a, &b, &mut fused, &spec, &clamp, path);
                 assert_bits_eq(&reference, &fused, &format!("nonfinite {path} skip={skip}"));
             }
         }
@@ -475,21 +438,19 @@ fn fused_clamp_at_exact_boundaries() {
         };
         // Take the clamp window from actual output values, so both
         // bounds land exactly on representable results.
-        let plain = separate_passes(&a, &b, &spec, None, None, KernelPath::Reference);
+        let plain = separate_passes(&a, &b, &spec, None, KernelPath::Reference);
         let lo_i = data_rng.gen_range(0usize..plain.len());
         let hi_i = data_rng.gen_range(0usize..plain.len());
         let (lo, hi) = (plain[lo_i].min(plain[hi_i]), plain[lo_i].max(plain[hi_i]));
         for mode in [ClampMode::Clip, ClampMode::Zero] {
             let clamp = Clamp { lo, hi, mode };
-            let reference =
-                separate_passes(&a, &b, &spec, None, Some(clamp), KernelPath::Reference);
+            let reference = separate_passes(&a, &b, &spec, Some(clamp), KernelPath::Reference);
             // Boundary semantics: the bound values themselves survive.
             assert_eq!(clamp.apply(lo).to_bits(), lo.to_bits(), "lo is inclusive");
             assert_eq!(clamp.apply(hi).to_bits(), hi.to_bits(), "hi is inclusive");
             for path in [KernelPath::Reference, KernelPath::Blocked] {
                 let mut fused = vec![0.0f32; m * n];
-                let epi = FusedEpilogue { base: 0, inject: None, clamp: Some(clamp) };
-                gemm::gemm_with(&a, &b, &mut fused, &spec, &epi, path);
+                gemm::gemm_with(&a, &b, &mut fused, &spec, &Some(clamp), path);
                 assert_bits_eq(&reference, &fused, &format!("boundary {mode:?} {path}"));
             }
         }
@@ -497,9 +458,8 @@ fn fused_clamp_at_exact_boundaries() {
 }
 
 /// The fused convolution entry point agrees bit-for-bit with a plain
-/// convolution followed by separate injection and clamp passes, on
-/// both kernel paths and with the epilogue's per-item base offset in
-/// play (batch > 1).
+/// convolution followed by a separate clamp pass, on both kernel paths
+/// and with batch > 1.
 #[test]
 fn fused_conv_matches_separate_passes() {
     check_with(32, "fused_conv_matches_separate_passes", |rng| {
@@ -516,20 +476,11 @@ fn fused_conv_matches_separate_passes() {
         let weight = Tensor::rand_normal(&mut data_rng, &[c_out, c_in, kk, kk], 0.0, 1.0);
         let cfg = ConvConfig { stride: 1, padding: pad, dilation: 1 };
         let plain = conv2d_im2col(&input, &weight, None, cfg).unwrap();
-        let inject = random_inject_map(&mut data_rng, plain.num_elements());
         let clamp = Clamp { lo: -1.5, hi: 1.5, mode: ClampMode::Clip };
-
-        let mut expected = plain.data().to_vec();
-        for &(flat, op) in inject.entries() {
-            expected[flat] = op.apply(expected[flat]);
-        }
-        for v in &mut expected {
-            *v = clamp.apply(*v);
-        }
+        let expected: Vec<f32> = plain.data().iter().map(|&v| clamp.apply(v)).collect();
 
         let fused =
-            alfi_tensor::conv::conv2d_fused(&input, &weight, None, cfg, Some(&inject), Some(clamp))
-                .unwrap();
+            alfi_tensor::conv::conv2d_fused(&input, &weight, None, cfg, Some(clamp)).unwrap();
         assert_bits_eq(
             &expected,
             fused.data(),

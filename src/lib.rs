@@ -14,7 +14,7 @@
 //! | [`nn`] | `alfi-nn` | layers, hooked network graphs, model zoo, detectors |
 //! | [`scenario`] | `alfi-scenario` | `default.yml`-style campaign configuration |
 //! | [`core`] | `alfi-core` | fault matrices, injection engine, persistence, campaigns, the SDC/DUE/masked rule and [`core::stats::Rate`] |
-//! | [`core::monitor`] | `alfi-core` | NaN/Inf + activation-range monitors ([`core::attach_monitor`]) |
+//! | [`core::monitor`] | `alfi-core` | NaN/Inf monitor ([`core::attach_monitor`]) |
 //! | [`trace`] | `alfi-trace` | campaign observability: [`trace::Recorder`], JSONL event log, [`trace::TraceSummary`] |
 //! | [`datasets`] | `alfi-datasets` | synthetic datasets + COCO-style wrappers |
 //! | [`mitigation`] | `alfi-mitigation` | Ranger/Clipper activation-range hardening |
@@ -96,7 +96,7 @@ pub mod prelude {
         CampaignTask, ClassificationCampaignResult, DetectionCampaignResult, Engine,
         ImgClassCampaign, ObjDetCampaign, RunConfig,
     };
-    pub use crate::core::{attach_monitor, Artifacts, NanInfMonitor, RangeMonitor, ReplayReader};
+    pub use crate::core::{attach_monitor, Artifacts, NanInfMonitor, ReplayReader};
     pub use crate::scenario::{
         ArtifactFormat, CiMethod, FaultMode, InjectionPolicy, InjectionTarget, Scenario,
         StopPolicy, StopScope,

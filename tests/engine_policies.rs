@@ -8,12 +8,14 @@
 //! types, through the public `run_with` API only.
 
 use alfi::core::campaign::{ImgClassCampaign, ObjDetCampaign, RunConfig};
+use alfi::core::CoreError;
 use alfi::datasets::detection::DetectionDataset;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader, DetectionLoader};
 use alfi::nn::detection::{DetectorConfig, YoloGrid};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{
-    CiMethod, FaultMode, InjectionPolicy, InjectionTarget, Scenario, StopPolicy, StopScope,
+    CiMethod, FaultDuration, FaultMode, InjectionPolicy, InjectionTarget, Scenario, ScenarioError,
+    StopPolicy, StopScope,
 };
 
 fn model_cfg() -> ModelConfig {
@@ -172,5 +174,37 @@ fn truncated_replay_matrix_ends_detection_run_early() {
     assert_eq!(truncated.rows.len(), 2);
     for (a, b) in full.rows.iter().zip(truncated.rows.iter()) {
         assert_eq!(a.corr, b.corr, "replayed prefix must match the full run");
+    }
+}
+
+/// Every scope arms its own fault slot, so `fault_duration: permanent`
+/// would run exactly like `transient`. Both campaign types refuse it
+/// at one and two threads, before they create the save directory.
+#[test]
+fn permanent_fault_duration_is_rejected_before_the_run_starts() {
+    let mut s = scenario(InjectionPolicy::PerImage, 4, 1);
+    s.fault_duration = FaultDuration::Permanent;
+    let mcfg = model_cfg();
+    let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
+    let det = YoloGrid::new(&dcfg);
+    for threads in [1usize, 2] {
+        let dir = std::env::temp_dir().join(format!("alfi_it_permanent_{threads}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = RunConfig::new().threads(threads).save_dir(&dir);
+        let ds = ClassificationDataset::new(4, mcfg.num_classes, 3, 16, 9);
+        let loader = ClassificationLoader::new(ds, 1);
+        let classification =
+            ImgClassCampaign::new(alexnet(&mcfg), s.clone(), loader).run_with(&cfg).map(|_| ());
+        let loader = DetectionLoader::new(DetectionDataset::new(4, dcfg.num_classes, 3, 32, 3), 1);
+        let detection = ObjDetCampaign::new(&det, s.clone(), loader).run_with(&cfg).map(|_| ());
+        for (kind, result) in [("classification", classification), ("detection", detection)] {
+            match result {
+                Err(CoreError::Scenario(ScenarioError::InvalidField { field, .. })) => {
+                    assert_eq!(field, "fault_duration", "{kind} at {threads} threads");
+                }
+                other => panic!("{kind} at {threads} threads: expected a scenario error: {other:?}"),
+            }
+        }
+        assert!(!dir.exists(), "a rejected run must not create {}", dir.display());
     }
 }
