@@ -388,7 +388,7 @@ impl CampaignTask for ImgClassCampaign {
             let _span = rec.span_on(Phase::Inject, worker);
             FaultPlan::new(&[&self.model], ctx.targets, ctx.faults, kind)?
         };
-        let start = if reuse { plan.first_node().unwrap_or(self.model.num_nodes()) } else { 0 };
+        let start = if reuse { plan.first_node(0).unwrap_or(self.model.num_nodes()) } else { 0 };
         let (mut nan, mut inf) = (0usize, 0usize);
         let mut observe = |_: NodeId, t: &Tensor| {
             if t.has_non_finite() {
@@ -415,7 +415,7 @@ impl CampaignTask for ImgClassCampaign {
                     let _span = rec.span_on(Phase::Inject, worker);
                     FaultPlan::new(&[&resil.net], rt, ctx.faults, kind)?
                 };
-                let limit = plan.first_node().unwrap_or(resil.net.num_nodes());
+                let limit = plan.first_node(0).unwrap_or(resil.net.num_nodes());
                 let start = if reuse { resil.map.resume_point(limit, &golden) } else { 0 };
                 let _span = rec.span_on(Phase::Forward, worker);
                 let prefix = resil.map.view(&golden);

@@ -24,7 +24,7 @@ use crate::persist::{RunTrace, TraceEntry};
 use alfi_datasets::loader::DetectionLoader;
 use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{Detection, Detector};
-use alfi_nn::NodeId;
+use alfi_nn::{NodeId, Pass};
 use alfi_scenario::{ArtifactFormat, Scenario};
 use alfi_serde::ToJson;
 use alfi_store::{ColumnSpec, ColumnType, Encoding, Schema, Value};
@@ -86,10 +86,15 @@ pub struct DetectionScope {
 /// campaign never changes its models: it *borrows* its detector(s) and
 /// runs every fault through a per-call [`FaultPlan`], so one shared
 /// detector serves the golden, faulty and hardened passes of every
-/// worker. Each scope runs one golden `detect`, with the detector's
-/// registered hooks; the faulty and hardened passes run
-/// [`FaultPlan::detect`], which skips registered hooks and starts every
-/// network at node 0.
+/// worker. Each scope runs one golden detection, with the detector's
+/// registered hooks, and keeps every network call's activations. The
+/// faulty pass runs [`FaultPlan::detect`] from them: a call on a
+/// network the faults leave untouched returns the golden activations,
+/// and the first touched call resumes at its first faulted node. A
+/// detector carrying hooks keeps no golden activations, since the
+/// faulty pass skips hooks, so its faulty pass starts every network at
+/// node 0. So does the hardened pass, whose networks differ from the
+/// golden ones.
 #[derive(Debug)]
 pub struct ObjDetCampaign<'a, D: Detector + ?Sized> {
     detector: &'a D,
@@ -169,7 +174,7 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
         // bounds.
         let input_dims = {
             let ds = self.loader.dataset();
-            vec![1usize, 3, ds.image_hw(), ds.image_hw()]
+            vec![1usize, ds.channels(), ds.image_hw(), ds.image_hw()]
         };
         let resolve = |det: &D| {
             let nets = det.networks();
@@ -208,8 +213,8 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
 
     /// Runs the fault-free / faulty (/ hardened) detection passes for
     /// one image. The faulty pass's NaN/Inf counts cover every node of
-    /// every network it evaluates, each after its layer and before its
-    /// neuron faults.
+    /// every network call it makes: golden activations it reuses, then
+    /// each evaluated node after its layer and before its neuron faults.
     fn process_scope(
         &self,
         ctx: &ScopeCtx<'_>,
@@ -221,9 +226,22 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
         let worker = alfi_pool::worker_index();
         let image = &scope.image;
         let kind = ctx.scenario.injection_target;
+        // Hooks run in the golden pass only, so hooked golden
+        // activations are not the ones the hook-free faulty pass
+        // computes: keep none of them then.
+        let keep = self.detector.networks().iter().all(|net| net.num_hooks() == 0);
+        let mut golden = Vec::new();
         let orig = {
             let _span = rec.span_on(Phase::Forward, worker);
-            self.detector.detect(image)?.remove(0)
+            self.detector
+                .detect_with(image, &mut |i, net, x| {
+                    let acts = net.evaluate(x, Pass::new().all_nodes().traced(rec))?.into_nodes()?;
+                    if keep {
+                        golden.push((i, acts.clone()));
+                    }
+                    Ok(acts)
+                })?
+                .remove(0)
         };
 
         let plan = {
@@ -239,7 +257,7 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
         };
         let (mut corr, applied) = {
             let _span = rec.span_on(Phase::Forward, worker);
-            plan.detect(self.detector, image, &mut observe)?
+            plan.detect(self.detector, image, &golden, rec, &mut observe)?
         };
 
         let resil = match (self.resil_detector, ctx.resil_targets) {
@@ -249,7 +267,7 @@ impl<D: Detector + ?Sized> CampaignTask for ObjDetCampaign<'_, D> {
                     FaultPlan::new(&rdet.networks(), rt, ctx.faults, kind)?
                 };
                 let _span = rec.span_on(Phase::Forward, worker);
-                Some(plan.detect(rdet, image, &mut |_, _| {})?.0.remove(0))
+                Some(plan.detect(rdet, image, &[], rec, &mut |_, _| {})?.0.remove(0))
             }
             _ => None,
         };
@@ -525,6 +543,27 @@ mod tests {
         let result = run_campaign(s);
         let applied: usize = result.rows.iter().map(|r| r.faults.len()).sum();
         assert!(applied >= 2, "most neuron faults should land (batch 1), got {applied}");
+    }
+
+    /// Target resolution infers shapes on the dataset's own channel
+    /// count, so a grayscale detector's weight and neuron campaigns run.
+    #[test]
+    fn a_one_channel_detector_runs_on_one_channel_images() {
+        let dcfg = DetectorConfig {
+            input_hw: 32,
+            in_channels: 1,
+            width_mult: 0.125,
+            ..DetectorConfig::default()
+        };
+        let det = YoloGrid::new(&dcfg);
+        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+            let s = Scenario { dataset_size: 3, injection_target: target, ..Scenario::default() };
+            let ds = DetectionDataset::new(3, dcfg.num_classes, 1, 32, 3);
+            let result = ObjDetCampaign::new(&det, s, DetectionLoader::new(ds, 1))
+                .run_with(&RunConfig::default())
+                .unwrap_or_else(|e| panic!("{target:?}: {e:?}"));
+            assert_eq!(result.rows.len(), 3, "{target:?}");
+        }
     }
 
     #[test]

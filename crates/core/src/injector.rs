@@ -397,12 +397,13 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The earliest node the plan corrupts in network 0, the one
-    /// [`FaultPlan::forward`] runs: every node before it computes the
-    /// fault-free activation.
-    pub fn first_node(&self) -> Option<NodeId> {
-        let weights = self.patched_on(0).iter().map(|(id, _)| *id);
-        let neurons = self.neurons.iter().filter(|((net, _), _)| *net == 0);
+    /// The earliest node the plan corrupts in network `net`, or `None`
+    /// when it leaves `net` untouched: every node before it computes
+    /// the fault-free activation. A classifier is network 0, the one
+    /// [`FaultPlan::forward`] runs.
+    pub fn first_node(&self, net: usize) -> Option<NodeId> {
+        let weights = self.patched_on(net).iter().map(|(id, _)| *id);
+        let neurons = self.neurons.iter().filter(|((n, _), _)| *n == net);
         weights.chain(neurons.map(|((_, id), _)| *id)).min()
     }
 
@@ -436,12 +437,31 @@ impl FaultPlan {
         Ok((output, self.applied(logs)))
     }
 
-    /// Runs `det`'s faulty detection: every network it evaluates runs
-    /// from node 0 to its last node under the plan. Per node: the layer
-    /// (or its patched copy) with its fused clamp, then `observe`, then the
-    /// node's neuron faults. Registered hooks do not run, as on an armed
-    /// clone. `det` must expose the networks the plan was made for.
-    /// Returns the detections and the applied-fault log of all passes.
+    /// Runs `det`'s faulty detection of `images` and returns the
+    /// detections and the applied-fault log of all its network calls.
+    ///
+    /// `golden` is the golden pass over the same images, one entry per
+    /// network call in call order: the network index and the
+    /// activations of all its nodes, computed without hooks (empty when
+    /// there is none to reuse). A call stays on the golden path while
+    /// every earlier call of this pass did, and while its network
+    /// index matches the golden call's. On that path its input is
+    /// bitwise the golden one (see [`Detector::detect_with`]), so:
+    ///
+    /// - on a network the plan leaves untouched, the call returns the
+    ///   golden activations, and the next call stays on the path;
+    /// - on a touched network, it resumes at
+    ///   [`FaultPlan::first_node`], borrowing the golden activations
+    ///   before it, and leaves the path.
+    ///
+    /// Every later call, and every call once the sequence disagrees
+    /// with `golden`, evaluates its network from node 0. `observe`
+    /// sees every node of every call: borrowed golden nodes first, then
+    /// each evaluated node after its layer (or its patched copy, with
+    /// the fused clamp) and before its neuron faults. Registered hooks
+    /// do not run, as on an armed clone. Each evaluated node's time
+    /// goes to `recorder` under its layer name. `det` must expose the
+    /// networks the plan was made for.
     ///
     /// # Errors
     ///
@@ -450,14 +470,38 @@ impl FaultPlan {
         &self,
         det: &D,
         images: &Tensor,
+        golden: &[(usize, Vec<Tensor>)],
+        recorder: &alfi_trace::Recorder,
         observe: &mut dyn FnMut(NodeId, &Tensor),
     ) -> Result<(Vec<Vec<Detection>>, Vec<AppliedFault>), CoreError> {
         let mut logs = self.empty_logs();
+        let mut golden_calls = golden.iter();
+        let mut golden_path = true;
         let dets = det.detect_with(images, &mut |i, net, x| {
+            let golden_call = golden_calls
+                .next()
+                .filter(|(g, acts)| golden_path && *g == i && acts.len() == net.num_nodes());
+            let first = self.first_node(i);
+            // Only a call that returns the golden activations keeps the
+            // next call on the golden path.
+            golden_path = golden_call.is_some() && first.is_none();
+            let start = golden_call.map_or(0, |(_, acts)| first.unwrap_or(acts.len()));
+            if let Some((_, acts)) = golden_call {
+                for (id, t) in acts.iter().enumerate().take(start) {
+                    observe(id, t);
+                }
+            }
             let mut after = self.after_node(i, &mut logs, observe);
-            let pass =
-                Pass::new().patched(self.patched_on(i)).without_hooks().after_node(&mut after);
-            net.evaluate(x, pass.all_nodes())?.into_nodes()
+            let mut pass = Pass::new()
+                .patched(self.patched_on(i))
+                .without_hooks()
+                .after_node(&mut after)
+                .traced(recorder)
+                .all_nodes();
+            if let Some((_, acts)) = golden_call {
+                pass = pass.resume(start, acts);
+            }
+            net.evaluate(x, pass)?.into_nodes()
         })?;
         Ok((dets, self.applied(logs)))
     }
@@ -1013,7 +1057,7 @@ mod tests {
             let expect = armed_net.forward(&x).unwrap();
             let expect_applied = format!("{:?}", armed.collect_applied());
             let plan = FaultPlan::new(&[&model], &targets, &faults, target).unwrap();
-            let start = plan.first_node().unwrap();
+            let start = plan.first_node(0).unwrap();
             let off = alfi_trace::Recorder::disabled();
             for from in [0, start] {
                 let (got, applied) =
@@ -1024,6 +1068,60 @@ mod tests {
             }
         }
         assert!(before == weights(&model), "a fault plan changed the model");
+    }
+
+    /// `FaultPlan::detect` reuses a golden call only where it matches
+    /// the detector's call: the same network index and one activation
+    /// per node. Otherwise it evaluates from node 0, and every form
+    /// gives the detections and log of a pass without a golden record.
+    #[test]
+    fn fault_plan_detect_reuses_only_golden_calls_that_match() {
+        use alfi_nn::detection::{DetectorConfig, FrcnnTwoStage};
+        let cfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
+        let det = FrcnnTwoStage::new(&cfg);
+        let ds = alfi_datasets::DetectionDataset::new(1, cfg.num_classes, 3, 32, 5);
+        let x = Tensor::stack(&[ds.get(0).image]).unwrap();
+        let mut golden = Vec::new();
+        det.detect_with(&x, &mut |i, net, x| {
+            let acts = net.forward_all(x)?;
+            golden.push((i, acts.clone()));
+            Ok(acts)
+        })
+        .unwrap();
+        assert_eq!(golden.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 1]);
+        // Weight faults in `head.fc1`, the head's first node.
+        let s = Scenario {
+            injection_target: InjectionTarget::Weights,
+            layer_range: Some((6, 6)),
+            faults_per_image: FaultCount::Fixed(2),
+            ..scenario()
+        };
+        let nets = det.networks();
+        let targets = resolve_targets(&nets, &s, &[Some(cfg.input_dims(1)), None]).unwrap();
+        let faults = FaultMatrix::generate(&s, &targets).unwrap().faults_for_slot(0).to_vec();
+        let plan = FaultPlan::new(&nets, &targets, &faults, s.injection_target).unwrap();
+        assert_eq!((plan.first_node(0), plan.first_node(1)), (None, Some(0)));
+        let (backbone, head) = (nets[0].num_nodes() as u64, nets[1].num_nodes() as u64);
+        // Detections and log as text, and the number of nodes evaluated.
+        let detect = |golden: &[(usize, Vec<Tensor>)]| {
+            let rec = alfi_trace::Recorder::new();
+            let (dets, applied) = plan.detect(&det, &x, golden, &rec, &mut |_, _| {}).unwrap();
+            let evaluated: u64 = rec.summary().layer_forward.values().map(|t| t.count).sum();
+            (format!("{dets:?} {applied:?}"), evaluated)
+        };
+        let (expect, evaluated) = detect(&[]);
+        assert_eq!(evaluated, backbone + head);
+        let swapped = vec![(1, golden[0].1.clone()), (0, golden[1].1.clone())];
+        let mut short = golden.clone();
+        short[0].1.pop();
+        for (record, evaluated) in [
+            (&golden, head),
+            (&golden[..1].to_vec(), head),
+            (&swapped, backbone + head),
+            (&short, backbone + head),
+        ] {
+            assert_eq!(detect(record), (expect.clone(), evaluated), "{:?}", record.len());
+        }
     }
 
     #[test]

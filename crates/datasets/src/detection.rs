@@ -71,6 +71,11 @@ impl DetectionDataset {
         self.hw
     }
 
+    /// Number of channels.
+    pub fn channels(&self) -> usize {
+        self.channels
+    }
+
     /// Generates sample `index`.
     ///
     /// # Panics

@@ -133,43 +133,68 @@ impl FrcnnTwoStage {
         kept.into_iter().take(POST_NMS_TOP_N).map(|d| (d.bbox, d.score)).collect()
     }
 
-    /// RoI-pools the backbone feature map over a proposal box, appending
-    /// a flat `feat_ch * ROI_POOL^2` vector to `out` (mean pooling per
-    /// sub-cell, summed row by row in row-major order).
-    fn roi_pool(&self, feat: &Tensor, b: usize, bbox: &BBox, out: &mut Vec<f32>) {
-        let (c, fh, fw) = (feat.dims()[1], feat.dims()[2], feat.dims()[3]);
+    /// RoI-pools a channels-last feature map (see [`channels_last`]),
+    /// `fh` rows by `fw` columns, over a proposal box. Appends a flat
+    /// `c * ROI_POOL^2` vector to `out` in channel-major order: the mean
+    /// of each sub-cell, summed row by row in row-major order. All `c`
+    /// channels of a sub-cell accumulate together, pixel by pixel, so
+    /// each (channel, sub-cell) sum adds the same values in the same
+    /// order as a loop over one channel plane at a time.
+    fn roi_pool(&self, hwc: &[f32], (fh, fw): (usize, usize), bbox: &BBox, out: &mut Vec<f32>) {
+        const CELLS: usize = ROI_POOL * ROI_POOL;
+        let c = hwc.len() / (fh * fw);
         let sx = self.stride as f32;
-        // proposal in feature coordinates, clamped
+        // The proposal in feature cells, clamped: fx1 < fx2 <= fw and
+        // fy1 < fy2 <= fh for any box (NaN included).
         let fx1 = (bbox.x1 / sx).floor().clamp(0.0, (fw - 1) as f32) as usize;
         let fy1 = (bbox.y1 / sx).floor().clamp(0.0, (fh - 1) as f32) as usize;
         let fx2 = ((bbox.x2 / sx).ceil().clamp(1.0, fw as f32) as usize).max(fx1 + 1);
         let fy2 = ((bbox.y2 / sx).ceil().clamp(1.0, fh as f32) as usize).max(fy1 + 1);
-        let rw = fx2 - fx1;
-        let rh = fy2 - fy1;
-        // fx1 < fx2 <= fw and fy1 < fy2 <= fh for any box (NaN included),
-        // so every sub-cell range below is non-empty and in bounds.
-        for ch in 0..c {
-            let fmap = plane(feat, b, ch);
-            for py in 0..ROI_POOL {
-                let y0 = fy1 + py * rh / ROI_POOL;
-                let y1 = (fy1 + ((py + 1) * rh).div_ceil(ROI_POOL)).min(fy2);
-                let ys = y0..y1.max(y0 + 1).min(fh);
-                for px in 0..ROI_POOL {
-                    let x0 = fx1 + px * rw / ROI_POOL;
-                    let x1 = (fx1 + ((px + 1) * rw).div_ceil(ROI_POOL)).min(fx2);
-                    let xs = x0..x1.max(x0 + 1).min(fw);
-                    let mut acc = 0.0f32;
-                    for y in ys.clone() {
-                        for &v in &fmap[y * fw + xs.start..y * fw + xs.end] {
-                            acc += v;
+        let base = out.len();
+        out.resize(base + c * CELLS, 0.0);
+        let mut acc = vec![0.0f32; c];
+        for py in 0..ROI_POOL {
+            let ys = sub_cell(fy1, fy2, fh, py);
+            for px in 0..ROI_POOL {
+                let xs = sub_cell(fx1, fx2, fw, px);
+                acc.fill(0.0);
+                for y in ys.clone() {
+                    for pixel in hwc[(y * fw + xs.start) * c..(y * fw + xs.end) * c].chunks_exact(c) {
+                        for (a, &v) in acc.iter_mut().zip(pixel) {
+                            *a += v;
                         }
                     }
-                    let cnt = ys.len() * xs.len();
-                    out.push(if cnt > 0 { acc / cnt as f32 } else { 0.0 });
+                }
+                let cnt = (ys.len() * xs.len()) as f32;
+                let cell = base + py * ROI_POOL + px;
+                for (ch, &a) in acc.iter().enumerate() {
+                    out[cell + ch * CELLS] = a / cnt;
                 }
             }
         }
     }
+}
+
+/// Batch item `b` of an NCHW feature map in channels-last order: the
+/// `c` channels of cell `(y, x)` start at `(y * w + x) * c`.
+fn channels_last(feat: &Tensor, b: usize) -> Vec<f32> {
+    let (c, h, w) = (feat.dims()[1], feat.dims()[2], feat.dims()[3]);
+    let mut hwc = vec![0.0f32; c * h * w];
+    for ch in 0..c {
+        for (cell, &v) in plane(feat, b, ch).iter().enumerate() {
+            hwc[cell * c + ch] = v;
+        }
+    }
+    hwc
+}
+
+/// Sub-cell `p` of `ROI_POOL` along one axis of the box span `lo..hi`,
+/// within a feature side of `len` cells: never empty, always in bounds.
+fn sub_cell(lo: usize, hi: usize, len: usize, p: usize) -> std::ops::Range<usize> {
+    let span = hi - lo;
+    let start = lo + p * span / ROI_POOL;
+    let end = (lo + ((p + 1) * span).div_ceil(ROI_POOL)).min(hi);
+    start..end.max(start + 1).min(len)
 }
 
 impl Detector for FrcnnTwoStage {
@@ -200,6 +225,7 @@ impl Detector for FrcnnTwoStage {
     ) -> Result<Vec<Vec<Detection>>, NnError> {
         let acts = run(0, &self.backbone, images)?;
         let feat = &acts[self.feat_node];
+        let feat_hw = (feat.dims()[2], feat.dims()[3]);
         let n = images.dims()[0];
         let c = self.cfg.num_classes;
         let img = self.cfg.input_hw as f32;
@@ -210,8 +236,9 @@ impl Detector for FrcnnTwoStage {
             if !props.is_empty() {
                 let roi_feat = self.feat_ch * ROI_POOL * ROI_POOL;
                 let mut pooled = Vec::with_capacity(props.len() * roi_feat);
+                let hwc = channels_last(feat, b);
                 for (bbox, _) in &props {
-                    self.roi_pool(feat, b, bbox, &mut pooled);
+                    self.roi_pool(&hwc, feat_hw, bbox, &mut pooled);
                 }
                 let input = Tensor::from_vec(pooled, &[props.len(), roi_feat])
                     .map_err(NnError::from)?;
@@ -331,9 +358,10 @@ mod tests {
         let imgs = Tensor::ones(&[1, 3, 32, 32]);
         let acts = det.backbone.forward_all(&imgs).unwrap();
         let feat = &acts[det.feat_node];
+        let hwc = channels_last(feat, 0);
         let pool = |bbox: BBox| {
             let mut v = Vec::new();
-            det.roi_pool(feat, 0, &bbox, &mut v);
+            det.roi_pool(&hwc, (feat.dims()[2], feat.dims()[3]), &bbox, &mut v);
             v
         };
         let v = pool(BBox::new(4.0, 4.0, 20.0, 28.0));
@@ -347,6 +375,80 @@ mod tests {
             BBox::new(f32::NAN, f32::NAN, f32::NAN, f32::NAN),
         ] {
             assert_eq!(pool(bbox).len(), v.len());
+        }
+    }
+
+    /// The RoI pooling loop `roi_pool` replaced: one NCHW channel plane
+    /// at a time, then `py`, `px`, each sub-cell summed row by row.
+    fn roi_pool_reference(det: &FrcnnTwoStage, feat: &Tensor, b: usize, bbox: &BBox) -> Vec<f32> {
+        let (c, fh, fw) = (feat.dims()[1], feat.dims()[2], feat.dims()[3]);
+        let sx = det.stride as f32;
+        let fx1 = (bbox.x1 / sx).floor().clamp(0.0, (fw - 1) as f32) as usize;
+        let fy1 = (bbox.y1 / sx).floor().clamp(0.0, (fh - 1) as f32) as usize;
+        let fx2 = ((bbox.x2 / sx).ceil().clamp(1.0, fw as f32) as usize).max(fx1 + 1);
+        let fy2 = ((bbox.y2 / sx).ceil().clamp(1.0, fh as f32) as usize).max(fy1 + 1);
+        let (rw, rh) = (fx2 - fx1, fy2 - fy1);
+        let mut out = Vec::new();
+        for ch in 0..c {
+            let fmap = plane(feat, b, ch);
+            for py in 0..ROI_POOL {
+                let y0 = fy1 + py * rh / ROI_POOL;
+                let y1 = (fy1 + ((py + 1) * rh).div_ceil(ROI_POOL)).min(fy2);
+                let ys = y0..y1.max(y0 + 1).min(fh);
+                for px in 0..ROI_POOL {
+                    let x0 = fx1 + px * rw / ROI_POOL;
+                    let x1 = (fx1 + ((px + 1) * rw).div_ceil(ROI_POOL)).min(fx2);
+                    let xs = x0..x1.max(x0 + 1).min(fw);
+                    let mut acc = 0.0f32;
+                    for y in ys.clone() {
+                        for &v in &fmap[y * fw + xs.start..y * fw + xs.end] {
+                            acc += v;
+                        }
+                    }
+                    let cnt = ys.len() * xs.len();
+                    out.push(if cnt > 0 { acc / cnt as f32 } else { 0.0 });
+                }
+            }
+        }
+        out
+    }
+
+    /// Channel-innermost pooling reproduces the per-plane loop bit for
+    /// bit: on random feature maps (second batch item included) and on
+    /// random, degenerate, inverted, out-of-frame and NaN boxes.
+    #[test]
+    fn roi_pool_matches_the_per_plane_loop_bitwise() {
+        let det = FrcnnTwoStage::new(&cfg());
+        let mut rng = Rng::from_seed(21);
+        // 12 × 12 cells, so a box spans sub-cells of several rows and
+        // columns, where the summation order shows in the rounding.
+        let (c, fh, fw) = (5, 12, 12);
+        let feat = Tensor::rand_uniform(&mut rng, &[2, c, fh, fw], -3.0, 3.0);
+        let side = (fw * det.stride) as f32;
+        let mut boxes: Vec<BBox> = (0..400)
+            .map(|_| {
+                let mut v = || rng.gen_range(-0.2 * side..1.2 * side);
+                BBox::new(v(), v(), v(), v())
+            })
+            .collect();
+        boxes.extend([
+            BBox::new(0.0, 0.0, side, side),
+            BBox::new(0.0, 0.0, 0.5, 0.5),
+            BBox::new(40.0, 40.0, 8.0, 8.0),
+            BBox::new(-50.0, 40.0, -10.0, 990.0),
+            BBox::new(2.0 * side, 2.0 * side, 3.0 * side, 3.0 * side),
+            BBox::new(f32::NAN, f32::NAN, f32::NAN, f32::NAN),
+            BBox::new(f32::NEG_INFINITY, 3.0, f32::INFINITY, f32::NAN),
+        ]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for b in 0..2 {
+            let hwc = channels_last(&feat, b);
+            for bbox in &boxes {
+                let mut got = Vec::new();
+                det.roi_pool(&hwc, (fh, fw), bbox, &mut got);
+                let expect = roi_pool_reference(&det, &feat, b, bbox);
+                assert_eq!(bits(&got), bits(&expect), "item {b}, box {bbox:?}");
+            }
         }
     }
 }

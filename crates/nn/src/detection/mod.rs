@@ -100,6 +100,14 @@ pub trait Detector: Send + Sync {
     /// list per image. Every network is evaluated through `run` (see
     /// [`RunNetwork`]); everything else is the detector's own decoding.
     ///
+    /// Decoding must be a deterministic function of `images` and the
+    /// activations `run` returns: given the same ones, an
+    /// implementation makes the same calls, with bitwise the same
+    /// inputs, and returns the same detections. A fault campaign relies
+    /// on this to hand a faulty pass the golden pass's activations for
+    /// the networks a fault does not touch. The in-tree detectors meet
+    /// it.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError`] if the input shape is incompatible, and

@@ -250,6 +250,14 @@ impl Prefix for Activations<'_> {
     }
 }
 
+/// Every node's activation in node order, as [`Network::forward_all`]
+/// returns them.
+impl Prefix for Vec<Tensor> {
+    fn activation(&self, id: NodeId) -> Option<&Tensor> {
+        self.get(id)
+    }
+}
+
 /// A feed-forward network: a topologically ordered DAG of layers with a
 /// single input and a designated output node, plus a hook registry.
 ///
@@ -846,12 +854,17 @@ mod tests {
     fn into_nodes_of_a_resumed_pass_matches_forward_all() {
         let net = toy_net();
         let x = Tensor::ones(&[1, 1, 2, 2]);
-        let expect: Vec<_> = net.forward_all(&x).unwrap().iter().map(bits).collect();
+        let all = net.forward_all(&x).unwrap();
+        let expect: Vec<_> = all.iter().map(bits).collect();
         let golden = net.evaluate(&x, Pass::new()).unwrap();
         for start in 0..=net.num_nodes() {
-            let pass = Pass::new().resume(start, &golden).all_nodes();
-            let nodes = net.evaluate(&x, pass).unwrap().into_nodes().unwrap();
-            assert_eq!(nodes.iter().map(bits).collect::<Vec<_>>(), expect, "resumed at {start}");
+            // From a golden pass's `Activations` and from a plain list.
+            for prefix in [&golden as &dyn Prefix, &all] {
+                let pass = Pass::new().resume(start, prefix).all_nodes();
+                let nodes = net.evaluate(&x, pass).unwrap().into_nodes().unwrap();
+                let got: Vec<_> = nodes.iter().map(bits).collect();
+                assert_eq!(got, expect, "resumed at {start}");
+            }
         }
     }
 

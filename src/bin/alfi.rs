@@ -9,7 +9,7 @@
 //! alfi gen-scenario --out default.yml
 //! alfi classify --scenario default.yml --model vgg16 --out runs/c1 [--protect ranger] [--parallel 4] [--trace on]
 //! alfi classify --scenario scenarios/vit.yml --model vit --out runs/v1 [--format binary]
-//! alfi detect   --scenario default.yml --model yolo  --out runs/d1 [--trace on]
+//! alfi detect   --scenario default.yml --model yolo  --out runs/d1 [--parallel 2] [--trace on]
 //! alfi inspect-faults runs/c1/faults.bin
 //! alfi store info runs/c1/rows.alfic
 //! alfi store lookup runs/c1/rows.alfic 17
@@ -59,6 +59,7 @@ USAGE:
                 [--kernel <reference|blocked>] [--format <csv|binary>] [--report]
                 [--width <mult>] [--input <px>] [--seed <n>]
   alfi detect   --scenario <file> --model <yolo|retina|frcnn> --out <dir>
+                [--parallel <threads>]
                 [--trace <on|off>] [--metrics-addr <ip:port>] [--strict-health]
                 [--stop-halfwidth <f>] [--stop-confidence <f>]
                 [--stop-scope <campaign|per-layer>] [--stop-method <wilson|clopper-pearson>]
@@ -97,6 +98,8 @@ into a store), `alfi store lookup` replays the rows of one fault id
 reading at most one block plus the index, and `alfi store info`
 prints schema, per-column encodings and block min/max footer stats.
 
+Each command rejects a flag it does not read, with its usage lines.
+
 Post-run analysis: `alfi analyze report` streams a finished run's row
 artifacts (CSV or binary store) into a per-layer × per-bit × per-mode
 vulnerability report with confidence intervals (report.json +
@@ -108,6 +111,27 @@ classify/detect writes report.json/report.md at the end of the run
 (scenario key `report: true` does the same).
 ";
 
+/// The flags `classify` and `detect` both read.
+const CAMPAIGN_FLAGS: &[&str] = &[
+    "scenario",
+    "model",
+    "out",
+    "parallel",
+    "trace",
+    "metrics-addr",
+    "strict-health",
+    "stop-halfwidth",
+    "stop-confidence",
+    "stop-scope",
+    "stop-method",
+    "kernel",
+    "format",
+    "report",
+    "width",
+    "input",
+    "seed",
+];
+
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 /// A flag followed by another flag (or by nothing) is a boolean switch
 /// and gets the value `on` — e.g. `--strict-health`.
@@ -117,12 +141,21 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parses the arguments of command `cmd` (e.g. `detect` or `store
+    /// info`), which reads the flags in `known` and no other.
+    ///
+    /// # Errors
+    ///
+    /// A flag outside `known`, reported with `cmd`'s usage lines.
+    fn parse(argv: &[String], cmd: &str, known: &[&str]) -> Result<Args, String> {
         let mut flags = BTreeMap::new();
         let mut positional = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(format!("`{cmd}` has no flag --{key}\n\nusage:\n{}", usage_of(cmd)));
+                }
                 let value = match it.peek() {
                     Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
                     _ => "on".to_string(),
@@ -145,6 +178,16 @@ impl Args {
     fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.flags.get(key).map(String::as_str).unwrap_or(default)
     }
+}
+
+/// The usage lines of command `cmd` in [`USAGE`]: its own line and the
+/// option lines indented under it.
+fn usage_of(cmd: &str) -> String {
+    let head = format!("  alfi {cmd} ");
+    let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+    let first = lines.next().into_iter();
+    let options = lines.take_while(|l| l.trim_start().starts_with('[') && l.starts_with("    "));
+    first.chain(options).map(|l| format!("{l}\n")).collect()
 }
 
 fn main() -> ExitCode {
@@ -338,7 +381,7 @@ fn check_strict_health(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_gen_scenario(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "gen-scenario", &["out"])?;
     let out = args.required("out")?;
     let text = format!(
         "# ALFI fault-injection scenario (see `alfi_scenario::Scenario` docs)\n{}",
@@ -370,7 +413,8 @@ fn build_model(name: &str, mcfg: &ModelConfig) -> Result<Network, String> {
 }
 
 fn cmd_train(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let known = ["out", "model", "epochs", "images", "lr", "width", "input", "seed"];
+    let args = Args::parse(argv, "train", &known)?;
     let out = args.required("out")?.to_string();
     let mcfg = model_config(&args)?;
     let epochs: u64 = args.get_or("epochs", "6").parse().map_err(|_| "bad --epochs".to_string())?;
@@ -416,7 +460,7 @@ fn cmd_train(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_classify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "classify", &[CAMPAIGN_FLAGS, &["weights", "protect"]].concat())?;
     let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
     let out_dir = args.required("out")?.to_string();
     let mcfg = model_config(&args)?;
@@ -519,7 +563,7 @@ fn layer_table(layers: &[(usize, RateBlock)]) -> String {
 }
 
 fn cmd_detect(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "detect", CAMPAIGN_FLAGS)?;
     let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
     let out_dir = args.required("out")?.to_string();
     let dcfg = DetectorConfig {
@@ -543,9 +587,13 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
     );
     let ground_truth = ds.coco_ground_truth();
     let loader = DetectionLoader::new(ds, scenario.batch_size);
+    let threads: usize =
+        args.get_or("parallel", "1").parse().map_err(|_| "bad --parallel".to_string())?;
     let recorder = trace_recorder(&args)?;
-    let cfg =
-        monitoring_config(RunConfig::new().recorder(recorder.clone()).save_dir(&out_dir), &args)?;
+    let cfg = monitoring_config(
+        RunConfig::new().threads(threads).recorder(recorder.clone()).save_dir(&out_dir),
+        &args,
+    )?;
     let cfg = stop_config(cfg, &args)?;
     let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
@@ -567,7 +615,7 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, "inspect-faults", &[])?;
     let path = args.positional.first().ok_or("expected a faults.bin path")?;
     let matrix = load_fault_matrix(path).map_err(|e| e.to_string())?;
     println!(
@@ -608,18 +656,21 @@ fn cmd_inspect(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A `store` subcommand, run on its parsed arguments.
+type Subcommand = fn(&Args) -> Result<(), String>;
+
 fn cmd_store(argv: &[String]) -> Result<(), String> {
     let sub = argv
         .first()
         .map(String::as_str)
         .ok_or("expected a store subcommand (info|lookup|convert)")?;
-    let args = Args::parse(&argv[1..])?;
-    match sub {
-        "info" => store_info(&args),
-        "lookup" => store_lookup(&args),
-        "convert" => store_convert(&args),
-        other => Err(format!("unknown store subcommand `{other}` (info|lookup|convert)")),
-    }
+    let (known, run): (&[&str], Subcommand) = match sub {
+        "info" => (&[], store_info),
+        "lookup" => (&[], store_lookup),
+        "convert" => (&["out"], store_convert),
+        other => return Err(format!("unknown store subcommand `{other}` (info|lookup|convert)")),
+    };
+    run(&Args::parse(&argv[1..], &format!("store {sub}"), known)?)
 }
 
 /// Renders one store cell the way the text artifacts would.
@@ -788,7 +839,7 @@ fn cmd_analyze(argv: &[String]) -> Result<(), String> {
         .first()
         .map(String::as_str)
         .ok_or("expected an analyze subcommand (report|diff|export-trace)")?;
-    let args = Args::parse(&argv[1..])?;
+    let args = Args::parse(&argv[1..], &format!("analyze {sub}"), &["out"])?;
     match sub {
         "report" => analyze_report(&args),
         "diff" => analyze_diff(&args),
@@ -852,6 +903,27 @@ fn analyze_export_trace(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_rejected_with_its_usage() {
+        let err = Args::parse(&argv("--scenario s.yml --bogus 3"), "detect", CAMPAIGN_FLAGS)
+            .err()
+            .unwrap();
+        assert!(err.starts_with("`detect` has no flag --bogus"), "{err}");
+        assert!(err.contains("  alfi detect   --scenario") && err.contains("[--parallel <threads>]"));
+        assert!(!err.contains("alfi classify"), "{err}");
+        let err = Args::parse(&argv("x --out d"), "store info", &[]).err().unwrap();
+        assert!(err.ends_with("usage:\n  alfi store info    <rows.alfic>\n"), "{err}");
+        let args = Args::parse(&argv("x --parallel 2 --strict-health"), "detect", CAMPAIGN_FLAGS)
+            .unwrap();
+        assert_eq!(args.get_or("parallel", "1"), "2");
+        assert_eq!(args.get_or("strict-health", "off"), "on");
+        assert_eq!(args.positional, ["x"]);
+    }
 
     #[test]
     fn layer_table_renders_rows() {
