@@ -18,7 +18,7 @@ use crate::injector::FaultPlan;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::persist::{RunTrace, TraceEntry};
 use alfi_datasets::loader::ClassificationLoader;
-use alfi_nn::{Network, NodeId, NodeMap, Pass};
+use alfi_nn::{Network, NodeId, NodeMap, Pass, Prefix};
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario};
 use alfi_store::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, Value};
 use alfi_tensor::Tensor;
@@ -381,8 +381,10 @@ impl CampaignTask for ImgClassCampaign {
             self.model.evaluate(images, Pass::new().traced(rec))?
         };
         // Hooks run in the golden pass only, so hooked golden
-        // activations are not the ones the hook-free passes compute.
+        // activations are not the ones the hook-free passes compute:
+        // then both passes start at node 0 and borrow nothing.
         let reuse = self.model.num_hooks() == 0;
+        let nothing: Vec<Tensor> = Vec::new();
 
         let plan = {
             let _span = rec.span_on(Phase::Inject, worker);
@@ -406,7 +408,8 @@ impl CampaignTask for ImgClassCampaign {
         }
         let (corr_logits, applied) = {
             let _span = rec.span_on(Phase::Forward, worker);
-            plan.forward(&self.model, images, (start, &golden), rec, &mut observe)?
+            let prefix: &dyn Prefix = if reuse { &golden } else { &nothing };
+            plan.forward(&self.model, images, (start, prefix), rec, &mut observe)?
         };
 
         let resil_logits = match (&self.resil_model, ctx.resil_targets) {
@@ -418,8 +421,9 @@ impl CampaignTask for ImgClassCampaign {
                 let limit = plan.first_node(0).unwrap_or(resil.net.num_nodes());
                 let start = if reuse { resil.map.resume_point(limit, &golden) } else { 0 };
                 let _span = rec.span_on(Phase::Forward, worker);
-                let prefix = resil.map.view(&golden);
-                Some(plan.forward(&resil.net, images, (start, &prefix), rec, &mut |_, _| {})?.0)
+                let view = resil.map.view(&golden);
+                let prefix: &dyn Prefix = if reuse { &view } else { &nothing };
+                Some(plan.forward(&resil.net, images, (start, prefix), rec, &mut |_, _| {})?.0)
             }
             _ => None,
         };

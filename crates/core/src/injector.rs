@@ -13,7 +13,7 @@ use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
 use crate::matrix::{resolve_targets, FaultMatrix, LayerTarget};
 use alfi_nn::detection::{Detection, Detector};
-use alfi_nn::{ForwardHook, HookHandle, Layer, LayerCtx, Network, NodeId, Pass, Prefix};
+use alfi_nn::{ForwardHook, HookHandle, Layer, LayerCtx, Network, NodeId, Pass, Prefix, RowPatch};
 use alfi_scenario::{FaultDuration, InjectionTarget, Scenario};
 use alfi_tensor::bits::{flip_bit_traced, set_bit, FlipDirection};
 use alfi_tensor::Tensor;
@@ -340,16 +340,21 @@ fn neurons_by_node(
 /// the same rules across the same network slice, without touching the
 /// networks.
 ///
-/// Weight faults become patched copies of only the faulted layers;
-/// neuron faults stay per-`(net, node)` record groups that each pass
-/// applies after the node's observer. The applied-fault log comes out
-/// in [`arm_faults`] order: weight faults in record order across
-/// networks, then neuron faults grouped by `(net, node)` in
-/// first-appearance order, each group in record order.
+/// Weight faults become corrupted copies of only the faulted weight
+/// rows ([`RowPatch`]; a row is an output channel of a convolution or
+/// an output feature of a linear layer), never copies of whole layers.
+/// Faults apply to the rows in record order, so a second fault on the
+/// same element sees the first one's value. A pass then recomputes
+/// only those rows of a `Conv2d` or `Linear` node's output (see
+/// [`Pass::patched_rows`]). Neuron faults stay per-`(net, node)` record
+/// groups that each pass applies after the node's observer. The
+/// applied-fault log comes out in [`arm_faults`] order: weight faults
+/// in record order across networks, then neuron faults grouped by
+/// `(net, node)` in first-appearance order, each group in record order.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Patched layer copies, per network.
-    patched: Vec<Vec<(NodeId, Layer)>>,
+    /// Corrupted weight rows, per network.
+    rows: Vec<Vec<RowPatch>>,
     weight_log: Vec<AppliedFault>,
     neurons: Vec<NodeFaults>,
 }
@@ -368,7 +373,7 @@ impl FaultPlan {
         target_kind: InjectionTarget,
     ) -> Result<Self, CoreError> {
         let mut plan = FaultPlan {
-            patched: vec![Vec::new(); networks.len()],
+            rows: vec![Vec::new(); networks.len()],
             weight_log: Vec::new(),
             neurons: Vec::new(),
         };
@@ -377,17 +382,24 @@ impl FaultPlan {
                 for record in faults {
                     let t = target_of(targets, record, networks.len())?;
                     let coords = weight_index(record, &t.weight_dims)?;
-                    let patched = &mut plan.patched[t.net_idx];
-                    let slot = match patched.iter().position(|(id, _)| *id == t.node_id) {
+                    let layer = networks[t.net_idx].layer(t.node_id)?;
+                    let weight = layer.weight().ok_or_else(|| CoreError::FaultOutOfBounds {
+                        detail: format!("node {} has no weights", t.node_id),
+                    })?;
+                    let patches = &mut plan.rows[t.net_idx];
+                    let slot = match patches.iter().position(|p| p.node() == t.node_id) {
                         Some(slot) => slot,
                         None => {
-                            let layer = networks[t.net_idx].layer(t.node_id)?.clone();
-                            patched.push((t.node_id, layer));
-                            patched.len() - 1
+                            patches.push(RowPatch::new(t.node_id));
+                            patches.len() - 1
                         }
                     };
-                    let layer = &mut patched[slot].1;
-                    plan.weight_log.push(corrupt_weight(layer, t.node_id, &coords, record)?);
+                    let element = patches[slot].element_mut(weight, &coords)?;
+                    let original = *element;
+                    let (corrupted, direction) = corrupt_value(original, record.value);
+                    *element = corrupted;
+                    let applied = AppliedFault { record: *record, original, corrupted, direction };
+                    plan.weight_log.push(applied);
                 }
             }
             InjectionTarget::Neurons => {
@@ -402,15 +414,19 @@ impl FaultPlan {
     /// the fault-free activation. A classifier is network 0, the one
     /// [`FaultPlan::forward`] runs.
     pub fn first_node(&self, net: usize) -> Option<NodeId> {
-        let weights = self.patched_on(net).iter().map(|(id, _)| *id);
+        let weights = self.rows_on(net).iter().map(RowPatch::node);
         let neurons = self.neurons.iter().filter(|((n, _), _)| *n == net);
         weights.chain(neurons.map(|((_, id), _)| *id)).min()
     }
 
     /// Runs the faulty forward of network 0 (`net`) from node `start`,
-    /// borrowing the activations before it from `prefix` (with `start`
-    /// 0 nothing is borrowed), and returns the output and the
-    /// applied-fault log. Nodes evaluate as in [`FaultPlan::detect`].
+    /// borrowing the activations before it from `prefix`, and returns
+    /// the output and the applied-fault log. Nodes evaluate as in
+    /// [`FaultPlan::detect`]. A faulted `Conv2d` or `Linear` node whose
+    /// inputs all come from before `start` also borrows its unpatched
+    /// output from `prefix` (see [`Prefix::lends`]), so `prefix` must
+    /// be hook-free: the golden pass of a model without hooks, a
+    /// [`alfi_nn::NodeMap`] view of it, or an empty list.
     ///
     /// # Errors
     ///
@@ -428,7 +444,7 @@ impl FaultPlan {
             let mut after = self.after_node(0, &mut logs, observe);
             let pass = Pass::new()
                 .resume(start, prefix)
-                .patched(self.patched_on(0))
+                .patched_rows(self.rows_on(0))
                 .without_hooks()
                 .after_node(&mut after)
                 .traced(recorder);
@@ -457,9 +473,9 @@ impl FaultPlan {
     /// Every later call, and every call once the sequence disagrees
     /// with `golden`, evaluates its network from node 0. `observe`
     /// sees every node of every call: borrowed golden nodes first, then
-    /// each evaluated node after its layer (or its patched copy, with
-    /// the fused clamp) and before its neuron faults. Registered hooks
-    /// do not run, as on an armed clone. Each evaluated node's time
+    /// each evaluated node after its layer (with its patched weight
+    /// rows and its fused clamp) and before its neuron faults.
+    /// Registered hooks do not run, as on an armed clone. Each evaluated node's time
     /// goes to `recorder` under its layer name. `det` must expose the
     /// networks the plan was made for.
     ///
@@ -493,7 +509,7 @@ impl FaultPlan {
             }
             let mut after = self.after_node(i, &mut logs, observe);
             let mut pass = Pass::new()
-                .patched(self.patched_on(i))
+                .patched_rows(self.rows_on(i))
                 .without_hooks()
                 .after_node(&mut after)
                 .traced(recorder)
@@ -506,9 +522,9 @@ impl FaultPlan {
         Ok((dets, self.applied(logs)))
     }
 
-    /// The patched layers of network `net`.
-    fn patched_on(&self, net: usize) -> &[(NodeId, Layer)] {
-        self.patched.get(net).map_or(&[], Vec::as_slice)
+    /// The weight row patches of network `net`.
+    fn rows_on(&self, net: usize) -> &[RowPatch] {
+        self.rows.get(net).map_or(&[], Vec::as_slice)
     }
 
     /// One empty application log per neuron group.

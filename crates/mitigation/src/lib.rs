@@ -340,6 +340,31 @@ mod tests {
         assert_eq!(hardened.num_nodes(), net.num_nodes());
     }
 
+    /// Hardening a model whose forwards already filled its linear
+    /// weight packs computes what hardening a never-run copy computes:
+    /// spliced guards keep every pack on its node.
+    #[test]
+    fn hardening_keeps_weight_packs_on_their_nodes() {
+        let cfg = tiny_cfg();
+        let inputs = calib(&cfg, 3);
+        let model = alexnet(&cfg);
+        // Profiling runs every node, filling the packs.
+        let bounds = profile_bounds(&model, inputs.iter()).unwrap();
+        let never_run = alexnet(&cfg);
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for protection in [Protection::Ranger, Protection::Clipper] {
+            for fused in [false, true] {
+                let harden = if fused { harden_fused } else { harden };
+                let a = harden(&model, &bounds, protection, 0.0).unwrap();
+                let b = harden(&never_run, &bounds, protection, 0.0).unwrap();
+                for x in &inputs {
+                    let what = format!("{protection:?}, fused {fused}");
+                    assert_eq!(bits(a.forward(x).unwrap()), bits(b.forward(x).unwrap()), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn fused_hardening_is_bit_identical_to_spliced() {
         let cfg = tiny_cfg();

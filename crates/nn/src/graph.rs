@@ -9,13 +9,14 @@
 //!
 //! Every forward entry point is one [`Pass`] of [`Network::evaluate`],
 //! the single node-evaluation loop. A pass can also resume at a later
-//! node from an earlier pass's [`Activations`], evaluate per-call
-//! patched layers and run a callback after each node — the primitives
-//! fault campaigns use to skip the fault-free prefix of a faulty
-//! forward without cloning the model.
+//! node from an earlier pass's [`Activations`], evaluate nodes with
+//! per-call weight rows ([`RowPatch`]) and run a callback after each
+//! node — the primitives fault campaigns use to skip the fault-free
+//! prefix of a faulty forward without cloning the model or its layers.
 
 use crate::error::NnError;
-use crate::layer::{Layer, LayerKind};
+use crate::layer::{linear_fused, linear_rows, Layer, LayerKind};
+use alfi_tensor::conv::{conv2d_fused, conv2d_rows};
 use alfi_tensor::{gemm, Shape, Tensor};
 use std::sync::Arc;
 
@@ -91,13 +92,93 @@ pub struct InjectableLayer {
 pub trait Prefix {
     /// The activation of node `id`, if this prefix holds it.
     fn activation(&self, id: NodeId) -> Option<&Tensor>;
+
+    /// Node `id`'s own activation in the network the pass runs, if this
+    /// prefix holds it: the hook-free output that network's node `id`
+    /// computes from the inputs this prefix lends. A row-patched node
+    /// whose inputs all come from before the pass's start node copies
+    /// it and recomputes only its patched rows. By default, every
+    /// activation the prefix holds: right for a hook-free pass of the
+    /// same network over the same input.
+    fn lends(&self, id: NodeId) -> Option<&Tensor> {
+        self.activation(id)
+    }
+}
+
+/// Corrupted copies of some weight rows of one node, which a [`Pass`]
+/// evaluates the node with instead of the node's own rows.
+///
+/// A row is a leading-axis slice of the weight: an output channel of a
+/// `Conv2d` or `Conv3d`, an output feature of a `Linear`. A `Conv2d`
+/// or `Linear` node recomputes only the patched rows of its output
+/// (its unpatched output borrowed or computed with the node's own
+/// weight); any other layer is evaluated as a per-call copy with the
+/// rows written in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowPatch {
+    node: NodeId,
+    rows: Vec<(usize, Vec<f32>)>,
+}
+
+impl RowPatch {
+    /// A patch of node `node` with no rows yet.
+    pub fn new(node: NodeId) -> Self {
+        RowPatch { node, rows: Vec::new() }
+    }
+
+    /// The patched node.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The patched copy of the element at `coords` of `weight` (the
+    /// node's weight). Its row is copied from `weight` on first use;
+    /// rows keep the order they were first patched in, and a later
+    /// write sees every earlier one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Tensor`] if `coords` lies outside `weight`.
+    pub fn element_mut(&mut self, weight: &Tensor, coords: &[usize]) -> Result<&mut f32, NnError> {
+        let flat = weight.shape().flat_index(coords)?;
+        let len = weight.num_elements() / weight.dims()[0];
+        let (row, offset) = (flat / len, flat % len);
+        let slot = match self.rows.iter().position(|(r, _)| *r == row) {
+            Some(slot) => slot,
+            None => {
+                self.rows.push((row, weight.data()[row * len..(row + 1) * len].to_vec()));
+                self.rows.len() - 1
+            }
+        };
+        Ok(&mut self.rows[slot].1[offset])
+    }
+
+    /// Writes the patched rows into `weight`, a copy of the weight
+    /// they were taken from.
+    fn write_into(&self, weight: &mut Tensor) -> Result<(), NnError> {
+        let dims = weight.dims().to_vec();
+        let len = weight.num_elements() / dims.first().copied().unwrap_or(1).max(1);
+        for (row, values) in &self.rows {
+            match weight.data_mut().get_mut(row * len..(row + 1) * len) {
+                Some(dst) if dst.len() == values.len() => dst.copy_from_slice(values),
+                _ => {
+                    return Err(NnError::BadInput {
+                        layer: "row patch".into(),
+                        reason: format!("weight {dims:?} has no row {row} of {} values", values.len()),
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-call node callback of a [`Pass`], run after a node's hooks.
 pub type AfterNode<'a> = &'a mut dyn FnMut(NodeId, &mut Tensor);
 
 /// How one call of [`Network::evaluate`] runs: where it starts, what it
-/// borrows, which layers it patches and what it runs after each node.
+/// borrows, which weight rows it patches and what it runs after each
+/// node.
 ///
 /// [`Pass::new`] is the plain forward: every node from node 0 with the
 /// registered hooks, stopping at the output node. None of the options
@@ -105,7 +186,7 @@ pub type AfterNode<'a> = &'a mut dyn FnMut(NodeId, &mut Tensor);
 pub struct Pass<'a> {
     start: NodeId,
     prefix: Option<&'a dyn Prefix>,
-    patched: &'a [(NodeId, Layer)],
+    rows: &'a [RowPatch],
     hooks: bool,
     after: Option<AfterNode<'a>>,
     recorder: Option<&'a alfi_trace::Recorder>,
@@ -117,7 +198,7 @@ impl Default for Pass<'_> {
         Pass {
             start: 0,
             prefix: None,
-            patched: &[],
+            rows: &[],
             hooks: true,
             after: None,
             recorder: None,
@@ -143,10 +224,16 @@ impl<'a> Pass<'a> {
         self
     }
 
-    /// Evaluates the given nodes with per-call layer copies instead of
-    /// their own layers (the node's fused clamp still applies).
-    pub fn patched(mut self, layers: &'a [(NodeId, Layer)]) -> Self {
-        self.patched = layers;
+    /// Evaluates each patch's node with the patch's weight rows in
+    /// place of its own (the node's fused clamp still applies). A
+    /// `Conv2d` or `Linear` node recomputes only those rows of its
+    /// output, on the full kernel's per-element chain, over its
+    /// unpatched output: borrowed when every input of the node comes
+    /// from before the start node and the prefix [lends](Prefix::lends)
+    /// the node's own activation, computed otherwise. Any other layer
+    /// evaluates as a per-call copy with the rows written in.
+    pub fn patched_rows(mut self, patches: &'a [RowPatch]) -> Self {
+        self.rows = patches;
         self
     }
 
@@ -280,6 +367,7 @@ pub struct Network {
     hooks: Vec<Vec<(u64, Arc<dyn ForwardHook>)>>,
     next_hook_slot: u64,
     fused: Vec<Option<gemm::Clamp>>,
+    packs: Vec<Arc<gemm::PackCache>>,
 }
 
 impl std::fmt::Debug for Network {
@@ -296,7 +384,8 @@ impl Clone for Network {
     /// Cloning copies all parameters but **not** the registered hooks:
     /// a clone is a fresh, unobserved model. This is what lets the fault
     /// iterator hand out independent faulty instances while the original
-    /// model stays pristine.
+    /// model stays pristine. The clone shares the original's weight
+    /// packs until either side changes a layer.
     fn clone(&self) -> Self {
         Network {
             name: self.name.clone(),
@@ -305,6 +394,7 @@ impl Clone for Network {
             hooks: vec![Vec::new(); self.nodes.len()],
             next_hook_slot: 0,
             fused: self.fused.clone(),
+            packs: self.packs.clone(),
         }
     }
 }
@@ -319,6 +409,7 @@ impl Network {
             hooks: Vec::new(),
             next_hook_slot: 0,
             fused: Vec::new(),
+            packs: Vec::new(),
         }
     }
 
@@ -378,6 +469,7 @@ impl Network {
         self.nodes.push(Node { name, layer, inputs: inputs.to_vec() });
         self.hooks.push(Vec::new());
         self.fused.push(None);
+        self.packs.push(Arc::default());
         Ok(id)
     }
 
@@ -428,13 +520,16 @@ impl Network {
     }
 
     /// Mutable access to a node's layer — used by weight fault injection
-    /// and by mitigation wrappers that splice in protection layers.
+    /// and by mitigation wrappers that splice in protection layers. It
+    /// drops the node's weight pack (a clone sharing it keeps its own).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoSuchNode`] for an unknown id.
     pub fn layer_mut(&mut self, id: NodeId) -> Result<&mut Layer, NnError> {
-        self.nodes.get_mut(id).map(|n| &mut n.layer).ok_or(NnError::NoSuchNode(id))
+        let node = self.nodes.get_mut(id).ok_or(NnError::NoSuchNode(id))?;
+        self.packs[id] = Arc::default();
+        Ok(&mut node.layer)
     }
 
     /// Registers a forward hook on node `id`. Hooks run in registration
@@ -509,25 +604,59 @@ impl Network {
         self.fused.iter().filter(|f| f.is_some()).count()
     }
 
-    /// Evaluates node `id` with `layer` (its own or a per-call patched
-    /// copy), applying the node's fused clamp if it has one.
+    /// Evaluates node `id` with `layer`, applying the node's fused
+    /// clamp if it has one. `layer` is the node's own, or a per-call
+    /// copy of a layer that is neither `Conv2d` nor `Linear`: a
+    /// `Linear` runs on the node's weight pack, which the blocked
+    /// kernel fills on first use.
     fn eval_node(&self, id: NodeId, layer: &Layer, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let Some(clamp) = self.fused_clamp(id) else {
-            return layer.forward(inputs);
-        };
+        let clamp = self.fused_clamp(id);
         match layer {
-            Layer::Conv2d(c) => Ok(alfi_tensor::conv::conv2d_fused(
-                inputs[0],
-                &c.weight,
-                c.bias.as_ref(),
-                c.cfg,
-                Some(clamp),
-            )?),
-            Layer::Linear(l) => crate::layer::linear_fused(inputs[0], l, Some(clamp)),
+            Layer::Conv2d(c) => Ok(conv2d_fused(inputs[0], &c.weight, c.bias.as_ref(), c.cfg, clamp)?),
+            Layer::Linear(l) => linear_fused(inputs[0], l, clamp, Some(&self.packs[id])),
             other => {
                 let mut t = other.forward(inputs)?;
-                t.map_inplace(|v| clamp.apply(v));
+                if let Some(clamp) = clamp {
+                    t.map_inplace(|v| clamp.apply(v));
+                }
                 Ok(t)
+            }
+        }
+    }
+
+    /// Evaluates node `id` with `patch`'s rows (see
+    /// [`Pass::patched_rows`]). `lent` is the node's unpatched output,
+    /// if the pass may borrow it. Dispatch is on the layer variant: a
+    /// custom layer is opaque whatever kind it registers as.
+    fn eval_patched(
+        &self,
+        id: NodeId,
+        layer: &Layer,
+        inputs: &[&Tensor],
+        patch: &RowPatch,
+        lent: Option<&Tensor>,
+    ) -> Result<Tensor, NnError> {
+        let clamp = self.fused_clamp(id);
+        let unpatched = || lent.map_or_else(|| self.eval_node(id, layer, inputs), |t| Ok(t.clone()));
+        match layer {
+            Layer::Conv2d(c) => {
+                let mut out = unpatched()?;
+                conv2d_rows(inputs[0], &c.weight, &patch.rows, c.bias.as_ref(), c.cfg, clamp, &mut out)?;
+                Ok(out)
+            }
+            Layer::Linear(l) => {
+                let mut out = unpatched()?;
+                linear_rows(inputs[0], l, &patch.rows, clamp, &mut out)?;
+                Ok(out)
+            }
+            other => {
+                let mut copy = other.clone();
+                let weight = copy.weight_mut().ok_or_else(|| NnError::BadInput {
+                    layer: self.nodes[id].name.clone(),
+                    reason: "a row patch needs a weight".into(),
+                })?;
+                patch.write_into(weight)?;
+                self.eval_node(id, &copy, inputs)
             }
         }
     }
@@ -572,12 +701,13 @@ impl Network {
     /// The node-evaluation loop behind every forward entry point.
     ///
     /// Per node, in topological order from the pass's start node: the
-    /// layer (or its per-call patched copy) evaluates with the node's
-    /// fused clamp, then the registered hooks run (unless the pass skips
-    /// them), then the pass's after-node callback. The loop stops at the
-    /// output node unless the pass asks for every node. Nodes before the
-    /// start node are not evaluated: their activations come from the
-    /// pass's prefix, which must hold every one a later node consumes.
+    /// layer (with the pass's row patch, if it has one) evaluates with
+    /// the node's fused clamp, then the registered hooks run (unless the
+    /// pass skips them), then the pass's after-node callback. The loop
+    /// stops at the output node unless the pass asks for every node.
+    /// Nodes before the start node are not evaluated: their activations
+    /// come from the pass's prefix, which must hold every one a later
+    /// node consumes.
     ///
     /// # Errors
     ///
@@ -585,7 +715,7 @@ impl Network {
     /// consumed activation is missing, or any layer error encountered
     /// during evaluation.
     pub fn evaluate<'a>(&self, input: &Tensor, pass: Pass<'a>) -> Result<Activations<'a>, NnError> {
-        let Pass { start, prefix, patched, hooks, mut after, recorder, all_nodes } = pass;
+        let Pass { start, prefix, rows, hooks, mut after, recorder, all_nodes } = pass;
         let end = match (all_nodes, self.output) {
             (true, _) => self.nodes.len(),
             (false, Some(out)) => out + 1,
@@ -616,9 +746,17 @@ impl Network {
                     })
                     .collect::<Result<_, _>>()?
             };
-            let layer = patched.iter().find(|(p, _)| *p == id).map_or(&node.layer, |(_, l)| l);
             let started = recorder.map(|_| std::time::Instant::now());
-            let mut out_t = self.eval_node(id, layer, &inputs)?;
+            let mut out_t = match rows.iter().find(|p| p.node == id) {
+                None => self.eval_node(id, &node.layer, &inputs)?,
+                Some(patch) => {
+                    // A node that reads only borrowed activations (or
+                    // the input) may borrow its own unpatched output.
+                    let golden_inputs = node.inputs.iter().all(|&i| i < start);
+                    let lent = prefix.filter(|_| golden_inputs).and_then(|p| p.lends(id));
+                    self.eval_patched(id, &node.layer, &inputs, patch, lent)?
+                }
+            };
             if let (Some(rec), Some(t0)) = (recorder, started) {
                 rec.record_layer_ns(&node.name, t0.elapsed().as_nanos() as u64);
             }
@@ -734,6 +872,7 @@ impl Network {
         self.nodes.insert(new_id, Node { name, layer, inputs: vec![after] });
         self.hooks.insert(new_id, Vec::new());
         self.fused.insert(new_id, None);
+        self.packs.insert(new_id, Arc::default());
         if let Some(out) = self.output {
             if out == after {
                 self.output = Some(new_id);
@@ -897,10 +1036,10 @@ mod tests {
         assert_eq!(seen, vec![(0, 2.0), (1, 3.0), (2, 3.0), (3, 12.0)]);
         // A patched conv weight of 3 changes only this call; skipping
         // hooks drops the doubling.
-        let mut patched = net.layer(conv).unwrap().clone();
-        patched.weight_mut().unwrap().set(&[0, 0, 0, 0], 3.0);
-        let patched = [(conv, patched)];
-        let pass = Pass::new().patched(&patched).without_hooks();
+        let mut patch = RowPatch::new(conv);
+        *patch.element_mut(net.layer(conv).unwrap().weight().unwrap(), &[0, 0, 0, 0]).unwrap() = 3.0;
+        let patches = [patch];
+        let pass = Pass::new().patched_rows(&patches).without_hooks();
         let y = net.evaluate(&x, pass).unwrap().into_output().unwrap();
         assert_eq!(y.data(), &[12.0, 12.0]);
         assert_eq!(net.forward(&x).unwrap().data(), &[8.0, 8.0]);

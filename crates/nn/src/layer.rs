@@ -453,7 +453,7 @@ impl Layer {
 }
 
 fn linear_forward(x: &Tensor, l: &Linear) -> Result<Tensor, NnError> {
-    linear_fused(x, l, None)
+    linear_fused(x, l, None, None)
 }
 
 /// Linear layer forward with a range-supervision clamp fused into the
@@ -463,51 +463,83 @@ fn linear_forward(x: &Tensor, l: &Linear) -> Result<Tensor, NnError> {
 /// kernel paths: the accumulator starts at the output's bias value,
 /// products accumulate in ascending input-feature order (no zero-skip
 /// — the linear kernel never had one), then the clamp applies. With
-/// `clamp = None` this is the plain forward.
+/// `clamp = None` this is the plain forward. With a `pack` (a
+/// network's cache for this weight) the blocked path packs the weight
+/// once, not per call.
 pub(crate) fn linear_fused(
     x: &Tensor,
     l: &Linear,
     clamp: Option<gemm::Clamp>,
+    pack: Option<&gemm::PackCache>,
 ) -> Result<Tensor, NnError> {
-    // Rank-3 token tensors [n, t, d] apply the linear per token: fold
-    // the token axis into the row dimension, run the identical rank-2
-    // GEMM, and unfold.
-    if x.rank() == 3 {
-        let (n, t) = (x.dims()[0], x.dims()[1]);
-        let folded = x.reshape(&[n * t, x.dims()[2]])?;
-        let y = linear_fused(&folded, l, clamp)?;
-        let out_f = y.dims()[1];
-        return Ok(y.reshape(&[n, t, out_f])?);
+    let (rows, _, out_dims) = linear_shape(x, l)?;
+    let spec = linear_spec(rows, l);
+    let mut out = vec![0.0f32; rows * spec.n];
+    let (w, path) = (l.weight.data(), gemm::kernel_path());
+    match pack {
+        Some(pack) => gemm::gemm_cached(x.data(), w, pack, &mut out, &spec, &clamp, path),
+        None => gemm::gemm_with(x.data(), w, &mut out, &spec, &clamp, path),
     }
-    if x.rank() != 2 {
-        return Err(NnError::BadInput {
-            layer: "linear".into(),
-            reason: format!("expected rank 2 or 3 input, got rank {}", x.rank()),
-        });
+    Ok(Tensor::from_vec(out, &out_dims)?)
+}
+
+/// Recomputes the output features `rows` of [`linear_fused`] in place:
+/// `out` is the layer's output for `x`, and each `(j, w)` replaces
+/// weight row `j` (see [`gemm::linear_rows`]).
+pub(crate) fn linear_rows(
+    x: &Tensor,
+    l: &Linear,
+    rows: &[(usize, Vec<f32>)],
+    clamp: Option<gemm::Clamp>,
+    out: &mut Tensor,
+) -> Result<(), NnError> {
+    let (m, in_f, out_dims) = linear_shape(x, l)?;
+    let bad = |reason: String| NnError::BadInput { layer: "linear".into(), reason };
+    if out.dims() != out_dims.as_slice() {
+        return Err(bad(format!("output {:?} is not the layer's {:?}", out.dims(), out_dims)));
     }
-    let (out_f, in_f) = (l.weight.dims()[0], l.weight.dims()[1]);
-    if x.dims()[1] != in_f {
-        return Err(NnError::BadInput {
-            layer: "linear".into(),
-            reason: format!("input features {} != weight in_features {}", x.dims()[1], in_f),
-        });
+    let out_f = l.weight.dims()[0];
+    if let Some((j, row)) = rows.iter().find(|(j, row)| *j >= out_f || row.len() != in_f) {
+        return Err(bad(format!("row {j} of {} values for a {out_f} × {in_f} weight", row.len())));
     }
-    // x [n, in] · W^T [in, out]; the GEMM reads W transposed in place.
-    let n = x.dims()[0];
-    let mut out = vec![0.0f32; n * out_f];
-    let spec = gemm::GemmSpec {
-        m: n,
-        k: in_f,
-        n: out_f,
+    let spec = linear_spec(m, l);
+    gemm::linear_rows(x.data(), l.weight.data(), rows, out.data_mut(), &spec, clamp, gemm::kernel_path());
+    Ok(())
+}
+
+/// The GEMM of a linear layer over `rows` input rows: `x [rows, in] ·
+/// Wᵀ`, reading `W` transposed in place, the bias initializing each
+/// output feature's chain, no zero-skip.
+fn linear_spec(rows: usize, l: &Linear) -> gemm::GemmSpec<'_> {
+    gemm::GemmSpec {
+        m: rows,
+        k: l.weight.dims()[1],
+        n: l.weight.dims()[0],
         layout: gemm::BLayout::Transposed,
         skip_zero_a: false,
         bias: match l.bias.as_ref() {
             Some(b) => gemm::Bias::InitPerCol(b.data()),
             None => gemm::Bias::None,
         },
-    };
-    gemm::gemm_with(x.data(), l.weight.data(), &mut out, &spec, &clamp, gemm::kernel_path());
-    Ok(Tensor::from_vec(out, &[n, out_f])?)
+    }
+}
+
+/// A linear layer's GEMM rows, input features and output dims for input
+/// `x`: rank 2 `[n, in]`, or rank-3 tokens `[n, t, in]` applied per token
+/// (the token axis folds into the GEMM rows).
+fn linear_shape(x: &Tensor, l: &Linear) -> Result<(usize, usize, Vec<usize>), NnError> {
+    let (out_f, in_f) = (l.weight.dims()[0], l.weight.dims()[1]);
+    let bad = |reason: String| NnError::BadInput { layer: "linear".into(), reason };
+    if x.rank() != 2 && x.rank() != 3 {
+        return Err(bad(format!("expected rank 2 or 3 input, got rank {}", x.rank())));
+    }
+    let (lead, last) = x.dims().split_at(x.rank() - 1);
+    if last[0] != in_f {
+        return Err(bad(format!("input features {} != weight in_features {}", last[0], in_f)));
+    }
+    let mut out_dims = lead.to_vec();
+    out_dims.push(out_f);
+    Ok((lead.iter().product(), in_f, out_dims))
 }
 
 fn layernorm_forward(x: &Tensor, ln: &LayerNorm) -> Result<Tensor, NnError> {

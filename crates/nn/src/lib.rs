@@ -49,7 +49,7 @@ pub mod weights;
 pub use error::NnError;
 pub use graph::{
     Activations, ForwardHook, HookHandle, InjectableLayer, LayerCtx, Network, Node, NodeId, Pass,
-    Prefix,
+    Prefix, RowPatch,
 };
 pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear, RestrictMode};
 pub use resume::NodeMap;

@@ -33,6 +33,16 @@ impl Link {
             Link::Same(k) | Link::Guard { plain: k, .. } => k,
         }
     }
+
+    /// The derived node's own activation, given the plain network's
+    /// activations: the plain one, if the link holds on it.
+    fn holds<'p>(self, plain: &'p Activations<'_>) -> Option<&'p Tensor> {
+        let t = plain.get(self.plain())?;
+        match self {
+            Link::Same(_) => Some(t),
+            Link::Guard { lo, hi, .. } => t.data().iter().all(|&v| v >= lo && v <= hi).then_some(t),
+        }
+    }
 }
 
 /// Maps the leading nodes of a derived network onto the plain network
@@ -107,13 +117,7 @@ impl NodeMap {
     /// `plain` lacks, and the first guard that trips on its input.
     pub fn resume_point(&self, limit: NodeId, plain: &Activations<'_>) -> NodeId {
         for (id, &link) in self.links.iter().enumerate().take(limit) {
-            let reusable = match link {
-                Link::Same(k) => plain.get(k).is_some(),
-                Link::Guard { plain: k, lo, hi } => {
-                    plain.get(k).is_some_and(|t| t.data().iter().all(|&v| v >= lo && v <= hi))
-                }
-            };
-            if !reusable {
+            if link.holds(plain).is_none() {
                 return id;
             }
         }
@@ -137,6 +141,12 @@ pub struct Mapped<'m> {
 impl Prefix for Mapped<'_> {
     fn activation(&self, id: NodeId) -> Option<&Tensor> {
         self.map.plain_node(id).and_then(|k| self.plain.get(k))
+    }
+
+    /// The plain activation, for a node that maps as the same node or as
+    /// a guard the plain activation lies inside.
+    fn lends(&self, id: NodeId) -> Option<&Tensor> {
+        self.map.links.get(id).and_then(|link| link.holds(self.plain))
     }
 }
 

@@ -103,6 +103,51 @@ fn check_rank(t: &Tensor, rank: usize) -> Result<(), TensorError> {
     Ok(())
 }
 
+/// The checked geometry of one 2-D convolution.
+struct Conv2dShape {
+    n: usize,
+    c_in: usize,
+    c_out: usize,
+    kh: usize,
+    kw: usize,
+    h_out: usize,
+    w_out: usize,
+}
+
+impl Conv2dShape {
+    /// Checks `input` `[n, c_in, h, w]`, `weight` `[c_out, c_in, kh, kw]`
+    /// and `bias` `[c_out]` against each other and `cfg`.
+    fn new(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        cfg: ConvConfig,
+    ) -> Result<Self, TensorError> {
+        check_rank(input, 4)?;
+        check_rank(weight, 4)?;
+        let (n, c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+        let (c_out, wc_in, kh, kw) =
+            (weight.dims()[0], weight.dims()[1], weight.dims()[2], weight.dims()[3]);
+        if wc_in != c_in {
+            return Err(TensorError::ShapeMismatch {
+                left: input.dims().to_vec(),
+                right: weight.dims().to_vec(),
+            });
+        }
+        if let Some(b) = bias {
+            if b.dims() != [c_out] {
+                return Err(TensorError::ShapeMismatch {
+                    left: vec![c_out],
+                    right: b.dims().to_vec(),
+                });
+            }
+        }
+        let h_out = cfg.out_size(h, kh)?;
+        let w_out = cfg.out_size(w, kw)?;
+        Ok(Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out })
+    }
+}
+
 /// 2-D convolution, direct nested-loop reference implementation.
 ///
 /// * `input`: `[n, c_in, h, w]`
@@ -120,27 +165,9 @@ pub fn conv2d_direct(
     bias: Option<&Tensor>,
     cfg: ConvConfig,
 ) -> Result<Tensor, TensorError> {
-    check_rank(input, 4)?;
-    check_rank(weight, 4)?;
-    let (n, c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
-    let (c_out, wc_in, kh, kw) =
-        (weight.dims()[0], weight.dims()[1], weight.dims()[2], weight.dims()[3]);
-    if wc_in != c_in {
-        return Err(TensorError::ShapeMismatch {
-            left: input.dims().to_vec(),
-            right: weight.dims().to_vec(),
-        });
-    }
-    if let Some(b) = bias {
-        if b.dims() != [c_out] {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![c_out],
-                right: b.dims().to_vec(),
-            });
-        }
-    }
-    let h_out = cfg.out_size(h, kh)?;
-    let w_out = cfg.out_size(w, kw)?;
+    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } =
+        Conv2dShape::new(input, weight, bias, cfg)?;
+    let (h, w) = (input.dims()[2], input.dims()[3]);
     let mut out = vec![0.0f32; n * c_out * h_out * w_out];
     let in_data = input.data();
     let w_data = weight.data();
@@ -278,27 +305,8 @@ pub fn conv2d_fused(
     cfg: ConvConfig,
     clamp: Option<Clamp>,
 ) -> Result<Tensor, TensorError> {
-    check_rank(input, 4)?;
-    check_rank(weight, 4)?;
-    let (n, c_in, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
-    let (c_out, wc_in, kh, kw) =
-        (weight.dims()[0], weight.dims()[1], weight.dims()[2], weight.dims()[3]);
-    if wc_in != c_in {
-        return Err(TensorError::ShapeMismatch {
-            left: input.dims().to_vec(),
-            right: weight.dims().to_vec(),
-        });
-    }
-    if let Some(bt) = bias {
-        if bt.dims() != [c_out] {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![c_out],
-                right: bt.dims().to_vec(),
-            });
-        }
-    }
-    let h_out = cfg.out_size(h, kh)?;
-    let w_out = cfg.out_size(w, kw)?;
+    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } =
+        Conv2dShape::new(input, weight, bias, cfg)?;
     let kdim = c_in * kh * kw;
     let spatial = h_out * w_out;
     let per_item = c_out * spatial;
@@ -351,6 +359,70 @@ pub fn conv2d_fused(
         }
     }
     Tensor::from_vec(out, &[n, c_out, h_out, w_out])
+}
+
+/// Recomputes some output channels of [`conv2d_fused`] in place.
+///
+/// `out` holds `conv2d_fused(input, weight, bias, cfg, clamp)`. Each
+/// `(c, w)` of `rows` replaces output channel `c`'s filter with the
+/// `c_in · kh · kw` values `w` (in `weight`'s layout) and rewrites
+/// channel `c` of every batch item; every other element keeps its
+/// value. Per batch item this is [`gemm::gemm_rows`] over an im2col of
+/// the input, so a rewritten element equals [`conv2d_fused`] with the
+/// replaced filters bit for bit, NaN bits included, on either kernel
+/// path. The meters count it as a convolution with as many output
+/// channels as the GEMM recomputed.
+///
+/// # Errors
+///
+/// The [`conv2d_fused`] shape errors, and a shape mismatch when `out`
+/// is not that convolution's output shape or a row is not one filter
+/// of an existing channel.
+pub fn conv2d_rows(
+    input: &Tensor,
+    weight: &Tensor,
+    rows: &[(usize, Vec<f32>)],
+    bias: Option<&Tensor>,
+    cfg: ConvConfig,
+    clamp: Option<Clamp>,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } =
+        Conv2dShape::new(input, weight, bias, cfg)?;
+    let (kdim, spatial) = (c_in * kh * kw, h_out * w_out);
+    if out.dims() != [n, c_out, h_out, w_out] {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![n, c_out, h_out, w_out],
+            right: out.dims().to_vec(),
+        });
+    }
+    if let Some((c, row)) = rows.iter().find(|(c, row)| *c >= c_out || row.len() != kdim) {
+        return Err(TensorError::ShapeMismatch {
+            left: weight.dims().to_vec(),
+            right: vec![*c, row.len()],
+        });
+    }
+    if rows.is_empty() {
+        return Ok(());
+    }
+    // The conv kernel always runs its bias pass (see `conv2d_fused`).
+    let zero_bias = vec![0.0f32; c_out];
+    let spec = gemm::GemmSpec {
+        m: c_out,
+        k: kdim,
+        n: spatial,
+        layout: gemm::BLayout::RowMajor,
+        skip_zero_a: true,
+        bias: gemm::Bias::PostPerRow(bias.map_or(&zero_bias[..], Tensor::data)),
+    };
+    let path = gemm::kernel_path();
+    let mut computed = 0;
+    for (b, dst) in out.data_mut().chunks_exact_mut(c_out * spatial).enumerate() {
+        let cols = im2col(input, b, kh, kw, h_out, w_out, cfg);
+        computed = gemm::gemm_rows(weight.data(), rows, cols.data(), dst, &spec, clamp, path);
+    }
+    crate::meter::conv2d(n, c_in, computed, kh, kw, spatial, input.data().len(), computed * kdim);
+    Ok(())
 }
 
 /// 3-D convolution (direct implementation).

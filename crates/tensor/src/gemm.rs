@@ -323,6 +323,55 @@ pub fn gemm_with<E: Epilogue>(
     epi: &E,
     path: KernelPath,
 ) {
+    run(a, b, None, out, spec, epi, path, spec.m);
+}
+
+/// [`gemm_with`] on a ready pack: the blocked path takes `B`'s panels
+/// from `cache`, packing them there on its first call, instead of
+/// packing per call. The pack is a layout change only, so the output
+/// is bit-identical to [`gemm_with`]'s. `cache` must only ever see this
+/// `b` with this `k`, `n` and layout; whoever changes `b` drops the
+/// cache (a `Network` does so in `layer_mut`).
+pub fn gemm_cached<E: Epilogue>(
+    a: &[f32],
+    b: &[f32],
+    cache: &PackCache,
+    out: &mut [f32],
+    spec: &GemmSpec<'_>,
+    epi: &E,
+    path: KernelPath,
+) {
+    run(a, b, Some(cache), out, spec, epi, path, spec.m);
+}
+
+/// The packed `B` panels of one fixed operand, filled by the first
+/// blocked [`gemm_cached`] call and read by every later one. The
+/// reference path never fills it. `PackCache::default()` is empty.
+#[derive(Debug, Default)]
+pub struct PackCache(OnceLock<Vec<f32>>);
+
+impl PackCache {
+    fn panels(&self, b: &[f32], k: usize, n: usize, layout: BLayout) -> &[f32] {
+        let packed = self.0.get_or_init(|| pack_metered(b, k, n, layout));
+        assert_eq!(packed.len(), n.div_ceil(NR) * k * NR, "cached pack shape");
+        packed
+    }
+}
+
+/// Shared body of [`gemm_with`], [`gemm_cached`], [`gemm_rows`] and
+/// [`linear_rows`]: `floor_m` is the row count the blocked path's
+/// thin-shape floor reads.
+#[allow(clippy::too_many_arguments)]
+fn run<E: Epilogue>(
+    a: &[f32],
+    b: &[f32],
+    cache: Option<&PackCache>,
+    out: &mut [f32],
+    spec: &GemmSpec<'_>,
+    epi: &E,
+    path: KernelPath,
+    floor_m: usize,
+) {
     let (m, k, n) = (spec.m, spec.k, spec.n);
     debug_assert_eq!(a.len(), m * k, "A operand length");
     debug_assert_eq!(b.len(), k * n, "B operand length");
@@ -360,14 +409,21 @@ pub fn gemm_with<E: Epilogue>(
             // dot-product chain, which the packed kernel beats at any
             // `m` (the pack is a single streaming transpose of data
             // the dot products would read anyway).
-            if m < BLOCKED_MIN_M && matches!(spec.layout, BLayout::RowMajor) {
-                gemm_with(a, b, out, spec, epi, KernelPath::Reference);
+            if floor_m < BLOCKED_MIN_M && matches!(spec.layout, BLayout::RowMajor) {
+                run(a, b, cache, out, spec, epi, KernelPath::Reference, floor_m);
                 return;
             }
-            // B is packed exactly once per GEMM call into NR-wide
-            // column panels; every worker reads the same shared pack.
-            let packed = pack_b(b, k, n, spec.layout);
-            crate::meter::gemm_pack(packed.len());
+            // B is packed at most once per GEMM call into NR-wide
+            // column panels (never, with a filled cache); every worker
+            // reads the same shared pack.
+            let per_call;
+            let packed: &[f32] = match cache {
+                Some(cache) => cache.panels(b, k, n, spec.layout),
+                None => {
+                    per_call = pack_metered(b, k, n, spec.layout);
+                    &per_call
+                }
+            };
             let simd = simd_available();
             let threads = alfi_pool::current_parallelism();
             if threads > 1 && m > 1 && m * k * n >= PAR_MIN_FLOPS {
@@ -375,10 +431,10 @@ pub fn gemm_with<E: Epilogue>(
                 // tiles — still a pure function of (k, n).
                 let rpc = rows_per_chunk(k, n).div_ceil(MR) * MR;
                 alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
-                    blocked_chunk(a, &packed, chunk, ci * rpc, spec, epi, simd);
+                    blocked_chunk(a, packed, chunk, ci * rpc, spec, epi, simd);
                 });
             } else {
-                blocked_chunk(a, &packed, out, 0, spec, epi, simd);
+                blocked_chunk(a, packed, out, 0, spec, epi, simd);
             }
         }
     }
@@ -387,6 +443,152 @@ pub fn gemm_with<E: Epilogue>(
 /// [`gemm_with`] without an epilogue.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>, path: KernelPath) {
     gemm_with(a, b, out, spec, &NoEpilogue, path);
+}
+
+// ---------------------------------------------------------------------------
+// Row recompute: some output rows of a GEMM with some operand rows
+// replaced, each on the exact instruction sequence the full GEMM runs.
+// ---------------------------------------------------------------------------
+//
+// The two kernels, and the register tiles of one kernel, agree on every
+// finite value; a NaN's sign and payload can also depend on which
+// instructions met it (an add of two different NaNs keeps one of them,
+// and the compiler may commute an add). So a recomputed row runs on the
+// kernel the full GEMM runs it on, at the same position inside the same
+// kind of register tile: the recompute takes every aligned tile span
+// that holds a replaced row, whole.
+
+/// Recomputes some output rows of a row-major GEMM in place.
+///
+/// `out` (`[m, n]`) holds `A × B` plus the bias and `clamp` of `spec`
+/// (row-major `B`, as the conv kernel runs it). Each `(i, a_i)` of
+/// `rows` replaces row `i` of `A` (`k` values) and rewrites row `i` of
+/// `out`; every other row keeps its value. A rewritten element is the
+/// full GEMM's own chain — products in ascending `k` under the
+/// zero-skip rule, then the bias, then the clamp — on the full GEMM's
+/// kernel and tile position, so it equals the full GEMM over the
+/// replaced rows bit for bit, NaN bits included. Returns how many rows
+/// the recompute computed: the replaced rows, widened to whole `MR`
+/// register tiles on the blocked kernel.
+///
+/// # Panics
+///
+/// Panics if `spec` is not row-major, or a row is not `k` values long
+/// or addresses a row past `m`.
+pub fn gemm_rows(
+    a: &[f32],
+    rows: &[(usize, Vec<f32>)],
+    b: &[f32],
+    out: &mut [f32],
+    spec: &GemmSpec<'_>,
+    clamp: Option<Clamp>,
+    path: KernelPath,
+) -> usize {
+    let (m, k, n) = (spec.m, spec.k, spec.n);
+    assert!(spec.layout == BLayout::RowMajor, "gemm_rows replaces rows of a row-major GEMM");
+    if rows.is_empty() || n == 0 {
+        return 0;
+    }
+    let tiled = path == KernelPath::Blocked && m >= BLOCKED_MIN_M;
+    let span = spans(rows, k, m, if tiled { MR } else { 1 });
+    let a_sub = gather(&span, rows, a, k);
+    let bias_rows: Vec<f32>;
+    let bias = match spec.bias {
+        Bias::PostPerRow(bias) => {
+            bias_rows = span.iter().map(|&i| bias[i]).collect();
+            Bias::PostPerRow(&bias_rows)
+        }
+        other => other,
+    };
+    let sub_spec = GemmSpec { m: span.len(), bias, ..*spec };
+    let mut sub = vec![0.0f32; span.len() * n];
+    run(&a_sub, b, None, &mut sub, &sub_spec, &clamp, path, m);
+    for (src, i) in sub.chunks_exact(n).zip(&span) {
+        if rows.iter().any(|(r, _)| r == i) {
+            out[i * n..(i + 1) * n].copy_from_slice(src);
+        }
+    }
+    span.len()
+}
+
+/// Recomputes some output features of a linear layer in place.
+///
+/// `out` (`[m, n]`) holds `x · Wᵀ` for `x` (`[m, k]`) and `w` (`[n, k]`)
+/// plus the bias and `clamp` of `spec` (transposed `B`, no zero-skip, as
+/// the linear layer runs it). Each `(j, w_j)` of `rows` replaces row `j`
+/// of `W` (`k` values) and rewrites column `j` of `out`; every other
+/// element keeps its value. A rewritten element is the full GEMM's own
+/// chain — `bias[j]`, then the products in ascending `k`, then the
+/// clamp — on the full GEMM's kernel and panel position (whole `NR`
+/// panels on the blocked kernel), so it equals the full GEMM over the
+/// replaced rows bit for bit, NaN bits included.
+///
+/// # Panics
+///
+/// Panics if `spec` is not transposed, or a row is not `k` values long
+/// or addresses a column past `n`.
+pub fn linear_rows(
+    x: &[f32],
+    w: &[f32],
+    rows: &[(usize, Vec<f32>)],
+    out: &mut [f32],
+    spec: &GemmSpec<'_>,
+    clamp: Option<Clamp>,
+    path: KernelPath,
+) {
+    let (m, k, n) = (spec.m, spec.k, spec.n);
+    assert!(spec.layout == BLayout::Transposed, "linear_rows replaces rows of a transposed B");
+    if rows.is_empty() || m == 0 {
+        return;
+    }
+    let span = spans(rows, k, n, if path == KernelPath::Blocked { NR } else { 1 });
+    let w_sub = gather(&span, rows, w, k);
+    let bias_cols: Vec<f32>;
+    let bias = match spec.bias {
+        Bias::InitPerCol(bias) => {
+            bias_cols = span.iter().map(|&j| bias[j]).collect();
+            Bias::InitPerCol(&bias_cols)
+        }
+        other => other,
+    };
+    let sub_spec = GemmSpec { n: span.len(), bias, ..*spec };
+    let mut sub = vec![0.0f32; m * span.len()];
+    run(x, &w_sub, None, &mut sub, &sub_spec, &clamp, path, m);
+    for (dst, src) in out.chunks_exact_mut(n).zip(sub.chunks_exact(span.len())) {
+        for (&j, &v) in span.iter().zip(src) {
+            if rows.iter().any(|(r, _)| *r == j) {
+                dst[j] = v;
+            }
+        }
+    }
+}
+
+/// The indices `0..len` to recompute for the replaced `rows`: every
+/// aligned span of `tile` indices that holds one, in ascending order.
+fn spans(rows: &[(usize, Vec<f32>)], k: usize, len: usize, tile: usize) -> Vec<usize> {
+    let mut starts: Vec<usize> = rows
+        .iter()
+        .map(|(i, row)| {
+            assert!(*i < len && row.len() == k, "row {i} of {} values, for {len} rows of {k}", row.len());
+            i / tile * tile
+        })
+        .collect();
+    starts.sort_unstable();
+    starts.dedup();
+    starts.into_iter().flat_map(|s| s..(s + tile).min(len)).collect()
+}
+
+/// The operand rows `span` of the `k`-wide row-major `full`, each taken
+/// from `rows` where it is replaced.
+fn gather(span: &[usize], rows: &[(usize, Vec<f32>)], full: &[f32], k: usize) -> Vec<f32> {
+    let mut sub = Vec::with_capacity(span.len() * k);
+    for &i in span {
+        match rows.iter().find(|(r, _)| *r == i) {
+            Some((_, row)) => sub.extend_from_slice(row),
+            None => sub.extend_from_slice(&full[i * k..(i + 1) * k]),
+        }
+    }
+    sub
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +674,13 @@ fn reference_chunk<E: Epilogue>(
 // ---------------------------------------------------------------------------
 // Blocked path: packed panels + register-tiled microkernels.
 // ---------------------------------------------------------------------------
+
+/// [`pack_b`], counted on the pack meter.
+fn pack_metered(b: &[f32], k: usize, n: usize, layout: BLayout) -> Vec<f32> {
+    let packed = pack_b(b, k, n, layout);
+    crate::meter::gemm_pack(packed.len());
+    packed
+}
 
 /// Packs `B` into NR-wide column panels, panel-major:
 /// `packed[p][kk][j] = B[kk][p * NR + j]`, zero-padded in the last

@@ -10,9 +10,14 @@
 //! packing and vectorization may only reorder *independent* output
 //! elements, never the per-element accumulation chain, so the blocked
 //! path is not "close to" the reference — it is the same function.
+//!
+//! The same contract lets a fault plan recompute only the output rows a
+//! weight fault changes (conv output channels, linear output features)
+//! and lets a network reuse one pack of a linear weight; the row-subset
+//! and ready-pack tests below pin both against the full kernels.
 
 use alfi_rng::Rng;
-use alfi_tensor::conv::{conv2d_direct, conv2d_im2col, ConvConfig};
+use alfi_tensor::conv::{conv2d_direct, conv2d_fused, conv2d_im2col, conv2d_rows, ConvConfig};
 use alfi_tensor::gemm::{
     self, BLayout, Bias, GemmSpec, KernelPath, NoEpilogue, MR, NR,
 };
@@ -327,4 +332,202 @@ fn epilogue_fires_once_per_element_with_global_indices() {
     gemm::gemm_with(&a, &b, &mut plain, &spec, &NoEpilogue, KernelPath::Blocked);
     let reference = run_gemm(&a, &b, &spec, KernelPath::Reference);
     assert_bits_equal(&reference, &plain, "NoEpilogue blocked");
+}
+
+/// Operand data that also carries the values a corrupted weight or an
+/// overflowed activation brings: ±0, NaN and ±Inf, beside the exact
+/// zeros of [`operand`].
+fn special_operand(rng: &mut Rng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.gen_range(0u32..40) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4..=9 => 0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// The fused clamps a conv or linear node can carry.
+fn clamps() -> [Option<gemm::Clamp>; 3] {
+    [
+        None,
+        Some(gemm::Clamp { lo: -1.5, hi: 1.5, mode: gemm::ClampMode::Clip }),
+        Some(gemm::Clamp { lo: -1.5, hi: 1.5, mode: gemm::ClampMode::Zero }),
+    ]
+}
+
+/// Replacement rows: new values (NaN, Inf and zeros included) for each
+/// listed row, plus one all-zero row so the zero-skip rule meets Inf
+/// inputs.
+fn replacement_rows(rng: &mut Rng, rows: &[usize], len: usize) -> Vec<(usize, Vec<f32>)> {
+    rows.iter()
+        .enumerate()
+        .map(|(i, &r)| (r, if i == 1 { vec![0.0; len] } else { special_operand(rng, len) }))
+        .collect()
+}
+
+/// Row subsets of `count` rows: single rows at both ends, an unsorted
+/// pair, every row in reverse, and (when there are enough) a subset as
+/// tall as the blocked path's packing floor.
+fn row_subsets(count: usize) -> Vec<Vec<usize>> {
+    let mut subsets = vec![vec![0], vec![count - 1], vec![count - 1, 0], (0..count).rev().collect()];
+    if count > gemm::BLOCKED_MIN_M {
+        subsets.push((1..=gemm::BLOCKED_MIN_M).collect());
+    }
+    subsets
+}
+
+/// Recomputing a subset of a conv's output channels with replaced
+/// filters equals the full fused conv over the patched weight, bit for
+/// bit, on both kernel paths: with and without bias and clamp, with
+/// NaN, Inf and zero weights and inputs, on strided, padded and dilated
+/// geometries, and for subsets on both sides of the packing floor.
+#[test]
+fn conv_row_subsets_equal_the_full_kernel_rows() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let mut rng = Rng::from_seed(0x2045);
+    // (hw, k, stride, pad, dilation)
+    for &(hw, k, stride, pad, dilation) in &[(7, 3, 1, 1, 1), (9, 3, 2, 1, 1), (8, 1, 1, 0, 1), (11, 3, 2, 2, 2)] {
+        let (nb, c_in, c_out) = (2, 3, 11);
+        let kdim = c_in * k * k;
+        let input =
+            Tensor::from_vec(special_operand(&mut rng, nb * c_in * hw * hw), &[nb, c_in, hw, hw])
+                .unwrap();
+        let weight =
+            Tensor::from_vec(operand(&mut rng, c_out * kdim), &[c_out, c_in, k, k]).unwrap();
+        let bias = Tensor::from_vec(special_operand(&mut rng, c_out), &[c_out]).unwrap();
+        let cfg = ConvConfig::with_dilation(stride, pad, dilation).unwrap();
+        for subset in row_subsets(c_out) {
+            let rows = replacement_rows(&mut rng, &subset, kdim);
+            let mut patched = weight.clone();
+            for (c, w) in &rows {
+                patched.data_mut()[c * kdim..(c + 1) * kdim].copy_from_slice(w);
+            }
+            for path in [KernelPath::Reference, KernelPath::Blocked] {
+                for bias in [None, Some(&bias)] {
+                    for clamp in clamps() {
+                        let (expect, got) = with_kernel(path, || {
+                            let expect = conv2d_fused(&input, &patched, bias, cfg, clamp).unwrap();
+                            let mut got = conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap();
+                            conv2d_rows(&input, &weight, &rows, bias, cfg, clamp, &mut got).unwrap();
+                            (expect, got)
+                        });
+                        assert_bits_equal(
+                            expect.data(),
+                            got.data(),
+                            &format!(
+                                "conv rows {subset:?} hw={hw} k={k} s={stride} p={pad} d={dilation} \\
+                                 {path} bias={} {clamp:?}",
+                                bias.is_some()
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // A row past the channels, a short row or a wrong output shape is
+    // an error, not a panic.
+    let input = Tensor::zeros(&[1, 1, 4, 4]);
+    let weight = Tensor::zeros(&[2, 1, 3, 3]);
+    let cfg = ConvConfig::default();
+    let mut out = conv2d_fused(&input, &weight, None, cfg, None).unwrap();
+    for rows in [vec![(2, vec![0.0; 9])], vec![(0, vec![0.0; 8])]] {
+        assert!(conv2d_rows(&input, &weight, &rows, None, cfg, None, &mut out).is_err());
+    }
+    let mut wrong = Tensor::zeros(&[1, 2, 3, 3]);
+    assert!(conv2d_rows(&input, &weight, &[(0, vec![0.0; 9])], None, cfg, None, &mut wrong).is_err());
+}
+
+/// The linear layer's GEMM: `x · Wᵀ` with the bias initializing each
+/// output feature's chain and no zero-skip.
+fn linear_spec(m: usize, k: usize, n: usize, bias: Option<&[f32]>) -> GemmSpec<'_> {
+    GemmSpec {
+        m,
+        k,
+        n,
+        layout: BLayout::Transposed,
+        skip_zero_a: false,
+        bias: bias.map_or(Bias::None, Bias::InitPerCol),
+    }
+}
+
+/// Recomputing a subset of a linear layer's output features with
+/// replaced weight rows equals the full linear GEMM over the patched
+/// weight, bit for bit, on both kernel paths: rank-2 batches and
+/// folded token rows, with and without bias and clamp, with NaN, Inf
+/// and zero operands, for subsets narrower and wider than one panel.
+#[test]
+fn linear_row_subsets_equal_the_full_kernel_rows() {
+    let mut rng = Rng::from_seed(0x11AE);
+    for &(m, k, n) in &[(1, 7, 5), (3, 64, 2 * NR + 3), (MR + 3, 1, 17), (16, 33, NR)] {
+        let x = special_operand(&mut rng, m * k);
+        let weight = operand(&mut rng, n * k);
+        let bias = special_operand(&mut rng, n);
+        for subset in row_subsets(n) {
+            let rows = replacement_rows(&mut rng, &subset, k);
+            let mut patched = weight.clone();
+            for (j, w) in &rows {
+                patched[j * k..(j + 1) * k].copy_from_slice(w);
+            }
+            for path in [KernelPath::Reference, KernelPath::Blocked] {
+                for bias in [None, Some(&bias[..])] {
+                    for clamp in clamps() {
+                        let spec = linear_spec(m, k, n, bias);
+                        let mut expect = vec![0.0f32; m * n];
+                        gemm::gemm_with(&x, &patched, &mut expect, &spec, &clamp, path);
+                        let mut got = vec![0.0f32; m * n];
+                        gemm::gemm_with(&x, &weight, &mut got, &spec, &clamp, path);
+                        gemm::linear_rows(&x, &weight, &rows, &mut got, &spec, clamp, path);
+                        assert_bits_equal(
+                            &expect,
+                            &got,
+                            &format!(
+                                "linear rows {subset:?} m={m} k={k} n={n} {path} bias={} {clamp:?}",
+                                bias.is_some()
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A GEMM on a ready pack equals one that packs per call, bit for bit,
+/// on both kernel paths and at several pool caps: the first blocked
+/// call fills the cache and later calls, with other `A` operands, read
+/// it (`meter_counts` pins that only the first one packs).
+#[test]
+fn a_gemm_on_a_ready_pack_equals_one_that_packs_per_call() {
+    let mut rng = Rng::from_seed(0x9AC4);
+    for &(m, k, n) in &[(1, 64, 2 * NR + 3), (MR + 1, 7, NR - 1), (37, 48, 53)] {
+        let b = special_operand(&mut rng, k * n);
+        let row_bias = special_operand(&mut rng, m);
+        let col_bias = special_operand(&mut rng, n);
+        for layout in [BLayout::RowMajor, BLayout::Transposed] {
+            for bias in [Bias::None, Bias::InitPerCol(&col_bias), Bias::PostPerRow(&row_bias)] {
+                let spec = GemmSpec { m, k, n, layout, skip_zero_a: true, bias };
+                for clamp in clamps() {
+                    for path in [KernelPath::Reference, KernelPath::Blocked] {
+                        let cache = gemm::PackCache::default();
+                        for (call, threads) in [1, 3, 1].into_iter().enumerate() {
+                            let a = special_operand(&mut rng, m * k);
+                            let mut expect = vec![0.0f32; m * n];
+                            let mut got = vec![0.0f32; m * n];
+                            alfi_pool::with_parallelism(threads, || {
+                                gemm::gemm_with(&a, &b, &mut expect, &spec, &clamp, path);
+                                gemm::gemm_cached(&a, &b, &cache, &mut got, &spec, &clamp, path);
+                            });
+                            let what = format!("ready pack m={m} k={k} n={n} {layout:?} {bias:?} {clamp:?} {path} call {call}");
+                            assert_bits_equal(&expect, &got, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -5,7 +5,10 @@
 //! tiles later stream the panel — so `gemm_pack_bytes` must grow by
 //! `4 · ⌈n/NR⌉ · NR · k` per call, not by that amount times the tile
 //! count. These tests pin the exact counter deltas for known shapes on
-//! both kernel paths (the reference path packs nothing).
+//! both kernel paths (the reference path packs nothing). A GEMM on a
+//! ready pack charges the pack once, on its first blocked call, and a
+//! conv row recompute counts as a convolution with that many output
+//! channels.
 //!
 //! Everything lives in one `#[test]` because the counters are
 //! process-global: concurrent test functions would race each other's
@@ -13,8 +16,8 @@
 
 use alfi_metrics::names;
 use alfi_rng::Rng;
-use alfi_tensor::conv::{conv2d_im2col, ConvConfig};
-use alfi_tensor::gemm::{self, KernelPath, BLOCKED_MIN_M, NR};
+use alfi_tensor::conv::{conv2d_im2col, conv2d_rows, ConvConfig};
+use alfi_tensor::gemm::{self, KernelPath, BLOCKED_MIN_M, MR, NR};
 use alfi_tensor::Tensor;
 
 struct Meters {
@@ -106,6 +109,62 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
         "one pack per batch item's GEMM"
     );
     assert_eq!(after.matmul_flops, before.matmul_flops, "conv must not touch matmul meters");
+
+    // --- a conv row recompute counts as a conv with as many output
+    // channels as it recomputes: the two replaced rows on the reference
+    // path, their whole MR-row register tiles (rows 0..MR and MR..c_out)
+    // on the blocked path, which also packs per batch item like the
+    // full conv's kernel (c_out is at the floor).
+    let mut out = conv2d_im2col(&input, &weight, None, cfg).unwrap();
+    let rows: Vec<(usize, Vec<f32>)> = vec![(1, vec![0.5; kdim]), (MR, vec![-0.5; kdim])];
+    for (path, computed, packs) in [(KernelPath::Blocked, c_out, true), (KernelPath::Reference, 2, false)] {
+        let before = read_meters();
+        with_kernel(path, || conv2d_rows(&input, &weight, &rows, None, cfg, None, &mut out).unwrap());
+        let after = read_meters();
+        assert_eq!(
+            after.conv_flops - before.conv_flops,
+            2 * (nb * computed * spatial * kdim) as u64,
+            "{path}: rows × spatial × kdim MACs per batch item"
+        );
+        assert_eq!(
+            after.conv_bytes - before.conv_bytes,
+            4 * (input.num_elements() + computed * kdim + nb * computed * spatial) as u64
+        );
+        let pack = if packs { nb * 4 * spatial.div_ceil(NR) * NR * kdim } else { 0 };
+        assert_eq!(after.pack_bytes - before.pack_bytes, pack as u64, "{path}: row packs");
+        assert_eq!(after.matmul_flops, before.matmul_flops);
+    }
+
+    // --- a GEMM on a ready pack packs once, on its first blocked call;
+    // a linear row recompute packs its own rows (NR-padded) and counts
+    // no FLOPs on either meter.
+    let (lm, lk, ln) = (1usize, 24usize, 2 * NR + 3);
+    let x = Tensor::rand_normal(&mut rng, &[lm, lk], 0.0, 1.0);
+    let w = Tensor::rand_normal(&mut rng, &[ln, lk], 0.0, 1.0);
+    let spec = gemm::GemmSpec {
+        m: lm,
+        k: lk,
+        n: ln,
+        layout: gemm::BLayout::Transposed,
+        skip_zero_a: false,
+        bias: gemm::Bias::None,
+    };
+    let cache = gemm::PackCache::default();
+    let mut y = vec![0.0f32; lm * ln];
+    for call in 0..3 {
+        let before = read_meters();
+        gemm::gemm_cached(x.data(), w.data(), &cache, &mut y, &spec, &None, KernelPath::Blocked);
+        let after = read_meters();
+        let pack = if call == 0 { 4 * ln.div_ceil(NR) * NR * lk } else { 0 };
+        assert_eq!(after.pack_bytes - before.pack_bytes, pack as u64, "ready pack, call {call}");
+    }
+    // Rows 0 and NR: the whole first two panels.
+    let rows: Vec<(usize, Vec<f32>)> = [0, NR].iter().map(|&j| (j, vec![1.0; lk])).collect();
+    let before = read_meters();
+    gemm::linear_rows(x.data(), w.data(), &rows, &mut y, &spec, None, KernelPath::Blocked);
+    let after = read_meters();
+    assert_eq!(after.pack_bytes - before.pack_bytes, (4 * 2 * NR * lk) as u64, "two row panels");
+    assert_eq!((after.conv_flops, after.matmul_flops), (before.conv_flops, before.matmul_flops));
 
     // --- thin products delegate to the reference kernel: no pack.
     let thin = Tensor::rand_normal(&mut rng, &[BLOCKED_MIN_M - 1, k], 0.0, 1.0);
