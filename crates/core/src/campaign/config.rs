@@ -89,13 +89,14 @@ pub struct RunConfig {
     /// back to the scenario, and a scenario without one skips the
     /// report.
     pub report: Option<bool>,
-    /// GEMM kernel path for every matmul / conv / linear the campaign
-    /// executes. When set, the engine installs a process-wide kernel
-    /// override for the duration of the run (restoring the previous
-    /// selection afterwards); `None` leaves the ambient selection —
-    /// the `ALFI_KERNEL` environment variable, defaulting to
-    /// [`KernelPath::Blocked`] — untouched. Both paths are bit-exact
-    /// by contract, so this only affects wall-clock, never results.
+    /// Path of the GEMM and GELU kernels for every matmul / conv /
+    /// linear / GELU the campaign executes. When set, the engine
+    /// installs a process-wide kernel override for the duration of the
+    /// run (restoring the previous selection afterwards); `None` leaves
+    /// the ambient selection — the `ALFI_KERNEL` environment variable,
+    /// defaulting to [`KernelPath::Blocked`] — untouched. Both paths
+    /// are bit-exact by contract, so this only affects wall-clock,
+    /// never results.
     pub kernel: Option<KernelPath>,
 }
 

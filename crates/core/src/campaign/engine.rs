@@ -439,6 +439,8 @@ impl<'c> Engine<'c> {
     /// Returns [`CoreError::Scenario`] for `fault_duration: permanent`
     /// before anything runs or is written: every scope arms its own
     /// fault slot, so campaigns run transient faults only. Returns
+    /// [`CoreError::KernelEnv`], just as early, when `ALFI_KERNEL` or
+    /// `ALFI_KERNEL_PORTABLE` holds a value it does not accept. Returns
     /// resolution/injection errors; an exhausted fault matrix ends the
     /// run gracefully instead. A panicking pool worker surfaces as
     /// [`CoreError::WorkerPanic`].
@@ -452,6 +454,7 @@ impl<'c> Engine<'c> {
                     .into(),
             }));
         }
+        gemm::check_kernel_env().map_err(CoreError::KernelEnv)?;
         let _kernel = cfg.kernel.map(KernelGuard::install);
         let rec = cfg.recorder.clone();
         if rec.is_enabled() {

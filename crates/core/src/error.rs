@@ -3,6 +3,7 @@
 use alfi_nn::NnError;
 use alfi_scenario::ScenarioError;
 use alfi_store::StoreError;
+use alfi_tensor::gemm::KernelEnvError;
 use std::fmt;
 
 /// Error produced by fault generation, injection or persistence.
@@ -42,6 +43,9 @@ pub enum CoreError {
         /// The captured panic message.
         message: String,
     },
+    /// `ALFI_KERNEL` or `ALFI_KERNEL_PORTABLE` holds a value it does
+    /// not accept.
+    KernelEnv(KernelEnvError),
 }
 
 impl fmt::Display for CoreError {
@@ -66,6 +70,7 @@ impl fmt::Display for CoreError {
             CoreError::WorkerPanic { message } => {
                 write!(f, "campaign worker panicked: {message}")
             }
+            CoreError::KernelEnv(e) => write!(f, "{e}"),
         }
     }
 }
@@ -76,6 +81,7 @@ impl std::error::Error for CoreError {
             CoreError::Nn(e) => Some(e),
             CoreError::Scenario(e) => Some(e),
             CoreError::Store(e) => Some(e),
+            CoreError::KernelEnv(e) => Some(e),
             _ => None,
         }
     }

@@ -9,7 +9,7 @@ use crate::error::NnError;
 use alfi_tensor::conv::{
     adaptive_avg_pool2d, avg_pool2d, conv2d_im2col, conv3d_direct, max_pool2d, ConvConfig,
 };
-use alfi_tensor::{gemm, Tensor};
+use alfi_tensor::{elementwise, gemm, Tensor};
 
 /// Classification of layer kinds, used to filter injectable layers in a
 /// fault-injection scenario (`layer_types: [conv2d, linear]`).
@@ -356,11 +356,11 @@ impl Layer {
             Layer::Add => Ok(x.add(inputs[1])?),
             Layer::ConcatChannels => concat_channels(x, inputs[1]),
             Layer::LayerNorm(ln) => layernorm_forward(x, ln),
-            Layer::Gelu => Ok(x.map(|v| {
-                // tanh approximation of GELU
-                let c = (2.0f32 / std::f32::consts::PI).sqrt();
-                0.5 * v * (1.0 + (c * (v + 0.044_715 * v * v * v)).tanh())
-            })),
+            Layer::Gelu => {
+                let mut out = vec![0.0f32; x.num_elements()];
+                elementwise::gelu(x.data(), &mut out, gemm::kernel_path());
+                Ok(Tensor::from_vec(out, x.dims())?)
+            }
             Layer::ImageToTokens => image_to_tokens(x),
             Layer::PosEmbed(pe) => pos_embed_forward(x, pe),
             Layer::Attention { heads } => attention_forward(x, inputs[1], inputs[2], *heads),
@@ -971,14 +971,27 @@ mod tests {
         assert!(Layer::LayerNorm(bad).forward(&[&x]).is_err());
     }
 
+    /// GELU gives the libm expression's bits on both kernel paths, NaN
+    /// payloads included, over a sweep with a ragged AVX2 tail.
     #[test]
     fn gelu_matches_reference_points() {
-        let x = Tensor::from_vec(vec![0.0, 1.0, -1.0, 10.0], &[4]).unwrap();
-        let y = Layer::Gelu.forward(&[&x]).unwrap();
-        assert_eq!(y.data()[0], 0.0);
-        assert!((y.data()[1] - 0.841_19).abs() < 1e-3);
-        assert!((y.data()[2] + 0.158_81).abs() < 1e-3);
-        assert!((y.data()[3] - 10.0).abs() < 1e-3); // identity for large v
+        let points = [0.0, -0.0, 1.0, -1.0, 10.0];
+        let mut v: Vec<f32> = (0..=u32::MAX).step_by(65_537).map(f32::from_bits).collect();
+        v.extend(points);
+        v.extend([f32::INFINITY, f32::NEG_INFINITY, f32::from_bits(0xffa5_a5a5), f32::from_bits(0x7f80_0001)]);
+        let x = Tensor::from_vec(v.clone(), &[v.len()]).unwrap();
+        let want: Vec<u32> = v.iter().map(|&v| elementwise::gelu_libm(v).to_bits()).collect();
+        let prev = gemm::kernel_override();
+        for path in [gemm::KernelPath::Reference, gemm::KernelPath::Blocked] {
+            gemm::set_kernel_override(Some(path));
+            let y = Layer::Gelu.forward(&[&x]).unwrap();
+            assert_eq!(y.dims(), x.dims());
+            assert!(y.data().iter().map(|v| v.to_bits()).eq(want.iter().copied()), "{path}");
+        }
+        gemm::set_kernel_override(prev);
+        // 0 at ±0, Φ(v)·v near ±1, the identity for large v.
+        let at = |p: f32| elementwise::gelu_libm(p).to_bits();
+        assert_eq!(points.map(at), [0, 0x8000_0000, 0x3f57_585c, 0xbe22_9e90, 10.0f32.to_bits()]);
     }
 
     #[test]

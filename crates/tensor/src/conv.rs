@@ -345,7 +345,7 @@ pub fn conv2d_fused(
             skip_zero_a: true,
             bias: gemm::Bias::PostPerRow(bias_row),
         };
-        gemm::gemm_with(w_data, cols.data(), dst_item, &spec, &clamp, path);
+        gemm::run(w_data, cols.data(), None, dst_item, &spec, &clamp, path, c_out);
     };
 
     let threads = alfi_pool::current_parallelism();
@@ -367,10 +367,10 @@ pub fn conv2d_fused(
 /// `(c, w)` of `rows` replaces output channel `c`'s filter with the
 /// `c_in · kh · kw` values `w` (in `weight`'s layout) and rewrites
 /// channel `c` of every batch item; every other element keeps its
-/// value. Per batch item this is [`gemm::gemm_rows`] over an im2col of
-/// the input, so a rewritten element equals [`conv2d_fused`] with the
-/// replaced filters bit for bit, NaN bits included, on either kernel
-/// path. The meters count it as a convolution with as many output
+/// value. Per batch item this recomputes those rows of the GEMM over
+/// an im2col of the input, so a rewritten element equals
+/// [`conv2d_fused`] with the replaced filters bit for bit, NaN bits
+/// included, on either kernel path. The meters count it as a convolution with as many output
 /// channels as the GEMM recomputed.
 ///
 /// # Errors

@@ -36,7 +36,9 @@
 //! per run via [`set_kernel_override`] (used by the campaign engine's
 //! `RunConfig::kernel`). `ALFI_KERNEL_PORTABLE=1` disables the
 //! `std::arch` path so the portable fallback can be tested on AVX2
-//! hardware.
+//! hardware. A value either variable does not accept is an error
+//! ([`check_kernel_env`]), never a silent default. The same switch
+//! selects GELU's kernel ([`crate::elementwise`]).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -54,7 +56,7 @@ pub const NR: usize = 16;
 /// (`reference` | `blocked`).
 pub const KERNEL_ENV: &str = "ALFI_KERNEL";
 /// Environment variable forcing the portable (no `std::arch`)
-/// microkernel when set to `1`/`true`.
+/// microkernel when set to `1`/`true`/`yes`.
 pub const KERNEL_PORTABLE_ENV: &str = "ALFI_KERNEL_PORTABLE";
 
 /// Which GEMM implementation executes tensor contractions.
@@ -113,40 +115,110 @@ pub fn kernel_override() -> Option<KernelPath> {
     }
 }
 
+/// A kernel-path environment variable holds a value it does not accept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelEnvError {
+    /// The variable: [`KERNEL_ENV`] or [`KERNEL_PORTABLE_ENV`].
+    pub var: &'static str,
+    /// The value it holds.
+    pub value: String,
+    /// The values it accepts.
+    pub accepted: &'static str,
+}
+
+impl std::fmt::Display for KernelEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?} is not one of {} (or unset)", self.var, self.value, self.accepted)
+    }
+}
+
+impl std::error::Error for KernelEnvError {}
+
+/// Parses a value of [`KERNEL_ENV`]: `reference` or `blocked`, in any
+/// case; unset or empty is [`KernelPath::Blocked`].
+///
+/// # Errors
+///
+/// Returns [`KernelEnvError`] for any other value.
+pub fn parse_kernel_env(value: Option<&str>) -> Result<KernelPath, KernelEnvError> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(KernelPath::Blocked),
+        Some(v) => v.parse().map_err(|_| KernelEnvError {
+            var: KERNEL_ENV,
+            value: v.into(),
+            accepted: "reference|blocked",
+        }),
+    }
+}
+
+/// Parses a value of [`KERNEL_PORTABLE_ENV`]: whether it forces the
+/// portable kernels. `1`, `true` or `yes` do, `0`, `false` or `no` do
+/// not, in any case; unset or empty does not.
+///
+/// # Errors
+///
+/// Returns [`KernelEnvError`] for any other value.
+pub fn parse_portable_env(value: Option<&str>) -> Result<bool, KernelEnvError> {
+    match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+        None | Some("" | "0" | "false" | "no") => Ok(false),
+        Some("1" | "true" | "yes") => Ok(true),
+        Some(_) => Err(KernelEnvError {
+            var: KERNEL_PORTABLE_ENV,
+            value: value.unwrap_or_default().trim().into(),
+            accepted: "1|true|yes|0|false|no",
+        }),
+    }
+}
+
+/// This process's value of `var`, lossily decoded.
+fn env_value(var: &str) -> Option<String> {
+    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Checks this process's [`KERNEL_ENV`] and [`KERNEL_PORTABLE_ENV`], so
+/// a caller can report a bad value before [`kernel_path`] or
+/// [`simd_available`] panic on it.
+///
+/// # Errors
+///
+/// Returns [`KernelEnvError`] for the first variable holding a value it
+/// does not accept.
+pub fn check_kernel_env() -> Result<(), KernelEnvError> {
+    parse_kernel_env(env_value(KERNEL_ENV).as_deref())?;
+    parse_portable_env(env_value(KERNEL_PORTABLE_ENV).as_deref())?;
+    Ok(())
+}
+
 fn env_kernel() -> KernelPath {
     static ENV: OnceLock<KernelPath> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var(KERNEL_ENV) {
-        Ok(v) => v.parse().unwrap_or(KernelPath::Blocked),
-        Err(_) => KernelPath::Blocked,
-    })
+    *ENV.get_or_init(|| parse_kernel_env(env_value(KERNEL_ENV).as_deref()).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Resolves the active kernel path: the process-wide override wins,
 /// then `ALFI_KERNEL`, then the default ([`KernelPath::Blocked`]).
+///
+/// # Panics
+///
+/// Panics, without an override, if `ALFI_KERNEL` holds a value it does
+/// not accept (see [`check_kernel_env`]).
 pub fn kernel_path() -> KernelPath {
     kernel_override().unwrap_or_else(env_kernel)
 }
 
 /// Whether the blocked path may use the `std::arch` AVX2 microkernel.
 /// Resolved once: requires `x86_64`, runtime AVX2 detection and
-/// `ALFI_KERNEL_PORTABLE` unset.
+/// `ALFI_KERNEL_PORTABLE` not forcing the portable kernels.
+///
+/// # Panics
+///
+/// Panics if `ALFI_KERNEL_PORTABLE` holds a value it does not accept
+/// (see [`check_kernel_env`]).
 pub fn simd_available() -> bool {
     static SIMD: OnceLock<bool> = OnceLock::new();
     *SIMD.get_or_init(|| {
-        let forced_portable = std::env::var(KERNEL_PORTABLE_ENV)
-            .map(|v| matches!(v.trim(), "1" | "true" | "yes"))
-            .unwrap_or(false);
-        if forced_portable {
-            return false;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
+        let forced_portable = parse_portable_env(env_value(KERNEL_PORTABLE_ENV).as_deref())
+            .unwrap_or_else(|e| panic!("{e}"));
+        !forced_portable && crate::elementwise::Lanes::Avx2.is_available()
     })
 }
 
@@ -309,7 +381,8 @@ pub(crate) fn rows_per_chunk(k: usize, n: usize) -> usize {
 
 /// Runs one GEMM with a fused epilogue on the selected kernel path,
 /// fanning out over the shared pool when profitable. Both paths and
-/// every thread count produce bit-identical output.
+/// every thread count produce bit-identical output. Counts `2·m·k·n`
+/// FLOPs on the matmul meter.
 ///
 /// # Panics
 ///
@@ -323,6 +396,7 @@ pub fn gemm_with<E: Epilogue>(
     epi: &E,
     path: KernelPath,
 ) {
+    crate::meter::matmul(spec.m, spec.k, spec.n);
     run(a, b, None, out, spec, epi, path, spec.m);
 }
 
@@ -341,6 +415,7 @@ pub fn gemm_cached<E: Epilogue>(
     epi: &E,
     path: KernelPath,
 ) {
+    crate::meter::matmul(spec.m, spec.k, spec.n);
     run(a, b, Some(cache), out, spec, epi, path, spec.m);
 }
 
@@ -359,10 +434,11 @@ impl PackCache {
 }
 
 /// Shared body of [`gemm_with`], [`gemm_cached`], [`gemm_rows`] and
-/// [`linear_rows`]: `floor_m` is the row count the blocked path's
-/// thin-shape floor reads.
+/// [`linear_rows`], and the conv kernel's full GEMM: `floor_m` is the
+/// row count the blocked path's thin-shape floor reads. It counts on no
+/// meter; the conv kernel counts its convolution on the conv meter.
 #[allow(clippy::too_many_arguments)]
-fn run<E: Epilogue>(
+pub(crate) fn run<E: Epilogue>(
     a: &[f32],
     b: &[f32],
     cache: Option<&PackCache>,
@@ -469,13 +545,15 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>, path: Ke
 /// kernel and tile position, so it equals the full GEMM over the
 /// replaced rows bit for bit, NaN bits included. Returns how many rows
 /// the recompute computed: the replaced rows, widened to whole `MR`
-/// register tiles on the blocked kernel.
+/// register tiles on the blocked kernel. Only the conv kernel calls it,
+/// so it counts on no meter: `conv2d_rows` counts the recomputed rows
+/// as a convolution.
 ///
 /// # Panics
 ///
 /// Panics if `spec` is not row-major, or a row is not `k` values long
 /// or addresses a row past `m`.
-pub fn gemm_rows(
+pub(crate) fn gemm_rows(
     a: &[f32],
     rows: &[(usize, Vec<f32>)],
     b: &[f32],
@@ -521,7 +599,8 @@ pub fn gemm_rows(
 /// chain — `bias[j]`, then the products in ascending `k`, then the
 /// clamp — on the full GEMM's kernel and panel position (whole `NR`
 /// panels on the blocked kernel), so it equals the full GEMM over the
-/// replaced rows bit for bit, NaN bits included.
+/// replaced rows bit for bit, NaN bits included. Counts `2·m·k` FLOPs
+/// per computed column on the matmul meter.
 ///
 /// # Panics
 ///
@@ -553,6 +632,7 @@ pub fn linear_rows(
     };
     let sub_spec = GemmSpec { n: span.len(), bias, ..*spec };
     let mut sub = vec![0.0f32; m * span.len()];
+    crate::meter::matmul(m, k, span.len());
     run(x, &w_sub, None, &mut sub, &sub_spec, &clamp, path, m);
     for (dst, src) in out.chunks_exact_mut(n).zip(sub.chunks_exact(span.len())) {
         for (&j, &v) in span.iter().zip(src) {
@@ -1003,6 +1083,32 @@ mod tests {
         let bl2 = run(&no_skip, &a, &b, KernelPath::Blocked);
         assert!(r2[0].is_nan());
         assert_eq!(r2[0].to_bits(), bl2[0].to_bits());
+    }
+
+    #[test]
+    fn kernel_env_values_parse_or_are_rejected() {
+        for (v, want) in [
+            (None, KernelPath::Blocked),
+            (Some(""), KernelPath::Blocked),
+            (Some("reference"), KernelPath::Reference),
+            (Some(" Reference "), KernelPath::Reference),
+            (Some("BLOCKED"), KernelPath::Blocked),
+        ] {
+            assert_eq!(parse_kernel_env(v), Ok(want), "{v:?}");
+        }
+        for (v, want) in [(None, false), (Some(""), false), (Some("0"), false), (Some("No"), false)] {
+            assert_eq!(parse_portable_env(v), Ok(want), "{v:?}");
+        }
+        for v in ["1", "true", " YES "] {
+            assert_eq!(parse_portable_env(Some(v)), Ok(true), "{v:?}");
+        }
+        let err = parse_kernel_env(Some("refrence")).unwrap_err();
+        assert_eq!(err.to_string(), "ALFI_KERNEL=\"refrence\" is not one of reference|blocked (or unset)");
+        assert!(parse_kernel_env(Some("fast")).is_err());
+        let err = parse_portable_env(Some(" on ")).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), (KERNEL_PORTABLE_ENV, "on"));
+        assert!(err.to_string().contains("1|true|yes|0|false|no"), "{err}");
+        assert!(parse_portable_env(Some("2")).is_err());
     }
 
     #[test]

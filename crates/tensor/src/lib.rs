@@ -20,7 +20,10 @@
 //! * [`gemm`] — cache-blocked, panel-packed GEMM microkernels with a
 //!   fused per-element epilogue (the Ranger/Clipper range clamp), plus
 //!   the `ALFI_KERNEL` reference/blocked path switch. Both paths are
-//!   bit-identical by contract.
+//!   bit-identical by contract;
+//! * [`elementwise`] — GELU on the same path switch: the libm
+//!   expression on the reference path, a bit-exact AVX2/scalar port of
+//!   fdlibm `tanhf` on the blocked path.
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@
 
 pub mod bits;
 pub mod conv;
+pub mod elementwise;
 pub mod error;
 pub mod f16;
 pub mod gemm;

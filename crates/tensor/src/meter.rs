@@ -2,10 +2,11 @@
 //!
 //! One relaxed shard add per *kernel invocation* — never per element —
 //! and only while `alfi_metrics::global_enabled()`; a disabled run
-//! pays a single relaxed load per kernel call. The conv kernel drives
-//! [`crate::gemm`] directly (not through [`crate::Tensor::matmul`]),
-//! so matmul counters cover explicit matmul calls only; the conv
-//! counters measure the convolution as a whole. B-panel packing bytes
+//! pays a single relaxed load per kernel call. Every public GEMM entry
+//! of [`crate::gemm`] counts on the matmul counters — matmul, the
+//! `alfi-nn` linear layers and attention's products; the conv kernel
+//! runs its GEMMs past them, and the conv counters measure the
+//! convolution as a whole, so no FLOP counts twice. B-panel packing bytes
 //! for the blocked GEMM are accounted once per GEMM invocation —
 //! packing writes each operand element exactly once regardless of how
 //! many register tiles later stream the panel.
@@ -55,7 +56,7 @@ fn handles() -> &'static Handles {
     })
 }
 
-/// Counts one `[m,k] × [k,n]` matmul (2·m·k·n FLOPs, f32 operands).
+/// Counts one `[m,k] × [k,n]` GEMM (2·m·k·n FLOPs, f32 operands).
 #[inline]
 pub(crate) fn matmul(m: usize, k: usize, n: usize) {
     if alfi_metrics::global_enabled() {

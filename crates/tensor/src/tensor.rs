@@ -272,7 +272,6 @@ impl Tensor {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        crate::meter::matmul(m, k, n);
         // Both kernel paths (and every thread count) are bit-identical:
         // the blocked path preserves the reference per-element operation
         // order, and chunk boundaries depend only on the problem size.

@@ -6,9 +6,10 @@
 //! `4 · ⌈n/NR⌉ · NR · k` per call, not by that amount times the tile
 //! count. These tests pin the exact counter deltas for known shapes on
 //! both kernel paths (the reference path packs nothing). A GEMM on a
-//! ready pack charges the pack once, on its first blocked call, and a
+//! ready pack charges the pack once, on its first blocked call, a
 //! conv row recompute counts as a convolution with that many output
-//! channels.
+//! channels, and a linear row recompute as a GEMM over the columns it
+//! computes.
 //!
 //! Everything lives in one `#[test]` because the counters are
 //! process-global: concurrent test functions would race each other's
@@ -137,7 +138,7 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
 
     // --- a GEMM on a ready pack packs once, on its first blocked call;
     // a linear row recompute packs its own rows (NR-padded) and counts
-    // no FLOPs on either meter.
+    // the columns it computes on the matmul meter, none on the conv's.
     let (lm, lk, ln) = (1usize, 24usize, 2 * NR + 3);
     let x = Tensor::rand_normal(&mut rng, &[lm, lk], 0.0, 1.0);
     let w = Tensor::rand_normal(&mut rng, &[ln, lk], 0.0, 1.0);
@@ -164,7 +165,8 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
     gemm::linear_rows(x.data(), w.data(), &rows, &mut y, &spec, None, KernelPath::Blocked);
     let after = read_meters();
     assert_eq!(after.pack_bytes - before.pack_bytes, (4 * 2 * NR * lk) as u64, "two row panels");
-    assert_eq!((after.conv_flops, after.matmul_flops), (before.conv_flops, before.matmul_flops));
+    assert_eq!(after.matmul_flops - before.matmul_flops, (2 * lm * lk * 2 * NR) as u64, "two panels' columns");
+    assert_eq!(after.conv_flops, before.conv_flops);
 
     // --- thin products delegate to the reference kernel: no pack.
     let thin = Tensor::rand_normal(&mut rng, &[BLOCKED_MIN_M - 1, k], 0.0, 1.0);

@@ -86,10 +86,12 @@ than ±h at the requested confidence (default 0.95). Decisions land in
 the trace summary and events.jsonl; they override any stop_policy key
 in the scenario file.
 
-Kernel paths: --kernel pins the GEMM kernel (blocked = cache-blocked
-packed SIMD path, the default; reference = the sequential oracle).
-Both produce bit-identical results; the ALFI_KERNEL env var sets the
-ambient default.
+Kernel paths: --kernel pins the GEMM and GELU kernels (blocked =
+cache-blocked packed SIMD GEMM and the AVX2 fdlibm tanhf port, the
+default; reference = the sequential oracle and libm). Both produce
+bit-identical results; the ALFI_KERNEL env var (reference|blocked)
+sets the ambient default and ALFI_KERNEL_PORTABLE=1 disables the SIMD
+kernels. Any other value of either variable is an error.
 
 Result store: --format binary writes per-image rows to a columnar
 binary store (rows.alfic) instead of CSV; `alfi store convert` turns a
@@ -200,6 +202,10 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if let Err(e) = alfi::tensor::gemm::check_kernel_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let result = match command.as_str() {
         "gen-scenario" => cmd_gen_scenario(&argv[1..]),
         "train" => cmd_train(&argv[1..]),
@@ -258,8 +264,8 @@ fn monitoring_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-/// Applies the `--kernel <reference|blocked>` flag: pins the GEMM
-/// kernel path for the campaign. Without the flag the ambient
+/// Applies the `--kernel <reference|blocked>` flag: pins the GEMM and
+/// GELU kernels' path for the campaign. Without the flag the ambient
 /// selection applies (`ALFI_KERNEL`, defaulting to the blocked path).
 /// Both paths are bit-exact, so this is a performance knob only.
 fn kernel_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {

@@ -9,9 +9,10 @@
 //! different top-1 labels, different SDE tallies and a visible CSV
 //! diff here.
 //!
-//! Everything runs inside one `#[test]`: the kernel override installed
-//! by the engine is process-global, so concurrent test functions
-//! pinning different paths would race.
+//! The campaigns run inside one `#[test]`: the kernel override
+//! installed by the engine is process-global, so concurrent test
+//! functions pinning different paths would race. The other test checks
+//! that `alfi` rejects a misspelled path variable, in a child process.
 
 use alfi::core::campaign::{CsvVariant, ImgClassCampaign, RunConfig, VitCampaign};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
@@ -105,4 +106,31 @@ fn campaign_artifacts_are_bit_identical_across_kernel_paths() {
         alfi::tensor::gemm::kernel_override().is_none(),
         "RunConfig::kernel leaked a process-global override past the run"
     );
+}
+
+/// A misspelled kernel-path variable fails `alfi` (exit 1, naming the
+/// variable and the values it accepts) instead of running on the
+/// default path; an accepted value in any case passes.
+#[test]
+fn the_cli_rejects_a_kernel_variable_value_it_does_not_accept() {
+    let alfi = |var: &str, value: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_alfi"))
+            .arg("help")
+            .env_remove("ALFI_KERNEL")
+            .env_remove("ALFI_KERNEL_PORTABLE")
+            .env(var, value)
+            .output()
+            .unwrap()
+    };
+    for (var, value, accepted) in
+        [("ALFI_KERNEL", "refrence", "reference|blocked"), ("ALFI_KERNEL_PORTABLE", "on", "1|true|yes")]
+    {
+        let out = alfi(var, value);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var) && stderr.contains(accepted), "{var}={value}: {stderr}");
+    }
+    for (var, value) in [("ALFI_KERNEL", "Reference"), ("ALFI_KERNEL_PORTABLE", "1")] {
+        assert!(alfi(var, value).status.success(), "{var}={value}");
+    }
 }
