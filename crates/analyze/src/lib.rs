@@ -32,13 +32,9 @@
 //! wall-clock timing (span durations live in the in-memory
 //! [`TraceSummary`](alfi_trace::TraceSummary), not in the artifacts).
 //!
-//! # Engine hook
-//!
-//! [`install_engine_hook`] registers report generation with
-//! `alfi-core`'s campaign engine; runs configured with
-//! `RunConfig::report(true)` (CLI `--report`, scenario `report: true`)
-//! then write `report.json`/`report.md` next to their other artifacts
-//! at finalize.
+//! `alfi classify --report` (or a scenario's `report: true` key) runs
+//! [`report::analyze_dir`] and [`report::write_report_files`] over the
+//! finished run's directory, as `alfi analyze report` does.
 //!
 //! # Example
 //!
@@ -58,7 +54,6 @@ pub use report::{CampaignReport, RateBlock, StopReport, REPORT_JSON, REPORT_MD};
 pub use rows::FaultKey;
 
 use std::fmt;
-use std::path::Path;
 
 /// An analysis failure: missing or malformed artifacts, or I/O.
 #[derive(Debug)]
@@ -99,24 +94,4 @@ impl From<alfi_trace::EventLogError> for AnalyzeError {
     fn from(e: alfi_trace::EventLogError) -> Self {
         AnalyzeError::Parse(format!("event log: {e}"))
     }
-}
-
-/// The end-of-run hook the engine invokes for `report`-enabled runs:
-/// analyzes the artifact directory and writes `report.json` and
-/// `report.md` into it.
-///
-/// # Errors
-///
-/// Returns a rendered [`AnalyzeError`] message.
-pub fn engine_report_hook(dir: &Path) -> Result<(), String> {
-    let report = report::analyze_dir(dir).map_err(|e| e.to_string())?;
-    report::write_report_files(&report, dir).map_err(|e| e.to_string())
-}
-
-/// Registers [`engine_report_hook`] with the campaign engine so
-/// `RunConfig::report(true)` runs emit `report.json`/`report.md` at
-/// finalize. Returns `false` when a hook was already installed
-/// (installation is process-global and first-wins).
-pub fn install_engine_hook() -> bool {
-    alfi_core::campaign::install_report_hook(engine_report_hook)
 }

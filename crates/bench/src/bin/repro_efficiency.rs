@@ -60,7 +60,8 @@ fn main() {
         big_matrix.len() as f64 / big_time.as_millis().max(1) as f64
     );
 
-    // (2) Injection overhead: ALFI armed replay.
+    // (2) Injection overhead: ALFI replays each slot as a fault plan
+    // over the wrapper's shared model.
     let mut wrapper =
         Ptfiwrap::with_fault_matrix(&model, scenario.clone(), &mcfg.input_dims(1), matrix.clone())
             .unwrap();

@@ -80,15 +80,6 @@ pub struct RunConfig {
     /// `format` key; `None` falls back to the scenario, and a scenario
     /// without one writes CSV.
     pub format: Option<ArtifactFormat>,
-    /// Whether to generate `report.json` / `report.md` into
-    /// [`save_dir`](RunConfig::save_dir) at finalize, through the
-    /// process-global hook registered with
-    /// [`install_report_hook`](crate::campaign::install_report_hook)
-    /// (the `alfi` binary registers `alfi-analyze`'s generator at
-    /// startup). Overrides the scenario's `report` key; `None` falls
-    /// back to the scenario, and a scenario without one skips the
-    /// report.
-    pub report: Option<bool>,
     /// Path of the GEMM and GELU kernels for every matmul / conv /
     /// linear / GELU the campaign executes. When set, the engine
     /// installs a process-wide kernel override for the duration of the
@@ -111,7 +102,6 @@ impl Default for RunConfig {
             health: None,
             stop: None,
             format: None,
-            report: None,
             kernel: None,
         }
     }
@@ -174,13 +164,6 @@ impl RunConfig {
         self
     }
 
-    /// Enables end-of-run report generation (see
-    /// [`RunConfig::report`]).
-    pub fn report(mut self, enabled: bool) -> Self {
-        self.report = Some(enabled);
-        self
-    }
-
     /// Pins the GEMM kernel path for the run (see
     /// [`RunConfig::kernel`]).
     pub fn kernel(mut self, path: KernelPath) -> Self {
@@ -200,13 +183,6 @@ impl RunConfig {
     /// `format` key, else CSV.
     pub(crate) fn resolve_format(&self, scenario: &Scenario) -> ArtifactFormat {
         self.format.or(scenario.artifact_format).unwrap_or_default()
-    }
-
-    /// Whether the run should emit `report.json` / `report.md` at
-    /// finalize: an explicit [`report`](RunConfig::report) wins, else
-    /// the scenario's `report` key, else off.
-    pub(crate) fn resolve_report(&self, scenario: &Scenario) -> bool {
-        self.report.or(scenario.report).unwrap_or(false)
     }
 
     /// The registry the engine should publish into, if any: an explicit
@@ -291,19 +267,6 @@ mod tests {
 
         let cfg = RunConfig::new().format(ArtifactFormat::Csv);
         assert_eq!(cfg.resolve_format(&scenario), ArtifactFormat::Csv, "RunConfig wins");
-    }
-
-    #[test]
-    fn report_resolution_prefers_explicit_config() {
-        let mut scenario = Scenario::default();
-        assert!(!RunConfig::new().resolve_report(&scenario), "reports are opt-in");
-
-        scenario.report = Some(true);
-        assert!(RunConfig::new().resolve_report(&scenario), "scenario key enables");
-
-        let cfg = RunConfig::new().report(false);
-        assert!(!cfg.resolve_report(&scenario), "RunConfig wins over the scenario");
-        assert!(RunConfig::new().report(true).resolve_report(&Scenario::default()));
     }
 
     #[test]

@@ -537,11 +537,6 @@ impl<'c> Engine<'c> {
             }
             save_events(&rec, a.dir())?;
             save_metrics(registry.as_ref(), a.dir())?;
-            if cfg.resolve_report(scenario) {
-                // Last, so the hook sees the complete artifact set.
-                super::report::run_report_hook(a.dir())
-                    .map_err(|e| CoreError::Io(format!("report generation: {e}")))?;
-            }
         }
         Ok(task.finalize(parts.rows, parts.matrix, parts.trace))
     }

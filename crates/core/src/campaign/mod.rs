@@ -11,7 +11,6 @@ pub mod classification;
 pub mod config;
 pub mod detection;
 pub mod engine;
-pub mod report;
 pub(crate) mod stop;
 pub mod vit;
 
@@ -23,5 +22,4 @@ pub use classification::{
 pub use config::RunConfig;
 pub use detection::{DetectionCampaignResult, DetectionRow, ObjDetCampaign};
 pub use engine::{CampaignTask, Engine, ScopeCtx, ScopeSink, SlotCursor};
-pub use report::{install_report_hook, report_hook_installed, ReportHook};
 pub use vit::VitCampaign;

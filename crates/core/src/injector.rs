@@ -1,13 +1,18 @@
-//! The fault-injection engine: arming faults on networks and the
+//! The fault-injection engine: per-call fault plans and the
 //! faulty-model iterator.
 //!
-//! Neuron faults are applied through forward hooks that corrupt the
-//! layer's output tensor in place at inference time (mirroring
-//! PyTorchFI's hook mechanism, §II); weight faults mutate layer
-//! parameters directly and are reverted bit-exactly when disarmed
-//! (transient) or left sticky (permanent). [`FaultPlan`] is the
-//! per-call form of the same rules: it leaves the networks untouched and
-//! corrupts one forward pass or one detection only.
+//! [`FaultPlan`] is the injection mechanism. It resolves fault records
+//! against pristine networks and corrupts one forward pass or one
+//! detection, leaving the networks untouched: weight faults run on
+//! corrupted copies of the faulted weight rows, neuron faults corrupt a
+//! node's output after its layer. Campaigns build one per fault scope,
+//! and each [`FaultyModel`] of the [`Ptfiwrap`] iterator holds one.
+//!
+//! [`arm_faults`] is the clone-and-arm reference the plans are tested
+//! against, in PyTorchFI's form (§II): it writes weight faults into a
+//! network's parameters, reverted bit-exactly on disarm, and registers
+//! neuron faults as forward hooks that corrupt the node's output in
+//! place.
 
 use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
@@ -17,8 +22,7 @@ use alfi_nn::{ForwardHook, HookHandle, Layer, LayerCtx, Network, NodeId, Pass, P
 use alfi_scenario::{FaultDuration, InjectionTarget, Scenario};
 use alfi_tensor::bits::{flip_bit_traced, set_bit, FlipDirection};
 use alfi_tensor::Tensor;
-use std::sync::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Applies one fault value to a scalar, returning the corrupted value and
 /// the flip direction when applicable.
@@ -102,40 +106,17 @@ pub fn neuron_flat_index(record: &FaultRecord, dims: &[usize]) -> Option<usize> 
     Some(flat)
 }
 
-/// Hook applying a set of neuron faults to one node's output.
-///
-/// The hook records every application (original/corrupted value, flip
-/// direction) behind a mutex so the campaign can persist the run trace —
-/// matching the paper's second binary output file.
+/// The reference's hook applying one node's neuron faults, logging
+/// every application.
 #[derive(Debug)]
-pub struct NeuronFaultHook {
+struct NeuronFaultHook {
     faults: Vec<FaultRecord>,
     log: Mutex<Vec<AppliedFault>>,
-    skipped: Mutex<usize>,
-}
-
-impl NeuronFaultHook {
-    /// Creates a hook applying the given faults.
-    pub fn new(faults: Vec<FaultRecord>) -> Self {
-        NeuronFaultHook { faults, log: Mutex::new(Vec::new()), skipped: Mutex::new(0) }
-    }
-
-    /// Drains the application log.
-    pub fn take_log(&self) -> Vec<AppliedFault> {
-        std::mem::take(&mut *self.log.lock().unwrap())
-    }
-
-    /// Number of faults skipped because their coordinates were out of
-    /// bounds for the actual runtime tensor shape.
-    pub fn skipped(&self) -> usize {
-        *self.skipped.lock().unwrap()
-    }
 }
 
 impl ForwardHook for NeuronFaultHook {
     fn on_output(&self, _ctx: &LayerCtx, output: &mut Tensor) {
-        let skipped = corrupt_neurons(&self.faults, output, &mut self.log.lock().unwrap());
-        *self.skipped.lock().unwrap() += skipped;
+        corrupt_neurons(&self.faults, output, &mut self.log.lock().unwrap());
     }
 }
 
@@ -192,8 +173,9 @@ fn weight_index(record: &FaultRecord, dims: &[usize]) -> Result<Vec<usize>, Core
     Ok(coords)
 }
 
-/// Faults armed on a set of networks; dropping *without* calling
-/// [`ArmedFaults::disarm`] leaves them active (the permanent-fault case).
+/// Faults armed on a set of networks by the [`arm_faults`] reference;
+/// dropping *without* calling [`ArmedFaults::disarm`] leaves them
+/// active.
 #[derive(Debug)]
 pub struct ArmedFaults {
     /// (net_idx, node_id, weight coords, original value) for exact revert.
@@ -204,18 +186,14 @@ pub struct ArmedFaults {
 
 impl ArmedFaults {
     /// Applied weight faults (available immediately) plus all neuron
-    /// fault applications logged so far (drained from the hooks).
+    /// fault applications logged since the last call (drained from the
+    /// hooks).
     pub fn collect_applied(&self) -> Vec<AppliedFault> {
         let mut out = self.weight_log.clone();
         for (_, _, hook) in &self.hooks {
-            out.extend(hook.take_log());
+            out.append(&mut hook.log.lock().expect("a hook panicked while logging"));
         }
         out
-    }
-
-    /// Total neuron faults skipped due to out-of-bounds coordinates.
-    pub fn skipped_neuron_faults(&self) -> usize {
-        self.hooks.iter().map(|(_, _, h)| h.skipped()).sum()
     }
 
     /// Reverts weight faults bit-exactly and removes neuron hooks.
@@ -238,10 +216,13 @@ impl ArmedFaults {
 }
 
 /// Arms a set of fault records on networks, given the resolved targets
-/// the records' layer indices refer to.
+/// the records' layer indices refer to: the clone-and-arm reference
+/// that [`FaultPlan`] is tested against. Arm a clone, not a shared
+/// model.
 ///
-/// Weight faults are applied immediately; neuron faults register hooks
-/// that fire on every subsequent forward pass until disarmed.
+/// Weight faults are written into the parameters immediately; neuron
+/// faults register hooks that fire on every subsequent forward pass
+/// until disarmed.
 ///
 /// # Errors
 ///
@@ -269,7 +250,7 @@ pub fn arm_faults(
         }
         InjectionTarget::Neurons => {
             for ((net_idx, node_id), records) in neurons_by_node(targets, faults, networks.len())? {
-                let hook = Arc::new(NeuronFaultHook::new(records));
+                let hook = Arc::new(NeuronFaultHook { faults: records, log: Mutex::default() });
                 let handle = networks[net_idx]
                     .register_hook(node_id, Arc::<NeuronFaultHook>::clone(&hook))?;
                 armed.hooks.push((net_idx, handle, hook));
@@ -336,9 +317,9 @@ fn neurons_by_node(
     Ok(by_node)
 }
 
-/// The per-call form of [`arm_faults`]: the same records resolved by
-/// the same rules across the same network slice, without touching the
-/// networks.
+/// The faults of one scope as a per-call plan over pristine networks:
+/// the records [`arm_faults`] would arm, resolved by the same rules
+/// across the same network slice, without touching the networks.
 ///
 /// Weight faults become corrupted copies of only the faulted weight
 /// rows ([`RowPatch`]; a row is an output channel of a convolution or
@@ -439,9 +420,24 @@ impl FaultPlan {
         recorder: &alfi_trace::Recorder,
         observe: &mut dyn FnMut(NodeId, &Tensor),
     ) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
+        self.forward_counting(net, input, (start, prefix), recorder, observe, &mut 0)
+    }
+
+    /// [`FaultPlan::forward`], adding to `skipped` the neuron faults
+    /// whose coordinates miss their node's output (a batch smaller than
+    /// the one the faults were drawn for).
+    fn forward_counting(
+        &self,
+        net: &Network,
+        input: &Tensor,
+        (start, prefix): (NodeId, &dyn Prefix),
+        recorder: &alfi_trace::Recorder,
+        observe: &mut dyn FnMut(NodeId, &Tensor),
+        skipped: &mut usize,
+    ) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
         let mut logs = self.empty_logs();
         let output = {
-            let mut after = self.after_node(0, &mut logs, observe);
+            let mut after = self.after_node(0, &mut logs, skipped, observe);
             let pass = Pass::new()
                 .resume(start, prefix)
                 .patched_rows(self.rows_on(0))
@@ -491,6 +487,8 @@ impl FaultPlan {
         observe: &mut dyn FnMut(NodeId, &Tensor),
     ) -> Result<(Vec<Vec<Detection>>, Vec<AppliedFault>), CoreError> {
         let mut logs = self.empty_logs();
+        // Detection rows carry no skip count.
+        let mut skipped = 0;
         let mut golden_calls = golden.iter();
         let mut golden_path = true;
         let dets = det.detect_with(images, &mut |i, net, x| {
@@ -507,7 +505,7 @@ impl FaultPlan {
                     observe(id, t);
                 }
             }
-            let mut after = self.after_node(i, &mut logs, observe);
+            let mut after = self.after_node(i, &mut logs, &mut skipped, observe);
             let mut pass = Pass::new()
                 .patched_rows(self.rows_on(i))
                 .without_hooks()
@@ -533,18 +531,20 @@ impl FaultPlan {
     }
 
     /// The after-node step of a pass over network `net`: `observe`,
-    /// then the node's neuron faults, logged per group into `logs`.
+    /// then the node's neuron faults, logged per group into `logs`, the
+    /// ones that miss the output counted into `skipped`.
     fn after_node<'s>(
         &'s self,
         net: usize,
         logs: &'s mut [Vec<AppliedFault>],
+        skipped: &'s mut usize,
         observe: &'s mut dyn FnMut(NodeId, &Tensor),
     ) -> impl FnMut(NodeId, &mut Tensor) + 's {
         move |id, out| {
             observe(id, out);
             for (((n, node), records), log) in self.neurons.iter().zip(logs.iter_mut()) {
                 if (*n, *node) == (net, id) {
-                    corrupt_neurons(records, out, log);
+                    *skipped += corrupt_neurons(records, out, log);
                 }
             }
         }
@@ -558,42 +558,85 @@ impl FaultPlan {
     }
 }
 
-/// A faulty model instance produced by the iterator: a clone of the
-/// original network with one fault slot armed. The original stays
-/// pristine, so "synchronized inference ... of separate DNN instances"
+/// A faulty model instance produced by the iterator: the wrapper's
+/// pristine model, shared and never cloned, and a [`FaultPlan`] of the
+/// instance's faults. Each forward runs the plan over the pristine
+/// model, so "synchronized inference ... of separate DNN instances"
 /// (fault-free vs faulty) is a matter of calling both.
 #[derive(Debug)]
 pub struct FaultyModel {
-    network: Network,
-    armed: ArmedFaults,
+    model: Arc<Network>,
+    plan: FaultPlan,
+    /// The neuron corruptions of every forward so far, and the neuron
+    /// faults those forwards skipped.
+    neurons: Mutex<(Vec<AppliedFault>, usize)>,
     /// The faults this instance carries.
     pub faults: Vec<FaultRecord>,
 }
 
 impl FaultyModel {
-    /// Runs the faulty network.
+    /// Runs the faulty model: [`FaultPlan::forward`] from node 0. The
+    /// model's registered hooks do not run.
     ///
     /// # Errors
     ///
     /// Propagates network evaluation errors.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, CoreError> {
-        Ok(self.network.forward(input)?)
+        self.forward_observed(input, &mut |_, _| {})
     }
 
-    /// The underlying faulty network (hooks armed).
-    pub fn network(&self) -> &Network {
-        &self.network
+    /// Runs the faulty model like [`FaultyModel::forward`] and calls
+    /// `observe` on every evaluated node's output, after the node's
+    /// layer (with its corrupted weight rows and its fused clamp) and
+    /// before the node's neuron faults: the place of a monitor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network evaluation errors.
+    pub fn forward_observed(
+        &self,
+        input: &Tensor,
+        observe: &mut dyn FnMut(NodeId, &Tensor),
+    ) -> Result<Tensor, CoreError> {
+        let off = alfi_trace::Recorder::disabled();
+        let mut skipped = 0;
+        let (output, applied) = self.plan.forward_counting(
+            &self.model,
+            input,
+            (0, &Vec::<Tensor>::new()),
+            &off,
+            observe,
+            &mut skipped,
+        )?;
+        let mut neurons = self.neurons();
+        // Each pass logs the plan's weight corruptions first.
+        neurons.0.extend_from_slice(&applied[self.plan.weight_log.len()..]);
+        neurons.1 += skipped;
+        Ok(output)
     }
 
-    /// Applied-fault log: weight corruptions plus every neuron corruption
-    /// performed by forward passes so far.
+    /// The pristine model, which every instance of a wrapper shares
+    /// with it (e.g. for node names).
+    pub fn model(&self) -> &Network {
+        &self.model
+    }
+
+    /// Applied-fault log: the weight corruptions, then every neuron
+    /// corruption of every forward so far, forward by forward.
     pub fn applied_faults(&self) -> Vec<AppliedFault> {
-        self.armed.collect_applied()
+        let mut applied = self.plan.weight_log.clone();
+        applied.extend_from_slice(&self.neurons().0);
+        applied
     }
 
-    /// Neuron faults skipped because of shape mismatches.
+    /// Neuron faults skipped because their coordinates miss the output
+    /// shape, summed over every forward so far.
     pub fn skipped_faults(&self) -> usize {
-        self.armed.skipped_neuron_faults()
+        self.neurons().1
+    }
+
+    fn neurons(&self) -> MutexGuard<'_, (Vec<AppliedFault>, usize)> {
+        self.neurons.lock().expect("a forward panicked while logging neuron faults")
     }
 }
 
@@ -620,7 +663,7 @@ impl FaultyModel {
 /// ```
 #[derive(Debug)]
 pub struct Ptfiwrap {
-    model: Network,
+    model: Arc<Network>,
     scenario: Scenario,
     input_dims: Vec<usize>,
     targets: Vec<LayerTarget>,
@@ -644,7 +687,7 @@ impl Ptfiwrap {
         let targets = resolve_targets(&[model], &scenario, &[Some(input_dims.to_vec())])?;
         let matrix = FaultMatrix::generate(&scenario, &targets)?;
         Ok(Ptfiwrap {
-            model: model.clone(),
+            model: Arc::new(model.clone()),
             scenario,
             input_dims: input_dims.to_vec(),
             targets,
@@ -680,7 +723,7 @@ impl Ptfiwrap {
         }
         let targets = resolve_targets(&[model], &scenario, &[Some(input_dims.to_vec())])?;
         Ok(Ptfiwrap {
-            model: model.clone(),
+            model: Arc::new(model.clone()),
             scenario,
             input_dims: input_dims.to_vec(),
             targets,
@@ -718,7 +761,7 @@ impl Ptfiwrap {
     /// Returns resolution/generation errors; on error the old state is
     /// retained.
     pub fn set_scenario(&mut self, scenario: Scenario) -> Result<(), CoreError> {
-        let targets = resolve_targets(&[&self.model], &scenario, &[Some(self.input_dims.clone())])?;
+        let targets = resolve_targets(&[&*self.model], &scenario, &[Some(self.input_dims.clone())])?;
         let matrix = FaultMatrix::generate(&scenario, &targets)?;
         self.scenario = scenario;
         self.targets = targets;
@@ -748,13 +791,14 @@ impl Ptfiwrap {
         self.matrix.num_slots().saturating_sub(self.cursor)
     }
 
-    /// Produces the next faulty model instance: a clone of the pristine
-    /// model with the next fault slot armed. For permanent-fault
+    /// Produces the next faulty model instance: the pristine model with
+    /// a [`FaultPlan`] of the next fault slot. For permanent-fault
     /// scenarios faults accumulate across calls.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::MatrixExhausted`] when all slots are used.
+    /// Returns [`CoreError::MatrixExhausted`] when all slots are used,
+    /// or the [`FaultPlan::new`] errors.
     pub fn next_faulty_model(&mut self) -> Result<FaultyModel, CoreError> {
         if self.cursor >= self.matrix.num_slots() {
             return Err(CoreError::MatrixExhausted);
@@ -768,17 +812,15 @@ impl Ptfiwrap {
                 self.permanent_accum.clone()
             }
         };
-        let mut network = self.model.clone();
-        let armed = {
-            let mut nets = [&mut network];
-            arm_faults(&mut nets, &self.targets, &active, self.scenario.injection_target)?
-        };
-        Ok(FaultyModel { network, armed, faults: active })
+        let kind = self.scenario.injection_target;
+        let plan = FaultPlan::new(&[&*self.model], &self.targets, &active, kind)?;
+        let model = Arc::clone(&self.model);
+        Ok(FaultyModel { model, plan, neurons: Mutex::default(), faults: active })
     }
 
     /// An iterator over faulty models (the paper's `get_fimodel_iter`).
-    /// Yields until the fault matrix is exhausted; arming errors end the
-    /// iteration (inspect [`Ptfiwrap::next_faulty_model`] directly for
+    /// Yields until the fault matrix is exhausted; fault-plan errors end
+    /// the iteration (inspect [`Ptfiwrap::next_faulty_model`] directly for
     /// error details).
     pub fn fimodel_iter(&mut self) -> FimodelIter<'_> {
         FimodelIter { wrapper: self }
@@ -1165,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn neuron_hook_skips_out_of_bounds_batches() {
+    fn neuron_faults_skip_out_of_bounds_batches() {
         let model = alexnet(&model_cfg());
         let mut s = scenario();
         s.injection_target = InjectionTarget::Neurons;

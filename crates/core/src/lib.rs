@@ -12,10 +12,13 @@
 //! 2. [`matrix`] resolves the model's injectable layers, weights them by
 //!    relative size (paper Eq. 1) and pre-generates the full fault matrix
 //!    (`n = dataset_size · num_runs · faults_per_image`).
-//! 3. [`injector`] arms faults: neuron faults via in-place forward hooks,
-//!    weight faults via direct parameter mutation with bit-exact revert.
-//!    [`Ptfiwrap`] is the paper's Listing-1 wrapper with
-//!    `fimodel_iter()`.
+//! 3. [`injector`] injects faults per call through a [`FaultPlan`]:
+//!    weight faults on corrupted copies of the faulted weight rows,
+//!    neuron faults on a node's output after its layer, the networks
+//!    left untouched. [`Ptfiwrap`] is the paper's Listing-1 wrapper
+//!    with `fimodel_iter()`; [`arm_faults`] is the clone-and-arm
+//!    reference (in-place weight writes with bit-exact revert, neuron
+//!    faults as forward hooks) the plans are tested against.
 //! 4. [`monitor`] observes NaN/Inf occurrences (DUE).
 //! 5. [`persist`] stores the fault matrix and the applied-fault trace as
 //!    versioned, checksummed binary files for exact replay.

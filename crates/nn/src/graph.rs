@@ -382,10 +382,10 @@ impl std::fmt::Debug for Network {
 
 impl Clone for Network {
     /// Cloning copies all parameters but **not** the registered hooks:
-    /// a clone is a fresh, unobserved model. This is what lets the fault
-    /// iterator hand out independent faulty instances while the original
-    /// model stays pristine. The clone shares the original's weight
-    /// packs until either side changes a layer.
+    /// a clone is a fresh, unobserved model, which a caller may change
+    /// (train, prune, arm faults on) while the original stays pristine.
+    /// The clone shares the original's weight packs until either side
+    /// changes a layer.
     fn clone(&self) -> Self {
         Network {
             name: self.name.clone(),
@@ -559,13 +559,6 @@ impl Network {
         }
     }
 
-    /// Removes all hooks from all nodes.
-    pub fn clear_hooks(&mut self) {
-        for h in &mut self.hooks {
-            h.clear();
-        }
-    }
-
     /// Total number of registered hooks.
     pub fn num_hooks(&self) -> usize {
         self.hooks.iter().map(Vec::len).sum()
@@ -670,22 +663,6 @@ impl Network {
     /// layer error encountered during evaluation.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         self.evaluate(input, Pass::new())?.into_output()
-    }
-
-    /// Runs a forward pass like [`Network::forward`] while attributing
-    /// each node's evaluation time to its layer name on the given
-    /// recorder. With a disabled recorder this takes the exact
-    /// [`Network::forward`] path — no clocks are read per node.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::forward`].
-    pub fn forward_traced(
-        &self,
-        input: &Tensor,
-        recorder: &alfi_trace::Recorder,
-    ) -> Result<Tensor, NnError> {
-        self.evaluate(input, Pass::new().traced(recorder))?.into_output()
     }
 
     /// Runs a forward pass and returns the activations of **all** nodes.
@@ -926,12 +903,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_traced_matches_forward_and_times_each_layer() {
+    fn a_traced_pass_matches_forward_and_times_each_layer() {
         let net = toy_net();
         let x = Tensor::ones(&[1, 1, 2, 2]);
+        let traced = |rec| net.evaluate(&x, Pass::new().traced(rec)).unwrap().into_output().unwrap();
         let rec = alfi_trace::Recorder::new();
-        let y = net.forward_traced(&x, &rec).unwrap();
-        assert_eq!(y.data(), net.forward(&x).unwrap().data());
+        assert_eq!(traced(&rec).data(), net.forward(&x).unwrap().data());
         let summary = rec.summary();
         for name in ["conv", "relu", "flatten", "fc"] {
             let t = summary.layer_forward.get(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -939,7 +916,7 @@ mod tests {
         }
         // a disabled recorder collects nothing
         let off = alfi_trace::Recorder::disabled();
-        net.forward_traced(&x, &off).unwrap();
+        traced(&off);
         assert!(off.summary().layer_forward.is_empty());
     }
 

@@ -419,10 +419,13 @@ pub struct Scenario {
     /// fingerprints are unchanged.
     pub artifact_format: Option<ArtifactFormat>,
     /// Optional end-of-run report generation (YAML key `report`):
-    /// `true` asks the runner to emit `report.json` / `report.md` next
-    /// to the other artifacts at finalize. `None` defaults to off and
-    /// — like `stop_policy` — is omitted from the serialization so
-    /// legacy scenario files and replay fingerprints are unchanged.
+    /// `true` asks `alfi classify` to write `report.json` / `report.md`
+    /// next to the other artifacts once the run has finished (its
+    /// `--report` flag wins over the key); `alfi detect` rejects it, as
+    /// reports cover classification runs only. The campaign runners
+    /// (`run_with`) do not read it. `None` defaults to off and — like
+    /// `stop_policy` — is omitted from the serialization so legacy
+    /// scenario files and replay fingerprints are unchanged.
     pub report: Option<bool>,
     /// Multi-resolution per-layer overrides (YAML key `layers`): a map
     /// from layer pattern to [`LayerOverride`]. Empty (the default)

@@ -11,9 +11,10 @@
 //!   `tanhf` and `expm1f` (`sysdeps/ieee754/flt-32/s_tanhf.c` and
 //!   `s_expm1f.c`): the same single-precision operations in the same
 //!   order, never a fused multiply-add, and the same integer arithmetic
-//!   on bit patterns. An 8-lane AVX2 kernel evaluates every branch the
-//!   routine can take and selects per lane instead of branching; the
-//!   scalar port runs the tail, hosts without AVX2 and
+//!   on bit patterns. An 8-lane AVX2 kernel evaluates the branches
+//!   `tanhf` takes and selects per lane instead of branching, with one
+//!   `expm1f` form for every reduction `k >= 3`, exact through `tanhf`;
+//!   the scalar port runs the tail, hosts without AVX2 and
 //!   `ALFI_KERNEL_PORTABLE=1`.
 //!
 //! Where the host libm's `tanhf` is that fdlibm routine (glibc's
@@ -387,10 +388,15 @@ mod avx2 {
         _mm256_blendv_ps(r, nonfinite, at_least(ix, 0x7f80_0000))
     }
 
-    /// `expm1_port` of each lane whose argument `tanh` passes it:
-    /// `(-2, -2^-54]` or `[2, 44)`. There `k` is 0, -1, -2, -3 or
-    /// 3..=63 and no special case but `|x| < 2^-25` applies; other
-    /// lanes compute values `tanh` discards.
+    /// `expm1_port` as [`tanh`] needs it, on each lane whose argument
+    /// `tanh` passes it: `(-2, -2^-54]` or `[2, 44)`. There `k` is 0,
+    /// -1, -2, -3 or 3..=63 and no special case but `|x| < 2^-25`
+    /// applies; other lanes compute values `tanh` discards. Every
+    /// `k >= 3` lane takes the port's `k < 23` form, which leaves
+    /// `expm1f`'s value from `k = 23` on; there `tanh`'s
+    /// `1 - 2/(t + 2)` rounds to the same bits from either `t` (the
+    /// 2^32-input walk in `tests/gelu_port.rs` checks it). So this is
+    /// exact through `tanh`, not as `expm1f`.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn expm1(x: __m256) -> __m256 {
@@ -444,26 +450,13 @@ mod avx2 {
             _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
         );
         let k_low = scale(_mm256_sub_ps(_mm256_castsi256_ps(t_low), e_minus_x), k);
-        let t_high = _mm256_castsi256_ps(_mm256_slli_epi32(
-            _mm256_sub_epi32(_mm256_set1_epi32(0x7f), k),
-            23,
-        ));
-        let k_high = scale(
-            _mm256_add_ps(_mm256_sub_ps(x, _mm256_add_ps(e, t_high)), one),
-            k,
-        );
 
         let is = |m: __m256i| _mm256_castsi256_ps(m);
         let mut r = _mm256_blendv_ps(
-            k_high,
             k_low,
-            is(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k)),
+            k_out,
+            is(_mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k)),
         );
-        let out = _mm256_or_si256(
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
-            _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
-        );
-        r = _mm256_blendv_ps(r, k_out, is(out));
         r = _mm256_blendv_ps(
             r,
             k_minus1,

@@ -20,7 +20,7 @@
 //! ```
 
 use alfi::analyze::kpi::hardened_corruption_rate;
-use alfi::analyze::report::analyze_result;
+use alfi::analyze::report::{analyze_dir, analyze_result, write_report_files};
 use alfi::analyze::RateBlock;
 use alfi::core::campaign::{ImgClassCampaign, ObjDetCampaign, RunConfig, VitCampaign};
 use alfi::core::stats::Rate;
@@ -56,14 +56,14 @@ USAGE:
                 [--trace <on|off>] [--metrics-addr <ip:port>] [--strict-health]
                 [--stop-halfwidth <f>] [--stop-confidence <f>]
                 [--stop-scope <campaign|per-layer>] [--stop-method <wilson|clopper-pearson>]
-                [--kernel <reference|blocked>] [--format <csv|binary>] [--report]
+                [--kernel <reference|blocked>] [--format <csv|binary>] [--report [on|off]]
                 [--width <mult>] [--input <px>] [--seed <n>]
   alfi detect   --scenario <file> --model <yolo|retina|frcnn> --out <dir>
                 [--parallel <threads>]
                 [--trace <on|off>] [--metrics-addr <ip:port>] [--strict-health]
                 [--stop-halfwidth <f>] [--stop-confidence <f>]
                 [--stop-scope <campaign|per-layer>] [--stop-method <wilson|clopper-pearson>]
-                [--kernel <reference|blocked>] [--format <csv|binary>] [--report]
+                [--kernel <reference|blocked>] [--format <csv|binary>]
                 [--width <mult>] [--input <px>] [--seed <n>]
   alfi inspect-faults <faults.bin>
   alfi store info    <rows.alfic>
@@ -109,8 +109,10 @@ report.md); `alfi analyze diff` compares two runs, flagging a delta
 significant only when the intervals separate; `alfi analyze
 export-trace` converts events.jsonl into Chrome-trace/Perfetto JSON
 with deterministic replay-ordinal timestamps. Passing --report to
-classify/detect writes report.json/report.md at the end of the run
-(scenario key `report: true` does the same).
+classify runs `analyze report` over its output directory once the run
+has finished (scenario key `report: true` does the same; --report off
+overrides the key). Reports cover classification runs only: detect
+rejects --report and a scenario with `report: true`.
 ";
 
 /// The flags `classify` and `detect` both read.
@@ -128,7 +130,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "stop-method",
     "kernel",
     "format",
-    "report",
     "width",
     "input",
     "seed",
@@ -193,10 +194,6 @@ fn usage_of(cmd: &str) -> String {
 }
 
 fn main() -> ExitCode {
-    // Wire report generation into the campaign engine: runs launched
-    // with --report (or a scenario `report: true` key) emit
-    // report.json/report.md at finalize through this hook.
-    alfi::analyze::install_engine_hook();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first().cloned() else {
         eprint!("{USAGE}");
@@ -297,15 +294,14 @@ fn format_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
     }
 }
 
-/// Applies the `--report <on|off>` flag (bare `--report` means `on`):
-/// asks the engine to generate `report.json` / `report.md` into the
-/// output directory at finalize. Without the flag any `report:` key in
-/// the scenario file applies.
-fn report_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
+/// Whether `classify` writes `report.json` / `report.md` into its
+/// output directory after the run: the `--report <on|off>` flag (bare
+/// `--report` means `on`), else the scenario's `report:` key, else off.
+fn report_requested(args: &Args, scenario: &Scenario) -> Result<bool, String> {
     match args.flags.get("report").map(String::as_str) {
-        None => Ok(cfg),
-        Some("on") => Ok(cfg.report(true)),
-        Some("off") => Ok(cfg.report(false)),
+        None => Ok(scenario.report.unwrap_or(false)),
+        Some("on") => Ok(true),
+        Some("off") => Ok(false),
         Some(other) => Err(format!("bad --report value `{other}` (expected on|off)")),
     }
 }
@@ -466,8 +462,10 @@ fn cmd_train(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_classify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, "classify", &[CAMPAIGN_FLAGS, &["weights", "protect"]].concat())?;
+    let known = [CAMPAIGN_FLAGS, &["weights", "protect", "report"]].concat();
+    let args = Args::parse(argv, "classify", &known)?;
     let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
+    let write_report = report_requested(&args, &scenario)?;
     let out_dir = args.required("out")?.to_string();
     let mcfg = model_config(&args)?;
     let model_name = args.required("model")?.to_string();
@@ -515,7 +513,6 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
     let cfg = stop_config(cfg, &args)?;
     let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
-    let cfg = report_config(cfg, &args)?;
     let result = if model_name == "vit" {
         let mut campaign =
             VitCampaign::new(model, VIT_TINY_DEPTH, VIT_TINY_HEADS, scenario, loader);
@@ -531,6 +528,10 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
         campaign.run_with(&cfg)
     }
     .map_err(|e| e.to_string())?;
+    if write_report {
+        let report = analyze_dir(&out_dir).map_err(|e| format!("report: {e}"))?;
+        write_report_files(&report, &out_dir).map_err(|e| format!("report: {e}"))?;
+    }
     print_trace_summary(&recorder);
 
     let report = analyze_result(&result);
@@ -571,6 +572,9 @@ fn layer_table(layers: &[(usize, RateBlock)]) -> String {
 fn cmd_detect(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, "detect", CAMPAIGN_FLAGS)?;
     let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
+    if scenario.report == Some(true) {
+        return Err("scenario key `report: true`: reports cover classification runs only".into());
+    }
     let out_dir = args.required("out")?.to_string();
     let dcfg = DetectorConfig {
         input_hw: args.get_or("input", "32").parse().map_err(|_| "bad --input".to_string())?,
@@ -603,7 +607,6 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
     let cfg = stop_config(cfg, &args)?;
     let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
-    let cfg = report_config(cfg, &args)?;
     let result = ObjDetCampaign::new(detector.as_ref(), scenario, loader)
         .run_with(&cfg)
         .map_err(|e| e.to_string())?;
@@ -864,9 +867,9 @@ fn analyze_out_dir(args: &Args, default: &str) -> Result<std::path::PathBuf, Str
 
 fn analyze_report(args: &Args) -> Result<(), String> {
     let dir = args.positional.first().ok_or("expected a run directory")?;
-    let report = alfi::analyze::report::analyze_dir(dir).map_err(|e| e.to_string())?;
+    let report = analyze_dir(dir).map_err(|e| e.to_string())?;
     let out = analyze_out_dir(args, dir)?;
-    alfi::analyze::report::write_report_files(&report, &out).map_err(|e| e.to_string())?;
+    write_report_files(&report, &out).map_err(|e| e.to_string())?;
     print!("{}", report.to_markdown());
     println!(
         "\nwrote {} and {}",
@@ -879,8 +882,8 @@ fn analyze_report(args: &Args) -> Result<(), String> {
 fn analyze_diff(args: &Args) -> Result<(), String> {
     let a_dir = args.positional.first().ok_or("expected two run directories")?;
     let b_dir = args.positional.get(1).ok_or("expected two run directories")?;
-    let a = alfi::analyze::report::analyze_dir(a_dir).map_err(|e| e.to_string())?;
-    let b = alfi::analyze::report::analyze_dir(b_dir).map_err(|e| e.to_string())?;
+    let a = analyze_dir(a_dir).map_err(|e| e.to_string())?;
+    let b = analyze_dir(b_dir).map_err(|e| e.to_string())?;
     let diff = alfi::analyze::diff::diff_reports(&a, &b);
     print!("{}", diff.to_markdown());
     if args.flags.contains_key("out") {

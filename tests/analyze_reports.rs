@@ -7,8 +7,9 @@
 //! runs real classification and ViT campaigns across that whole matrix
 //! and compares the rendered `report.json` bytes, pins the report over
 //! the checked-in `tests/golden/classification` run as a golden, checks
-//! the Chrome-trace export against the trace-event schema, and
-//! exercises the end-of-run `--report` engine hook.
+//! the Chrome-trace export against the trace-event schema, and runs the
+//! `alfi` binary's report step: `classify --report` and the scenario's
+//! `report` key, which `detect` rejects.
 //!
 //! To bless a new golden report after an intentional format change:
 //!
@@ -17,7 +18,7 @@
 //! ```
 
 use alfi::analyze::diff::diff_reports;
-use alfi::analyze::report::{analyze_dir, write_report_files};
+use alfi::analyze::report::analyze_dir;
 use alfi::analyze::trace_export;
 use alfi::analyze::{AnalyzeError, REPORT_JSON, REPORT_MD};
 use alfi::core::campaign::{ImgClassCampaign, RunConfig, VitCampaign};
@@ -195,63 +196,97 @@ fn diff_runs_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-/// `RunConfig::report(true)` (the `--report` flag / scenario `report:`
-/// key) must emit `report.json` and `report.md` at finalize through the
-/// installed engine hook, and the hook's output must equal a standalone
-/// `analyze report` over the same directory.
-#[test]
-fn engine_hook_writes_reports_at_finalize() {
-    alfi::analyze::install_engine_hook();
-    let dir = std::env::temp_dir().join("alfi_it_analyze_hook");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut s = scenario(4, 0x601D);
-    // Exercise the stop-precision section of the hook-generated report.
-    s.stop_policy = Some(StopPolicy { half_width: 0.45, ..StopPolicy::default() });
-    let cfg = RunConfig::new()
-        .recorder(Recorder::new())
-        .save_dir(&dir)
-        .format(ArtifactFormat::Binary)
-        .report(true);
-    ImgClassCampaign::new(alexnet(&model_config()), s.clone(), loader(&s))
-        .run_with(&cfg)
-        .unwrap();
-
-    let json_path = dir.join(REPORT_JSON);
-    let md_path = dir.join(REPORT_MD);
-    assert!(json_path.is_file(), "hook must write report.json");
-    assert!(md_path.is_file(), "hook must write report.md");
-    let hook_json = std::fs::read_to_string(&json_path).unwrap();
-    let parsed = Json::parse(&hook_json).unwrap();
-    assert!(parsed.get("stop").is_some(), "stop-policy runs report achieved precision");
-
-    // Re-analyzing the finished directory reproduces the hook's bytes.
-    let standalone = analyze_dir(&dir).unwrap();
-    assert_eq!(standalone.to_json_string(), hook_json);
-    let out = std::env::temp_dir().join("alfi_it_analyze_hook_out");
-    let _ = std::fs::remove_dir_all(&out);
-    std::fs::create_dir_all(&out).unwrap();
-    write_report_files(&standalone, &out).unwrap();
-    assert_eq!(
-        std::fs::read_to_string(out.join(REPORT_MD)).unwrap(),
-        std::fs::read_to_string(&md_path).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&out);
+/// Runs the `alfi` binary with `args`, failing the test if it cannot
+/// start.
+fn alfi(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_alfi")).args(args).output().unwrap()
 }
 
-/// A run configured with `report: false` must not write reports even
-/// when the scenario asks for them.
+/// A fresh temporary directory holding `scenario` as `scenario.yml`;
+/// returns the directory and the scenario file's path.
+fn cli_dir(tag: &str, scenario: &Scenario) -> (PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("alfi_it_analyze_cli_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("scenario.yml");
+    std::fs::write(&path, scenario.to_yaml_string()).unwrap();
+    (dir, path.to_str().unwrap().to_string())
+}
+
+/// `alfi classify` on a small alexnet into `out`, plus `extra` flags.
+fn classify(scenario: &str, out: &Path, extra: &[&str]) -> std::process::Output {
+    let out = out.to_str().unwrap();
+    let base = ["classify", "--scenario", scenario, "--model", "alexnet", "--out", out];
+    let small = ["--width", "0.0625", "--input", "16"];
+    alfi(&[&base[..], &small, extra].concat())
+}
+
+/// `alfi classify --report` (binary store, traced, early stop) writes
+/// `report.json` and `report.md` once the run has finished, byte-equal
+/// to `alfi analyze report` over the same directory.
+#[test]
+fn classify_report_equals_analyze_report_over_the_run() {
+    let mut s = scenario(4, 0x601D);
+    // Exercise the stop-precision section of the report.
+    s.stop_policy = Some(StopPolicy { half_width: 0.45, ..StopPolicy::default() });
+    let (dir, scenario) = cli_dir("report", &s);
+    let run = dir.join("run");
+    let flags = ["--format", "binary", "--trace", "on", "--report"];
+    let out = classify(&scenario, &run, &flags);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = std::fs::read_to_string(run.join(REPORT_JSON)).unwrap();
+    let stop = Json::parse(&written).unwrap().get("stop").is_some();
+    assert!(stop, "stop-policy runs report achieved precision");
+
+    let again = dir.join("again");
+    let out = alfi(&["analyze", "report", run.to_str().unwrap(), "--out", again.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for file in [REPORT_JSON, REPORT_MD] {
+        let read = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
+        assert!(read(&run) == read(&again), "{file} differs from `analyze report`'s");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The scenario's `report: true` asks `classify` for a report, and
+/// `--report off` overrides it.
 #[test]
 fn report_opt_out_overrides_the_scenario() {
-    let dir = std::env::temp_dir().join("alfi_it_analyze_optout");
-    let _ = std::fs::remove_dir_all(&dir);
     let mut s = scenario(4, 0x601D);
     s.report = Some(true);
-    let cfg = RunConfig::new().save_dir(&dir).report(false);
-    ImgClassCampaign::new(alexnet(&model_config()), s.clone(), loader(&s))
-        .run_with(&cfg)
-        .unwrap();
-    assert!(!dir.join(REPORT_JSON).exists(), "explicit report(false) must win");
+    let (dir, scenario) = cli_dir("optout", &s);
+    for (flags, writes) in [(&[][..], true), (&["--report", "off"][..], false)] {
+        let run = dir.join(format!("run_{writes}"));
+        let out = classify(&scenario, &run, flags);
+        assert!(out.status.success(), "{flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(run.join(REPORT_JSON).exists(), writes, "{flags:?}");
+        assert_eq!(run.join(REPORT_MD).exists(), writes, "{flags:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reports cover classification runs only: `detect --report`, and a
+/// detect scenario with `report: true`, fail before the run writes
+/// anything.
+#[test]
+fn detect_rejects_a_report_before_the_run() {
+    let mut s = scenario(2, 0x601D);
+    let (dir, plain) = cli_dir("detect", &s);
+    s.report = Some(true);
+    let keyed = dir.join("keyed.yml");
+    std::fs::write(&keyed, s.to_yaml_string()).unwrap();
+    let keyed = keyed.to_str().unwrap();
+    let run = dir.join("run");
+    let out_dir = run.to_str().unwrap();
+    let cases = [(&plain[..], &["--report"][..], "--report"), (keyed, &[][..], "`report: true`")];
+    for (scenario, extra, says) in cases {
+        let args = ["detect", "--scenario", scenario, "--model", "yolo", "--out", out_dir];
+        let out = alfi(&[&args[..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{says}: {stderr}");
+        assert!(stderr.contains(says), "{says}: {stderr}");
+        assert!(!run.exists(), "{says}: the run started");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

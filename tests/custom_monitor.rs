@@ -2,9 +2,10 @@
 //! intermediate layers can also be efficiently monitored by including
 //! their respective monitoring functions").
 //!
-//! Implements a user-defined activation-sparsity monitor as an ordinary
-//! forward hook, attaches it alongside an active fault campaign, and
-//! checks that it observes the corruption.
+//! Implements a user-defined activation-magnitude monitor, runs it on
+//! every node of a faulty model through `FaultyModel::forward_observed`,
+//! and checks that it observes the corruption; attached to the clean
+//! model as an ordinary forward hook, it stays quiet.
 
 use alfi::core::{attach_monitor, Ptfiwrap};
 use alfi::nn::models::{alexnet, ModelConfig};
@@ -23,12 +24,18 @@ struct MagnitudeAlarm {
     alarms: Mutex<Vec<String>>,
 }
 
-impl ForwardHook for MagnitudeAlarm {
-    fn on_output(&self, ctx: &LayerCtx, output: &mut Tensor) {
+impl MagnitudeAlarm {
+    fn check(&self, name: &str, output: &Tensor) {
         let peak = output.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         if peak > self.threshold || !peak.is_finite() {
-            self.alarms.lock().unwrap().push(ctx.name.clone());
+            self.alarms.lock().unwrap().push(name.to_string());
         }
+    }
+}
+
+impl ForwardHook for MagnitudeAlarm {
+    fn on_output(&self, ctx: &LayerCtx, output: &mut Tensor) {
+        self.check(&ctx.name, output);
     }
 }
 
@@ -57,18 +64,9 @@ fn custom_monitor_observes_injected_corruption() {
     let mut wrapper = Ptfiwrap::new(&model, s, &cfg.input_dims(1)).unwrap();
 
     let faulty = wrapper.next_faulty_model().unwrap();
-    let mut observed = faulty.network().clone();
-    // re-arm the same fault on the observable clone
-    let record = faulty.faults[0];
-    let targets = wrapper.targets().to_vec();
-    let armed = {
-        let mut nets = [&mut observed];
-        alfi::core::arm_faults(&mut nets, &targets, &[record], InjectionTarget::Weights).unwrap()
-    };
-    let alarm = Arc::new(MagnitudeAlarm { threshold, alarms: Mutex::new(Vec::new()) });
-    attach_monitor(&mut observed, Arc::<MagnitudeAlarm>::clone(&alarm) as _).unwrap();
-    observed.forward(&input).unwrap();
-    let _ = armed;
+    let alarm = MagnitudeAlarm { threshold, alarms: Mutex::new(Vec::new()) };
+    let nodes = faulty.model().nodes();
+    faulty.forward_observed(&input, &mut |id, t| alarm.check(&nodes[id].name, t)).unwrap();
 
     let alarms = alarm.alarms.lock().unwrap().clone();
     assert!(
