@@ -131,7 +131,7 @@ fn phase_breakdown() -> Json {
         .collect();
     Json::Obj(vec![
         ("threads".to_string(), Json::Int(threads as i128)),
-        ("items".to_string(), Json::Int(summary.items as i128)),
+        ("items".to_string(), Json::Int(summary.counts.items as i128)),
         ("phases".to_string(), Json::Arr(phases)),
     ])
 }

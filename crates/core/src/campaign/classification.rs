@@ -1049,9 +1049,9 @@ mod tests {
             assert_eq!(a.corr_top5, b.corr_top5, "tracing must not change results");
         }
         let summary = rec.summary();
-        assert_eq!(summary.items, 4);
-        assert_eq!(summary.injections, 4);
-        assert_eq!(summary.outcomes.total(), 4);
+        assert_eq!(summary.counts.items, 4);
+        assert_eq!(summary.counts.injections, 4);
+        assert_eq!(summary.counts.outcomes.total(), 4);
         assert_eq!(summary.meta.as_ref().unwrap().campaign, "classification");
         assert!(summary.phases.contains_key("forward"));
         assert!(!summary.layer_forward.is_empty(), "per-layer forward timings recorded");

@@ -39,19 +39,27 @@ pub struct RunConfig {
     pub threads: usize,
     /// Observability sink. The default [`Recorder::disabled`] collects
     /// nothing and costs nothing; pass [`Recorder::new`] to get span
-    /// timings, injection counters, outcome tallies and the JSONL event
-    /// log.
+    /// timings, the injection and stop events, the JSONL event log and
+    /// a summary of the run's counts. The recorder keeps no counts of
+    /// its own: it reads them from the run's counter set
+    /// ([`alfi_trace::CampaignCounters`]), which the engine registers on
+    /// [`metrics`](RunConfig::metrics) (or the registry it resolves to)
+    /// and otherwise on a private registry that nothing renders, serves
+    /// or watches. A recorder records one run; with the process-global
+    /// registry its counts are process totals.
     pub recorder: Recorder,
     /// When set, the campaign persists its full output set (scenario,
     /// fault/trace binaries, result CSVs and — with an enabled recorder
     /// — `events.jsonl`; with metrics attached — `metrics.prom`) into
     /// this directory after the run.
     pub save_dir: Option<PathBuf>,
-    /// Live metrics registry. When set, the engine publishes scope
-    /// throughput, injection counts and outcome tallies into it as the
-    /// campaign runs (and a `metrics.prom` snapshot lands under
-    /// [`save_dir`](RunConfig::save_dir)). When `None` but
-    /// [`metrics_addr`](RunConfig::metrics_addr) or
+    /// Live metrics registry. When set, the engine registers the run's
+    /// one counter set ([`alfi_trace::CampaignCounters`]: scope
+    /// throughput, injection counts, outcome tallies, NaN/Inf, stop
+    /// decisions, sink rows) on it and writes it as the campaign runs;
+    /// the recorder reads the same counters, and a `metrics.prom`
+    /// snapshot lands under [`save_dir`](RunConfig::save_dir). When
+    /// `None` but [`metrics_addr`](RunConfig::metrics_addr) or
     /// [`health`](RunConfig::health) is set, the process-global
     /// registry ([`alfi_metrics::global`]) is used instead.
     pub metrics: Option<Registry>,

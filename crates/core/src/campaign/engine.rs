@@ -12,7 +12,8 @@
 //!   [`InjectionPolicy`] variants (via [`SlotCursor`]),
 //! - replay validation of a pre-generated [`FaultMatrix`],
 //! - hardened-model injectable-layer cross-checking,
-//! - [`Recorder`] meta / span / outcome / event wiring,
+//! - [`Recorder`] meta / span / event wiring and the run's one counter
+//!   set ([`CampaignCounters`]),
 //! - the [`alfi_pool`] fan-out with ordered merge and
 //!   [`CoreError::WorkerPanic`] propagation,
 //! - `save_dir` persistence: the replay set ([`Artifacts`]) plus a
@@ -43,16 +44,15 @@ use crate::fault::FaultRecord;
 use crate::injector::injection_event;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::persist::{save_events, save_fault_matrix, save_metrics, RunTrace};
-use alfi_metrics::{names, Class, Counter, HealthSink, Histogram, Registry, Watchdog};
+use alfi_metrics::{HealthSink, Registry, Watchdog};
 use alfi_scenario::{
     ArtifactFormat, FaultDuration, InjectionPolicy, Scenario, ScenarioError, StopPolicy,
 };
 use alfi_store::RowKey;
 use alfi_tensor::gemm::{self, KernelPath};
-use alfi_trace::{EffectClass, OutcomeTallies, Phase, Recorder, RunMeta, StopOutcome, StopVerdict};
-use std::collections::BTreeMap;
+use alfi_trace::{CampaignCounters, EffectClass, OutcomeTallies, Phase, Recorder, RunMeta, StopOutcome};
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Scopes per pool thread in one round. A round's scopes stay resident
@@ -161,8 +161,8 @@ pub trait CampaignTask: Sync {
     fn classify(row: &Self::Row) -> EffectClass;
 
     /// NaN / Inf element counts observed in a row's corrupted output,
-    /// feeding the live `alfi_campaign_nonfinite_total` counters (the
-    /// watchdog's NaN-storm signal) and the recorder's tallies. Every
+    /// feeding the run's `alfi_campaign_nonfinite_total` counters (the
+    /// watchdog's NaN-storm signal, and the recorder's NaN/Inf). Every
     /// row of a scope carries the scope's counts, so the engine reads
     /// them from the scope's first row only. The default reports none.
     fn row_nonfinite(_row: &Self::Row) -> (u64, u64) {
@@ -256,140 +256,6 @@ struct Parts<T: CampaignTask> {
     stop: Option<StopOutcome>,
 }
 
-/// Pre-resolved counter handles for the engine's live instrumentation.
-///
-/// Registered once per run. Scope throughput and latency are bumped
-/// where a scope finishes (the watchdog's stall signal); everything
-/// else is bumped at the ordered merge, so a metrics endpoint or health
-/// watchdog sees injection and outcome data *while* the campaign runs
-/// instead of after it. All counters are [`Class::Deterministic`] —
-/// their final values depend only on the scenario, never on thread
-/// count or timing — except the scope-latency histogram, which is
-/// wall-clock and stays out of deterministic renders by construction
-/// (histograms are always runtime-class).
-pub(crate) struct EngineMetrics {
-    registry: Registry,
-    scopes: Counter,
-    items: Counter,
-    injections: Counter,
-    masked: Counter,
-    sdc: Counter,
-    due: Counter,
-    nan: Counter,
-    inf: Counter,
-    scope_seconds: Histogram,
-    /// Lazily-registered per-layer injection counters, keyed by
-    /// injectable-layer index.
-    layers: Mutex<BTreeMap<usize, Counter>>,
-}
-
-impl EngineMetrics {
-    fn new(registry: Registry) -> Self {
-        let outcome = |value: &str| {
-            registry.counter_with(
-                names::CAMPAIGN_OUTCOMES,
-                "Classified fault effects by outcome class",
-                Class::Deterministic,
-                "outcome",
-                value,
-            )
-        };
-        let nonfinite = |value: &str| {
-            registry.counter_with(
-                names::CAMPAIGN_NONFINITE,
-                "Non-finite elements observed in corrupted outputs",
-                Class::Deterministic,
-                "kind",
-                value,
-            )
-        };
-        EngineMetrics {
-            scopes: registry.counter(
-                names::ENGINE_SCOPES,
-                "Fault scopes processed by the campaign engine",
-                Class::Deterministic,
-            ),
-            items: registry.counter(
-                names::ENGINE_ITEMS,
-                "Per-image result rows produced by the campaign engine",
-                Class::Deterministic,
-            ),
-            injections: registry.counter(
-                names::CAMPAIGN_INJECTIONS,
-                "Faults applied across the campaign",
-                Class::Deterministic,
-            ),
-            masked: outcome("masked"),
-            sdc: outcome("sdc"),
-            due: outcome("due"),
-            nan: nonfinite("nan"),
-            inf: nonfinite("inf"),
-            scope_seconds: registry
-                .histogram(names::ENGINE_SCOPE_SECONDS, "Wall-clock latency of one fault scope"),
-            layers: Mutex::new(BTreeMap::new()),
-            registry,
-        }
-    }
-
-    /// Records that one scope finished processing (liveness only).
-    fn scope_finished(&self, started: Instant) {
-        self.scopes.inc();
-        self.scope_seconds.observe(started.elapsed().as_secs_f64());
-    }
-
-    fn outcome(&self, outcome: EffectClass) {
-        match outcome {
-            EffectClass::Masked => self.masked.inc(),
-            EffectClass::Sdc => self.sdc.inc(),
-            EffectClass::Due => self.due.inc(),
-        }
-    }
-
-    /// Registered lazily, like the per-layer counters: runs without a
-    /// stop policy (or with one that never fired) leave no zero-valued
-    /// series behind, so deterministic renders of policy-free runs are
-    /// unchanged.
-    fn stop_decision(&self, verdict: StopVerdict) {
-        self.registry
-            .counter_with(
-                names::CAMPAIGN_STOP_DECISIONS,
-                "Statistical stop decisions by verdict",
-                Class::Deterministic,
-                "verdict",
-                verdict.name(),
-            )
-            .inc();
-    }
-
-    fn skipped_scopes(&self, skipped: u64) {
-        if skipped > 0 {
-            self.registry
-                .counter(
-                    names::ENGINE_SCOPES_SKIPPED,
-                    "Fault scopes skipped after stratum retirement",
-                    Class::Deterministic,
-                )
-                .add(skipped);
-        }
-    }
-
-    fn layer_counter(&self, layer: usize) -> Counter {
-        let mut layers = self.layers.lock().unwrap_or_else(|p| p.into_inner());
-        layers
-            .entry(layer)
-            .or_insert_with(|| {
-                self.registry.counter_with(
-                    names::CAMPAIGN_LAYER_INJECTIONS,
-                    "Faults applied per injectable-layer index",
-                    Class::Deterministic,
-                    "layer",
-                    &layer.to_string(),
-                )
-            })
-            .clone()
-    }
-}
-
 /// Scoped process-wide kernel-path override: installs the
 /// [`RunConfig::kernel`] selection for the duration of a campaign run
 /// and restores whatever was in effect before (another override or the
@@ -477,7 +343,14 @@ impl<'c> Engine<'c> {
             alfi_metrics::serve_once(addr, reg)
                 .map_err(|e| CoreError::Io(format!("binding metrics endpoint on {addr}: {e}")))?;
         }
-        let metrics = registry.clone().map(EngineMetrics::new);
+        // The run's one counter set: on its registry, or, when only the
+        // recorder reads counts, on a private one that nothing renders,
+        // serves or watches.
+        let counters =
+            registry.clone().or_else(|| rec.is_enabled().then(Registry::new)).map(CampaignCounters::new);
+        if let Some(c) = &counters {
+            rec.set_counters(c.clone());
+        }
         let watchdog = match (&cfg.health, &registry) {
             (Some(policy), Some(reg)) => {
                 let sink: Option<HealthSink> = rec.is_enabled().then(|| {
@@ -499,7 +372,7 @@ impl<'c> Engine<'c> {
         };
         let stop_policy = cfg.resolve_stop(scenario);
         let threads = cfg.resolve_threads();
-        let parts = drive(task, threads, &rec, metrics.as_ref(), stop_policy, &mut sink);
+        let parts = drive(task, threads, &rec, counters.as_ref(), stop_policy, &mut sink);
         if let Some(watchdog) = watchdog {
             // Final registry sample happens inside stop(), so an
             // end-of-run threshold breach is still raised (and already
@@ -509,8 +382,8 @@ impl<'c> Engine<'c> {
         let parts = parts?;
         if let Some(outcome) = parts.stop {
             rec.set_stop_outcome(outcome);
-            if let Some(m) = metrics.as_ref() {
-                m.skipped_scopes(outcome.skipped_scopes);
+            if let Some(c) = &counters {
+                c.skipped_scopes(outcome.skipped_scopes);
             }
         }
         if let Some(a) = &artifacts {
@@ -520,19 +393,8 @@ impl<'c> Engine<'c> {
             parts.trace.save(a.trace())?;
             if let Some(s) = sink.as_mut() {
                 let stats = s.finalize()?;
-                if let Some(reg) = &registry {
-                    reg.counter(
-                        names::STORE_ROWS_WRITTEN,
-                        "Result rows persisted by the artifact sink",
-                        Class::Deterministic,
-                    )
-                    .add(stats.rows);
-                    reg.counter(
-                        names::STORE_BYTES_WRITTEN,
-                        "Bytes persisted by the artifact sink",
-                        Class::Deterministic,
-                    )
-                    .add(stats.bytes);
+                if let Some(c) = &counters {
+                    c.sink_written(stats.rows, stats.bytes);
                 }
             }
             save_events(&rec, a.dir())?;
@@ -596,7 +458,7 @@ fn drive<T: CampaignTask>(
     task: &T,
     threads: usize,
     rec: &Recorder,
-    metrics: Option<&EngineMetrics>,
+    counters: Option<&CampaignCounters>,
     policy: Option<StopPolicy>,
     sink: &mut Option<Box<dyn ArtifactSink<T::Row>>>,
 ) -> Result<Parts<T>, CoreError> {
@@ -607,14 +469,14 @@ fn drive<T: CampaignTask>(
         task,
         threads,
         rec,
-        metrics,
+        counters,
         scenario,
         targets: &targets,
         resil_targets: resil_targets.as_deref(),
     };
     let mut merge = Merge {
         rec,
-        metrics,
+        counters,
         stop: policy.map(|p| StopState::new(p, &matrix)),
         sink,
         rows: Vec::new(),
@@ -663,7 +525,7 @@ struct Rounds<'a, T: CampaignTask> {
     task: &'a T,
     threads: usize,
     rec: &'a Recorder,
-    metrics: Option<&'a EngineMetrics>,
+    counters: Option<&'a CampaignCounters>,
     scenario: &'a Scenario,
     targets: &'a [LayerTarget],
     resil_targets: Option<&'a [LayerTarget]>,
@@ -721,8 +583,8 @@ impl<T: CampaignTask> Rounds<'_, T> {
         };
         let started = Instant::now();
         self.task.process_scope(&ctx, scope, self.rec, rows, trace)?;
-        if let Some(m) = self.metrics {
-            m.scope_finished(started);
+        if let Some(c) = self.counters {
+            c.scope_finished(started);
         }
         Ok(())
     }
@@ -732,7 +594,7 @@ impl<T: CampaignTask> Rounds<'_, T> {
 /// per-row telemetry, fed once per scope in work order.
 struct Merge<'a, T: CampaignTask> {
     rec: &'a Recorder,
-    metrics: Option<&'a EngineMetrics>,
+    counters: Option<&'a CampaignCounters>,
     stop: Option<StopState>,
     sink: &'a mut Option<Box<dyn ArtifactSink<T::Row>>>,
     rows: Vec<T::Row>,
@@ -741,50 +603,36 @@ struct Merge<'a, T: CampaignTask> {
 
 impl<T: CampaignTask> Merge<'_, T> {
     /// Counts the merged scope whose rows and trace entries start at
-    /// `marks`: injections, its NaN/Inf once, each row's outcome
-    /// (classified at most once, and only when something reads it) and
-    /// progress, the stop tallies, and the sink rows.
+    /// `marks`, once: its injections (counters and recorder events),
+    /// its rows, their outcomes (each row classified at most once, and
+    /// only when something reads it) and its NaN/Inf, then the progress
+    /// line, the stop tallies and the sink rows.
     fn scope(
         &mut self,
         faults: &[FaultRecord],
         key: RowKey,
         (row_mark, entry_mark): (usize, usize),
     ) -> Result<(), CoreError> {
-        let (rec, metrics) = (self.rec, self.metrics);
+        let (rec, counters) = (self.rec, self.counters);
         for entry in &self.trace.entries[entry_mark..] {
-            if let Some(m) = metrics {
-                m.injections.inc();
-                m.layer_counter(entry.applied.record.layer).inc();
+            if let Some(c) = counters {
+                c.injection(entry.applied.record.layer);
             }
             if rec.is_enabled() {
                 rec.record_injection(injection_event(entry.image_id, &entry.applied));
             }
         }
         let rows = &self.rows[row_mark..];
-        if let Some(first) = rows.first() {
-            let (nan, inf) = T::row_nonfinite(first);
-            rec.record_nonfinite(nan, inf);
-            if let Some(m) = metrics {
-                m.nan.add(nan);
-                m.inf.add(inf);
-            }
-        }
-        if let Some(m) = metrics {
-            m.items.add(rows.len() as u64);
-        }
-        let classify = rec.is_enabled() || metrics.is_some() || self.stop.is_some();
         let mut tallies = OutcomeTallies::default();
-        for row in rows {
-            if classify {
-                let outcome = T::classify(row);
-                tallies.add(outcome);
-                rec.record_outcome(outcome);
-                if let Some(m) = metrics {
-                    m.outcome(outcome);
-                }
+        if counters.is_some() || self.stop.is_some() {
+            for row in rows {
+                tallies.add(T::classify(row));
             }
-            rec.item_finished();
         }
+        if let Some(c) = counters {
+            c.scope_merged(rows.len() as u64, tallies, rows.first().map_or((0, 0), T::row_nonfinite));
+        }
+        rec.progress();
         if let Some(state) = self.stop.as_mut() {
             state.observe(faults, tallies);
         }
@@ -804,8 +652,8 @@ impl<T: CampaignTask> Merge<'_, T> {
         state.boundary_check();
         for event in &state.events()[seen..] {
             self.rec.record_stop(*event);
-            if let Some(m) = self.metrics {
-                m.stop_decision(event.verdict);
+            if let Some(c) = self.counters {
+                c.stop_decision(event.verdict);
             }
         }
     }

@@ -46,6 +46,9 @@ use std::sync::OnceLock;
 
 /// Well-known metric names used by the instrumented crates. Following
 /// the workspace convention `alfi_<subsystem>_<name>_{total,seconds}`.
+/// The campaign series (`alfi_campaign_*`, `alfi_engine_*` and
+/// `alfi_store_*_written_total`) are registered in one place, the run's
+/// counter set `alfi_trace::CampaignCounters`.
 pub mod names {
     /// Fault scopes completed by the campaign engine (deterministic).
     pub const ENGINE_SCOPES: &str = "alfi_engine_scopes_total";
@@ -57,7 +60,7 @@ pub mod names {
     pub const CAMPAIGN_INJECTIONS: &str = "alfi_campaign_injections_total";
     /// Faults applied per layer, labelled `layer` (deterministic).
     pub const CAMPAIGN_LAYER_INJECTIONS: &str = "alfi_campaign_layer_injections_total";
-    /// Fault-effect outcomes, labelled `class` ∈ masked/sdc/due
+    /// Fault-effect outcomes, labelled `outcome` ∈ masked/sdc/due
     /// (deterministic).
     pub const CAMPAIGN_OUTCOMES: &str = "alfi_campaign_outcomes_total";
     /// Non-finite values in corrupted outputs, labelled `kind` ∈

@@ -531,3 +531,93 @@ fn a_gemm_on_a_ready_pack_equals_one_that_packs_per_call() {
         }
     }
 }
+
+/// The cross-kernel contract on non-finite data (DESIGN.md §5g): the
+/// same NaN-ness at every element and the same bits at every non-NaN
+/// element. A NaN's sign and payload may differ between the paths.
+fn assert_equal_but_nan_payloads(reference: &[f32], blocked: &[f32], what: &str) {
+    assert_eq!(reference.len(), blocked.len(), "{what}: length mismatch");
+    for (i, (r, b)) in reference.iter().zip(blocked.iter()).enumerate() {
+        if r.is_nan() || b.is_nan() {
+            assert!(
+                r.is_nan() && b.is_nan(),
+                "{what}: NaN-ness differs at flat index {i} (reference {r}, blocked {b})"
+            );
+        } else {
+            assert_eq!(
+                r.to_bits(),
+                b.to_bits(),
+                "{what}: bit drift at flat index {i} (reference {r}, blocked {b})"
+            );
+        }
+    }
+}
+
+/// On operands holding NaN, ±Inf and ±0, the blocked GEMM equals the
+/// reference up to NaN payloads, over the whole shape matrix of
+/// [`blocked_gemm_matches_reference_on_shape_matrix`]: both `B`
+/// layouts, zero-skip on and off, and every bias mode.
+#[test]
+fn gemm_paths_agree_on_special_operands_but_nan_payloads() {
+    let ms = [1, 2, 3, MR, MR + 1, 2 * MR - 1, 2 * MR, 9, 17];
+    let ns = [1, 2, NR - 1, NR, NR + 1, 2 * NR, 2 * NR + 3];
+    let ks = [1, 2, 7, 64];
+    let mut rng = Rng::from_seed(0x5EC1A1);
+    for &m in &ms {
+        for &n in &ns {
+            for &k in &ks {
+                let a = special_operand(&mut rng, m * k);
+                let b = special_operand(&mut rng, k * n);
+                let bias = special_operand(&mut rng, m.max(n));
+                for layout in [BLayout::RowMajor, BLayout::Transposed] {
+                    for skip in [false, true] {
+                        for bias in [Bias::None, Bias::InitPerCol(&bias[..n]), Bias::PostPerRow(&bias[..m])] {
+                            let spec = GemmSpec { m, k, n, layout, skip_zero_a: skip, bias };
+                            assert_equal_but_nan_payloads(
+                                &run_gemm(&a, &b, &spec, KernelPath::Reference),
+                                &run_gemm(&a, &b, &spec, KernelPath::Blocked),
+                                &format!("m={m} n={n} k={k} {layout:?} skip={skip} {bias:?}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fused conv on inputs, weights and biases holding NaN, ±Inf and
+/// ±0 equals itself across the kernel paths up to NaN payloads, with
+/// and without bias and clamp, on strided, padded and dilated
+/// geometries.
+#[test]
+fn conv_fused_paths_agree_on_special_operands_but_nan_payloads() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let mut rng = Rng::from_seed(0xC0F5);
+    // (hw, k, stride, pad, dilation)
+    for &(hw, k, stride, pad, dilation) in &[(7, 3, 1, 1, 1), (9, 3, 2, 1, 1), (8, 1, 1, 0, 1), (11, 3, 2, 2, 2)] {
+        let (nb, c_in, c_out) = (2, 3, 11);
+        let input =
+            Tensor::from_vec(special_operand(&mut rng, nb * c_in * hw * hw), &[nb, c_in, hw, hw])
+                .unwrap();
+        let weight =
+            Tensor::from_vec(special_operand(&mut rng, c_out * c_in * k * k), &[c_out, c_in, k, k])
+                .unwrap();
+        let bias = Tensor::from_vec(special_operand(&mut rng, c_out), &[c_out]).unwrap();
+        let cfg = ConvConfig::with_dilation(stride, pad, dilation).unwrap();
+        for bias in [None, Some(&bias)] {
+            for clamp in clamps() {
+                let [reference, blocked] = [KernelPath::Reference, KernelPath::Blocked]
+                    .map(|path| with_kernel(path, || conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap()));
+                assert_equal_but_nan_payloads(
+                    reference.data(),
+                    blocked.data(),
+                    &format!(
+                        "conv hw={hw} k={k} s={stride} p={pad} d={dilation} bias={} {clamp:?}",
+                        bias.is_some()
+                    ),
+                );
+            }
+        }
+    }
+}

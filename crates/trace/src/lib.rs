@@ -9,12 +9,14 @@
 //! pool, network graphs and benches share:
 //!
 //! * [`Recorder`] — a lock-cheap, clonable handle collecting span
-//!   timings (monotonic clocks), per-layer / per-bit-position injection
-//!   counters, fault-effect tallies keyed by SDC/DUE/masked outcome and
-//!   NaN/Inf monitor rollups. A disabled recorder
-//!   ([`Recorder::disabled`]) is a no-op constant: every method returns
-//!   immediately without reading a clock or touching a lock, so
-//!   uninstrumented runs pay nothing.
+//!   timings (monotonic clocks), per-layer forward times, the ordered
+//!   injection and stop events and health messages. It holds no
+//!   counts: the campaign engine hands it the run's
+//!   [`CampaignCounters`], the one counter set (on the run's metrics
+//!   [`Registry`](alfi_metrics::Registry)) every campaign fact is
+//!   counted in. A disabled recorder ([`Recorder::disabled`]) is a
+//!   no-op constant: every method returns immediately without reading a
+//!   clock or touching a lock, so uninstrumented runs pay nothing.
 //! * a **live progress line** for long campaigns (rate-limited to
 //!   [`PROGRESS_INTERVAL_MS`], opt-in via [`Recorder::with_progress`]);
 //! * a structured **JSONL event log** ([`Recorder::events_jsonl`])
@@ -24,12 +26,18 @@
 //!   the campaign drivers, so the log is byte-identical across thread
 //!   counts (modulo the recorded thread-count header field);
 //! * an end-of-run [`TraceSummary`] with per-phase timing histograms
-//!   (p50/p95/max for forward, inject, eval and persist).
+//!   (p50/p95/max for forward, inject, eval and persist) and the run's
+//!   [`RunCounts`].
+//!
+//! One recorder records one run. With the process-global registry
+//! ([`alfi_metrics::global`]) the counts it reads are process totals,
+//! as that registry's are.
 //!
 //! # Example
 //!
 //! ```
-//! use alfi_trace::{EffectClass, InjectionEvent, Phase, Recorder, RunMeta};
+//! use alfi_metrics::Registry;
+//! use alfi_trace::{CampaignCounters, InjectionEvent, OutcomeTallies, Phase, Recorder, RunMeta};
 //!
 //! let rec = Recorder::new();
 //! rec.set_meta(RunMeta {
@@ -39,6 +47,8 @@
 //!     seed: 7,
 //!     threads: 1,
 //! });
+//! let counters = CampaignCounters::new(Registry::new());
+//! rec.set_counters(counters.clone());
 //! {
 //!     let _span = rec.span(Phase::Forward);
 //!     // ... forward pass ...
@@ -50,17 +60,20 @@
 //!     original: 1.0,
 //!     corrupted: -2.0e30,
 //! });
-//! rec.record_outcome(EffectClass::Sdc);
+//! counters.injection(3);
+//! counters.scope_merged(1, OutcomeTallies { sdc: 1, ..OutcomeTallies::default() }, (0, 0));
 //! let summary = rec.summary();
-//! assert_eq!(summary.injections, 1);
-//! assert_eq!(summary.outcomes.sdc, 1);
+//! assert_eq!(summary.counts.injections, 1);
+//! assert_eq!(summary.counts.outcomes.sdc, 1);
 //! let log = rec.events_jsonl();
 //! assert!(log.starts_with("{\"event\":\"header\""));
 //! ```
 
+mod counts;
 mod reader;
 
-pub use reader::{EventHeader, EventLog, EventLogError, EventStopRecord, EventSummaryRecord};
+pub use counts::{CampaignCounters, RunCounts};
+pub use reader::{EventHeader, EventLog, EventLogError, EventStopRecord};
 
 use alfi_serde::Json;
 use std::collections::BTreeMap;
@@ -296,6 +309,8 @@ impl OutcomeTallies {
     }
 }
 
+alfi_serde::json_struct!(OutcomeTallies { masked, sdc, due });
+
 impl std::ops::AddAssign for OutcomeTallies {
     fn add_assign(&mut self, other: OutcomeTallies) {
         self.masked += other.masked;
@@ -305,7 +320,7 @@ impl std::ops::AddAssign for OutcomeTallies {
 }
 
 /// End-of-run aggregate view of everything a [`Recorder`] collected.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// The replay header, when one was set.
     pub meta: Option<RunMeta>,
@@ -317,21 +332,11 @@ pub struct TraceSummary {
     pub worker_busy_ns: BTreeMap<usize, u64>,
     /// Accumulated forward time per layer name.
     pub layer_forward: BTreeMap<String, LayerTime>,
-    /// Total applied faults.
-    pub injections: u64,
-    /// Applied faults per injectable-layer index.
-    pub injections_per_layer: BTreeMap<usize, u64>,
-    /// Applied faults per bit position (value-replacement faults are
-    /// not bit-addressed and are excluded).
-    pub injections_per_bit: BTreeMap<u8, u64>,
-    /// Fault-effect tallies.
-    pub outcomes: OutcomeTallies,
-    /// Total NaN elements observed by the monitors.
-    pub nan: u64,
-    /// Total Inf elements observed by the monitors.
-    pub inf: u64,
-    /// Work items (images) finished.
-    pub items: u64,
+    /// The run's counts, the record the event log's `summary` line
+    /// holds: items, outcomes and NaN/Inf read from the run's
+    /// [`CampaignCounters`], injections and their per-layer and per-bit
+    /// histograms derived from the recorded injection events.
+    pub counts: RunCounts,
     /// Wall-clock nanoseconds since the recorder was created.
     pub wall_ns: u64,
     /// Health watchdog events raised during the run (rendered
@@ -353,15 +358,10 @@ impl TraceSummary {
                 m.campaign, m.model, m.scenario_hash, m.seed, m.threads
             ));
         }
+        let c = &self.counts;
         out.push_str(&format!(
             "items {} | injections {} | masked {} sdc {} due {} | nan {} inf {}\n",
-            self.items,
-            self.injections,
-            self.outcomes.masked,
-            self.outcomes.sdc,
-            self.outcomes.due,
-            self.nan,
-            self.inf
+            c.items, c.injections, c.outcomes.masked, c.outcomes.sdc, c.outcomes.due, c.nan, c.inf
         ));
         for phase in Phase::ALL {
             if let Some(s) = self.phases.get(phase.name()) {
@@ -396,11 +396,6 @@ impl TraceSummary {
         }
         out
     }
-
-    /// Sum of recorded span time for one phase, in nanoseconds.
-    pub fn phase_total_ns(&self, phase: Phase) -> u64 {
-        self.phases.get(phase.name()).map_or(0, |s| s.total_ns)
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -416,10 +411,10 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Shared mutable recorder state. Hot counters are atomics; everything
-/// that needs aggregation (span samples, maps, the event list) sits
+/// Shared mutable recorder state. Spans, maps and event lists sit
 /// behind short-lived uncontended mutexes that are locked once per
-/// item/span — never per tensor element.
+/// scope/span — never per tensor element. Counts are not kept here but
+/// read from the run's [`CampaignCounters`].
 #[derive(Debug)]
 struct Inner {
     started: Instant,
@@ -428,18 +423,11 @@ struct Inner {
     phase_ns: [Mutex<Vec<u64>>; 4],
     worker_busy_ns: Mutex<BTreeMap<usize, u64>>,
     layer_ns: Mutex<BTreeMap<String, LayerTime>>,
-    layer_inj: Mutex<BTreeMap<usize, u64>>,
-    bit_inj: Mutex<BTreeMap<u8, u64>>,
-    masked: AtomicU64,
-    sdc: AtomicU64,
-    due: AtomicU64,
-    nan: AtomicU64,
-    inf: AtomicU64,
+    counters: Mutex<Option<CampaignCounters>>,
     events: Mutex<Vec<InjectionEvent>>,
     stops: Mutex<Vec<StopEvent>>,
     stop_outcome: Mutex<Option<StopOutcome>>,
     health: Mutex<Vec<String>>,
-    items_done: AtomicU64,
     items_total: AtomicU64,
     last_progress_ms: AtomicU64,
 }
@@ -449,25 +437,39 @@ impl Inner {
         Inner {
             started: Instant::now(),
             progress: AtomicBool::new(false),
-            meta: Mutex::new(None),
-            phase_ns: [Mutex::new(Vec::new()), Mutex::new(Vec::new()), Mutex::new(Vec::new()), Mutex::new(Vec::new())],
-            worker_busy_ns: Mutex::new(BTreeMap::new()),
-            layer_ns: Mutex::new(BTreeMap::new()),
-            layer_inj: Mutex::new(BTreeMap::new()),
-            bit_inj: Mutex::new(BTreeMap::new()),
-            masked: AtomicU64::new(0),
-            sdc: AtomicU64::new(0),
-            due: AtomicU64::new(0),
-            nan: AtomicU64::new(0),
-            inf: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            stops: Mutex::new(Vec::new()),
-            stop_outcome: Mutex::new(None),
-            health: Mutex::new(Vec::new()),
-            items_done: AtomicU64::new(0),
+            meta: Mutex::default(),
+            phase_ns: Default::default(),
+            worker_busy_ns: Mutex::default(),
+            layer_ns: Mutex::default(),
+            counters: Mutex::default(),
+            events: Mutex::default(),
+            stops: Mutex::default(),
+            stop_outcome: Mutex::default(),
+            health: Mutex::default(),
             items_total: AtomicU64::new(0),
             last_progress_ms: AtomicU64::new(0),
         }
+    }
+
+    /// The run's counts: items, outcomes and NaN/Inf from the attached
+    /// counters (zero when none is), injections and their per-layer and
+    /// per-bit histograms from the event list.
+    fn counts(&self) -> RunCounts {
+        let mut counts = RunCounts::default();
+        if let Some(c) = lock(&self.counters).as_ref() {
+            counts.items = c.items();
+            counts.outcomes = c.outcomes();
+            (counts.nan, counts.inf) = c.nonfinite();
+        }
+        let events = lock(&self.events);
+        counts.injections = events.len() as u64;
+        for ev in events.iter() {
+            *counts.per_layer.entry(ev.layer).or_insert(0) += 1;
+            if let Some(bit) = ev.bit {
+                *counts.per_bit.entry(bit).or_insert(0) += 1;
+            }
+        }
+        counts
     }
 }
 
@@ -485,6 +487,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (the default, or [`Recorder::disabled`]) holds no state at all:
 /// every method is a branch-and-return, so instrumentation left in hot
 /// paths costs nothing when tracing is off.
+///
+/// A recorder records one run. It keeps spans, layer times, the
+/// ordered injection and stop events and health messages, but no
+/// counts: [`summary`](Recorder::summary), the event log's summary
+/// record and the progress line read items, outcomes and NaN/Inf from
+/// the [`CampaignCounters`] the engine attaches
+/// ([`set_counters`](Recorder::set_counters)) and derive injections
+/// from the event list.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -522,6 +532,16 @@ impl Recorder {
         }
     }
 
+    /// Attaches the run's counter set, which the summary, the event
+    /// log's summary record and the progress line read their items,
+    /// outcomes and NaN/Inf from. The campaign engine calls this when a
+    /// run starts.
+    pub fn set_counters(&self, counters: CampaignCounters) {
+        if let Some(inner) = &self.inner {
+            *lock(&inner.counters) = Some(counters);
+        }
+    }
+
     /// Opens a timing span for `phase` attributed to worker 0 (the
     /// submitting thread). Dropping the guard records the elapsed time.
     pub fn span(&self, phase: Phase) -> Span<'_> {
@@ -536,15 +556,6 @@ impl Recorder {
         match &self.inner {
             Some(inner) => Span { inner: Some(inner), phase, worker, start: Some(Instant::now()) },
             None => Span { inner: None, phase, worker, start: None },
-        }
-    }
-
-    /// Records a pre-measured phase duration (used where a guard's
-    /// lifetime is awkward).
-    pub fn record_phase_ns(&self, phase: Phase, worker: usize, ns: u64) {
-        if let Some(inner) = &self.inner {
-            lock(&inner.phase_ns[phase.index()]).push(ns);
-            *lock(&inner.worker_busy_ns).entry(worker).or_insert(0) += ns;
         }
     }
 
@@ -564,31 +575,14 @@ impl Recorder {
         }
     }
 
-    /// Records one applied fault: bumps the per-layer / per-bit
-    /// counters and appends the structured event. The campaign engine
+    /// Appends one applied fault to the event list. The campaign engine
     /// calls this while the run goes, as it merges each scope in
     /// deterministic work order, so the event log is reproducible
     /// across thread counts and the progress line counts injections
     /// live.
     pub fn record_injection(&self, ev: InjectionEvent) {
         if let Some(inner) = &self.inner {
-            *lock(&inner.layer_inj).entry(ev.layer).or_insert(0) += 1;
-            if let Some(bit) = ev.bit {
-                *lock(&inner.bit_inj).entry(bit).or_insert(0) += 1;
-            }
             lock(&inner.events).push(ev);
-        }
-    }
-
-    /// Tallies one classified inference outcome.
-    pub fn record_outcome(&self, outcome: EffectClass) {
-        if let Some(inner) = &self.inner {
-            let counter = match outcome {
-                EffectClass::Masked => &inner.masked,
-                EffectClass::Sdc => &inner.sdc,
-                EffectClass::Due => &inner.due,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -627,35 +621,25 @@ impl Recorder {
         }
     }
 
-    /// Adds NaN/Inf element counts observed by a monitor.
-    pub fn record_nonfinite(&self, nan: u64, inf: u64) {
-        if let Some(inner) = &self.inner {
-            if nan > 0 {
-                inner.nan.fetch_add(nan, Ordering::Relaxed);
-            }
-            if inf > 0 {
-                inner.inf.fetch_add(inf, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Declares the expected number of work items (images) for progress
     /// reporting.
     pub fn begin_items(&self, total: u64) {
         if let Some(inner) = &self.inner {
             inner.items_total.store(total, Ordering::Relaxed);
-            inner.items_done.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Marks one work item finished and, when the progress line is
-    /// enabled, emits a rate-limited status line to stderr.
-    pub fn item_finished(&self) {
+    /// When the progress line is enabled, emits a rate-limited status
+    /// line to stderr. The campaign engine calls this after each merged
+    /// scope; the line reads items and outcomes from the run's
+    /// counters.
+    pub fn progress(&self) {
         let Some(inner) = &self.inner else { return };
-        let done = inner.items_done.fetch_add(1, Ordering::Relaxed) + 1;
         if !inner.progress.load(Ordering::Relaxed) {
             return;
         }
+        let counters = lock(&inner.counters);
+        let done = counters.as_ref().map_or(0, CampaignCounters::items);
         let total = inner.items_total.load(Ordering::Relaxed);
         let elapsed_ms = inner.started.elapsed().as_millis() as u64;
         let last = inner.last_progress_ms.load(Ordering::Relaxed);
@@ -673,35 +657,17 @@ impl Recorder {
         }
         let rate = if elapsed_ms > 0 { done as f64 * 1000.0 / elapsed_ms as f64 } else { 0.0 };
         let injections = lock(&inner.events).len();
+        let o = counters.as_ref().map(CampaignCounters::outcomes).unwrap_or_default();
         eprintln!(
             "[alfi] {done}/{total} items | inj {injections} | masked {} sdc {} due {} | {rate:.1} items/s",
-            inner.masked.load(Ordering::Relaxed),
-            inner.sdc.load(Ordering::Relaxed),
-            inner.due.load(Ordering::Relaxed),
+            o.masked, o.sdc, o.due,
         );
     }
 
     /// Builds the end-of-run summary. Disabled recorders return an
     /// empty default summary.
     pub fn summary(&self) -> TraceSummary {
-        let Some(inner) = &self.inner else {
-            return TraceSummary {
-                meta: None,
-                phases: BTreeMap::new(),
-                worker_busy_ns: BTreeMap::new(),
-                layer_forward: BTreeMap::new(),
-                injections: 0,
-                injections_per_layer: BTreeMap::new(),
-                injections_per_bit: BTreeMap::new(),
-                outcomes: OutcomeTallies::default(),
-                nan: 0,
-                inf: 0,
-                items: 0,
-                wall_ns: 0,
-                health: Vec::new(),
-                stop: None,
-            };
-        };
+        let Some(inner) = &self.inner else { return TraceSummary::default() };
         let mut phases = BTreeMap::new();
         for phase in Phase::ALL {
             let samples = lock(&inner.phase_ns[phase.index()]).clone();
@@ -714,17 +680,7 @@ impl Recorder {
             phases,
             worker_busy_ns: lock(&inner.worker_busy_ns).clone(),
             layer_forward: lock(&inner.layer_ns).clone(),
-            injections: lock(&inner.events).len() as u64,
-            injections_per_layer: lock(&inner.layer_inj).clone(),
-            injections_per_bit: lock(&inner.bit_inj).clone(),
-            outcomes: OutcomeTallies {
-                masked: inner.masked.load(Ordering::Relaxed),
-                sdc: inner.sdc.load(Ordering::Relaxed),
-                due: inner.due.load(Ordering::Relaxed),
-            },
-            nan: inner.nan.load(Ordering::Relaxed),
-            inf: inner.inf.load(Ordering::Relaxed),
-            items: inner.items_done.load(Ordering::Relaxed),
+            counts: inner.counts(),
             wall_ns: inner.started.elapsed().as_nanos() as u64,
             health: lock(&inner.health).clone(),
             stop: *lock(&inner.stop_outcome),
@@ -732,10 +688,11 @@ impl Recorder {
     }
 
     /// Renders the structured event log: one JSON object per line —
-    /// the replay header, every injection event in recorded order, and
-    /// a closing summary record of the deterministic counters. Contains
-    /// no timing data, so the log is byte-identical across thread
-    /// counts except for the header's `threads` field.
+    /// the replay header, every injection event in recorded order, the
+    /// stop decisions, and a closing summary record of the run's
+    /// [`RunCounts`]. Contains no timing data, so the log is
+    /// byte-identical across thread counts except for the header's
+    /// `threads` field.
     ///
     /// Disabled recorders return an empty string.
     pub fn events_jsonl(&self) -> String {
@@ -805,30 +762,7 @@ impl Recorder {
             out.push('\n');
         }
 
-        let count_map = |m: &BTreeMap<usize, u64>| {
-            Json::Obj(m.iter().map(|(k, v)| (k.to_string(), Json::Int(*v as i128))).collect())
-        };
-        let bit_map = |m: &BTreeMap<u8, u64>| {
-            Json::Obj(m.iter().map(|(k, v)| (k.to_string(), Json::Int(*v as i128))).collect())
-        };
-        let summary = Json::Obj(vec![
-            ("event".to_string(), Json::Str("summary".into())),
-            ("items".to_string(), Json::Int(inner.items_done.load(Ordering::Relaxed) as i128)),
-            ("injections".to_string(), Json::Int(lock(&inner.events).len() as i128)),
-            ("per_layer".to_string(), count_map(&lock(&inner.layer_inj))),
-            ("per_bit".to_string(), bit_map(&lock(&inner.bit_inj))),
-            (
-                "outcomes".to_string(),
-                Json::Obj(vec![
-                    ("masked".to_string(), Json::Int(inner.masked.load(Ordering::Relaxed) as i128)),
-                    ("sdc".to_string(), Json::Int(inner.sdc.load(Ordering::Relaxed) as i128)),
-                    ("due".to_string(), Json::Int(inner.due.load(Ordering::Relaxed) as i128)),
-                ]),
-            ),
-            ("nan".to_string(), Json::Int(inner.nan.load(Ordering::Relaxed) as i128)),
-            ("inf".to_string(), Json::Int(inner.inf.load(Ordering::Relaxed) as i128)),
-        ]);
-        out.push_str(&summary.compact());
+        out.push_str(&inner.counts().summary_record().compact());
         out.push('\n');
         out
     }
@@ -904,6 +838,7 @@ pub fn hash_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alfi_metrics::Registry;
 
     fn meta() -> RunMeta {
         RunMeta {
@@ -919,6 +854,18 @@ mod tests {
         InjectionEvent { image_id: 9, layer, bit, original: 1.5, corrupted: -3.0 }
     }
 
+    /// An enabled recorder reading a fresh counter set.
+    fn counted() -> (Recorder, CampaignCounters) {
+        let rec = Recorder::new();
+        let counters = CampaignCounters::new(Registry::new());
+        rec.set_counters(counters.clone());
+        (rec, counters)
+    }
+
+    fn tallies(masked: u64, sdc: u64, due: u64) -> OutcomeTallies {
+        OutcomeTallies { masked, sdc, due }
+    }
+
     #[test]
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
@@ -926,14 +873,14 @@ mod tests {
         {
             let _s = rec.span(Phase::Forward);
         }
+        let counters = CampaignCounters::new(Registry::new());
+        rec.set_counters(counters.clone());
         rec.record_injection(injection(0, Some(3)));
-        rec.record_outcome(EffectClass::Due);
-        rec.record_nonfinite(5, 5);
+        counters.scope_merged(1, tallies(0, 0, 1), (5, 5));
         rec.begin_items(10);
-        rec.item_finished();
+        rec.progress();
         let s = rec.summary();
-        assert_eq!(s.injections, 0);
-        assert_eq!(s.outcomes.total(), 0);
+        assert_eq!(s.counts, RunCounts::default());
         assert!(s.phases.is_empty());
         assert_eq!(rec.events_jsonl(), "");
     }
@@ -949,47 +896,54 @@ mod tests {
         for _ in 0..3 {
             let _s = rec.span(Phase::Forward);
         }
-        rec.record_phase_ns(Phase::Inject, 2, 1_000);
+        {
+            let _s = rec.span_on(Phase::Inject, 2);
+        }
         let s = rec.summary();
         let f = s.phases["forward"];
         assert_eq!(f.count, 3);
         assert!(f.p50_ns <= f.p95_ns && f.p95_ns <= f.max_ns);
-        assert_eq!(s.phases["inject"].total_ns, 1_000);
-        assert_eq!(s.worker_busy_ns[&2], 1_000);
-        assert!(s.worker_busy_ns.contains_key(&0));
+        let inject = s.phases["inject"];
+        assert_eq!(inject.count, 1);
+        assert_eq!(s.worker_busy_ns[&2], inject.total_ns, "worker 2 ran only the inject span");
+        assert_eq!(s.worker_busy_ns[&0], f.total_ns, "worker 0 ran only the forward spans");
         assert!(!s.phases.contains_key("persist"));
     }
 
     #[test]
-    fn counters_and_events_accumulate() {
-        let rec = Recorder::new();
+    fn counts_come_from_the_counters_and_the_event_list() {
+        let (rec, counters) = counted();
         rec.record_injection(injection(3, Some(30)));
         rec.record_injection(injection(3, Some(24)));
         rec.record_injection(injection(1, None));
-        rec.record_outcome(EffectClass::Masked);
-        rec.record_outcome(EffectClass::Sdc);
-        rec.record_outcome(EffectClass::Due);
-        rec.record_nonfinite(7, 2);
+        counters.scope_merged(3, tallies(1, 1, 1), (7, 2));
         rec.record_layer_ns("conv1", 100);
         rec.record_layer_ns("conv1", 50);
         let s = rec.summary();
-        assert_eq!(s.injections, 3);
-        assert_eq!(s.injections_per_layer[&3], 2);
-        assert_eq!(s.injections_per_layer[&1], 1);
-        assert_eq!(s.injections_per_bit.len(), 2);
-        assert_eq!(s.outcomes, OutcomeTallies { masked: 1, sdc: 1, due: 1 });
-        assert_eq!((s.nan, s.inf), (7, 2));
+        assert_eq!(s.counts.injections, 3);
+        assert_eq!(s.counts.per_layer, BTreeMap::from([(1, 1), (3, 2)]));
+        assert_eq!(s.counts.per_bit.len(), 2);
+        assert_eq!(s.counts.items, 3);
+        assert_eq!(s.counts.outcomes, tallies(1, 1, 1));
+        assert_eq!((s.counts.nan, s.counts.inf), (7, 2));
         assert_eq!(s.layer_forward["conv1"], LayerTime { count: 2, total_ns: 150 });
     }
 
     #[test]
-    fn jsonl_has_header_events_and_summary() {
+    fn a_recorder_without_counters_reads_zero_counts() {
         let rec = Recorder::new();
+        rec.record_injection(injection(2, Some(7)));
+        let c = rec.summary().counts;
+        assert_eq!((c.items, c.injections, c.outcomes.total(), c.nan, c.inf), (0, 1, 0, 0, 0));
+    }
+
+    #[test]
+    fn jsonl_has_header_events_and_summary() {
+        let (rec, counters) = counted();
         rec.set_meta(meta());
         rec.begin_items(1);
         rec.record_injection(injection(3, Some(30)));
-        rec.record_outcome(EffectClass::Sdc);
-        rec.item_finished();
+        counters.scope_merged(1, tallies(0, 1, 0), (0, 0));
         let log = rec.events_jsonl();
         let lines: Vec<&str> = log.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -1009,13 +963,13 @@ mod tests {
     #[test]
     fn jsonl_is_reproducible_and_timestamp_free() {
         let build = || {
-            let rec = Recorder::new();
+            let (rec, counters) = counted();
             rec.set_meta(meta());
             for i in 0..4u8 {
                 let _s = rec.span(Phase::Forward); // timing must not leak into events
                 rec.record_injection(injection(i as usize, Some(i)));
             }
-            rec.record_outcome(EffectClass::Masked);
+            counters.scope_merged(4, tallies(4, 0, 0), (0, 0));
             rec.events_jsonl()
         };
         assert_eq!(build(), build());
@@ -1026,16 +980,18 @@ mod tests {
         let rec = Recorder::new();
         rec.record_injection(injection(0, None));
         assert!(rec.events_jsonl().contains("\"bit\":null"));
-        assert!(rec.summary().injections_per_bit.is_empty());
-        assert_eq!(rec.summary().injections, 1);
+        assert!(rec.summary().counts.per_bit.is_empty());
+        assert_eq!(rec.summary().counts.injections, 1);
     }
 
     #[test]
     fn summary_render_mentions_phases_and_tallies() {
-        let rec = Recorder::new();
+        let (rec, counters) = counted();
         rec.set_meta(meta());
-        rec.record_phase_ns(Phase::Forward, 0, 2_000_000);
-        rec.record_outcome(EffectClass::Due);
+        {
+            let _s = rec.span_on(Phase::Forward, 0);
+        }
+        counters.scope_merged(1, tallies(0, 0, 1), (0, 0));
         let text = rec.summary().render();
         assert!(text.contains("phase forward"));
         assert!(text.contains("due 1"));
@@ -1114,21 +1070,22 @@ mod tests {
     }
 
     #[test]
-    fn progress_counts_items_without_printing_when_disabled() {
-        let rec = Recorder::new(); // progress line off by default
+    fn progress_reads_items_without_printing_when_disabled() {
+        let (rec, counters) = counted(); // progress line off by default
         rec.begin_items(3);
         for _ in 0..3 {
-            rec.item_finished();
+            counters.scope_merged(1, tallies(1, 0, 0), (0, 0));
+            rec.progress();
         }
-        assert_eq!(rec.summary().items, 3);
+        assert_eq!(rec.summary().counts.items, 3);
     }
 
     #[test]
     fn clones_share_state() {
         let rec = Recorder::new();
         let clone = rec.clone();
-        clone.record_outcome(EffectClass::Sdc);
-        assert_eq!(rec.summary().outcomes.sdc, 1);
+        clone.record_injection(injection(1, Some(2)));
+        assert_eq!(rec.summary().counts.injections, 1);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! events, closing summary) so the artifact is an API, not a
 //! write-only file.
 
-use crate::{InjectionEvent, OutcomeTallies, RunMeta, StopEvent, StopVerdict, EVENT_FORMAT_VERSION};
-use alfi_serde::Json;
-use std::collections::BTreeMap;
+use crate::{InjectionEvent, RunCounts, RunMeta, StopEvent, StopVerdict, EVENT_FORMAT_VERSION};
+use alfi_serde::{FromJson, Json};
 use std::fmt;
 use std::path::Path;
 
@@ -70,26 +69,6 @@ pub struct EventHeader {
     pub meta: Option<RunMeta>,
 }
 
-/// The parsed closing summary record: the deterministic counters the
-/// writer emitted at end of run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EventSummaryRecord {
-    /// Work items finished.
-    pub items: u64,
-    /// Total applied faults.
-    pub injections: u64,
-    /// Applied faults per injectable-layer index.
-    pub per_layer: BTreeMap<usize, u64>,
-    /// Applied faults per bit position.
-    pub per_bit: BTreeMap<u8, u64>,
-    /// Fault-effect tallies.
-    pub outcomes: OutcomeTallies,
-    /// NaN elements observed.
-    pub nan: u64,
-    /// Inf elements observed.
-    pub inf: u64,
-}
-
 /// A parsed statistical stop decision (the reader-side name of
 /// [`StopEvent`] — stop records round-trip losslessly).
 pub type EventStopRecord = StopEvent;
@@ -104,8 +83,9 @@ pub struct EventLog {
     /// Statistical stop decisions in boundary order (empty for
     /// exhaustive campaigns).
     pub stops: Vec<EventStopRecord>,
-    /// The closing summary, when the log has one.
-    pub summary: Option<EventSummaryRecord>,
+    /// The closing summary record — the run's counts — when the log
+    /// has one.
+    pub summary: Option<RunCounts>,
 }
 
 fn field<'j>(obj: &'j Json, key: &str, line: usize) -> Result<&'j Json, EventLogError> {
@@ -135,33 +115,6 @@ fn string(obj: &Json, key: &str, line: usize) -> Result<String, EventLogError> {
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| EventLogError::Record { line, detail: format!("field `{key}` is not a string") })
-}
-
-/// Parses an integer-keyed count map (the writer renders map keys as
-/// decimal strings).
-fn count_map<K: std::str::FromStr + Ord>(
-    obj: &Json,
-    key: &str,
-    line: usize,
-) -> Result<BTreeMap<K, u64>, EventLogError> {
-    let entries = field(obj, key, line)?.as_obj().ok_or_else(|| EventLogError::Record {
-        line,
-        detail: format!("field `{key}` is not an object"),
-    })?;
-    let mut map = BTreeMap::new();
-    for (k, v) in entries {
-        let parsed_key = k.parse::<K>().map_err(|_| EventLogError::Record {
-            line,
-            detail: format!("field `{key}` has non-numeric key `{k}`"),
-        })?;
-        let count =
-            v.as_int().and_then(|n| u64::try_from(n).ok()).ok_or_else(|| EventLogError::Record {
-                line,
-                detail: format!("field `{key}` has a non-count value under `{k}`"),
-            })?;
-        map.insert(parsed_key, count);
-    }
-    Ok(map)
 }
 
 fn parse_header(obj: &Json, line: usize) -> Result<EventHeader, EventLogError> {
@@ -257,23 +210,6 @@ fn parse_stop(obj: &Json, line: usize) -> Result<StopEvent, EventLogError> {
     })
 }
 
-fn parse_summary(obj: &Json, line: usize) -> Result<EventSummaryRecord, EventLogError> {
-    let outcomes = field(obj, "outcomes", line)?;
-    Ok(EventSummaryRecord {
-        items: uint(obj, "items", line)?,
-        injections: uint(obj, "injections", line)?,
-        per_layer: count_map(obj, "per_layer", line)?,
-        per_bit: count_map(obj, "per_bit", line)?,
-        outcomes: OutcomeTallies {
-            masked: uint(outcomes, "masked", line)?,
-            sdc: uint(outcomes, "sdc", line)?,
-            due: uint(outcomes, "due", line)?,
-        },
-        nan: uint(obj, "nan", line)?,
-        inf: uint(obj, "inf", line)?,
-    })
-}
-
 impl EventLog {
     /// Parses a full JSONL log as written by
     /// [`Recorder::events_jsonl`](crate::Recorder::events_jsonl): a
@@ -288,7 +224,7 @@ impl EventLog {
         let mut header = None;
         let mut injections = Vec::new();
         let mut stops = Vec::new();
-        let mut summary: Option<EventSummaryRecord> = None;
+        let mut summary: Option<RunCounts> = None;
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
             if raw.trim().is_empty() {
@@ -350,7 +286,11 @@ impl EventLog {
                             detail: "duplicate summary record".into(),
                         });
                     }
-                    summary = Some(parse_summary(&obj, line)?);
+                    let counts = RunCounts::from_json(&obj).map_err(|e| EventLogError::Record {
+                        line,
+                        detail: format!("summary record: {e}"),
+                    })?;
+                    summary = Some(counts);
                 }
                 other => {
                     return Err(EventLogError::Record {
@@ -380,7 +320,9 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hash_hex, EffectClass, Recorder};
+    use crate::{hash_hex, CampaignCounters, OutcomeTallies, Recorder};
+    use alfi_metrics::Registry;
+    use std::collections::BTreeMap;
 
     fn meta() -> RunMeta {
         RunMeta {
@@ -395,6 +337,8 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let rec = Recorder::new();
+        let counters = CampaignCounters::new(Registry::new());
+        rec.set_counters(counters.clone());
         rec.set_meta(meta());
         rec.begin_items(3);
         let events = vec![
@@ -405,18 +349,14 @@ mod tests {
         for ev in &events {
             rec.record_injection(*ev);
         }
-        rec.record_outcome(EffectClass::Masked);
-        rec.record_outcome(EffectClass::Due);
-        rec.record_nonfinite(4, 1);
-        for _ in 0..3 {
-            rec.item_finished();
-        }
+        counters.scope_merged(3, OutcomeTallies { masked: 1, sdc: 0, due: 1 }, (4, 1));
 
         let log = EventLog::parse(&rec.events_jsonl()).unwrap();
         assert_eq!(log.header.format, EVENT_FORMAT_VERSION);
         assert_eq!(log.header.meta, Some(meta()));
         assert_eq!(log.injections, events);
         let summary = log.summary.expect("log has a summary");
+        assert_eq!(summary, rec.summary().counts, "the log's summary is the recorder's counts");
         assert_eq!(summary.items, 3);
         assert_eq!(summary.injections, 3);
         assert_eq!(summary.per_layer, BTreeMap::from([(2, 2), (5, 1)]));
@@ -550,6 +490,11 @@ mod tests {
         let err = EventLog::parse(&log).unwrap_err();
         assert!(matches!(err, EventLogError::Record { .. }), "{err}");
         assert!(err.to_string().contains("mystery"), "{err}");
+
+        let summary = good.events_jsonl().replace("\"items\":0", "\"items\":-1");
+        let err = EventLog::parse(&summary).unwrap_err();
+        assert!(matches!(err, EventLogError::Record { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("summary record"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`scenario`] | `alfi-scenario` | `default.yml`-style campaign configuration |
 //! | [`core`] | `alfi-core` | fault matrices, injection engine, persistence, campaigns, the SDC/DUE/masked rule and [`core::stats::Rate`] |
 //! | [`core::monitor`] | `alfi-core` | NaN/Inf monitor ([`core::attach_monitor`]) |
-//! | [`trace`] | `alfi-trace` | campaign observability: [`trace::Recorder`], JSONL event log, [`trace::TraceSummary`] |
+//! | [`trace`] | `alfi-trace` | campaign observability: [`trace::Recorder`] (spans, events, health), the run's one counter set [`trace::CampaignCounters`] on a [`metrics::Registry`], JSONL event log, [`trace::TraceSummary`] |
 //! | [`datasets`] | `alfi-datasets` | synthetic datasets + COCO-style wrappers |
 //! | [`mitigation`] | `alfi-mitigation` | Ranger/Clipper activation-range hardening |
 //! | [`eval`] | `alfi-eval` | detection KPIs: IVMOD, COCO AP, detection result writers |
@@ -71,9 +71,9 @@
 //! let result = ImgClassCampaign::new(alexnet(&cfg), scenario, loader)
 //!     .run_with(&RunConfig::new().threads(1).recorder(recorder.clone()))?;
 //!
-//! let summary = recorder.summary();
-//! assert_eq!(summary.items as usize, result.rows.len());
-//! assert_eq!(summary.injections, 4);
+//! let counts = recorder.summary().counts;
+//! assert_eq!(counts.items as usize, result.rows.len());
+//! assert_eq!(counts.injections, 4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -199,7 +199,7 @@ fn a_batched_scope_counts_its_nan_and_inf_once() {
         };
         let (nan, inf) = (per_scope(|r| r.corr_nan), per_scope(|r| r.corr_inf));
         assert!(nan > 0 && inf > 0, "no scope saw both NaN and Inf");
-        let summary = rec.summary();
+        let summary = rec.summary().counts;
         assert_eq!((summary.nan, summary.inf), (nan, inf), "event summary at {threads} threads");
         let snap = registry.snapshot();
         let metric = |kind| snap.counter_labeled(names::CAMPAIGN_NONFINITE, kind).unwrap();
@@ -216,7 +216,7 @@ fn outcomes_reach_the_recorder_before_the_next_scope_starts() {
     let (probe, log) = (rec.clone(), Arc::clone(&seen));
     // A hook runs in each scope's golden pass, before its faulty pass.
     let hook = move |_: &LayerCtx, _: &mut Tensor| {
-        let summary = probe.summary();
+        let summary = probe.summary().counts;
         log.lock().unwrap().push((summary.outcomes.total(), summary.items));
     };
     model.register_hook(0, Arc::new(hook)).unwrap();
@@ -229,7 +229,7 @@ fn outcomes_reach_the_recorder_before_the_next_scope_starts() {
         assert_eq!(outcomes, items, "outcomes lag the finished items: {seen:?}");
     }
     assert_eq!(seen.last().map(|&(_, items)| items), Some(IMAGES as u64 - 1), "{seen:?}");
-    let summary = rec.summary();
+    let summary = rec.summary().counts;
     assert_eq!((summary.outcomes.total(), summary.items), (IMAGES as u64, IMAGES as u64));
 }
 
