@@ -6,7 +6,7 @@ use alfi_core::persist::crc32;
 use alfi_core::AppliedFault;
 use alfi_core::{
     arm_faults, corrupt_value, decode_fault_matrix, encode_fault_matrix, resolve_targets,
-    FaultMatrix, FaultModel, FaultRecord, FaultValue, Ptfiwrap, RunTrace, TraceEntry,
+    CoreError, FaultMatrix, FaultModel, FaultRecord, FaultValue, Ptfiwrap, RunTrace, TraceEntry,
 };
 use alfi_nn::models::{alexnet, ModelConfig};
 use alfi_rng::Rng;
@@ -177,26 +177,30 @@ fn single_byte_corruption_is_always_detected() {
     });
 }
 
+fn arb_trace(rng: &mut Rng, len: std::ops::Range<usize>) -> RunTrace {
+    let entries: Vec<TraceEntry> = gen::vec_of(rng, len, |rng| TraceEntry {
+        image_id: gen::any_u64(rng),
+        applied: AppliedFault {
+            record: arb_record(rng),
+            original: gen::any_f32(rng),
+            corrupted: gen::any_f32(rng),
+            direction: match rng.gen_range(0u8..3) {
+                0 => None,
+                1 => Some(FlipDirection::ZeroToOne),
+                _ => Some(FlipDirection::OneToZero),
+            },
+        },
+        output_nan_count: gen::any_u64(rng) as u32,
+        output_inf_count: gen::any_u64(rng) as u32,
+    });
+    RunTrace { entries }
+}
+
 /// Trace files round-trip arbitrary entries.
 #[test]
 fn trace_round_trips() {
     check_with(CASES, "trace_round_trips", |rng| {
-        let entries: Vec<TraceEntry> = gen::vec_of(rng, 0..40, |rng| TraceEntry {
-            image_id: gen::any_u64(rng),
-            applied: AppliedFault {
-                record: arb_record(rng),
-                original: gen::any_f32(rng),
-                corrupted: gen::any_f32(rng),
-                direction: match rng.gen_range(0u8..3) {
-                    0 => None,
-                    1 => Some(FlipDirection::ZeroToOne),
-                    _ => Some(FlipDirection::OneToZero),
-                },
-            },
-            output_nan_count: gen::any_u64(rng) as u32,
-            output_inf_count: gen::any_u64(rng) as u32,
-        });
-        let trace = RunTrace { entries };
+        let trace = arb_trace(rng, 0..40);
         let back = RunTrace::decode(&trace.encode()).unwrap();
         // NaN-containing floats break PartialEq; compare bitwise.
         assert_eq!(trace.entries.len(), back.entries.len());
@@ -357,6 +361,23 @@ fn iterator_yields_num_slots() {
         let mut wrapper = Ptfiwrap::new(&model, s, &model_cfg().input_dims(1)).unwrap();
         let slots = wrapper.fault_matrix().num_slots();
         assert_eq!(wrapper.fimodel_iter().count(), slots);
+    });
+}
+
+/// Any truncation of a trace file, and any single corrupted byte
+/// (header included), is a typed `trace` error, never a panic.
+#[test]
+fn trace_truncation_and_byte_corruption_are_always_detected() {
+    check_with(CASES, "trace_truncation_and_byte_corruption_are_always_detected", |rng| {
+        let mut bytes = arb_trace(rng, 0..20).encode();
+        if gen::any_bool(rng) {
+            bytes.truncate(rng.gen_range(0..bytes.len()));
+        } else {
+            let idx = rng.gen_range(0..bytes.len());
+            bytes[idx] ^= rng.gen_range(1u8..=255);
+        }
+        let err = RunTrace::decode(&bytes).unwrap_err();
+        assert!(matches!(err, CoreError::CorruptFile { kind: "trace", .. }), "{err}");
     });
 }
 

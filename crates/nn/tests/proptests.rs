@@ -4,9 +4,11 @@
 use alfi_check::{check_with, gen};
 use alfi_nn::detection::{match_detections, nms, BBox, Detection};
 use alfi_nn::models::{alexnet, ModelConfig};
-use alfi_nn::{Layer, LayerCtx, RestrictMode};
+use alfi_nn::weights::{decode_weights_into, encode_weights};
+use alfi_nn::{Layer, LayerCtx, NnError, RestrictMode};
 use alfi_rng::Rng;
 use alfi_tensor::Tensor;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 const CASES: usize = 64;
@@ -159,5 +161,30 @@ fn hook_mutation_equals_graph_mutation() {
         }
         let via_weights = scaled.forward(&x).unwrap();
         assert!(via_hook.max_abs_diff(&via_weights).unwrap() < 2e-2 * scale.max(1.0));
+    });
+}
+
+/// Any truncation of a checkpoint, and any single corrupted byte
+/// (header included), is a typed error, never a panic, and leaves the
+/// target network's parameters as they were.
+#[test]
+fn checkpoint_truncation_and_byte_corruption_are_rejected_without_mutation() {
+    let cfg = |seed| ModelConfig { input_hw: 16, width_mult: 0.0625, seed, ..ModelConfig::default() };
+    let saved = encode_weights(&alexnet(&cfg(1)));
+    let target = RefCell::new(alexnet(&cfg(2)));
+    let before = encode_weights(&target.borrow());
+    let name = "checkpoint_truncation_and_byte_corruption_are_rejected_without_mutation";
+    check_with(CASES, name, |rng| {
+        let mut bytes = saved.clone();
+        if gen::any_bool(rng) {
+            bytes.truncate(rng.gen_range(0..bytes.len()));
+        } else {
+            let idx = rng.gen_range(0..bytes.len());
+            bytes[idx] ^= rng.gen_range(1u8..=255);
+        }
+        let mut net = target.borrow_mut();
+        let err = decode_weights_into(&mut net, &bytes).unwrap_err();
+        assert!(matches!(err, NnError::InvalidGraph(_)), "{err}");
+        assert!(encode_weights(&net) == before, "a failed load changed the network");
     });
 }

@@ -498,6 +498,51 @@ mod tests {
     }
 
     #[test]
+    fn misplaced_records_and_out_of_range_fields_name_their_line() {
+        let header = "{\"event\":\"header\",\"format\":1}";
+        let summary = "{\"event\":\"summary\",\"items\":0,\"injections\":0,\"per_layer\":{},\
+                       \"per_bit\":{},\"outcomes\":{\"masked\":0,\"sdc\":0,\"due\":0},\
+                       \"nan\":0,\"inf\":0}";
+        let injection = |bit: &str| {
+            format!(
+                "{{\"event\":\"injection\",\"image_id\":0,\"layer\":1,\"bit\":{bit},\
+                 \"original\":1.0,\"corrupted\":2.0}}"
+            )
+        };
+        let stop = |stratum: &str, sdc_ci: &str, due_ci: &str| {
+            format!(
+                "{{\"event\":\"stop\",\"verdict\":\"retire\",\"stratum\":{stratum},\
+                 \"scope_index\":16,\"samples\":16,\"sdc\":1,\"due\":0,\"sdc_ci\":{sdc_ci},\
+                 \"due_ci\":{due_ci},\"half_width\":0.1}}"
+            )
+        };
+        let (h, s, ci) = (header, summary, "[0.0,0.2]");
+        let (inj, good_stop) = (injection("3"), stop("2", ci, ci));
+        EventLog::parse(&[h, &inj, &good_stop, s].join("\n")).unwrap();
+        let (bit_256, stratum_neg) = (injection("256"), stop("-1", ci, ci));
+        let (one_bound, three_bounds) = (stop("2", "[0.0]", ci), stop("2", ci, "[0.0,0.1,0.2]"));
+        // (log lines, line the error must name, word its message must hold)
+        let cases: [(&[&str], usize, &str); 10] = [
+            (&[h, h], 2, "header"),
+            (&[s, h], 2, "header"),
+            (&[&good_stop, h], 1, "stop"),
+            (&[h, s, &inj], 3, "injection"),
+            (&[h, s, &good_stop], 3, "stop"),
+            (&[h, s, s], 3, "summary"),
+            (&[h, &bit_256], 2, "bit"),
+            (&[h, &stratum_neg], 2, "stratum"),
+            (&[h, &one_bound], 2, "sdc_ci"),
+            (&[h, &three_bounds], 2, "due_ci"),
+        ];
+        for (lines, at, named) in cases {
+            let err = EventLog::parse(&lines.join("\n")).unwrap_err();
+            let named_line = matches!(err, EventLogError::Record { line, .. } if line == at);
+            assert!(named_line, "{lines:?}: {err}");
+            assert!(err.to_string().contains(named), "{lines:?}: {err}");
+        }
+    }
+
+    #[test]
     fn future_format_versions_are_rejected() {
         let err = EventLog::parse("{\"event\":\"header\",\"format\":999}\n").unwrap_err();
         assert!(matches!(err, EventLogError::Version { found: 999 }), "{err}");

@@ -19,7 +19,7 @@ use alfi::core::campaign::{ImgClassCampaign, RunConfig};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
-use alfi::trace::Recorder;
+use alfi::trace::{EventLog, EventLogError, Recorder};
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -117,4 +117,50 @@ fn saved_events_file_round_trips_the_log() {
     let on_disk = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
     assert_eq!(on_disk, rec.events_jsonl());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Truncating a pinned event log, replacing one of its characters, or
+/// dropping or duplicating one of its lines makes `EventLog::parse`
+/// return `Ok` or a typed error naming a line of the log, never panic.
+#[test]
+fn damaged_golden_logs_parse_or_fail_typed() {
+    let logs = ["events.jsonl", "stop_events.jsonl"]
+        .map(|name| std::fs::read_to_string(golden_dir().join(name)).unwrap());
+    for log in &logs {
+        EventLog::parse(log).unwrap();
+    }
+    let alphabet: Vec<char> = "{}[]\":,.-+0123456789eEnultrfasx \u{e9}\u{1F600}".chars().collect();
+    alfi_check::check("damaged_golden_logs_parse_or_fail_typed", |rng| {
+        let log = &logs[rng.gen_range(0usize..logs.len())];
+        let mut lines: Vec<&str> = log.lines().collect();
+        let damaged = match rng.gen_range(0u8..4) {
+            0 => {
+                let cut = rng.gen_range(0..log.len());
+                log[..log.floor_char_boundary(cut)].to_string()
+            }
+            1 => {
+                let chars: Vec<char> = log.chars().collect();
+                let at = rng.gen_range(0..chars.len());
+                let with = alphabet[rng.gen_range(0..alphabet.len())];
+                chars.iter().enumerate().map(|(i, &c)| if i == at { with } else { c }).collect()
+            }
+            2 => {
+                lines.remove(rng.gen_range(0..lines.len()));
+                lines.join("\n") + "\n"
+            }
+            _ => {
+                let at = rng.gen_range(0..lines.len());
+                lines.insert(at, lines[at]);
+                lines.join("\n") + "\n"
+            }
+        };
+        let line_count = damaged.lines().count().max(1);
+        match EventLog::parse(&damaged) {
+            Ok(_) | Err(EventLogError::Version { .. }) => {}
+            Err(EventLogError::Json { line, .. } | EventLogError::Record { line, .. }) => {
+                assert!((1..=line_count).contains(&line), "line {line} of {line_count}");
+            }
+            Err(e @ EventLogError::Io(_)) => panic!("parse reported an I/O error: {e}"),
+        }
+    });
 }
