@@ -4,211 +4,90 @@
 //! pre-generated fault matrix ("the identical set of faults can be
 //! utilized across various experiments") and a post-run trace with the
 //! original/altered values, bit-flip directions and NaN/Inf monitor
-//! counts for every applied fault. Both formats here are versioned,
-//! length-prefixed and CRC32-checksummed so that corrupted or truncated
-//! files are rejected instead of silently replaying wrong faults.
+//! counts for every applied fault. This module defines both body
+//! layouts; each file wraps its body in a sealed frame
+//! ([`alfi_store::frame`]: magic, version, body length, CRC32) so that
+//! corrupted or truncated files are rejected instead of silently
+//! replaying wrong faults.
 
 use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
 use crate::matrix::FaultMatrix;
 use alfi_scenario::InjectionTarget;
+use alfi_store::{frame, Cur, StoreError};
 use alfi_tensor::bits::FlipDirection;
 use std::path::Path;
 
 const FAULT_MAGIC: &[u8; 8] = b"ALFIFLT1";
 const TRACE_MAGIC: &[u8; 8] = b"ALFITRC1";
 const FORMAT_VERSION: u32 = 1;
+/// Encoded size of one fault record.
+const RECORD_LEN: usize = 36;
 
 pub use alfi_store::crc32;
 
-
-/// Little-endian write helpers over a plain `Vec<u8>` buffer — the
-/// in-tree replacement for the `bytes` crate, emitting byte-identical
-/// output.
-trait PutExt {
-    fn put_u8(&mut self, v: u8);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_f32_le(&mut self, v: f32);
-    fn put_slice(&mut self, v: &[u8]);
+/// Reports a frame or body decoding error as a corrupt `kind` file.
+fn corrupt(kind: &'static str) -> impl Fn(StoreError) -> CoreError {
+    move |e| CoreError::CorruptFile { kind, reason: e.reason().to_string() }
 }
 
-impl PutExt for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f32_le(&mut self, v: f32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_slice(&mut self, v: &[u8]) {
-        self.extend_from_slice(v);
+fn put_u32s(out: &mut Vec<u8>, values: &[usize]) {
+    for &v in values {
+        out.extend_from_slice(&(v as u32).to_le_bytes());
     }
 }
 
-/// Little-endian cursor over a byte slice.
-///
-/// Every `get_*` method is fallible: running past the end of the buffer
-/// yields a typed [`CoreError::CorruptFile`] naming the file kind, so a
-/// truncated or garbage file surfaces as an error instead of a panic.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    kind: &'static str,
+/// Appends one fault record: batch · layer · channel ·
+/// channel_in (u32 each) · depth flag (u8) + depth (u32) · height ·
+/// width (u32) · value tag · pos · high/bits (u8 each) · f32 operand.
+fn put_record(out: &mut Vec<u8>, r: &FaultRecord) {
+    put_u32s(out, &[r.batch, r.layer, r.channel, r.channel_in]);
+    out.push(u8::from(r.depth.is_some()));
+    put_u32s(out, &[r.depth.unwrap_or(0), r.height, r.width]);
+    let (tag, pos, high, operand) = match r.value {
+        FaultValue::BitFlip(p) => (0, p, 0, 0.0),
+        FaultValue::StuckAt { pos, high } => (1, pos, u8::from(high), 0.0),
+        FaultValue::Replace(v) => (2, 0, 0, v),
+        FaultValue::QuantStep { bit, bits, amax } => (3, bit, bits, amax),
+    };
+    out.extend_from_slice(&[tag, pos, high]);
+    out.extend_from_slice(&f32::to_le_bytes(operand));
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8], kind: &'static str) -> Self {
-        Reader { data, pos: 0, kind }
-    }
-
-    fn corrupt(&self, reason: impl Into<String>) -> CoreError {
-        CoreError::CorruptFile { kind: self.kind, reason: reason.into() }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// The not-yet-consumed tail (used for checksumming the body).
-    fn rest(&self) -> &'a [u8] {
-        &self.data[self.pos..]
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        if self.remaining() < n {
-            return Err(self.corrupt(format!(
-                "truncated: need {n} more bytes, have {}",
-                self.remaining()
-            )));
-        }
-        let chunk = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(chunk)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, CoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u32_le(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap_or([0; 4])))
-    }
-
-    fn get_u64_le(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap_or([0; 8])))
-    }
-
-    fn get_f32_le(&mut self) -> Result<f32, CoreError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap_or([0; 4])))
-    }
-}
-
-fn put_record(buf: &mut Vec<u8>, r: &FaultRecord) {
-    buf.put_u32_le(r.batch as u32);
-    buf.put_u32_le(r.layer as u32);
-    buf.put_u32_le(r.channel as u32);
-    buf.put_u32_le(r.channel_in as u32);
-    match r.depth {
-        Some(d) => {
-            buf.put_u8(1);
-            buf.put_u32_le(d as u32);
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-        }
-    }
-    buf.put_u32_le(r.height as u32);
-    buf.put_u32_le(r.width as u32);
-    match r.value {
-        FaultValue::BitFlip(p) => {
-            buf.put_u8(0);
-            buf.put_u8(p);
-            buf.put_u8(0);
-            buf.put_f32_le(0.0);
-        }
-        FaultValue::StuckAt { pos, high } => {
-            buf.put_u8(1);
-            buf.put_u8(pos);
-            buf.put_u8(u8::from(high));
-            buf.put_f32_le(0.0);
-        }
-        FaultValue::Replace(v) => {
-            buf.put_u8(2);
-            buf.put_u8(0);
-            buf.put_u8(0);
-            buf.put_f32_le(v);
-        }
-        FaultValue::QuantStep { bit, bits, amax } => {
-            buf.put_u8(3);
-            buf.put_u8(bit);
-            buf.put_u8(bits);
-            buf.put_f32_le(amax);
-        }
-    }
-}
-
-fn get_record(buf: &mut Reader<'_>) -> Result<FaultRecord, CoreError> {
-    let batch = buf.get_u32_le()? as usize;
-    let layer = buf.get_u32_le()? as usize;
-    let channel = buf.get_u32_le()? as usize;
-    let channel_in = buf.get_u32_le()? as usize;
-    let has_depth = buf.get_u8()?;
-    let depth_v = buf.get_u32_le()? as usize;
-    let height = buf.get_u32_le()? as usize;
-    let width = buf.get_u32_le()? as usize;
-    let tag = buf.get_u8()?;
-    let pos = buf.get_u8()?;
-    let high = buf.get_u8()?;
-    let fval = buf.get_f32_le()?;
+fn get_record(cur: &mut Cur<'_>) -> Result<FaultRecord, StoreError> {
+    let (batch, layer) = (cur.get_u32_le()? as usize, cur.get_u32_le()? as usize);
+    let (channel, channel_in) = (cur.get_u32_le()? as usize, cur.get_u32_le()? as usize);
+    let has_depth = cur.get_u8()? != 0;
+    let depth = cur.get_u32_le()? as usize;
+    let (height, width) = (cur.get_u32_le()? as usize, cur.get_u32_le()? as usize);
+    let (tag, pos, high) = (cur.get_u8()?, cur.get_u8()?, cur.get_u8()?);
+    let operand = cur.get_f32_le()?;
     let value = match tag {
         0 => FaultValue::BitFlip(pos),
         1 => FaultValue::StuckAt { pos, high: high != 0 },
-        2 => FaultValue::Replace(fval),
-        3 => FaultValue::QuantStep { bit: pos, bits: high, amax: fval },
-        t => return Err(buf.corrupt(format!("unknown value tag {t}"))),
+        2 => FaultValue::Replace(operand),
+        3 => FaultValue::QuantStep { bit: pos, bits: high, amax: operand },
+        t => return Err(StoreError::corrupt(format!("unknown value tag {t}"))),
     };
-    Ok(FaultRecord {
-        batch,
-        layer,
-        channel,
-        channel_in,
-        depth: (has_depth != 0).then_some(depth_v),
-        height,
-        width,
-        value,
-    })
+    let depth = has_depth.then_some(depth);
+    Ok(FaultRecord { batch, layer, channel, channel_in, depth, height, width, value })
 }
 
-/// Serializes a fault matrix to its binary wire form.
+/// Serializes a fault matrix to its binary wire form: a sealed frame
+/// ([`alfi_store::frame`]) around target (u8) · faults per image (u32)
+/// · record count (u64) · records.
 pub fn encode_fault_matrix(m: &FaultMatrix) -> Vec<u8> {
-    let mut body: Vec<u8> = Vec::new();
-    body.put_u8(match m.target {
+    let mut body = Vec::new();
+    body.push(match m.target {
         InjectionTarget::Neurons => 0,
         InjectionTarget::Weights => 1,
     });
-    body.put_u32_le(m.faults_per_image as u32);
-    body.put_u64_le(m.records.len() as u64);
+    put_u32s(&mut body, &[m.faults_per_image]);
+    body.extend_from_slice(&(m.records.len() as u64).to_le_bytes());
     for r in &m.records {
         put_record(&mut body, r);
     }
-    let mut out: Vec<u8> = Vec::new();
-    out.put_slice(FAULT_MAGIC);
-    out.put_u32_le(FORMAT_VERSION);
-    out.put_u64_le(body.len() as u64);
-    out.put_u32_le(crc32(&body));
-    out.put_slice(&body);
-    out
+    frame::seal(FAULT_MAGIC, FORMAT_VERSION, &body)
 }
 
 /// Parses a binary fault matrix, validating magic, version, length and
@@ -218,41 +97,23 @@ pub fn encode_fault_matrix(m: &FaultMatrix) -> Vec<u8> {
 ///
 /// Returns [`CoreError::CorruptFile`] for any structural damage.
 pub fn decode_fault_matrix(data: &[u8]) -> Result<FaultMatrix, CoreError> {
-    let mut buf = Reader::new(data, "fault");
-    let magic = buf.take(8)?;
-    if magic != FAULT_MAGIC {
-        return Err(buf.corrupt("bad magic"));
-    }
-    let version = buf.get_u32_le()?;
-    if version != FORMAT_VERSION {
-        return Err(buf.corrupt(format!("unsupported version {version}")));
-    }
-    let body_len = buf.get_u64_le()? as usize;
-    let checksum = buf.get_u32_le()?;
-    if buf.remaining() != body_len {
-        return Err(buf.corrupt(format!(
-            "body length mismatch: header says {body_len}, got {}",
-            buf.remaining()
-        )));
-    }
-    if crc32(buf.rest()) != checksum {
-        return Err(buf.corrupt("checksum mismatch"));
-    }
-    let target = match buf.get_u8()? {
-        0 => InjectionTarget::Neurons,
-        1 => InjectionTarget::Weights,
-        t => return Err(buf.corrupt(format!("unknown target tag {t}"))),
+    let read = || {
+        let mut cur = Cur::new(frame::open(data, FAULT_MAGIC, FORMAT_VERSION)?);
+        let target = match cur.get_u8()? {
+            0 => InjectionTarget::Neurons,
+            1 => InjectionTarget::Weights,
+            t => return Err(StoreError::corrupt(format!("unknown target tag {t}"))),
+        };
+        let faults_per_image = cur.get_u32_le()? as usize;
+        let n = cur.get_u64_le()? as usize;
+        let mut records = Vec::with_capacity(n.min(cur.remaining() / RECORD_LEN));
+        for _ in 0..n {
+            records.push(get_record(&mut cur)?);
+        }
+        cur.done("fault matrix")?;
+        Ok(FaultMatrix { records, target, faults_per_image })
     };
-    let faults_per_image = buf.get_u32_le()? as usize;
-    let n = buf.get_u64_le()? as usize;
-    let mut records = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        records.push(get_record(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(buf.corrupt("trailing bytes"));
-    }
-    Ok(FaultMatrix { records, target, faults_per_image })
+    read().map_err(corrupt("fault"))
 }
 
 /// Writes a fault matrix to a file.
@@ -334,30 +195,28 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Serializes the trace to its binary wire form.
+    /// Serializes the trace to its binary wire form: a sealed frame
+    /// ([`alfi_store::frame`]) around the entry count (u64) and, per
+    /// entry, image id (u64) · fault record (as in a fault matrix) ·
+    /// original · corrupted (f32) · flip direction (u8) · output NaN
+    /// and Inf counts (u32).
     pub fn encode(&self) -> Vec<u8> {
-        let mut body: Vec<u8> = Vec::new();
-        body.put_u64_le(self.entries.len() as u64);
+        let mut body = Vec::new();
+        body.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         for e in &self.entries {
-            body.put_u64_le(e.image_id);
+            body.extend_from_slice(&e.image_id.to_le_bytes());
             put_record(&mut body, &e.applied.record);
-            body.put_f32_le(e.applied.original);
-            body.put_f32_le(e.applied.corrupted);
-            body.put_u8(match e.applied.direction {
+            body.extend_from_slice(&e.applied.original.to_le_bytes());
+            body.extend_from_slice(&e.applied.corrupted.to_le_bytes());
+            body.push(match e.applied.direction {
                 None => 0,
                 Some(FlipDirection::ZeroToOne) => 1,
                 Some(FlipDirection::OneToZero) => 2,
             });
-            body.put_u32_le(e.output_nan_count);
-            body.put_u32_le(e.output_inf_count);
+            body.extend_from_slice(&e.output_nan_count.to_le_bytes());
+            body.extend_from_slice(&e.output_inf_count.to_le_bytes());
         }
-        let mut out: Vec<u8> = Vec::new();
-        out.put_slice(TRACE_MAGIC);
-        out.put_u32_le(FORMAT_VERSION);
-        out.put_u64_le(body.len() as u64);
-        out.put_u32_le(crc32(&body));
-        out.put_slice(&body);
-        out
+        frame::seal(TRACE_MAGIC, FORMAT_VERSION, &body)
     }
 
     /// Parses and validates a binary trace.
@@ -366,49 +225,31 @@ impl RunTrace {
     ///
     /// Returns [`CoreError::CorruptFile`] for any structural damage.
     pub fn decode(data: &[u8]) -> Result<RunTrace, CoreError> {
-        let mut buf = Reader::new(data, "trace");
-        let magic = buf.take(8)?;
-        if magic != TRACE_MAGIC {
-            return Err(buf.corrupt("bad magic"));
-        }
-        let version = buf.get_u32_le()?;
-        if version != FORMAT_VERSION {
-            return Err(buf.corrupt(format!("unsupported version {version}")));
-        }
-        let body_len = buf.get_u64_le()? as usize;
-        let checksum = buf.get_u32_le()?;
-        if buf.remaining() != body_len {
-            return Err(buf.corrupt("body length mismatch"));
-        }
-        if crc32(buf.rest()) != checksum {
-            return Err(buf.corrupt("checksum mismatch"));
-        }
-        let n = buf.get_u64_le()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let image_id = buf.get_u64_le()?;
-            let record = get_record(&mut buf)?;
-            let original = buf.get_f32_le()?;
-            let corrupted = buf.get_f32_le()?;
-            let direction = match buf.get_u8()? {
-                0 => None,
-                1 => Some(FlipDirection::ZeroToOne),
-                2 => Some(FlipDirection::OneToZero),
-                t => return Err(buf.corrupt(format!("unknown direction tag {t}"))),
-            };
-            let output_nan_count = buf.get_u32_le()?;
-            let output_inf_count = buf.get_u32_le()?;
-            entries.push(TraceEntry {
-                image_id,
-                applied: AppliedFault { record, original, corrupted, direction },
-                output_nan_count,
-                output_inf_count,
-            });
-        }
-        if buf.has_remaining() {
-            return Err(buf.corrupt("trailing bytes"));
-        }
-        Ok(RunTrace { entries })
+        let read = || {
+            let mut cur = Cur::new(frame::open(data, TRACE_MAGIC, FORMAT_VERSION)?);
+            let n = cur.get_u64_le()? as usize;
+            let mut entries = Vec::with_capacity(n.min(cur.remaining() / RECORD_LEN));
+            for _ in 0..n {
+                let image_id = cur.get_u64_le()?;
+                let record = get_record(&mut cur)?;
+                let (original, corrupted) = (cur.get_f32_le()?, cur.get_f32_le()?);
+                let direction = match cur.get_u8()? {
+                    0 => None,
+                    1 => Some(FlipDirection::ZeroToOne),
+                    2 => Some(FlipDirection::OneToZero),
+                    t => return Err(StoreError::corrupt(format!("unknown direction tag {t}"))),
+                };
+                entries.push(TraceEntry {
+                    image_id,
+                    applied: AppliedFault { record, original, corrupted, direction },
+                    output_nan_count: cur.get_u32_le()?,
+                    output_inf_count: cur.get_u32_le()?,
+                });
+            }
+            cur.done("trace")?;
+            Ok(RunTrace { entries })
+        };
+        read().map_err(corrupt("trace"))
     }
 
     /// Writes the trace to a file.

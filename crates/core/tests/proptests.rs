@@ -13,6 +13,7 @@ use alfi_rng::Rng;
 use alfi_scenario::{
     FaultCount, FaultDuration, FaultMode, InjectionPolicy, InjectionTarget, LayerOverride, Scenario,
 };
+use alfi_store::frame;
 use alfi_tensor::bits::FlipDirection;
 use std::collections::BTreeMap;
 
@@ -378,6 +379,35 @@ fn trace_truncation_and_byte_corruption_are_always_detected() {
         }
         let err = RunTrace::decode(&bytes).unwrap_err();
         assert!(matches!(err, CoreError::CorruptFile { kind: "trace", .. }), "{err}");
+    });
+}
+
+/// A fault matrix or trace whose body is damaged under a valid frame
+/// (one byte changed, checksum recomputed) decodes or fails with a
+/// typed error of its kind, never panics.
+#[test]
+fn body_damage_under_a_valid_frame_never_panics() {
+    check_with(CASES, "body_damage_under_a_valid_frame_never_panics", |rng| {
+        let matrix = FaultMatrix {
+            records: gen::vec_of(rng, 0..20, arb_record),
+            target: InjectionTarget::Weights,
+            faults_per_image: 1,
+        };
+        let files = [encode_fault_matrix(&matrix), arb_trace(rng, 0..20).encode()];
+        for (sealed, kind) in files.iter().zip(["fault", "trace"]) {
+            let mut body = sealed[24..].to_vec();
+            let idx = rng.gen_range(0..body.len());
+            body[idx] ^= rng.gen_range(1u8..=255);
+            let magic: &[u8; 8] = sealed[..8].try_into().unwrap();
+            let damaged = frame::seal(magic, 1, &body);
+            let err = match kind {
+                "fault" => decode_fault_matrix(&damaged).err(),
+                _ => RunTrace::decode(&damaged).err(),
+            };
+            if let Some(err) = err {
+                assert!(matches!(err, CoreError::CorruptFile { kind: k, .. } if k == kind), "{err}");
+            }
+        }
     });
 }
 

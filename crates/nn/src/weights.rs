@@ -2,9 +2,10 @@
 //!
 //! Enables the paper's workflow split — train (or otherwise obtain) a
 //! model once, persist its parameters, and reload them for any number of
-//! fault-injection campaigns. The format is versioned, length-prefixed
-//! and checksummed like the fault-matrix files, and validates that the
-//! target network's layer names and shapes match before touching any
+//! fault-injection campaigns. A checkpoint is a sealed frame
+//! ([`alfi_store::frame`]: magic, version, body length, CRC32) like the
+//! fault-matrix and trace files, and loading validates that the target
+//! network's layer names and shapes match before touching any
 //! parameter, so a checkpoint can never be silently loaded into the
 //! wrong architecture.
 //!
@@ -14,13 +15,14 @@
 use crate::error::NnError;
 use crate::graph::Network;
 use crate::layer::Layer;
-use alfi_store::crc32;
+use alfi_store::{frame, Cur, StoreError};
 use alfi_tensor::Tensor;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ALFIWGT1";
 const VERSION: u32 = 1;
 
+/// Appends rank (u32) · dims (u64 each) · elements (f32 each).
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     out.extend_from_slice(&(t.rank() as u32).to_le_bytes());
     for &d in t.dims() {
@@ -36,59 +38,29 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+fn get_str(cur: &mut Cur<'_>) -> Result<String, StoreError> {
+    let len = cur.get_u32_le()? as usize;
+    String::from_utf8(cur.take(len)?.to_vec())
+        .map_err(|_| StoreError::corrupt("invalid utf-8 layer name"))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NnError> {
-        if self.pos + n > self.data.len() {
-            return Err(NnError::InvalidGraph("weight file truncated".into()));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn get_tensor(cur: &mut Cur<'_>) -> Result<Tensor, StoreError> {
+    let rank = cur.get_u32_le()? as usize;
+    if rank > 8 {
+        return Err(StoreError::corrupt(format!("implausible tensor rank {rank}")));
     }
-
-    fn u32(&mut self) -> Result<u32, NnError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    let dims: Vec<usize> =
+        (0..rank).map(|_| cur.get_u64_le().map(|d| d as usize)).collect::<Result<_, _>>()?;
+    let n = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|&n| n <= 1 << 28)
+        .ok_or_else(|| StoreError::corrupt("implausible tensor size"))?;
+    let mut data = Vec::with_capacity(n.min(cur.remaining() / 4));
+    for _ in 0..n {
+        data.push(cur.get_f32_le()?);
     }
-
-    fn u64(&mut self) -> Result<u64, NnError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, NnError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn string(&mut self) -> Result<String, NnError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| NnError::InvalidGraph("weight file holds invalid utf-8 name".into()))
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, NnError> {
-        let rank = self.u32()? as usize;
-        if rank > 8 {
-            return Err(NnError::InvalidGraph(format!("implausible tensor rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u64()? as usize);
-        }
-        let n: usize = dims.iter().product();
-        if n > 1 << 28 {
-            return Err(NnError::InvalidGraph("implausible tensor size".into()));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f32()?);
-        }
-        Ok(Tensor::from_vec(data, &dims)?)
-    }
+    Tensor::from_vec(data, &dims).map_err(|e| StoreError::corrupt(e.to_string()))
 }
 
 /// The parameter tensors of one node in a checkpoint.
@@ -184,7 +156,10 @@ fn apply_tensors(layer: &mut Layer, tensors: &[Tensor], name: &str) -> Result<()
     Ok(())
 }
 
-/// Serializes all parameters of a network to the checkpoint wire format.
+/// Serializes all parameters of a network to the checkpoint wire
+/// format: a sealed frame ([`alfi_store::frame`]) around the model
+/// name · entry count (u32) and, per parameterized node, its name ·
+/// tensor count (u32) · tensors. Strings are a u32 length and UTF-8.
 pub fn encode_weights(net: &Network) -> Vec<u8> {
     let entries: Vec<Entry> = net
         .nodes()
@@ -203,13 +178,25 @@ pub fn encode_weights(net: &Network) -> Vec<u8> {
             put_tensor(&mut body, t);
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 24);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    frame::seal(MAGIC, VERSION, &body)
+}
+
+fn read_entries(data: &[u8]) -> Result<Vec<Entry>, StoreError> {
+    let mut cur = Cur::new(frame::open(data, MAGIC, VERSION)?);
+    let _model_name = get_str(&mut cur)?;
+    let n_entries = cur.get_u32_le()? as usize;
+    let mut entries = Vec::with_capacity(n_entries.min(1 << 16));
+    for _ in 0..n_entries {
+        let name = get_str(&mut cur)?;
+        let n_tensors = cur.get_u32_le()? as usize;
+        if n_tensors > 8 {
+            return Err(StoreError::corrupt("implausible tensor count"));
+        }
+        let tensors = (0..n_tensors).map(|_| get_tensor(&mut cur)).collect::<Result<_, _>>()?;
+        entries.push(Entry { name, tensors });
+    }
+    cur.done("weight file")?;
+    Ok(entries)
 }
 
 /// Loads checkpoint bytes into a network whose architecture must match
@@ -220,39 +207,8 @@ pub fn encode_weights(net: &Network) -> Vec<u8> {
 /// Returns [`NnError::InvalidGraph`] for corrupt files or any
 /// architecture mismatch. On error the network is left unmodified.
 pub fn decode_weights_into(net: &mut Network, data: &[u8]) -> Result<(), NnError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(8)? != MAGIC {
-        return Err(NnError::InvalidGraph("not an ALFI weight file".into()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(NnError::InvalidGraph(format!("unsupported weight file version {version}")));
-    }
-    let body_len = r.u64()? as usize;
-    let checksum = r.u32()?;
-    let body = r.take(body_len)?;
-    if r.pos != data.len() {
-        return Err(NnError::InvalidGraph("trailing bytes in weight file".into()));
-    }
-    if crc32(body) != checksum {
-        return Err(NnError::InvalidGraph("weight file checksum mismatch".into()));
-    }
-    let mut r = Reader { data: body, pos: 0 };
-    let _model_name = r.string()?;
-    let n_entries = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(1 << 16));
-    for _ in 0..n_entries {
-        let name = r.string()?;
-        let n_tensors = r.u32()? as usize;
-        if n_tensors > 8 {
-            return Err(NnError::InvalidGraph("implausible tensor count".into()));
-        }
-        let mut tensors = Vec::with_capacity(n_tensors);
-        for _ in 0..n_tensors {
-            tensors.push(r.tensor()?);
-        }
-        entries.push(Entry { name, tensors });
-    }
+    let entries = read_entries(data)
+        .map_err(|e| NnError::InvalidGraph(format!("corrupt weight file: {}", e.reason())))?;
 
     // Validate the full mapping before mutating anything.
     let param_nodes: Vec<usize> = net

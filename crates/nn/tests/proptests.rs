@@ -7,6 +7,7 @@ use alfi_nn::models::{alexnet, ModelConfig};
 use alfi_nn::weights::{decode_weights_into, encode_weights};
 use alfi_nn::{Layer, LayerCtx, NnError, RestrictMode};
 use alfi_rng::Rng;
+use alfi_store::frame;
 use alfi_tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -186,5 +187,27 @@ fn checkpoint_truncation_and_byte_corruption_are_rejected_without_mutation() {
         let err = decode_weights_into(&mut net, &bytes).unwrap_err();
         assert!(matches!(err, NnError::InvalidGraph(_)), "{err}");
         assert!(encode_weights(&net) == before, "a failed load changed the network");
+    });
+}
+
+/// A checkpoint whose body is damaged under a valid frame (one byte
+/// changed, checksum recomputed) loads or fails with a typed error,
+/// never panics; a failed load leaves the network unchanged.
+#[test]
+fn checkpoint_body_damage_under_a_valid_frame_never_panics() {
+    let cfg = |seed| ModelConfig { input_hw: 16, width_mult: 0.0625, seed, ..ModelConfig::default() };
+    let saved = encode_weights(&alexnet(&cfg(1)));
+    let body = &saved[24..];
+    let target = alexnet(&cfg(2));
+    let before = encode_weights(&target);
+    check_with(CASES, "checkpoint_body_damage_under_a_valid_frame_never_panics", |rng| {
+        // Half the cases hit the first entry's name and dims.
+        let reach = if gen::any_bool(rng) { 256 } else { body.len() };
+        let mut damaged = body.to_vec();
+        damaged[rng.gen_range(0..reach)] ^= rng.gen_range(1u8..=255);
+        let mut net = target.clone();
+        if decode_weights_into(&mut net, &frame::seal(b"ALFIWGT1", 1, &damaged)).is_err() {
+            assert!(encode_weights(&net) == before, "a failed load changed the network");
+        }
     });
 }

@@ -17,24 +17,32 @@ pub(crate) const TRAILER_LEN: u64 = 32;
 /// Serialized size of one [`IndexEntry`].
 pub(crate) const INDEX_ENTRY_LEN: usize = 48;
 
-/// Fallible little-endian cursor over a byte slice. Unlike the
-/// panicking reader in `alfi-core::persist`, every accessor returns a
-/// typed [`StoreError::Corrupt`] on truncation.
-pub(crate) struct Cur<'a> {
+/// Fallible little-endian cursor over a byte slice: every accessor
+/// returns a typed [`StoreError::Corrupt`] on truncation, never
+/// panics. The store's codec and the bodies of
+/// [sealed frames](crate::frame) are read with it.
+pub struct Cur<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cur<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
+    /// A cursor at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
         Cur { data, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+    /// Consumes the next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::corrupt(format!(
                 "truncated: wanted {n} bytes, {} left",
@@ -46,16 +54,41 @@ impl<'a> Cur<'a> {
         Ok(chunk)
     }
 
-    pub(crate) fn get_u8(&mut self) -> Result<u8, StoreError> {
+    /// Consumes one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] at the end of the data.
+    pub fn get_u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn get_u32_le(&mut self) -> Result<u32, StoreError> {
+    /// Consumes a little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when fewer than 4 bytes remain.
+    pub fn get_u32_le(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap_or([0; 4])))
     }
 
-    pub(crate) fn get_u64_le(&mut self) -> Result<u64, StoreError> {
+    /// Consumes a little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when fewer than 8 bytes remain.
+    pub fn get_u64_le(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap_or([0; 8])))
+    }
+
+    /// Consumes a little-endian `f32`, bit-exactly (NaN payloads
+    /// included).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when fewer than 4 bytes remain.
+    pub fn get_f32_le(&mut self) -> Result<f32, StoreError> {
+        self.get_u32_le().map(f32::from_bits)
     }
 
     pub(crate) fn get_uvarint(&mut self) -> Result<u64, StoreError> {
@@ -77,8 +110,12 @@ impl<'a> Cur<'a> {
         }
     }
 
-    /// Asserts the cursor consumed everything.
-    pub(crate) fn done(&self, what: &str) -> Result<(), StoreError> {
+    /// Checks that the cursor consumed everything.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] naming `what` when bytes remain.
+    pub fn done(&self, what: &str) -> Result<(), StoreError> {
         if self.remaining() != 0 {
             return Err(StoreError::corrupt(format!(
                 "{what}: {} trailing bytes",
@@ -408,8 +445,7 @@ pub(crate) fn decode_column(
         }
         (Encoding::Plain, ColumnType::F32) => {
             for _ in 0..rows {
-                let bits = cur.take(4)?;
-                out.push(Value::F32(f32::from_le_bytes(bits.try_into().unwrap_or([0; 4]))));
+                out.push(Value::F32(cur.get_f32_le()?));
             }
         }
         (Encoding::Plain, ColumnType::Str) => {

@@ -55,4 +55,16 @@ impl StoreError {
     pub fn schema(reason: impl Into<String>) -> Self {
         StoreError::Schema { reason: reason.into() }
     }
+
+    /// The message without the `store` prefix [`Display`](fmt::Display)
+    /// adds — for owners of other formats that read with
+    /// [`Cur`](crate::Cur) or [`frame::open`](crate::frame::open) and
+    /// report under their own error type.
+    pub fn reason(&self) -> &str {
+        match self {
+            StoreError::Io(reason)
+            | StoreError::Corrupt { reason }
+            | StoreError::Schema { reason } => reason,
+        }
+    }
 }

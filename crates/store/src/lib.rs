@@ -59,11 +59,12 @@
 
 mod codec;
 mod error;
+pub mod frame;
 mod reader;
 mod schema;
 mod writer;
 
-pub use codec::ColumnStats;
+pub use codec::{ColumnStats, Cur};
 pub use error::StoreError;
 pub use reader::{Row, StoreReader};
 pub use schema::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, Value};
@@ -73,9 +74,10 @@ pub use writer::{StoreStats, StoreWriter, DEFAULT_BLOCK_ROWS};
 /// slice.
 ///
 /// Implemented locally — no checksum crate ships with the offline
-/// toolchain. This is the workspace's single CRC implementation:
-/// `alfi-core::persist` re-exports it for the fault-matrix and trace
-/// file formats, and `alfi-nn` checksums weight checkpoints with it.
+/// toolchain. This is the workspace's single CRC implementation: the
+/// store's header, blocks and index and every [sealed frame](frame)
+/// (fault matrices, run traces, weight checkpoints) are checksummed
+/// with it.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
