@@ -530,7 +530,7 @@ impl FromJson for f64 {
         match v {
             // Non-finite floats serialize as null; decode them back as NaN.
             Json::Null => Ok(f64::NAN),
-            _ => v.as_f64().ok_or_else(|| JsonError::new("expected number for f64")),
+            _ => v.as_f64().ok_or_else(|| JsonError::new("not a number")),
         }
     }
 }
@@ -613,6 +613,21 @@ impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
     }
 }
 
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_arr().ok_or_else(|| JsonError::new("expected array"))? {
+            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
+            items => Err(JsonError::new(format!("expected a pair, got {} items", items.len()))),
+        }
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -655,11 +670,12 @@ impl<K: std::str::FromStr + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] if the key is absent or the value mistyped.
+/// Returns [`JsonError`] naming the field if the key is absent or the
+/// value mistyped.
 pub fn from_field<T: FromJson>(obj: &Json, key: &str) -> Result<T, JsonError> {
     match obj.get(key) {
-        Some(v) => T::from_json(v),
-        None => Err(JsonError::new(format!("missing field '{key}'"))),
+        Some(v) => T::from_json(v).map_err(|e| JsonError::new(format!("field `{key}`: {}", e.msg))),
+        None => Err(JsonError::new(format!("missing field `{key}`"))),
     }
 }
 
@@ -789,6 +805,25 @@ mod tests {
     fn json_struct_missing_field_is_error() {
         let v = Json::parse("{\"id\": 1}").unwrap();
         assert!(Demo::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn field_errors_name_the_field() {
+        let v = Json::parse("{\"id\": -1}").unwrap();
+        let err = from_field::<u64>(&v, "id").unwrap_err().to_string();
+        assert!(err.contains("field `id`: integer out of range"), "{err}");
+        let err = from_field::<u64>(&v, "name").unwrap_err().to_string();
+        assert!(err.contains("missing field `name`"), "{err}");
+    }
+
+    #[test]
+    fn pairs_round_trip_and_need_exactly_two_items() {
+        let pair = (0.25f64, 7u32);
+        assert_eq!(pair.to_json().compact(), "[0.25,7]");
+        assert_eq!(<(f64, u32)>::from_json(&pair.to_json()).unwrap(), pair);
+        for text in ["[]", "[0.5]", "[0.5,1,2]", "{}"] {
+            assert!(<(f64, u32)>::from_json(&Json::parse(text).unwrap()).is_err(), "{text}");
+        }
     }
 
     #[test]

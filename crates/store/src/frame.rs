@@ -83,11 +83,9 @@ mod tests {
         let reason = |data: &[u8]| open(data, b"TESTFRM1", 3).unwrap_err().reason().to_string();
         assert_eq!(reason(&seal(b"OTHERFM1", 3, b"payload")), "bad magic");
         assert_eq!(reason(&seal(b"TESTFRM1", 4, b"payload")), "unsupported version 4");
-        assert_eq!(
-            reason(&sealed[..sealed.len() - 1]),
-            "body length mismatch: header says 7, got 6"
-        );
-        assert_eq!(reason(&[&sealed[..], b"!"].concat()), "body length mismatch: header says 7, got 8");
+        let (short, long) = (&sealed[..sealed.len() - 1], [&sealed[..], b"!"].concat());
+        assert_eq!(reason(short), "body length mismatch: header says 7, got 6");
+        assert_eq!(reason(&long), "body length mismatch: header says 7, got 8");
         let mut flipped = sealed.clone();
         flipped[HEADER_LEN] ^= 0x20;
         assert_eq!(reason(&flipped), "checksum mismatch");

@@ -9,7 +9,6 @@
 
 use crate::{OutcomeTallies, StopVerdict};
 use alfi_metrics::{names, Class, Counter, Histogram, Registry};
-use alfi_serde::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -44,21 +43,6 @@ alfi_serde::json_struct!(RunCounts {
     nan,
     inf
 });
-
-impl RunCounts {
-    /// The event log's closing `summary` record: the counts behind an
-    /// `event` tag. [`EventLog::parse`](crate::EventLog::parse) reads
-    /// them back with the same field list.
-    pub(crate) fn summary_record(&self) -> Json {
-        match self.to_json() {
-            Json::Obj(fields) => {
-                let tag = ("event".to_string(), Json::Str("summary".into()));
-                Json::Obj(std::iter::once(tag).chain(fields).collect())
-            }
-            other => other,
-        }
-    }
-}
 
 /// The run's counter set: pre-resolved handles on a [`Registry`],
 /// registered once per run. Cloning shares the handles.

@@ -73,9 +73,9 @@ mod counts;
 mod reader;
 
 pub use counts::{CampaignCounters, RunCounts};
-pub use reader::{EventHeader, EventLog, EventLogError, EventStopRecord};
+pub use reader::{EventHeader, EventLog, EventLogError};
 
-use alfi_serde::Json;
+use alfi_serde::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -170,6 +170,8 @@ pub struct RunMeta {
     pub threads: usize,
 }
 
+alfi_serde::json_struct!(RunMeta { campaign, model, scenario_hash, seed, threads });
+
 /// One applied fault, in deterministic row order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionEvent {
@@ -184,6 +186,8 @@ pub struct InjectionEvent {
     /// Value after corruption.
     pub corrupted: f32,
 }
+
+alfi_serde::json_struct!(InjectionEvent { image_id, layer, bit, original, corrupted });
 
 /// The verdict of one statistical stop decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,6 +205,23 @@ impl StopVerdict {
         match self {
             StopVerdict::StopCampaign => "stop",
             StopVerdict::RetireStratum => "retire",
+        }
+    }
+}
+
+impl ToJson for StopVerdict {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().into())
+    }
+}
+
+impl FromJson for StopVerdict {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some("stop") => Ok(StopVerdict::StopCampaign),
+            Some("retire") => Ok(StopVerdict::RetireStratum),
+            Some(other) => Err(JsonError::new(format!("unknown stop verdict `{other}`"))),
+            None => Err(JsonError::new("expected string")),
         }
     }
 }
@@ -233,6 +254,18 @@ pub struct StopEvent {
     /// policy target.
     pub half_width: f64,
 }
+
+alfi_serde::json_struct!(StopEvent {
+    verdict,
+    stratum,
+    scope_index,
+    samples,
+    sdc,
+    due,
+    sdc_ci,
+    due_ci,
+    half_width
+});
 
 /// Achieved-vs-requested precision of an early-stop campaign, surfaced
 /// in [`TraceSummary::stop`] and the final report.
@@ -690,80 +723,29 @@ impl Recorder {
     /// Renders the structured event log: one JSON object per line —
     /// the replay header, every injection event in recorded order, the
     /// stop decisions, and a closing summary record of the run's
-    /// [`RunCounts`]. Contains no timing data, so the log is
-    /// byte-identical across thread counts except for the header's
-    /// `threads` field.
+    /// [`RunCounts`]. Each record is an `event` tag followed by the
+    /// `json_struct!` fields of its type ([`RunMeta`] after the header's
+    /// `format`, [`InjectionEvent`], [`StopEvent`], [`RunCounts`]), the
+    /// list [`EventLog::parse`] reads it back with. Contains no timing
+    /// data, so the log is byte-identical across thread counts except
+    /// for the header's `threads` field.
     ///
     /// Disabled recorders return an empty string.
     pub fn events_jsonl(&self) -> String {
         let Some(inner) = &self.inner else { return String::new() };
         let mut out = String::new();
-
-        let meta = lock(&inner.meta).clone();
-        let mut header = vec![
-            ("event".to_string(), Json::Str("header".into())),
-            ("format".to_string(), Json::Int(EVENT_FORMAT_VERSION as i128)),
-        ];
-        if let Some(m) = meta {
-            header.push(("campaign".to_string(), Json::Str(m.campaign)));
-            header.push(("model".to_string(), Json::Str(m.model)));
-            header.push(("scenario_hash".to_string(), Json::Str(m.scenario_hash)));
-            header.push(("seed".to_string(), Json::Int(m.seed as i128)));
-            header.push(("threads".to_string(), Json::Int(m.threads as i128)));
+        let mut header = vec![("format".to_string(), EVENT_FORMAT_VERSION.to_json())];
+        if let Some(meta) = lock(&inner.meta).as_ref() {
+            header.extend(fields(meta));
         }
-        out.push_str(&Json::Obj(header).compact());
-        out.push('\n');
-
+        push_record(&mut out, "header", header);
         for ev in lock(&inner.events).iter() {
-            let obj = Json::Obj(vec![
-                ("event".to_string(), Json::Str("injection".into())),
-                ("image_id".to_string(), Json::Int(ev.image_id as i128)),
-                ("layer".to_string(), Json::Int(ev.layer as i128)),
-                (
-                    "bit".to_string(),
-                    match ev.bit {
-                        Some(b) => Json::Int(b as i128),
-                        None => Json::Null,
-                    },
-                ),
-                ("original".to_string(), Json::Float(ev.original as f64)),
-                ("corrupted".to_string(), Json::Float(ev.corrupted as f64)),
-            ]);
-            out.push_str(&obj.compact());
-            out.push('\n');
+            push_record(&mut out, "injection", fields(ev));
         }
-
         for ev in lock(&inner.stops).iter() {
-            let obj = Json::Obj(vec![
-                ("event".to_string(), Json::Str("stop".into())),
-                ("verdict".to_string(), Json::Str(ev.verdict.name().into())),
-                (
-                    "stratum".to_string(),
-                    match ev.stratum {
-                        Some(layer) => Json::Int(layer as i128),
-                        None => Json::Null,
-                    },
-                ),
-                ("scope_index".to_string(), Json::Int(ev.scope_index as i128)),
-                ("samples".to_string(), Json::Int(ev.samples as i128)),
-                ("sdc".to_string(), Json::Int(ev.sdc as i128)),
-                ("due".to_string(), Json::Int(ev.due as i128)),
-                (
-                    "sdc_ci".to_string(),
-                    Json::Arr(vec![Json::Float(ev.sdc_ci.0), Json::Float(ev.sdc_ci.1)]),
-                ),
-                (
-                    "due_ci".to_string(),
-                    Json::Arr(vec![Json::Float(ev.due_ci.0), Json::Float(ev.due_ci.1)]),
-                ),
-                ("half_width".to_string(), Json::Float(ev.half_width)),
-            ]);
-            out.push_str(&obj.compact());
-            out.push('\n');
+            push_record(&mut out, "stop", fields(ev));
         }
-
-        out.push_str(&inner.counts().summary_record().compact());
-        out.push('\n');
+        push_record(&mut out, "summary", fields(&inner.counts()));
         out
     }
 
@@ -779,6 +761,21 @@ impl Recorder {
         }
         std::fs::write(path, self.events_jsonl())
     }
+}
+
+/// The fields of a `json_struct!` value, in its listed order.
+fn fields(value: &impl ToJson) -> Vec<(String, Json)> {
+    match value.to_json() {
+        Json::Obj(fields) => fields,
+        _ => Vec::new(),
+    }
+}
+
+/// Appends one event-log line: the `event` tag, then `fields`.
+fn push_record(out: &mut String, event: &str, fields: Vec<(String, Json)>) {
+    let tag = ("event".to_string(), Json::Str(event.into()));
+    out.push_str(&Json::Obj(std::iter::once(tag).chain(fields).collect()).compact());
+    out.push('\n');
 }
 
 /// RAII span guard: records the elapsed time into its phase histogram

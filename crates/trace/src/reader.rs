@@ -1,11 +1,12 @@
 //! Reader for the JSONL event log — the consuming half of
 //! [`Recorder::events_jsonl`](crate::Recorder::events_jsonl). Turns a
 //! written log back into typed records (replay header, injection
-//! events, closing summary) so the artifact is an API, not a
-//! write-only file.
+//! events, stop decisions, closing summary) so the artifact is an API,
+//! not a write-only file. Each record is decoded with its type's
+//! `json_struct!` field list, the one the writer renders it with.
 
-use crate::{InjectionEvent, RunCounts, RunMeta, StopEvent, StopVerdict, EVENT_FORMAT_VERSION};
-use alfi_serde::{FromJson, Json};
+use crate::{InjectionEvent, RunCounts, RunMeta, StopEvent, EVENT_FORMAT_VERSION};
+use alfi_serde::{from_field, FromJson, Json};
 use std::fmt;
 use std::path::Path;
 
@@ -69,10 +70,6 @@ pub struct EventHeader {
     pub meta: Option<RunMeta>,
 }
 
-/// A parsed statistical stop decision (the reader-side name of
-/// [`StopEvent`] — stop records round-trip losslessly).
-pub type EventStopRecord = StopEvent;
-
 /// A fully parsed `events.jsonl` log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
@@ -82,139 +79,23 @@ pub struct EventLog {
     pub injections: Vec<InjectionEvent>,
     /// Statistical stop decisions in boundary order (empty for
     /// exhaustive campaigns).
-    pub stops: Vec<EventStopRecord>,
+    pub stops: Vec<StopEvent>,
     /// The closing summary record — the run's counts — when the log
     /// has one.
     pub summary: Option<RunCounts>,
 }
 
-fn field<'j>(obj: &'j Json, key: &str, line: usize) -> Result<&'j Json, EventLogError> {
-    obj.get(key)
-        .ok_or_else(|| EventLogError::Record { line, detail: format!("missing field `{key}`") })
-}
-
-fn uint(obj: &Json, key: &str, line: usize) -> Result<u64, EventLogError> {
-    field(obj, key, line)?
-        .as_int()
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| EventLogError::Record {
-            line,
-            detail: format!("field `{key}` is not an unsigned integer"),
-        })
-}
-
-fn float(obj: &Json, key: &str, line: usize) -> Result<f64, EventLogError> {
-    field(obj, key, line)?.as_f64().ok_or_else(|| EventLogError::Record {
-        line,
-        detail: format!("field `{key}` is not a number"),
-    })
-}
-
-fn string(obj: &Json, key: &str, line: usize) -> Result<String, EventLogError> {
-    field(obj, key, line)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| EventLogError::Record { line, detail: format!("field `{key}` is not a string") })
-}
-
-fn parse_header(obj: &Json, line: usize) -> Result<EventHeader, EventLogError> {
-    let format = uint(obj, "format", line)? as u32;
-    if format != EVENT_FORMAT_VERSION {
-        return Err(EventLogError::Version { found: format });
-    }
-    // Replay identity is present only when the writer had meta set; the
-    // `campaign` key marks it.
-    let meta = if obj.get("campaign").is_some() {
-        Some(RunMeta {
-            campaign: string(obj, "campaign", line)?,
-            model: string(obj, "model", line)?,
-            scenario_hash: string(obj, "scenario_hash", line)?,
-            seed: uint(obj, "seed", line)?,
-            threads: uint(obj, "threads", line)? as usize,
-        })
-    } else {
-        None
-    };
-    Ok(EventHeader { format, meta })
-}
-
-fn parse_injection(obj: &Json, line: usize) -> Result<InjectionEvent, EventLogError> {
-    let bit = match field(obj, "bit", line)? {
-        Json::Null => None,
-        v => Some(v.as_int().and_then(|b| u8::try_from(b).ok()).ok_or_else(|| {
-            EventLogError::Record { line, detail: "field `bit` is not a bit position".into() }
-        })?),
-    };
-    // The writer renders a non-finite value as `null`; read it back as
-    // NaN, alfi-serde's convention for `f64`.
-    let value = |key| match field(obj, key, line)? {
-        Json::Null => Ok(f32::NAN),
-        _ => float(obj, key, line).map(|v| v as f32),
-    };
-    Ok(InjectionEvent {
-        image_id: uint(obj, "image_id", line)?,
-        layer: uint(obj, "layer", line)? as usize,
-        bit,
-        original: value("original")?,
-        corrupted: value("corrupted")?,
-    })
-}
-
-fn parse_ci(obj: &Json, key: &str, line: usize) -> Result<(f64, f64), EventLogError> {
-    let arr = field(obj, key, line)?.as_arr().ok_or_else(|| EventLogError::Record {
-        line,
-        detail: format!("field `{key}` is not an array"),
-    })?;
-    match arr {
-        [lo, hi] => match (lo.as_f64(), hi.as_f64()) {
-            (Some(lo), Some(hi)) => Ok((lo, hi)),
-            _ => Err(EventLogError::Record {
-                line,
-                detail: format!("field `{key}` bounds are not numbers"),
-            }),
-        },
-        _ => Err(EventLogError::Record {
-            line,
-            detail: format!("field `{key}` must have exactly two bounds"),
-        }),
-    }
-}
-
-fn parse_stop(obj: &Json, line: usize) -> Result<StopEvent, EventLogError> {
-    let verdict = match string(obj, "verdict", line)?.as_str() {
-        "stop" => StopVerdict::StopCampaign,
-        "retire" => StopVerdict::RetireStratum,
-        other => {
-            return Err(EventLogError::Record {
-                line,
-                detail: format!("unknown stop verdict `{other}`"),
-            })
-        }
-    };
-    let stratum = match field(obj, "stratum", line)? {
-        Json::Null => None,
-        v => Some(v.as_int().and_then(|s| usize::try_from(s).ok()).ok_or_else(|| {
-            EventLogError::Record { line, detail: "field `stratum` is not a layer index".into() }
-        })?),
-    };
-    Ok(StopEvent {
-        verdict,
-        stratum,
-        scope_index: uint(obj, "scope_index", line)?,
-        samples: uint(obj, "samples", line)?,
-        sdc: uint(obj, "sdc", line)?,
-        due: uint(obj, "due", line)?,
-        sdc_ci: parse_ci(obj, "sdc_ci", line)?,
-        due_ci: parse_ci(obj, "due_ci", line)?,
-        half_width: float(obj, "half_width", line)?,
-    })
+/// Decodes a `kind` record on `line` with its type's field list.
+fn decode<T: FromJson>(obj: &Json, kind: &str, line: usize) -> Result<T, EventLogError> {
+    T::from_json(obj)
+        .map_err(|e| EventLogError::Record { line, detail: format!("{kind} record: {e}") })
 }
 
 impl EventLog {
     /// Parses a full JSONL log as written by
     /// [`Recorder::events_jsonl`](crate::Recorder::events_jsonl): a
-    /// header record first, then injection records in order, then an
-    /// optional closing summary.
+    /// header record first, then injection and stop records in order,
+    /// then an optional closing summary.
     ///
     /// # Errors
     ///
@@ -232,72 +113,41 @@ impl EventLog {
             }
             let obj = Json::parse(raw)
                 .map_err(|e| EventLogError::Json { line, detail: e.to_string() })?;
-            let kind = string(&obj, "event", line)?;
+            let record = |detail: String| EventLogError::Record { line, detail };
+            let kind: String = from_field(&obj, "event").map_err(|e| record(e.to_string()))?;
+            // The header comes first and once; nothing follows the
+            // summary, which comes once.
+            let misplaced = match kind.as_str() {
+                "header" if header.is_some() => Some("duplicate header record".to_string()),
+                "header" if summary.is_some() => Some("header record is not first".to_string()),
+                "injection" | "stop" if header.is_none() => {
+                    Some(format!("{kind} record before the header"))
+                }
+                "injection" | "stop" if summary.is_some() => {
+                    Some(format!("{kind} record after the summary"))
+                }
+                "summary" if summary.is_some() => Some("duplicate summary record".to_string()),
+                _ => None,
+            };
+            if let Some(detail) = misplaced {
+                return Err(record(detail));
+            }
             match kind.as_str() {
                 "header" => {
-                    if header.is_some() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "duplicate header record".into(),
-                        });
+                    let format: u32 = from_field(&obj, "format")
+                        .map_err(|e| record(format!("header record: {e}")))?;
+                    if format != EVENT_FORMAT_VERSION {
+                        return Err(EventLogError::Version { found: format });
                     }
-                    if !injections.is_empty() || summary.is_some() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "header record is not first".into(),
-                        });
-                    }
-                    header = Some(parse_header(&obj, line)?);
+                    // Replay identity is present only when the writer
+                    // had meta set; the `campaign` key marks it.
+                    let meta = obj.get("campaign").map(|_| decode(&obj, &kind, line)).transpose()?;
+                    header = Some(EventHeader { format, meta });
                 }
-                "injection" => {
-                    if header.is_none() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "injection record before the header".into(),
-                        });
-                    }
-                    if summary.is_some() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "injection record after the summary".into(),
-                        });
-                    }
-                    injections.push(parse_injection(&obj, line)?);
-                }
-                "stop" => {
-                    if header.is_none() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "stop record before the header".into(),
-                        });
-                    }
-                    if summary.is_some() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "stop record after the summary".into(),
-                        });
-                    }
-                    stops.push(parse_stop(&obj, line)?);
-                }
-                "summary" => {
-                    if summary.is_some() {
-                        return Err(EventLogError::Record {
-                            line,
-                            detail: "duplicate summary record".into(),
-                        });
-                    }
-                    let counts = RunCounts::from_json(&obj).map_err(|e| EventLogError::Record {
-                        line,
-                        detail: format!("summary record: {e}"),
-                    })?;
-                    summary = Some(counts);
-                }
-                other => {
-                    return Err(EventLogError::Record {
-                        line,
-                        detail: format!("unknown event kind `{other}`"),
-                    });
-                }
+                "injection" => injections.push(decode(&obj, &kind, line)?),
+                "stop" => stops.push(decode(&obj, &kind, line)?),
+                "summary" => summary = Some(decode(&obj, &kind, line)?),
+                other => return Err(record(format!("unknown event kind `{other}`"))),
             }
         }
         let header = header.ok_or(EventLogError::Record {
@@ -320,7 +170,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hash_hex, CampaignCounters, OutcomeTallies, Recorder};
+    use crate::{hash_hex, CampaignCounters, OutcomeTallies, Recorder, StopVerdict};
     use alfi_metrics::Registry;
     use std::collections::BTreeMap;
 
