@@ -64,9 +64,11 @@ pub fn detection_summary(
 /// * `ground_truth.json` — COCO-format annotations (set a),
 /// * `detections_orig.json` / `detections_corr.json` — per-image
 ///   intermediate results (set b),
-/// * `metrics.json` — mAP + IVMOD summary (set c),
+/// * `metrics.json` — mAP + IVMOD summary (set c).
 ///
-/// plus `scenario.yml`, `faults.bin` and `trace.bin` for replay.
+/// The replay set (`scenario.yml`, `faults.bin`, `trace.bin`) is the
+/// campaign's to write: run it with
+/// [`RunConfig::save_dir`](alfi_core::campaign::RunConfig::save_dir).
 ///
 /// # Errors
 ///
@@ -106,13 +108,6 @@ pub fn write_detection_outputs(
     let summary = detection_summary(result, num_classes, iou_thresh);
     std::fs::write(dir.join("metrics.json"), ToJson::to_json(&summary).pretty())
         .map_err(|e| CoreError::Io(e.to_string()))?;
-
-    result
-        .scenario
-        .save(dir.join("scenario.yml"))
-        .map_err(|e| CoreError::Io(e.to_string()))?;
-    alfi_core::save_fault_matrix(&result.fault_matrix, dir.join("faults.bin"))?;
-    result.trace.save(dir.join("trace.bin"))?;
     Ok(summary)
 }
 
@@ -189,15 +184,8 @@ mod tests {
         let r = result();
         let gt = CocoGroundTruth::default();
         let summary = write_detection_outputs(&r, &gt, 2, 0.5, &dir).unwrap();
-        for f in [
-            "ground_truth.json",
-            "detections_orig.json",
-            "detections_corr.json",
-            "metrics.json",
-            "scenario.yml",
-            "faults.bin",
-            "trace.bin",
-        ] {
+        let files = ["ground_truth.json", "detections_orig.json", "detections_corr.json", "metrics.json"];
+        for f in files {
             assert!(dir.join(f).exists(), "{f} missing");
         }
         // intermediate results round-trip

@@ -4,7 +4,8 @@
 //! Runs a YOLO-style detector under exponent-bit weight faults, computes
 //! IVMOD_SDE / IVMOD_DUE and COCO mAP, and writes the Fig. 3 three-output
 //! pipeline (ground truth JSON, per-pass detection JSONs, metrics JSON)
-//! to `target/alfi_runs/detection/`.
+//! next to the campaign's replay set (scenario, fault matrix, trace) in
+//! `target/alfi_runs/detection/`.
 //!
 //! Run with: `cargo run --release --example detection_campaign`
 //!
@@ -32,10 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ground_truth = dataset.coco_ground_truth();
     let loader = DetectionLoader::new(dataset, scenario.batch_size);
 
-    let result = ObjDetCampaign::new(&detector, scenario, loader).run_with(&RunConfig::default())?;
+    let out = std::path::Path::new("target/alfi_runs/detection");
+    let result =
+        ObjDetCampaign::new(&detector, scenario, loader).run_with(&RunConfig::new().save_dir(out))?;
     println!("campaign over {} images complete", result.rows.len());
 
-    let out = std::path::Path::new("target/alfi_runs/detection");
     let summary = write_detection_outputs(&result, &ground_truth, dcfg.num_classes, 0.5, out)?;
 
     println!("\n=== detection KPIs ===");

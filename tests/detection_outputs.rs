@@ -27,10 +27,11 @@ fn fig3_three_output_sets_are_complete_and_consistent() {
     let ds = DetectionDataset::new(6, dcfg.num_classes, 3, 32, 1);
     let gt = ds.coco_ground_truth();
     let loader = DetectionLoader::new(ds, 1);
-    let result = ObjDetCampaign::new(&det, scenario(6), loader).run_with(&RunConfig::default()).unwrap();
-
     let dir = std::env::temp_dir().join("alfi_it_fig3");
     let _ = std::fs::remove_dir_all(&dir);
+    let result = ObjDetCampaign::new(&det, scenario(6), loader)
+        .run_with(&RunConfig::new().save_dir(&dir))
+        .unwrap();
     let summary = write_detection_outputs(&result, &gt, dcfg.num_classes, 0.5, &dir).unwrap();
 
     // Set (a): ground truth + meta.

@@ -179,12 +179,12 @@ fn parallel_detection_artifacts_match_sequential_bytes() {
         let gt = ds.coco_ground_truth();
         let loader = DetectionLoader::new(ds, 1);
         let mut campaign = ObjDetCampaign::new(&det, s.clone(), loader);
-        let result = match threads {
-            None => campaign.run_with(&RunConfig::default()).unwrap(),
-            Some(t) => campaign.run_with(&RunConfig::new().threads(t)).unwrap(),
-        };
         let dir = std::env::temp_dir().join(format!("alfi_it_det_parallel_{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
+        let result = match threads {
+            None => campaign.run_with(&RunConfig::new().save_dir(&dir)).unwrap(),
+            Some(t) => campaign.run_with(&RunConfig::new().threads(t).save_dir(&dir)).unwrap(),
+        };
         write_detection_outputs(&result, &gt, dcfg.num_classes, 0.5, &dir).unwrap();
         dir
     };
