@@ -4,7 +4,8 @@
 //! and with a live registry attached (engine counters, pool busy
 //! timers, tensor FLOP/byte counters all firing), then checks the
 //! metered cost against the documented ceiling of
-//! [`OVERHEAD_CEILING_PCT`] percent and prints a PASS/FAIL verdict.
+//! [`OVERHEAD_CEILING_PCT`] percent and prints a PASS, FAIL or
+//! UNRESOLVED verdict.
 //!
 //! Uses the *interleaved paired* methodology of `trace_overhead` (the
 //! median over alternating rounds cancels CPU-frequency drift that
@@ -33,11 +34,11 @@
 //!   at a different position in the interleave cycle; any spread
 //!   between the two unmetered arms is pure environment (placement,
 //!   frequency, co-tenants) and sets the resolution floor of this
-//!   machine. The verdict allows the ceiling *plus* that measured
-//!   floor, so a quiet machine enforces 2% strictly while a noisy
-//!   shared runner does not fail on artifacts it cannot resolve —
-//!   the printed line reports the control spread alongside the
-//!   overhead either way.
+//!   machine. A spread above the ceiling means the machine cannot
+//!   resolve a 2% difference: the verdict is UNRESOLVED, never PASS.
+//!   Otherwise the verdict allows the ceiling *plus* that measured
+//!   floor (itself at most the ceiling). The printed line reports the
+//!   control spread alongside the overhead either way.
 
 use alfi_bench::timing::Harness;
 use alfi_bench::{build_classifier, ExperimentScale};
@@ -222,12 +223,17 @@ fn main() {
     harness.report();
 
     let o = paired_overhead();
-    // The ceiling is enforced up to what this machine can resolve: the
-    // control spread is the measured difference between two *identical*
-    // unmetered arms, so overhead within ceiling + spread is
-    // indistinguishable from environment noise (see module docs).
-    let allowed = OVERHEAD_CEILING_PCT + o.control_spread_pct;
-    let verdict = if o.overhead_pct <= allowed { "PASS" } else { "FAIL" };
+    // The control spread is the measured difference between two
+    // *identical* unmetered arms: overhead within ceiling + spread is
+    // indistinguishable from environment noise, and a spread above the
+    // ceiling leaves the contract unchecked (see module docs).
+    let verdict = if o.control_spread_pct > OVERHEAD_CEILING_PCT {
+        "UNRESOLVED"
+    } else if o.overhead_pct <= OVERHEAD_CEILING_PCT + o.control_spread_pct {
+        "PASS"
+    } else {
+        "FAIL"
+    };
     println!(
         "metrics overhead (paired): unmetered {:.0} ns, metered {:.0} ns \
          => {:+.2}% (ceiling {OVERHEAD_CEILING_PCT}%, control spread {:.2}%) [{verdict}]",

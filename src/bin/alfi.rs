@@ -76,8 +76,8 @@ USAGE:
 Live monitoring: --metrics-addr serves Prometheus text at GET /metrics
 for the life of the process (set ALFI_METRICS_LINGER_MS to keep it up
 after the run, e.g. for a scraper). --strict-health runs the campaign
-health watchdog (stall / DUE-rate / NaN-storm) and exits nonzero if any
-alarm fired.
+health watchdog with its default policy, whose one alarm is a stall (no
+fault scope finished for 30 s), and exits nonzero if it fired.
 
 Adaptive campaigns: --stop-halfwidth ±h arms statistical early stopping
 — the run ends (or, with --stop-scope per-layer, individual layer
