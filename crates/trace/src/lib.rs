@@ -217,12 +217,11 @@ impl ToJson for StopVerdict {
 
 impl FromJson for StopVerdict {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("stop") => Ok(StopVerdict::StopCampaign),
-            Some("retire") => Ok(StopVerdict::RetireStratum),
-            Some(other) => Err(JsonError::new(format!("unknown stop verdict `{other}`"))),
-            None => Err(JsonError::new("expected string")),
-        }
+        let name = v.as_str().ok_or_else(|| JsonError::new("expected string"))?;
+        [StopVerdict::StopCampaign, StopVerdict::RetireStratum]
+            .into_iter()
+            .find(|verdict| verdict.name() == name)
+            .ok_or_else(|| JsonError::new(format!("unknown stop verdict `{name}`")))
     }
 }
 
