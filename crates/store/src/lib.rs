@@ -32,6 +32,11 @@
 //! NaN/Inf corruptions reproduce byte-identically after conversion
 //! back to CSV.
 //!
+//! The crate also defines the [sealed frame](frame) that the
+//! workspace's single-body binary files — fault matrices, run traces,
+//! weight checkpoints — share, and exports [`Cur`], the fallible cursor
+//! their bodies are read with.
+//!
 //! ## Example
 //!
 //! ```
