@@ -6,6 +6,12 @@
 //! COCO's defined metrics" (§V-E). This module implements the 101-point
 //! interpolated AP, AP@[.50:.95] averaging and AR, operating on the
 //! framework's detection and ground-truth types.
+//!
+//! Every function runs on one per-class evaluator: it gathers a class's
+//! finite-score detections, computes their IoUs with the class's boxes
+//! in the same image and sorts them once, and each IoU threshold then
+//! replays the greedy matching from those cached IoUs. [`coco_metrics`]
+//! therefore scores each class once for all ten thresholds.
 
 use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{BBox, Detection};
@@ -33,31 +39,161 @@ pub struct CocoMetrics {
 
 json_struct!(CocoMetrics { map_50, map_50_95, ap_per_class_50, ar_100 });
 
+/// One class's detections, gathered, IoU-scored against the class's
+/// ground truth and sorted once; [`ClassEval::replay`] then matches them
+/// at any IoU threshold from the cached IoUs.
+struct ClassEval {
+    /// Ground-truth boxes of the class over all images.
+    num_gt: usize,
+    /// The class's finite-score detections, by descending score with
+    /// ties broken by image and then detection index.
+    dets: Vec<Scored>,
+    /// Each detection's IoUs with its image's boxes of the class, in box
+    /// order ([`Scored::iou`] indexes them).
+    ious: Vec<f32>,
+    /// Which ground-truth boxes the current replay has matched; a box's
+    /// slot is its position among the class's boxes over all images.
+    used: Vec<bool>,
+    /// `(recall, precision)` after each detection of the last replay.
+    pr: Vec<(f64, f64)>,
+}
+
+/// A detection's place in a [`ClassEval`].
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    score: f32,
+    /// Position among its image's detections of the class, by score.
+    rank: usize,
+    /// Slot of its image's first box of the class in `used`.
+    gt: usize,
+    /// Number of its image's boxes of the class.
+    n_gt: usize,
+    /// Start of its `n_gt` IoUs in `ious`.
+    iou: usize,
+}
+
+/// Descending score; the stable sorts keep earlier entries first on ties.
+fn by_score(a: &Scored, b: &Scored) -> std::cmp::Ordering {
+    b.score.partial_cmp(&a.score).expect("finite scores")
+}
+
+impl ClassEval {
+    /// Scores `class_id`'s detections against its ground truth. Gathers
+    /// nothing when the class has no ground truth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the per-image lists have different lengths.
+    fn new(
+        detections: &[Vec<Detection>],
+        ground_truth: &[Vec<GroundTruthBox>],
+        class_id: usize,
+    ) -> ClassEval {
+        assert_eq!(detections.len(), ground_truth.len(), "per-image lists must align");
+        let num_gt = ground_truth.iter().flatten().filter(|g| g.category_id == class_id).count();
+        let mut eval = ClassEval {
+            num_gt,
+            dets: Vec::new(),
+            ious: Vec::new(),
+            used: vec![false; num_gt],
+            pr: Vec::new(),
+        };
+        if num_gt == 0 {
+            return eval;
+        }
+        let mut gt = 0;
+        for (dets, gts) in detections.iter().zip(ground_truth) {
+            let first = eval.dets.len();
+            let boxes = || gts.iter().filter(move |g| g.category_id == class_id).map(gt_bbox);
+            let n_gt = boxes().count();
+            for d in dets.iter().filter(|d| d.class_id == class_id && d.score.is_finite()) {
+                let iou = eval.ious.len();
+                eval.dets.push(Scored { score: d.score, rank: 0, gt, n_gt, iou });
+                eval.ious.extend(boxes().map(|g| d.bbox.iou(&g)));
+            }
+            // Sorting each image's run first leaves equal scores in
+            // detection order, so the global sort below still breaks ties
+            // by image and then detection index.
+            let image = &mut eval.dets[first..];
+            image.sort_by(by_score);
+            for (rank, d) in image.iter_mut().enumerate() {
+                d.rank = rank;
+            }
+            gt += n_gt;
+        }
+        eval.dets.sort_by(by_score);
+        eval.pr.reserve_exact(eval.dets.len());
+        eval
+    }
+
+    /// Matches the detections greedily in score order at `iou_thresh`:
+    /// each takes the unused box of its image with the highest IoU of at
+    /// least the threshold, the last of equally good boxes winning.
+    /// Fills `pr` and returns the 101-point interpolated AP over every
+    /// detection and the recall of each image's top `max_dets`.
+    ///
+    /// An image's detections are replayed in its own score order, and
+    /// only its own earlier detections use its boxes, so its top
+    /// `max_dets` match exactly as they would alone.
+    fn replay(&mut self, iou_thresh: f32, max_dets: usize) -> (f64, f64) {
+        self.used.fill(false);
+        self.pr.clear();
+        let (mut tp, mut fp, mut matched) = (0usize, 0usize, 0usize);
+        for d in &self.dets {
+            let mut best = None;
+            let mut best_iou = iou_thresh;
+            for (slot, &iou) in (d.gt..).zip(&self.ious[d.iou..d.iou + d.n_gt]) {
+                if !self.used[slot] && iou >= best_iou {
+                    best_iou = iou;
+                    best = Some(slot);
+                }
+            }
+            match best {
+                Some(slot) => {
+                    self.used[slot] = true;
+                    tp += 1;
+                    matched += usize::from(d.rank < max_dets);
+                }
+                None => fp += 1,
+            }
+            self.pr.push((tp as f64 / self.num_gt as f64, tp as f64 / (tp + fp) as f64));
+        }
+        // p(r) = max precision at recall >= r. Recall never decreases
+        // along `pr`, so those points are a suffix and p(r) its maximum.
+        let mut interp = [0.0f64; 101];
+        let mut k = self.pr.len();
+        let mut max = 0.0f64;
+        for (i, p) in interp.iter_mut().enumerate().rev() {
+            let r = i as f64 / 100.0;
+            while k > 0 && self.pr[k - 1].0 >= r {
+                k -= 1;
+                max = max.max(self.pr[k].1);
+            }
+            *p = max;
+        }
+        let ap = interp.iter().fold(0.0, |sum, p| sum + p) / 101.0;
+        let recall = if self.num_gt == 0 { 0.0 } else { matched as f64 / self.num_gt as f64 };
+        (ap, recall)
+    }
+}
+
 /// Computes the 101-point interpolated average precision for one class
 /// at one IoU threshold.
 ///
 /// `detections[i]` / `ground_truth[i]` belong to image `i`; only entries
 /// of `class_id` are considered. Returns 0 when the class has no ground
 /// truth.
+///
+/// # Panics
+///
+/// Panics if the per-image lists have different lengths.
 pub fn average_precision(
     detections: &[Vec<Detection>],
     ground_truth: &[Vec<GroundTruthBox>],
     class_id: usize,
     iou_thresh: f32,
 ) -> f64 {
-    let pr = precision_recall_curve(detections, ground_truth, class_id, iou_thresh);
-    // 101-point interpolation: p(r) = max precision at recall >= r.
-    let mut ap = 0.0;
-    for i in 0..=100 {
-        let r = i as f64 / 100.0;
-        let p = pr
-            .iter()
-            .filter(|(rec, _)| *rec >= r)
-            .map(|(_, prec)| *prec)
-            .fold(0.0, f64::max);
-        ap += p;
-    }
-    ap / 101.0
+    ClassEval::new(detections, ground_truth, class_id).replay(iou_thresh, 0).0
 }
 
 /// Computes the raw precision-recall points for one class at one IoU
@@ -74,61 +210,17 @@ pub fn precision_recall_curve(
     class_id: usize,
     iou_thresh: f32,
 ) -> Vec<(f64, f64)> {
-    assert_eq!(detections.len(), ground_truth.len(), "per-image lists must align");
-    let num_gt: usize = ground_truth
-        .iter()
-        .map(|g| g.iter().filter(|b| b.category_id == class_id).count())
-        .sum();
-    if num_gt == 0 {
-        return Vec::new();
-    }
-    // Gather (score, image, det) for the class, sorted by score desc.
-    let mut all: Vec<(f32, usize, &Detection)> = Vec::new();
-    for (img, dets) in detections.iter().enumerate() {
-        for d in dets {
-            if d.class_id == class_id && d.score.is_finite() {
-                all.push((d.score, img, d));
-            }
-        }
-    }
-    all.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-
-    // Greedy matching in score order, one GT used at most once.
-    let mut gt_used: Vec<Vec<bool>> = ground_truth
-        .iter()
-        .map(|g| vec![false; g.len()])
-        .collect();
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut pr: Vec<(f64, f64)> = Vec::with_capacity(all.len());
-    for (_, img, det) in &all {
-        let gts = &ground_truth[*img];
-        let mut best = None;
-        let mut best_iou = iou_thresh;
-        for (gi, g) in gts.iter().enumerate() {
-            if g.category_id != class_id || gt_used[*img][gi] {
-                continue;
-            }
-            let iou = det.bbox.iou(&gt_bbox(g));
-            if iou >= best_iou {
-                best_iou = iou;
-                best = Some(gi);
-            }
-        }
-        match best {
-            Some(gi) => {
-                gt_used[*img][gi] = true;
-                tp += 1;
-            }
-            None => fp += 1,
-        }
-        pr.push((tp as f64 / num_gt as f64, tp as f64 / (tp + fp) as f64));
-    }
-    pr
+    let mut eval = ClassEval::new(detections, ground_truth, class_id);
+    eval.replay(iou_thresh, 0);
+    eval.pr
 }
 
 /// Computes the recall for one class at one IoU threshold, considering
 /// at most `max_dets` highest-scoring detections per image.
+///
+/// # Panics
+///
+/// Panics if the per-image lists have different lengths.
 pub fn recall(
     detections: &[Vec<Detection>],
     ground_truth: &[Vec<GroundTruthBox>],
@@ -136,40 +228,7 @@ pub fn recall(
     iou_thresh: f32,
     max_dets: usize,
 ) -> f64 {
-    let num_gt: usize = ground_truth
-        .iter()
-        .map(|g| g.iter().filter(|b| b.category_id == class_id).count())
-        .sum();
-    if num_gt == 0 {
-        return 0.0;
-    }
-    let mut matched = 0usize;
-    for (dets, gts) in detections.iter().zip(ground_truth.iter()) {
-        let mut top: Vec<&Detection> =
-            dets.iter().filter(|d| d.class_id == class_id && d.score.is_finite()).collect();
-        top.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
-        top.truncate(max_dets);
-        let mut used = vec![false; gts.len()];
-        for d in top {
-            let mut best = None;
-            let mut best_iou = iou_thresh;
-            for (gi, g) in gts.iter().enumerate() {
-                if g.category_id != class_id || used[gi] {
-                    continue;
-                }
-                let iou = d.bbox.iou(&gt_bbox(g));
-                if iou >= best_iou {
-                    best_iou = iou;
-                    best = Some(gi);
-                }
-            }
-            if let Some(gi) = best {
-                used[gi] = true;
-                matched += 1;
-            }
-        }
-    }
-    matched as f64 / num_gt as f64
+    ClassEval::new(detections, ground_truth, class_id).replay(iou_thresh, max_dets).1
 }
 
 /// The ten COCO IoU thresholds `0.50, 0.55, …, 0.95`.
@@ -184,35 +243,39 @@ pub fn coco_iou_grid() -> [f32; 10] {
 /// Computes the full COCO metric summary over per-image detections and
 /// ground truth. Classes absent from the ground truth are excluded from
 /// the means (COCO convention).
+///
+/// Each class is scored once and replayed at the ten grid thresholds;
+/// AP@0.50 is the first of them, since `coco_iou_grid()[0]` is exactly
+/// 0.5.
+///
+/// # Panics
+///
+/// Panics if the per-image lists have different lengths (checked for
+/// every class, so whenever `num_classes > 0`).
 pub fn coco_metrics(
     detections: &[Vec<Detection>],
     ground_truth: &[Vec<GroundTruthBox>],
     num_classes: usize,
 ) -> CocoMetrics {
-    let classes_with_gt: Vec<usize> = (0..num_classes)
-        .filter(|c| {
-            ground_truth.iter().any(|g| g.iter().any(|b| b.category_id == *c))
-        })
-        .collect();
     let mut ap_per_class_50 = BTreeMap::new();
     let mut map_50 = 0.0;
     let mut map_50_95 = 0.0;
     let mut ar_100 = 0.0;
     let grid = coco_iou_grid();
-    for &c in &classes_with_gt {
-        let ap50 = average_precision(detections, ground_truth, c, 0.5);
+    for c in 0..num_classes {
+        let mut eval = ClassEval::new(detections, ground_truth, c);
+        if eval.num_gt == 0 {
+            continue;
+        }
+        let kpis = grid.map(|iou| eval.replay(iou, 100));
+        // AP@0.50: the grid starts at exactly 0.5.
+        let ap50 = kpis[0].0;
         ap_per_class_50.insert(c, ap50);
         map_50 += ap50;
-        let mut ap_sum = 0.0;
-        let mut r_sum = 0.0;
-        for &iou in &grid {
-            ap_sum += average_precision(detections, ground_truth, c, iou);
-            r_sum += recall(detections, ground_truth, c, iou, 100);
-        }
-        map_50_95 += ap_sum / grid.len() as f64;
-        ar_100 += r_sum / grid.len() as f64;
+        map_50_95 += kpis.iter().fold(0.0, |sum, k| sum + k.0) / grid.len() as f64;
+        ar_100 += kpis.iter().fold(0.0, |sum, k| sum + k.1) / grid.len() as f64;
     }
-    let n = classes_with_gt.len().max(1) as f64;
+    let n = ap_per_class_50.len().max(1) as f64;
     CocoMetrics {
         map_50: map_50 / n,
         map_50_95: map_50_95 / n,
@@ -307,6 +370,14 @@ mod tests {
         ]];
         assert_eq!(recall(&dets, &gts, 0, 0.5, 100), 1.0);
         assert_eq!(recall(&dets, &gts, 0, 0.5, 1), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-image lists must align")]
+    fn recall_rejects_misaligned_lists() {
+        let gts = vec![vec![gt(0.0, 0.0, 10.0, 10.0, 0)], vec![], vec![gt(5.0, 5.0, 9.0, 9.0, 0)]];
+        let dets = vec![vec![det(0.0, 0.0, 10.0, 10.0, 0, 0.9)], vec![]];
+        recall(&dets, &gts, 0, 0.5, 100);
     }
 
     #[test]
