@@ -10,11 +10,14 @@
 //! 2. **Index lookup == full scan**: for any fault id,
 //!    `lookup_fault(id)` returns exactly the rows a full `scan`
 //!    filtered by that id would.
+//!
+//! A third pins the table-driven `crc32` to the bitwise loop its tables
+//! are built from.
 
 use alfi_check::{check_with, gen};
 use alfi_rng::Rng;
 use alfi_store::{
-    ColumnSpec, ColumnType, Encoding, RowKey, Schema, StoreReader, StoreWriter, Value,
+    crc32, ColumnSpec, ColumnType, Encoding, RowKey, Schema, StoreReader, StoreWriter, Value,
 };
 
 const CASES: usize = 64;
@@ -138,5 +141,39 @@ fn index_lookup_equals_full_scan() {
             assert_eq!(r.lookup_fault(id).unwrap(), expect, "fault {id}");
         }
         std::fs::remove_file(&path).ok();
+    });
+}
+
+/// The CRC32 as one polynomial step per bit: the definition the
+/// lookup tables of `crc32` are built from.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// The table-driven `crc32` equals the bitwise loop on random bytes of
+/// length 0–4 096 starting at offsets 0–7, so every tail length and
+/// start alignment of the eight-byte steps is covered.
+#[test]
+fn crc32_equals_the_bitwise_loop() {
+    check_with(CASES, "crc32_equals_the_bitwise_loop", |rng| {
+        let offset = rng.gen_range(0usize..8);
+        // Half the cases stay short, where the tail loop does all or most
+        // of the work.
+        let len = if gen::any_bool(rng) {
+            rng.gen_range(0usize..64)
+        } else {
+            rng.gen_range(0usize..=4096)
+        };
+        let buf: Vec<u8> = (0..offset + len).map(|_| rng.next_u32() as u8).collect();
+        let data = &buf[offset..];
+        assert_eq!(crc32(data), crc32_bitwise(data), "length {len} at offset {offset}");
     });
 }
