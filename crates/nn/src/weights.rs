@@ -143,7 +143,8 @@ fn apply_tensors(layer: &mut Layer, tensors: &[Tensor], name: &str) -> Result<()
             }
         }
         Layer::BatchNorm2d(bn) => {
-            if tensors.len() != 4 || tensors[0].dims() != bn.gamma.dims() {
+            let own = [&bn.gamma, &bn.beta, &bn.running_mean, &bn.running_var];
+            if tensors.len() != 4 || tensors.iter().zip(own).any(|(t, o)| t.dims() != o.dims()) {
                 return Err(mismatch("batchnorm shape"));
             }
             bn.gamma = tensors[0].clone();
@@ -270,6 +271,7 @@ pub fn load_weights(net: &mut Network, path: impl AsRef<Path>) -> Result<(), NnE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::BatchNorm2d;
     use crate::models::{alexnet, resnet50, ModelConfig};
 
     fn cfg(seed: u64) -> ModelConfig {
@@ -306,6 +308,30 @@ mod tests {
             assert_eq!(bn.running_mean.get(&[0]), 0.5);
         } else {
             panic!("expected batchnorm");
+        }
+    }
+
+    #[test]
+    fn misshaped_batchnorm_tensors_are_rejected_without_mutation() {
+        let bn_id = resnet50(&cfg(3)).node_by_name("stem.bn").unwrap();
+        let misshape: [fn(&mut BatchNorm2d) -> &mut Tensor; 3] =
+            [|bn| &mut bn.beta, |bn| &mut bn.running_mean, |bn| &mut bn.running_var];
+        for (k, field) in misshape.into_iter().enumerate() {
+            let mut source = resnet50(&cfg(3));
+            if let Layer::BatchNorm2d(bn) = source.layer_mut(bn_id).unwrap() {
+                let t = field(bn);
+                *t = Tensor::ones(&[t.num_elements() + 5]);
+            } else {
+                panic!("expected batchnorm");
+            }
+            let mut target = resnet50(&cfg(4));
+            let before = encode_weights(&target);
+            let err = decode_weights_into(&mut target, &encode_weights(&source)).unwrap_err();
+            assert!(
+                matches!(&err, NnError::InvalidGraph(m) if m.contains("batchnorm shape")),
+                "tensor {k}: {err}"
+            );
+            assert_eq!(encode_weights(&target), before, "tensor {k}: the target changed");
         }
     }
 
