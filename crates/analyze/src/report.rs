@@ -24,6 +24,7 @@ use alfi_scenario::Scenario;
 use alfi_serde::Json;
 use alfi_trace::{EventLog, OutcomeTallies, StopVerdict};
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 /// File name of the JSON report written next to the run artifacts.
@@ -327,12 +328,38 @@ pub fn analyze_result(result: &ClassificationCampaignResult) -> CampaignReport {
     }
 }
 
-fn bit_label(bit: i64) -> String {
-    if bit < 0 {
-        "-".to_string()
-    } else {
-        bit.to_string()
+/// A bit position as the markdown tables label it: `-` for value
+/// faults, which have none.
+struct BitLabel(i64);
+
+impl fmt::Display for BitLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 < 0 {
+            f.write_str("-")
+        } else {
+            write!(f, "{}", self.0)
+        }
     }
+}
+
+/// Appends one markdown table row of a [`RateBlock`]: the samples, then
+/// the masked rate and the SDC and DUE rates with their intervals, as
+/// percentages with two decimals.
+fn push_row(out: &mut String, label: fmt::Arguments<'_>, b: &RateBlock) {
+    let pct = |r: f64| r * 100.0;
+    let (s, d) = (&b.sdc_rate, &b.due_rate);
+    let _ = writeln!(
+        out,
+        "| {label} | {} | {:.2}% | {:.2}% [{:.2}%, {:.2}%] | {:.2}% [{:.2}%, {:.2}%] |",
+        b.samples,
+        pct(b.masked_rate),
+        pct(s.value),
+        pct(s.ci_low),
+        pct(s.ci_high),
+        pct(d.value),
+        pct(d.ci_low),
+        pct(d.ci_high)
+    );
 }
 
 impl CampaignReport {
@@ -471,78 +498,58 @@ impl CampaignReport {
     /// Renders the report as a human-readable Markdown document with
     /// the same deterministic section ordering as the JSON view.
     pub fn to_markdown(&self) -> String {
-        let pct = |r: f64| format!("{:.2}%", r * 100.0);
-        let ci = |r: &Rate| format!("{} [{}, {}]", pct(r.value), pct(r.ci_low), pct(r.ci_high));
         let mut out = String::from("# ALFI campaign report\n\n");
         for (k, v) in &self.run {
-            out.push_str(&format!("- {k}: `{v}`\n"));
+            let _ = writeln!(out, "- {k}: `{v}`");
         }
         if let Some((hash, seed, dataset_size)) = &self.scenario {
-            out.push_str(&format!(
-                "- scenario: `{hash}` (seed {seed}, dataset_size {dataset_size})\n"
-            ));
+            let _ = writeln!(out, "- scenario: `{hash}` (seed {seed}, dataset_size {dataset_size})");
         }
-        out.push_str(&format!(
-            "- rows: {} | confidence: {:.0}%\n\n",
-            self.rows,
-            self.confidence * 100.0
-        ));
+        let _ = write!(out, "- rows: {} | confidence: {:.0}%\n\n", self.rows, self.confidence * 100.0);
 
-        let row_line = |label: &str, b: &RateBlock| {
-            format!(
-                "| {label} | {} | {} | {} | {} |\n",
-                b.samples,
-                pct(b.masked_rate),
-                ci(&b.sdc_rate),
-                ci(&b.due_rate)
-            )
-        };
         let table_header = "| | samples | masked | sdc [ci] | due [ci] |\n|---|---|---|---|---|\n";
 
         out.push_str("## Overall\n\n");
         out.push_str(table_header);
-        out.push_str(&row_line("campaign", &self.overall));
+        push_row(&mut out, format_args!("campaign"), &self.overall);
 
         if !self.layers.is_empty() {
             out.push_str("\n## Per layer\n\n");
             out.push_str(table_header);
             for (layer, b) in &self.layers {
-                out.push_str(&row_line(&format!("layer {layer}"), b));
+                push_row(&mut out, format_args!("layer {layer}"), b);
             }
         }
         if !self.bits.is_empty() {
             out.push_str("\n## Per bit position\n\n");
             out.push_str(table_header);
             for (bit, b) in &self.bits {
-                out.push_str(&row_line(&format!("bit {}", bit_label(*bit)), b));
+                push_row(&mut out, format_args!("bit {}", BitLabel(*bit)), b);
             }
         }
         if !self.modes.is_empty() {
             out.push_str("\n## Per fault mode\n\n");
             out.push_str(table_header);
             for (mode, b) in &self.modes {
-                out.push_str(&row_line(mode, b));
+                push_row(&mut out, format_args!("{mode}"), b);
             }
         }
         if !self.cells.is_empty() {
             out.push_str("\n## Layer × bit × mode\n\n");
             out.push_str(table_header);
             for (key, b) in &self.cells {
-                out.push_str(&row_line(
-                    &format!("layer {} bit {} {}", key.layer, bit_label(key.bit), key.mode),
-                    b,
-                ));
+                let (layer, bit, mode) = (key.layer, BitLabel(key.bit), &key.mode);
+                push_row(&mut out, format_args!("layer {layer} bit {bit} {mode}"), b);
             }
         }
         if let Some((items, injections, nan, inf)) = self.events {
             out.push_str("\n## Event log\n\n");
-            out.push_str(&format!(
-                "- items: {items} | injections: {injections} | nan: {nan} | inf: {inf}\n"
-            ));
+            let _ = writeln!(out, "- items: {items} | injections: {injections} | nan: {nan} | inf: {inf}");
         }
         if let Some(stop) = &self.stop {
             out.push_str("\n## Early-stop precision\n\n");
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "- requested ±{:.4} @{:.0}% ({})\n- achieved sdc ±{:.4} due ±{:.4}\n- decisions: {} | retired strata: {:?} | {}\n",
                 stop.requested_half_width,
                 stop.confidence * 100.0,
@@ -552,7 +559,7 @@ impl CampaignReport {
                 stop.decisions,
                 stop.retired_strata,
                 if stop.stopped_early { "stopped early" } else { "ran to completion" }
-            ));
+            );
         }
         out
     }

@@ -26,7 +26,7 @@ use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{Detection, Detector};
 use alfi_nn::{NodeId, Pass};
 use alfi_scenario::{ArtifactFormat, Scenario};
-use alfi_serde::ToJson;
+use alfi_serde::to_compact;
 use alfi_store::{ColumnSpec, ColumnType, Encoding, Schema, Value};
 use alfi_tensor::Tensor;
 use alfi_trace::{EffectClass, Phase, Recorder};
@@ -366,13 +366,12 @@ fn det_store_schema(resil: bool) -> Schema {
 fn det_store_values(row: &DetectionRow, resil: bool) -> Vec<Value> {
     let mut values = vec![
         Value::U64(row.image_id),
-        Value::Str(row.ground_truth.to_json().compact()),
-        Value::Str(row.orig.to_json().compact()),
-        Value::Str(row.corr.to_json().compact()),
+        Value::Str(to_compact(&row.ground_truth)),
+        Value::Str(to_compact(&row.orig)),
+        Value::Str(to_compact(&row.corr)),
     ];
     if resil {
-        let empty: Vec<Detection> = Vec::new();
-        values.push(Value::Str(row.resil.as_ref().unwrap_or(&empty).to_json().compact()));
+        values.push(Value::Str(to_compact(row.resil.as_deref().unwrap_or_default())));
     }
     for col in fault_columns(&row.faults) {
         values.push(Value::Str(col));

@@ -7,7 +7,7 @@
 //! lets a persisted fault file be traced back to the *exact* image that
 //! was being processed when a fault was active.
 
-use alfi_serde::{json_struct, FromJson, Json, JsonError, ToJson};
+use alfi_serde::{json_struct, FromJson, Json, JsonError};
 
 /// Metadata preserved for every image flowing through an ALFI campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -76,7 +76,7 @@ impl CocoGroundTruth {
     /// Infallible for this data model; the `Result` keeps the historical
     /// signature.
     pub fn to_json(&self) -> Result<String, JsonError> {
-        Ok(ToJson::to_json(self).pretty())
+        Ok(alfi_serde::to_pretty(self))
     }
 
     /// Parses a COCO JSON document.

@@ -12,6 +12,9 @@
 //! in the same image and sorts them once, and each IoU threshold then
 //! replays the greedy matching from those cached IoUs. [`coco_metrics`]
 //! therefore scores each class once for all ten thresholds.
+//!
+//! The per-image lists may be any slice-like type (`Vec<_>`, `&[_]`),
+//! so a caller holding rows can pass borrowed slices without copying.
 
 use alfi_datasets::GroundTruthBox;
 use alfi_nn::detection::{BBox, Detection};
@@ -85,12 +88,16 @@ impl ClassEval {
     ///
     /// Panics if the per-image lists have different lengths.
     fn new(
-        detections: &[Vec<Detection>],
-        ground_truth: &[Vec<GroundTruthBox>],
+        detections: &[impl AsRef<[Detection]>],
+        ground_truth: &[impl AsRef<[GroundTruthBox]>],
         class_id: usize,
     ) -> ClassEval {
         assert_eq!(detections.len(), ground_truth.len(), "per-image lists must align");
-        let num_gt = ground_truth.iter().flatten().filter(|g| g.category_id == class_id).count();
+        let num_gt = ground_truth
+            .iter()
+            .flat_map(AsRef::as_ref)
+            .filter(|g| g.category_id == class_id)
+            .count();
         let mut eval = ClassEval {
             num_gt,
             dets: Vec::new(),
@@ -103,6 +110,7 @@ impl ClassEval {
         }
         let mut gt = 0;
         for (dets, gts) in detections.iter().zip(ground_truth) {
+            let (dets, gts) = (dets.as_ref(), gts.as_ref());
             let first = eval.dets.len();
             let boxes = || gts.iter().filter(move |g| g.category_id == class_id).map(gt_bbox);
             let n_gt = boxes().count();
@@ -188,8 +196,8 @@ impl ClassEval {
 ///
 /// Panics if the per-image lists have different lengths.
 pub fn average_precision(
-    detections: &[Vec<Detection>],
-    ground_truth: &[Vec<GroundTruthBox>],
+    detections: &[impl AsRef<[Detection]>],
+    ground_truth: &[impl AsRef<[GroundTruthBox]>],
     class_id: usize,
     iou_thresh: f32,
 ) -> f64 {
@@ -205,8 +213,8 @@ pub fn average_precision(
 ///
 /// Panics if the per-image lists have different lengths.
 pub fn precision_recall_curve(
-    detections: &[Vec<Detection>],
-    ground_truth: &[Vec<GroundTruthBox>],
+    detections: &[impl AsRef<[Detection]>],
+    ground_truth: &[impl AsRef<[GroundTruthBox]>],
     class_id: usize,
     iou_thresh: f32,
 ) -> Vec<(f64, f64)> {
@@ -222,8 +230,8 @@ pub fn precision_recall_curve(
 ///
 /// Panics if the per-image lists have different lengths.
 pub fn recall(
-    detections: &[Vec<Detection>],
-    ground_truth: &[Vec<GroundTruthBox>],
+    detections: &[impl AsRef<[Detection]>],
+    ground_truth: &[impl AsRef<[GroundTruthBox]>],
     class_id: usize,
     iou_thresh: f32,
     max_dets: usize,
@@ -253,8 +261,8 @@ pub fn coco_iou_grid() -> [f32; 10] {
 /// Panics if the per-image lists have different lengths (checked for
 /// every class, so whenever `num_classes > 0`).
 pub fn coco_metrics(
-    detections: &[Vec<Detection>],
-    ground_truth: &[Vec<GroundTruthBox>],
+    detections: &[impl AsRef<[Detection]>],
+    ground_truth: &[impl AsRef<[GroundTruthBox]>],
     num_classes: usize,
 ) -> CocoMetrics {
     let mut ap_per_class_50 = BTreeMap::new();

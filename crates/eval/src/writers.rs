@@ -9,11 +9,11 @@
 
 use crate::coco_map::{coco_metrics, CocoMetrics};
 use crate::detection::{ivmod_kpis, IvmodKpis};
-use alfi_core::campaign::DetectionCampaignResult;
+use alfi_core::campaign::{DetectionCampaignResult, DetectionRow};
 use alfi_core::CoreError;
 use alfi_datasets::{CocoGroundTruth, GroundTruthBox};
 use alfi_nn::detection::Detection;
-use alfi_serde::{json_struct, FromJson, Json, ToJson};
+use alfi_serde::{json_struct, to_pretty, FromJson, Json};
 use std::path::Path;
 
 /// One image's predictions in the intermediate-result JSON files.
@@ -26,6 +26,15 @@ pub struct ImagePredictions {
 }
 
 json_struct!(ImagePredictions { image_id, detections });
+
+/// A row's image id and one of its detection lists: the borrowed form
+/// of [`ImagePredictions`], written as the same object.
+struct PredictionsRef<'a> {
+    image_id: u64,
+    detections: &'a [Detection],
+}
+
+json_struct!(write PredictionsRef<'_> { image_id, detections });
 
 /// The metrics summary JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,14 +57,14 @@ pub fn detection_summary(
     num_classes: usize,
     iou_thresh: f32,
 ) -> DetectionSummary {
-    let gts: Vec<Vec<GroundTruthBox>> = result.rows.iter().map(|r| r.ground_truth.clone()).collect();
-    let orig: Vec<Vec<Detection>> = result.rows.iter().map(|r| r.orig.clone()).collect();
-    let corr: Vec<Vec<Detection>> = result.rows.iter().map(|r| r.corr.clone()).collect();
+    let rows = &result.rows;
+    let gts: Vec<&[GroundTruthBox]> = rows.iter().map(|r| r.ground_truth.as_slice()).collect();
+    let per_image = |get: fn(&DetectionRow) -> &[Detection]| rows.iter().map(get).collect::<Vec<_>>();
     DetectionSummary {
         model: result.model_name.clone(),
-        orig_coco: coco_metrics(&orig, &gts, num_classes),
-        corr_coco: coco_metrics(&corr, &gts, num_classes),
-        ivmod: ivmod_kpis(&result.rows, iou_thresh),
+        orig_coco: coco_metrics(&per_image(|r| &r.orig), &gts, num_classes),
+        corr_coco: coco_metrics(&per_image(|r| &r.corr), &gts, num_classes),
+        ivmod: ivmod_kpis(rows, iou_thresh),
     }
 }
 
@@ -81,33 +90,26 @@ pub fn write_detection_outputs(
     dir: impl AsRef<Path>,
 ) -> Result<DetectionSummary, CoreError> {
     let dir = dir.as_ref();
-    std::fs::create_dir_all(dir).map_err(|e| CoreError::Io(e.to_string()))?;
-    let gt_json = ground_truth.to_json().map_err(|e| CoreError::Io(e.to_string()))?;
-    std::fs::write(dir.join("ground_truth.json"), gt_json)
-        .map_err(|e| CoreError::Io(e.to_string()))?;
-
-    let to_preds = |get: &dyn Fn(&alfi_core::campaign::DetectionRow) -> Vec<Detection>| {
-        result
-            .rows
-            .iter()
-            .map(|r| ImagePredictions { image_id: r.image_id, detections: get(r) })
-            .collect::<Vec<_>>()
+    let write = |name: &str, text: String| {
+        std::fs::write(dir.join(name), text).map_err(|e| CoreError::Io(e.to_string()))
     };
-    let orig = to_preds(&|r| r.orig.clone());
-    let corr = to_preds(&|r| r.corr.clone());
-    std::fs::write(dir.join("detections_orig.json"), ToJson::to_json(&orig).pretty())
-        .map_err(|e| CoreError::Io(e.to_string()))?;
-    std::fs::write(dir.join("detections_corr.json"), ToJson::to_json(&corr).pretty())
-        .map_err(|e| CoreError::Io(e.to_string()))?;
+    std::fs::create_dir_all(dir).map_err(|e| CoreError::Io(e.to_string()))?;
+    write("ground_truth.json", to_pretty(ground_truth))?;
+
+    let preds = |get: fn(&DetectionRow) -> &[Detection]| {
+        let rows = result.rows.iter();
+        let preds: Vec<_> =
+            rows.map(|r| PredictionsRef { image_id: r.image_id, detections: get(r) }).collect();
+        to_pretty(&preds)
+    };
+    write("detections_orig.json", preds(|r| &r.orig))?;
+    write("detections_corr.json", preds(|r| &r.corr))?;
     if result.rows.iter().any(|r| r.resil.is_some()) {
-        let resil = to_preds(&|r| r.resil.clone().unwrap_or_default());
-        std::fs::write(dir.join("detections_resil.json"), ToJson::to_json(&resil).pretty())
-            .map_err(|e| CoreError::Io(e.to_string()))?;
+        write("detections_resil.json", preds(|r| r.resil.as_deref().unwrap_or_default()))?;
     }
 
     let summary = detection_summary(result, num_classes, iou_thresh);
-    std::fs::write(dir.join("metrics.json"), ToJson::to_json(&summary).pretty())
-        .map_err(|e| CoreError::Io(e.to_string()))?;
+    write("metrics.json", to_pretty(&summary))?;
     Ok(summary)
 }
 

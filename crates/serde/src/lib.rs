@@ -2,27 +2,38 @@
 //!
 //! The paper's output pipeline (Fig. 3) persists ground truth,
 //! detections, and KPI summaries as JSON documents. This module owns
-//! that format end to end: a [`Json`] value type, a writer that matches
-//! the pretty-printing conventions the repo's golden files were written
-//! with (2-space indent, struct fields in declaration order, integral
-//! floats rendered as `1.0`), a recursive-descent parser, and
-//! [`ToJson`]/[`FromJson`] traits that structs implement by hand or via
-//! [`json_struct!`].
+//! that format end to end: a one-pass [`JsonWriter`] that renders a
+//! [`ToJson`] value straight into a `String` in the layout the repo's
+//! golden files were written with (2-space indent, struct fields in
+//! declaration order, integral floats rendered as `1.0`), a [`Json`]
+//! value type for parsed and hand-built documents (rendered by the same
+//! writer), a recursive-descent parser, and [`ToJson`]/[`FromJson`]
+//! traits that structs implement by hand or via [`json_struct!`].
+//!
+//! Floats that are exactly an `f32` — every box, score, area and
+//! injected value — are formatted by [`write_f32_exact`] instead of
+//! `core::fmt`, with the same text.
 //!
 //! # Example
 //!
 //! ```
-//! use alfi_serde::{json_struct, FromJson, Json, ToJson};
+//! use alfi_serde::{json_struct, to_compact, to_pretty, FromJson, Json};
 //!
 //! #[derive(Debug, PartialEq)]
 //! struct Point { x: f32, y: f32 }
 //! json_struct!(Point { x, y });
 //!
-//! let p = Point { x: 1.0, y: 2.5 };
-//! let text = p.to_json().pretty();
-//! let back = Point::from_json(&Json::parse(&text).unwrap()).unwrap();
+//! let p = Point { x: 1.0, y: 0.1 };
+//! assert_eq!(to_compact(&p), r#"{"x":1.0,"y":0.10000000149011612}"#);
+//! let back = Point::from_json(&Json::parse(&to_pretty(&p)).unwrap()).unwrap();
 //! assert_eq!(p, back);
 //! ```
+
+mod float;
+mod writer;
+
+pub use float::write_f32_exact;
+pub use writer::{JsonArray, JsonObject, JsonWriter};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -132,63 +143,12 @@ impl Json {
     /// Serializes with 2-space indentation (the `serde_json`
     /// `to_string_pretty` layout the repo's files were written with).
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(0));
-        out
+        to_pretty(self)
     }
 
     /// Serializes without whitespace.
     pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(f) => write_f64(out, *f),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent.map(|d| d + 1));
-                    item.write(out, indent.map(|d| d + 1));
-                }
-                newline_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent.map(|d| d + 1));
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent.map(|d| d + 1));
-                }
-                newline_indent(out, indent);
-                out.push('}');
-            }
-        }
+        to_compact(self)
     }
 
     /// Parses a JSON document.
@@ -206,49 +166,6 @@ impl Json {
         }
         Ok(v)
     }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>) {
-    if let Some(depth) = indent {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    }
-}
-
-/// Writes a float the way `serde_json` does: shortest round-trip form,
-/// with `.0` appended to integral values; non-finite values become `null`.
-fn write_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 const MAX_DEPTH: usize = 128;
@@ -485,10 +402,52 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Converts a value into a [`Json`] tree.
+/// Writes a value as JSON text.
 pub trait ToJson {
-    /// Builds the JSON representation.
-    fn to_json(&self) -> Json;
+    /// Writes the value through `w`.
+    fn write_json(&self, w: &mut JsonWriter<'_>);
+}
+
+/// The members of a struct's JSON object without its braces, in the
+/// order [`json_struct!`] lists them; lets a caller put members of its
+/// own (an event tag, a format version) before them in the same object.
+pub trait JsonFields {
+    /// Writes each field into `obj`.
+    fn write_fields(&self, obj: &mut JsonObject<'_, '_>);
+}
+
+/// Renders `value` with 2-space indentation (see [`Json::pretty`]).
+pub fn to_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut JsonWriter::pretty(&mut out));
+    out
+}
+
+/// Renders `value` without whitespace.
+pub fn to_compact<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut JsonWriter::compact(&mut out));
+    out
+}
+
+impl ToJson for Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(i) => w.i128(*i),
+            Json::Float(f) => w.f64(*f),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => items.write_json(w),
+            Json::Obj(pairs) => {
+                let mut obj = w.object();
+                for (k, v) in pairs {
+                    obj.entry(k, v);
+                }
+                obj.end();
+            }
+        }
+    }
 }
 
 /// Reconstructs a value from a [`Json`] tree.
@@ -502,10 +461,10 @@ pub trait FromJson: Sized {
 }
 
 macro_rules! impl_json_int {
-    ($($t:ty),*) => {$(
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i128)
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.$write(*self as $wide);
             }
         }
         impl FromJson for $t {
@@ -517,11 +476,12 @@ macro_rules! impl_json_int {
     )*};
 }
 
-impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_json_int!(u64 as u64: u8, u16, u32, u64, usize);
+impl_json_int!(i64 as i64: i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.f64(*self);
     }
 }
 
@@ -536,8 +496,8 @@ impl FromJson for f64 {
 }
 
 impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self as f64)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.f64(*self as f64);
     }
 }
 
@@ -548,8 +508,8 @@ impl FromJson for f32 {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self);
     }
 }
 
@@ -560,8 +520,8 @@ impl FromJson for bool {
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
     }
 }
 
@@ -572,14 +532,30 @@ impl FromJson for String {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_owned())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        (**self).write_json(w);
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let mut arr = w.array();
+        for item in self {
+            arr.item(item);
+        }
+        arr.end();
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(w);
     }
 }
 
@@ -594,8 +570,8 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(w);
     }
 }
 
@@ -614,8 +590,11 @@ impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let mut arr = w.array();
+        arr.item(&self.0);
+        arr.item(&self.1);
+        arr.end();
     }
 }
 
@@ -629,10 +608,10 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -649,8 +628,12 @@ impl<T: FromJson> FromJson for Option<T> {
 // Maps with integer-like keys serialize as objects with stringified keys
 // (the serde_json convention for non-string keys).
 impl<K: ToString + Ord, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.to_string(), v.to_json())).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let mut obj = w.object();
+        for (k, v) in self {
+            obj.entry(&k.to_string(), v);
+        }
+        obj.end();
     }
 }
 
@@ -679,18 +662,31 @@ pub fn from_field<T: FromJson>(obj: &Json, key: &str) -> Result<T, JsonError> {
     }
 }
 
-/// Implements [`ToJson`] and [`FromJson`] for a plain struct, listing
-/// each field once; serialization preserves the listed order.
+/// Implements [`ToJson`], [`JsonFields`] and [`FromJson`] for a plain
+/// struct, listing each field once; serialization preserves the listed
+/// order and writes each key as a static `"name":` fragment.
+///
+/// `json_struct!(write Type { .. })` implements only the writing half
+/// ([`ToJson`] and [`JsonFields`]), for borrowed views such as a struct
+/// of slices that render the same object as an owned type.
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::Obj(vec![
-                    $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)+
-                ])
+    (write $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::JsonFields for $ty {
+            fn write_fields(&self, obj: &mut $crate::JsonObject<'_, '_>) {
+                $(obj.field(concat!("\"", stringify!($field), "\":"), &self.$field);)+
             }
         }
+        impl $crate::ToJson for $ty {
+            fn write_json(&self, w: &mut $crate::JsonWriter<'_>) {
+                let mut obj = w.object();
+                $crate::JsonFields::write_fields(self, &mut obj);
+                obj.end();
+            }
+        }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::json_struct!(write $ty { $($field),+ });
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
                 Ok(Self {
@@ -793,7 +789,7 @@ mod tests {
             tags: vec!["a".into(), "b".into()],
             bbox: [1.0, 2.0, 3.0, 4.0],
         };
-        let text = d.to_json().pretty();
+        let text = to_pretty(&d);
         let back = Demo::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(d, back);
         // Fields appear in declaration order.
@@ -819,8 +815,8 @@ mod tests {
     #[test]
     fn pairs_round_trip_and_need_exactly_two_items() {
         let pair = (0.25f64, 7u32);
-        assert_eq!(pair.to_json().compact(), "[0.25,7]");
-        assert_eq!(<(f64, u32)>::from_json(&pair.to_json()).unwrap(), pair);
+        assert_eq!(to_compact(&pair), "[0.25,7]");
+        assert_eq!(<(f64, u32)>::from_json(&Json::parse(&to_compact(&pair)).unwrap()).unwrap(), pair);
         for text in ["[]", "[0.5]", "[0.5,1,2]", "{}"] {
             assert!(<(f64, u32)>::from_json(&Json::parse(text).unwrap()).is_err(), "{text}");
         }
@@ -831,7 +827,7 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert(3usize, 0.5f64);
         m.insert(7usize, 1.0f64);
-        let text = m.to_json().compact();
+        let text = to_compact(&m);
         assert_eq!(text, "{\"3\":0.5,\"7\":1.0}");
         let back: BTreeMap<usize, f64> = FromJson::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(m, back);
@@ -840,8 +836,7 @@ mod tests {
     #[test]
     fn f32_round_trips_through_f64_widening() {
         for x in [0.1f32, 1.0, -3.75, f32::MAX, f32::MIN_POSITIVE] {
-            let v = x.to_json();
-            let back = f32::from_json(&Json::parse(&v.compact()).unwrap()).unwrap();
+            let back = f32::from_json(&Json::parse(&to_compact(&x)).unwrap()).unwrap();
             assert_eq!(x, back);
         }
     }

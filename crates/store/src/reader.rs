@@ -171,13 +171,18 @@ impl StoreReader {
         Ok(block)
     }
 
+    /// Each column's values, to be moved out one row at a time: every
+    /// column of a decoded block holds one value per key.
+    fn column_iters(columns: Vec<Vec<Value>>) -> Vec<std::vec::IntoIter<Value>> {
+        columns.into_iter().map(Vec::into_iter).collect()
+    }
+
     fn block_to_rows(block: crate::codec::BlockData) -> Vec<Row> {
-        let cols = block.columns;
+        let mut cols = Self::column_iters(block.columns);
         block
             .keys
             .into_iter()
-            .enumerate()
-            .map(|(i, key)| (key, cols.iter().map(|c| c[i].clone()).collect()))
+            .map(|key| (key, cols.iter_mut().filter_map(Iterator::next).collect()))
             .collect()
     }
 
@@ -188,10 +193,9 @@ impl StoreReader {
     /// Returns [`StoreError::Io`] or [`StoreError::Corrupt`].
     pub fn scan(&mut self) -> Result<Vec<Row>, StoreError> {
         let mut out = Vec::with_capacity(self.total_rows as usize);
-        self.for_each_row(|key, values| {
-            out.push((*key, values.to_vec()));
-            Ok(())
-        })?;
+        for idx in 0..self.index.len() {
+            out.extend(Self::block_to_rows(self.read_block(idx)?));
+        }
         Ok(out)
     }
 
@@ -211,9 +215,10 @@ impl StoreReader {
         let mut row = Vec::new();
         for idx in 0..self.index.len() {
             let block = self.read_block(idx)?;
-            for (i, key) in block.keys.iter().enumerate() {
+            let mut cols = Self::column_iters(block.columns);
+            for key in &block.keys {
                 row.clear();
-                row.extend(block.columns.iter().map(|c| c[i].clone()));
+                row.extend(cols.iter_mut().filter_map(Iterator::next));
                 f(key, &row)?;
             }
         }

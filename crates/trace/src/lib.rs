@@ -75,7 +75,7 @@ mod reader;
 pub use counts::{CampaignCounters, RunCounts};
 pub use reader::{EventHeader, EventLog, EventLogError};
 
-use alfi_serde::{FromJson, Json, JsonError, ToJson};
+use alfi_serde::{FromJson, Json, JsonError, JsonFields, JsonObject, JsonWriter, ToJson};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -210,8 +210,8 @@ impl StopVerdict {
 }
 
 impl ToJson for StopVerdict {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().into())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self.name());
     }
 }
 
@@ -733,18 +733,19 @@ impl Recorder {
     pub fn events_jsonl(&self) -> String {
         let Some(inner) = &self.inner else { return String::new() };
         let mut out = String::new();
-        let mut header = vec![("format".to_string(), EVENT_FORMAT_VERSION.to_json())];
-        if let Some(meta) = lock(&inner.meta).as_ref() {
-            header.extend(fields(meta));
-        }
-        push_record(&mut out, "header", header);
+        push_record(&mut out, "header", |obj| {
+            obj.field("\"format\":", &EVENT_FORMAT_VERSION);
+            if let Some(meta) = lock(&inner.meta).as_ref() {
+                meta.write_fields(obj);
+            }
+        });
         for ev in lock(&inner.events).iter() {
-            push_record(&mut out, "injection", fields(ev));
+            push_record(&mut out, "injection", |obj| ev.write_fields(obj));
         }
         for ev in lock(&inner.stops).iter() {
-            push_record(&mut out, "stop", fields(ev));
+            push_record(&mut out, "stop", |obj| ev.write_fields(obj));
         }
-        push_record(&mut out, "summary", fields(&inner.counts()));
+        push_record(&mut out, "summary", |obj| inner.counts().write_fields(obj));
         out
     }
 
@@ -762,18 +763,14 @@ impl Recorder {
     }
 }
 
-/// The fields of a `json_struct!` value, in its listed order.
-fn fields(value: &impl ToJson) -> Vec<(String, Json)> {
-    match value.to_json() {
-        Json::Obj(fields) => fields,
-        _ => Vec::new(),
-    }
-}
-
-/// Appends one event-log line: the `event` tag, then `fields`.
-fn push_record(out: &mut String, event: &str, fields: Vec<(String, Json)>) {
-    let tag = ("event".to_string(), Json::Str(event.into()));
-    out.push_str(&Json::Obj(std::iter::once(tag).chain(fields).collect()).compact());
+/// Appends one event-log line: the `event` tag, then the members
+/// `fields` writes.
+fn push_record(out: &mut String, event: &str, fields: impl FnOnce(&mut JsonObject<'_, '_>)) {
+    let mut w = JsonWriter::compact(out);
+    let mut obj = w.object();
+    obj.field("\"event\":", event);
+    fields(&mut obj);
+    obj.end();
     out.push('\n');
 }
 
