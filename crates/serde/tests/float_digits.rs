@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 const MIN_ANSWERED: f32 = 3.5527137e-15; // 2^-48
 
 /// The mismatch of `f` (its bits, the path's answer, `Display`'s text),
-/// if any; `ours` and `display` are scratch buffers.
+/// if any; `ours` and `display` are reused buffers.
 fn mismatch(
     f: f32,
     ours: &mut String,
