@@ -13,23 +13,31 @@
 //! * logging (the baseline reports nothing about what it hit).
 
 use crate::error::CoreError;
-use crate::fault::{FaultRecord, FaultValue};
-use crate::injector::corrupt_value;
-use crate::matrix::LayerTarget;
+use crate::fault::FaultRecord;
+use crate::fault_model::FaultModel;
+use crate::injector::arm_faults;
+use crate::matrix::{draw_fault, LayerTarget};
 use alfi_nn::{ForwardHook, LayerCtx, Network};
-use alfi_scenario::{FaultMode, InjectionTarget, Scenario};
-use alfi_tensor::Tensor;
 use alfi_rng::Rng;
+use alfi_scenario::Scenario;
+use alfi_tensor::Tensor;
 use std::sync::Mutex;
-use std::sync::Arc;
 
 /// Ad-hoc injector: every call samples fresh fault locations directly
 /// against the model, applies them for a single forward pass, and
 /// forgets them.
+///
+/// It draws from the scenario's own fault distribution through the
+/// matrix's sampler (Eq. 1 or uniform layer choice, `layers:`
+/// overrides, batch and coordinates), so its first `n` draws are the
+/// first `n` records [`FaultMatrix::generate`](crate::FaultMatrix::generate)
+/// pre-generates for the same scenario. It arms them the way PyTorchFI
+/// does, on a corrupted copy of the model ([`arm_faults`]).
 #[derive(Debug)]
 pub struct AdHocInjector {
     targets: Vec<LayerTarget>,
     scenario: Scenario,
+    model: FaultModel,
     rng: Rng,
 }
 
@@ -39,151 +47,33 @@ impl AdHocInjector {
     ///
     /// # Errors
     ///
-    /// Returns layer-resolution errors.
+    /// Returns layer-resolution errors and the [`FaultModel::resolve`]
+    /// errors for bad `layers:` overrides.
     pub fn new(model: &Network, scenario: Scenario, input_dims: &[usize]) -> Result<Self, CoreError> {
         let targets =
             crate::matrix::resolve_targets(&[model], &scenario, &[Some(input_dims.to_vec())])?;
+        let model = FaultModel::resolve(&scenario, &targets)?;
         let rng = Rng::from_seed(scenario.seed);
-        Ok(AdHocInjector { targets, scenario, rng })
+        Ok(AdHocInjector { targets, scenario, model, rng })
     }
 
-    fn sample_fault(&mut self) -> FaultRecord {
-        let li = self.rng.gen_range(0..self.targets.len());
-        let t = &self.targets[li];
-        let value = match self.scenario.fault_mode {
-            FaultMode::BitFlip { bit_range } => {
-                FaultValue::BitFlip(self.rng.gen_range(bit_range.0..=bit_range.1))
-            }
-            FaultMode::StuckAt { bit_range, stuck_high } => FaultValue::StuckAt {
-                pos: self.rng.gen_range(bit_range.0..=bit_range.1),
-                high: stuck_high,
-            },
-            FaultMode::RandomValue { min, max } => {
-                FaultValue::Replace(if min == max { min } else { self.rng.gen_range(min..max) })
-            }
-            FaultMode::QuantStep { bits, amax, bit_range } => FaultValue::QuantStep {
-                bit: self.rng.gen_range(bit_range.0..=bit_range.1),
-                bits,
-                amax,
-            },
-        };
-        match self.scenario.injection_target {
-            InjectionTarget::Weights => {
-                let d = &t.weight_dims;
-                match d.len() {
-                    2 => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: self.rng.gen_range(0..d[0]),
-                        channel_in: 0,
-                        depth: None,
-                        height: 0,
-                        width: self.rng.gen_range(0..d[1]),
-                        value,
-                    },
-                    4 => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: self.rng.gen_range(0..d[0]),
-                        channel_in: self.rng.gen_range(0..d[1]),
-                        depth: None,
-                        height: self.rng.gen_range(0..d[2]),
-                        width: self.rng.gen_range(0..d[3]),
-                        value,
-                    },
-                    _ => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: self.rng.gen_range(0..d[0]),
-                        channel_in: self.rng.gen_range(0..d[1]),
-                        depth: Some(self.rng.gen_range(0..d[2])),
-                        height: self.rng.gen_range(0..d[3]),
-                        width: self.rng.gen_range(0..d[4]),
-                        value,
-                    },
-                }
-            }
-            InjectionTarget::Neurons => {
-                let d = t.output_dims.as_deref().unwrap_or(&t.weight_dims[..1]);
-                match d.len() {
-                    2 => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: 0,
-                        channel_in: 0,
-                        depth: None,
-                        height: 0,
-                        width: self.rng.gen_range(0..d[1]),
-                        value,
-                    },
-                    4 => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: self.rng.gen_range(0..d[1]),
-                        channel_in: 0,
-                        depth: None,
-                        height: self.rng.gen_range(0..d[2]),
-                        width: self.rng.gen_range(0..d[3]),
-                        value,
-                    },
-                    _ => FaultRecord {
-                        batch: 0,
-                        layer: li,
-                        channel: if d.len() > 1 { self.rng.gen_range(0..d[1]) } else { 0 },
-                        channel_in: 0,
-                        depth: None,
-                        height: 0,
-                        width: 0,
-                        value,
-                    },
-                }
-            }
-        }
+    /// Samples the next fault on the fly.
+    pub fn sample_fault(&mut self) -> FaultRecord {
+        draw_fault(&self.scenario, &self.targets, &self.model, &mut self.rng)
     }
 
-    /// Runs one fault-injected inference: samples `k` fresh faults,
-    /// applies them, forwards, reverts. Nothing is logged or persisted.
+    /// Runs one fault-injected inference: samples `k` fresh faults, arms
+    /// them on a clone of `model` and forwards it. Nothing is logged or
+    /// persisted.
     ///
     /// # Errors
     ///
-    /// Propagates network errors.
+    /// Propagates [`arm_faults`] and network errors.
     pub fn run_once(&mut self, model: &Network, input: &Tensor, k: usize) -> Result<Tensor, CoreError> {
         let faults: Vec<FaultRecord> = (0..k).map(|_| self.sample_fault()).collect();
-        match self.scenario.injection_target {
-            InjectionTarget::Weights => {
-                let mut net = model.clone();
-                for f in &faults {
-                    let t = &self.targets[f.layer];
-                    let layer = net.layer_mut(t.node_id)?;
-                    let w = layer.weight_mut().expect("injectable layer has weights");
-                    let coords: Vec<usize> = match w.dims().len() {
-                        2 => vec![f.channel, f.width],
-                        4 => vec![f.channel, f.channel_in, f.height, f.width],
-                        _ => vec![f.channel, f.channel_in, f.depth.unwrap_or(0), f.height, f.width],
-                    };
-                    let (corrupted, _) = corrupt_value(w.get(&coords), f.value);
-                    w.set(&coords, corrupted);
-                }
-                Ok(net.forward(input)?)
-            }
-            InjectionTarget::Neurons => {
-                let mut net = model.clone();
-                for f in &faults {
-                    let t = &self.targets[f.layer];
-                    let fault = *f;
-                    let hook = move |_ctx: &LayerCtx, out: &mut Tensor| {
-                        let dims = out.dims().to_vec();
-                        if let Some(flat) = crate::injector::neuron_flat_index(&fault, &dims) {
-                            let data = out.data_mut();
-                            let (v, _) = corrupt_value(data[flat], fault.value);
-                            data[flat] = v;
-                        }
-                    };
-                    net.register_hook(t.node_id, Arc::new(hook))?;
-                }
-                Ok(net.forward(input)?)
-            }
-        }
+        let mut net = model.clone();
+        arm_faults(&mut [&mut net], &self.targets, &faults, self.scenario.injection_target)?;
+        Ok(net.forward(input)?)
     }
 }
 
@@ -216,6 +106,7 @@ impl ForwardHook for CountingHook {
 mod tests {
     use super::*;
     use alfi_nn::models::{alexnet, ModelConfig};
+    use alfi_scenario::{FaultMode, InjectionTarget};
 
     fn model_cfg() -> ModelConfig {
         ModelConfig { input_hw: 32, width_mult: 0.0625, ..ModelConfig::default() }

@@ -203,6 +203,12 @@ pub struct ClassificationScope {
 /// [`FaultPlan`] and [`NodeMap`]), never clone a model and skip
 /// registered hooks, as forwards of hook-free clones would. A model
 /// that carries hooks therefore makes both of them start at node 0.
+///
+/// A ViT campaign ([`VitCampaign`](crate::campaign::VitCampaign)) is
+/// this campaign over a transformer that records its architecture: the
+/// trace header then reads `campaign: "vit"` and `model:
+/// "<name>(d<depth>,h<heads>)"`, and a binary store's meta gains
+/// `campaign`, `vit_depth` and `vit_heads`.
 #[derive(Debug)]
 pub struct ImgClassCampaign {
     model: Network,
@@ -210,6 +216,8 @@ pub struct ImgClassCampaign {
     scenario: Scenario,
     loader: ClassificationLoader,
     fault_matrix: Option<FaultMatrix>,
+    /// Transformer `(depth, heads)`, recorded as run metadata.
+    pub(super) vit: Option<(usize, usize)>,
 }
 
 /// The hardened model and its node map onto the campaign's model,
@@ -223,7 +231,14 @@ struct Hardened {
 impl ImgClassCampaign {
     /// Creates a campaign over `model` with the given scenario and data.
     pub fn new(model: Network, scenario: Scenario, loader: ClassificationLoader) -> Self {
-        ImgClassCampaign { model, resil_model: None, scenario, loader, fault_matrix: None }
+        ImgClassCampaign {
+            model,
+            resil_model: None,
+            scenario,
+            loader,
+            fault_matrix: None,
+            vit: None,
+        }
     }
 
     /// Replays a previously persisted fault matrix instead of generating
@@ -253,12 +268,6 @@ impl ImgClassCampaign {
         self
     }
 
-    /// Whether a hardened model is attached (drives the store schema's
-    /// column arity).
-    pub(crate) fn has_resil(&self) -> bool {
-        self.resil_model.is_some()
-    }
-
     /// Runs the campaign with the given [`RunConfig`] — the single
     /// entry point for every driver and thread count, delegating to the
     /// shared campaign [`Engine`] (see its docs for dispatch, tracing
@@ -281,11 +290,18 @@ impl CampaignTask for ImgClassCampaign {
     type Result = ClassificationCampaignResult;
 
     fn kind(&self) -> &'static str {
-        "classification"
+        if self.vit.is_some() {
+            "vit"
+        } else {
+            "classification"
+        }
     }
 
     fn model_name(&self) -> String {
-        self.model.name().to_string()
+        match self.vit {
+            Some((depth, heads)) => format!("{}(d{depth},h{heads})", self.model.name()),
+            None => self.model.name().to_string(),
+        }
     }
 
     fn scenario(&self) -> &Scenario {
@@ -484,6 +500,9 @@ impl CampaignTask for ImgClassCampaign {
         }
     }
 
+    /// Binary stores keep `kind: classification` for ViT runs too, so
+    /// the store→CSV converter applies unchanged; the transformer's
+    /// architecture precedes any per-layer override keys in the meta.
     fn make_row_sink(
         &self,
         format: ArtifactFormat,
@@ -493,7 +512,14 @@ impl CampaignTask for ImgClassCampaign {
             ArtifactFormat::Csv => Ok(Some(Box::new(ClassificationCsvSink::create(artifacts)?))),
             ArtifactFormat::Binary => {
                 let resil = self.resil_model.is_some();
-                let schema = with_layer_override_meta(store_schema(resil), &self.scenario);
+                let mut schema = store_schema(resil);
+                if let Some((depth, heads)) = self.vit {
+                    schema = schema
+                        .with_meta("campaign", "vit")
+                        .with_meta("vit_depth", depth.to_string())
+                        .with_meta("vit_heads", heads.to_string());
+                }
+                let schema = with_layer_override_meta(schema, &self.scenario);
                 Ok(Some(Box::new(ColumnarSink::create(
                     artifacts.rows_store(),
                     schema,
@@ -508,9 +534,8 @@ impl CampaignTask for ImgClassCampaign {
 /// `results_corr.csv` (/`results_resil.csv`) files written row by row
 /// as the engine produces them. The resil file is created lazily on
 /// the first hardened row, so runs without a resil model keep the
-/// two-file layout. Shared with the ViT campaign, whose rows use the
-/// identical CSV shape.
-pub(crate) struct ClassificationCsvSink {
+/// two-file layout.
+struct ClassificationCsvSink {
     orig: io::BufWriter<File>,
     corr: io::BufWriter<File>,
     resil: Option<io::BufWriter<File>>,
@@ -520,7 +545,7 @@ pub(crate) struct ClassificationCsvSink {
 }
 
 impl ClassificationCsvSink {
-    pub(crate) fn create(artifacts: &Artifacts) -> Result<Self, CoreError> {
+    fn create(artifacts: &Artifacts) -> Result<Self, CoreError> {
         let mut bytes = 0u64;
         let mut open = |path: PathBuf| -> Result<io::BufWriter<File>, CoreError> {
             let mut w = io::BufWriter::new(File::create(path)?);
@@ -593,7 +618,7 @@ impl ArtifactSink<ClassificationRow> for ClassificationCsvSink {
 /// model variant, the six fault columns and the NaN/Inf counts.
 /// Probabilities are stored as raw f32 bits, so re-rendering them
 /// reproduces the CSV text exactly.
-pub(crate) fn store_schema(resil: bool) -> Schema {
+fn store_schema(resil: bool) -> Schema {
     let mut cols = vec![
         ColumnSpec::new("image_id", ColumnType::U64, Encoding::Delta),
         ColumnSpec::new("file_name", ColumnType::Str, Encoding::Prefix),
@@ -623,7 +648,7 @@ pub(crate) fn store_schema(resil: bool) -> Schema {
 /// multi-resolution fault model that produced their rows (`alfi store
 /// info` prints them as a dedicated section). Scenarios without
 /// overrides add nothing, so historical store bytes are unchanged.
-pub(crate) fn with_layer_override_meta(mut schema: Schema, scenario: &Scenario) -> Schema {
+fn with_layer_override_meta(mut schema: Schema, scenario: &Scenario) -> Schema {
     for (pattern, o) in &scenario.layer_overrides {
         let mut parts = Vec::new();
         if let Some(r) = o.rate {
@@ -647,7 +672,7 @@ pub(crate) fn with_layer_override_meta(mut schema: Schema, scenario: &Scenario) 
 }
 
 /// Projects one row onto the [`store_schema`] column order.
-pub(crate) fn store_values(row: &ClassificationRow, resil: bool) -> Vec<Value> {
+fn store_values(row: &ClassificationRow, resil: bool) -> Vec<Value> {
     let mut values = vec![
         Value::U64(row.image_id),
         Value::Str(row.file_name.clone()),

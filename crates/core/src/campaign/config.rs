@@ -11,7 +11,6 @@
 
 use alfi_metrics::{HealthPolicy, Registry};
 use alfi_scenario::{ArtifactFormat, Scenario, StopPolicy};
-use alfi_tensor::gemm::KernelPath;
 use alfi_trace::Recorder;
 use std::path::{Path, PathBuf};
 
@@ -88,15 +87,6 @@ pub struct RunConfig {
     /// `format` key; `None` falls back to the scenario, and a scenario
     /// without one writes CSV.
     pub format: Option<ArtifactFormat>,
-    /// Path of the GEMM and GELU kernels for every matmul / conv /
-    /// linear / GELU the campaign executes. When set, the engine
-    /// installs a process-wide kernel override for the duration of the
-    /// run (restoring the previous selection afterwards); `None` leaves
-    /// the ambient selection — the `ALFI_KERNEL` environment variable,
-    /// defaulting to [`KernelPath::Blocked`] — untouched. Both paths
-    /// are bit-exact by contract, so this only affects wall-clock,
-    /// never results.
-    pub kernel: Option<KernelPath>,
 }
 
 impl Default for RunConfig {
@@ -110,7 +100,6 @@ impl Default for RunConfig {
             health: None,
             stop: None,
             format: None,
-            kernel: None,
         }
     }
 }
@@ -169,13 +158,6 @@ impl RunConfig {
     /// Selects the row-artifact encoding (see [`RunConfig::format`]).
     pub fn format(mut self, format: ArtifactFormat) -> Self {
         self.format = Some(format);
-        self
-    }
-
-    /// Pins the GEMM kernel path for the run (see
-    /// [`RunConfig::kernel`]).
-    pub fn kernel(mut self, path: KernelPath) -> Self {
-        self.kernel = Some(path);
         self
     }
 

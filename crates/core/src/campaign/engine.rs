@@ -49,7 +49,7 @@ use alfi_scenario::{
     ArtifactFormat, FaultDuration, InjectionPolicy, Scenario, ScenarioError, StopPolicy,
 };
 use alfi_store::RowKey;
-use alfi_tensor::gemm::{self, KernelPath};
+use alfi_tensor::gemm;
 use alfi_trace::{CampaignCounters, EffectClass, OutcomeTallies, Phase, Recorder, RunMeta, StopOutcome};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -87,10 +87,10 @@ pub type ScopeSink<'a, S> = dyn FnMut(bool, S) -> Result<ControlFlow<()>, CoreEr
 /// Implementations own the *what* (model forwards, per-call fault
 /// plans, row shapes); the engine owns the *how* (policy iteration,
 /// slot assignment, replay validation, tracing, pooling, persistence).
-/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign),
-/// [`VitCampaign`](crate::campaign::VitCampaign) and
-/// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the in-tree
-/// implementations. A task is [`Sync`]: the engine shares it across
+/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign) (which also
+/// runs ViT campaigns, see [`VitCampaign`](crate::campaign::VitCampaign))
+/// and [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the two
+/// in-tree implementations. A task is [`Sync`]: the engine shares it across
 /// pool workers, which call [`process_scope`](Self::process_scope)
 /// concurrently, so scope processing must not mutate the task's models.
 pub trait CampaignTask: Sync {
@@ -103,7 +103,7 @@ pub trait CampaignTask: Sync {
     type Result;
 
     /// Campaign kind recorded in the trace header (`"classification"`,
-    /// `"detection"`).
+    /// `"vit"`, `"detection"`).
     fn kind(&self) -> &'static str;
 
     /// Model name recorded in the trace header.
@@ -256,30 +256,6 @@ struct Parts<T: CampaignTask> {
     stop: Option<StopOutcome>,
 }
 
-/// Scoped process-wide kernel-path override: installs the
-/// [`RunConfig::kernel`] selection for the duration of a campaign run
-/// and restores whatever was in effect before (another override or the
-/// `ALFI_KERNEL` environment default) when the run ends — including on
-/// error paths, via `Drop`. The override is process-global so pool
-/// workers resolve the same path as the driver thread.
-struct KernelGuard {
-    prev: Option<KernelPath>,
-}
-
-impl KernelGuard {
-    fn install(path: KernelPath) -> Self {
-        let prev = gemm::kernel_override();
-        gemm::set_kernel_override(Some(path));
-        KernelGuard { prev }
-    }
-}
-
-impl Drop for KernelGuard {
-    fn drop(&mut self) {
-        gemm::set_kernel_override(self.prev);
-    }
-}
-
 /// The one campaign driver: runs any [`CampaignTask`] under a
 /// [`RunConfig`], in place or fanned out on the shared [`alfi_pool`]
 /// pool, with identical outputs either way.
@@ -321,7 +297,6 @@ impl<'c> Engine<'c> {
             }));
         }
         gemm::check_kernel_env().map_err(CoreError::KernelEnv)?;
-        let _kernel = cfg.kernel.map(KernelGuard::install);
         let rec = cfg.recorder.clone();
         if rec.is_enabled() {
             rec.set_meta(RunMeta {

@@ -1,47 +1,31 @@
-//! ViT-style transformer classification campaign — the third
-//! [`CampaignTask`] next to image classification and object detection.
+//! ViT-style transformer classification campaign.
 //!
 //! Transformer fault-injection studies perturb the GEMM-backed
 //! projections (patch embedding, q/k/v, attention output, MLP, head)
 //! while treating softmax, layer norm and token plumbing as control
-//! structure. The seeded [`alfi_nn::models::vit`] model family
-//! encodes exactly that substitution rule, so the campaign itself is a
-//! thin adapter: it owns the transformer architecture parameters and
-//! delegates every row-producing step to the shared classification
-//! pipeline — same [`ClassificationRow`] shape, same CSV files, same
-//! columnar store layout (`kind: classification`, so `alfi store
-//! convert` keeps working), plus transformer meta (`campaign=vit`,
-//! `vit_depth`, `vit_heads`) and the per-layer `layers:` override keys
-//! on the binary schema.
+//! structure. The seeded [`alfi_nn::models::vit`] model family encodes
+//! exactly that substitution rule, so a ViT campaign is an
+//! [`ImgClassCampaign`] that records the transformer's architecture:
+//! same [`ClassificationRow`](crate::campaign::ClassificationRow) shape,
+//! same CSV files, same columnar store layout (`kind: classification`,
+//! so `alfi store convert` keeps working), plus transformer meta
+//! (`campaign=vit`, `vit_depth`, `vit_heads`) in the trace header and
+//! the binary store.
 
-use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink};
-use crate::campaign::classification::{
-    store_schema, store_values, with_layer_override_meta, ClassificationCampaignResult,
-    ClassificationCsvSink, ClassificationRow, ClassificationScope, ImgClassCampaign,
-};
+use crate::campaign::classification::{ClassificationCampaignResult, ImgClassCampaign};
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
-use crate::matrix::{FaultMatrix, LayerTarget};
-use crate::persist::RunTrace;
+use crate::matrix::FaultMatrix;
 use alfi_datasets::loader::ClassificationLoader;
 use alfi_nn::models::{vit, ModelConfig, VIT_TINY_DEPTH, VIT_TINY_HEADS};
 use alfi_nn::Network;
-use alfi_scenario::{ArtifactFormat, Scenario};
-use alfi_trace::{EffectClass, Recorder};
-use std::ops::ControlFlow;
+use alfi_scenario::Scenario;
 
-/// The transformer classification campaign runner.
-///
-/// Wraps the classification pipeline around a ViT-family model and
-/// records the architecture (depth, heads) in the trace header and the
-/// binary store meta.
+/// The transformer classification campaign runner: an
+/// [`ImgClassCampaign`] that records the architecture (depth, heads) in
+/// the trace header and the binary store meta.
 #[derive(Debug)]
-pub struct VitCampaign {
-    inner: ImgClassCampaign,
-    depth: usize,
-    heads: usize,
-}
+pub struct VitCampaign(ImgClassCampaign);
 
 impl VitCampaign {
     /// Creates a campaign over an explicit ViT-family `model` built
@@ -54,150 +38,36 @@ impl VitCampaign {
         scenario: Scenario,
         loader: ClassificationLoader,
     ) -> Self {
-        VitCampaign { inner: ImgClassCampaign::new(model, scenario, loader), depth, heads }
+        let mut campaign = ImgClassCampaign::new(model, scenario, loader);
+        campaign.vit = Some((depth, heads));
+        VitCampaign(campaign)
     }
 
     /// Creates a campaign over the ViT-Tiny configuration
     /// ([`alfi_nn::models::vit_tiny`]): the fast default registered in
     /// the CLI as `--model vit`.
     pub fn tiny(mcfg: &ModelConfig, scenario: Scenario, loader: ClassificationLoader) -> Self {
-        Self::new(
-            vit(mcfg, VIT_TINY_DEPTH, VIT_TINY_HEADS),
-            VIT_TINY_DEPTH,
-            VIT_TINY_HEADS,
-            scenario,
-            loader,
-        )
+        let model = vit(mcfg, VIT_TINY_DEPTH, VIT_TINY_HEADS);
+        Self::new(model, VIT_TINY_DEPTH, VIT_TINY_HEADS, scenario, loader)
     }
 
-    /// Replays a previously persisted fault matrix instead of
-    /// generating a new one.
-    pub fn with_fault_matrix(mut self, matrix: FaultMatrix) -> Self {
-        self.inner = self.inner.with_fault_matrix(matrix);
-        self
+    /// See [`ImgClassCampaign::with_fault_matrix`].
+    pub fn with_fault_matrix(self, matrix: FaultMatrix) -> Self {
+        VitCampaign(self.0.with_fault_matrix(matrix))
     }
 
-    /// Adds a hardened model to run in lock-step under the same faults.
-    /// It must expose the same injectable-layer list as the primary
-    /// transformer. Its hooks never run, and its forward shares the
-    /// golden prefix as [`ImgClassCampaign::with_resil_model`]
-    /// describes.
-    pub fn with_resil_model(mut self, resil: Network) -> Self {
-        self.inner = self.inner.with_resil_model(resil);
-        self
+    /// See [`ImgClassCampaign::with_resil_model`].
+    pub fn with_resil_model(self, resil: Network) -> Self {
+        VitCampaign(self.0.with_resil_model(resil))
     }
 
-    /// Transformer depth (number of attention + MLP blocks).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Attention heads per block.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Runs the campaign with the given [`RunConfig`] — identical
-    /// engine semantics to the classification campaign (see
-    /// [`ImgClassCampaign::run_with`]).
+    /// See [`ImgClassCampaign::run_with`].
     ///
     /// # Errors
     ///
-    /// Returns resolution/injection errors; an exhausted fault matrix
-    /// ends the run gracefully instead. A panicking pool worker
-    /// surfaces as [`CoreError::WorkerPanic`].
+    /// As [`ImgClassCampaign::run_with`].
     pub fn run_with(&mut self, cfg: &RunConfig) -> Result<ClassificationCampaignResult, CoreError> {
-        Engine::new(cfg).run(&*self)
-    }
-}
-
-impl CampaignTask for VitCampaign {
-    type Scope = ClassificationScope;
-    type Row = ClassificationRow;
-    type Result = ClassificationCampaignResult;
-
-    fn kind(&self) -> &'static str {
-        "vit"
-    }
-
-    fn model_name(&self) -> String {
-        format!("{}(d{},h{})", self.inner.model_name(), self.depth, self.heads)
-    }
-
-    fn scenario(&self) -> &Scenario {
-        self.inner.scenario()
-    }
-
-    fn replay_matrix(&self) -> Option<&FaultMatrix> {
-        self.inner.replay_matrix()
-    }
-
-    fn resolve_targets(&self) -> Result<(Vec<LayerTarget>, Option<Vec<LayerTarget>>), CoreError> {
-        self.inner.resolve_targets()
-    }
-
-    fn stream_scopes(
-        &self,
-        epoch: u64,
-        sink: &mut ScopeSink<'_, ClassificationScope>,
-    ) -> Result<ControlFlow<()>, CoreError> {
-        self.inner.stream_scopes(epoch, sink)
-    }
-
-    fn process_scope(
-        &self,
-        ctx: &ScopeCtx<'_>,
-        scope: &ClassificationScope,
-        rec: &Recorder,
-        rows: &mut Vec<ClassificationRow>,
-        trace: &mut RunTrace,
-    ) -> Result<(), CoreError> {
-        self.inner.process_scope(ctx, scope, rec, rows, trace)
-    }
-
-    fn classify(row: &ClassificationRow) -> EffectClass {
-        ImgClassCampaign::classify(row)
-    }
-
-    fn row_nonfinite(row: &ClassificationRow) -> (u64, u64) {
-        ImgClassCampaign::row_nonfinite(row)
-    }
-
-    fn finalize(
-        &self,
-        rows: Vec<ClassificationRow>,
-        matrix: FaultMatrix,
-        trace: RunTrace,
-    ) -> ClassificationCampaignResult {
-        self.inner.finalize(rows, matrix, trace)
-    }
-
-    /// CSV runs reuse the classification file set verbatim; binary runs
-    /// keep the classification store layout (`kind: classification`, so
-    /// the store→CSV converter applies unchanged) and stamp the
-    /// transformer architecture plus any per-layer overrides into the
-    /// schema meta.
-    fn make_row_sink(
-        &self,
-        format: ArtifactFormat,
-        artifacts: &Artifacts,
-    ) -> Result<Option<Box<dyn ArtifactSink<ClassificationRow>>>, CoreError> {
-        match format {
-            ArtifactFormat::Csv => Ok(Some(Box::new(ClassificationCsvSink::create(artifacts)?))),
-            ArtifactFormat::Binary => {
-                let resil = self.inner.has_resil();
-                let schema = store_schema(resil)
-                    .with_meta("campaign", "vit")
-                    .with_meta("vit_depth", self.depth.to_string())
-                    .with_meta("vit_heads", self.heads.to_string());
-                let schema = with_layer_override_meta(schema, self.scenario());
-                Ok(Some(Box::new(ColumnarSink::create(
-                    artifacts.rows_store(),
-                    schema,
-                    move |row: &ClassificationRow| store_values(row, resil),
-                )?)))
-            }
-        }
+        self.0.run_with(cfg)
     }
 }
 
@@ -206,7 +76,8 @@ mod tests {
     use super::*;
     use crate::campaign::CsvVariant;
     use alfi_datasets::classification::ClassificationDataset;
-    use alfi_scenario::{FaultMode, InjectionTarget, LayerOverride};
+    use alfi_scenario::{ArtifactFormat, FaultMode, InjectionTarget, LayerOverride};
+    use alfi_trace::Recorder;
     use std::collections::BTreeMap;
 
     fn campaign(scenario: Scenario) -> VitCampaign {

@@ -12,7 +12,8 @@
 //! against, in PyTorchFI's form (§II): it writes weight faults into a
 //! network's parameters, reverted bit-exactly on disarm, and registers
 //! neuron faults as forward hooks that corrupt the node's output in
-//! place.
+//! place. The ad-hoc baseline ([`crate::baseline`]) injects through it
+//! too.
 
 use crate::error::CoreError;
 use crate::fault::{AppliedFault, FaultRecord, FaultValue};
@@ -686,15 +687,7 @@ impl Ptfiwrap {
     pub fn new(model: &Network, scenario: Scenario, input_dims: &[usize]) -> Result<Self, CoreError> {
         let targets = resolve_targets(&[model], &scenario, &[Some(input_dims.to_vec())])?;
         let matrix = FaultMatrix::generate(&scenario, &targets)?;
-        Ok(Ptfiwrap {
-            model: Arc::new(model.clone()),
-            scenario,
-            input_dims: input_dims.to_vec(),
-            targets,
-            matrix,
-            cursor: 0,
-            permanent_accum: Vec::new(),
-        })
+        Ptfiwrap::with_fault_matrix(model, scenario, input_dims, matrix)
     }
 
     /// Creates a wrapper replaying a previously persisted fault matrix
@@ -712,15 +705,7 @@ impl Ptfiwrap {
         input_dims: &[usize],
         matrix: FaultMatrix,
     ) -> Result<Self, CoreError> {
-        if matrix.target != scenario.injection_target {
-            return Err(CoreError::CorruptFile {
-                kind: "fault",
-                reason: format!(
-                    "matrix target {:?} disagrees with scenario target {:?}",
-                    matrix.target, scenario.injection_target
-                ),
-            });
-        }
+        matrix.validate_replay(&scenario)?;
         let targets = resolve_targets(&[model], &scenario, &[Some(input_dims.to_vec())])?;
         Ok(Ptfiwrap {
             model: Arc::new(model.clone()),

@@ -18,7 +18,8 @@
 //!    left untouched. [`Ptfiwrap`] is the paper's Listing-1 wrapper
 //!    with `fimodel_iter()`; [`arm_faults`] is the clone-and-arm
 //!    reference (in-place weight writes with bit-exact revert, neuron
-//!    faults as forward hooks) the plans are tested against.
+//!    faults as forward hooks) the plans are tested against and the
+//!    baseline injects with.
 //! 4. [`monitor`] observes NaN/Inf occurrences (DUE).
 //! 5. [`persist`] stores the fault matrix and the applied-fault trace as
 //!    versioned, checksummed binary files for exact replay.
@@ -28,7 +29,8 @@
 //!    streams per-image rows through an [`ArtifactSink`] — CSV or the
 //!    columnar `alfi-store` binary, selected per run.
 //! 8. [`baseline`] reimplements plain PyTorchFI-style ad-hoc injection as
-//!    the efficiency comparator.
+//!    the efficiency comparator: the matrix's fault distribution, drawn
+//!    per inference instead of up front.
 //!
 //! # Example
 //!

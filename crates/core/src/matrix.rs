@@ -177,29 +177,8 @@ impl FaultMatrix {
             targets.iter().map(|t| t.element_count(scenario.injection_target)).sum();
         let per_image = scenario.faults_per_image.resolve(total_elements);
         let n = scenario.dataset_size * scenario.num_runs * per_image;
-        let plans = model.plans();
-        // Cumulative distribution for weighted layer choice.
-        let mut cdf = Vec::with_capacity(plans.len());
-        let mut acc = 0.0f64;
-        for p in plans {
-            acc += p.weight;
-            cdf.push(acc);
-        }
         let mut rng = Rng::from_seed(scenario.seed);
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let li = cdf.iter().position(|&c| u < c).unwrap_or(targets.len() - 1);
-            let t = &targets[li];
-            let plan = &plans[li];
-            let batch = rng.gen_range(0..scenario.batch_size.max(1));
-            let value = sample_value(&plan.mode, &mut rng);
-            let record = match scenario.injection_target {
-                InjectionTarget::Weights => sample_weight_coords(t, plan, li, batch, value, &mut rng),
-                InjectionTarget::Neurons => sample_neuron_coords(t, plan, li, batch, value, &mut rng),
-            };
-            records.push(record);
-        }
+        let records = (0..n).map(|_| draw_fault(scenario, targets, model, &mut rng)).collect();
         Ok(FaultMatrix { records, target: scenario.injection_target, faults_per_image: per_image })
     }
 
@@ -245,6 +224,39 @@ impl FaultMatrix {
             });
         }
         Ok(())
+    }
+}
+
+/// Draws one fault record from a resolved [`FaultModel`] over `targets`:
+/// a layer from the plans' cumulative weights, then the batch
+/// coordinate, the plan's fault value and coordinates within the plan's
+/// channel scope. The matrix and the ad-hoc baseline both draw through
+/// it, so an RNG seeded with `scenario.seed` yields the matrix's records
+/// in order.
+#[inline]
+pub(crate) fn draw_fault(
+    scenario: &Scenario,
+    targets: &[LayerTarget],
+    model: &FaultModel,
+    rng: &mut Rng,
+) -> FaultRecord {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let mut cdf = 0.0f64;
+    let li = model
+        .plans()
+        .iter()
+        .position(|p| {
+            cdf += p.weight;
+            u < cdf
+        })
+        .unwrap_or(targets.len() - 1);
+    let t = &targets[li];
+    let plan = &model.plans()[li];
+    let batch = rng.gen_range(0..scenario.batch_size.max(1));
+    let value = sample_value(&plan.mode, rng);
+    match scenario.injection_target {
+        InjectionTarget::Weights => sample_weight_coords(t, plan, li, batch, value, rng),
+        InjectionTarget::Neurons => sample_neuron_coords(t, plan, li, batch, value, rng),
     }
 }
 

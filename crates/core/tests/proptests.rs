@@ -2,16 +2,18 @@
 //! running on the in-tree `alfi-check` harness.
 
 use alfi_check::{assume, check_with, gen};
+use alfi_core::baseline::AdHocInjector;
 use alfi_core::persist::crc32;
 use alfi_core::AppliedFault;
 use alfi_core::{
     arm_faults, corrupt_value, decode_fault_matrix, encode_fault_matrix, resolve_targets,
     CoreError, FaultMatrix, FaultModel, FaultRecord, FaultValue, Ptfiwrap, RunTrace, TraceEntry,
 };
-use alfi_nn::models::{alexnet, ModelConfig};
+use alfi_nn::models::{alexnet, c3d, vit_tiny, C3dConfig, ModelConfig};
 use alfi_rng::Rng;
 use alfi_scenario::{
-    FaultCount, FaultDuration, FaultMode, InjectionPolicy, InjectionTarget, LayerOverride, Scenario,
+    FaultCount, FaultDuration, FaultMode, InjectionPolicy, InjectionTarget, LayerOverride,
+    LayerType, Scenario,
 };
 use alfi_store::frame;
 use alfi_tensor::bits::FlipDirection;
@@ -139,6 +141,56 @@ fn matrix_generation_is_deterministic() {
         let a = FaultMatrix::generate(&s, &targets).unwrap();
         let b = FaultMatrix::generate(&s, &targets).unwrap();
         assert_eq!(a, b);
+    });
+}
+
+/// The ad-hoc baseline samples the scenario's own fault distribution: its
+/// first `n` draws are the `n` records `FaultMatrix::generate`
+/// pre-generates, for weight and neuron faults, Eq. (1) and uniform
+/// layer choice, a `layers:` override with a channel scope, batch sizes
+/// above 1, and alexnet, `vit_tiny` (rank-3 token outputs) and c3d
+/// (rank-5 outputs).
+#[test]
+fn baseline_draws_are_the_matrix_records() {
+    let cnn = model_cfg();
+    let video =
+        C3dConfig { frames: 4, input_hw: 8, width_mult: 0.125, seed: 3, ..C3dConfig::default() };
+    let models = [
+        (alexnet(&cnn), cnn.input_dims(1)),
+        (vit_tiny(&cnn), cnn.input_dims(1)),
+        (c3d(&video), video.input_dims(1)),
+    ];
+    check_with(CASES, "baseline_draws_are_the_matrix_records", |rng| {
+        let mut s = Scenario {
+            dataset_size: rng.gen_range(1usize..20),
+            num_runs: rng.gen_range(1usize..3),
+            faults_per_image: FaultCount::Fixed(rng.gen_range(1usize..4)),
+            batch_size: rng.gen_range(1usize..5),
+            injection_target: if gen::any_bool(rng) {
+                InjectionTarget::Neurons
+            } else {
+                InjectionTarget::Weights
+            },
+            fault_mode: FaultMode::BitFlip { bit_range: (rng.gen_range(0u8..32), 31) },
+            layer_types: vec![LayerType::Conv2d, LayerType::Conv3d, LayerType::Linear],
+            weighted_layer_selection: gen::any_bool(rng),
+            seed: gen::any_u64(rng),
+            ..Scenario::default()
+        };
+        if gen::any_bool(rng) {
+            // Target 0 is a convolution in all three models.
+            let mode = gen::any_bool(rng).then_some(FaultMode::RandomValue { min: -1.0, max: 1.0 });
+            let o = LayerOverride { rate: Some(0.5), mode, channel_range: Some((0, 1)) };
+            s.layer_overrides = BTreeMap::from([("0".to_string(), o)]);
+        }
+        for (model, dims) in &models {
+            let targets = resolve_targets(&[model], &s, &[Some(dims.clone())]).unwrap();
+            let matrix = FaultMatrix::generate(&s, &targets).unwrap();
+            let mut baseline = AdHocInjector::new(model, s.clone(), dims).unwrap();
+            let drawn: Vec<FaultRecord> =
+                matrix.records.iter().map(|_| baseline.sample_fault()).collect();
+            assert_eq!(drawn, matrix.records, "{}", model.name());
+        }
     });
 }
 

@@ -134,11 +134,11 @@ impl ClassEval {
         eval
     }
 
-    /// Matches the detections greedily in score order at `iou_thresh`:
-    /// each takes the unused box of its image with the highest IoU of at
-    /// least the threshold, the last of equally good boxes winning.
-    /// Fills `pr` and returns the 101-point interpolated AP over every
-    /// detection and the recall of each image's top `max_dets`.
+    /// Matches each image's top `max_dets` detections greedily in score
+    /// order at `iou_thresh`: each takes the unused box of its image with
+    /// the highest IoU of at least the threshold, the last of equally
+    /// good boxes winning. Fills `pr` and returns the 101-point
+    /// interpolated AP and the recall over those detections.
     ///
     /// An image's detections are replayed in its own score order, and
     /// only its own earlier detections use its boxes, so its top
@@ -146,8 +146,8 @@ impl ClassEval {
     fn replay(&mut self, iou_thresh: f32, max_dets: usize) -> (f64, f64) {
         self.used.fill(false);
         self.pr.clear();
-        let (mut tp, mut fp, mut matched) = (0usize, 0usize, 0usize);
-        for d in &self.dets {
+        let (mut tp, mut fp) = (0usize, 0usize);
+        for d in self.dets.iter().filter(|d| d.rank < max_dets) {
             let mut best = None;
             let mut best_iou = iou_thresh;
             for (slot, &iou) in (d.gt..).zip(&self.ious[d.iou..d.iou + d.n_gt]) {
@@ -160,7 +160,6 @@ impl ClassEval {
                 Some(slot) => {
                     self.used[slot] = true;
                     tp += 1;
-                    matched += usize::from(d.rank < max_dets);
                 }
                 None => fp += 1,
             }
@@ -180,13 +179,15 @@ impl ClassEval {
             *p = max;
         }
         let ap = interp.iter().fold(0.0, |sum, p| sum + p) / 101.0;
-        let recall = if self.num_gt == 0 { 0.0 } else { matched as f64 / self.num_gt as f64 };
+        let recall = if self.num_gt == 0 { 0.0 } else { tp as f64 / self.num_gt as f64 };
         (ap, recall)
     }
 }
 
 /// Computes the 101-point interpolated average precision for one class
-/// at one IoU threshold.
+/// at one IoU threshold, ranking every finite-score detection of the
+/// class (no per-image cap; [`coco_metrics`] applies COCO's
+/// `maxDets = 100`).
 ///
 /// `detections[i]` / `ground_truth[i]` belong to image `i`; only entries
 /// of `class_id` are considered. Returns 0 when the class has no ground
@@ -201,13 +202,14 @@ pub fn average_precision(
     class_id: usize,
     iou_thresh: f32,
 ) -> f64 {
-    ClassEval::new(detections, ground_truth, class_id).replay(iou_thresh, 0).0
+    ClassEval::new(detections, ground_truth, class_id).replay(iou_thresh, usize::MAX).0
 }
 
 /// Computes the raw precision-recall points for one class at one IoU
-/// threshold: one `(recall, precision)` pair per detection, in score
-/// order — the series a PR-curve plot consumes. Empty when the class has
-/// no ground truth.
+/// threshold: one `(recall, precision)` pair per finite-score detection
+/// of the class, every one ranked (no per-image cap), in score order —
+/// the series a PR-curve plot consumes. Empty when the class has no
+/// ground truth.
 ///
 /// # Panics
 ///
@@ -219,7 +221,7 @@ pub fn precision_recall_curve(
     iou_thresh: f32,
 ) -> Vec<(f64, f64)> {
     let mut eval = ClassEval::new(detections, ground_truth, class_id);
-    eval.replay(iou_thresh, 0);
+    eval.replay(iou_thresh, usize::MAX);
     eval.pr
 }
 
@@ -250,7 +252,8 @@ pub fn coco_iou_grid() -> [f32; 10] {
 
 /// Computes the full COCO metric summary over per-image detections and
 /// ground truth. Classes absent from the ground truth are excluded from
-/// the means (COCO convention).
+/// the means (COCO convention). AP and AR both rank only each image's
+/// top 100 detections of a class (COCO's `maxDets = 100`).
 ///
 /// Each class is scored once and replayed at the ten grid thresholds;
 /// AP@0.50 is the first of them, since `coco_iou_grid()[0]` is exactly

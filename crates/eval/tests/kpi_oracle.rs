@@ -44,13 +44,15 @@ mod reference {
         BBox::new(g.bbox[0], g.bbox[1], g.bbox[0] + g.bbox[2], g.bbox[1] + g.bbox[3])
     }
 
+    /// AP over each image's top `max_dets` detections of the class.
     pub fn average_precision(
         detections: &[Vec<Detection>],
         ground_truth: &[Vec<GroundTruthBox>],
         class_id: usize,
         iou_thresh: f32,
+        max_dets: usize,
     ) -> f64 {
-        let pr = precision_recall_curve(detections, ground_truth, class_id, iou_thresh);
+        let pr = precision_recall_curve(detections, ground_truth, class_id, iou_thresh, max_dets);
         let mut ap = 0.0;
         for i in 0..=100 {
             let r = i as f64 / 100.0;
@@ -64,11 +66,14 @@ mod reference {
         ap / 101.0
     }
 
+    /// The PR points of each image's top `max_dets` detections of the
+    /// class.
     pub fn precision_recall_curve(
         detections: &[Vec<Detection>],
         ground_truth: &[Vec<GroundTruthBox>],
         class_id: usize,
         iou_thresh: f32,
+        max_dets: usize,
     ) -> Vec<(f64, f64)> {
         assert_eq!(detections.len(), ground_truth.len(), "per-image lists must align");
         let num_gt: usize = ground_truth
@@ -80,11 +85,11 @@ mod reference {
         }
         let mut all: Vec<(f32, usize, &Detection)> = Vec::new();
         for (img, dets) in detections.iter().enumerate() {
-            for d in dets {
-                if d.class_id == class_id && d.score.is_finite() {
-                    all.push((d.score, img, d));
-                }
-            }
+            let mut top: Vec<&Detection> =
+                dets.iter().filter(|d| d.class_id == class_id && d.score.is_finite()).collect();
+            top.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+            top.truncate(max_dets);
+            all.extend(top.into_iter().map(|d| (d.score, img, d)));
         }
         all.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         let mut gt_used: Vec<Vec<bool>> =
@@ -175,13 +180,13 @@ mod reference {
         let mut ar_100 = 0.0;
         let grid = coco_iou_grid();
         for &c in &classes_with_gt {
-            let ap50 = average_precision(detections, ground_truth, c, 0.5);
+            let ap50 = average_precision(detections, ground_truth, c, 0.5, 100);
             ap_per_class_50.insert(c, ap50);
             map_50 += ap50;
             let mut ap_sum = 0.0;
             let mut r_sum = 0.0;
             for &iou in &grid {
-                ap_sum += average_precision(detections, ground_truth, c, iou);
+                ap_sum += average_precision(detections, ground_truth, c, iou, 100);
                 r_sum += recall(detections, ground_truth, c, iou, 100);
             }
             map_50_95 += ap_sum / grid.len() as f64;
@@ -263,10 +268,11 @@ fn curve_bits(pr: &[(f64, f64)]) -> Vec<(u64, u64)> {
     pr.iter().map(|(r, p)| (r.to_bits(), p.to_bits())).collect()
 }
 
-/// `coco_metrics`, `average_precision`, `precision_recall_curve` and
-/// `recall` (`max_dets` 1 and 100) return exactly the reference's bits,
-/// for every class and for the COCO grid plus the 0 and 1 thresholds
-/// and one drawn at random.
+/// `coco_metrics` (AP and AR over each image's top 100 detections),
+/// `average_precision` and `precision_recall_curve` (every detection)
+/// and `recall` (`max_dets` 1 and 100) return exactly the reference's
+/// bits, for every class and for the COCO grid plus the 0 and 1
+/// thresholds and one drawn at random.
 #[test]
 fn kpis_equal_the_reference_loops_bit_for_bit() {
     check_with(CASES, "kpis_equal_the_reference_loops_bit_for_bit", |rng| {
@@ -282,12 +288,12 @@ fn kpis_equal_the_reference_loops_bit_for_bit() {
             for &t in &thresholds {
                 assert_eq!(
                     average_precision(&dets, &gts, c, t).to_bits(),
-                    reference::average_precision(&dets, &gts, c, t).to_bits(),
+                    reference::average_precision(&dets, &gts, c, t, usize::MAX).to_bits(),
                     "average_precision class {c} iou {t}"
                 );
                 assert_eq!(
                     curve_bits(&precision_recall_curve(&dets, &gts, c, t)),
-                    curve_bits(&reference::precision_recall_curve(&dets, &gts, c, t)),
+                    curve_bits(&reference::precision_recall_curve(&dets, &gts, c, t, usize::MAX)),
                     "precision_recall_curve class {c} iou {t}"
                 );
                 for max_dets in [1, 100] {
@@ -345,4 +351,36 @@ fn a_hand_built_case_pins_nonzero_kpi_bits() {
     assert_eq!(m.map_50.to_bits(), 0x3fea_4ebe_449a_c868);
     assert_eq!(m.map_50_95.to_bits(), 0x3fda_8784_fc1d_1064);
     assert_eq!(m.ar_100.to_bits(), 0x3fe2_eeee_eeee_eeef);
+}
+
+/// One image holds 101 detections of a class: a hit on its first box,
+/// 99 misses, then a hit on its second box scored lowest. COCO's AP
+/// (`maxDets = 100`) never sees the last hit, so `coco_metrics`' AP is
+/// the first hit's alone, while `average_precision` ranks all 101.
+#[test]
+fn coco_ap_ranks_only_each_images_top_100_detections() {
+    let gts = vec![vec![
+        GroundTruthBox { bbox: [0.0, 0.0, 10.0, 10.0], category_id: 0 },
+        GroundTruthBox { bbox: [50.0, 50.0, 10.0, 10.0], category_id: 0 },
+    ]];
+    let det = |x: f32, score: f32| Detection {
+        bbox: BBox::new(x, x, x + 10.0, x + 10.0),
+        score,
+        class_id: 0,
+    };
+    let mut image = vec![det(0.0, 1.0)];
+    image.extend((0..99).map(|_| det(100.0, 0.9)));
+    image.push(det(50.0, 0.5));
+    let dets = vec![image];
+    let m = coco_metrics(&dets, &gts, 1);
+    assert_eq!(m, reference::coco_metrics(&dets, &gts, 1));
+    // Recall 1/2 at precision 1: 51 of the 101 points, 51/101.
+    assert_eq!(m.map_50.to_bits(), 0x3fe0_288d_f0ca_c5b4);
+    assert_eq!(m.ar_100, 0.5);
+    // Uncapped, the last hit lifts the 50 points above recall 1/2 to
+    // precision 2/101.
+    let uncapped = average_precision(&dets, &gts, 0, 0.5);
+    assert_eq!(uncapped, reference::average_precision(&dets, &gts, 0, 0.5, usize::MAX));
+    assert!((uncapped - (51.0 + 50.0 * (2.0 / 101.0)) / 101.0).abs() < 1e-12, "{uncapped}");
+    assert!(uncapped > m.map_50);
 }

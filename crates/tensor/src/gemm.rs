@@ -33,8 +33,8 @@
 //!
 //! The active path is selected by the `ALFI_KERNEL` environment
 //! variable (`reference` | `blocked`, default `blocked`), overridable
-//! per run via [`set_kernel_override`] (used by the campaign engine's
-//! `RunConfig::kernel`). `ALFI_KERNEL_PORTABLE=1` disables the
+//! in-process via [`set_kernel_override`] (used by tests that pin each
+//! path in turn). `ALFI_KERNEL_PORTABLE=1` disables the
 //! `std::arch` path so the portable fallback can be tested on AVX2
 //! hardware. A value either variable does not accept is an error
 //! ([`check_kernel_env`]), never a silent default. The same switch
@@ -95,8 +95,9 @@ impl std::str::FromStr for KernelPath {
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides the kernel path process-wide (`None` restores the
-/// environment default). Used by the campaign engine to honour
-/// `RunConfig::kernel`; the override is visible to pool workers.
+/// environment default); the override is visible to pool workers.
+/// Callers that pin a path restore the previous [`kernel_override`]
+/// afterwards.
 pub fn set_kernel_override(path: Option<KernelPath>) {
     let v = match path {
         None => 0,

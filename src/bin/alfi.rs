@@ -56,14 +56,14 @@ USAGE:
                 [--trace <on|off>] [--metrics-addr <ip:port>] [--strict-health]
                 [--stop-halfwidth <f>] [--stop-confidence <f>]
                 [--stop-scope <campaign|per-layer>] [--stop-method <wilson|clopper-pearson>]
-                [--kernel <reference|blocked>] [--format <csv|binary>] [--report [on|off]]
+                [--format <csv|binary>] [--report [on|off]]
                 [--width <mult>] [--input <px>] [--seed <n>]
   alfi detect   --scenario <file> --model <yolo|retina|frcnn> --out <dir>
                 [--parallel <threads>]
                 [--trace <on|off>] [--metrics-addr <ip:port>] [--strict-health]
                 [--stop-halfwidth <f>] [--stop-confidence <f>]
                 [--stop-scope <campaign|per-layer>] [--stop-method <wilson|clopper-pearson>]
-                [--kernel <reference|blocked>] [--format <csv|binary>]
+                [--format <csv|binary>]
                 [--width <mult>] [--input <px>] [--seed <n>]
   alfi inspect-faults <faults.bin>
   alfi store info    <rows.alfic>
@@ -86,12 +86,12 @@ than ±h at the requested confidence (default 0.95). Decisions land in
 the trace summary and events.jsonl; they override any stop_policy key
 in the scenario file.
 
-Kernel paths: --kernel pins the GEMM and GELU kernels (blocked =
-cache-blocked packed SIMD GEMM and the AVX2 fdlibm tanhf port, the
-default; reference = the sequential oracle and libm). Both produce
-bit-identical results; the ALFI_KERNEL env var (reference|blocked)
-sets the ambient default and ALFI_KERNEL_PORTABLE=1 disables the SIMD
-kernels. Any other value of either variable is an error.
+Kernel paths: the ALFI_KERNEL env var (reference|blocked) selects the
+GEMM and GELU kernels (blocked = cache-blocked packed SIMD GEMM and the
+AVX2 fdlibm tanhf port, the default; reference = the sequential oracle
+and libm). Both produce bit-identical results; ALFI_KERNEL_PORTABLE=1
+disables the SIMD kernels. Any other value of either variable is an
+error.
 
 Result store: --format binary writes per-image rows to a columnar
 binary store (rows.alfic) instead of CSV; `alfi store convert` turns a
@@ -128,7 +128,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "stop-confidence",
     "stop-scope",
     "stop-method",
-    "kernel",
     "format",
     "width",
     "input",
@@ -259,22 +258,6 @@ fn monitoring_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
         other => return Err(format!("bad --strict-health value `{other}` (expected on|off)")),
     }
     Ok(cfg)
-}
-
-/// Applies the `--kernel <reference|blocked>` flag: pins the GEMM and
-/// GELU kernels' path for the campaign. Without the flag the ambient
-/// selection applies (`ALFI_KERNEL`, defaulting to the blocked path).
-/// Both paths are bit-exact, so this is a performance knob only.
-fn kernel_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
-    match args.flags.get("kernel") {
-        None => Ok(cfg),
-        Some(v) => {
-            let path: alfi::tensor::gemm::KernelPath = v
-                .parse()
-                .map_err(|_| format!("bad --kernel value `{v}` (expected reference|blocked)"))?;
-            Ok(cfg.kernel(path))
-        }
-    }
 }
 
 /// Applies the `--format <csv|binary>` flag: selects the row-artifact
@@ -511,7 +494,6 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
         &args,
     )?;
     let cfg = stop_config(cfg, &args)?;
-    let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
     let result = if model_name == "vit" {
         let mut campaign =
@@ -605,7 +587,6 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
         &args,
     )?;
     let cfg = stop_config(cfg, &args)?;
-    let cfg = kernel_config(cfg, &args)?;
     let cfg = format_config(cfg, &args)?;
     let result = ObjDetCampaign::new(detector.as_ref(), scenario, loader)
         .run_with(&cfg)

@@ -34,7 +34,7 @@ use alfi::nn::prune::magnitude_prune;
 use alfi::nn::{Conv2d, Layer, LayerCtx, Linear, Network, NodeMap, Pass};
 use alfi::scenario::{FaultCount, FaultMode, InjectionPolicy, InjectionTarget, Scenario};
 use alfi::tensor::conv::ConvConfig;
-use alfi::tensor::gemm::KernelPath;
+use alfi::tensor::gemm::{self, KernelPath};
 use alfi::tensor::Tensor;
 use std::sync::{Arc, Mutex};
 
@@ -234,7 +234,7 @@ fn artifacts(r: &ClassificationCampaignResult) -> [String; 3] {
     [CsvVariant::Original, CsvVariant::Corrupted, CsvVariant::Resilient].map(|v| r.to_csv(v))
 }
 
-/// Serializes [`check`]: `RunConfig::kernel` installs a process-global
+/// Serializes [`check`]: it pins each run's path with the process-global
 /// kernel override, so concurrent tests would run on each other's path.
 static KERNEL_PATH: Mutex<()> = Mutex::new(());
 
@@ -243,7 +243,13 @@ static KERNEL_PATH: Mutex<()> = Mutex::new(());
 /// the reference for case-specific checks.
 fn check(case: &Case) -> ClassificationCampaignResult {
     let _serial = KERNEL_PATH.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |threads, path| case.run(&RunConfig::new().threads(threads).kernel(path));
+    let run = |threads, path| {
+        let prev = gemm::kernel_override();
+        gemm::set_kernel_override(Some(path));
+        let result = case.run(&RunConfig::new().threads(threads));
+        gemm::set_kernel_override(prev);
+        result
+    };
     let mut runs = vec![(1, KernelPath::Blocked, run(1, KernelPath::Blocked))];
     let expect = reference(case, &runs[0].2.fault_matrix);
     assert!(!expect.rows.is_empty(), "{}: no rows", case.name);

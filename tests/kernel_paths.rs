@@ -4,22 +4,22 @@
 //! sequential reference kernels — so an entire injection campaign
 //! (fault sampling, three-model coupling, outcome classification, CSV
 //! encoding) must produce byte-identical artifacts whichever path
-//! [`RunConfig::kernel`] selects, at every driver thread count. A
+//! `gemm::set_kernel_override` pins, at every driver thread count. A
 //! single bit of drift anywhere in a forward pass would cascade into
 //! different top-1 labels, different SDE tallies and a visible CSV
 //! diff here.
 //!
-//! The campaigns run inside one `#[test]`: the kernel override
-//! installed by the engine is process-global, so concurrent test
-//! functions pinning different paths would race. The other test checks
-//! that `alfi` rejects a misspelled path variable, in a child process.
+//! The campaigns run inside one `#[test]`: the kernel override is
+//! process-global, so concurrent test functions pinning different paths
+//! would race. The other test checks that `alfi` rejects a misspelled
+//! path variable, in a child process.
 
 use alfi::core::campaign::{CsvVariant, ImgClassCampaign, RunConfig, VitCampaign};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
 use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{FaultMode, InjectionTarget, Scenario};
-use alfi::tensor::gemm::KernelPath;
+use alfi::tensor::gemm::{self, KernelPath};
 use alfi::tensor::Tensor;
 
 fn scenario() -> Scenario {
@@ -44,10 +44,19 @@ fn campaign() -> ImgClassCampaign {
     ImgClassCampaign::new(model, scenario(), loader).with_resil_model(hardened)
 }
 
+/// Runs `f` with the kernel override pinned to `path`, restoring the
+/// previous selection afterwards.
+fn with_kernel<R>(path: KernelPath, f: impl FnOnce() -> R) -> R {
+    let prev = gemm::kernel_override();
+    gemm::set_kernel_override(Some(path));
+    let out = f();
+    gemm::set_kernel_override(prev);
+    out
+}
+
 fn run_csvs(path: KernelPath, threads: usize) -> (String, String) {
-    let result = campaign()
-        .run_with(&RunConfig::new().threads(threads).kernel(path))
-        .unwrap();
+    let result =
+        with_kernel(path, || campaign().run_with(&RunConfig::new().threads(threads)).unwrap());
     (result.to_csv(CsvVariant::Original), result.to_csv(CsvVariant::Corrupted))
 }
 
@@ -64,9 +73,8 @@ fn vit_campaign() -> VitCampaign {
 }
 
 fn run_vit_csvs(path: KernelPath, threads: usize) -> (String, String) {
-    let result = vit_campaign()
-        .run_with(&RunConfig::new().threads(threads).kernel(path))
-        .unwrap();
+    let result =
+        with_kernel(path, || vit_campaign().run_with(&RunConfig::new().threads(threads)).unwrap());
     (result.to_csv(CsvVariant::Original), result.to_csv(CsvVariant::Corrupted))
 }
 
@@ -101,11 +109,8 @@ fn campaign_artifacts_are_bit_identical_across_kernel_paths() {
         }
     }
 
-    // The engine's override guard must restore the ambient selection.
-    assert!(
-        alfi::tensor::gemm::kernel_override().is_none(),
-        "RunConfig::kernel leaked a process-global override past the run"
-    );
+    // Every run restored the ambient selection.
+    assert!(gemm::kernel_override().is_none(), "a pinned kernel path leaked past its run");
 }
 
 /// A misspelled kernel-path variable fails `alfi` (exit 1, naming the
