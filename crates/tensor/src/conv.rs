@@ -10,7 +10,11 @@
 //! kernel (`conv2d_direct`, the reference) and an im2col + GEMM kernel
 //! (`conv2d_im2col`, the fast path, driven by the [`crate::gemm`]
 //! blocked/reference kernels). Tests assert they agree bit-for-bit
-//! modulo floating-point associativity. [`conv2d_fused`] additionally
+//! modulo floating-point associativity. When the blocked kernel packs
+//! the GEMM, the input is lowered straight into its `NR`-wide panels
+//! (the same values in the same order as packing an im2col matrix, in
+//! one buffer instead of two); the reference kernel and thin GEMMs
+//! read the im2col matrix itself. [`conv2d_fused`] additionally
 //! fuses a range-supervision clamp into the GEMM epilogue, so a model
 //! hardened with fused clamps avoids a second pass over the
 //! activations.
@@ -104,6 +108,7 @@ fn check_rank(t: &Tensor, rank: usize) -> Result<(), TensorError> {
 }
 
 /// The checked geometry of one 2-D convolution.
+#[derive(Clone, Copy)]
 struct Conv2dShape {
     n: usize,
     c_in: usize,
@@ -205,70 +210,159 @@ pub fn conv2d_direct(
     Tensor::from_vec(out, &[n, c_out, h_out, w_out])
 }
 
-/// Lowers an input image into column-matrix form for GEMM convolution.
-///
-/// Produces a `[c_in*kh*kw, h_out*w_out]` matrix per batch item; this
-/// function returns the matrix for batch item `b`.
-fn im2col(
-    input: &Tensor,
-    b: usize,
-    kh: usize,
-    kw: usize,
-    h_out: usize,
-    w_out: usize,
-    cfg: ConvConfig,
-) -> Tensor {
-    let (c_in, h, w) = (input.dims()[1], input.dims()[2], input.dims()[3]);
-    let rows = c_in * kh * kw;
-    let cols = h_out * w_out;
-    let mut out = vec![0.0f32; rows * cols];
-    let data = input.data();
-    let pad = cfg.padding;
-    let (stride, dil) = (cfg.stride, cfg.dilation);
-    // Valid output-coordinate range for a tap offset `t = k * dilation`:
-    // the input coordinate `o * stride + t - pad` must land in
-    // `[0, extent)`. Hoisting the range out of the copy loops removes
-    // the per-element boundary branches; out-of-range positions keep
-    // their zero initialization, exactly as the branch-per-element form
-    // produced.
-    let valid = |t: usize, extent: usize, o_count: usize| -> (usize, usize) {
-        let o_min = if t >= pad { 0 } else { (pad - t).div_ceil(stride) };
-        let o_end = if extent + pad <= t {
-            0
-        } else {
-            (extent + pad - t).div_ceil(stride).min(o_count)
-        };
-        (o_min.min(o_end), o_end)
-    };
-    for ic in 0..c_in {
-        let plane_start = (b * c_in + ic) * h * w;
-        let plane = &data[plane_start..plane_start + h * w];
-        for ky in 0..kh {
-            let ty = ky * dil;
-            let (oy0, oy1) = valid(ty, h, h_out);
-            for kx in 0..kw {
-                let tx = kx * dil;
-                let (ox0, ox1) = valid(tx, w, w_out);
-                let row = (ic * kh + ky) * kw + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in oy0..oy1 {
-                    let iy = oy * stride + ty - pad;
-                    let src = &plane[iy * w..(iy + 1) * w];
-                    let dst = &mut out_row[oy * w_out + ox0..oy * w_out + ox1];
-                    if stride == 1 {
-                        // Contiguous tap row: one memcpy per output row.
-                        let ix0 = ox0 + tx - pad;
-                        dst.copy_from_slice(&src[ix0..ix0 + dst.len()]);
-                    } else {
-                        for (j, d) in dst.iter_mut().enumerate() {
-                            *d = src[(ox0 + j) * stride + tx - pad];
-                        }
-                    }
-                }
+/// One kernel tap `(ic, ky, kx)` of the im2col lowering: row `kk` of
+/// the `[c_in·kh·kw, h_out·w_out]` matrix, read from input plane
+/// `plane`. Only output rows `oy` and columns `ox` whose input position
+/// lands inside the plane are read; every other position of the row
+/// stays zero.
+struct Tap<'a> {
+    kk: usize,
+    plane: &'a [f32],
+    oy: std::ops::Range<usize>,
+    ox: std::ops::Range<usize>,
+    /// Input row of output row 0 plus the padding: `ky · dilation`.
+    ty: usize,
+    /// Input column of output column 0 plus the padding: `kx · dilation`.
+    tx: usize,
+}
+
+impl Tap<'_> {
+    /// The input row output row `oy` reads, and the column in it of
+    /// output column `ox.start`; column `ox.start + j` is `stride · j`
+    /// further on.
+    fn row(&self, oy: usize, w: usize, cfg: ConvConfig) -> (&[f32], usize) {
+        let iy = oy * cfg.stride + self.ty - cfg.padding;
+        (&self.plane[iy * w..(iy + 1) * w], self.ox.start * cfg.stride + self.tx - cfg.padding)
+    }
+}
+
+/// The output positions, of `o_count`, whose input coordinate
+/// `o · stride + t − pad` lands in `[0, extent)`, for a tap offset
+/// `t = k · dilation`. Hoisting the range out of the copy loops removes
+/// the per-element boundary branches; out-of-range positions keep their
+/// zero initialization.
+fn in_range(t: usize, extent: usize, o_count: usize, cfg: ConvConfig) -> std::ops::Range<usize> {
+    let (pad, stride) = (cfg.padding, cfg.stride);
+    let o_min = if t >= pad { 0 } else { (pad - t).div_ceil(stride) };
+    let o_end = if extent + pad <= t { 0 } else { (extent + pad - t).div_ceil(stride).min(o_count) };
+    o_min.min(o_end)..o_end
+}
+
+/// Calls `f` on every tap of batch item `b`'s lowering that reads any
+/// input. The in-range output rows depend only on `ky` and the columns
+/// only on `kx`, so input channels are the innermost loop and the
+/// ranges are computed `kh + kh·kw` times, not once per tap.
+fn for_each_tap(input: &Tensor, b: usize, g: &Conv2dShape, cfg: ConvConfig, mut f: impl FnMut(&Tap<'_>)) {
+    let (h, w) = (input.dims()[2], input.dims()[3]);
+    let planes = &input.data()[b * g.c_in * h * w..(b + 1) * g.c_in * h * w];
+    for ky in 0..g.kh {
+        let ty = ky * cfg.dilation;
+        let oy = in_range(ty, h, g.h_out, cfg);
+        for kx in 0..g.kw {
+            let tx = kx * cfg.dilation;
+            let ox = in_range(tx, w, g.w_out, cfg);
+            if oy.is_empty() || ox.is_empty() {
+                continue;
+            }
+            for (ic, plane) in planes.chunks_exact(h * w).enumerate() {
+                let kk = (ic * g.kh + ky) * g.kw + kx;
+                f(&Tap { kk, plane, oy: oy.clone(), ox: ox.clone(), ty, tx });
             }
         }
     }
-    Tensor::from_vec(out, &[rows, cols]).expect("im2col dims consistent")
+}
+
+/// Copies `dst.len()` input values `src[x]`, `src[x + stride]`, … into
+/// `dst`.
+#[inline]
+fn copy_run(dst: &mut [f32], src: &[f32], x: usize, stride: usize) {
+    if stride == 1 {
+        // Contiguous tap row: one memcpy.
+        dst.copy_from_slice(&src[x..x + dst.len()]);
+    } else {
+        for (j, d) in dst.iter_mut().enumerate() {
+            *d = src[x + j * stride];
+        }
+    }
+}
+
+/// Lowers batch item `b` of the input into the `[c_in·kh·kw,
+/// h_out·w_out]` column matrix of GEMM convolution, row-major.
+fn im2col(input: &Tensor, b: usize, g: &Conv2dShape, cfg: ConvConfig) -> Vec<f32> {
+    let w = input.dims()[3];
+    let cols = g.h_out * g.w_out;
+    let mut out = vec![0.0f32; g.c_in * g.kh * g.kw * cols];
+    for_each_tap(input, b, g, cfg, |tap| {
+        let out_row = &mut out[tap.kk * cols..(tap.kk + 1) * cols];
+        for oy in tap.oy.clone() {
+            let (src, x) = tap.row(oy, w, cfg);
+            let dst = &mut out_row[oy * g.w_out + tap.ox.start..oy * g.w_out + tap.ox.end];
+            copy_run(dst, src, x, cfg.stride);
+        }
+    });
+    out
+}
+
+/// [`im2col`] written straight into the blocked kernel's `NR`-wide
+/// panels: element for element `pack_b(im2col(..))` (`packed[p][kk][j]
+/// = cols[kk][p·NR + j]`, zero-padded), in one buffer instead of two.
+/// Each in-range run of an output row is split where it crosses a
+/// panel; the panel and lane of a run's first column are walked
+/// incrementally from row to row.
+fn im2col_panels(input: &Tensor, b: usize, g: &Conv2dShape, cfg: ConvConfig) -> Vec<f32> {
+    use gemm::NR;
+    let w = input.dims()[3];
+    let kdim = g.c_in * g.kh * g.kw;
+    let panel_len = kdim * NR;
+    let mut packed = vec![0.0f32; (g.h_out * g.w_out).div_ceil(NR) * panel_len];
+    // One output row further on is `w_out` columns further on.
+    let (dp, dl) = (g.w_out / NR, g.w_out % NR);
+    for_each_tap(input, b, g, cfg, |tap| {
+        let first = tap.oy.start * g.w_out + tap.ox.start;
+        let (mut p, mut l) = (first / NR, first % NR);
+        for oy in tap.oy.clone() {
+            let (src, mut x) = tap.row(oy, w, cfg);
+            let (mut pp, mut ll, mut left) = (p, l, tap.ox.len());
+            while left > 0 {
+                let len = (NR - ll).min(left);
+                let at = pp * panel_len + tap.kk * NR + ll;
+                copy_run(&mut packed[at..at + len], src, x, cfg.stride);
+                x += len * cfg.stride;
+                left -= len;
+                pp += 1;
+                ll = 0;
+            }
+            p += dp;
+            l += dl;
+            if l >= NR {
+                l -= NR;
+                p += 1;
+            }
+        }
+    });
+    packed
+}
+
+/// Batch item `b` lowered for the conv GEMM: straight into the blocked
+/// kernel's panels when it packs this GEMM (`panels`; counted on the
+/// pack meter), else the im2col matrix the reference kernel reads.
+fn lower(input: &Tensor, b: usize, g: &Conv2dShape, cfg: ConvConfig, panels: bool) -> Vec<f32> {
+    if panels {
+        let packed = im2col_panels(input, b, g, cfg);
+        crate::meter::gemm_pack(packed.len());
+        packed
+    } else {
+        im2col(input, b, g, cfg)
+    }
+}
+
+/// The GEMM operand of a [`lower`]ed input.
+fn operand(lowered: &[f32], panels: bool) -> gemm::Operand<'_> {
+    if panels {
+        gemm::Operand::Panels(lowered)
+    } else {
+        gemm::Operand::Plain(lowered)
+    }
 }
 
 /// 2-D convolution via im2col + GEMM — the fast path used by `alfi-nn`.
@@ -305,8 +399,8 @@ pub fn conv2d_fused(
     cfg: ConvConfig,
     clamp: Option<Clamp>,
 ) -> Result<Tensor, TensorError> {
-    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } =
-        Conv2dShape::new(input, weight, bias, cfg)?;
+    let g = Conv2dShape::new(input, weight, bias, cfg)?;
+    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } = g;
     let kdim = c_in * kh * kw;
     let spatial = h_out * w_out;
     let per_item = c_out * spatial;
@@ -330,26 +424,27 @@ pub fn conv2d_fused(
     // Resolve the kernel path on the caller thread so pool workers all
     // run the same implementation.
     let path = gemm::kernel_path();
+    let spec = gemm::GemmSpec {
+        m: c_out,
+        k: kdim,
+        n: spatial,
+        layout: gemm::BLayout::RowMajor,
+        skip_zero_a: true,
+        bias: gemm::Bias::PostPerRow(bias_row),
+    };
+    let panels = gemm::packs(path, c_out, spec.layout);
 
-    // One batch item = one fully independent im2col + GEMM + epilogue,
-    // writing only its own slice of `out`. The per-item computation is
-    // identical on both paths, so parallel output is bit-identical to
-    // sequential for any thread count.
+    // One batch item = one fully independent lowering + GEMM +
+    // epilogue, writing only its own slice of `out`. The per-item
+    // computation is identical on both paths, so parallel output is
+    // bit-identical to sequential for any thread count.
     let conv_item = |b: usize, dst_item: &mut [f32]| {
-        let cols = im2col(input, b, kh, kw, h_out, w_out, cfg);
-        let spec = gemm::GemmSpec {
-            m: c_out,
-            k: kdim,
-            n: spatial,
-            layout: gemm::BLayout::RowMajor,
-            skip_zero_a: true,
-            bias: gemm::Bias::PostPerRow(bias_row),
-        };
-        gemm::run(w_data, cols.data(), None, dst_item, &spec, &clamp, path, c_out);
+        let lowered = lower(input, b, &g, cfg, panels);
+        gemm::run(w_data, operand(&lowered, panels), dst_item, &spec, &clamp, path, c_out);
     };
 
     let threads = alfi_pool::current_parallelism();
-    if threads > 1 && n > 1 {
+    if n > 1 && gemm::fans_out(threads, n * c_out * kdim * spatial) {
         alfi_pool::global().parallel_chunks_mut(threads, &mut out, per_item, |b, chunk| {
             conv_item(b, chunk);
         });
@@ -368,10 +463,11 @@ pub fn conv2d_fused(
 /// `c_in · kh · kw` values `w` (in `weight`'s layout) and rewrites
 /// channel `c` of every batch item; every other element keeps its
 /// value. Per batch item this recomputes those rows of the GEMM over
-/// an im2col of the input, so a rewritten element equals
-/// [`conv2d_fused`] with the replaced filters bit for bit, NaN bits
-/// included, on either kernel path. The meters count it as a convolution with as many output
-/// channels as the GEMM recomputed.
+/// the input lowered as [`conv2d_fused`] lowers it, so a rewritten
+/// element equals [`conv2d_fused`] with the replaced filters bit for
+/// bit, NaN bits included, on either kernel path. The meters count it
+/// as a convolution with as many output channels as the GEMM
+/// recomputed, and each blocked lowering as one pack.
 ///
 /// # Errors
 ///
@@ -387,8 +483,8 @@ pub fn conv2d_rows(
     clamp: Option<Clamp>,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } =
-        Conv2dShape::new(input, weight, bias, cfg)?;
+    let g = Conv2dShape::new(input, weight, bias, cfg)?;
+    let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } = g;
     let (kdim, spatial) = (c_in * kh * kw, h_out * w_out);
     if out.dims() != [n, c_out, h_out, w_out] {
         return Err(TensorError::ShapeMismatch {
@@ -416,10 +512,11 @@ pub fn conv2d_rows(
         bias: gemm::Bias::PostPerRow(bias.map_or(&zero_bias[..], Tensor::data)),
     };
     let path = gemm::kernel_path();
+    let panels = gemm::packs(path, c_out, spec.layout);
     let mut computed = 0;
     for (b, dst) in out.data_mut().chunks_exact_mut(c_out * spatial).enumerate() {
-        let cols = im2col(input, b, kh, kw, h_out, w_out, cfg);
-        computed = gemm::gemm_rows(weight.data(), rows, cols.data(), dst, &spec, clamp, path);
+        let lowered = lower(input, b, &g, cfg, panels);
+        computed = gemm::gemm_rows(weight.data(), rows, operand(&lowered, panels), dst, &spec, clamp, path);
     }
     crate::meter::conv2d(n, c_in, computed, kh, kw, spatial, input.data().len(), computed * kdim);
     Ok(())
@@ -532,26 +629,26 @@ pub fn max_pool2d(input: &Tensor, k: usize, cfg: ConvConfig) -> Result<Tensor, T
     let w_out = cfg.out_size(w, k)?;
     let mut out = vec![f32::NEG_INFINITY; n * c * h_out * w_out];
     let data = input.data();
-    let pad = cfg.padding as isize;
-    for b in 0..n {
-        for ch in 0..c {
-            for oy in 0..h_out {
-                for ox in 0..w_out {
-                    let mut m = f32::NEG_INFINITY;
-                    for ky in 0..k {
-                        let iy = (oy * cfg.stride + ky * cfg.dilation) as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * cfg.stride + kx * cfg.dilation) as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            m = m.max(data[((b * c + ch) * h + iy as usize) * w + ix as usize]);
-                        }
+    // Window-tap-major: each output's running maximum takes its
+    // in-range taps in the same `(ky, kx)` order as a loop over its own
+    // window would, and a tap's in-range output rows and columns are
+    // computed once instead of tested per element.
+    for ky in 0..k {
+        let ty = ky * cfg.dilation;
+        let rows = in_range(ty, h, h_out, cfg);
+        for kx in 0..k {
+            let tx = kx * cfg.dilation;
+            let cols = in_range(tx, w, w_out, cfg);
+            let x0 = cols.start * cfg.stride + tx;
+            for pc in 0..n * c {
+                let plane = &data[pc * h * w..(pc + 1) * h * w];
+                let dst = &mut out[pc * h_out * w_out..(pc + 1) * h_out * w_out];
+                for oy in rows.clone() {
+                    let src = &plane[(oy * cfg.stride + ty - cfg.padding) * w..][..w];
+                    let run = &mut dst[oy * w_out + cols.start..oy * w_out + cols.end];
+                    for (j, m) in run.iter_mut().enumerate() {
+                        *m = m.max(src[x0 + j * cfg.stride - cfg.padding]);
                     }
-                    out[((b * c + ch) * h_out + oy) * w_out + ox] = m;
                 }
             }
         }
@@ -715,6 +812,45 @@ mod tests {
         }
     }
 
+    /// The direct pack writes exactly `pack_b(im2col(..))`, bit for
+    /// bit on NaN, ±Inf and ±0 inputs, for every stride 1–3, padding
+    /// 0–2, dilation 1–2 and kernel 1/3/5/7 that fits, from one input
+    /// channel up, on both batch items.
+    #[test]
+    fn direct_pack_equals_the_pack_of_im2col() {
+        let mut rng = Rng::from_seed(0xD1EC);
+        let special = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let (mut cases, mut ragged) = (0, 0);
+        for c_in in [1, 2, 5] {
+            for (h, w) in [(13, 17), (15, 14)] {
+                let mut input = Tensor::rand_normal(&mut rng, &[2, c_in, h, w], 0.0, 1.0);
+                for (i, v) in input.data_mut().iter_mut().enumerate().step_by(7) {
+                    *v = special[i % special.len()];
+                }
+                for k in [1, 3, 5, 7] {
+                    let weight = Tensor::zeros(&[1, c_in, k, k]);
+                    for (stride, pad, dilation) in (1..=3).flat_map(|s| (0..=2).flat_map(move |p| (1..=2).map(move |d| (s, p, d)))) {
+                        let cfg = ConvConfig { stride, padding: pad, dilation };
+                        let Ok(g) = Conv2dShape::new(&input, &weight, None, cfg) else { continue };
+                        let spatial = g.h_out * g.w_out;
+                        for b in 0..2 {
+                            let expect = gemm::pack_b(&im2col(&input, b, &g, cfg), c_in * k * k, spatial, gemm::BLayout::RowMajor);
+                            let got = im2col_panels(&input, b, &g, cfg);
+                            let what = format!("c_in={c_in} {h}x{w} k={k} s={stride} p={pad} d={dilation} b={b}");
+                            assert_eq!(expect.len(), got.len(), "{what}");
+                            for (i, (e, o)) in expect.iter().zip(&got).enumerate() {
+                                assert_eq!(e.to_bits(), o.to_bits(), "{what}: element {i}");
+                            }
+                        }
+                        cases += 1;
+                        ragged += usize::from(spatial % gemm::NR != 0);
+                    }
+                }
+            }
+        }
+        assert!(cases > 300 && ragged > cases / 2, "{cases} cases, {ragged} with a ragged last panel");
+    }
+
     #[test]
     fn conv2d_rejects_channel_mismatch() {
         let input = Tensor::zeros(&[1, 3, 4, 4]);
@@ -751,6 +887,58 @@ mod tests {
             Tensor::from_vec(vec![1., 2., 3., 4., 5., 6., 7., 8., 9.], &[1, 1, 3, 3]).unwrap();
         let out = max_pool2d(&input, 2, ConvConfig::default()).unwrap();
         assert_eq!(out.data(), &[5., 6., 8., 9.]);
+    }
+
+    /// `max_pool2d` equals the per-window loop it replaced bit for bit:
+    /// the same running maximum over the same taps in the same order,
+    /// so ±0 ties and NaNs resolve as they did, over strides 1–3,
+    /// paddings 0–2, dilations 1–2 and windows 1–3.
+    #[test]
+    fn max_pool_equals_the_per_window_loop() {
+        let oracle = |input: &Tensor, k: usize, cfg: ConvConfig| -> Vec<f32> {
+            let (n, c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+            let (h_out, w_out) = (cfg.out_size(h, k).unwrap(), cfg.out_size(w, k).unwrap());
+            let at = |o: usize, t: usize, extent: usize| {
+                (o * cfg.stride + t * cfg.dilation).checked_sub(cfg.padding).filter(|&i| i < extent)
+            };
+            let mut out = Vec::new();
+            for plane in input.data().chunks_exact(h * w).take(n * c) {
+                for oy in 0..h_out {
+                    for ox in 0..w_out {
+                        let mut m = f32::NEG_INFINITY;
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                if let (Some(iy), Some(ix)) = (at(oy, ky, h), at(ox, kx, w)) {
+                                    m = m.max(plane[iy * w + ix]);
+                                }
+                            }
+                        }
+                        out.push(m);
+                    }
+                }
+            }
+            out
+        };
+        let mut rng = Rng::from_seed(0x9001);
+        // Mostly zeros of both signs and negative values, so that many
+        // windows' maximum is a ±0 tie.
+        let special = [f32::NAN, -0.0, 0.0, f32::NEG_INFINITY, 0.0, -0.0, -f32::NAN, -0.0, 0.0];
+        let mut input = Tensor::rand_normal(&mut rng, &[2, 3, 9, 8], 0.0, 1.0);
+        for (i, v) in input.data_mut().iter_mut().enumerate() {
+            *v = if i % 4 == 0 { -v.abs() } else { special[i % special.len()] };
+        }
+        let mut cases = 0;
+        for k in 1..=3 {
+            for (stride, pad, dilation) in (1..=3).flat_map(|s| (0..=2).flat_map(move |p| (1..=2).map(move |d| (s, p, d)))) {
+                let cfg = ConvConfig { stride, padding: pad, dilation };
+                let Ok(got) = max_pool2d(&input, k, cfg) else { continue };
+                let expect = oracle(&input, k, cfg);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&expect), "k={k} s={stride} p={pad} d={dilation}");
+                cases += 1;
+            }
+        }
+        assert!(cases > 40, "{cases} cases");
     }
 
     #[test]

@@ -363,9 +363,18 @@ impl Epilogue for Option<Clamp> {
 // Driver: path dispatch and deterministic parallel fan-out.
 // ---------------------------------------------------------------------------
 
-/// Minimum multiply-accumulate count (`m * k * n`) before a GEMM fans
-/// out on the pool; below this the fixed task overhead dominates.
-pub(crate) const PAR_MIN_FLOPS: usize = 64 * 1024;
+/// Multiply-accumulates (`m · k · n`) per parallel chunk. Chunk
+/// boundaries are a pure function of this and the inner dimensions.
+const PAR_CHUNK_MACS: usize = 64 * 1024;
+
+/// Minimum multiply-accumulate count before a kernel fans out on the
+/// pool. Below it, one pool job (wake a worker, hand out the chunks,
+/// join) costs about what the split saves, so the kernel runs on the
+/// calling thread. Set from the `fanout_floor` sweep (DESIGN.md §5g):
+/// of the conv layers of batch-1 vgg16 and resnet50 at widths
+/// 0.125–0.5 (32 px), none from 2 Mi MACs up ran slower on two threads
+/// than on one, while 31 of the 68 below it did.
+pub const PAR_MIN_MACS: usize = 2 * 1024 * 1024;
 
 /// Minimum output-row count before the blocked path packs `B`: the
 /// pack costs `k · n` writes against `m · k · n` multiplies, so below
@@ -373,11 +382,25 @@ pub(crate) const PAR_MIN_FLOPS: usize = 64 * 1024;
 /// kernel instead of paying a `≥ 1/8` packing overhead.
 pub const BLOCKED_MIN_M: usize = 8;
 
+/// Whether a kernel of `macs` multiply-accumulates fans out at
+/// parallelism `threads` — a pure function of the work, never of the
+/// shape it comes in.
+pub(crate) fn fans_out(threads: usize, macs: usize) -> bool {
+    threads > 1 && macs >= PAR_MIN_MACS
+}
+
 /// Rows per parallel chunk — a pure function of the inner dimensions,
 /// so chunk boundaries never depend on the thread count (part of the
 /// pool's determinism contract).
-pub(crate) fn rows_per_chunk(k: usize, n: usize) -> usize {
-    (PAR_MIN_FLOPS / (k * n).max(1)).max(1)
+fn rows_per_chunk(k: usize, n: usize) -> usize {
+    (PAR_CHUNK_MACS / (k * n).max(1)).max(1)
+}
+
+/// Whether the blocked path runs a GEMM on packed panels: always for a
+/// transposed `B`, and for a row-major `B` from [`BLOCKED_MIN_M`] rows
+/// up (`floor_m`). Otherwise the reference kernel runs it.
+pub(crate) fn packs(path: KernelPath, floor_m: usize, layout: BLayout) -> bool {
+    path == KernelPath::Blocked && (floor_m >= BLOCKED_MIN_M || layout == BLayout::Transposed)
 }
 
 /// Runs one GEMM with a fused epilogue on the selected kernel path,
@@ -398,7 +421,7 @@ pub fn gemm_with<E: Epilogue>(
     path: KernelPath,
 ) {
     crate::meter::matmul(spec.m, spec.k, spec.n);
-    run(a, b, None, out, spec, epi, path, spec.m);
+    run(a, Operand::Plain(b), out, spec, epi, path, spec.m);
 }
 
 /// [`gemm_with`] on a ready pack: the blocked path takes `B`'s panels
@@ -417,7 +440,7 @@ pub fn gemm_cached<E: Epilogue>(
     path: KernelPath,
 ) {
     crate::meter::matmul(spec.m, spec.k, spec.n);
-    run(a, b, Some(cache), out, spec, epi, path, spec.m);
+    run(a, Operand::Cached(b, cache), out, spec, epi, path, spec.m);
 }
 
 /// The packed `B` panels of one fixed operand, filled by the first
@@ -434,6 +457,18 @@ impl PackCache {
     }
 }
 
+/// The `B` operand of [`run`].
+#[derive(Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    /// `B` in the spec's layout; the blocked path packs it per call.
+    Plain(&'a [f32]),
+    /// `B` in the spec's layout, packed once into the cache.
+    Cached(&'a [f32], &'a PackCache),
+    /// `B` already in [`pack_b`]'s panels (the conv kernel's direct
+    /// pack), for a GEMM the blocked path [`packs`].
+    Panels(&'a [f32]),
+}
+
 /// Shared body of [`gemm_with`], [`gemm_cached`], [`gemm_rows`] and
 /// [`linear_rows`], and the conv kernel's full GEMM: `floor_m` is the
 /// row count the blocked path's thin-shape floor reads. It counts on no
@@ -441,8 +476,7 @@ impl PackCache {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<E: Epilogue>(
     a: &[f32],
-    b: &[f32],
-    cache: Option<&PackCache>,
+    b: Operand<'_>,
     out: &mut [f32],
     spec: &GemmSpec<'_>,
     epi: &E,
@@ -451,7 +485,6 @@ pub(crate) fn run<E: Epilogue>(
 ) {
     let (m, k, n) = (spec.m, spec.k, spec.n);
     debug_assert_eq!(a.len(), m * k, "A operand length");
-    debug_assert_eq!(b.len(), k * n, "B operand length");
     debug_assert_eq!(out.len(), m * n, "output length");
     if let Bias::InitPerCol(bias) = spec.bias {
         debug_assert_eq!(bias.len(), n, "per-column bias length");
@@ -462,58 +495,58 @@ pub(crate) fn run<E: Epilogue>(
     if m == 0 || n == 0 {
         return;
     }
+    let threads = alfi_pool::current_parallelism();
+    let fan_out = m > 1 && fans_out(threads, m * k * n);
 
-    match path {
-        KernelPath::Reference => {
-            let threads = alfi_pool::current_parallelism();
-            if threads > 1 && m > 1 && m * k * n >= PAR_MIN_FLOPS {
-                let rpc = rows_per_chunk(k, n);
-                alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
-                    reference_chunk(a, b, chunk, ci * rpc, spec, epi);
-                });
-            } else {
-                reference_chunk(a, b, out, 0, spec, epi);
-            }
+    // Thin row-major products (few output rows) can't amortize the B
+    // pack — its cost relative to the multiply work is `1/m`, and the
+    // row-major reference kernel already vectorizes across output
+    // columns — so they run on the reference kernel, which is the same
+    // function by the bit-identity contract. Transposed `B` is exempt
+    // from the floor: its reference kernel is a latency-bound scalar
+    // dot-product chain, which the packed kernel beats at any `m` (the
+    // pack is a single streaming transpose of data the dot products
+    // would read anyway).
+    if !packs(path, floor_m, spec.layout) {
+        let b = match b {
+            Operand::Plain(b) | Operand::Cached(b, _) => b,
+            Operand::Panels(_) => unreachable!("packed panels run on the blocked path"),
+        };
+        debug_assert_eq!(b.len(), k * n, "B operand length");
+        if fan_out {
+            let rpc = rows_per_chunk(k, n);
+            alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
+                reference_chunk(a, b, chunk, ci * rpc, spec, epi);
+            });
+        } else {
+            reference_chunk(a, b, out, 0, spec, epi);
         }
-        KernelPath::Blocked => {
-            // Thin row-major products (few output rows) can't amortize
-            // the B pack — its cost relative to the multiply work is
-            // `1/m`, and the row-major reference kernel already
-            // vectorizes across output columns — so they run on the
-            // reference kernel, which is the same function by the
-            // bit-identity contract. Transposed `B` is exempt from the
-            // floor: its reference kernel is a latency-bound scalar
-            // dot-product chain, which the packed kernel beats at any
-            // `m` (the pack is a single streaming transpose of data
-            // the dot products would read anyway).
-            if floor_m < BLOCKED_MIN_M && matches!(spec.layout, BLayout::RowMajor) {
-                run(a, b, cache, out, spec, epi, KernelPath::Reference, floor_m);
-                return;
-            }
-            // B is packed at most once per GEMM call into NR-wide
-            // column panels (never, with a filled cache); every worker
-            // reads the same shared pack.
-            let per_call;
-            let packed: &[f32] = match cache {
-                Some(cache) => cache.panels(b, k, n, spec.layout),
-                None => {
-                    per_call = pack_metered(b, k, n, spec.layout);
-                    &per_call
-                }
-            };
-            let simd = simd_available();
-            let threads = alfi_pool::current_parallelism();
-            if threads > 1 && m > 1 && m * k * n >= PAR_MIN_FLOPS {
-                // Round the chunk size up to a whole number of register
-                // tiles — still a pure function of (k, n).
-                let rpc = rows_per_chunk(k, n).div_ceil(MR) * MR;
-                alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
-                    blocked_chunk(a, packed, chunk, ci * rpc, spec, epi, simd);
-                });
-            } else {
-                blocked_chunk(a, packed, out, 0, spec, epi, simd);
-            }
+        return;
+    }
+    // B is packed at most once per GEMM call into NR-wide column panels
+    // (never, with a filled cache or ready panels); every worker reads
+    // the same shared pack.
+    let per_call;
+    let packed: &[f32] = match b {
+        Operand::Plain(b) => {
+            per_call = pack_metered(b, k, n, spec.layout);
+            &per_call
         }
+        Operand::Cached(b, cache) => cache.panels(b, k, n, spec.layout),
+        Operand::Panels(panels) => panels,
+    };
+    debug_assert_eq!(packed.len(), n.div_ceil(NR) * k * NR, "packed B length");
+    let simd = simd_available();
+    if fan_out {
+        // Round the chunk size up to a whole number of register tiles —
+        // still a pure function of (k, n), so every tile sits where the
+        // sequential run puts it.
+        let rpc = rows_per_chunk(k, n).div_ceil(MR) * MR;
+        alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
+            blocked_chunk(a, packed, chunk, ci * rpc, spec, epi, simd);
+        });
+    } else {
+        blocked_chunk(a, packed, out, 0, spec, epi, simd);
     }
 }
 
@@ -544,11 +577,12 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>, path: Ke
 /// full GEMM's own chain — products in ascending `k` under the
 /// zero-skip rule, then the bias, then the clamp — on the full GEMM's
 /// kernel and tile position, so it equals the full GEMM over the
-/// replaced rows bit for bit, NaN bits included. Returns how many rows
-/// the recompute computed: the replaced rows, widened to whole `MR`
-/// register tiles on the blocked kernel. Only the conv kernel calls it,
-/// so it counts on no meter: `conv2d_rows` counts the recomputed rows
-/// as a convolution.
+/// replaced rows bit for bit, NaN bits included. `b` is the full GEMM's
+/// operand, in panels when the blocked path [`packs`] it. Returns how
+/// many rows the recompute computed: the replaced rows, widened to whole
+/// `MR` register tiles on the blocked kernel. Only the conv kernel calls
+/// it, so it counts on no meter: `conv2d_rows` counts the recomputed
+/// rows as a convolution.
 ///
 /// # Panics
 ///
@@ -557,7 +591,7 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>, path: Ke
 pub(crate) fn gemm_rows(
     a: &[f32],
     rows: &[(usize, Vec<f32>)],
-    b: &[f32],
+    b: Operand<'_>,
     out: &mut [f32],
     spec: &GemmSpec<'_>,
     clamp: Option<Clamp>,
@@ -568,7 +602,7 @@ pub(crate) fn gemm_rows(
     if rows.is_empty() || n == 0 {
         return 0;
     }
-    let tiled = path == KernelPath::Blocked && m >= BLOCKED_MIN_M;
+    let tiled = packs(path, m, spec.layout);
     let span = spans(rows, k, m, if tiled { MR } else { 1 });
     let a_sub = gather(&span, rows, a, k);
     let bias_rows: Vec<f32>;
@@ -581,7 +615,7 @@ pub(crate) fn gemm_rows(
     };
     let sub_spec = GemmSpec { m: span.len(), bias, ..*spec };
     let mut sub = vec![0.0f32; span.len() * n];
-    run(&a_sub, b, None, &mut sub, &sub_spec, &clamp, path, m);
+    run(&a_sub, b, &mut sub, &sub_spec, &clamp, path, m);
     for (src, i) in sub.chunks_exact(n).zip(&span) {
         if rows.iter().any(|(r, _)| r == i) {
             out[i * n..(i + 1) * n].copy_from_slice(src);
@@ -634,7 +668,7 @@ pub fn linear_rows(
     let sub_spec = GemmSpec { n: span.len(), bias, ..*spec };
     let mut sub = vec![0.0f32; m * span.len()];
     crate::meter::matmul(m, k, span.len());
-    run(x, &w_sub, None, &mut sub, &sub_spec, &clamp, path, m);
+    run(x, Operand::Plain(&w_sub), &mut sub, &sub_spec, &clamp, path, m);
     for (dst, src) in out.chunks_exact_mut(n).zip(sub.chunks_exact(span.len())) {
         for (&j, &v) in span.iter().zip(src) {
             if rows.iter().any(|(r, _)| *r == j) {
@@ -767,7 +801,7 @@ fn pack_metered(b: &[f32], k: usize, n: usize, layout: BLayout) -> Vec<f32> {
 /// `packed[p][kk][j] = B[kk][p * NR + j]`, zero-padded in the last
 /// panel. The packed layout makes the microkernel's inner loop a pure
 /// sequential stream regardless of the original layout.
-fn pack_b(b: &[f32], k: usize, n: usize, layout: BLayout) -> Vec<f32> {
+pub(crate) fn pack_b(b: &[f32], k: usize, n: usize, layout: BLayout) -> Vec<f32> {
     let panels = n.div_ceil(NR);
     let mut packed = vec![0.0f32; panels * k * NR];
     for (p, panel) in packed.chunks_exact_mut(k * NR).enumerate() {

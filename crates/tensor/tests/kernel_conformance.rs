@@ -60,6 +60,27 @@ fn run_gemm(a: &[f32], b: &[f32], spec: &GemmSpec<'_>, path: KernelPath) -> Vec<
     out
 }
 
+/// Pool fan-out jobs so far (`alfi_pool_jobs_total`), with the global
+/// meters on so the pool counts them.
+fn pool_jobs() -> u64 {
+    alfi_metrics::set_global_enabled(true);
+    alfi_metrics::global().snapshot().counter(alfi_metrics::names::POOL_JOBS)
+}
+
+/// Runs `f` at pool cap `threads` and checks that it fanned out on the
+/// pool whenever the cap leaves more than one thread. Concurrent tests
+/// can add jobs but never remove one, so a kernel that stays on the
+/// calling thread can pass only while another test fans out.
+fn fanned_out<R>(threads: usize, what: &str, f: impl FnOnce() -> R) -> R {
+    alfi_pool::with_parallelism(threads, || {
+        let wide = alfi_pool::current_parallelism() > 1;
+        let before = pool_jobs();
+        let out = f();
+        assert!(!wide || pool_jobs() > before, "{what}: no pool job ran at {threads} threads");
+        out
+    })
+}
+
 fn assert_bits_equal(reference: &[f32], blocked: &[f32], what: &str) {
     assert_eq!(reference.len(), blocked.len(), "{what}: length mismatch");
     for (i, (r, b)) in reference.iter().zip(blocked.iter()).enumerate() {
@@ -157,12 +178,17 @@ fn blocked_gemm_matches_reference_on_degenerate_shapes() {
     }
 }
 
+/// A GEMM shape above the fan-out floor, odd in every dimension, whose
+/// `MR`-aligned chunks leave a ragged last one.
+const FAN_OUT_SHAPE: (usize, usize, usize) = (97, 157, 149);
+
 /// Both kernel paths stay bit-identical to the single-thread reference
-/// at every pool cap 1–8, on a shape large enough to cross the
-/// parallelization threshold (so the chunked fan-out actually runs).
+/// at every pool cap 1–8, on a shape above the fan-out floor (so the
+/// chunked fan-out actually runs).
 #[test]
 fn gemm_is_bit_identical_at_every_pool_cap() {
-    let (m, k, n) = (37, 48, 53); // m·k·n ≈ 94k > threshold; odd in every dimension
+    let (m, k, n) = FAN_OUT_SHAPE;
+    assert!(m * k * n >= gemm::PAR_MIN_MACS, "the shape must cross the fan-out floor");
     let mut rng = Rng::from_seed(0x9001);
     let a = operand(&mut rng, m * k);
     let b = operand(&mut rng, k * n);
@@ -172,8 +198,9 @@ fn gemm_is_bit_identical_at_every_pool_cap() {
         alfi_pool::with_parallelism(1, || run_gemm(&a, &b, &spec, KernelPath::Reference));
     for threads in 1..=8 {
         for path in [KernelPath::Reference, KernelPath::Blocked] {
-            let got = alfi_pool::with_parallelism(threads, || run_gemm(&a, &b, &spec, path));
-            assert_bits_equal(&golden, &got, &format!("{path} at {threads} threads"));
+            let what = format!("{path} at {threads} threads");
+            let got = fanned_out(threads, &what, || run_gemm(&a, &b, &spec, path));
+            assert_bits_equal(&golden, &got, &what);
         }
     }
 }
@@ -260,12 +287,15 @@ fn conv_im2col_paths_are_bit_identical_on_odd_geometries() {
 }
 
 /// The batch-parallel convolution is bit-identical across kernel paths
-/// at every pool cap 1–8.
+/// at every pool cap 1–8. Its whole work crosses the fan-out floor while
+/// no item's GEMM does, so the pool fans out over batch items.
 #[test]
 fn conv_paths_are_bit_identical_at_every_pool_cap() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     let mut rng = Rng::from_seed(0xBA7C);
-    let (nb, c_in, c_out, hw, k) = (5, 3, 4, 9, 3);
+    let (nb, c_in, c_out, hw, k) = (5, 24, 12, 33, 3);
+    let per_item = c_out * c_in * k * k * 17 * 17;
+    assert!(per_item < gemm::PAR_MIN_MACS && nb * per_item >= gemm::PAR_MIN_MACS);
     let input =
         Tensor::from_vec(operand(&mut rng, nb * c_in * hw * hw), &[nb, c_in, hw, hw]).unwrap();
     let weight =
@@ -279,14 +309,11 @@ fn conv_paths_are_bit_identical_at_every_pool_cap() {
     });
     for threads in 1..=8 {
         for path in [KernelPath::Reference, KernelPath::Blocked] {
-            let got = alfi_pool::with_parallelism(threads, || {
+            let what = format!("conv {path} at {threads} threads");
+            let got = fanned_out(threads, &what, || {
                 with_kernel(path, || conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap())
             });
-            assert_bits_equal(
-                golden.data(),
-                got.data(),
-                &format!("conv {path} at {threads} threads"),
-            );
+            assert_bits_equal(golden.data(), got.data(), &what);
         }
     }
 }
@@ -308,7 +335,7 @@ fn epilogue_fires_once_per_element_with_global_indices() {
         }
     }
 
-    let (m, k, n) = (37, 48, 53); // crosses the parallel threshold
+    let (m, k, n) = FAN_OUT_SHAPE;
     let mut rng = Rng::from_seed(0xE417);
     let a = operand(&mut rng, m * k);
     let b = operand(&mut rng, k * n);
@@ -318,7 +345,7 @@ fn epilogue_fires_once_per_element_with_global_indices() {
         for path in [KernelPath::Reference, KernelPath::Blocked] {
             let epi = CountEpilogue { hits: (0..m * n).map(|_| AtomicU32::new(0)).collect() };
             let mut out = vec![0.0f32; m * n];
-            alfi_pool::with_parallelism(threads, || {
+            fanned_out(threads, &format!("epilogue {path}"), || {
                 gemm::gemm_with(&a, &b, &mut out, &spec, &epi, path)
             });
             assert!(
@@ -442,6 +469,94 @@ fn conv_row_subsets_equal_the_full_kernel_rows() {
     assert!(conv2d_rows(&input, &weight, &[(0, vec![0.0; 9])], None, cfg, None, &mut wrong).is_err());
 }
 
+/// Batch item `b` of `input` as the `[c_in·kh·kw, h_out·w_out]` column
+/// matrix, by the definition: column `(oy, ox)` of row `(ic, ky, kx)`
+/// reads input `(oy·stride + ky·dilation − pad, ox·stride + kx·dilation
+/// − pad)`, or zero in the padding.
+fn im2col_oracle(input: &Tensor, b: usize, k: usize, cfg: ConvConfig) -> (Vec<f32>, usize) {
+    let (c_in, h, w) = (input.dims()[1], input.dims()[2], input.dims()[3]);
+    let (h_out, w_out) = (cfg.out_size(h, k).unwrap(), cfg.out_size(w, k).unwrap());
+    let at = |o: usize, t: usize| (o * cfg.stride + t * cfg.dilation).checked_sub(cfg.padding);
+    let mut cols = Vec::with_capacity(c_in * k * k * h_out * w_out);
+    for ic in 0..c_in {
+        for ky in 0..k {
+            for kx in 0..k {
+                for oy in 0..h_out {
+                    for ox in 0..w_out {
+                        cols.push(match (at(oy, ky), at(ox, kx)) {
+                            (Some(iy), Some(ix)) if iy < h && ix < w => input.get(&[b, ic, iy, ix]),
+                            _ => 0.0,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    (cols, h_out * w_out)
+}
+
+/// The blocked conv kernels lower their input straight into packed
+/// panels. That equals the two-buffer path — the blocked GEMM over the
+/// im2col matrix, which packs it — bit for bit, NaN payloads included:
+/// with NaN, ±Inf and ±0 in inputs, filters and biases, with and
+/// without bias and clamp, over strides 1–3, paddings 0–2, dilations
+/// 1–2 and kernels 1/3/5/7, from one input channel up. `conv2d_fused`
+/// is checked over the whole output, `conv2d_rows` over replaced
+/// filters.
+#[test]
+fn direct_pack_convs_equal_the_two_buffer_gemm_on_special_operands() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let mut rng = Rng::from_seed(0xD12E);
+    let (nb, c_out) = (2, 11);
+    // (c_in, hw, k, stride, pad, dilation)
+    let geometries =
+        [(1, 9, 3, 1, 1, 1), (3, 11, 1, 2, 0, 1), (2, 13, 5, 3, 2, 2), (3, 17, 7, 1, 2, 1), (1, 12, 3, 2, 1, 2)];
+    for (c_in, hw, k, stride, pad, dilation) in geometries {
+        let kdim = c_in * k * k;
+        let input =
+            Tensor::from_vec(special_operand(&mut rng, nb * c_in * hw * hw), &[nb, c_in, hw, hw]).unwrap();
+        let weight = Tensor::from_vec(special_operand(&mut rng, c_out * kdim), &[c_out, c_in, k, k]).unwrap();
+        let bias = Tensor::from_vec(special_operand(&mut rng, c_out), &[c_out]).unwrap();
+        let cfg = ConvConfig::with_dilation(stride, pad, dilation).unwrap();
+        let rows = replacement_rows(&mut rng, &[c_out - 1, 0], kdim);
+        let mut patched = weight.clone();
+        for (c, w) in &rows {
+            patched.data_mut()[c * kdim..(c + 1) * kdim].copy_from_slice(w);
+        }
+        let zero_bias = vec![0.0f32; c_out];
+        for bias in [None, Some(&bias)] {
+            for clamp in clamps() {
+                let (fused, rowed) = with_kernel(KernelPath::Blocked, || {
+                    let fused = conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap();
+                    let mut rowed = fused.clone();
+                    conv2d_rows(&input, &weight, &rows, bias, cfg, clamp, &mut rowed).unwrap();
+                    (fused, rowed)
+                });
+                for (filters, got, kernel) in [(&weight, &fused, "fused"), (&patched, &rowed, "rows")] {
+                    for b in 0..nb {
+                        let (cols, spatial) = im2col_oracle(&input, b, k, cfg);
+                        let spec = GemmSpec {
+                            m: c_out,
+                            k: kdim,
+                            n: spatial,
+                            layout: BLayout::RowMajor,
+                            skip_zero_a: true,
+                            bias: Bias::PostPerRow(bias.map_or(&zero_bias[..], Tensor::data)),
+                        };
+                        let mut expect = vec![0.0f32; c_out * spatial];
+                        gemm::gemm_with(filters.data(), &cols, &mut expect, &spec, &clamp, KernelPath::Blocked);
+                        let what = format!(
+                            "{kernel} c_in={c_in} hw={hw} k={k} s={stride} p={pad} d={dilation} b={b} bias={} {clamp:?}",
+                            bias.is_some()
+                        );
+                        assert_bits_equal(&expect, &got.data()[b * c_out * spatial..(b + 1) * c_out * spatial], &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The linear layer's GEMM: `x · Wᵀ` with the bias initializing each
 /// output feature's chain and no zero-skip.
 fn linear_spec(m: usize, k: usize, n: usize, bias: Option<&[f32]>) -> GemmSpec<'_> {
@@ -504,7 +619,7 @@ fn linear_row_subsets_equal_the_full_kernel_rows() {
 #[test]
 fn a_gemm_on_a_ready_pack_equals_one_that_packs_per_call() {
     let mut rng = Rng::from_seed(0x9AC4);
-    for &(m, k, n) in &[(1, 64, 2 * NR + 3), (MR + 1, 7, NR - 1), (37, 48, 53)] {
+    for &(m, k, n) in &[(1, 64, 2 * NR + 3), (MR + 1, 7, NR - 1), FAN_OUT_SHAPE] {
         let b = special_operand(&mut rng, k * n);
         let row_bias = special_operand(&mut rng, m);
         let col_bias = special_operand(&mut rng, n);

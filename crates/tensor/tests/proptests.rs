@@ -234,68 +234,86 @@ fn softmax_is_probability() {
     });
 }
 
+/// Pool fan-out jobs so far (`alfi_pool_jobs_total`), with the global
+/// meters on so the pool counts them.
+fn pool_jobs() -> u64 {
+    alfi_metrics::set_global_enabled(true);
+    alfi_metrics::global().snapshot().counter(alfi_metrics::names::POOL_JOBS)
+}
+
+/// Runs `f` at pool cap `threads` and checks that it fanned out on the
+/// pool whenever the cap leaves more than one thread. Concurrent tests
+/// can add jobs but never remove one, so a kernel that stays on the
+/// calling thread can pass only while another test fans out.
+fn fanned_out<R>(threads: usize, what: &str, f: impl FnOnce() -> R) -> R {
+    alfi_pool::with_parallelism(threads, || {
+        let wide = alfi_pool::current_parallelism() > 1;
+        let before = pool_jobs();
+        let out = f();
+        assert!(!wide || pool_jobs() > before, "{what}: no pool job ran at {threads} threads");
+        out
+    })
+}
+
 /// The row-chunked parallel matmul is bit-identical to the sequential
-/// kernel at every thread cap 1–8. Shapes straddle the
-/// parallelization threshold (`m·k·n` from ~2k to ~180k), so both the
-/// sequential fast path and the chunked pool path are exercised.
+/// kernel at every thread cap 1–8. Every shape crosses the fan-out floor
+/// (`n` is sized to it), from thin `m` on the reference kernel to
+/// blocked ones, so the chunked pool path runs at every cap above 1.
 #[test]
 fn parallel_matmul_is_bit_identical() {
     check_with(32, "parallel_matmul_is_bit_identical", |rng| {
         let seed = gen::any_u64(rng);
-        let m: usize = rng.gen_range(2usize..6);
-        let k: usize = rng.gen_range(16usize..96);
-        let n: usize = rng.gen_range(64usize..320);
+        let m: usize = rng.gen_range(2usize..40);
+        let k: usize = rng.gen_range(16usize..128);
+        let n: usize = gemm::PAR_MIN_MACS.div_ceil(m * k) + rng.gen_range(0usize..64);
         let mut data_rng = Rng::from_seed(seed);
         let a = Tensor::rand_normal(&mut data_rng, &[m, k], 0.0, 1.0);
         let b = Tensor::rand_normal(&mut data_rng, &[k, n], 0.0, 1.0);
         let reference = alfi_pool::with_parallelism(1, || a.matmul(&b).unwrap());
         for threads in 2..=8 {
-            let par = alfi_pool::with_parallelism(threads, || a.matmul(&b).unwrap());
-            assert_eq!(
-                reference.data(),
-                par.data(),
-                "parallel matmul diverged at {threads} threads (m={m} k={k} n={n})"
-            );
+            let what = format!("parallel matmul at {threads} threads (m={m} k={k} n={n})");
+            let par = fanned_out(threads, &what, || a.matmul(&b).unwrap());
+            assert_eq!(reference.data(), par.data(), "{what} diverged");
         }
     });
 }
 
-/// The batch-parallel im2col convolution is bit-identical to its
-/// sequential path at every thread cap 1–8, and tracks the direct
-/// kernel within FP tolerance (the two differ in summation order, so
-/// bit-equality across *implementations* is not expected).
+/// The parallel im2col convolution is bit-identical to its sequential
+/// path at every thread cap 1–8, and tracks the direct kernel within FP
+/// tolerance (the two differ in summation order, so bit-equality across
+/// *implementations* is not expected). The input channels are sized so
+/// the whole convolution crosses the fan-out floor: one batch item fans
+/// out its GEMM's rows, several fan out over items.
 #[test]
 fn parallel_conv_is_bit_identical_and_matches_direct() {
     check_with(32, "parallel_conv_is_bit_identical_and_matches_direct", |rng| {
         let seed = gen::any_u64(rng);
-        let nb: usize = rng.gen_range(1usize..5);
-        let c_in: usize = rng.gen_range(1usize..4);
-        let c_out: usize = rng.gen_range(1usize..4);
-        let hw: usize = rng.gen_range(4usize..10);
+        let nb: usize = rng.gen_range(1usize..4);
+        let c_out: usize = rng.gen_range(2usize..20);
+        let hw: usize = rng.gen_range(8usize..24);
         let k: usize = rng.gen_range(1usize..4);
         let pad: usize = rng.gen_range(0usize..2);
         let stride: usize = rng.gen_range(1usize..3);
-        assume!(k <= hw + 2 * pad);
+        let cfg = ConvConfig { stride, padding: pad, dilation: 1 };
+        let spatial = cfg.out_size(hw, k).unwrap().pow(2);
+        let c_in = gemm::PAR_MIN_MACS.div_ceil(nb * c_out * k * k * spatial) + rng.gen_range(0usize..3);
         let mut data_rng = Rng::from_seed(seed);
         let input = Tensor::rand_normal(&mut data_rng, &[nb, c_in, hw, hw], 0.0, 1.0);
         let weight = Tensor::rand_normal(&mut data_rng, &[c_out, c_in, k, k], 0.0, 1.0);
         let bias = Tensor::rand_normal(&mut data_rng, &[c_out], 0.0, 1.0);
-        let cfg = ConvConfig { stride, padding: pad, dilation: 1 };
         let reference = alfi_pool::with_parallelism(1, || {
             conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap()
         });
         for threads in 2..=8 {
-            let par = alfi_pool::with_parallelism(threads, || {
-                conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap()
-            });
-            assert_eq!(
-                reference.data(),
-                par.data(),
-                "parallel conv diverged at {threads} threads (nb={nb} hw={hw} k={k} s={stride} p={pad})"
+            let what = format!(
+                "parallel conv at {threads} threads (nb={nb} c_in={c_in} c_out={c_out} hw={hw} k={k} s={stride} p={pad})"
             );
+            let par = fanned_out(threads, &what, || conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap());
+            assert_eq!(reference.data(), par.data(), "{what} diverged");
         }
+        // Each output sums `c_in·k·k` unit-variance products.
         let direct = conv2d_direct(&input, &weight, Some(&bias), cfg).unwrap();
-        assert!(direct.max_abs_diff(&reference).unwrap() < 1e-3);
+        assert!(direct.max_abs_diff(&reference).unwrap() < 1e-5 * (c_in * k * k) as f32 + 1e-3);
     });
 }
 

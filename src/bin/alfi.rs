@@ -86,6 +86,11 @@ than ±h at the requested confidence (default 0.95). Decisions land in
 the trace summary and events.jsonl; they override any stop_policy key
 in the scenario file.
 
+Parallelism: --parallel <n> runs campaign scopes on n pool threads; it
+defaults to the pool width (ALFI_POOL_THREADS, else the machine's
+cores), which events.jsonl records. Every width writes the same rows
+and artifacts.
+
 Kernel paths: the ALFI_KERNEL env var (reference|blocked) selects the
 GEMM and GELU kernels (blocked = cache-blocked packed SIMD GEMM and the
 AVX2 fdlibm tanhf port, the default; reference = the sequential oracle
@@ -179,6 +184,16 @@ impl Args {
 
     fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.flags.get(key).map(String::as_str).unwrap_or(default)
+    }
+
+    /// `--parallel <threads>`, else the shared pool's width. The CLI
+    /// resolves the default itself, so the run's `events.jsonl` header
+    /// records the count the driver ran with.
+    fn threads(&self) -> Result<usize, String> {
+        match self.flags.get("parallel") {
+            Some(n) => n.parse().map_err(|_| "bad --parallel".to_string()),
+            None => Ok(alfi_pool::global().threads()),
+        }
     }
 }
 
@@ -486,8 +501,7 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
         None => None,
     };
 
-    let threads: usize =
-        args.get_or("parallel", "1").parse().map_err(|_| "bad --parallel".to_string())?;
+    let threads = args.threads()?;
     let recorder = trace_recorder(&args)?;
     let cfg = monitoring_config(
         RunConfig::new().threads(threads).recorder(recorder.clone()).save_dir(&out_dir),
@@ -579,8 +593,7 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
     );
     let ground_truth = ds.coco_ground_truth();
     let loader = DetectionLoader::new(ds, scenario.batch_size);
-    let threads: usize =
-        args.get_or("parallel", "1").parse().map_err(|_| "bad --parallel".to_string())?;
+    let threads = args.threads()?;
     let recorder = trace_recorder(&args)?;
     let cfg = monitoring_config(
         RunConfig::new().threads(threads).recorder(recorder.clone()).save_dir(&out_dir),
@@ -913,6 +926,14 @@ mod tests {
         assert_eq!(args.get_or("parallel", "1"), "2");
         assert_eq!(args.get_or("strict-health", "off"), "on");
         assert_eq!(args.positional, ["x"]);
+    }
+
+    #[test]
+    fn parallel_defaults_to_the_pool_width() {
+        let threads = |line: &str| Args::parse(&argv(line), "classify", CAMPAIGN_FLAGS).unwrap().threads();
+        assert_eq!(threads("--parallel 3"), Ok(3));
+        assert_eq!(threads("--scenario s.yml"), Ok(alfi_pool::global().threads()));
+        assert_eq!(threads("--parallel x"), Err("bad --parallel".to_string()));
     }
 
     #[test]

@@ -248,6 +248,34 @@ fn classify_report_equals_analyze_report_over_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Without `--parallel`, `classify` runs at the pool width and records
+/// it in the `events.jsonl` header; the rows equal a `--parallel 1`
+/// run's.
+#[test]
+fn classify_defaults_to_the_pool_width() {
+    let (dir, scenario) = cli_dir("threads", &scenario(4, 0x601D));
+    let run = |name: &str, extra: &[&str]| {
+        let out_dir = dir.join(name);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_alfi"))
+            .args(["classify", "--scenario", &scenario, "--model", "alexnet", "--width", "0.0625"])
+            .args(["--input", "16", "--trace", "on", "--out", out_dir.to_str().unwrap()])
+            .args(extra)
+            .env("ALFI_POOL_THREADS", "3")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        let events = std::fs::read_to_string(out_dir.join("events.jsonl")).unwrap();
+        let header = Json::parse(events.lines().next().unwrap()).unwrap();
+        let threads = header.get("threads").and_then(Json::as_int);
+        (threads, std::fs::read(out_dir.join("results_corr.csv")).unwrap())
+    };
+    let (pool, pool_rows) = run("pool", &[]);
+    let (one, one_rows) = run("one", &["--parallel", "1"]);
+    assert_eq!((pool, one), (Some(3), Some(1)));
+    assert!(pool_rows == one_rows, "the rows depend on the thread count");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The scenario's `report: true` asks `classify` for a report, and
 /// `--report off` overrides it.
 #[test]
