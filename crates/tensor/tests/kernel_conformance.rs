@@ -294,14 +294,14 @@ fn conv_paths_are_bit_identical_at_every_pool_cap() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     let mut rng = Rng::from_seed(0xBA7C);
     let (nb, c_in, c_out, hw, k) = (5, 24, 12, 33, 3);
-    let per_item = c_out * c_in * k * k * 17 * 17;
-    assert!(per_item < gemm::PAR_MIN_MACS && nb * per_item >= gemm::PAR_MIN_MACS);
     let input =
         Tensor::from_vec(operand(&mut rng, nb * c_in * hw * hw), &[nb, c_in, hw, hw]).unwrap();
     let weight =
         Tensor::from_vec(operand(&mut rng, c_out * c_in * k * k), &[c_out, c_in, k, k]).unwrap();
     let bias = Tensor::from_vec(operand(&mut rng, c_out), &[c_out]).unwrap();
     let cfg = ConvConfig::with_dilation(2, 1, 1).unwrap();
+    let per_item = c_out * c_in * k * k * cfg.out_size(hw, k).unwrap().pow(2);
+    assert!(per_item < gemm::PAR_MIN_MACS && nb * per_item >= gemm::PAR_MIN_MACS);
     let golden = alfi_pool::with_parallelism(1, || {
         with_kernel(KernelPath::Reference, || {
             conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap()
