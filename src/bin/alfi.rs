@@ -88,8 +88,8 @@ in the scenario file.
 
 Parallelism: --parallel <n> runs campaign scopes on n pool threads; it
 defaults to the pool width (ALFI_POOL_THREADS, else the machine's
-cores), which events.jsonl records. Every width writes the same rows
-and artifacts.
+cores), which the events.jsonl header records. Rows, faults.bin and
+trace.bin do not depend on the width.
 
 Kernel paths: the ALFI_KERNEL env var (reference|blocked) selects the
 GEMM and GELU kernels (blocked = cache-blocked packed SIMD GEMM and the
