@@ -280,8 +280,8 @@ fn copy_run(dst: &mut [f32], src: &[f32], x: usize, stride: usize) {
         // Contiguous tap row: one memcpy.
         dst.copy_from_slice(&src[x..x + dst.len()]);
     } else {
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = src[x + j * stride];
+        for (d, &v) in dst.iter_mut().zip(src[x..].iter().step_by(stride)) {
+            *d = v;
         }
     }
 }
@@ -323,12 +323,15 @@ fn im2col_panels(input: &Tensor, b: usize, g: &Conv2dShape, cfg: ConvConfig) -> 
         for oy in tap.oy.clone() {
             let (src, mut x) = tap.row(oy, w, cfg);
             let (mut pp, mut ll, mut left) = (p, l, tap.ox.len());
-            while left > 0 {
+            loop {
                 let len = (NR - ll).min(left);
                 let at = pp * panel_len + tap.kk * NR + ll;
                 copy_run(&mut packed[at..at + len], src, x, cfg.stride);
-                x += len * cfg.stride;
                 left -= len;
+                if left == 0 {
+                    break;
+                }
+                x += len * cfg.stride;
                 pp += 1;
                 ll = 0;
             }
