@@ -280,6 +280,7 @@ fn copy_run(dst: &mut [f32], src: &[f32], x: usize, stride: usize) {
         // Contiguous tap row: one memcpy.
         dst.copy_from_slice(&src[x..x + dst.len()]);
     } else {
+        debug_assert!(dst.is_empty() || x + (dst.len() - 1) * stride < src.len(), "strided run past its row");
         for (d, &v) in dst.iter_mut().zip(src[x..].iter().step_by(stride)) {
             *d = v;
         }
