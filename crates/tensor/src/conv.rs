@@ -448,7 +448,7 @@ pub fn conv2d_fused(
     };
 
     let threads = alfi_pool::current_parallelism();
-    if n > 1 && gemm::fans_out(threads, n * c_out * kdim * spatial) {
+    if threads > 1 && n > 1 {
         alfi_pool::global().parallel_chunks_mut(threads, &mut out, per_item, |b, chunk| {
             conv_item(b, chunk);
         });

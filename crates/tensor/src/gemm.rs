@@ -367,9 +367,9 @@ impl Epilogue for Option<Clamp> {
 /// boundaries are a pure function of this and the inner dimensions.
 const PAR_CHUNK_MACS: usize = 64 * 1024;
 
-/// Minimum multiply-accumulate count before a kernel fans out on the
-/// pool. Below it, one pool job (wake a worker, hand out the chunks,
-/// join) costs about what the split saves, so the kernel runs on the
+/// Minimum multiply-accumulate count before a GEMM fans its rows out on
+/// the pool. Below it, one pool job (wake a worker, hand out the chunks,
+/// join) costs about what the split saves, so the GEMM runs on the
 /// calling thread. Set from the `fanout_floor` sweep (DESIGN.md §5g):
 /// of the conv layers of batch-1 vgg16 and resnet50 at widths
 /// 0.125–0.5 (32 px), none from 2 Mi MACs up ran slower on two threads
@@ -381,13 +381,6 @@ pub const PAR_MIN_MACS: usize = 2 * 1024 * 1024;
 /// this the blocked driver delegates to the (bit-identical) reference
 /// kernel instead of paying a `≥ 1/8` packing overhead.
 pub const BLOCKED_MIN_M: usize = 8;
-
-/// Whether a kernel of `macs` multiply-accumulates fans out at
-/// parallelism `threads` — a pure function of the work, never of the
-/// shape it comes in.
-pub(crate) fn fans_out(threads: usize, macs: usize) -> bool {
-    threads > 1 && macs >= PAR_MIN_MACS
-}
 
 /// Rows per parallel chunk — a pure function of the inner dimensions,
 /// so chunk boundaries never depend on the thread count (part of the
@@ -485,6 +478,9 @@ pub(crate) fn run<E: Epilogue>(
 ) {
     let (m, k, n) = (spec.m, spec.k, spec.n);
     debug_assert_eq!(a.len(), m * k, "A operand length");
+    if let Operand::Plain(b) | Operand::Cached(b, _) = b {
+        debug_assert_eq!(b.len(), k * n, "B operand length");
+    }
     debug_assert_eq!(out.len(), m * n, "output length");
     if let Bias::InitPerCol(bias) = spec.bias {
         debug_assert_eq!(bias.len(), n, "per-column bias length");
@@ -495,8 +491,11 @@ pub(crate) fn run<E: Epilogue>(
     if m == 0 || n == 0 {
         return;
     }
+    // Whether to fan out depends on the work alone and reads the thread
+    // count only as "more than one"; where the chunks split depends on
+    // `(k, n)` alone.
     let threads = alfi_pool::current_parallelism();
-    let fan_out = m > 1 && fans_out(threads, m * k * n);
+    let fan_out = threads > 1 && m > 1 && m * k * n >= PAR_MIN_MACS;
 
     // Thin row-major products (few output rows) can't amortize the B
     // pack — its cost relative to the multiply work is `1/m`, and the
@@ -512,7 +511,6 @@ pub(crate) fn run<E: Epilogue>(
             Operand::Plain(b) | Operand::Cached(b, _) => b,
             Operand::Panels(_) => unreachable!("packed panels run on the blocked path"),
         };
-        debug_assert_eq!(b.len(), k * n, "B operand length");
         if fan_out {
             let rpc = rows_per_chunk(k, n);
             alfi_pool::global().parallel_chunks_mut(threads, out, rpc * n, |ci, chunk| {
