@@ -1,6 +1,8 @@
 //! Property-based tests for the tensor substrate's core invariants,
 //! running on the in-tree `alfi-check` harness.
 
+mod common;
+
 use alfi_check::{assume, check, check_with, gen};
 use alfi_rng::Rng;
 use alfi_tensor::conv::{avg_pool2d, conv2d_direct, conv2d_im2col, max_pool2d, ConvConfig};
@@ -8,6 +10,7 @@ use alfi_tensor::f16::{Bf16, F16};
 use alfi_tensor::gemm::{self, BLayout, Bias, Clamp, ClampMode, GemmSpec, KernelPath, NoEpilogue};
 use alfi_tensor::quant::{flip_bit_i8, QuantParams};
 use alfi_tensor::{bits, Shape, Tensor, TensorError};
+use common::fanned_out;
 
 /// Flipping any bit twice restores the exact bit pattern — the
 /// transient-fault restore guarantee rests on this.
@@ -234,27 +237,6 @@ fn softmax_is_probability() {
     });
 }
 
-/// Pool fan-out jobs so far (`alfi_pool_jobs_total`), with the global
-/// meters on so the pool counts them.
-fn pool_jobs() -> u64 {
-    alfi_metrics::set_global_enabled(true);
-    alfi_metrics::global().snapshot().counter(alfi_metrics::names::POOL_JOBS)
-}
-
-/// Runs `f` at pool cap `threads` and checks that it fanned out on the
-/// pool whenever the cap leaves more than one thread. Concurrent tests
-/// can add jobs but never remove one, so a kernel that stays on the
-/// calling thread can pass only while another test fans out.
-fn fanned_out<R>(threads: usize, what: &str, f: impl FnOnce() -> R) -> R {
-    alfi_pool::with_parallelism(threads, || {
-        let wide = alfi_pool::current_parallelism() > 1;
-        let before = pool_jobs();
-        let out = f();
-        assert!(!wide || pool_jobs() > before, "{what}: no pool job ran at {threads} threads");
-        out
-    })
-}
-
 /// The row-chunked parallel matmul is bit-identical to the sequential
 /// kernel at every thread cap 1–8. Every shape crosses the fan-out floor
 /// (`n` is sized to it), from thin `m` on the reference kernel to
@@ -281,22 +263,27 @@ fn parallel_matmul_is_bit_identical() {
 /// The parallel im2col convolution is bit-identical to its sequential
 /// path at every thread cap 1–8, and tracks the direct kernel within FP
 /// tolerance (the two differ in summation order, so bit-equality across
-/// *implementations* is not expected). The input channels are sized so
-/// the whole convolution crosses the fan-out floor: one batch item fans
-/// out its GEMM's rows, several fan out over items.
+/// *implementations* is not expected). Several batch items fan out over
+/// items at any size; a single item fans out its GEMM's rows, so its
+/// output channels are sized to the fan-out floor.
 #[test]
 fn parallel_conv_is_bit_identical_and_matches_direct() {
     check_with(32, "parallel_conv_is_bit_identical_and_matches_direct", |rng| {
         let seed = gen::any_u64(rng);
-        let nb: usize = rng.gen_range(1usize..4);
-        let c_out: usize = rng.gen_range(2usize..20);
-        let hw: usize = rng.gen_range(8usize..24);
+        let nb: usize = rng.gen_range(1usize..5);
+        let c_in: usize = rng.gen_range(1usize..4);
+        let hw: usize = rng.gen_range(4usize..10);
         let k: usize = rng.gen_range(1usize..4);
         let pad: usize = rng.gen_range(0usize..2);
         let stride: usize = rng.gen_range(1usize..3);
+        assume!(k <= hw + 2 * pad);
         let cfg = ConvConfig { stride, padding: pad, dilation: 1 };
         let spatial = cfg.out_size(hw, k).unwrap().pow(2);
-        let c_in = gemm::PAR_MIN_MACS.div_ceil(nb * c_out * k * k * spatial) + rng.gen_range(0usize..3);
+        let c_out: usize = if nb > 1 {
+            rng.gen_range(1usize..4)
+        } else {
+            gemm::PAR_MIN_MACS.div_ceil(c_in * k * k * spatial) + rng.gen_range(0usize..3)
+        };
         let mut data_rng = Rng::from_seed(seed);
         let input = Tensor::rand_normal(&mut data_rng, &[nb, c_in, hw, hw], 0.0, 1.0);
         let weight = Tensor::rand_normal(&mut data_rng, &[c_out, c_in, k, k], 0.0, 1.0);
@@ -311,9 +298,8 @@ fn parallel_conv_is_bit_identical_and_matches_direct() {
             let par = fanned_out(threads, &what, || conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap());
             assert_eq!(reference.data(), par.data(), "{what} diverged");
         }
-        // Each output sums `c_in·k·k` unit-variance products.
         let direct = conv2d_direct(&input, &weight, Some(&bias), cfg).unwrap();
-        assert!(direct.max_abs_diff(&reference).unwrap() < 1e-5 * (c_in * k * k) as f32 + 1e-3);
+        assert!(direct.max_abs_diff(&reference).unwrap() < 1e-3);
     });
 }
 
