@@ -4,7 +4,7 @@
 //! Times whole batch-1 forwards of vgg16 and resnet50 at widths 0.125,
 //! 0.25 and 0.5 (32 px) on a 1-wide and a 2-wide pool, then every
 //! distinct conv layer of those forwards alone at both widths, and
-//! prints each conv GEMM's `m·k·n` against the compiled floor. A kernel
+//! prints each conv GEMM's `m·k·n` against the compiled floor. A GEMM
 //! fans out only from the floor up, so a layer below it reads the same
 //! at both widths; a build with a lower floor shows what fanning those
 //! layers out costs. Run with

@@ -1,6 +1,6 @@
 //! Batch-1 forwards stay on the calling thread.
 //!
-//! A kernel fans out on the shared pool only when its work repays a
+//! A GEMM fans out on the shared pool only when its work repays a
 //! pool job (`alfi_tensor::gemm::PAR_MIN_MACS` multiply-accumulates).
 //! No GEMM of a batch-1 vgg16 ×0.125 forward at 32 px reaches that
 //! floor, so the forward runs no pool job even with a second thread to
