@@ -14,7 +14,7 @@ use alfi_bench::timing::{BenchmarkId, Harness};
 use alfi_bench::{build_classifier, ExperimentScale};
 use alfi_nn::layer::Layer;
 use alfi_rng::Rng;
-use alfi_tensor::conv::{conv2d_fused, ConvConfig};
+use alfi_tensor::conv::{conv2d_im2col, ConvConfig};
 use alfi_tensor::gemm::PAR_MIN_MACS;
 use alfi_tensor::Tensor;
 use std::hint::black_box;
@@ -102,7 +102,7 @@ fn bench_conv_layers(c: &mut Harness) {
                     group.bench_with_input(id, &threads, |b, &t| {
                         b.iter(|| {
                             alfi_pool::with_parallelism(t, || {
-                                black_box(conv2d_fused(&input, &weight, None, s.cfg, None).expect("conv"))
+                                black_box(conv2d_im2col(&input, &weight, None, s.cfg).expect("conv"))
                             })
                         })
                     });

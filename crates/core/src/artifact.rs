@@ -16,8 +16,6 @@
 //!   [`ArtifactFormat`](alfi_scenario::ArtifactFormat).
 //! * [`ColumnarSink`] adapts any row type to an `alfi-store` columnar
 //!   file via a row-to-values projection.
-//! * [`ReplayReader`] reads a columnar store back with read-volume
-//!   metering published to the global metrics registry.
 //! * [`text_to_store`] / [`store_to_texts`] convert between the
 //!   columnar format and the text artifacts byte-exactly (the
 //!   `alfi store convert` CLI command).
@@ -28,9 +26,8 @@
 //! count, exactly like the CSVs they replace.
 
 use crate::error::CoreError;
-use alfi_metrics::{names, Class};
 use alfi_store::{
-    ColumnSpec, ColumnType, Encoding, Row, RowKey, Schema, StoreReader, StoreStats, StoreWriter,
+    ColumnSpec, ColumnType, Encoding, RowKey, Schema, StoreReader, StoreStats, StoreWriter,
     Value, DEFAULT_BLOCK_ROWS,
 };
 use std::path::{Path, PathBuf};
@@ -213,79 +210,6 @@ impl<R> ArtifactSink<R> for ColumnarSink<R> {
     }
 }
 
-/// Reads a columnar result store back for replay analysis, publishing
-/// read-volume counters (`alfi_store_rows_read_total`,
-/// `alfi_store_bytes_read_total`) to the global metrics registry when
-/// it is enabled.
-pub struct ReplayReader {
-    inner: StoreReader,
-}
-
-impl std::fmt::Debug for ReplayReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayReader").field("rows", &self.inner.total_rows()).finish()
-    }
-}
-
-impl ReplayReader {
-    /// Opens a store file, validating its header, index and trailer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] on I/O failure or corruption.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Ok(ReplayReader { inner: StoreReader::open(path)? })
-    }
-
-    /// All rows whose key carries `fault_id` — the replay question
-    /// "what did fault *n* do?". Reads only the blocks whose index
-    /// entry covers the id, not the whole file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] on I/O failure or corruption.
-    pub fn lookup_fault(&mut self, fault_id: u64) -> Result<Vec<Row>, CoreError> {
-        let before = self.inner.bytes_read();
-        let rows = self.inner.lookup_fault(fault_id)?;
-        self.meter(rows.len() as u64, self.inner.bytes_read() - before);
-        Ok(rows)
-    }
-
-    /// Decodes every row in key order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] on I/O failure or corruption.
-    pub fn scan(&mut self) -> Result<Vec<Row>, CoreError> {
-        let before = self.inner.bytes_read();
-        let rows = self.inner.scan()?;
-        self.meter(rows.len() as u64, self.inner.bytes_read() - before);
-        Ok(rows)
-    }
-
-    /// The underlying metered reader (schema, meta, block statistics).
-    pub fn reader(&self) -> &StoreReader {
-        &self.inner
-    }
-
-    /// Mutable access to the underlying reader, for block-level
-    /// inspection APIs ([`StoreReader::block_column_stats`]) that need
-    /// to read blocks on demand.
-    pub fn reader_mut(&mut self) -> &mut StoreReader {
-        &mut self.inner
-    }
-
-    fn meter(&self, rows: u64, bytes: u64) {
-        if alfi_metrics::global_enabled() {
-            let reg = alfi_metrics::global();
-            reg.counter(names::STORE_ROWS_READ, "Rows returned by store lookups", Class::Runtime)
-                .add(rows);
-            reg.counter(names::STORE_BYTES_READ, "Bytes read by store lookups", Class::Runtime)
-                .add(bytes);
-        }
-    }
-}
-
 fn cell(values: &[Value], idx: usize) -> Result<&Value, CoreError> {
     values.get(idx).ok_or(CoreError::CorruptFile {
         kind: "store",
@@ -406,16 +330,16 @@ pub fn text_to_store(text: &str, source_name: &str, out: &Path) -> Result<StoreS
 /// [`CoreError::CorruptFile`] for an unknown `kind` or rows that do
 /// not match it.
 pub fn store_to_texts(path: &Path) -> Result<Vec<(String, String)>, CoreError> {
-    let mut reader = ReplayReader::open(path)?;
-    let kind = reader.reader().meta("kind").unwrap_or("").to_string();
+    let mut reader = StoreReader::open(path)?;
+    let kind = reader.meta("kind").unwrap_or("").to_string();
     match kind.as_str() {
         "classification" => {
-            let resil = reader.reader().meta("resil") == Some("1");
+            let resil = reader.meta("resil") == Some("1");
             let rows = reader.scan()?;
             crate::campaign::classification::store_rows_to_csvs(&rows, resil)
         }
         "detection" => {
-            let resil = reader.reader().meta("resil") == Some("1");
+            let resil = reader.meta("resil") == Some("1");
             let rows = reader.scan()?;
             let mut out = String::new();
             for (_, values) in &rows {
@@ -424,10 +348,10 @@ pub fn store_to_texts(path: &Path) -> Result<Vec<(String, String)>, CoreError> {
             Ok(vec![(Artifacts::ROWS_JSONL.to_string(), out)])
         }
         "csv" => {
-            let source = reader.reader().meta("source").unwrap_or("converted.csv").to_string();
-            let trailing = reader.reader().meta("trailing_newline") != Some("0");
+            let source = reader.meta("source").unwrap_or("converted.csv").to_string();
+            let trailing = reader.meta("trailing_newline") != Some("0");
             let header: Vec<String> =
-                reader.reader().schema().columns.iter().map(|c| c.name.clone()).collect();
+                reader.schema().columns.iter().map(|c| c.name.clone()).collect();
             let rows = reader.scan()?;
             let mut lines = vec![header.join(",")];
             for (_, values) in &rows {
@@ -442,8 +366,8 @@ pub fn store_to_texts(path: &Path) -> Result<Vec<(String, String)>, CoreError> {
             Ok(vec![(source, text)])
         }
         "lines" => {
-            let source = reader.reader().meta("source").unwrap_or("converted.txt").to_string();
-            let trailing = reader.reader().meta("trailing_newline") != Some("0");
+            let source = reader.meta("source").unwrap_or("converted.txt").to_string();
+            let trailing = reader.meta("trailing_newline") != Some("0");
             let rows = reader.scan()?;
             let mut lines = Vec::with_capacity(rows.len());
             for (_, values) in &rows {

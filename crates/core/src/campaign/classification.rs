@@ -254,14 +254,16 @@ impl ImgClassCampaign {
     /// enhanced models". It must expose the same injectable-layer list.
     ///
     /// Its hooks never run: the hardened forward skips registered hooks
-    /// (hooks on the campaign's models run in the golden pass only). It
-    /// shares the golden prefix of the campaign's model up to the
-    /// earliest of its first faulted node, the first node that differs
-    /// from the model (name, layer bits, fused clamp or inputs, see
-    /// [`NodeMap`]) and the first Ranger/Clipper guard the scope's
-    /// golden activations trip. A `harden` / `harden_fused` copy thus
-    /// shares everything up to its faults on most inputs; a
-    /// magnitude-pruned copy shares nothing and runs in full.
+    /// (hooks on the campaign's models run in the golden pass only). A
+    /// Ranger/Clipper guard ([`Network::set_guard`]) applies after its
+    /// node's neuron faults, so a guard bounds the faults of its own
+    /// node. The hardened forward shares the golden prefix of the
+    /// campaign's model up to the earliest of its first faulted node,
+    /// the first node that differs from the model (name, layer bits,
+    /// guard or inputs, see [`NodeMap`]) and the first guard the scope's
+    /// golden activations trip. A `harden` copy thus shares everything
+    /// up to its faults on most inputs; a magnitude-pruned copy shares
+    /// nothing and runs in full.
     pub fn with_resil_model(mut self, resil: Network) -> Self {
         let map = NodeMap::new(&resil, &self.model);
         self.resil_model = Some(Hardened { net: resil, map });

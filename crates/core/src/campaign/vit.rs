@@ -146,8 +146,7 @@ mod tests {
             .save_dir(dir.to_str().unwrap())
             .format(ArtifactFormat::Binary);
         campaign(s).run_with(&cfg).unwrap();
-        let reader = crate::artifact::ReplayReader::open(dir.join("rows.alfic")).unwrap();
-        let r = reader.reader();
+        let r = alfi_store::StoreReader::open(dir.join("rows.alfic")).unwrap();
         assert_eq!(r.meta("kind"), Some("classification"));
         assert_eq!(r.meta("campaign"), Some("vit"));
         assert_eq!(r.meta("vit_depth"), Some("2"));

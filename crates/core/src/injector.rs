@@ -471,7 +471,8 @@ impl FaultPlan {
     /// with `golden`, evaluates its network from node 0. `observe`
     /// sees every node of every call: borrowed golden nodes first, then
     /// each evaluated node after its layer (with its patched weight
-    /// rows and its fused clamp) and before its neuron faults.
+    /// rows) and before its neuron faults and its guard. Borrowed
+    /// golden nodes are as stored, i.e. after their guards.
     /// Registered hooks do not run, as on an armed clone. Each evaluated node's time
     /// goes to `recorder` under its layer name. `det` must expose the
     /// networks the plan was made for.
@@ -588,8 +589,8 @@ impl FaultyModel {
 
     /// Runs the faulty model like [`FaultyModel::forward`] and calls
     /// `observe` on every evaluated node's output, after the node's
-    /// layer (with its corrupted weight rows and its fused clamp) and
-    /// before the node's neuron faults: the place of a monitor.
+    /// layer (with its corrupted weight rows) and before the node's
+    /// neuron faults and its guard: the place of a monitor.
     ///
     /// # Errors
     ///

@@ -72,7 +72,7 @@ pub mod sweep;
 
 pub use artifact::{
     store_to_files, store_to_texts, text_to_store, ArtifactSink, Artifacts, ColumnarSink,
-    ReplayReader, SinkStats,
+    SinkStats,
 };
 pub use error::CoreError;
 pub use fault::{AppliedFault, FaultRecord, FaultValue};

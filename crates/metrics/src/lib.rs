@@ -102,11 +102,6 @@ pub mod names {
     /// Bytes persisted by the campaign's artifact sink (deterministic —
     /// artifacts are byte-identical at every thread count).
     pub const STORE_BYTES_WRITTEN: &str = "alfi_store_bytes_written_total";
-    /// Rows returned by columnar-store replay lookups (runtime).
-    pub const STORE_ROWS_READ: &str = "alfi_store_rows_read_total";
-    /// Bytes fetched from disk by columnar-store replay lookups
-    /// (runtime).
-    pub const STORE_BYTES_READ: &str = "alfi_store_bytes_read_total";
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();

@@ -10,16 +10,19 @@
 //! 1. [`profile_bounds`] runs fault-free inference over calibration
 //!    inputs and records each layer's healthy `(min, max)` activation
 //!    range.
-//! 2. [`harden`] clones the model and splices a
-//!    [`Layer::RangeRestrict`] node after every protected layer.
-//!    Out-of-range values — the signature of exponent-bit corruptions —
-//!    are clipped to the bound (**Ranger**) or zeroed (**Clipper**),
-//!    while in-range activations pass through untouched.
+//! 2. [`harden`] clones the model and gives every protected node a
+//!    range guard ([`Network::set_guard`]). Out-of-range values — the
+//!    signature of exponent-bit corruptions — are clipped to the bound
+//!    (**Ranger**) or zeroed (**Clipper**), while in-range activations
+//!    pass through untouched.
 //!
-//! Because protection nodes are non-injectable, a hardened model exposes
-//! exactly the same injectable-layer list as the original, so identical
-//! fault records can be armed on both — the precondition for the paper's
-//! tightly-coupled three-model comparison.
+//! A guard is node state, not a node: a forward applies it after the
+//! node's layer, hooks and after-node step (where campaigns apply
+//! neuron faults), before any consumer reads the output. So a hardened
+//! model keeps every node id and exactly the injectable-layer list of
+//! the original, and identical fault records can be armed on both — the
+//! precondition for the paper's tightly-coupled three-model comparison.
+//! Detectors that store node ids work hardened too.
 //!
 //! # Example
 //!
@@ -33,12 +36,13 @@
 //! let calib = [Tensor::ones(&cfg.input_dims(1))];
 //! let bounds = profile_bounds(&model, calib.iter())?;
 //! let hardened = harden(&model, &bounds, Protection::Ranger, 0.1)?;
-//! assert!(hardened.num_nodes() > model.num_nodes());
+//! assert_eq!(hardened.num_nodes(), model.num_nodes());
+//! assert!(hardened.num_guards() > 0);
 //! # Ok::<(), alfi_nn::NnError>(())
 //! ```
 
-use alfi_nn::{Layer, Network, NnError, NodeId, RestrictMode};
-use alfi_tensor::{gemm, Tensor};
+use alfi_nn::{Clamp, ClampMode, Layer, Network, NnError, NodeId};
+use alfi_tensor::Tensor;
 use std::collections::BTreeMap;
 
 /// Which range-supervision strategy to apply.
@@ -51,26 +55,13 @@ pub enum Protection {
 }
 
 impl Protection {
-    fn restrict_mode(self) -> RestrictMode {
+    /// The guard mode of this protection.
+    pub fn clamp_mode(self) -> ClampMode {
         match self {
-            Protection::Ranger => RestrictMode::Clip,
-            Protection::Clipper => RestrictMode::Zero,
+            Protection::Ranger => ClampMode::Clip,
+            Protection::Clipper => ClampMode::Zero,
         }
     }
-
-    /// The equivalent clamp mode for the kernel-epilogue form of this
-    /// protection ([`harden_fused`]).
-    pub fn clamp_mode(self) -> gemm::ClampMode {
-        self.restrict_mode().into()
-    }
-}
-
-/// Widens a profiled bound by the relative `margin` — shared by both
-/// hardening forms so spliced and fused clamps use bit-identical
-/// bounds.
-fn widen(lo: f32, hi: f32, margin: f32) -> (f32, f32) {
-    let span = (hi - lo).max(f32::MIN_POSITIVE);
-    (lo - margin * span, hi + margin * span)
 }
 
 /// Per-node healthy activation bounds observed during profiling.
@@ -122,62 +113,17 @@ pub fn protected_nodes(model: &Network) -> Vec<NodeId> {
         .collect()
 }
 
-/// Builds a hardened clone of `model`: a [`Layer::RangeRestrict`] node is
-/// spliced after every protected node, using the profiled bound widened
-/// by `margin` (relative, e.g. `0.1` = ±10 % head-room so borderline
-/// healthy activations are never touched).
-///
-/// # Errors
-///
-/// Propagates graph-surgery errors (duplicate names cannot occur because
-/// protection nodes get fresh `__protect_*` names).
-pub fn harden(
-    model: &Network,
-    bounds: &Bounds,
-    protection: Protection,
-    margin: f32,
-) -> Result<Network, NnError> {
-    let mut hardened = model.clone();
-    // Insert from the highest node id down so earlier insertions don't
-    // shift the ids we still have to process.
-    let mut targets = protected_nodes(model);
-    targets.sort_unstable_by(|a, b| b.cmp(a));
-    for node_id in targets {
-        let Some(&(lo, hi)) = bounds.get(&node_id) else {
-            continue; // never observed (e.g. dead branch): leave unprotected
-        };
-        let (lo, hi) = widen(lo, hi, margin);
-        let name = format!("__protect_{node_id}");
-        hardened.insert_after(
-            node_id,
-            name,
-            Layer::RangeRestrict { lo, hi, mode: protection.restrict_mode() },
-        )?;
-    }
-    Ok(hardened)
-}
-
-/// Builds a hardened clone of `model` with the range clamp **fused
-/// into the compute-kernel epilogue** of every protected node instead
-/// of spliced in as a separate [`Layer::RangeRestrict`] pass — the
-/// hardened forward stops paying a second full pass over activations.
-///
-/// Bounds, margin widening and clamp semantics are bit-identical to
-/// [`harden`]; on a hook-free model the two hardened forms produce
-/// bit-identical outputs. They differ observably only when forward
-/// hooks are registered on protected nodes: the fused clamp runs
-/// *before* a node's hooks (it is part of the kernel), while a spliced
-/// protection node runs after them. Campaigns that inject through
-/// hooks on protected layers should use [`harden`]; fault-free or
-/// weight-fault evaluation can use the fused form for speed. The graph
-/// is unchanged (`num_nodes` stays identical), so layer names, node
-/// ids and the injectable-layer list are trivially preserved.
+/// Builds a hardened clone of `model`: every protected node gets a
+/// guard ([`Network::set_guard`]) over its profiled bound widened by
+/// `margin` (relative, e.g. `0.1` = ±10 % head-room so borderline
+/// healthy activations are never touched). Nodes, node ids, names and
+/// the injectable-layer list stay as they are.
 ///
 /// # Errors
 ///
 /// Propagates [`NnError::NoSuchNode`] if `bounds` references a node
 /// outside the model (cannot occur for bounds from [`profile_bounds`]).
-pub fn harden_fused(
+pub fn harden(
     model: &Network,
     bounds: &Bounds,
     protection: Protection,
@@ -188,11 +134,9 @@ pub fn harden_fused(
         let Some(&(lo, hi)) = bounds.get(&node_id) else {
             continue; // never observed (e.g. dead branch): leave unprotected
         };
-        let (lo, hi) = widen(lo, hi, margin);
-        hardened.set_fused_clamp(
-            node_id,
-            gemm::Clamp { lo, hi, mode: protection.clamp_mode() },
-        )?;
+        let span = (hi - lo).max(f32::MIN_POSITIVE);
+        let (lo, hi) = (lo - margin * span, hi + margin * span);
+        hardened.set_guard(node_id, Clamp { lo, hi, mode: protection.clamp_mode() })?;
     }
     Ok(hardened)
 }
@@ -319,7 +263,8 @@ mod tests {
             .map(|l| l.name)
             .collect();
         assert_eq!(a, b);
-        assert!(hardened.num_nodes() > model.num_nodes());
+        assert_eq!(hardened.num_nodes(), model.num_nodes());
+        assert_eq!(hardened.num_guards(), protected_nodes(&model).len());
     }
 
     #[test]
@@ -337,12 +282,12 @@ mod tests {
         let a = net.push("relu", Layer::Relu, &[]).unwrap();
         net.set_output(a).unwrap();
         let hardened = harden(&net, &Bounds::new(), Protection::Ranger, 0.1).unwrap();
-        assert_eq!(hardened.num_nodes(), net.num_nodes());
+        assert_eq!(hardened.num_guards(), 0);
     }
 
     /// Hardening a model whose forwards already filled its linear
     /// weight packs computes what hardening a never-run copy computes:
-    /// spliced guards keep every pack on its node.
+    /// guards keep every pack on its node.
     #[test]
     fn hardening_keeps_weight_packs_on_their_nodes() {
         let cfg = tiny_cfg();
@@ -353,67 +298,13 @@ mod tests {
         let never_run = alexnet(&cfg);
         let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for protection in [Protection::Ranger, Protection::Clipper] {
-            for fused in [false, true] {
-                let harden = if fused { harden_fused } else { harden };
-                let a = harden(&model, &bounds, protection, 0.0).unwrap();
-                let b = harden(&never_run, &bounds, protection, 0.0).unwrap();
-                for x in &inputs {
-                    let what = format!("{protection:?}, fused {fused}");
-                    assert_eq!(bits(a.forward(x).unwrap()), bits(b.forward(x).unwrap()), "{what}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_hardening_is_bit_identical_to_spliced() {
-        let cfg = tiny_cfg();
-        let model = alexnet(&cfg);
-        let inputs = calib(&cfg, 3);
-        let bounds = profile_bounds(&model, inputs.iter()).unwrap();
-        for protection in [Protection::Ranger, Protection::Clipper] {
-            let spliced = harden(&model, &bounds, protection, 0.1).unwrap();
-            let fused = harden_fused(&model, &bounds, protection, 0.1).unwrap();
-            assert_eq!(fused.num_nodes(), model.num_nodes(), "fused adds no graph nodes");
-            assert!(fused.num_fused() > 0);
+            let a = harden(&model, &bounds, protection, 0.0).unwrap();
+            let b = harden(&never_run, &bounds, protection, 0.0).unwrap();
             for x in &inputs {
-                let a = spliced.forward(x).unwrap();
-                let b = fused.forward(x).unwrap();
-                assert_eq!(a.dims(), b.dims());
-                let bits_equal = a
-                    .data()
-                    .iter()
-                    .zip(b.data().iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(bits_equal, "{protection:?}: fused clamp drifted from spliced clamp");
+                let what = format!("{protection:?}");
+                assert_eq!(bits(a.forward(x).unwrap()), bits(b.forward(x).unwrap()), "{what}");
             }
         }
-    }
-
-    #[test]
-    fn fused_hardening_suppresses_weight_corruption() {
-        let mut net = Network::new("one_conv");
-        let conv = Layer::Conv2d(Conv2d {
-            weight: Tensor::full(&[1, 1, 1, 1], 0.5),
-            bias: None,
-            cfg: ConvConfig::default(),
-        });
-        let c = net.push("conv", conv, &[]).unwrap();
-        let r = net.push("relu", Layer::Relu, &[c]).unwrap();
-        net.set_output(r).unwrap();
-        let x = Tensor::ones(&[1, 1, 2, 2]);
-        let bounds = profile_bounds(&net, std::iter::once(&x)).unwrap();
-
-        let mut corrupted = net.clone();
-        let w = corrupted.layer_mut(c).unwrap().weight_mut().unwrap();
-        w.set(&[0, 0, 0, 0], alfi_tensor::bits::flip_bit(0.5, 30));
-        assert!(corrupted.forward(&x).unwrap().max() > 1.0e10);
-
-        let fused = harden_fused(&corrupted, &bounds, Protection::Ranger, 0.1).unwrap();
-        let (_, hi) = bounds[&c];
-        assert!(fused.forward(&x).unwrap().max() <= hi * 1.2 + 1e-6);
-        let clipper = harden_fused(&corrupted, &bounds, Protection::Clipper, 0.1).unwrap();
-        assert_eq!(clipper.forward(&x).unwrap().max(), 0.0);
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! per-call weight rows ([`RowPatch`]) and run a callback after each
 //! node — the primitives fault campaigns use to skip the fault-free
 //! prefix of a faulty forward without cloning the model or its layers.
+//!
+//! A node may carry a Ranger/Clipper range guard ([`Clamp`],
+//! [`Network::set_guard`]), which every pass applies last, after the
+//! node's hooks and after-node step.
 
 use crate::error::NnError;
-use crate::layer::{linear_fused, linear_rows, Layer, LayerKind};
-use alfi_tensor::conv::{conv2d_fused, conv2d_rows};
+use crate::layer::{linear_forward, linear_rows, Layer, LayerKind};
+use alfi_tensor::conv::conv2d_rows;
 use alfi_tensor::{gemm, Shape, Tensor};
 use std::sync::Arc;
 
@@ -62,6 +66,60 @@ where
 {
     fn on_output(&self, ctx: &LayerCtx, output: &mut Tensor) {
         self(ctx, output)
+    }
+}
+
+/// Out-of-range handling of a [`Clamp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ClampMode {
+    /// Ranger: saturate to the violated bound; NaN maps to `lo`.
+    Clip,
+    /// Clipper: out-of-range (or NaN) values become zero.
+    Zero,
+}
+
+/// A Ranger/Clipper range guard (activation-range supervision,
+/// Geissler et al.): the node state [`Network::set_guard`] sets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Clamp {
+    /// Lower bound of the healthy activation range.
+    pub lo: f32,
+    /// Upper bound of the healthy activation range.
+    pub hi: f32,
+    /// Out-of-range handling.
+    pub mode: ClampMode,
+}
+
+impl Clamp {
+    /// The guarded value of `v`: `v` itself inside `[lo, hi]`, else the
+    /// violated bound (`Clip`; NaN maps to `lo`) or zero (`Zero`; NaN
+    /// too).
+    #[inline]
+    pub fn apply(self, v: f32) -> f32 {
+        match self.mode {
+            ClampMode::Clip => {
+                if v.is_nan() {
+                    self.lo
+                } else {
+                    v.clamp(self.lo, self.hi)
+                }
+            }
+            ClampMode::Zero => {
+                if v.is_nan() || v < self.lo || v > self.hi {
+                    0.0
+                } else {
+                    v
+                }
+            }
+        }
+    }
+
+    /// Whether `self` and `other` guard alike bit for bit: the same mode
+    /// and bitwise-equal bounds.
+    pub(crate) fn bitwise_eq(self, other: Clamp) -> bool {
+        self.mode == other.mode
+            && self.lo.to_bits() == other.lo.to_bits()
+            && self.hi.to_bits() == other.hi.to_bits()
     }
 }
 
@@ -173,7 +231,8 @@ impl RowPatch {
     }
 }
 
-/// Per-call node callback of a [`Pass`], run after a node's hooks.
+/// Per-call node callback of a [`Pass`], run after a node's hooks and
+/// before its guard.
 pub type AfterNode<'a> = &'a mut dyn FnMut(NodeId, &mut Tensor);
 
 /// How one call of [`Network::evaluate`] runs: where it starts, what it
@@ -225,7 +284,7 @@ impl<'a> Pass<'a> {
     }
 
     /// Evaluates each patch's node with the patch's weight rows in
-    /// place of its own (the node's fused clamp still applies). A
+    /// place of its own (the node's guard still applies). A
     /// `Conv2d` or `Linear` node recomputes only those rows of its
     /// output, on the full kernel's per-element chain, over its
     /// unpatched output: borrowed when every input of the node comes
@@ -244,7 +303,8 @@ impl<'a> Pass<'a> {
         self
     }
 
-    /// Runs `f` on every evaluated node's output after its hooks.
+    /// Runs `f` on every evaluated node's output after its hooks and
+    /// before its guard.
     pub fn after_node(mut self, f: AfterNode<'a>) -> Self {
         self.after = Some(f);
         self
@@ -366,7 +426,7 @@ pub struct Network {
     output: Option<NodeId>,
     hooks: Vec<Vec<(u64, Arc<dyn ForwardHook>)>>,
     next_hook_slot: u64,
-    fused: Vec<Option<gemm::Clamp>>,
+    guards: Vec<Option<Clamp>>,
     packs: Vec<Arc<gemm::PackCache>>,
 }
 
@@ -393,7 +453,7 @@ impl Clone for Network {
             output: self.output,
             hooks: vec![Vec::new(); self.nodes.len()],
             next_hook_slot: 0,
-            fused: self.fused.clone(),
+            guards: self.guards.clone(),
             packs: self.packs.clone(),
         }
     }
@@ -408,7 +468,7 @@ impl Network {
             output: None,
             hooks: Vec::new(),
             next_hook_slot: 0,
-            fused: Vec::new(),
+            guards: Vec::new(),
             packs: Vec::new(),
         }
     }
@@ -468,7 +528,7 @@ impl Network {
         }
         self.nodes.push(Node { name, layer, inputs: inputs.to_vec() });
         self.hooks.push(Vec::new());
-        self.fused.push(None);
+        self.guards.push(None);
         self.packs.push(Arc::default());
         Ok(id)
     }
@@ -519,9 +579,9 @@ impl Network {
         self.nodes.get(id).map(|n| &n.layer).ok_or(NnError::NoSuchNode(id))
     }
 
-    /// Mutable access to a node's layer — used by weight fault injection
-    /// and by mitigation wrappers that splice in protection layers. It
-    /// drops the node's weight pack (a clone sharing it keeps its own).
+    /// Mutable access to a node's layer — used by weight fault injection,
+    /// training and pruning. It drops the node's weight pack (a clone
+    /// sharing it keeps its own).
     ///
     /// # Errors
     ///
@@ -564,63 +624,51 @@ impl Network {
         self.hooks.iter().map(Vec::len).sum()
     }
 
-    /// Sets (or replaces) the fused range-supervision clamp
-    /// (Ranger/Clipper) on node `id`.
+    /// Sets (or replaces) the Ranger/Clipper guard of node `id`.
     ///
-    /// On `Conv2d` and `Linear` nodes the clamp runs inside the GEMM
-    /// epilogue while the output tile is still cache-hot; on every
-    /// other layer kind it runs as a separate pass right after the
-    /// forward computation. Either way the result is bit-identical to a
-    /// spliced `RangeRestrict` node. The clamp runs *before* the node's
-    /// hooks (a spliced node would run after them), and unlike hooks it
-    /// survives [`Network::clone`]: it is part of the model, like
-    /// spliced protection layers.
+    /// Every pass applies it to the node's output last: after the layer,
+    /// the registered hooks and the pass's after-node step, before any
+    /// consumer reads the output. The node's stored activation is the
+    /// guarded one. The guard is part of the model: unlike hooks it
+    /// survives [`Network::clone`], and it moves no node id.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoSuchNode`] for an unknown id.
-    pub fn set_fused_clamp(&mut self, id: NodeId, clamp: gemm::Clamp) -> Result<(), NnError> {
+    pub fn set_guard(&mut self, id: NodeId, guard: Clamp) -> Result<(), NnError> {
         if id >= self.nodes.len() {
             return Err(NnError::NoSuchNode(id));
         }
-        self.fused[id] = Some(clamp);
+        self.guards[id] = Some(guard);
         Ok(())
     }
 
-    /// The fused clamp on node `id`, if any.
-    pub fn fused_clamp(&self, id: NodeId) -> Option<gemm::Clamp> {
-        self.fused.get(id).copied().flatten()
+    /// The guard of node `id`, if any.
+    pub fn guard(&self, id: NodeId) -> Option<Clamp> {
+        self.guards.get(id).copied().flatten()
     }
 
-    /// Total number of nodes carrying a fused clamp.
-    pub fn num_fused(&self) -> usize {
-        self.fused.iter().filter(|f| f.is_some()).count()
+    /// Total number of guarded nodes.
+    pub fn num_guards(&self) -> usize {
+        self.guards.iter().filter(|g| g.is_some()).count()
     }
 
-    /// Evaluates node `id` with `layer`, applying the node's fused
-    /// clamp if it has one. `layer` is the node's own, or a per-call
-    /// copy of a layer that is neither `Conv2d` nor `Linear`: a
+    /// Evaluates node `id` with `layer`: the node's own, or a per-call
+    /// copy of a layer that is neither `Conv2d` nor `Linear`. A
     /// `Linear` runs on the node's weight pack, which the blocked
     /// kernel fills on first use.
     fn eval_node(&self, id: NodeId, layer: &Layer, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let clamp = self.fused_clamp(id);
         match layer {
-            Layer::Conv2d(c) => Ok(conv2d_fused(inputs[0], &c.weight, c.bias.as_ref(), c.cfg, clamp)?),
-            Layer::Linear(l) => linear_fused(inputs[0], l, clamp, Some(&self.packs[id])),
-            other => {
-                let mut t = other.forward(inputs)?;
-                if let Some(clamp) = clamp {
-                    t.map_inplace(|v| clamp.apply(v));
-                }
-                Ok(t)
-            }
+            Layer::Linear(l) => linear_forward(inputs[0], l, Some(&self.packs[id])),
+            other => other.forward(inputs),
         }
     }
 
     /// Evaluates node `id` with `patch`'s rows (see
     /// [`Pass::patched_rows`]). `lent` is the node's unpatched output,
-    /// if the pass may borrow it. Dispatch is on the layer variant: a
-    /// custom layer is opaque whatever kind it registers as.
+    /// if the pass may borrow it: guarded already, which the guard
+    /// applied after this leaves as it is. Dispatch is on the layer
+    /// variant: a custom layer is opaque whatever kind it registers as.
     fn eval_patched(
         &self,
         id: NodeId,
@@ -629,17 +677,16 @@ impl Network {
         patch: &RowPatch,
         lent: Option<&Tensor>,
     ) -> Result<Tensor, NnError> {
-        let clamp = self.fused_clamp(id);
         let unpatched = || lent.map_or_else(|| self.eval_node(id, layer, inputs), |t| Ok(t.clone()));
         match layer {
             Layer::Conv2d(c) => {
                 let mut out = unpatched()?;
-                conv2d_rows(inputs[0], &c.weight, &patch.rows, c.bias.as_ref(), c.cfg, clamp, &mut out)?;
+                conv2d_rows(inputs[0], &c.weight, &patch.rows, c.bias.as_ref(), c.cfg, &mut out)?;
                 Ok(out)
             }
             Layer::Linear(l) => {
                 let mut out = unpatched()?;
-                linear_rows(inputs[0], l, &patch.rows, clamp, &mut out)?;
+                linear_rows(inputs[0], l, &patch.rows, &mut out)?;
                 Ok(out)
             }
             other => {
@@ -678,10 +725,13 @@ impl Network {
     /// The node-evaluation loop behind every forward entry point.
     ///
     /// Per node, in topological order from the pass's start node: the
-    /// layer (with the pass's row patch, if it has one) evaluates with
-    /// the node's fused clamp, then the registered hooks run (unless the
-    /// pass skips them), then the pass's after-node callback. The loop
-    /// stops at the output node unless the pass asks for every node.
+    /// layer evaluates (with the pass's row patch, if it has one), then
+    /// the registered hooks run (unless the pass skips them), then the
+    /// pass's after-node callback, then the node's guard. Hooks and the
+    /// callback thus see the unguarded output; the stored activation,
+    /// which consumers, [`Activations`] and the output read, is the
+    /// guarded one. The loop stops at the output node unless the pass
+    /// asks for every node.
     /// Nodes before the start node are not evaluated: their activations
     /// come from the pass's prefix, which must hold every one a later
     /// node consumes.
@@ -747,6 +797,9 @@ impl Network {
             if let Some(f) = after.as_mut() {
                 f(id, &mut out_t);
             }
+            if let Some(guard) = self.guards[id] {
+                out_t.map_inplace(|v| guard.apply(v));
+            }
             acts[id] = Some(out_t);
         }
         Ok(Activations { start, prefix, acts, output: self.output })
@@ -803,61 +856,6 @@ impl Network {
             });
         }
         Ok(out)
-    }
-
-    /// Inserts a new unary node directly after `after`, rewiring every
-    /// consumer of `after` (and the output designation, if it pointed at
-    /// `after`) to the new node. Node ids of later nodes shift by one;
-    /// hooks stay attached to the nodes they were registered on.
-    ///
-    /// This is how mitigation wrappers splice protection layers into an
-    /// existing model without rebuilding it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchNode`] for an unknown id,
-    /// [`NnError::InvalidGraph`] for duplicate names or non-unary layers.
-    pub fn insert_after(
-        &mut self,
-        after: NodeId,
-        name: impl Into<String>,
-        layer: Layer,
-    ) -> Result<NodeId, NnError> {
-        let name = name.into();
-        if after >= self.nodes.len() {
-            return Err(NnError::NoSuchNode(after));
-        }
-        if layer.arity() != 1 {
-            return Err(NnError::InvalidGraph(format!(
-                "inserted node `{name}` must be unary"
-            )));
-        }
-        if self.nodes.iter().any(|n| n.name == name) {
-            return Err(NnError::InvalidGraph(format!("duplicate node name `{name}`")));
-        }
-        let new_id = after + 1;
-        // Shift references >= new_id, then rewire consumers of `after`.
-        for node in &mut self.nodes {
-            for input in &mut node.inputs {
-                if *input >= new_id {
-                    *input += 1;
-                } else if *input == after {
-                    *input = new_id;
-                }
-            }
-        }
-        self.nodes.insert(new_id, Node { name, layer, inputs: vec![after] });
-        self.hooks.insert(new_id, Vec::new());
-        self.fused.insert(new_id, None);
-        self.packs.insert(new_id, Arc::default());
-        if let Some(out) = self.output {
-            if out == after {
-                self.output = Some(new_id);
-            } else if out >= new_id {
-                self.output = Some(out + 1);
-            }
-        }
-        Ok(new_id)
     }
 
     /// Total number of weight elements across all injectable layers.
@@ -1176,98 +1174,44 @@ mod tests {
     }
 
     #[test]
-    fn insert_after_rewires_consumers_and_output() {
+    fn clamps_clip_or_zero_out_of_range_values() {
+        let clip = Clamp { lo: -1.0, hi: 2.0, mode: ClampMode::Clip };
+        let zero = Clamp { mode: ClampMode::Zero, ..clip };
+        let x = [-5.0, 0.5, 99.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        assert_eq!(x.map(|v| clip.apply(v)), [-1.0, 0.5, 2.0, -1.0, 2.0, -1.0]);
+        assert_eq!(x.map(|v| zero.apply(v)), [0.0, 0.5, 0.0, 0.0, 0.0, 0.0]);
+        // Both bounds lie inside the range.
+        assert_eq!([-1.0, 2.0].map(|v| clip.apply(v)), [-1.0, 2.0]);
+        assert_eq!([-1.0, 2.0].map(|v| zero.apply(v)), [-1.0, 2.0]);
+        assert!(clip.bitwise_eq(clip) && !clip.bitwise_eq(zero));
+        assert!(!Clamp { lo: 0.0, ..clip }.bitwise_eq(Clamp { lo: -0.0, ..clip }));
+    }
+
+    /// Hooks and the after-node step see the unguarded conv output; the
+    /// stored activation, its consumers and the output see it guarded.
+    #[test]
+    fn a_guard_applies_after_hooks_and_the_after_node_step() {
         let mut net = toy_net();
         let conv = net.node_by_name("conv").unwrap();
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0], &[1, 1, 2, 2]).unwrap();
-        let before = net.forward(&x).unwrap();
-        // Insert a scaling identity (RangeRestrict wide open) after conv:
-        // output must be unchanged.
-        let new_id = net
-            .insert_after(
-                conv,
-                "protect",
-                Layer::RangeRestrict {
-                    lo: f32::NEG_INFINITY,
-                    hi: f32::INFINITY,
-                    mode: crate::layer::RestrictMode::Clip,
-                },
-            )
+        assert!(net.set_guard(99, Clamp { lo: 0.0, hi: 0.0, mode: ClampMode::Clip }).is_err());
+        net.set_guard(conv, Clamp { lo: -1.0, hi: 2.0, mode: ClampMode::Clip }).unwrap();
+        assert_eq!((net.num_nodes(), net.num_guards()), (4, 1));
+        assert_eq!(net.clone().guard(conv), net.guard(conv), "clones keep guards");
+        net.register_hook(conv, Arc::new(|_: &LayerCtx, t: &mut Tensor| t.map_inplace(|v| v * 2.0)))
             .unwrap();
-        assert_eq!(new_id, conv + 1);
-        assert_eq!(net.nodes()[new_id].inputs, vec![conv]);
-        // the old consumer of conv (relu) now consumes the new node
-        let relu = net.node_by_name("relu").unwrap();
-        assert_eq!(net.nodes()[relu].inputs, vec![new_id]);
-        let after = net.forward(&x).unwrap();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn insert_after_tail_updates_output_designation() {
-        let mut net = toy_net();
-        let fc = net.node_by_name("fc").unwrap();
-        assert_eq!(net.output_node(), Some(fc));
-        let new_id = net
-            .insert_after(
-                fc,
-                "clip",
-                Layer::RangeRestrict { lo: -1.0, hi: 1.0, mode: crate::layer::RestrictMode::Clip },
-            )
-            .unwrap();
-        assert_eq!(net.output_node(), Some(new_id));
-        let y = net.forward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
-        assert!(y.data().iter().all(|&v| v <= 1.0));
-    }
-
-    #[test]
-    fn insert_after_inside_residual_branch() {
-        let mut net = Network::new("res");
-        let a = net.push("id", Layer::Identity, &[]).unwrap();
-        let b = net.push("relu", Layer::Relu, &[a]).unwrap();
-        let s = net.push("add", Layer::Add, &[a, b]).unwrap();
-        net.set_output(s).unwrap();
-        // insert after `a`: BOTH consumers (relu and add) must rewire.
-        net.insert_after(a, "probe", Layer::Identity).unwrap();
-        let add = net.node_by_name("add").unwrap();
-        let probe = net.node_by_name("probe").unwrap();
-        let relu = net.node_by_name("relu").unwrap();
-        assert_eq!(net.nodes()[relu].inputs, vec![probe]);
-        assert_eq!(net.nodes()[add].inputs, vec![probe, relu]);
-        let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]).unwrap();
-        assert_eq!(net.forward(&x).unwrap().data(), &[-1.0, 4.0]);
-    }
-
-    #[test]
-    fn insert_after_validates_arguments() {
-        let mut net = toy_net();
-        assert!(net.insert_after(99, "x", Layer::Relu).is_err());
-        assert!(net.insert_after(0, "conv", Layer::Relu).is_err()); // dup name
-        assert!(net.insert_after(0, "bin", Layer::Add).is_err()); // not unary
-    }
-
-    #[test]
-    fn insert_after_preserves_injectable_layer_list() {
-        let mut net = toy_net();
-        let before: Vec<String> = net
-            .injectable_layers(None, None)
-            .unwrap()
-            .into_iter()
-            .map(|l| l.name)
-            .collect();
-        let conv = net.node_by_name("conv").unwrap();
-        net.insert_after(
-            conv,
-            "protect",
-            Layer::RangeRestrict { lo: 0.0, hi: 1.0, mode: crate::layer::RestrictMode::Clip },
-        )
-        .unwrap();
-        let after: Vec<String> = net
-            .injectable_layers(None, None)
-            .unwrap()
-            .into_iter()
-            .map(|l| l.name)
-            .collect();
-        assert_eq!(before, after);
+        let mut seen = Vec::new();
+        let mut after = |id: NodeId, t: &mut Tensor| {
+            if id == conv {
+                seen = t.data().to_vec();
+                t.data_mut()[0] = f32::NAN;
+            }
+        };
+        let pass = Pass::new().after_node(&mut after).all_nodes();
+        let nodes = net.evaluate(&x, pass).unwrap().into_nodes().unwrap();
+        assert_eq!(seen, [2.0, -4.0, 6.0, -8.0], "the hooked, unguarded output");
+        assert_eq!(nodes[conv].data(), &[-1.0, -1.0, 2.0, -1.0]);
+        assert_eq!(nodes[conv + 1].data(), &[0.0, 0.0, 2.0, 0.0]);
+        assert_eq!(nodes[3].data(), &[2.0, 2.0], "the output");
     }
 }

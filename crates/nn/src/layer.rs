@@ -231,45 +231,6 @@ pub enum Layer {
     /// Mean over the token dimension: `[n, t, d]` → `[n, d]` (the
     /// ViT-style pooling head in lieu of a class token).
     MeanTokens,
-    /// Activation-range supervision (Ranger/Clipper, Geissler et al.):
-    /// values outside `[lo, hi]` are clipped to the bound (`Clip`) or
-    /// zeroed (`Zero`). Inserted by `alfi-mitigation` to harden models;
-    /// non-injectable, so hardening preserves the injectable-layer list.
-    RangeRestrict {
-        /// Lower bound of the healthy activation range.
-        lo: f32,
-        /// Upper bound of the healthy activation range.
-        hi: f32,
-        /// What to do with out-of-range values.
-        mode: RestrictMode,
-    },
-}
-
-/// Out-of-range handling for [`Layer::RangeRestrict`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RestrictMode {
-    /// Ranger: saturate to the violated bound. NaN maps to `lo`.
-    Clip,
-    /// Clipper: replace with zero. NaN maps to zero.
-    Zero,
-}
-
-impl From<RestrictMode> for gemm::ClampMode {
-    fn from(mode: RestrictMode) -> Self {
-        match mode {
-            RestrictMode::Clip => gemm::ClampMode::Clip,
-            RestrictMode::Zero => gemm::ClampMode::Zero,
-        }
-    }
-}
-
-impl From<gemm::ClampMode> for RestrictMode {
-    fn from(mode: gemm::ClampMode) -> Self {
-        match mode {
-            gemm::ClampMode::Clip => RestrictMode::Clip,
-            gemm::ClampMode::Zero => RestrictMode::Zero,
-        }
-    }
 }
 
 impl Layer {
@@ -331,7 +292,7 @@ impl Layer {
             Layer::Custom(c) => c.forward(x),
             Layer::Conv2d(c) => Ok(conv2d_im2col(x, &c.weight, c.bias.as_ref(), c.cfg)?),
             Layer::Conv3d(c) => Ok(conv3d_direct(x, &c.weight, c.bias.as_ref(), c.cfg)?),
-            Layer::Linear(l) => linear_forward(x, l),
+            Layer::Linear(l) => linear_forward(x, l, None),
             Layer::Relu => Ok(x.map(|v| v.max(0.0))),
             Layer::LeakyRelu(slope) => {
                 let s = *slope;
@@ -367,25 +328,6 @@ impl Layer {
             Layer::MeanTokens => mean_tokens(x),
             Layer::Upsample2x => upsample2x(x),
             Layer::Identity => Ok(x.clone()),
-            Layer::RangeRestrict { lo, hi, mode } => {
-                let (lo, hi, mode) = (*lo, *hi, *mode);
-                Ok(x.map(move |v| match mode {
-                    RestrictMode::Clip => {
-                        if v.is_nan() {
-                            lo
-                        } else {
-                            v.clamp(lo, hi)
-                        }
-                    }
-                    RestrictMode::Zero => {
-                        if v.is_nan() || v < lo || v > hi {
-                            0.0
-                        } else {
-                            v
-                        }
-                    }
-                }))
-            }
         }
     }
 
@@ -433,10 +375,6 @@ impl Layer {
             }
             (Layer::PosEmbed(a), Layer::PosEmbed(b)) => t(a, b),
             (Layer::Attention { heads: a }, Layer::Attention { heads: b }) => a == b,
-            (
-                Layer::RangeRestrict { lo: la, hi: ha, mode: ma },
-                Layer::RangeRestrict { lo: lb, hi: hb, mode: mb },
-            ) => f(*la, *lb) && f(*ha, *hb) && ma == mb,
             (Layer::Relu, Layer::Relu)
             | (Layer::Sigmoid, Layer::Sigmoid)
             | (Layer::Flatten, Layer::Flatten)
@@ -452,24 +390,17 @@ impl Layer {
     }
 }
 
-fn linear_forward(x: &Tensor, l: &Linear) -> Result<Tensor, NnError> {
-    linear_fused(x, l, None, None)
-}
-
-/// Linear layer forward with a range-supervision clamp fused into the
-/// GEMM epilogue.
+/// Linear layer forward.
 ///
 /// The historical per-element operation order is preserved on both
 /// kernel paths: the accumulator starts at the output's bias value,
-/// products accumulate in ascending input-feature order (no zero-skip
-/// — the linear kernel never had one), then the clamp applies. With
-/// `clamp = None` this is the plain forward. With a `pack` (a
+/// then products accumulate in ascending input-feature order (no
+/// zero-skip — the linear kernel never had one). With a `pack` (a
 /// network's cache for this weight) the blocked path packs the weight
 /// once, not per call.
-pub(crate) fn linear_fused(
+pub(crate) fn linear_forward(
     x: &Tensor,
     l: &Linear,
-    clamp: Option<gemm::Clamp>,
     pack: Option<&gemm::PackCache>,
 ) -> Result<Tensor, NnError> {
     let (rows, _, out_dims) = linear_shape(x, l)?;
@@ -477,20 +408,19 @@ pub(crate) fn linear_fused(
     let mut out = vec![0.0f32; rows * spec.n];
     let (w, path) = (l.weight.data(), gemm::kernel_path());
     match pack {
-        Some(pack) => gemm::gemm_cached(x.data(), w, pack, &mut out, &spec, &clamp, path),
-        None => gemm::gemm_with(x.data(), w, &mut out, &spec, &clamp, path),
+        Some(pack) => gemm::gemm_cached(x.data(), w, pack, &mut out, &spec, path),
+        None => gemm::gemm(x.data(), w, &mut out, &spec, path),
     }
     Ok(Tensor::from_vec(out, &out_dims)?)
 }
 
-/// Recomputes the output features `rows` of [`linear_fused`] in place:
+/// Recomputes the output features `rows` of [`linear_forward`] in place:
 /// `out` is the layer's output for `x`, and each `(j, w)` replaces
 /// weight row `j` (see [`gemm::linear_rows`]).
 pub(crate) fn linear_rows(
     x: &Tensor,
     l: &Linear,
     rows: &[(usize, Vec<f32>)],
-    clamp: Option<gemm::Clamp>,
     out: &mut Tensor,
 ) -> Result<(), NnError> {
     let (m, in_f, out_dims) = linear_shape(x, l)?;
@@ -503,7 +433,7 @@ pub(crate) fn linear_rows(
         return Err(bad(format!("row {j} of {} values for a {out_f} × {in_f} weight", row.len())));
     }
     let spec = linear_spec(m, l);
-    gemm::linear_rows(x.data(), l.weight.data(), rows, out.data_mut(), &spec, clamp, gemm::kernel_path());
+    gemm::linear_rows(x.data(), l.weight.data(), rows, out.data_mut(), &spec, gemm::kernel_path());
     Ok(())
 }
 
@@ -1077,37 +1007,5 @@ mod tests {
     fn identity_is_identity() {
         let x = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
         assert_eq!(Layer::Identity.forward(&[&x]).unwrap(), x);
-    }
-
-    #[test]
-    fn ranger_clips_to_bounds() {
-        let x = Tensor::from_vec(vec![-5.0, 0.5, 99.0, f32::NAN, f32::INFINITY], &[5]).unwrap();
-        let l = Layer::RangeRestrict { lo: -1.0, hi: 2.0, mode: RestrictMode::Clip };
-        let y = l.forward(&[&x]).unwrap();
-        assert_eq!(y.data(), &[-1.0, 0.5, 2.0, -1.0, 2.0]);
-    }
-
-    #[test]
-    fn clipper_zeroes_out_of_range() {
-        let x = Tensor::from_vec(vec![-5.0, 0.5, 99.0, f32::NAN, f32::NEG_INFINITY], &[5]).unwrap();
-        let l = Layer::RangeRestrict { lo: -1.0, hi: 2.0, mode: RestrictMode::Zero };
-        let y = l.forward(&[&x]).unwrap();
-        assert_eq!(y.data(), &[0.0, 0.5, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn range_restrict_is_not_injectable() {
-        let l = Layer::RangeRestrict { lo: 0.0, hi: 1.0, mode: RestrictMode::Clip };
-        assert_eq!(l.kind(), LayerKind::Other);
-        assert!(l.weight().is_none());
-    }
-
-    #[test]
-    fn in_range_values_pass_unchanged() {
-        let x = Tensor::from_vec(vec![0.1, 0.9], &[2]).unwrap();
-        for mode in [RestrictMode::Clip, RestrictMode::Zero] {
-            let l = Layer::RangeRestrict { lo: 0.0, hi: 1.0, mode };
-            assert_eq!(l.forward(&[&x]).unwrap(), x);
-        }
     }
 }

@@ -12,6 +12,8 @@
 //!   interception mechanism PyTorchFI uses for neuron fault injection,
 //!   evaluated by one loop ([`Network::evaluate`]) that can also resume
 //!   from an earlier pass's activations;
+//! * [`Clamp`] — a Ranger/Clipper range guard, node state a forward
+//!   applies after the node's hooks ([`Network::set_guard`]);
 //! * [`NodeMap`] — which nodes of a hardened copy reuse the plain
 //!   model's activations, so its forward can resume from them too;
 //! * [`models`] — width-scalable reproductions of AlexNet, VGG-16 and
@@ -48,8 +50,8 @@ pub mod weights;
 
 pub use error::NnError;
 pub use graph::{
-    Activations, ForwardHook, HookHandle, InjectableLayer, LayerCtx, Network, Node, NodeId, Pass,
-    Prefix, RowPatch,
+    Activations, Clamp, ClampMode, ForwardHook, HookHandle, InjectableLayer, LayerCtx, Network,
+    Node, NodeId, Pass, Prefix, RowPatch,
 };
-pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear, RestrictMode};
+pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear};
 pub use resume::NodeMap;

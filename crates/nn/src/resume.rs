@@ -1,18 +1,16 @@
 //! Activation reuse between a derived network and the plain network it
 //! was built from.
 //!
-//! A hardened copy (`alfi-mitigation`'s `harden` / `harden_fused`)
-//! computes the plain model's activations wherever the two graphs agree
-//! and no range guard trips. [`NodeMap`] records that agreement once
+//! A hardened copy (`alfi-mitigation`'s `harden`) computes the plain
+//! model's activations wherever the two graphs agree and no range guard
+//! trips. [`NodeMap`] records that agreement once
 //! per network pair, so a pass over the derived network can resume from
 //! the plain network's activations ([`Pass::resume`]) instead of
 //! recomputing them.
 //!
 //! [`Pass::resume`]: crate::graph::Pass::resume
 
-use crate::graph::{Activations, Network, NodeId, Prefix};
-use crate::layer::Layer;
-use alfi_tensor::gemm::Clamp;
+use crate::graph::{Activations, Clamp, Network, NodeId, Prefix};
 use alfi_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -50,15 +48,15 @@ impl Link {
 ///
 /// Derived node `j` maps to plain node `k` when the two share the name,
 /// the layer (kind, configuration and parameters bitwise, see
-/// [`Layer::bitwise_eq`]) and the fused clamp (bitwise), and `j`'s
-/// inputs map to `k`'s inputs. Range guards are the exception, mapped
-/// conditionally: a spliced [`Layer::RangeRestrict`] node maps to its
-/// input's plain node, and a node that gains a fused clamp maps to its
-/// plain twin; either is the identity only while the plain activation
-/// lies inside the guard's bounds, which [`NodeMap::resume_point`]
-/// checks per input. The map ends at the first derived node that does
-/// not map, so a magnitude-pruned copy (same names, other weights)
-/// maps nothing.
+/// [`Layer::bitwise_eq`](crate::Layer::bitwise_eq)) and the guard
+/// (bitwise, see [`Network::guard`]), and `j`'s inputs map to `k`'s
+/// inputs. A guard only the derived node carries is the exception,
+/// mapped conditionally: the node still maps to its plain twin, but is
+/// the identity only while the plain activation lies inside the guard's
+/// bounds, which [`NodeMap::resume_point`] checks per node. Activations
+/// are compared as stored, i.e. guarded. The map ends at the first
+/// derived node that does not map, so a magnitude-pruned copy (same
+/// names, other weights) maps nothing.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMap {
     links: Vec<Link>,
@@ -78,17 +76,9 @@ impl NodeMap {
                 if p.inputs != inputs || !p.layer.bitwise_eq(&node.layer) {
                     return None;
                 }
-                fused_link(k, plain.fused_clamp(k), derived.fused_clamp(id))
+                guard_link(k, plain.guard(k), derived.guard(id))
             });
-            let link = twin.or_else(|| match (&node.layer, inputs.as_slice()) {
-                (&Layer::RangeRestrict { lo, hi, .. }, &[src])
-                    if derived.fused_clamp(id).is_none() =>
-                {
-                    Some(Link::Guard { plain: src, lo, hi })
-                }
-                _ => None,
-            });
-            match link {
+            match twin {
                 Some(l) => links.push(l),
                 None => break,
             }
@@ -150,18 +140,15 @@ impl Prefix for Mapped<'_> {
     }
 }
 
-/// How a derived node with fused clamp `d` relates to plain node `k`
-/// with fused clamp `p`, the layers and inputs already matching: the
-/// same clamp (bitwise) keeps the activation, a lone extra clamp is a
-/// guard.
-fn fused_link(k: NodeId, p: Option<Clamp>, d: Option<Clamp>) -> Option<Link> {
+/// How a derived node with guard `d` relates to plain node `k` with
+/// guard `p`, the layers and inputs already matching: the same guard
+/// (bitwise) keeps the activation, a lone derived guard is a
+/// [`Link::Guard`].
+fn guard_link(k: NodeId, p: Option<Clamp>, d: Option<Clamp>) -> Option<Link> {
     match (p, d) {
         (None, None) => Some(Link::Same(k)),
         (None, Some(c)) => Some(Link::Guard { plain: k, lo: c.lo, hi: c.hi }),
-        (Some(a), Some(b)) => (a.mode == b.mode
-            && a.lo.to_bits() == b.lo.to_bits()
-            && a.hi.to_bits() == b.hi.to_bits())
-        .then_some(Link::Same(k)),
+        (Some(a), Some(b)) => a.bitwise_eq(b).then_some(Link::Same(k)),
         (Some(_), None) => None,
     }
 }
@@ -169,9 +156,9 @@ fn fused_link(k: NodeId, p: Option<Clamp>, d: Option<Clamp>) -> Option<Link> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Pass;
-    use crate::layer::{Linear, RestrictMode};
-    use alfi_tensor::{gemm, Tensor};
+    use crate::graph::{ClampMode, Pass};
+    use crate::layer::{Layer, Linear};
+    use alfi_tensor::Tensor;
 
     /// fc1 → relu → fc2, the output.
     fn plain() -> Network {
@@ -185,8 +172,8 @@ mod tests {
         net
     }
 
-    fn guard(lo: f32, hi: f32) -> Layer {
-        Layer::RangeRestrict { lo, hi, mode: RestrictMode::Clip }
+    fn guard(lo: f32, hi: f32) -> Clamp {
+        Clamp { lo, hi, mode: ClampMode::Clip }
     }
 
     #[test]
@@ -201,67 +188,55 @@ mod tests {
     }
 
     #[test]
-    fn spliced_guards_map_to_their_source_and_trip_out_of_range() {
+    fn a_derived_guard_maps_to_its_plain_node_and_trips_out_of_range() {
         let net = plain();
-        let mut hardened = net.clone();
-        hardened.insert_after(0, "__protect_0", guard(-1.0, 4.0)).unwrap();
-        let map = NodeMap::new(&hardened, &net);
-        assert_eq!(map.len(), 4);
-        assert_eq!(map.plain_node(1), Some(0));
-        assert_eq!(map.plain_node(2), Some(1), "relu consumes the guard, i.e. plain fc1");
-        // fc1([1, 1]) = [0, 2.5]: inside [-1, 4], so the guard is the
-        // identity and the whole prefix up to the limit is shared.
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        let golden = net.evaluate(&x, Pass::new()).unwrap();
-        assert_eq!(map.resume_point(usize::MAX, &golden), 4);
-        assert_eq!(map.resume_point(2, &golden), 2);
-        // fc1([2, 2]) = [0, 5] trips the guard: resume at the guard.
-        let x = Tensor::from_vec(vec![2.0, 2.0], &[1, 2]).unwrap();
-        let golden = net.evaluate(&x, Pass::new()).unwrap();
-        assert_eq!(map.resume_point(usize::MAX, &golden), 1);
-        // A NaN never lies inside the bounds.
-        let x = Tensor::from_vec(vec![f32::NAN, 0.0], &[1, 2]).unwrap();
-        let golden = net.evaluate(&x, Pass::new()).unwrap();
-        assert_eq!(map.resume_point(usize::MAX, &golden), 1);
+        for mode in [ClampMode::Clip, ClampMode::Zero] {
+            let mut hardened = net.clone();
+            hardened.set_guard(0, Clamp { mode, ..guard(-1.0, 4.0) }).unwrap();
+            let map = NodeMap::new(&hardened, &net);
+            assert_eq!(map.len(), 3, "{mode:?}");
+            assert_eq!((map.plain_node(0), map.plain_node(1)), (Some(0), Some(1)));
+            // fc1([1, 1]) = [0, 2.5]: inside [-1, 4], so the guard is the
+            // identity and the whole prefix up to the limit is shared.
+            let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
+            let golden = net.evaluate(&x, Pass::new()).unwrap();
+            assert_eq!(map.resume_point(usize::MAX, &golden), 3);
+            assert_eq!(map.resume_point(2, &golden), 2);
+            // fc1([2, 2]) = [0, 5] trips the guard: resume at its node.
+            // A NaN never lies inside the bounds.
+            for x in [[2.0, 2.0], [f32::NAN, 0.0]] {
+                let x = Tensor::from_vec(x.to_vec(), &[1, 2]).unwrap();
+                let golden = net.evaluate(&x, Pass::new()).unwrap();
+                assert_eq!(map.resume_point(usize::MAX, &golden), 0, "{mode:?}");
+            }
+        }
     }
 
     #[test]
-    fn a_fused_clamp_is_a_guard_on_its_own_node() {
-        let net = plain();
-        let mut hardened = net.clone();
-        let clamp = gemm::Clamp { lo: -1.0, hi: 4.0, mode: gemm::ClampMode::Zero };
-        hardened.set_fused_clamp(0, clamp).unwrap();
-        let map = NodeMap::new(&hardened, &net);
-        assert_eq!(map.len(), 3);
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 3);
-        let x = Tensor::from_vec(vec![2.0, 2.0], &[1, 2]).unwrap();
-        assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 0);
-    }
-
-    #[test]
-    fn equal_fused_clamps_map_as_the_same_node_and_any_difference_ends_the_map() {
-        // Zero mode with 0 outside [lo, hi]: fc1([2, 2]) = [0, 5] clamps
+    fn equal_guards_map_as_the_same_node_and_any_difference_ends_the_map() {
+        // Zero mode with 0 outside [lo, hi]: fc1([2, 2]) = [0, 5] guards
         // to [0, 0], which would trip a guard over the same bounds.
-        let clamp = gemm::Clamp { lo: 0.5, hi: 4.0, mode: gemm::ClampMode::Zero };
+        let clamp = Clamp { lo: 0.5, hi: 4.0, mode: ClampMode::Zero };
         let mut net = plain();
-        net.set_fused_clamp(0, clamp).unwrap();
+        net.set_guard(0, clamp).unwrap();
         let map = NodeMap::new(&net.clone(), &net);
         assert_eq!(map.len(), 3);
         let x = Tensor::from_vec(vec![2.0, 2.0], &[1, 2]).unwrap();
         assert_eq!(map.resume_point(usize::MAX, &net.evaluate(&x, Pass::new()).unwrap()), 3);
         for (p, d) in [
-            (clamp, gemm::Clamp { lo: 0.25, ..clamp }),
-            (clamp, gemm::Clamp { hi: 4.5, ..clamp }),
-            (clamp, gemm::Clamp { mode: gemm::ClampMode::Clip, ..clamp }),
+            (clamp, Clamp { lo: 0.25, ..clamp }),
+            (clamp, Clamp { hi: 4.5, ..clamp }),
+            (clamp, Clamp { mode: ClampMode::Clip, ..clamp }),
             // Equal as numbers, not bitwise.
-            (gemm::Clamp { lo: 0.0, ..clamp }, gemm::Clamp { lo: -0.0, ..clamp }),
+            (Clamp { lo: 0.0, ..clamp }, Clamp { lo: -0.0, ..clamp }),
         ] {
             let (mut plain_net, mut derived) = (plain(), plain());
-            plain_net.set_fused_clamp(0, p).unwrap();
-            derived.set_fused_clamp(0, d).unwrap();
+            plain_net.set_guard(0, p).unwrap();
+            derived.set_guard(0, d).unwrap();
             assert!(NodeMap::new(&derived, &plain_net).is_empty(), "{p:?} vs {d:?}");
         }
+        // A guard only the plain node carries ends the map too.
+        assert!(NodeMap::new(&plain(), &net).is_empty());
     }
 
     #[test]
@@ -293,7 +268,7 @@ mod tests {
     fn a_resumed_derived_pass_matches_its_full_forward() {
         let net = plain();
         let mut hardened = net.clone();
-        hardened.insert_after(1, "__protect_1", guard(0.0, 3.0)).unwrap();
+        hardened.set_guard(1, guard(0.0, 3.0)).unwrap();
         let map = NodeMap::new(&hardened, &net);
         for x in [[1.0f32, 1.0], [2.0, 2.0], [-3.0, 1.0]] {
             let x = Tensor::from_vec(x.to_vec(), &[1, 2]).unwrap();

@@ -10,9 +10,9 @@
 //! Supported in the backward pass: Conv2d, Linear, ReLU/LeakyReLU,
 //! Sigmoid, BatchNorm2d (frozen statistics — treated as a fixed affine
 //! map), Max/Avg/AdaptiveAvg pooling, Flatten, Add, ConcatChannels,
-//! Upsample2x, Identity and RangeRestrict. Conv3d and custom layers are
-//! inference-only and report [`NnError::BadInput`] when reached by
-//! gradients.
+//! Upsample2x and Identity. Conv3d, custom layers and nodes carrying a
+//! Ranger/Clipper guard ([`Network::set_guard`]) are inference-only and
+//! report [`NnError::BadInput`] when reached by gradients.
 
 use crate::error::NnError;
 use crate::graph::Network;
@@ -88,8 +88,8 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
 ///
 /// # Errors
 ///
-/// Returns [`NnError`] for unsupported layers (Conv3d, custom) or shape
-/// mismatches.
+/// Returns [`NnError`] for unsupported layers (Conv3d, custom), guarded
+/// nodes or shape mismatches.
 pub fn backward(
     net: &Network,
     input: &Tensor,
@@ -107,6 +107,12 @@ pub fn backward(
     for id in (0..net.num_nodes()).rev() {
         let Some(gout) = grads[id].take() else { continue };
         let node = &net.nodes()[id];
+        if net.guard(id).is_some() {
+            return Err(NnError::BadInput {
+                layer: node.name.clone(),
+                reason: "a guarded node is inference-only".into(),
+            });
+        }
         let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
             vec![input]
         } else {
@@ -259,14 +265,6 @@ fn layer_backward(
             Ok((vec![Tensor::from_vec(gin, x.dims())?], None))
         }
         Layer::Identity => Ok((vec![gout.clone()], None)),
-        Layer::RangeRestrict { lo, hi, .. } => {
-            // straight-through inside the healthy range; zero outside
-            let (lo, hi) = (*lo, *hi);
-            Ok((
-                vec![gout.zip(x, move |g, v| if v >= lo && v <= hi { g } else { 0.0 })?],
-                None,
-            ))
-        }
         Layer::Conv3d(_)
         | Layer::Custom(_)
         | Layer::LayerNorm(_)
@@ -742,6 +740,19 @@ mod tests {
         let x = Tensor::zeros(&[1, 2, 4, 4, 4]);
         let gout = net.forward(&x).unwrap();
         assert!(backward(&net, &x, &gout).is_err());
+    }
+
+    #[test]
+    fn guarded_nodes_are_rejected() {
+        let mut net = Network::new("guarded");
+        let a = net.push("relu", Layer::Relu, &[]).unwrap();
+        net.set_output(a).unwrap();
+        let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]).unwrap();
+        let gout = net.forward(&x).unwrap();
+        assert!(backward(&net, &x, &gout).is_ok());
+        net.set_guard(a, crate::Clamp { lo: 0.0, hi: 1.0, mode: crate::ClampMode::Clip }).unwrap();
+        let err = backward(&net, &x, &gout).unwrap_err();
+        assert!(matches!(&err, NnError::BadInput { layer, .. } if layer == "relu"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! network must leave it computing exactly what a freshly built copy of
 //! the same parameters computes: a weight written through `layer_mut`
 //! after a forward filled the pack, a clone changing its own layer, a
-//! node spliced in with `insert_after`, a training step and a
-//! checkpoint load.
+//! range guard set with `set_guard`, a training step and a checkpoint
+//! load.
 //!
 //! One test function, because it pins the process-global kernel path
 //! to the blocked kernels (the only ones that pack) and reads the
@@ -13,7 +13,7 @@
 use alfi_metrics::names;
 use alfi_nn::train::{train_step, SgdTrainer};
 use alfi_nn::weights::{decode_weights_into, encode_weights};
-use alfi_nn::{Conv2d, Layer, Linear, Network, RestrictMode};
+use alfi_nn::{Clamp, ClampMode, Conv2d, Layer, Linear, Network};
 use alfi_rng::Rng;
 use alfi_tensor::conv::ConvConfig;
 use alfi_tensor::gemm::{self, KernelPath};
@@ -42,14 +42,14 @@ fn mlp(seed: u64) -> Network {
     net
 }
 
-/// The same nodes, parameters and fused clamps in a new network, whose
-/// packs are all empty.
+/// The same nodes, parameters and guards in a new network, whose packs
+/// are all empty.
 fn rebuilt(net: &Network) -> Network {
     let mut fresh = Network::new(net.name());
     for (id, node) in net.nodes().iter().enumerate() {
         fresh.push(node.name.clone(), node.layer.clone(), &node.inputs).unwrap();
-        if let Some(clamp) = net.fused_clamp(id) {
-            fresh.set_fused_clamp(id, clamp).unwrap();
+        if let Some(guard) = net.guard(id) {
+            fresh.set_guard(id, guard).unwrap();
         }
     }
     fresh.set_output(net.output_node().unwrap()).unwrap();
@@ -117,18 +117,18 @@ fn weight_packs_follow_every_change_to_the_network() {
         assert_fresh(&original, &x, "the original");
     }
 
-    // Nodes spliced in before, between and after the linears keep
-    // every pack on its node.
-    let mut spliced = mlp(1);
-    spliced.forward(&x).unwrap();
-    let guard = Layer::RangeRestrict { lo: -0.25, hi: 0.75, mode: RestrictMode::Clip };
+    // Guards set before, on and after the linears keep every pack on
+    // its node.
+    let mut guarded = mlp(1);
+    guarded.forward(&x).unwrap();
+    let guard = Clamp { lo: -0.25, hi: 0.75, mode: ClampMode::Clip };
     for node in ["flatten", "fc1", "fc3"] {
-        let id = spliced.node_by_name(node).unwrap();
-        spliced.insert_after(id, format!("__guard_{node}"), guard.clone()).unwrap();
-        assert_fresh(&spliced, &x, &format!("insert_after {node}"));
+        let id = guarded.node_by_name(node).unwrap();
+        guarded.set_guard(id, guard).unwrap();
+        assert_fresh(&guarded, &x, &format!("set_guard {node}"));
     }
-    set(&mut spliced, "fc3", &[4, 19], 3.0);
-    assert_fresh(&spliced, &x, "layer_mut after insert_after");
+    set(&mut guarded, "fc3", &[4, 19], 3.0);
+    assert_fresh(&guarded, &x, "layer_mut after set_guard");
 
     // A training step updates the weights through `layer_mut`.
     let mut trained = mlp(1);

@@ -14,12 +14,9 @@
 //! the GEMM, the input is lowered straight into its `NR`-wide panels
 //! (the same values in the same order as packing an im2col matrix, in
 //! one buffer instead of two); the reference kernel and thin GEMMs
-//! read the im2col matrix itself. [`conv2d_fused`] additionally
-//! fuses a range-supervision clamp into the GEMM epilogue, so a model
-//! hardened with fused clamps avoids a second pass over the
-//! activations.
+//! read the im2col matrix itself.
 
-use crate::gemm::{self, Clamp};
+use crate::gemm;
 use crate::{Tensor, TensorError};
 
 /// Stride/padding/dilation configuration shared by convolution and
@@ -382,27 +379,6 @@ pub fn conv2d_im2col(
     bias: Option<&Tensor>,
     cfg: ConvConfig,
 ) -> Result<Tensor, TensorError> {
-    conv2d_fused(input, weight, bias, cfg, None)
-}
-
-/// [`conv2d_im2col`] with a range-supervision clamp fused into the GEMM
-/// epilogue.
-///
-/// Per output element the operation order is fixed — GEMM sum, bias,
-/// clamp — which is exactly the separate-pass sequence (forward, then a
-/// spliced `RangeRestrict` layer), so fused and separate-pass results
-/// are bit-identical. With `clamp = None` this *is* `conv2d_im2col`.
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or kernels that do not fit.
-pub fn conv2d_fused(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: ConvConfig,
-    clamp: Option<Clamp>,
-) -> Result<Tensor, TensorError> {
     let g = Conv2dShape::new(input, weight, bias, cfg)?;
     let Conv2dShape { n, c_in, c_out, kh, kw, h_out, w_out } = g;
     let kdim = c_in * kh * kw;
@@ -438,13 +414,13 @@ pub fn conv2d_fused(
     };
     let panels = gemm::packs(path, c_out, spec.layout);
 
-    // One batch item = one fully independent lowering + GEMM +
-    // epilogue, writing only its own slice of `out`. The per-item
+    // One batch item = one fully independent lowering + GEMM, writing
+    // only its own slice of `out`. The per-item
     // computation is identical on both paths, so parallel output is
     // bit-identical to sequential for any thread count.
     let conv_item = |b: usize, dst_item: &mut [f32]| {
         let lowered = lower(input, b, &g, cfg, panels);
-        gemm::run(w_data, operand(&lowered, panels), dst_item, &spec, &clamp, path, c_out);
+        gemm::run(w_data, operand(&lowered, panels), dst_item, &spec, path, c_out);
     };
 
     let threads = alfi_pool::current_parallelism();
@@ -460,22 +436,22 @@ pub fn conv2d_fused(
     Tensor::from_vec(out, &[n, c_out, h_out, w_out])
 }
 
-/// Recomputes some output channels of [`conv2d_fused`] in place.
+/// Recomputes some output channels of [`conv2d_im2col`] in place.
 ///
-/// `out` holds `conv2d_fused(input, weight, bias, cfg, clamp)`. Each
+/// `out` holds `conv2d_im2col(input, weight, bias, cfg)`. Each
 /// `(c, w)` of `rows` replaces output channel `c`'s filter with the
 /// `c_in · kh · kw` values `w` (in `weight`'s layout) and rewrites
 /// channel `c` of every batch item; every other element keeps its
 /// value. Per batch item this recomputes those rows of the GEMM over
-/// the input lowered as [`conv2d_fused`] lowers it, so a rewritten
-/// element equals [`conv2d_fused`] with the replaced filters bit for
+/// the input lowered as [`conv2d_im2col`] lowers it, so a rewritten
+/// element equals [`conv2d_im2col`] with the replaced filters bit for
 /// bit, NaN bits included, on either kernel path. The meters count it
 /// as a convolution with as many output channels as the GEMM
 /// recomputed, and each blocked lowering as one pack.
 ///
 /// # Errors
 ///
-/// The [`conv2d_fused`] shape errors, and a shape mismatch when `out`
+/// The [`conv2d_im2col`] shape errors, and a shape mismatch when `out`
 /// is not that convolution's output shape or a row is not one filter
 /// of an existing channel.
 pub fn conv2d_rows(
@@ -484,7 +460,6 @@ pub fn conv2d_rows(
     rows: &[(usize, Vec<f32>)],
     bias: Option<&Tensor>,
     cfg: ConvConfig,
-    clamp: Option<Clamp>,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     let g = Conv2dShape::new(input, weight, bias, cfg)?;
@@ -505,7 +480,7 @@ pub fn conv2d_rows(
     if rows.is_empty() {
         return Ok(());
     }
-    // The conv kernel always runs its bias pass (see `conv2d_fused`).
+    // The conv kernel always runs its bias pass (see `conv2d_im2col`).
     let zero_bias = vec![0.0f32; c_out];
     let spec = gemm::GemmSpec {
         m: c_out,
@@ -520,7 +495,7 @@ pub fn conv2d_rows(
     let mut computed = 0;
     for (b, dst) in out.data_mut().chunks_exact_mut(c_out * spatial).enumerate() {
         let lowered = lower(input, b, &g, cfg, panels);
-        computed = gemm::gemm_rows(weight.data(), rows, operand(&lowered, panels), dst, &spec, clamp, path);
+        computed = gemm::gemm_rows(weight.data(), rows, operand(&lowered, panels), dst, &spec, path);
     }
     crate::meter::conv2d(n, c_in, computed, kh, kw, spatial, input.data().len(), computed * kdim);
     Ok(())

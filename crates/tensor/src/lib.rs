@@ -18,9 +18,8 @@
 //! * [`conv`] — convolution and pooling compute kernels used by
 //!   `alfi-nn` layers;
 //! * [`gemm`] — cache-blocked, panel-packed GEMM microkernels with a
-//!   fused per-element epilogue (the Ranger/Clipper range clamp), plus
-//!   the `ALFI_KERNEL` reference/blocked path switch. Both paths are
-//!   bit-identical by contract;
+//!   fused bias, plus the `ALFI_KERNEL` reference/blocked path switch.
+//!   Both paths are bit-identical by contract;
 //! * [`elementwise`] — GELU on the same path switch: the libm
 //!   expression on the reference path, a bit-exact AVX2/scalar port of
 //!   fdlibm `tanhf` on the blocked path.

@@ -4,7 +4,7 @@
 //! `Tensor::get` / `Tensor::set` resolve their offset through
 //! `Shape::flat_index`, which the detector decoders and the training
 //! loop call per element; an allocation there costs more than the read
-//! itself. On the blocked path `conv2d_fused` lowers the input straight
+//! itself. On the blocked path `conv2d_im2col` lowers the input straight
 //! into the GEMM's `NR`-wide packed panels, so a batch item costs one
 //! buffer of `⌈h_out·w_out / NR⌉ · NR · c_in·kh·kw` values besides the
 //! output tensor: no im2col matrix is written first. This binary
@@ -13,7 +13,7 @@
 //! cannot disturb it) and pins that 10 000 reads and 10 000 writes
 //! allocate zero times, and the conv's allocations and bytes exactly.
 
-use alfi_tensor::conv::{conv2d_fused, ConvConfig};
+use alfi_tensor::conv::{conv2d_im2col, ConvConfig};
 use alfi_tensor::gemm::{self, KernelPath, NR, PAR_MIN_MACS};
 use alfi_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,9 +105,9 @@ fn a_batch_one_blocked_conv_allocates_its_pack_and_its_output() {
     let prev = gemm::kernel_override();
     gemm::set_kernel_override(Some(KernelPath::Blocked));
     // The first call resolves the kernel path and sizes the pool.
-    black_box(conv2d_fused(&input, &weight, Some(&bias), cfg, None).unwrap());
+    black_box(conv2d_im2col(&input, &weight, Some(&bias), cfg).unwrap());
     let before = allocated();
-    let out = conv2d_fused(black_box(&input), &weight, Some(&bias), cfg, None).unwrap();
+    let out = conv2d_im2col(black_box(&input), &weight, Some(&bias), cfg).unwrap();
     let after = allocated();
     gemm::set_kernel_override(prev);
 

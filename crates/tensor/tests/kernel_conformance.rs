@@ -19,17 +19,15 @@
 mod common;
 
 use alfi_rng::Rng;
-use alfi_tensor::conv::{conv2d_direct, conv2d_fused, conv2d_im2col, conv2d_rows, ConvConfig};
-use alfi_tensor::gemm::{
-    self, BLayout, Bias, GemmSpec, KernelPath, NoEpilogue, MR, NR,
-};
+use alfi_tensor::conv::{conv2d_direct, conv2d_im2col, conv2d_rows, ConvConfig};
+use alfi_tensor::gemm::{self, BLayout, Bias, GemmSpec, KernelPath, MR, NR};
 use alfi_tensor::Tensor;
 use common::fanned_out;
 use std::sync::Mutex;
 
 /// Serializes tests that flip the process-global kernel override so
 /// they cannot race each other under the multi-threaded test runner.
-/// (Tests that pass an explicit [`KernelPath`] to `gemm_with` do not
+/// (Tests that pass an explicit [`KernelPath`] to `gemm` do not
 /// need it.)
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -297,49 +295,6 @@ fn conv_paths_are_bit_identical_at_every_pool_cap() {
     }
 }
 
-/// The fused epilogue hook fires exactly once per element with the
-/// element's global flat index, on both paths, sequential and
-/// parallel.
-#[test]
-fn epilogue_fires_once_per_element_with_global_indices() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    struct CountEpilogue {
-        hits: Vec<AtomicU32>,
-    }
-    impl gemm::Epilogue for CountEpilogue {
-        fn apply(&self, flat: usize, v: f32) -> f32 {
-            self.hits[flat].fetch_add(1, Ordering::Relaxed);
-            v
-        }
-    }
-
-    let (m, k, n) = FAN_OUT_SHAPE;
-    let mut rng = Rng::from_seed(0xE417);
-    let a = operand(&mut rng, m * k);
-    let b = operand(&mut rng, k * n);
-    let spec =
-        GemmSpec { m, k, n, layout: BLayout::RowMajor, skip_zero_a: true, bias: Bias::None };
-    for threads in [1, 3, 8] {
-        for path in [KernelPath::Reference, KernelPath::Blocked] {
-            let epi = CountEpilogue { hits: (0..m * n).map(|_| AtomicU32::new(0)).collect() };
-            let mut out = vec![0.0f32; m * n];
-            fanned_out(threads, &format!("epilogue {path}"), || {
-                gemm::gemm_with(&a, &b, &mut out, &spec, &epi, path)
-            });
-            assert!(
-                epi.hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{path} at {threads} threads: epilogue fired != once for some element"
-            );
-        }
-    }
-    // NoEpilogue must be skipped entirely and identical to itself.
-    let mut plain = vec![0.0f32; m * n];
-    gemm::gemm_with(&a, &b, &mut plain, &spec, &NoEpilogue, KernelPath::Blocked);
-    let reference = run_gemm(&a, &b, &spec, KernelPath::Reference);
-    assert_bits_equal(&reference, &plain, "NoEpilogue blocked");
-}
-
 /// Operand data that also carries the values a corrupted weight or an
 /// overflowed activation brings: ±0, NaN and ±Inf, beside the exact
 /// zeros of [`operand`].
@@ -354,15 +309,6 @@ fn special_operand(rng: &mut Rng, len: usize) -> Vec<f32> {
             _ => rng.gen_range(-2.0f32..2.0),
         })
         .collect()
-}
-
-/// The fused clamps a conv or linear node can carry.
-fn clamps() -> [Option<gemm::Clamp>; 3] {
-    [
-        None,
-        Some(gemm::Clamp { lo: -1.5, hi: 1.5, mode: gemm::ClampMode::Clip }),
-        Some(gemm::Clamp { lo: -1.5, hi: 1.5, mode: gemm::ClampMode::Zero }),
-    ]
 }
 
 /// Replacement rows: new values (NaN, Inf and zeros included) for each
@@ -387,8 +333,8 @@ fn row_subsets(count: usize) -> Vec<Vec<usize>> {
 }
 
 /// Recomputing a subset of a conv's output channels with replaced
-/// filters equals the full fused conv over the patched weight, bit for
-/// bit, on both kernel paths: with and without bias and clamp, with
+/// filters equals the full conv over the patched weight, bit for bit,
+/// on both kernel paths: with and without bias, with
 /// NaN, Inf and zero weights and inputs, on strided, padded and dilated
 /// geometries, and for subsets on both sides of the packing floor.
 #[test]
@@ -414,23 +360,21 @@ fn conv_row_subsets_equal_the_full_kernel_rows() {
             }
             for path in [KernelPath::Reference, KernelPath::Blocked] {
                 for bias in [None, Some(&bias)] {
-                    for clamp in clamps() {
-                        let (expect, got) = with_kernel(path, || {
-                            let expect = conv2d_fused(&input, &patched, bias, cfg, clamp).unwrap();
-                            let mut got = conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap();
-                            conv2d_rows(&input, &weight, &rows, bias, cfg, clamp, &mut got).unwrap();
-                            (expect, got)
-                        });
-                        assert_bits_equal(
-                            expect.data(),
-                            got.data(),
-                            &format!(
-                                "conv rows {subset:?} hw={hw} k={k} s={stride} p={pad} d={dilation} \\
-                                 {path} bias={} {clamp:?}",
-                                bias.is_some()
-                            ),
-                        );
-                    }
+                    let (expect, got) = with_kernel(path, || {
+                        let expect = conv2d_im2col(&input, &patched, bias, cfg).unwrap();
+                        let mut got = conv2d_im2col(&input, &weight, bias, cfg).unwrap();
+                        conv2d_rows(&input, &weight, &rows, bias, cfg, &mut got).unwrap();
+                        (expect, got)
+                    });
+                    assert_bits_equal(
+                        expect.data(),
+                        got.data(),
+                        &format!(
+                            "conv rows {subset:?} hw={hw} k={k} s={stride} p={pad} d={dilation} \\
+                             {path} bias={}",
+                            bias.is_some()
+                        ),
+                    );
                 }
             }
         }
@@ -440,12 +384,12 @@ fn conv_row_subsets_equal_the_full_kernel_rows() {
     let input = Tensor::zeros(&[1, 1, 4, 4]);
     let weight = Tensor::zeros(&[2, 1, 3, 3]);
     let cfg = ConvConfig::default();
-    let mut out = conv2d_fused(&input, &weight, None, cfg, None).unwrap();
+    let mut out = conv2d_im2col(&input, &weight, None, cfg).unwrap();
     for rows in [vec![(2, vec![0.0; 9])], vec![(0, vec![0.0; 8])]] {
-        assert!(conv2d_rows(&input, &weight, &rows, None, cfg, None, &mut out).is_err());
+        assert!(conv2d_rows(&input, &weight, &rows, None, cfg, &mut out).is_err());
     }
     let mut wrong = Tensor::zeros(&[1, 2, 3, 3]);
-    assert!(conv2d_rows(&input, &weight, &[(0, vec![0.0; 9])], None, cfg, None, &mut wrong).is_err());
+    assert!(conv2d_rows(&input, &weight, &[(0, vec![0.0; 9])], None, cfg, &mut wrong).is_err());
 }
 
 /// Batch item `b` of `input` as the `[c_in·kh·kw, h_out·w_out]` column
@@ -478,10 +422,9 @@ fn im2col_oracle(input: &Tensor, b: usize, k: usize, cfg: ConvConfig) -> (Vec<f3
 /// panels. That equals the two-buffer path — the blocked GEMM over the
 /// im2col matrix, which packs it — bit for bit, NaN payloads included:
 /// with NaN, ±Inf and ±0 in inputs, filters and biases, with and
-/// without bias and clamp, over strides 1–3, paddings 0–2, dilations
-/// 1–2 and kernels 1/3/5/7, from one input channel up. `conv2d_fused`
-/// is checked over the whole output, `conv2d_rows` over replaced
-/// filters.
+/// without bias, over strides 1–3, paddings 0–2, dilations 1–2 and
+/// kernels 1/3/5/7, from one input channel up. `conv2d_im2col` is
+/// checked over the whole output, `conv2d_rows` over replaced filters.
 #[test]
 fn direct_pack_convs_equal_the_two_buffer_gemm_on_special_operands() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -504,32 +447,30 @@ fn direct_pack_convs_equal_the_two_buffer_gemm_on_special_operands() {
         }
         let zero_bias = vec![0.0f32; c_out];
         for bias in [None, Some(&bias)] {
-            for clamp in clamps() {
-                let (fused, rowed) = with_kernel(KernelPath::Blocked, || {
-                    let fused = conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap();
-                    let mut rowed = fused.clone();
-                    conv2d_rows(&input, &weight, &rows, bias, cfg, clamp, &mut rowed).unwrap();
-                    (fused, rowed)
-                });
-                for (filters, got, kernel) in [(&weight, &fused, "fused"), (&patched, &rowed, "rows")] {
-                    for b in 0..nb {
-                        let (cols, spatial) = im2col_oracle(&input, b, k, cfg);
-                        let spec = GemmSpec {
-                            m: c_out,
-                            k: kdim,
-                            n: spatial,
-                            layout: BLayout::RowMajor,
-                            skip_zero_a: true,
-                            bias: Bias::PostPerRow(bias.map_or(&zero_bias[..], Tensor::data)),
-                        };
-                        let mut expect = vec![0.0f32; c_out * spatial];
-                        gemm::gemm_with(filters.data(), &cols, &mut expect, &spec, &clamp, KernelPath::Blocked);
-                        let what = format!(
-                            "{kernel} c_in={c_in} hw={hw} k={k} s={stride} p={pad} d={dilation} b={b} bias={} {clamp:?}",
-                            bias.is_some()
-                        );
-                        assert_bits_equal(&expect, &got.data()[b * c_out * spatial..(b + 1) * c_out * spatial], &what);
-                    }
+            let (full, rowed) = with_kernel(KernelPath::Blocked, || {
+                let full = conv2d_im2col(&input, &weight, bias, cfg).unwrap();
+                let mut rowed = full.clone();
+                conv2d_rows(&input, &weight, &rows, bias, cfg, &mut rowed).unwrap();
+                (full, rowed)
+            });
+            for (filters, got, kernel) in [(&weight, &full, "im2col"), (&patched, &rowed, "rows")] {
+                for b in 0..nb {
+                    let (cols, spatial) = im2col_oracle(&input, b, k, cfg);
+                    let spec = GemmSpec {
+                        m: c_out,
+                        k: kdim,
+                        n: spatial,
+                        layout: BLayout::RowMajor,
+                        skip_zero_a: true,
+                        bias: Bias::PostPerRow(bias.map_or(&zero_bias[..], Tensor::data)),
+                    };
+                    let mut expect = vec![0.0f32; c_out * spatial];
+                    gemm::gemm(filters.data(), &cols, &mut expect, &spec, KernelPath::Blocked);
+                    let what = format!(
+                        "{kernel} c_in={c_in} hw={hw} k={k} s={stride} p={pad} d={dilation} b={b} bias={}",
+                        bias.is_some()
+                    );
+                    assert_bits_equal(&expect, &got.data()[b * c_out * spatial..(b + 1) * c_out * spatial], &what);
                 }
             }
         }
@@ -552,7 +493,7 @@ fn linear_spec(m: usize, k: usize, n: usize, bias: Option<&[f32]>) -> GemmSpec<'
 /// Recomputing a subset of a linear layer's output features with
 /// replaced weight rows equals the full linear GEMM over the patched
 /// weight, bit for bit, on both kernel paths: rank-2 batches and
-/// folded token rows, with and without bias and clamp, with NaN, Inf
+/// folded token rows, with and without bias, with NaN, Inf
 /// and zero operands, for subsets narrower and wider than one panel.
 #[test]
 fn linear_row_subsets_equal_the_full_kernel_rows() {
@@ -569,22 +510,20 @@ fn linear_row_subsets_equal_the_full_kernel_rows() {
             }
             for path in [KernelPath::Reference, KernelPath::Blocked] {
                 for bias in [None, Some(&bias[..])] {
-                    for clamp in clamps() {
-                        let spec = linear_spec(m, k, n, bias);
-                        let mut expect = vec![0.0f32; m * n];
-                        gemm::gemm_with(&x, &patched, &mut expect, &spec, &clamp, path);
-                        let mut got = vec![0.0f32; m * n];
-                        gemm::gemm_with(&x, &weight, &mut got, &spec, &clamp, path);
-                        gemm::linear_rows(&x, &weight, &rows, &mut got, &spec, clamp, path);
-                        assert_bits_equal(
-                            &expect,
-                            &got,
-                            &format!(
-                                "linear rows {subset:?} m={m} k={k} n={n} {path} bias={} {clamp:?}",
-                                bias.is_some()
-                            ),
-                        );
-                    }
+                    let spec = linear_spec(m, k, n, bias);
+                    let mut expect = vec![0.0f32; m * n];
+                    gemm::gemm(&x, &patched, &mut expect, &spec, path);
+                    let mut got = vec![0.0f32; m * n];
+                    gemm::gemm(&x, &weight, &mut got, &spec, path);
+                    gemm::linear_rows(&x, &weight, &rows, &mut got, &spec, path);
+                    assert_bits_equal(
+                        &expect,
+                        &got,
+                        &format!(
+                            "linear rows {subset:?} m={m} k={k} n={n} {path} bias={}",
+                            bias.is_some()
+                        ),
+                    );
                 }
             }
         }
@@ -605,20 +544,18 @@ fn a_gemm_on_a_ready_pack_equals_one_that_packs_per_call() {
         for layout in [BLayout::RowMajor, BLayout::Transposed] {
             for bias in [Bias::None, Bias::InitPerCol(&col_bias), Bias::PostPerRow(&row_bias)] {
                 let spec = GemmSpec { m, k, n, layout, skip_zero_a: true, bias };
-                for clamp in clamps() {
-                    for path in [KernelPath::Reference, KernelPath::Blocked] {
-                        let cache = gemm::PackCache::default();
-                        for (call, threads) in [1, 3, 1].into_iter().enumerate() {
-                            let a = special_operand(&mut rng, m * k);
-                            let mut expect = vec![0.0f32; m * n];
-                            let mut got = vec![0.0f32; m * n];
-                            alfi_pool::with_parallelism(threads, || {
-                                gemm::gemm_with(&a, &b, &mut expect, &spec, &clamp, path);
-                                gemm::gemm_cached(&a, &b, &cache, &mut got, &spec, &clamp, path);
-                            });
-                            let what = format!("ready pack m={m} k={k} n={n} {layout:?} {bias:?} {clamp:?} {path} call {call}");
-                            assert_bits_equal(&expect, &got, &what);
-                        }
+                for path in [KernelPath::Reference, KernelPath::Blocked] {
+                    let cache = gemm::PackCache::default();
+                    for (call, threads) in [1, 3, 1].into_iter().enumerate() {
+                        let a = special_operand(&mut rng, m * k);
+                        let mut expect = vec![0.0f32; m * n];
+                        let mut got = vec![0.0f32; m * n];
+                        alfi_pool::with_parallelism(threads, || {
+                            gemm::gemm(&a, &b, &mut expect, &spec, path);
+                            gemm::gemm_cached(&a, &b, &cache, &mut got, &spec, path);
+                        });
+                        let what = format!("ready pack m={m} k={k} n={n} {layout:?} {bias:?} {path} call {call}");
+                        assert_bits_equal(&expect, &got, &what);
                     }
                 }
             }
@@ -680,12 +617,11 @@ fn gemm_paths_agree_on_special_operands_but_nan_payloads() {
     }
 }
 
-/// The fused conv on inputs, weights and biases holding NaN, ±Inf and
-/// ±0 equals itself across the kernel paths up to NaN payloads, with
-/// and without bias and clamp, on strided, padded and dilated
-/// geometries.
+/// The conv on inputs, weights and biases holding NaN, ±Inf and ±0
+/// equals itself across the kernel paths up to NaN payloads, with and
+/// without bias, on strided, padded and dilated geometries.
 #[test]
-fn conv_fused_paths_agree_on_special_operands_but_nan_payloads() {
+fn conv_paths_agree_on_special_operands_but_nan_payloads() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     let mut rng = Rng::from_seed(0xC0F5);
     // (hw, k, stride, pad, dilation)
@@ -700,18 +636,13 @@ fn conv_fused_paths_agree_on_special_operands_but_nan_payloads() {
         let bias = Tensor::from_vec(special_operand(&mut rng, c_out), &[c_out]).unwrap();
         let cfg = ConvConfig::with_dilation(stride, pad, dilation).unwrap();
         for bias in [None, Some(&bias)] {
-            for clamp in clamps() {
-                let [reference, blocked] = [KernelPath::Reference, KernelPath::Blocked]
-                    .map(|path| with_kernel(path, || conv2d_fused(&input, &weight, bias, cfg, clamp).unwrap()));
-                assert_equal_but_nan_payloads(
-                    reference.data(),
-                    blocked.data(),
-                    &format!(
-                        "conv hw={hw} k={k} s={stride} p={pad} d={dilation} bias={} {clamp:?}",
-                        bias.is_some()
-                    ),
-                );
-            }
+            let [reference, blocked] = [KernelPath::Reference, KernelPath::Blocked]
+                .map(|path| with_kernel(path, || conv2d_im2col(&input, &weight, bias, cfg).unwrap()));
+            assert_equal_but_nan_payloads(
+                reference.data(),
+                blocked.data(),
+                &format!("conv hw={hw} k={k} s={stride} p={pad} d={dilation} bias={}", bias.is_some()),
+            );
         }
     }
 }

@@ -120,7 +120,7 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
     let rows: Vec<(usize, Vec<f32>)> = vec![(1, vec![0.5; kdim]), (MR, vec![-0.5; kdim])];
     for (path, computed, packs) in [(KernelPath::Blocked, c_out, true), (KernelPath::Reference, 2, false)] {
         let before = read_meters();
-        with_kernel(path, || conv2d_rows(&input, &weight, &rows, None, cfg, None, &mut out).unwrap());
+        with_kernel(path, || conv2d_rows(&input, &weight, &rows, None, cfg, &mut out).unwrap());
         let after = read_meters();
         assert_eq!(
             after.conv_flops - before.conv_flops,
@@ -154,7 +154,7 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
     let mut y = vec![0.0f32; lm * ln];
     for call in 0..3 {
         let before = read_meters();
-        gemm::gemm_cached(x.data(), w.data(), &cache, &mut y, &spec, &None, KernelPath::Blocked);
+        gemm::gemm_cached(x.data(), w.data(), &cache, &mut y, &spec, KernelPath::Blocked);
         let after = read_meters();
         let pack = if call == 0 { 4 * ln.div_ceil(NR) * NR * lk } else { 0 };
         assert_eq!(after.pack_bytes - before.pack_bytes, pack as u64, "ready pack, call {call}");
@@ -162,7 +162,7 @@ fn flop_and_byte_counts_are_pinned_for_known_shapes() {
     // Rows 0 and NR: the whole first two panels.
     let rows: Vec<(usize, Vec<f32>)> = [0, NR].iter().map(|&j| (j, vec![1.0; lk])).collect();
     let before = read_meters();
-    gemm::linear_rows(x.data(), w.data(), &rows, &mut y, &spec, None, KernelPath::Blocked);
+    gemm::linear_rows(x.data(), w.data(), &rows, &mut y, &spec, KernelPath::Blocked);
     let after = read_meters();
     assert_eq!(after.pack_bytes - before.pack_bytes, (4 * 2 * NR * lk) as u64, "two row panels");
     assert_eq!(after.matmul_flops - before.matmul_flops, (2 * lm * lk * 2 * NR) as u64, "two panels' columns");

@@ -7,7 +7,7 @@ use alfi_check::{assume, check, check_with, gen};
 use alfi_rng::Rng;
 use alfi_tensor::conv::{avg_pool2d, conv2d_direct, conv2d_im2col, max_pool2d, ConvConfig};
 use alfi_tensor::f16::{Bf16, F16};
-use alfi_tensor::gemm::{self, BLayout, Bias, Clamp, ClampMode, GemmSpec, KernelPath, NoEpilogue};
+use alfi_tensor::gemm;
 use alfi_tensor::quant::{flip_bit_i8, QuantParams};
 use alfi_tensor::{bits, Shape, Tensor, TensorError};
 use common::fanned_out;
@@ -300,196 +300,6 @@ fn parallel_conv_is_bit_identical_and_matches_direct() {
         }
         let direct = conv2d_direct(&input, &weight, Some(&bias), cfg).unwrap();
         assert!(direct.max_abs_diff(&reference).unwrap() < 1e-3);
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Fused-epilogue differential properties: the in-kernel range clamp
-// must be bit-for-bit identical to the historical two-pass form (plain
-// GEMM, then a separate full pass over the output), on both kernel
-// paths — including NaN/Inf operands and clamp bounds that land exactly
-// on output values.
-// ---------------------------------------------------------------------------
-
-/// The two-pass reference the fused epilogue must reproduce: plain
-/// GEMM result, then a full clamp pass.
-fn separate_passes(
-    a: &[f32],
-    b: &[f32],
-    spec: &GemmSpec<'_>,
-    clamp: Option<Clamp>,
-    path: KernelPath,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; spec.m * spec.n];
-    gemm::gemm_with(a, b, &mut out, spec, &NoEpilogue, path);
-    if let Some(c) = clamp {
-        for v in &mut out {
-            *v = c.apply(*v);
-        }
-    }
-    out
-}
-
-fn assert_bits_eq(reference: &[f32], fused: &[f32], what: &str) {
-    for (i, (r, f)) in reference.iter().zip(fused.iter()).enumerate() {
-        assert_eq!(
-            r.to_bits(),
-            f.to_bits(),
-            "{what}: fused drifted from separate passes at flat {i} ({r} vs {f})"
-        );
-    }
-}
-
-/// Fused clamp == separate passes, bit-for-bit, on both kernel paths,
-/// for random shapes and clamp windows.
-#[test]
-fn fused_epilogue_matches_separate_passes() {
-    check_with(64, "fused_epilogue_matches_separate_passes", |rng| {
-        let seed = gen::any_u64(rng);
-        let m: usize = rng.gen_range(1usize..10);
-        let k: usize = rng.gen_range(1usize..20);
-        let n: usize = rng.gen_range(1usize..40);
-        let mut data_rng = Rng::from_seed(seed);
-        let a: Vec<f32> = (0..m * k).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
-        let lo = data_rng.gen_range(-3.0f32..0.0);
-        let hi = data_rng.gen_range(0.0f32..3.0);
-        let mode = if data_rng.gen_range(0u32..2) == 0 { ClampMode::Clip } else { ClampMode::Zero };
-        let clamp = Some(Clamp { lo, hi, mode });
-        let spec = GemmSpec {
-            m,
-            k,
-            n,
-            layout: BLayout::RowMajor,
-            skip_zero_a: true,
-            bias: Bias::None,
-        };
-        for path in [KernelPath::Reference, KernelPath::Blocked] {
-            let reference = separate_passes(&a, &b, &spec, clamp, path);
-            let mut fused = vec![0.0f32; m * n];
-            gemm::gemm_with(&a, &b, &mut fused, &spec, &clamp, path);
-            assert_bits_eq(&reference, &fused, &format!("{path} m={m} k={k} n={n}"));
-        }
-    });
-}
-
-/// Same property with NaN and ±Inf sprinkled through both operands:
-/// the fused epilogue and both kernel paths must propagate non-finite
-/// values with identical bit patterns (this is exactly the regime the
-/// zero-skip rule exists for — `0·∞` never materializes because the
-/// zero term is skipped, on every path).
-#[test]
-fn fused_epilogue_is_bitwise_stable_under_nonfinite_operands() {
-    check_with(64, "fused_epilogue_is_bitwise_stable_under_nonfinite_operands", |rng| {
-        let seed = gen::any_u64(rng);
-        let m: usize = rng.gen_range(1usize..8);
-        let k: usize = rng.gen_range(1usize..12);
-        let n: usize = rng.gen_range(1usize..24);
-        let mut data_rng = Rng::from_seed(seed);
-        let special = |r: &mut Rng| -> f32 {
-            match r.gen_range(0u32..10) {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                2 => f32::NEG_INFINITY,
-                3 => 0.0,
-                4 => -0.0,
-                _ => r.gen_range(-2.0f32..2.0),
-            }
-        };
-        let a: Vec<f32> = (0..m * k).map(|_| special(&mut data_rng)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| special(&mut data_rng)).collect();
-        let clamp = Some(Clamp { lo: -1.0, hi: 1.0, mode: ClampMode::Clip });
-        for skip in [false, true] {
-            let spec = GemmSpec {
-                m,
-                k,
-                n,
-                layout: BLayout::RowMajor,
-                skip_zero_a: skip,
-                bias: Bias::None,
-            };
-            let reference = separate_passes(&a, &b, &spec, clamp, KernelPath::Reference);
-            for path in [KernelPath::Reference, KernelPath::Blocked] {
-                let mut fused = vec![0.0f32; m * n];
-                gemm::gemm_with(&a, &b, &mut fused, &spec, &clamp, path);
-                assert_bits_eq(&reference, &fused, &format!("nonfinite {path} skip={skip}"));
-            }
-        }
-    });
-}
-
-/// Clamp bounds that land *exactly* on values present in the output:
-/// boundary values must pass through unchanged in `Clip` mode and
-/// survive in `Zero` mode (the range check is inclusive), and the
-/// fused form must agree with the separate pass on both paths.
-#[test]
-fn fused_clamp_at_exact_boundaries() {
-    check_with(64, "fused_clamp_at_exact_boundaries", |rng| {
-        let seed = gen::any_u64(rng);
-        let m: usize = rng.gen_range(2usize..8);
-        let k: usize = rng.gen_range(1usize..12);
-        let n: usize = rng.gen_range(2usize..24);
-        let mut data_rng = Rng::from_seed(seed);
-        let a: Vec<f32> = (0..m * k).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| data_rng.gen_range(-2.0f32..2.0)).collect();
-        let spec = GemmSpec {
-            m,
-            k,
-            n,
-            layout: BLayout::RowMajor,
-            skip_zero_a: true,
-            bias: Bias::None,
-        };
-        // Take the clamp window from actual output values, so both
-        // bounds land exactly on representable results.
-        let plain = separate_passes(&a, &b, &spec, None, KernelPath::Reference);
-        let lo_i = data_rng.gen_range(0usize..plain.len());
-        let hi_i = data_rng.gen_range(0usize..plain.len());
-        let (lo, hi) = (plain[lo_i].min(plain[hi_i]), plain[lo_i].max(plain[hi_i]));
-        for mode in [ClampMode::Clip, ClampMode::Zero] {
-            let clamp = Clamp { lo, hi, mode };
-            let reference = separate_passes(&a, &b, &spec, Some(clamp), KernelPath::Reference);
-            // Boundary semantics: the bound values themselves survive.
-            assert_eq!(clamp.apply(lo).to_bits(), lo.to_bits(), "lo is inclusive");
-            assert_eq!(clamp.apply(hi).to_bits(), hi.to_bits(), "hi is inclusive");
-            for path in [KernelPath::Reference, KernelPath::Blocked] {
-                let mut fused = vec![0.0f32; m * n];
-                gemm::gemm_with(&a, &b, &mut fused, &spec, &Some(clamp), path);
-                assert_bits_eq(&reference, &fused, &format!("boundary {mode:?} {path}"));
-            }
-        }
-    });
-}
-
-/// The fused convolution entry point agrees bit-for-bit with a plain
-/// convolution followed by a separate clamp pass, on both kernel paths
-/// and with batch > 1.
-#[test]
-fn fused_conv_matches_separate_passes() {
-    check_with(32, "fused_conv_matches_separate_passes", |rng| {
-        let seed = gen::any_u64(rng);
-        let nb: usize = rng.gen_range(1usize..4);
-        let c_in: usize = rng.gen_range(1usize..3);
-        let c_out: usize = rng.gen_range(1usize..4);
-        let hw: usize = rng.gen_range(4usize..8);
-        let kk: usize = rng.gen_range(1usize..4);
-        let pad: usize = rng.gen_range(0usize..2);
-        assume!(kk <= hw + 2 * pad);
-        let mut data_rng = Rng::from_seed(seed);
-        let input = Tensor::rand_normal(&mut data_rng, &[nb, c_in, hw, hw], 0.0, 1.0);
-        let weight = Tensor::rand_normal(&mut data_rng, &[c_out, c_in, kk, kk], 0.0, 1.0);
-        let cfg = ConvConfig { stride: 1, padding: pad, dilation: 1 };
-        let plain = conv2d_im2col(&input, &weight, None, cfg).unwrap();
-        let clamp = Clamp { lo: -1.5, hi: 1.5, mode: ClampMode::Clip };
-        let expected: Vec<f32> = plain.data().iter().map(|&v| clamp.apply(v)).collect();
-
-        let fused =
-            alfi_tensor::conv::conv2d_fused(&input, &weight, None, cfg, Some(clamp)).unwrap();
-        assert_bits_eq(
-            &expected,
-            fused.data(),
-            &format!("conv nb={nb} hw={hw} k={kk} pad={pad}"),
-        );
     });
 }
 

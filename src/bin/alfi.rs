@@ -24,7 +24,7 @@ use alfi::analyze::report::{analyze_dir, analyze_result, write_report_files};
 use alfi::analyze::RateBlock;
 use alfi::core::campaign::{ImgClassCampaign, ObjDetCampaign, RunConfig, VitCampaign};
 use alfi::core::stats::Rate;
-use alfi::core::{load_fault_matrix, store_to_files, text_to_store, FaultValue, ReplayReader};
+use alfi::core::{load_fault_matrix, store_to_files, text_to_store, FaultValue};
 use alfi::trace::Recorder;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader, DetectionDataset, DetectionLoader};
 use alfi::eval::write_detection_outputs;
@@ -37,7 +37,7 @@ use alfi::nn::train::{accuracy, train_step, SgdTrainer};
 use alfi::nn::weights::{load_weights, save_weights};
 use alfi::nn::Network;
 use alfi::scenario::{ArtifactFormat, CiMethod, Scenario, StopPolicy, StopScope};
-use alfi::store::{ColumnStats, ColumnType, Value};
+use alfi::store::{ColumnStats, ColumnType, StoreReader, Value};
 use alfi::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -83,8 +83,9 @@ Adaptive campaigns: --stop-halfwidth ±h arms statistical early stopping
 — the run ends (or, with --stop-scope per-layer, individual layer
 strata retire) once the SDC/DUE rate confidence interval is tighter
 than ±h at the requested confidence (default 0.95). Decisions land in
-the trace summary and events.jsonl; they override any stop_policy key
-in the scenario file.
+the trace summary and events.jsonl; the flags replace any stop_policy
+key in the scenario file, and the run's saved scenario.yml carries the
+policy, so a rerun of it stops alike.
 
 Parallelism: --parallel <n> runs campaign scopes on n pool threads; it
 defaults to the pool width (ALFI_POOL_THREADS, else the machine's
@@ -304,18 +305,19 @@ fn report_requested(args: &Args, scenario: &Scenario) -> Result<bool, String> {
     }
 }
 
-/// Applies the shared early-stop flags. `--stop-halfwidth` arms the
-/// policy; the other three refine it and are rejected without it so a
-/// typo can't silently run the full matrix. An armed CLI policy
-/// overrides any `stop_policy` key in the scenario file.
-fn stop_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
+/// Applies the shared early-stop flags to the scenario the campaign
+/// runs and saves. `--stop-halfwidth` arms the policy; the other three
+/// refine it and are rejected without it so a typo can't silently run
+/// the full matrix. An armed CLI policy replaces any `stop_policy` key
+/// of the scenario file.
+fn stop_config(scenario: &mut Scenario, args: &Args) -> Result<(), String> {
     let half_width = args.flags.get("stop-halfwidth");
     let refinements = ["stop-confidence", "stop-scope", "stop-method"];
     if half_width.is_none() {
         if let Some(orphan) = refinements.iter().find(|k| args.flags.contains_key(**k)) {
             return Err(format!("--{orphan} requires --stop-halfwidth"));
         }
-        return Ok(cfg);
+        return Ok(());
     }
     let mut policy = StopPolicy {
         half_width: half_width
@@ -349,7 +351,8 @@ fn stop_config(cfg: RunConfig, args: &Args) -> Result<RunConfig, String> {
         policy.scope,
         policy.method
     );
-    Ok(cfg.stop_policy(policy))
+    scenario.stop_policy = Some(policy);
+    Ok(())
 }
 
 /// Keeps the process (and with it a `--metrics-addr` endpoint) alive
@@ -462,7 +465,7 @@ fn cmd_train(argv: &[String]) -> Result<(), String> {
 fn cmd_classify(argv: &[String]) -> Result<(), String> {
     let known = [CAMPAIGN_FLAGS, &["weights", "protect", "report"]].concat();
     let args = Args::parse(argv, "classify", &known)?;
-    let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
+    let mut scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
     let write_report = report_requested(&args, &scenario)?;
     let out_dir = args.required("out")?.to_string();
     let mcfg = model_config(&args)?;
@@ -507,7 +510,7 @@ fn cmd_classify(argv: &[String]) -> Result<(), String> {
         RunConfig::new().threads(threads).recorder(recorder.clone()).save_dir(&out_dir),
         &args,
     )?;
-    let cfg = stop_config(cfg, &args)?;
+    stop_config(&mut scenario, &args)?;
     let cfg = format_config(cfg, &args)?;
     let result = if model_name == "vit" {
         let mut campaign =
@@ -567,7 +570,7 @@ fn layer_table(layers: &[(usize, RateBlock)]) -> String {
 
 fn cmd_detect(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, "detect", CAMPAIGN_FLAGS)?;
-    let scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
+    let mut scenario = Scenario::load(args.required("scenario")?).map_err(|e| e.to_string())?;
     if scenario.report == Some(true) {
         return Err("scenario key `report: true`: reports cover classification runs only".into());
     }
@@ -599,7 +602,7 @@ fn cmd_detect(argv: &[String]) -> Result<(), String> {
         RunConfig::new().threads(threads).recorder(recorder.clone()).save_dir(&out_dir),
         &args,
     )?;
-    let cfg = stop_config(cfg, &args)?;
+    stop_config(&mut scenario, &args)?;
     let cfg = format_config(cfg, &args)?;
     let result = ObjDetCampaign::new(detector.as_ref(), scenario, loader)
         .run_with(&cfg)
@@ -726,23 +729,22 @@ fn merge_column_stats(ty: ColumnType, per_block: &[Vec<ColumnStats>], col: usize
 
 fn store_info(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("expected a rows.alfic path")?;
-    let mut replay = ReplayReader::open(path).map_err(|e| e.to_string())?;
+    let mut reader = StoreReader::open(path).map_err(|e| e.to_string())?;
     let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!("store:      {path} ({size} bytes)");
-    println!("kind:       {}", replay.reader().meta("kind").unwrap_or("?"));
+    println!("kind:       {}", reader.meta("kind").unwrap_or("?"));
     println!(
         "rows:       {} in {} block(s) of up to {} rows",
-        replay.reader().total_rows(),
-        replay.reader().block_count(),
-        replay.reader().block_rows()
+        reader.total_rows(),
+        reader.block_count(),
+        reader.block_rows()
     );
     // Per-block min/max footers, merged per column across every block.
-    let block_count = replay.reader().block_count();
+    let block_count = reader.block_count();
     let mut per_block = Vec::with_capacity(block_count);
     for idx in 0..block_count {
-        per_block.push(replay.reader_mut().block_column_stats(idx).map_err(|e| e.to_string())?);
+        per_block.push(reader.block_column_stats(idx).map_err(|e| e.to_string())?);
     }
-    let reader = replay.reader();
     println!("columns:    {} (+ epoch/batch/fault_id keys)", reader.schema().columns.len());
     for (col, c) in reader.schema().columns.iter().enumerate() {
         let range = match merge_column_stats(c.ty, &per_block, col) {
@@ -790,10 +792,9 @@ fn store_lookup(args: &Args) -> Result<(), String> {
         .ok_or("expected a fault id")?
         .parse()
         .map_err(|_| "bad fault id (expected an integer)".to_string())?;
-    let mut replay = ReplayReader::open(path).map_err(|e| e.to_string())?;
-    let rows = replay.lookup_fault(fault_id).map_err(|e| e.to_string())?;
-    let names: Vec<String> =
-        replay.reader().schema().columns.iter().map(|c| c.name.clone()).collect();
+    let mut reader = StoreReader::open(path).map_err(|e| e.to_string())?;
+    let rows = reader.lookup_fault(fault_id).map_err(|e| e.to_string())?;
+    let names: Vec<String> = reader.schema().columns.iter().map(|c| c.name.clone()).collect();
     println!("fault {fault_id}: {} row(s)", rows.len());
     for (key, cells) in &rows {
         println!("epoch {} batch {}:", key.epoch, key.batch);
@@ -803,8 +804,8 @@ fn store_lookup(args: &Args) -> Result<(), String> {
     }
     println!(
         "read {} byte(s) across {} block(s)",
-        replay.reader().bytes_read(),
-        replay.reader().blocks_read()
+        reader.bytes_read(),
+        reader.blocks_read()
     );
     Ok(())
 }

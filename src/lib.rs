@@ -96,7 +96,7 @@ pub mod prelude {
         CampaignTask, ClassificationCampaignResult, DetectionCampaignResult, Engine,
         ImgClassCampaign, ObjDetCampaign, RunConfig,
     };
-    pub use crate::core::{attach_monitor, Artifacts, NanInfMonitor, ReplayReader};
+    pub use crate::core::{attach_monitor, Artifacts, NanInfMonitor};
     pub use crate::scenario::{
         ArtifactFormat, CiMethod, FaultMode, InjectionPolicy, InjectionTarget, Scenario,
         StopPolicy, StopScope,

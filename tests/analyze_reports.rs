@@ -248,6 +248,23 @@ fn classify_report_equals_analyze_report_over_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--stop-*` flags arm the policy on the scenario the run saves: the
+/// saved `scenario.yml` parses back with it, so a rerun stops alike,
+/// and the report of the run has its stop section.
+#[test]
+fn stop_flags_reach_the_saved_scenario_and_the_report() {
+    let (dir, scenario) = cli_dir("stop_flags", &scenario(4, 0x601D));
+    let run = dir.join("run");
+    let out = classify(&scenario, &run, &["--stop-halfwidth", "0.45", "--report"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let saved = Scenario::load(run.join("scenario.yml")).unwrap();
+    let armed = StopPolicy { half_width: 0.45, ..StopPolicy::default() };
+    assert_eq!(saved.stop_policy, Some(armed), "the saved scenario carries the policy");
+    let written = std::fs::read_to_string(run.join(REPORT_JSON)).unwrap();
+    assert!(Json::parse(&written).unwrap().get("stop").is_some(), "the report has a stop section");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Without `--parallel`, `classify` runs at the pool width and records
 /// it in the `events.jsonl` header; the rows equal a `--parallel 1`
 /// run's.

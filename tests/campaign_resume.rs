@@ -13,8 +13,8 @@
 //! The cases cover weight and
 //! neuron faults; `per_image`, `per_batch` and `per_epoch`; one and
 //! three faults per scope, several on one node, and neuron batch
-//! coordinates outside the scope; Ranger and Clipper in both hardened
-//! forms and a magnitude-pruned hardened model; a model carrying a
+//! coordinates outside the scope; Ranger and Clipper hardened models
+//! and a magnitude-pruned hardened model; a model carrying a
 //! mutating hook; a network that overflows to Inf before the faulted
 //! layers; a margin-0 hardened model whose guards trip on some images;
 //! and the ViT campaign.
@@ -28,7 +28,7 @@ use alfi::core::{
     arm_faults, attach_monitor, resolve_targets, FaultMatrix, LayerTarget, NanInfMonitor,
 };
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
-use alfi::mitigation::{harden, harden_fused, profile_bounds, Protection};
+use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{alexnet, vit_tiny, ModelConfig, VIT_TINY_DEPTH, VIT_TINY_HEADS};
 use alfi::nn::prune::magnitude_prune;
 use alfi::nn::{Conv2d, Layer, LayerCtx, Linear, Network, NodeMap, Pass};
@@ -72,8 +72,7 @@ fn scenario(target: InjectionTarget, policy: InjectionPolicy, faults: usize) -> 
 #[derive(Debug, Clone, Copy)]
 enum Resil {
     None,
-    Spliced(Protection, f32),
-    Fused(Protection),
+    Hardened(Protection, f32),
     Pruned,
 }
 
@@ -105,8 +104,7 @@ impl Case {
         let bounds = || profile_bounds(&model, calib.iter()).unwrap();
         let resil = match self.resil {
             Resil::None => None,
-            Resil::Spliced(p, margin) => Some(harden(&model, &bounds(), p, margin).unwrap()),
-            Resil::Fused(p) => Some(harden_fused(&model, &bounds(), p, 0.1).unwrap()),
+            Resil::Hardened(p, margin) => Some(harden(&model, &bounds(), p, margin).unwrap()),
             Resil::Pruned => Some(magnitude_prune(&model, 0.5).unwrap()),
         };
         (model, resil)
@@ -284,14 +282,14 @@ fn weight_faults_match_the_clone_and_arm_path() {
         Case::new(
             "weights/per_image/ranger",
             scenario(w, PerImage, 1),
-            Resil::Spliced(Ranger, 0.1),
+            Resil::Hardened(Ranger, 0.1),
         ),
         Case::new(
-            "weights/per_image/clipper-fused",
+            "weights/per_image/clipper",
             scenario(w, PerImage, 3),
-            Resil::Fused(Clipper),
+            Resil::Hardened(Clipper, 0.1),
         ),
-        Case::new("weights/per_batch/one-layer/ranger-fused", one_layer, Resil::Fused(Ranger)),
+        Case::new("weights/per_batch/one-layer/ranger", one_layer, Resil::Hardened(Ranger, 0.1)),
         Case::new("weights/per_epoch/pruned", epochs, Resil::Pruned),
     ] {
         check(&case);
@@ -310,13 +308,9 @@ fn neuron_faults_match_the_clone_and_arm_path() {
     let mut many = scenario(n, PerImage, 3);
     many.dataset_size = 12;
     let cases = [
-        Case::new("neurons/per_image/clipper", many, Resil::Spliced(Clipper, 0.1)),
-        Case::new("neurons/per_batch/one-layer/ranger-fused", one_layer, Resil::Fused(Ranger)),
-        Case::new(
-            "neurons/per_batch/clipper-fused",
-            scenario(n, PerBatch, 3),
-            Resil::Fused(Clipper),
-        ),
+        Case::new("neurons/per_image/clipper", many, Resil::Hardened(Clipper, 0.1)),
+        Case::new("neurons/per_batch/one-layer/ranger", one_layer, Resil::Hardened(Ranger, 0.1)),
+        Case::new("neurons/per_batch/clipper", scenario(n, PerBatch, 3), Resil::Hardened(Clipper, 0.1)),
         Case::new("neurons/per_epoch/pruned", epochs, Resil::Pruned),
     ];
     for case in &cases {
@@ -389,7 +383,7 @@ fn a_model_with_a_mutating_hook_runs_it_in_the_golden_pass_only() {
     ] {
         let case = Case {
             model: hooked,
-            ..Case::new(name, scenario(target, policy, 1), Resil::Spliced(Protection::Ranger, 0.1))
+            ..Case::new(name, scenario(target, policy, 1), Resil::Hardened(Protection::Ranger, 0.1))
         };
         check(&case);
     }
@@ -425,7 +419,7 @@ fn a_margin_zero_hardened_model_resumes_only_before_tripped_guards() {
     let case = |name, target| {
         let mut s = scenario(target, PerImage, 1);
         s.dataset_size = 8;
-        Case::new(name, s, Resil::Spliced(Protection::Ranger, 0.0))
+        Case::new(name, s, Resil::Hardened(Protection::Ranger, 0.0))
     };
     for case in [
         case("margin0/weights", InjectionTarget::Weights),
@@ -459,10 +453,10 @@ fn the_vit_campaign_shares_the_path() {
     check(&case);
     let mut s = scenario(InjectionTarget::Weights, InjectionPolicy::PerBatch, 3);
     s.fault_mode = FaultMode::any_bit_flip();
-    let fused = Resil::Fused(Protection::Ranger);
+    let ranger = Resil::Hardened(Protection::Ranger, 0.1);
     check(&Case {
         model: || vit_tiny(&mcfg()),
         vit: true,
-        ..Case::new("vit/weights/ranger-fused", s, fused)
+        ..Case::new("vit/weights/ranger", s, ranger)
     });
 }

@@ -27,7 +27,7 @@ use alfi::core::{
     LayerTarget, NanInfMonitor,
 };
 use alfi::datasets::{DetectionDataset, DetectionLoader, GroundTruthBox, ImageRecord};
-use alfi::mitigation::{harden_fused, profile_bounds, Protection};
+use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::detection::{
     Detection, Detector, DetectorConfig, FrcnnTwoStage, RetinaAnchor, YoloGrid,
 };
@@ -84,8 +84,8 @@ impl Family {
     }
 }
 
-/// A Ranger-hardened twin of `det`: every network gets fused range
-/// clamps profiled on the inputs `det` feeds it for two images.
+/// A Ranger-hardened twin of `det`: every network gets range guards
+/// profiled on the inputs `det` feeds it for two images.
 fn hardened(det: &dyn Detector) -> Box<dyn Detector> {
     let ds = dataset();
     let mut seen: Vec<Vec<Tensor>> = vec![Vec::new(); det.networks().len()];
@@ -100,7 +100,7 @@ fn hardened(det: &dyn Detector) -> Box<dyn Detector> {
     let mut twin = det.clone_boxed().unwrap();
     for (net, inputs) in twin.networks_mut().into_iter().zip(&seen) {
         let bounds = profile_bounds(net, inputs.iter()).unwrap();
-        *net = harden_fused(net, &bounds, Protection::Ranger, 0.1).unwrap();
+        *net = harden(net, &bounds, Protection::Ranger, 0.1).unwrap();
     }
     twin
 }

@@ -27,7 +27,7 @@ use alfi::core::{
 };
 use alfi::datasets::{DetectionDataset, DetectionLoader};
 use alfi::nn::detection::{Detection, Detector, DetectorConfig, FrcnnTwoStage, RunNetwork};
-use alfi::nn::{Conv2d, Layer, LayerCtx, Network, NnError, RestrictMode};
+use alfi::nn::{Conv2d, CustomLayer, Layer, LayerCtx, Network, NnError};
 use alfi::scenario::{FaultCount, FaultMode, InjectionTarget, Scenario};
 use alfi::tensor::conv::ConvConfig;
 use alfi::tensor::Tensor;
@@ -69,6 +69,23 @@ fn conv1x1(c_out: usize, c_in: usize, w: impl Fn(usize, usize) -> f32) -> Layer 
     })
 }
 
+/// Clips every value to `[-4, 4]` (NaN to -4) as a node of its own, so
+/// the node before it keeps its overflowed activation.
+#[derive(Debug, Clone)]
+struct Clip4;
+
+impl CustomLayer for Clip4 {
+    fn type_name(&self) -> &str {
+        "clip4"
+    }
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        Ok(input.map(|v| if v.is_nan() { -4.0 } else { v.clamp(-4.0, 4.0) }))
+    }
+    fn clone_box(&self) -> Box<dyn CustomLayer> {
+        Box::new(self.clone())
+    }
+}
+
 /// A two-stage detector behind a preprocessing network (network 0)
 /// whose first node overflows to Inf on every object pixel. Channels
 /// 0–2 of `pre.overflow` copy the image; channel 3 sums it with
@@ -86,8 +103,7 @@ impl Overflowing {
         let mut pre = Network::new("pre");
         let sum = conv1x1(4, 3, |o, i| if o == 3 { f32::MAX } else { eye(o, i) });
         let a = pre.push("pre.overflow", sum, &[]).unwrap();
-        let clip = Layer::RangeRestrict { lo: -4.0, hi: 4.0, mode: RestrictMode::Clip };
-        let c = pre.push("pre.clip", clip, &[a]).unwrap();
+        let c = pre.push("pre.clip", Layer::Custom(Box::new(Clip4)), &[a]).unwrap();
         let m = pre.push("pre.mix", conv1x1(3, 4, eye), &[c]).unwrap();
         pre.set_output(m).unwrap();
         Overflowing { pre, inner: FrcnnTwoStage::new(&dcfg()) }

@@ -9,31 +9,33 @@
 //! logits and rows only, and a wrong activation can hide behind them:
 //! a guard downstream clips it, or the argmax does not move. So this
 //! suite compares **every node's activation**, bit for bit, against the
-//! `forward_all` of a clone armed with `arm_faults`.
+//! node outputs a clone armed with `arm_faults` shows its hooks.
 //!
 //! The plan's activations are collected through `FaultPlan::forward`'s
 //! observer (nodes before the start node come from the prefix), for the
 //! faulty pass and for the hardened twin's pass, each started from node
-//! 0 and from its resume point, on both kernel paths. The cases cover
+//! 0 and from its resume point, on both kernel paths. Observer and hooks
+//! both see a node's output before its guard; the network outputs, which
+//! the guards have passed, are compared too. The cases cover
 //! padded and strided convolutions (alexnet, vgg16, resnet50), linear
 //! layers on rank-2 batches and on ViT token tensors, `Conv3d` (c3d) and
 //! a custom layer that registers as `Linear`, several faults on one row
-//! and on one element, corrupted values of 0, NaN and ±Inf, and spliced
-//! and fused Ranger/Clipper twins profiled at margin 0 with faults on
-//! node 0.
+//! and on one element, corrupted values of 0, NaN and ±Inf, and
+//! Ranger/Clipper twins profiled at margin 0 with faults on node 0.
 
 use alfi::core::{arm_faults, resolve_targets, FaultPlan, FaultRecord, FaultValue, LayerTarget};
-use alfi::mitigation::{harden, harden_fused, profile_bounds, Protection};
+use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{alexnet, c3d, resnet50, vgg16, vit_tiny, C3dConfig, ModelConfig};
 use alfi::nn::{
-    CustomLayer, Layer, LayerKind, Linear, Network, NnError, NodeId, NodeMap, Pass, Prefix,
+    CustomLayer, Layer, LayerCtx, LayerKind, Linear, Network, NnError, NodeId, NodeMap, Pass,
+    Prefix,
 };
 use alfi::scenario::{InjectionTarget, Scenario};
 use alfi::tensor::gemm::{self, KernelPath};
 use alfi::tensor::Tensor;
 use alfi::trace::Recorder;
 use alfi_rng::Rng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serializes the tests: each pins the process-global kernel path.
 static KERNEL_PATH: Mutex<()> = Mutex::new(());
@@ -109,14 +111,15 @@ fn fault_sets(targets: &[LayerTarget], layers: &[usize]) -> Vec<Vec<FaultRecord>
 }
 
 /// Every node's activation, up to the output, of `plan`'s pass over
-/// `net` from `start`: the prefix's before `start`, observed from it on.
+/// `net` from `start` (the prefix's before `start`, observed from it
+/// on), and the pass's output.
 fn plan_nodes(
     plan: &FaultPlan,
     net: &Network,
     x: &Tensor,
     start: NodeId,
     prefix: &dyn Prefix,
-) -> Vec<Tensor> {
+) -> (Vec<Tensor>, Tensor) {
     let out = net.output_node().expect("output node");
     let lent = |id| if id < start { prefix.activation(id).cloned() } else { None };
     let mut nodes: Vec<Option<Tensor>> = (0..=out).map(lent).collect();
@@ -128,23 +131,32 @@ fn plan_nodes(
         .enumerate()
         .map(|(id, t)| t.unwrap_or_else(|| panic!("node {id} neither lent nor evaluated")))
         .collect();
-    assert_eq!(bits(&logits), bits(&nodes[out]), "the output is the last observed node");
-    nodes
+    (nodes, logits)
 }
 
-/// `net` armed with `faults` on a clone: every node's activation, up to
-/// the output.
+/// `net` armed with `faults` on a clone: every node's output up to the
+/// network's, as a hook sees it (before the node's guard), and the
+/// network's output.
 fn armed_nodes(
     net: &Network,
     targets: &[LayerTarget],
     faults: &[FaultRecord],
     x: &Tensor,
-) -> Vec<Tensor> {
+) -> (Vec<Tensor>, Tensor) {
     let mut armed = net.clone();
     arm_faults(&mut [&mut armed], targets, faults, InjectionTarget::Weights).unwrap();
-    let mut nodes = armed.forward_all(x).unwrap();
-    nodes.truncate(net.output_node().unwrap() + 1);
-    nodes
+    let out = net.output_node().unwrap();
+    let seen = Arc::new(Mutex::new(vec![None; out + 1]));
+    for id in 0..=out {
+        let seen = Arc::clone(&seen);
+        let capture = move |ctx: &LayerCtx, t: &mut Tensor| {
+            seen.lock().unwrap()[ctx.node_id] = Some(t.clone());
+        };
+        armed.register_hook(id, Arc::new(capture)).unwrap();
+    }
+    let output = armed.forward(x).unwrap();
+    let nodes = seen.lock().unwrap().iter().map(|t| t.clone().expect("every node ran")).collect();
+    (nodes, output)
 }
 
 fn assert_nodes(what: &str, got: &[Tensor], expect: &[Tensor]) {
@@ -167,7 +179,7 @@ fn check(
 ) {
     let targets = resolve(net, dims);
     let golden = net.evaluate(x, Pass::new()).unwrap();
-    let expect = armed_nodes(net, &targets, faults, x);
+    let (expect, _) = armed_nodes(net, &targets, faults, x);
     let plan = FaultPlan::new(&[net], &targets, faults, InjectionTarget::Weights).unwrap();
     let first = plan.first_node(0).expect("a weight plan faults a node");
     // A zero or an exponent flip may meet only zero inputs, but a NaN
@@ -177,19 +189,22 @@ fn check(
     let changed = (0..expect.len()).any(|id| bits(golden.get(id).unwrap()) != bits(&expect[id]));
     assert!(changed || !non_finite, "{what}: the faults change no activation");
     for start in [0, first] {
-        let got = plan_nodes(&plan, net, x, start, &golden);
+        let (got, logits) = plan_nodes(&plan, net, x, start, &golden);
         assert_nodes(&format!("{what}: faulty pass from node {start}"), &got, &expect);
+        assert_eq!(bits(&logits), bits(got.last().unwrap()), "the output is the last observed node");
     }
     let Some(twin) = twin else { return };
     let twin_targets = resolve(twin, dims);
-    let expect = armed_nodes(twin, &twin_targets, faults, x);
+    let (expect, output) = armed_nodes(twin, &twin_targets, faults, x);
     let plan = FaultPlan::new(&[twin], &twin_targets, faults, InjectionTarget::Weights).unwrap();
     let map = NodeMap::new(twin, net);
     let view = map.view(&golden);
     let resume = map.resume_point(plan.first_node(0).unwrap(), &golden);
     for start in [0, resume] {
-        let got = plan_nodes(&plan, twin, x, start, &view);
-        assert_nodes(&format!("{what}: hardened pass from node {start}"), &got, &expect);
+        let (got, logits) = plan_nodes(&plan, twin, x, start, &view);
+        let what = format!("{what}: hardened pass from node {start}");
+        assert_nodes(&what, &got, &expect);
+        assert_eq!(bits(&logits), bits(&output), "{what}: the guarded output");
     }
 }
 
@@ -337,9 +352,9 @@ fn conv3d_and_custom_layers_match_through_per_call_copies() {
     });
 }
 
-/// Spliced and fused Ranger/Clipper twins profiled at margin 0 on other
-/// images, so their guards trip on this input, with faults on node 0:
-/// a guard node's plain activation is its own only inside its bounds.
+/// Ranger/Clipper twins profiled at margin 0 on other images, so their
+/// guards trip on this input, with faults on node 0: a guarded node's
+/// plain activation is its own only inside its bounds.
 #[test]
 fn hardened_twins_at_margin_zero_match_with_faults_on_node_zero() {
     let cfg = mcfg();
@@ -358,19 +373,14 @@ fn hardened_twins_at_margin_zero_match_with_faults_on_node_zero() {
             fault(&targets, later, 9, FaultValue::Replace(f32::NAN)),
         ]);
         for protection in [Protection::Ranger, Protection::Clipper] {
-            let twins = [
-                harden(&net, &bounds, protection, 0.0).unwrap(),
-                harden_fused(&net, &bounds, protection, 0.0).unwrap(),
-            ];
-            for (form, twin) in ["spliced", "fused"].iter().zip(&twins) {
-                on_both_paths(|path| {
-                    for faults in &sets {
-                        let name = net.name();
-                        let what = format!("{name} {form} {protection:?} on {path}, {faults:?}");
-                        check(&what, &net, Some(twin), &dims, &x, faults);
-                    }
-                });
-            }
+            let twin = harden(&net, &bounds, protection, 0.0).unwrap();
+            on_both_paths(|path| {
+                for faults in &sets {
+                    let name = net.name();
+                    let what = format!("{name} {protection:?} on {path}, {faults:?}");
+                    check(&what, &net, Some(&twin), &dims, &x, faults);
+                }
+            });
         }
     }
 }

@@ -15,11 +15,11 @@
 //! ```
 
 use alfi::core::campaign::{ImgClassCampaign, RunConfig};
-use alfi::core::{store_to_texts, text_to_store, Artifacts, ReplayReader};
+use alfi::core::{store_to_texts, text_to_store, Artifacts};
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
 use alfi::nn::models::{alexnet, ModelConfig};
 use alfi::scenario::{ArtifactFormat, FaultMode, InjectionTarget, Scenario};
-use alfi::store::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, StoreWriter, Value};
+use alfi::store::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, StoreReader, StoreWriter, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -133,17 +133,17 @@ fn lookup_reads_at_most_one_block_plus_index() {
     let stats = w.finish().unwrap();
     assert_eq!(stats.rows, 64);
 
-    let mut r = ReplayReader::open(&path).unwrap();
-    assert_eq!(r.reader().block_count(), 8);
+    let mut r = StoreReader::open(&path).unwrap();
+    assert_eq!(r.block_count(), 8);
     let rows = r.lookup_fault(42).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].0, RowKey::new(0, 21, 42));
-    assert_eq!(r.reader().blocks_read(), 1, "a point lookup must decode exactly one block");
+    assert_eq!(r.blocks_read(), 1, "a point lookup must decode exactly one block");
     let file_len = std::fs::metadata(&path).unwrap().len();
     assert!(
-        r.reader().bytes_read() < file_len / 2,
+        r.bytes_read() < file_len / 2,
         "lookup read {} of {} bytes — that is a scan, not an indexed read",
-        r.reader().bytes_read(),
+        r.bytes_read(),
         file_len
     );
     let _ = std::fs::remove_file(&path);
@@ -158,10 +158,10 @@ fn lookup_matches_scan_filter() {
     campaign(4).run_with(&cfg).unwrap();
     let store = Artifacts::new(&dir).rows_store();
 
-    let all = ReplayReader::open(&store).unwrap().scan().unwrap();
+    let all = StoreReader::open(&store).unwrap().scan().unwrap();
     assert!(!all.is_empty());
     for fault_id in all.iter().map(|(k, _)| k.fault_id).collect::<std::collections::BTreeSet<_>>() {
-        let looked = ReplayReader::open(&store).unwrap().lookup_fault(fault_id).unwrap();
+        let looked = StoreReader::open(&store).unwrap().lookup_fault(fault_id).unwrap();
         let filtered: Vec<_> =
             all.iter().filter(|(k, _)| k.fault_id == fault_id).cloned().collect();
         assert_eq!(looked, filtered, "lookup/scan disagree for fault {fault_id}");
