@@ -56,7 +56,7 @@ pub enum Protection {
 
 impl Protection {
     /// The guard mode of this protection.
-    pub fn clamp_mode(self) -> ClampMode {
+    fn clamp_mode(self) -> ClampMode {
         match self {
             Protection::Ranger => ClampMode::Clip,
             Protection::Clipper => ClampMode::Zero,
